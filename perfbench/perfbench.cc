@@ -6,12 +6,12 @@
 // workloads, the metrics and which layer each metric belongs to.
 //
 //   aec_perfbench --workload ingest|serve|node_loss --seed N --seconds S
-//                 --trace 0|1 --workdir DIR [--scale F]
+//                 --trace 0|1 --workdir DIR
 //
-// The op sequence is a function of (workload, seed, seconds, scale) only:
-// two runs of one seed do the same operations against archives of the
-// same size, whatever the speed of the code under test. --scale shrinks
-// every size for the smoke test.
+// The op sequence is a function of (workload, seed, seconds) only: two
+// runs of one seed do the same operations against archives of the same
+// size, whatever the speed of the code under test (serve's closed-loop
+// readers excepted: they read for as long as the writer's schedule runs).
 //
 // Output: a human report, one {"env":…} stamp line and, last, the result
 // line {"correct":…,"attempted":…,"failed":…,"metrics":{…}} — the
@@ -80,17 +80,29 @@ constexpr double kMiB = 1024.0 * 1024.0;
 constexpr double kCorpusMiB = 128.0;
 constexpr double kIngestMiBPerSecond = 240.0;
 constexpr double kIngestRoundMiB = 128.0;
-constexpr double kServePutBytesPerSecond = 16e6;
+// About a quarter of this system's ingest rate, so the writer competes
+// with the readers for the one archive executor.
+constexpr double kServePutBytesPerSecond = 50e6;
+// serve runs in windows of the writer's schedule; every thread stops at
+// a window's end, and every kServeWindowsPerRound windows the archive is
+// rebuilt (corpus included), which bounds the in-memory archive.
+constexpr double kServeWindowS = 0.5;
+constexpr std::size_t kServeWindowsPerRound = 4;
 constexpr double kZipfExponent = 0.99;
 constexpr std::size_t kReaders = 2;
 constexpr std::size_t kChunk = 1u << 20;
-constexpr int kSetupRuns = 3;
+constexpr int kSetupRuns = 5;
 
 double secs(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
 double safe_div(double a, double b) { return b > 0.0 ? a / b : 0.0; }
+
+Clock::duration to_duration(double s) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(s));
+}
 
 double median(std::vector<double> v) {
   if (v.empty()) return 0.0;
@@ -145,6 +157,54 @@ class StealMeter {
 /// timings are scaled by it, so time the hypervisor stole is not charged
 /// to the program.
 double ran_share(double steal) { return 1.0 - std::clamp(steal, 0.0, 0.9); }
+
+/// How fast the host runs a fixed task of the benchmark's own (a 32 MiB
+/// copy for memory bandwidth, a dependent integer loop for core speed),
+/// as nominal seconds over measured seconds. On a shared VM, neighbours
+/// slow memory and cores without any steal: within minutes, at a steal
+/// share of 0, the copy rate of a 256 MiB memcpy moved between 5.7 and
+/// 9.1 GB/s and serve's GET rate with it between 456 and 1026 MB/s.
+/// Passes probe only where no request is in flight, so the code under
+/// test never shares the machine with the probe.
+class HostProbe {
+ public:
+  HostProbe() : src_(kBytes, 0x5a), dst_(kBytes, 0xa5) {}
+
+  /// Best of two tries, so an interrupt does not read as a slow host.
+  double speed() {
+    double best = 1e9;
+    for (int k = 0; k < 2; ++k) {
+      const auto start = Clock::now();
+      std::memcpy(dst_.data(), src_.data(), kBytes);
+      std::uint64_t x = dst_[static_cast<std::size_t>(k)] + 1u;
+      for (int i = 0; i < kSpins; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+      }
+      sink_ = sink_ + x;
+      best = std::min(best, secs(Clock::now() - start));
+    }
+    return kNominalS / best;
+  }
+
+ private:
+  static constexpr std::size_t kBytes = 32u << 20;
+  static constexpr int kSpins = 4'000'000;
+  // The task's time on the box the benchmark was built on, quiet.
+  static constexpr double kNominalS = 0.0125;
+  Bytes src_, dst_;
+  volatile std::uint64_t sink_ = 0;
+};
+
+/// The speed the machine ran a stretch of work at, relative to the
+/// nominal box: the share of CPU time the VM was not stolen from, times
+/// the host probe's speed right after (1 where there is no probe).
+/// Timings are multiplied by it, rates divided.
+double speed_lap(StealMeter& meter, HostProbe* probe) {
+  const double ran = ran_share(meter.lap());
+  return probe != nullptr ? ran * probe->speed() : ran;
+}
 
 // --- seeded content ---------------------------------------------------------
 
@@ -221,11 +281,13 @@ struct Plan {
   std::uint64_t seed = 0;
   std::vector<Object> corpus;  // ascending size, ingested during set-up
   std::vector<std::uint32_t> corpus_order;  // seeded ingest order
-  std::vector<Object> warmup;  // untimed PUTs during set-up
+  std::vector<Object> warmup;  // ingest: untimed PUTs during set-up
   std::vector<Object> puts;    // timed PUTs
-  /// ingest: end index in `puts` of each round; a round after the first
-  /// starts on a fresh archive.
-  std::vector<std::size_t> round_ends;
+  /// End index in `puts` of each segment (ingest: a round; serve: a
+  /// window of the writer's schedule). Every `segments_per_round`
+  /// segments the archive is rebuilt from scratch.
+  std::vector<std::size_t> segment_ends;
+  std::size_t segments_per_round = 1;
   double put_rate = 0.0;       // serve: open-loop bytes/s
   std::uint32_t cycles = 0;    // node_loss: fail → read all → rebuild
   std::vector<double> zipf_cdf;         // serve: over popularity ranks
@@ -234,6 +296,11 @@ struct Plan {
   std::uint64_t corpus_bytes() const {
     std::uint64_t sum = 0;
     for (const Object& o : corpus) sum += o.bytes;
+    return sum;
+  }
+  std::uint64_t corpus_blocks() const {
+    std::uint64_t sum = 0;
+    for (const Object& o : corpus) sum += o.blocks();
     return sum;
   }
 };
@@ -267,6 +334,21 @@ std::vector<Object> draw_objects(Rng& rng, const std::string& prefix,
   return out;
 }
 
+/// End indices of consecutive runs of `objects` of about `target` bytes.
+std::vector<std::size_t> split_by_bytes(const std::vector<Object>& objects,
+                                        double target) {
+  std::vector<std::size_t> ends;
+  double bytes = 0.0;
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    bytes += static_cast<double>(objects[i].bytes);
+    if (bytes >= target || i + 1 == objects.size()) {
+      ends.push_back(i + 1);
+      bytes = 0.0;
+    }
+  }
+  return ends;
+}
+
 /// `objects` in a seeded order (the order they are written in).
 std::vector<Object> seeded_order(std::vector<Object> objects, Rng& rng) {
   std::vector<std::uint32_t> order(objects.size());
@@ -278,7 +360,7 @@ std::vector<Object> seeded_order(std::vector<Object> objects, Rng& rng) {
   return out;
 }
 
-Plan make_plan(Workload w, std::uint64_t seed, double seconds, double scale) {
+Plan make_plan(Workload w, std::uint64_t seed, double seconds) {
   Plan p;
   p.workload = w;
   p.seed = seed;
@@ -289,37 +371,32 @@ Plan make_plan(Workload w, std::uint64_t seed, double seconds, double scale) {
       // 256 KiB – 8 MiB straddles the 2 MiB ingest window at 2 threads:
       // both the window-flush and the close-flush path run.
       p.warmup = seeded_order(
-          draw_objects(rng, "warm", 64 * kMiB * scale, 256 * KiB, 8 * kMiB),
+          draw_objects(rng, "warm", kIngestRoundMiB * kMiB, 256 * KiB,
+                       8 * kMiB),
           rng);
       p.puts = seeded_order(
-          draw_objects(rng, "obj",
-                       seconds * kIngestMiBPerSecond * kMiB * scale,
+          draw_objects(rng, "obj", seconds * kIngestMiBPerSecond * kMiB,
                        256 * KiB, 8 * kMiB),
           rng);
       // Rounds of about kIngestRoundMiB, each into a fresh archive, so
       // the in-memory nodes never hold more than one round.
-      for (std::size_t i = 0, bytes = 0; i < p.puts.size(); ++i) {
-        bytes += p.puts[i].bytes;
-        if (bytes >= kIngestRoundMiB * kMiB * scale || i + 1 == p.puts.size()) {
-          p.round_ends.push_back(i + 1);
-          bytes = 0;
-        }
-      }
+      p.segment_ends = split_by_bytes(p.puts, kIngestRoundMiB * kMiB);
       break;
     case Workload::kServe:
     case Workload::kNodeLoss:
-      p.corpus = draw_objects(rng, "c", kCorpusMiB * kMiB * scale, 64 * KiB,
-                              4 * kMiB);
+      p.corpus = draw_objects(rng, "c", kCorpusMiB * kMiB, 64 * KiB, 4 * kMiB);
       p.corpus_order.resize(p.corpus.size());
       std::iota(p.corpus_order.begin(), p.corpus_order.end(), 0u);
       shuffle(p.corpus_order, rng);
       break;
   }
   if (w == Workload::kServe) {
-    p.put_rate = kServePutBytesPerSecond * scale;
+    p.put_rate = kServePutBytesPerSecond;
     p.puts = seeded_order(
         draw_objects(rng, "w", seconds * p.put_rate, 64 * KiB, 4 * kMiB),
         rng);
+    p.segment_ends = split_by_bytes(p.puts, p.put_rate * kServeWindowS);
+    p.segments_per_round = kServeWindowsPerRound;
     const std::size_t n = p.corpus.size();
     double sum = 0.0;
     for (std::size_t r = 1; r <= n; ++r) {
@@ -539,8 +616,10 @@ std::size_t connections_for(Workload w) {
 }
 
 /// Span events of a traced pass. The ring holds 16384 events, so passes
-/// drain it wherever no request is in flight; re-enabling restarts the
-/// ring's clock, which is harmless because no op straddles a drain.
+/// drain it wherever no request is in flight (after every ingest phase,
+/// serve window and node_loss phase); re-enabling restarts the ring's
+/// clock, which is harmless because no op straddles a drain. Any event
+/// the ring overwrote before a drain fails the run.
 struct TraceLog {
   std::vector<obs::TraceEvent> events;
   std::uint64_t dropped = 0;
@@ -563,6 +642,10 @@ struct Rig {
   bool with_server = true;  // false: the archive alone (direct pass)
   bool trace_clients = false;
   TraceLog* trace = nullptr;  // traced pass only
+  HostProbe* probe = nullptr;  // untraced run only
+
+  /// See speed_lap.
+  double speed(StealMeter& meter) const { return speed_lap(meter, probe); }
 
   /// Called by passes at points where no request is in flight.
   void quiesce() const {
@@ -570,39 +653,37 @@ struct Rig {
   }
 
   /// Archive, corpus, server, connections and — when `warm` — the
-  /// warm-up ops (the first PUTs of ingest, two corpus reads per
-  /// reader). Returns the set-up seconds, steal-compensated.
+  /// warm-up ops (a round of ingest PUTs, two corpus reads per reader).
+  /// Returns the set-up seconds, compensated for the machine's speed.
   double build(Sut& sut, Tally& tally, bool warm = true) const {
     std::error_code ec;
     fs::remove_all(root, ec);
     StealMeter meter;
     const auto start = Clock::now();
     build_steps(sut, tally, warm);
-    return secs(Clock::now() - start) * ran_share(meter.lap());
+    const double s = secs(Clock::now() - start);
+    return s * speed(meter);
   }
 
   void build_steps(Sut& sut, Tally& tally, bool warm) const {
-    sut.root = root;
-    sut.archive = tools::Archive::create(root, kCodec, kBlock,
-                                         Engine::with_threads(kThreads),
-                                         store_spec);
-    Bytes buf(kChunk);
-    for (const std::uint32_t i : plan.corpus_order)
-      put_direct(*sut.archive, plan.corpus[i], content, buf);
-    if (!with_server) {
-      if (warm)
-        for (const Object& o : plan.warmup)
-          put_direct(*sut.archive, o, content, buf);
-      return;
-    }
-    sut.start_server();
-    for (std::size_t c = 0; c < connections_for(plan.workload); ++c)
-      sut.clients.push_back(connect(sut.port(), trace_clients));
+    make(sut);
     if (!warm) return;
-    for (const Object& o : plan.warmup)
-      guarded(sut.clients[0], sut.port(), tally, "warm-up put " + o.name,
-              [&](net::Client& c) { return put_object(c, o, content); });
-    if (!plan.corpus.empty())
+    if (!plan.warmup.empty()) {
+      // A round's worth of PUTs into an archive that is then dropped: the
+      // pass starts on a fresh archive, like every later ingest round,
+      // in a heap that has already held a round.
+      Bytes buf(kChunk);
+      for (const Object& o : plan.warmup) {
+        if (!with_server)
+          put_direct(*sut.archive, o, content, buf);
+        else
+          guarded(sut.clients[0], sut.port(), tally, "warm-up put " + o.name,
+                  [&](net::Client& c) { return put_object(c, o, content); });
+      }
+      sut.discard();
+      make(sut);
+    }
+    if (with_server && !plan.corpus.empty())
       for (std::size_t r = 0; r < kReaders; ++r)
         for (std::size_t i = 0; i < 2; ++i) {
           const Object& o = plan.corpus[(2 * r + i) % plan.corpus.size()];
@@ -611,7 +692,23 @@ struct Rig {
         }
   }
 
-  /// Replaces `sut` with a fresh, unwarmed system (the next ingest round).
+  /// Archive with the corpus and, unless this is the direct pass, the
+  /// server and its connections.
+  void make(Sut& sut) const {
+    sut.root = root;
+    sut.archive = tools::Archive::create(root, kCodec, kBlock,
+                                         Engine::with_threads(kThreads),
+                                         store_spec);
+    Bytes buf(kChunk);
+    for (const std::uint32_t i : plan.corpus_order)
+      put_direct(*sut.archive, plan.corpus[i], content, buf);
+    if (!with_server) return;
+    sut.start_server();
+    for (std::size_t c = 0; c < connections_for(plan.workload); ++c)
+      sut.clients.push_back(connect(sut.port(), trace_clients));
+  }
+
+  /// Replaces `sut` with a fresh, unwarmed system (the next round).
   void rebuild(Sut& sut, Tally& tally) const {
     sut.discard();
     build(sut, tally, /*warm=*/false);
@@ -622,7 +719,7 @@ struct Rig {
 /// several set-ups can be timed without their archives' memory showing
 /// in this process's peak RSS. Returns seconds, or a negative value on
 /// failure.
-double setup_in_child(const Rig& rig) {
+double setup_in_child(const Rig& parent_rig) {
   int fds[2];
   AEC_CHECK_MSG(::pipe(fds) == 0, "pipe: " << std::strerror(errno));
   std::fflush(nullptr);
@@ -632,6 +729,11 @@ double setup_in_child(const Rig& rig) {
     ::close(fds[0]);
     double s = -1.0;
     try {
+      // A probe of the child's own: the parent's buffers are shared
+      // copy-on-write, and writing them would time page faults.
+      HostProbe probe;
+      Rig rig = parent_rig;
+      rig.probe = &probe;
       Tally tally;
       Sut sut;
       s = rig.build(sut, tally);
@@ -665,9 +767,11 @@ struct Pass {
   /// is reported as their median, so a few seconds of a noisy neighbour
   /// on a shared machine move one segment, not the result.
   std::vector<double> head_rates, side_rates;
-  /// Steal share (StealMeter) of each segment, parallel to the rates.
-  std::vector<double> head_steal, side_steal;
+  /// The machine's speed over each segment (speed_lap), parallel to the
+  /// rates.
+  std::vector<double> head_speed, side_speed;
   std::vector<double> generator_late_s;  // serve: send minus due time
+  std::uint32_t rebuilds = 0;  // archives rebuilt inside the pass
   /// node_loss: per rebuild, bytes read from each node during it.
   std::vector<std::vector<std::uint64_t>> rebuild_node_reads;
 };
@@ -698,13 +802,16 @@ Pass run_ingest(Sut& sut, const Rig& rig, Tally& tally) {
   Pass pass;
   const auto t0 = Clock::now();
   std::size_t begin = 0;
-  for (std::uint32_t round = 0; round < plan.round_ends.size(); ++round) {
-    if (round > 0) rig.rebuild(sut, tally);
-    const std::size_t end = plan.round_ends[round];
+  for (std::uint32_t round = 0; round < plan.segment_ends.size(); ++round) {
+    if (round > 0) {
+      rig.rebuild(sut, tally);
+      ++pass.rebuilds;
+    }
+    const std::size_t end = plan.segment_ends[round];
     auto& client = sut.clients[0];
     const auto phase = [&](OpKind kind, double& wall_s,
                            std::vector<double>& rates,
-                           std::vector<double>& steal) {
+                           std::vector<double>& speed) {
       StealMeter meter;
       const auto phase_start = Clock::now();
       double bytes = 0.0;
@@ -730,117 +837,114 @@ Pass run_ingest(Sut& sut, const Rig& rig, Tally& tally) {
       const double phase_s = secs(Clock::now() - phase_start);
       wall_s += phase_s;
       rates.push_back(safe_div(bytes, phase_s));
-      steal.push_back(meter.lap());
+      speed.push_back(rig.speed(meter));
       rig.quiesce();
     };
-    phase(OpKind::kPut, pass.wall_s, pass.head_rates, pass.head_steal);
-    phase(OpKind::kGet, pass.side_wall_s, pass.side_rates, pass.side_steal);
+    phase(OpKind::kPut, pass.wall_s, pass.head_rates, pass.head_speed);
+    phase(OpKind::kGet, pass.side_wall_s, pass.side_rates, pass.side_speed);
     begin = end;
   }
   return pass;
 }
 
-Pass run_serve(Sut& sut, const Plan& plan, const Content& content,
-               Tally& tally) {
+/// Two closed-loop Zipf readers beside an open-loop writer, in windows
+/// of the writer's schedule. Every thread stops at a window's end, so a
+/// window boundary is a point with no request in flight; every
+/// segments_per_round windows the archive is rebuilt, outside the timed
+/// windows, so the writer's data never outgrows one round.
+Pass run_serve(Sut& sut, const Rig& rig, Tally& tally) {
+  const Plan& plan = rig.plan;
+  const Content& content = rig.content;
   Pass pass;
-  std::atomic<bool> writer_done{false};
-  std::vector<std::vector<OpRecord>> per_thread(kReaders + 1);
-  std::vector<double> end_s(kReaders + 1, 0.0);
-  const auto t0 = Clock::now();
-  std::vector<std::thread> threads;
-  // Open-loop writer: PUT k is due when the constant byte rate reaches
-  // it; latency counts from the due time, so a stall is charged to every
-  // PUT queued behind it.
-  threads.emplace_back([&] {
-    auto& client = sut.clients[kReaders];
-    double due_s = 0.0;
-    for (const Object& o : plan.puts) {
-      const auto due = t0 + std::chrono::duration_cast<Clock::duration>(
-                                std::chrono::duration<double>(due_s));
-      std::this_thread::sleep_until(due);
-      const auto sent = Clock::now();
-      pass.generator_late_s.push_back(std::max(0.0, secs(sent - due)));
-      OpRecord rec{OpKind::kPut, &o};
-      rec.start_s = due_s;
-      rec.ok = guarded(client, sut.port(), tally, "put " + o.name,
-                       [&](net::Client& c) { return put_object(c, o, content); });
-      const auto done = Clock::now();
-      rec.latency_s = secs(done - due);
-      rec.service_s = secs(done - sent);
-      rec.trace_id = client->last_trace_id();
-      per_thread[kReaders].push_back(rec);
-      due_s += static_cast<double>(o.bytes) / plan.put_rate;
-    }
-    end_s[kReaders] = secs(Clock::now() - t0);
-    writer_done = true;
-  });
-  // Closed-loop readers with Zipf popularity, until the writer is done.
+  std::vector<Rng> reader_rng;
   for (std::size_t r = 0; r < kReaders; ++r)
-    threads.emplace_back([&, r] {
-      auto& client = sut.clients[r];
-      Rng rng(plan.seed * 0xD1B54A32D192ED03ULL + r + 1);
-      while (!writer_done.load()) {
-        const double u = rng.uniform_double();
-        const auto rank = static_cast<std::size_t>(
-            std::lower_bound(plan.zipf_cdf.begin(), plan.zipf_cdf.end(), u) -
-            plan.zipf_cdf.begin());
-        const Object& o =
-            plan.corpus[plan.by_rank[std::min(rank, plan.corpus.size() - 1)]];
-        OpRecord rec{OpKind::kGet, &o};
-        const auto start = Clock::now();
-        rec.start_s = secs(start - t0);
-        rec.ok = guarded(client, sut.port(), tally, "get " + o.name,
-                         [&](net::Client& c) { return get_object(c, o, content); });
-        rec.latency_s = rec.service_s = secs(Clock::now() - start);
-        rec.trace_id = client->last_trace_id();
-        per_thread[r].push_back(rec);
-      }
-      end_s[r] = secs(Clock::now() - t0);
-    });
-  // Segments: tenths of the writer's schedule (the last one runs to the
-  // end of the phase), each with its steal share.
-  constexpr int kWindows = 10;
-  double schedule_s = 0.0;
-  for (const Object& o : plan.puts)
-    schedule_s += static_cast<double>(o.bytes) / plan.put_rate;
-  const double window_s = schedule_s / kWindows;
-  threads.emplace_back([&] {
+    reader_rng.emplace_back(plan.seed * 0xD1B54A32D192ED03ULL + r + 1);
+  const auto t0 = Clock::now();
+  std::size_t begin = 0;
+  for (std::uint32_t w = 0; w < plan.segment_ends.size(); ++w) {
+    if (w > 0 && w % plan.segments_per_round == 0) {
+      rig.rebuild(sut, tally);
+      ++pass.rebuilds;
+    }
+    const auto round = static_cast<std::uint32_t>(w / plan.segments_per_round);
+    const std::size_t end = plan.segment_ends[w];
+    std::atomic<bool> writer_done{false};
+    std::vector<std::vector<OpRecord>> per_thread(kReaders + 1);
+    std::vector<double> late_s;
     StealMeter meter;
-    for (int w = 1; w <= kWindows; ++w) {
-      if (w < kWindows)
-        std::this_thread::sleep_until(
-            t0 + std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double>(w * window_s)));
-      else
-        while (!writer_done.load())
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      pass.head_steal.push_back(meter.lap());
-    }
-  });
-  for (std::thread& t : threads) t.join();
-  for (auto& v : per_thread) pass.ops.insert(pass.ops.end(), v.begin(), v.end());
-  pass.wall_s = *std::max_element(end_s.begin(), end_s.begin() + kReaders);
-  pass.side_wall_s = end_s[kReaders];
-  std::vector<double> bytes(kWindows, 0.0);
-  double put_bytes = 0.0;
-  for (OpRecord& r : pass.ops) {
-    r.segment = static_cast<std::uint32_t>(std::clamp(
-        static_cast<int>((r.start_s + r.latency_s) / window_s), 0,
-        kWindows - 1));
-    if (!r.ok) continue;
-    if (r.kind == OpKind::kPut) {
-      put_bytes += static_cast<double>(r.object->bytes);
-      r.segment = 0;  // the writer's rate is set by the schedule: one segment
-    } else {
-      bytes[r.segment] += static_cast<double>(r.object->bytes);
-    }
+    const auto start = Clock::now();
+    const double offset_s = secs(start - t0);
+    std::vector<std::thread> threads;
+    // Open-loop writer: PUT k is due when the constant byte rate reaches
+    // it; latency counts from the due time, so a stall is charged to
+    // every PUT queued behind it. The window lasts at least its schedule.
+    threads.emplace_back([&] {
+      auto& client = sut.clients[kReaders];
+      double due_s = 0.0;
+      for (std::size_t i = begin; i < end; ++i) {
+        const Object& o = plan.puts[i];
+        const auto due = start + to_duration(due_s);
+        std::this_thread::sleep_until(due);
+        const auto sent = Clock::now();
+        late_s.push_back(std::max(0.0, secs(sent - due)));
+        OpRecord rec{OpKind::kPut, &o};
+        rec.round = round;
+        rec.segment = w;
+        rec.start_s = offset_s + due_s;
+        rec.ok = guarded(client, sut.port(), tally, "put " + o.name,
+                         [&](net::Client& c) { return put_object(c, o, content); });
+        const auto done = Clock::now();
+        rec.latency_s = secs(done - due);
+        rec.service_s = secs(done - sent);
+        rec.trace_id = client->last_trace_id();
+        per_thread[kReaders].push_back(rec);
+        due_s += static_cast<double>(o.bytes) / plan.put_rate;
+      }
+      std::this_thread::sleep_until(start + to_duration(due_s));
+      writer_done = true;
+    });
+    // Closed-loop readers with Zipf popularity, until the writer is done.
+    for (std::size_t r = 0; r < kReaders; ++r)
+      threads.emplace_back([&, r] {
+        auto& client = sut.clients[r];
+        Rng& rng = reader_rng[r];
+        while (!writer_done.load()) {
+          const double u = rng.uniform_double();
+          const auto rank = static_cast<std::size_t>(
+              std::lower_bound(plan.zipf_cdf.begin(), plan.zipf_cdf.end(), u) -
+              plan.zipf_cdf.begin());
+          const Object& o =
+              plan.corpus[plan.by_rank[std::min(rank, plan.corpus.size() - 1)]];
+          OpRecord rec{OpKind::kGet, &o};
+          rec.round = round;
+          rec.segment = w;
+          const auto sent = Clock::now();
+          rec.start_s = secs(sent - t0);
+          rec.ok = guarded(client, sut.port(), tally, "get " + o.name,
+                           [&](net::Client& c) { return get_object(c, o, content); });
+          rec.latency_s = rec.service_s = secs(Clock::now() - sent);
+          rec.trace_id = client->last_trace_id();
+          per_thread[r].push_back(rec);
+        }
+      });
+    for (std::thread& t : threads) t.join();
+    const double wall_s = secs(Clock::now() - start);
+    pass.wall_s += wall_s;
+    pass.head_speed.push_back(rig.speed(meter));
+    double get_bytes = 0.0;
+    for (auto& v : per_thread)
+      for (const OpRecord& r : v) {
+        if (r.ok && r.kind == OpKind::kGet)
+          get_bytes += static_cast<double>(r.object->bytes);
+        pass.ops.push_back(r);
+      }
+    pass.head_rates.push_back(safe_div(get_bytes, wall_s));
+    pass.side_speed.push_back(pass.head_speed.back());
+    pass.generator_late_s.insert(pass.generator_late_s.end(), late_s.begin(),
+                                 late_s.end());
+    rig.quiesce();
+    begin = end;
   }
-  for (int w = 0; w < kWindows; ++w)
-    pass.head_rates.push_back(safe_div(
-        bytes[w], w + 1 < kWindows ? window_s
-                                   : pass.wall_s - (kWindows - 1) * window_s));
-  pass.side_rates.push_back(safe_div(put_bytes, pass.side_wall_s));
-  pass.side_steal.push_back(median(pass.head_steal));
   return pass;
 }
 
@@ -904,7 +1008,7 @@ Pass run_node_loss(Sut& sut, const Rig& rig, Tally& tally) {
         pass.ops.push_back(r);
       }
     pass.head_rates.push_back(safe_div(read_bytes, read_s));
-    pass.head_steal.push_back(meter.lap());
+    pass.head_speed.push_back(rig.speed(meter));
     rig.quiesce();
 
     // The executor is idle between requests, so the node counters can be
@@ -926,7 +1030,7 @@ Pass run_node_loss(Sut& sut, const Rig& rig, Tally& tally) {
     pass.side_wall_s += rec.latency_s;
     pass.side_rates.push_back(safe_div(
         static_cast<double>(rec.repaired_blocks * kBlock), rec.latency_s));
-    pass.side_steal.push_back(meter.lap());
+    pass.side_speed.push_back(rig.speed(meter));
     rec.trace_id = control->last_trace_id();
     pass.ops.push_back(rec);
     std::vector<std::uint64_t> delta = node_reads(*sut.archive);
@@ -940,8 +1044,7 @@ Pass run_node_loss(Sut& sut, const Rig& rig, Tally& tally) {
 Pass run_pass(Sut& sut, const Rig& rig, Tally& tally) {
   switch (rig.plan.workload) {
     case Workload::kIngest: return run_ingest(sut, rig, tally);
-    case Workload::kServe:
-      return run_serve(sut, rig.plan, rig.content, tally);
+    case Workload::kServe: return run_serve(sut, rig, tally);
     case Workload::kNodeLoss: return run_node_loss(sut, rig, tally);
   }
   return {};
@@ -1019,9 +1122,11 @@ DirectTimes replay_direct(Sut& direct, const Rig& rig, const Pass& pass,
 
 // --- self-checks after a pass ---------------------------------------------------
 
-std::uint64_t data_blocks_of(const std::vector<OpRecord>& ops) {
-  std::uint64_t blocks = 0;
-  for (const OpRecord& r : ops)
+/// Data blocks a pass encodes: its PUTs, and the corpus again for every
+/// archive rebuilt inside it.
+std::uint64_t encoded_blocks_of(const Plan& plan, const Pass& pass) {
+  std::uint64_t blocks = pass.rebuilds * plan.corpus_blocks();
+  for (const OpRecord& r : pass.ops)
     if (r.kind == OpKind::kPut && r.ok) blocks += r.object->blocks();
   return blocks;
 }
@@ -1055,19 +1160,20 @@ void register_store_families() {
 
 // --- metric helpers -------------------------------------------------------------
 
-/// One phase's segments after steal compensation: the quieter half by
-/// steal share (at or below the median), so a neighbour that takes the
-/// CPUs for part of a run moves fewer of the numbers.
+/// One phase's segments, compensated for the machine's speed over each
+/// (speed_lap): only the faster half (speed at or above the median)
+/// counts, so a neighbour that takes the CPUs or the memory for part of
+/// a run moves fewer of the numbers.
 struct Segments {
-  std::vector<double> steal;
+  std::vector<double> speed;
   std::vector<bool> keep;
 
-  explicit Segments(std::vector<double> s) : steal(std::move(s)) {
-    const double cut = median(steal);
-    for (const double v : steal) keep.push_back(v <= cut);
+  explicit Segments(std::vector<double> s) : speed(std::move(s)) {
+    const double cut = median(speed);
+    for (const double v : speed) keep.push_back(v >= cut);
   }
-  double steal_of(std::size_t i) const {
-    return i < steal.size() ? steal[i] : 0.0;
+  double speed_of(std::size_t i) const {
+    return i < speed.size() ? speed[i] : 1.0;
   }
   bool kept(std::size_t i) const { return i >= keep.size() || keep[i]; }
 
@@ -1075,8 +1181,20 @@ struct Segments {
   double rate(const std::vector<double>& rates) const {
     std::vector<double> out;
     for (std::size_t i = 0; i < rates.size(); ++i)
-      if (kept(i)) out.push_back(rates[i] / ran_share(steal_of(i)));
+      if (kept(i)) out.push_back(rates[i] / speed_of(i));
     return median(out);
+  }
+  /// Bytes over compensated service time of the successful `k` ops in
+  /// kept segments: serve's PUT rate, which moves with the cost of a PUT
+  /// rather than with the schedule that paces the PUTs.
+  double service_rate(const std::vector<OpRecord>& ops, OpKind k) const {
+    double bytes = 0.0, service_s = 0.0;
+    for (const OpRecord& r : ops)
+      if (r.kind == k && r.ok && kept(r.segment)) {
+        bytes += static_cast<double>(r.object->bytes);
+        service_s += r.service_s * speed_of(r.segment);
+      }
+    return safe_div(bytes, service_s);
   }
   /// Compensated latencies (ms) of successful `k` ops in kept segments.
   std::vector<double> latencies_ms(const std::vector<OpRecord>& ops,
@@ -1084,7 +1202,7 @@ struct Segments {
     std::vector<double> out;
     for (const OpRecord& r : ops)
       if (r.kind == k && r.ok && kept(r.segment))
-        out.push_back(r.latency_s * ran_share(steal_of(r.segment)) * 1e3);
+        out.push_back(r.latency_s * speed_of(r.segment) * 1e3);
     return out;
   }
 };
@@ -1233,7 +1351,6 @@ struct Options {
   double seconds = 10.0;
   bool trace = false;
   fs::path workdir = ".bench_work";
-  double scale = 1.0;
 };
 
 struct RunResult {
@@ -1244,7 +1361,9 @@ struct RunResult {
 /// Untraced run: the end-to-end metrics.
 RunResult run_untraced(const Plan& plan, const Content& content,
                        const fs::path& root, Tally& tally) {
-  const Rig rig{plan, content, root};
+  HostProbe probe;
+  Rig rig{plan, content, root};
+  rig.probe = &probe;
   std::vector<double> setups;
   for (int i = 0; i + 1 < kSetupRuns; ++i) {
     const double s = setup_in_child(rig);
@@ -1262,16 +1381,14 @@ RunResult run_untraced(const Plan& plan, const Content& content,
   const double rss_mib = rss_peak_mib();
   const MetricsDelta delta(before, obs::MetricsRegistry::global().snapshot());
   tally.check(delta.counter("encode.blocks") ==
-                  static_cast<double>(data_blocks_of(pass.ops)),
+                  static_cast<double>(encoded_blocks_of(plan, pass)),
               "encode.blocks equals the data blocks ingested");
   check_scrub(sut, tally);
 
-  // User bytes in the archive that is live now (the last ingest round's).
+  // User bytes in the archive that is live now (the last round's).
   std::uint32_t last_round = 0;
   for (const OpRecord& r : pass.ops) last_round = std::max(last_round, r.round);
   std::uint64_t user_bytes = plan.corpus_bytes();
-  if (last_round == 0)
-    for (const Object& o : plan.warmup) user_bytes += o.bytes;
   for (const OpRecord& r : pass.ops)
     if (r.kind == OpKind::kPut && r.ok && r.round == last_round)
       user_bytes += r.object->bytes;
@@ -1282,7 +1399,7 @@ RunResult run_untraced(const Plan& plan, const Content& content,
   // Headline op: ingest PUT, serve GET, node_loss degraded GET.
   const OpKind head = plan.workload == Workload::kIngest ? OpKind::kPut
                                                          : OpKind::kGet;
-  const Segments head_seg(pass.head_steal), side_seg(pass.side_steal);
+  const Segments head_seg(pass.head_speed), side_seg(pass.side_speed);
   const std::vector<double> head_ms = head_seg.latencies_ms(pass.ops, head);
   // Secondary op: ingest read-back GET, serve PUT, node_loss rebuild.
   const OpKind side = plan.workload == Workload::kIngest ? OpKind::kGet
@@ -1295,7 +1412,11 @@ RunResult run_untraced(const Plan& plan, const Content& content,
       {"mb_s", head_seg.rate(pass.head_rates) / 1e6, "MB/s"},
       {"p50_ms", percentile(head_ms, 0.50), "ms"},
       {"p90_ms", percentile(head_ms, 0.90), "ms"},
-      {"side_mb_s", side_seg.rate(pass.side_rates) / 1e6, "MB/s"},
+      {"side_mb_s",
+       (plan.workload == Workload::kServe ? side_seg.service_rate(pass.ops, side)
+                                          : side_seg.rate(pass.side_rates)) /
+           1e6,
+       "MB/s"},
       {"side_p50_ms", percentile(side_ms, 0.50), "ms"},
       {"rss_peak_mib", rss_mib, "MiB"},
       {"space_amp", space_amp, "x"},
@@ -1304,10 +1425,17 @@ RunResult run_untraced(const Plan& plan, const Content& content,
   x += ", \"setup_runs_s\": [";
   for (std::size_t i = 0; i < setups.size(); ++i)
     x += (i ? ", " : "") + fmt(setups[i]);
+  x += "], \"segment_mb_s\": [";
+  for (std::size_t i = 0; i < pass.head_rates.size(); ++i)
+    x += (i ? ", " : "") + fmt(pass.head_rates[i] / 1e6);
+  x += "], \"side_segment_mb_s\": [";
+  for (std::size_t i = 0; i < pass.side_rates.size(); ++i)
+    x += (i ? ", " : "") + fmt(pass.side_rates[i] / 1e6);
   x += "], \"raw_mb_s\": " + fmt(median(pass.head_rates) / 1e6);
   x += ", \"raw_p50_ms\": " + fmt(percentile(latencies_ms(pass.ops, head), 0.5));
-  x += ", \"steal_share_median\": " + fmt(median(pass.head_steal));
-  x += ", \"steal_share_max\": " + fmt(percentile(pass.head_steal, 1.0));
+  x += ", \"speed_median\": " + fmt(median(pass.head_speed));
+  x += ", \"speed_min\": " + fmt(percentile(pass.head_speed, 0.0));
+  x += ", \"speed_max\": " + fmt(percentile(pass.head_speed, 1.0));
   x += ", \"head_segments\": " + std::to_string(pass.head_rates.size());
   x += ", \"head_ops\": " + std::to_string(head_ms.size());
   x += ", \"side_ops\": " + std::to_string(side_ms.size());
@@ -1353,11 +1481,9 @@ RunResult run_traced(const Plan& plan, const Content& content,
   const StoreCounts store_before = StoreCounts::now();
   ring.enable();
   const Pass pass = run_pass(sut, traced, tally);
-  // Time the ops kept the system busy: serve's writer and readers run
-  // together; the other workloads' phases run one after another.
-  const double pass_wall = plan.workload == Workload::kServe
-                               ? std::max(pass.wall_s, pass.side_wall_s)
-                               : pass.wall_s + pass.side_wall_s;
+  // Time the ops kept the system busy (serve's writer and readers share
+  // their windows, so serve has no separate secondary phase).
+  const double pass_wall = pass.wall_s + pass.side_wall_s;
   settle(sut, tally);
   log.drain();
   ring.disable();
@@ -1365,9 +1491,12 @@ RunResult run_traced(const Plan& plan, const Content& content,
   const std::uint64_t dropped = log.dropped;
   const StoreCounts store = StoreCounts::now() - store_before;
   const MetricsDelta delta(before, obs::MetricsRegistry::global().snapshot());
-  const double encoded_blocks = static_cast<double>(data_blocks_of(pass.ops));
-  tally.check(delta.counter("encode.blocks") == encoded_blocks,
+  tally.check(delta.counter("encode.blocks") ==
+                  static_cast<double>(encoded_blocks_of(plan, pass)),
               "encode.blocks equals the data blocks ingested");
+  // A wrapped ring loses spans while net.req.latency_us still counts
+  // their ops, which would skew every server-side split below.
+  tally.check(dropped == 0, "the span ring dropped no events");
   check_scrub(sut, tally);
   sut.discard();
 
@@ -1460,8 +1589,6 @@ RunResult run_traced(const Plan& plan, const Content& content,
       delta.counter("encode.blocks") * kAlpha * kBlock +
       delta.counter("repair.steps") * kBlock;
   const double wall_us = pass_wall * 1e6;
-  const double hits = delta.counter("store.sharded.cache_hits");
-  const double misses = delta.counter("store.sharded.cache_misses");
   const double issued = delta.counter("read.prefetch.issued");
 
   RunResult out;
@@ -1516,10 +1643,6 @@ RunResult run_traced(const Plan& plan, const Content& content,
        safe_div(static_cast<double>(store.put_bytes), put_bytes), "B/B"},
       {"store.read_amp",
        safe_div(static_cast<double>(store.get_bytes), get_bytes), "B/B"},
-      {"store.sharded.cache_hit_ratio", safe_div(hits, hits + misses),
-       "ratio"},
-      {"store.sharded.wb_flushed_blocks",
-       delta.counter("store.sharded.wb_flushed_blocks"), "count"},
       {"cluster.repair_read_per_lost_byte",
        safe_div(survivor_reads, rebuilt_bytes), "B/B"},
       {"cluster.survivor_load_max_over_mean",
@@ -1601,8 +1724,7 @@ RunResult run_traced(const Plan& plan, const Content& content,
 int usage() {
   std::fprintf(stderr,
                "usage: aec_perfbench --workload ingest|serve|node_loss "
-               "--seed N --seconds S --trace 0|1 [--workdir DIR] "
-               "[--scale F]\n");
+               "--seed N --seconds S --trace 0|1 [--workdir DIR]\n");
   return 2;
 }
 
@@ -1625,33 +1747,37 @@ int run(int argc, char** argv) {
       opt.trace = val == "1";
     } else if (key == "--workdir") {
       opt.workdir = val;
-    } else if (key == "--scale") {
-      opt.scale = std::stod(val);
     } else {
       return usage();
     }
   }
-  if (!have_workload || argc % 2 == 0 || opt.seconds <= 0 || opt.scale <= 0)
+  if (!have_workload || argc % 2 == 0 || opt.seconds <= 0)
     return usage();
 
-  // Ingest drops a whole in-memory archive after every round and builds
-  // the next. Keep freed heap in the process instead of trimming it back
-  // to the kernel and faulting it in again, so each round sees a
-  // long-running server's warm heap, not a fresh process's: page-fault
-  // and zeroing cost depends on the host's memory state and made ingest
-  // throughput swing by a fifth between identical runs.
+  // Ingest and serve drop a whole in-memory archive after every round
+  // and build the next. Keep freed heap in the process instead of
+  // returning it to the kernel and faulting it in again, so each round
+  // sees a long-running server's warm heap, not a fresh process's:
+  // page-fault and zeroing cost depends on the host's memory state and
+  // made ingest throughput swing by a fifth between identical runs. The
+  // trim threshold keeps the main heap; the top pad keeps the worker
+  // threads' arenas, whose heaps glibc unmaps once they are wholly free
+  // (which made every other ingest round a quarter slower).
   ::mallopt(M_TRIM_THRESHOLD, 1 << 30);
+  ::mallopt(M_TOP_PAD, 128 << 20);
   ::mallopt(M_MMAP_THRESHOLD, 32 << 20);
   register_store_families();
   const Content content(opt.seed);
-  // The traced run's passes are shorter: the span ring holds 16384
-  // events, and serve records about six per GET.
-  const double trace_fraction =
-      opt.workload == Workload::kServe ? 0.1 : 0.25;
-  const Plan plan =
-      make_plan(opt.workload, opt.seed,
-                opt.trace ? opt.seconds * trace_fraction : opt.seconds,
-                opt.scale);
+  // The traced run makes four passes, so each is a quarter as long. A
+  // traced serve pass stays within one round: an archive rebuild inside
+  // it would add a corpus ingest to every delta of the pass.
+  double seconds = opt.seconds;
+  if (opt.trace) {
+    seconds *= 0.25;
+    if (opt.workload == Workload::kServe)
+      seconds = std::min(seconds, kServeWindowS * kServeWindowsPerRound);
+  }
+  const Plan plan = make_plan(opt.workload, opt.seed, seconds);
   fs::create_directories(opt.workdir);
   const fs::path root = fs::absolute(opt.workdir) /
                         (std::string(to_string(opt.workload)) + "-" +
@@ -1678,12 +1804,12 @@ int run(int argc, char** argv) {
 
   std::printf(
       "{\"env\": {\"workload\": \"%s\", \"seed\": %llu, \"seconds\": %s, "
-      "\"scale\": %s, \"trace\": %d, \"hw_cores\": %u, \"kernel\": \"%s\", "
+      "\"trace\": %d, \"hw_cores\": %u, \"kernel\": \"%s\", "
       "\"root_fs\": \"%s\", \"engine_threads\": %zu, \"codec\": \"%s\", "
       "\"block_size\": %zu, \"store\": \"%s\", \"corpus_mib\": %s, "
       "\"corpus_objects\": %zu%s}}\n",
       to_string(opt.workload), static_cast<unsigned long long>(opt.seed),
-      fmt(opt.seconds).c_str(), fmt(opt.scale).c_str(), opt.trace ? 1 : 0,
+      fmt(opt.seconds).c_str(), opt.trace ? 1 : 0,
       std::thread::hardware_concurrency(), selected_kernel_name(),
       fs_name(opt.workdir), kThreads, kCodec,
       kBlock, opt.trace ? kTracedStore : kStore,

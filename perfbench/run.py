@@ -52,8 +52,6 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="shrinks every size (the smoke test)")
     args = parser.parse_args()
 
     if not (ROOT / "CMakeLists.txt").is_file() or not (ROOT / "src").is_dir():
@@ -73,8 +71,7 @@ def main():
     workdir = ROOT / ".bench_work" / str(os.getpid())
     command = [str(binary), "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds),
-               "--trace", str(args.trace), "--workdir", str(workdir),
-               "--scale", str(args.scale)]
+               "--trace", str(args.trace), "--workdir", str(workdir)]
     try:
         proc = subprocess.run(command, stdout=subprocess.PIPE, text=True,
                               timeout=RUN_TIMEOUT_S)

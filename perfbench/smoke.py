@@ -5,8 +5,8 @@ Run from the root of a checkout:
 
     python3 perfbench/smoke.py
 
-For each workload it runs the untraced and the traced run at a small
-scale and asserts that every metric BENCHMARK.json names is printed with
+For each workload it runs the untraced and the traced run for one second
+(`--seconds 1`, at the benchmark's full system size) and asserts that every metric BENCHMARK.json names is printed with
 its unit and a finite value, that the self-checks passed (correct, no
 failed op), and a few invariants of the layers (space amplification near
 α+1 = 4, two bytes read per lost byte on a strand rebuild, encode work
@@ -22,7 +22,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ["ingest", "serve", "node_loss"]
-SCALE = "0.05"
 SEED = 7
 COUNTS = ["encode.blocks", "repair.steps", "store.write_amp"]
 
@@ -30,8 +29,8 @@ COUNTS = ["encode.blocks", "repair.steps", "store.write_amp"]
 def run(workload, trace, seed=SEED):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", workload, "--seed", str(seed), "--seconds", "2",
-         "--trace", str(trace), "--scale", SCALE],
+         "--workload", workload, "--seed", str(seed), "--seconds", "1",
+         "--trace", str(trace)],
         cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.strip().split("\n")[-1])
 

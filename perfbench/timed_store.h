@@ -1,7 +1,7 @@
 // A benchmark-owned BlockStore decorator that times every payload call
 // into the store layer. The traced run registers it as the "timed" store
 // family and names it as the cluster child ("cluster(4,strand,
-// timed(sharded(8)))"), so the store layer's call counts, busy time and
+// timed(cmem))"), so the store layer's call counts, busy time and
 // bytes are measured from outside the library, around the calls the
 // cluster layer makes into each node's backend.
 //
