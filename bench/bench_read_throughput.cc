@@ -1,10 +1,14 @@
-// Read throughput: the pipelined windowed read path (BlockFetcher
-// prefetch + repair-on-read lookahead) vs the per-block baseline
-// (read_block loop, one get_copy + repair per block), over the
-// file-backed store an archive actually uses (FileBlockStore behind a
-// LockedBlockStore, exactly the Archive wiring) with AE(3,2,5).
+// Read throughput: the pipelined read path (BlockFetcher prefetch +
+// repair-on-read lookahead) vs the per-block baseline (read_block loop,
+// one get_copy + repair per block), over the file-backed store an
+// archive actually uses (FileBlockStore behind a LockedBlockStore,
+// exactly the Archive wiring) with AE(3,2,5) on a 1-thread engine.
 //
-// Phases: {healthy, degraded} × {per-block, windowed w ∈ {16, 64, 256}}.
+// Phases: {healthy, degraded} × {per-block, windowed w ∈ {16, 64, 256},
+// streamed}. A windowed phase calls read_blocks once per window, so its
+// prefetch drains at every window boundary; the streamed phase opens one
+// session BlockStream over the whole block run (what FileReader and
+// aecd's GET serve from), whose lookahead never drains until the end.
 // Degraded runs re-inject the same damaged-neighbourhood pattern (runs
 // of consecutive data blocks — the shape repair-on-read lookahead is
 // built for) before every measurement, and every phase starts from a
@@ -14,11 +18,8 @@
 //
 //   bench_read_throughput [file_mib] [block_size] [--json]
 //   (default 32 4096; --json emits one JSON object per phase and
-//   suppresses the table — the cross-PR perf-tracking format)
-//
-// NOTE: this container is single-core; the windowed win here is batched
-// raw-I/O syscalls and one store lock per batch, not I/O overlap. Run on
-// multicore hardware for the full pipelining effect.
+//   suppresses the table — the cross-PR perf-tracking format; every row
+//   records hw_cores, the machine's hardware threads)
 #include <unistd.h>
 
 #include <chrono>
@@ -27,6 +28,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/engine.h"
@@ -58,9 +60,11 @@ std::vector<NodeIndex> neighbourhood_damage(std::uint64_t total_blocks) {
 }
 
 struct Phase {
+  enum class Mode { kPerBlock, kWindowed, kStreamed };
   const char* label;
   bool damaged;
-  std::size_t window;  // 0 = per-block baseline
+  Mode mode;
+  std::size_t window;  // lookahead blocks (0 for the per-block baseline)
 };
 
 int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
@@ -73,10 +77,12 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
       ("aec_bench_read_" + std::to_string(::getpid()));
   fs::remove_all(root);
 
+  const unsigned hw_cores = std::thread::hardware_concurrency();
   if (!json) {
     std::printf(
-        "read throughput — %llu MiB, %zu B blocks, AE(3,2,5), file store\n",
-        static_cast<unsigned long long>(file_mib), block_size);
+        "read throughput — %llu MiB, %zu B blocks, AE(3,2,5), file store, "
+        "%u hw cores\n",
+        static_cast<unsigned long long>(file_mib), block_size, hw_cores);
     std::printf("%-28s %10s %12s\n", "phase", "MB/s", "wall s");
   }
 
@@ -111,15 +117,19 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
   }
 
   const std::vector<NodeIndex> victims = neighbourhood_damage(total_blocks);
+  using Mode = Phase::Mode;
+  const std::size_t stream_window = session->read_window_blocks();
   const Phase phases[] = {
-      {"healthy per-block", false, 0},
-      {"healthy windowed w=16", false, 16},
-      {"healthy windowed w=64", false, 64},
-      {"healthy windowed w=256", false, 256},
-      {"degraded per-block", true, 0},
-      {"degraded windowed w=16", true, 16},
-      {"degraded windowed w=64", true, 64},
-      {"degraded windowed w=256", true, 256},
+      {"healthy per-block", false, Mode::kPerBlock, 0},
+      {"healthy windowed w=16", false, Mode::kWindowed, 16},
+      {"healthy windowed w=64", false, Mode::kWindowed, 64},
+      {"healthy windowed w=256", false, Mode::kWindowed, 256},
+      {"healthy streamed", false, Mode::kStreamed, stream_window},
+      {"degraded per-block", true, Mode::kPerBlock, 0},
+      {"degraded windowed w=16", true, Mode::kWindowed, 16},
+      {"degraded windowed w=64", true, Mode::kWindowed, 64},
+      {"degraded windowed w=256", true, Mode::kWindowed, 256},
+      {"degraded streamed", true, Mode::kStreamed, stream_window},
   };
 
   // Best-of-3 per phase: the per-phase walls are tens of milliseconds,
@@ -144,10 +154,10 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
       const auto start = Clock::now();
       std::vector<std::optional<Bytes>> out;
       out.reserve(total_blocks);
-      if (phase.window == 0) {
+      if (phase.mode == Mode::kPerBlock) {
         for (std::uint64_t i = 1; i <= total_blocks; ++i)
           out.push_back(session->read_block(static_cast<NodeIndex>(i)));
-      } else {
+      } else if (phase.mode == Mode::kWindowed) {
         for (std::uint64_t first = 1; first <= total_blocks;
              first += phase.window) {
           const std::uint64_t count =
@@ -156,6 +166,9 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
                                             count, phase.window);
           for (auto& block : range) out.push_back(std::move(block));
         }
+      } else {
+        const auto stream = session->open_stream(1, total_blocks, phase.window);
+        while (!stream->exhausted()) out.push_back(stream->next());
       }
       const double rep_wall = seconds_since(start);
 
@@ -168,19 +181,20 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
     all_ok = all_ok && identical;
 
     const double mb_per_s = mb / wall;
-    if (phase.window == 0) perblock_mb_s[phase.damaged ? 1 : 0] = mb_per_s;
+    const bool baseline = phase.mode == Mode::kPerBlock;
+    if (baseline) perblock_mb_s[phase.damaged ? 1 : 0] = mb_per_s;
     if (json) {
       std::printf(
           "{\"schema_version\":1,\"bench\":\"read_throughput\","
           "\"phase\":\"%s\",\"damage\":\"%s\",\"window\":%zu,"
           "\"file_mib\":%llu,\"block_size\":%zu,\"mb_per_s\":%.1f,"
-          "\"wall_s\":%.3f,\"identical\":%s}\n",
+          "\"wall_s\":%.3f,\"hw_cores\":%u,\"identical\":%s}\n",
           phase.label, phase.damaged ? "neighbourhood" : "none", phase.window,
           static_cast<unsigned long long>(file_mib), block_size, mb_per_s,
-          wall, identical ? "true" : "false");
+          wall, hw_cores, identical ? "true" : "false");
     } else {
       const double base = perblock_mb_s[phase.damaged ? 1 : 0];
-      if (phase.window == 0 || base <= 0.0) {
+      if (baseline || base <= 0.0) {
         std::printf("%-28s %10.1f %12.3f%s\n", phase.label, mb_per_s, wall,
                     identical ? "" : "  [BYTE MISMATCH]");
       } else {

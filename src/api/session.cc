@@ -22,40 +22,46 @@ double seconds_since(
       .count();
 }
 
-/// Shared body of the windowed session reads: stream the data-block run
-/// through a BlockFetcher, falling back to `recover` (repair-on-read)
-/// for blocks the prefetch found missing. The fetcher runs on the
-/// engine pool only when the store synchronizes its own reads —
-/// otherwise its tasks would race the consumer-side repair fallback —
-/// and degrades to synchronous batched reads on non-thread-safe stores,
-/// which keeps the batching win (one store round trip per batch) while
-/// giving up the overlap.
-std::vector<std::optional<Bytes>> windowed_read(
-    const BlockStore& store, pipeline::ThreadPool* pool, NodeIndex first,
-    std::uint64_t count, std::size_t window,
-    const std::function<std::optional<Bytes>(NodeIndex)>& recover) {
-  obs::TraceSpan span("read.window");  // a0 = blocks, a1 = window
-  span.set_args(count, window);
-  std::vector<BlockKey> keys;
-  keys.reserve(count);
-  for (std::uint64_t b = 0; b < count; ++b)
-    keys.push_back(BlockKey::data(first + static_cast<NodeIndex>(b)));
+/// Fetcher options for a `window`-block lookahead; the default batch is
+/// clamped to the window by the fetcher.
+pipeline::BlockFetcher::Options fetch_options(std::size_t window) {
   pipeline::BlockFetcher::Options opt;
   opt.window = window;
-  opt.batch = std::min<std::size_t>(opt.batch, window);
-  pipeline::BlockFetcher fetcher(store, store.thread_safe() ? pool : nullptr,
-                                 std::move(keys), opt);
-  std::vector<std::optional<Bytes>> out;
-  out.reserve(count);
-  for (std::uint64_t b = 0; b < count; ++b) {
-    std::optional<Bytes> payload = fetcher.next();
-    if (!payload) payload = recover(first + static_cast<NodeIndex>(b));
-    out.push_back(std::move(payload));
-  }
-  return out;
+  return opt;
+}
+
+void check_read_range(NodeIndex first, std::uint64_t count,
+                      std::uint64_t size) {
+  AEC_CHECK_MSG(count == 0 || (first >= 1 &&
+                               static_cast<std::uint64_t>(first) - 1 + count <=
+                                   size),
+                "read range [" << first << ", " << first + count - 1
+                               << "] outside [1, " << size << "]");
 }
 
 }  // namespace
+
+// --- BlockStream ------------------------------------------------------------
+
+BlockStream::BlockStream(const BlockStore& store, pipeline::ThreadPool* pool,
+                         NodeIndex first, std::uint64_t count,
+                         std::size_t window, Recover recover)
+    : first_(first),
+      window_(window),
+      recover_(std::move(recover)),
+      fetcher_(store, store.thread_safe() ? pool : nullptr,
+               static_cast<std::size_t>(count),
+               [first](std::size_t b) {
+                 return BlockKey::data(first + static_cast<NodeIndex>(b));
+               },
+               fetch_options(window)) {}
+
+std::optional<Bytes> BlockStream::next() {
+  const auto i = first_ + static_cast<NodeIndex>(fetcher_.consumed());
+  std::optional<Bytes> payload = fetcher_.next();
+  if (!payload) payload = recover_(i);
+  return payload;
+}
 
 // --- CodecSession -----------------------------------------------------------
 
@@ -80,6 +86,19 @@ std::vector<std::optional<Bytes>> CodecSession::read_blocks(
   out.reserve(count);
   for (std::uint64_t b = 0; b < count; ++b)
     out.push_back(read_block(first + static_cast<NodeIndex>(b)));
+  return out;
+}
+
+std::vector<std::optional<Bytes>> CodecSession::collect_stream(
+    NodeIndex first, std::uint64_t count, std::size_t window) {
+  if (count == 0) return {};
+  const std::unique_ptr<BlockStream> stream =
+      open_stream(first, count, window);
+  obs::TraceSpan span("read.window");  // a0 = blocks, a1 = window
+  span.set_args(count, stream->window());
+  std::vector<std::optional<Bytes>> out;
+  out.reserve(count);
+  while (!stream->exhausted()) out.push_back(stream->next());
   return out;
 }
 
@@ -125,17 +144,19 @@ std::optional<Bytes> AeSession::read_block(NodeIndex i) {
   return repairer().read_node(i);
 }
 
+std::unique_ptr<BlockStream> AeSession::open_stream(NodeIndex first,
+                                                    std::uint64_t count,
+                                                    std::size_t window) {
+  check_read_range(first, count, size());
+  return std::make_unique<BlockStream>(
+      *store_, pool_, first, count,
+      window > 0 ? window : read_window_blocks(),
+      [this](NodeIndex i) { return repairer().read_node(i); });
+}
+
 std::vector<std::optional<Bytes>> AeSession::read_blocks(
     NodeIndex first, std::uint64_t count, std::size_t window) {
-  if (count == 0) return {};
-  AEC_CHECK_MSG(first >= 1 &&
-                    static_cast<std::uint64_t>(first) - 1 + count <= size(),
-                "read_blocks: range [" << first << ", " << first + count - 1
-                                       << "] outside [1, " << size() << "]");
-  const std::size_t w = window > 0 ? window : read_window_blocks();
-  return windowed_read(
-      *store_, pool_, first, count, w,
-      [this](NodeIndex i) { return repairer().read_node(i); });
+  return collect_stream(first, count, window);
 }
 
 RepairReport AeSession::repair_all() {
@@ -428,18 +449,20 @@ std::optional<Bytes> StripedSession::read_block(NodeIndex i) {
   return store_->get_copy(key);
 }
 
+std::unique_ptr<BlockStream> StripedSession::open_stream(
+    NodeIndex first, std::uint64_t count, std::size_t window) {
+  check_read_range(first, count, count_);
+  return std::make_unique<BlockStream>(
+      *store_, pool_, first, count,
+      window > 0 ? window : read_window_blocks(), [this](NodeIndex i) {
+        repair_stripe(static_cast<std::uint64_t>(i - 1) / k_);
+        return store_->get_copy(BlockKey::data(i));
+      });
+}
+
 std::vector<std::optional<Bytes>> StripedSession::read_blocks(
     NodeIndex first, std::uint64_t count, std::size_t window) {
-  if (count == 0) return {};
-  AEC_CHECK_MSG(first >= 1 &&
-                    static_cast<std::uint64_t>(first) - 1 + count <= count_,
-                "read_blocks: range [" << first << ", " << first + count - 1
-                                       << "] outside [1, " << count_ << "]");
-  const std::size_t w = window > 0 ? window : read_window_blocks();
-  return windowed_read(*store_, pool_, first, count, w, [this](NodeIndex i) {
-    repair_stripe(static_cast<std::uint64_t>(i - 1) / k_);
-    return store_->get_copy(BlockKey::data(i));
-  });
+  return collect_stream(first, count, window);
 }
 
 RepairReport StripedSession::repair_all() {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "core/codec/block_key.h"
 #include "core/codec/block_store.h"
 #include "core/codec/repair_planner.h"
+#include "pipeline/block_fetcher.h"
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/parallel_repairer.h"
 #include "pipeline/thread_pool.h"
@@ -42,6 +44,42 @@ struct IntegrityReport {
   /// Data blocks whose every verifiable parity disagrees — the usual
   /// signature of a tampered block (AE sessions only).
   std::vector<NodeIndex> suspect_nodes;
+};
+
+/// Ordered read of one run of data blocks with read_block()'s per-block
+/// semantics: healthy blocks are prefetched up to `window` ahead of the
+/// consumer (whole-batch BlockFetcher refill on the engine pool), and a
+/// block the prefetch found missing falls back to repair-on-read, whose
+/// repairs are persisted. Opened by CodecSession::open_stream; the
+/// session (and its store) must outlive the stream. Like the session
+/// itself, a stream has one consumer thread.
+class BlockStream {
+ public:
+  /// Repair-on-read fallback for data block i (nullopt = irrecoverable).
+  using Recover = std::function<std::optional<Bytes>(NodeIndex)>;
+
+  /// Prefetches on `pool` only when the store synchronizes its own
+  /// reads — otherwise pool tasks would race the consumer-side repair
+  /// fallback — and degrades to synchronous batched reads (one store
+  /// round trip per batch, no overlap) on other stores.
+  BlockStream(const BlockStore& store, pipeline::ThreadPool* pool,
+              NodeIndex first, std::uint64_t count, std::size_t window,
+              Recover recover);
+
+  /// The next block of the run (nullopt = irrecoverable). Must not be
+  /// called past the end of the run.
+  std::optional<Bytes> next();
+
+  std::uint64_t size() const noexcept { return fetcher_.size(); }
+  std::uint64_t consumed() const noexcept { return fetcher_.consumed(); }
+  bool exhausted() const noexcept { return fetcher_.exhausted(); }
+  std::size_t window() const noexcept { return window_; }
+
+ private:
+  NodeIndex first_;
+  std::size_t window_;
+  Recover recover_;
+  pipeline::BlockFetcher fetcher_;
 };
 
 class CodecSession {
@@ -68,16 +106,20 @@ class CodecSession {
   /// block is irrecoverable.
   virtual std::optional<Bytes> read_block(NodeIndex i) = 0;
 
-  /// Ranged pipelined read: data blocks [first, first+count), one entry
-  /// per block with read_block()'s per-block semantics (repairs
-  /// persisted, nullopt = irrecoverable). Healthy blocks are prefetched
-  /// up to `window` ahead of consumption through the engine pool
-  /// (overlapping store I/O with copy-out and repair work); damaged
-  /// blocks fall back to repair-on-read with the repair plan's inputs
-  /// batch-prefetched. `window` = 0 uses the session default (see
-  /// set_read_window_blocks). The base implementation is the unwindowed
-  /// per-block loop — the baseline the conformance tests and
-  /// bench_read_throughput compare against.
+  /// Opens the pipelined read of data blocks [first, first+count) (see
+  /// BlockStream): healthy blocks are prefetched up to `window` ahead of
+  /// consumption through the engine pool, overlapping store I/O with
+  /// copy-out and repair work; damaged blocks fall back to
+  /// repair-on-read with the repair plan's inputs batch-prefetched.
+  /// `window` = 0 uses the session default (see set_read_window_blocks).
+  virtual std::unique_ptr<BlockStream> open_stream(
+      NodeIndex first, std::uint64_t count, std::size_t window = 0) = 0;
+
+  /// Ranged read: data blocks [first, first+count), one entry per block
+  /// with read_block()'s per-block semantics (repairs persisted, nullopt
+  /// = irrecoverable). The sessions collect open_stream(); the base
+  /// implementation is the unwindowed per-block loop — the baseline the
+  /// conformance tests and bench_read_throughput compare against.
   virtual std::vector<std::optional<Bytes>> read_blocks(
       NodeIndex first, std::uint64_t count, std::size_t window = 0);
 
@@ -114,6 +156,13 @@ class CodecSession {
   /// Re-derives redundancy from the present blocks and flags mismatches.
   virtual IntegrityReport verify_integrity() const = 0;
 
+ protected:
+  /// The sessions' read_blocks: every block of open_stream(), in order,
+  /// under one "read.window" trace span.
+  std::vector<std::optional<Bytes>> collect_stream(NodeIndex first,
+                                                   std::uint64_t count,
+                                                   std::size_t window);
+
  private:
   friend class Engine;
   /// Keeps a shared-owned Engine alive for as long as its session (the
@@ -138,6 +187,9 @@ class AeSession final : public CodecSession {
   std::uint64_t size() const override { return encoder_.size(); }
   void append(const std::vector<Bytes>& blocks) override;
   std::optional<Bytes> read_block(NodeIndex i) override;
+  std::unique_ptr<BlockStream> open_stream(NodeIndex first,
+                                           std::uint64_t count,
+                                           std::size_t window = 0) override;
   std::vector<std::optional<Bytes>> read_blocks(
       NodeIndex first, std::uint64_t count, std::size_t window = 0) override;
   RepairReport repair_all() override;
@@ -185,6 +237,9 @@ class StripedSession final : public CodecSession {
   std::uint64_t size() const override { return count_; }
   void append(const std::vector<Bytes>& blocks) override;
   std::optional<Bytes> read_block(NodeIndex i) override;
+  std::unique_ptr<BlockStream> open_stream(NodeIndex first,
+                                           std::uint64_t count,
+                                           std::size_t window = 0) override;
   std::vector<std::optional<Bytes>> read_blocks(
       NodeIndex first, std::uint64_t count, std::size_t window = 0) override;
   RepairReport repair_all() override;

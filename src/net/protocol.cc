@@ -77,18 +77,25 @@ const char* to_string(ErrorCode code) noexcept {
   return "unknown";
 }
 
-void encode_frame(const Frame& frame, Bytes& out) {
+void encode_header(std::uint16_t op, std::uint64_t request_id,
+                   std::uint64_t trace_id, std::size_t payload_len,
+                   Bytes& out) {
   // Untraced frames keep the AEC1 header: byte-identical to pre-trace
   // writers, parseable by pre-trace readers.
-  const bool v2 = frame.trace_id != 0;
-  out.reserve(out.size() + (v2 ? kHeaderSizeV2 : kHeaderSize) +
-              frame.payload.size());
+  const bool v2 = trace_id != 0;
   put_le(out, v2 ? kMagicV2 : kMagic, 4);
-  put_le(out, frame.payload.size(), 4);
-  put_le(out, frame.op, 2);
+  put_le(out, payload_len, 4);
+  put_le(out, op, 2);
   put_le(out, 0, 2);  // flags, reserved
-  put_le(out, frame.request_id, 8);
-  if (v2) put_le(out, frame.trace_id, 8);
+  put_le(out, request_id, 8);
+  if (v2) put_le(out, trace_id, 8);
+}
+
+void encode_frame(const Frame& frame, Bytes& out) {
+  out.reserve(out.size() + header_size(frame.trace_id) +
+              frame.payload.size());
+  encode_header(frame.op, frame.request_id, frame.trace_id,
+                frame.payload.size(), out);
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
 }
 

@@ -111,6 +111,18 @@ struct Frame {
   std::uint64_t trace_id = 0;
 };
 
+/// Header bytes of a frame carrying `trace_id` (AEC1 when 0, else AEC2).
+constexpr std::size_t header_size(std::uint64_t trace_id) noexcept {
+  return trace_id != 0 ? kHeaderSizeV2 : kHeaderSize;
+}
+
+/// Appends only a frame header announcing `payload_len` payload bytes;
+/// the caller appends exactly that many right behind it (the server
+/// writes GET_DATA payloads in place this way).
+void encode_header(std::uint16_t op, std::uint64_t request_id,
+                   std::uint64_t trace_id, std::size_t payload_len,
+                   Bytes& out);
+
 /// Appends the encoded frame to `out` (header + payload).
 void encode_frame(const Frame& frame, Bytes& out);
 Bytes encode_frame(const Frame& frame);

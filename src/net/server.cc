@@ -676,8 +676,7 @@ Frame Server::error_frame(std::uint64_t request_id, ErrorCode code,
   return Frame{static_cast<std::uint16_t>(Op::kError), request_id, w.take()};
 }
 
-bool Server::exec_send(const ExecItem& item, Frame frame) {
-  Bytes buffer = encode_frame(frame);
+bool Server::exec_send_encoded(const ExecItem& item, Bytes buffer) {
   {
     std::unique_lock lock(item.gate->mu);
     const bool ok = item.gate->cv.wait_for(
@@ -817,8 +816,10 @@ void Server::handle_request(const ExecItem& item) {
         break;
       }
       case Op::kGetFile:
-        streamed = true;
+        // Set only once handle_get returns: a GET that throws (bad
+        // payload, store failure) still gets its typed error reply.
         handle_get(item, req);
+        streamed = true;
         break;
       case Op::kNodeFail: {
         const std::uint32_t node = req.u32();
@@ -857,7 +858,7 @@ void Server::handle_request(const ExecItem& item) {
 
   if (!streamed) {
     reply.trace_id = item.frame.trace_id;  // echo: replies stay correlated
-    exec_send(item, std::move(reply));
+    exec_send(item, reply);
   }
   const auto hist = req_latency_us_.find(item.frame.op);
   if (hist != req_latency_us_.end())
@@ -872,39 +873,37 @@ void Server::handle_get(const ExecItem& item, PayloadReader& req) {
   if (archive_->find_file(name) == nullptr) {
     Frame err = error_frame(id, ErrorCode::kNotFound, "no such file: " + name);
     err.trace_id = trace;
-    exec_send(item, std::move(err));
+    exec_send(item, err);
     return;
   }
   tools::FileReader reader = archive_->open_reader(name);
-  std::uint64_t total = 0;
   for (;;) {
-    const std::optional<BytesView> chunk = reader.next_chunk();
-    if (!chunk) {
+    // Size the frame up front, then let the reader copy the payload
+    // straight from the decoded blocks into place behind the header:
+    // one copy per served byte.
+    const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        config_.get_chunk_bytes,
+        reader.size_bytes() - reader.bytes_delivered()));
+    Bytes buffer;
+    buffer.reserve(header_size(trace) + n);
+    encode_header(static_cast<std::uint16_t>(Op::kGetData), id, trace, n,
+                  buffer);
+    const std::optional<std::size_t> got = reader.read_into(buffer, n);
+    if (!got) {
       Frame err = error_frame(id, ErrorCode::kNotFound,
                               "irrecoverable content in file: " + name);
       err.trace_id = trace;
-      exec_send(item, std::move(err));
+      exec_send(item, err);
       return;
     }
-    if (chunk->empty()) break;  // EOF
-    for (std::size_t off = 0; off < chunk->size();
-         off += config_.get_chunk_bytes) {
-      const std::size_t n =
-          std::min(config_.get_chunk_bytes, chunk->size() - off);
-      Frame data{static_cast<std::uint16_t>(Op::kGetData), id, {}};
-      data.trace_id = trace;
-      data.payload.assign(chunk->begin() + static_cast<std::ptrdiff_t>(off),
-                          chunk->begin() + static_cast<std::ptrdiff_t>(off) +
-                              static_cast<std::ptrdiff_t>(n));
-      if (!exec_send(item, std::move(data))) return;  // client gone
-      total += n;
-    }
+    if (*got == 0) break;  // EOF
+    if (!exec_send_encoded(item, std::move(buffer))) return;  // client gone
   }
   PayloadWriter w;
-  w.u64(total);
+  w.u64(reader.bytes_delivered());
   Frame end{static_cast<std::uint16_t>(Op::kGetEnd), id, w.take()};
   end.trace_id = trace;
-  exec_send(item, std::move(end));
+  exec_send(item, end);
 }
 
 }  // namespace aec::net

@@ -203,9 +203,14 @@ class Server {
   void exec_push(ExecItem item);
   void executor_loop();
   void handle_request(const ExecItem& item);
-  /// Gate-aware send; false when the connection is gone or stalled out
-  /// (streaming ops abort on false).
-  bool exec_send(const ExecItem& item, Frame frame);
+  /// Gate-aware send of one encoded frame; false when the connection is
+  /// gone or stalled out (streaming ops abort on false).
+  bool exec_send_encoded(const ExecItem& item, Bytes buffer);
+  bool exec_send(const ExecItem& item, const Frame& frame) {
+    return exec_send_encoded(item, encode_frame(frame));
+  }
+  /// Streams a file as GET_DATA frames whose payloads the FileReader
+  /// writes in place behind each header, then GET_END.
   void handle_get(const ExecItem& item, PayloadReader& req);
 
   static Frame error_frame(std::uint64_t request_id, ErrorCode code,

@@ -97,14 +97,17 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricRow row;
     row.name = name;
     row.type = MetricRow::Type::kHistogram;
-    row.count = h->count();
-    row.sum = h->sum();
+    // Buckets before count: observe() bumps its bucket first, so a count
+    // read afterwards trails the buckets by at most the in-flight
+    // observes, however long this thread is preempted between the reads.
     const auto& bounds = h->upper_bounds();
     row.buckets.reserve(bounds.size() + 1);
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       row.buckets.emplace_back(bounds[i], h->bucket_count(i));
     }
     row.buckets.emplace_back(Histogram::kInf, h->bucket_count(bounds.size()));
+    row.count = h->count();
+    row.sum = h->sum();
     snap.rows.push_back(std::move(row));
   }
   std::sort(snap.rows.begin(), snap.rows.end(),

@@ -10,9 +10,10 @@
 //     any thread, no lock, no allocation, cheap enough for per-batch (not
 //     per-byte) accounting on the ingest/scrub/rebuild paths;
 //   · snapshot() reads every atomic with relaxed loads and may therefore
-//     observe a histogram mid-update (count ahead of sum by one in-flight
-//     observe). Snapshots are for reporting, not for invariants — after
-//     mutators quiesce (pool wait_idle) a snapshot is exact.
+//     observe a histogram mid-update (buckets, then count, then sum, so
+//     the count trails the buckets by at most the observes in flight).
+//     Snapshots are for reporting, not for invariants — after mutators
+//     quiesce (pool wait_idle) a snapshot is exact.
 //
 // Naming convention: "<subsystem>.<metric>[_<unit>]", e.g.
 // "repair.wave_us", "store.sharded.cache_hits", "pool.queue_wait_us".

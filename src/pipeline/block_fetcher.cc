@@ -20,25 +20,32 @@ struct BlockFetcher::Batch {
   std::vector<std::optional<Bytes>> results;
 };
 
+namespace {
+
+BlockFetcher::Options validated(BlockFetcher::Options opt) {
+  AEC_CHECK_MSG(opt.window >= 1, "fetcher window must be >= 1");
+  AEC_CHECK_MSG(opt.batch >= 1, "fetcher batch must be >= 1");
+  opt.batch = std::min(opt.batch, opt.window);
+  return opt;
+}
+
+}  // namespace
+
 BlockFetcher::BlockFetcher(const BlockStore& store, ThreadPool* pool,
                            std::vector<BlockKey> keys, Options options)
     : store_(store),
       pool_(pool),
-      keys_(std::move(keys)),
-      opt_(options),
-      issued_blocks_(
-          obs::MetricsRegistry::global().counter("read.prefetch.issued")),
-      hit_blocks_(obs::MetricsRegistry::global().counter("read.prefetch.hit")),
-      wasted_blocks_(
-          obs::MetricsRegistry::global().counter("read.prefetch.wasted")),
-      lookahead_depth_(obs::MetricsRegistry::global().histogram(
-          "read.prefetch.lookahead_depth", obs::Histogram::size_bounds())),
-      fetch_wait_us_(obs::MetricsRegistry::global().histogram(
-          "read.prefetch.fetch_wait_us", obs::Histogram::latency_bounds_us())) {
-  AEC_CHECK_MSG(opt_.window >= 1, "fetcher window must be >= 1");
-  AEC_CHECK_MSG(opt_.batch >= 1, "fetcher batch must be >= 1");
-  opt_.batch = std::min(opt_.batch, opt_.window);
-}
+      size_(keys.size()),
+      key_at_([keys = std::move(keys)](std::size_t i) { return keys[i]; }),
+      opt_(validated(options)) {}
+
+BlockFetcher::BlockFetcher(const BlockStore& store, ThreadPool* pool,
+                           std::size_t size, KeyAt key_at, Options options)
+    : store_(store),
+      pool_(pool),
+      size_(size),
+      key_at_(std::move(key_at)),
+      opt_(validated(options)) {}
 
 BlockFetcher::~BlockFetcher() {
   // Drain in-flight batches so no pool task can touch the store after
@@ -51,13 +58,14 @@ BlockFetcher::~BlockFetcher() {
 }
 
 void BlockFetcher::fill_window() {
-  while (issued_ < keys_.size() && issued_ - consumed_ < opt_.window) {
-    const std::size_t n = std::min(
-        {opt_.batch, keys_.size() - issued_,
-         opt_.window - (issued_ - consumed_)});
+  while (issued_ < size_) {
+    const std::size_t n = std::min(opt_.batch, size_ - issued_);
+    if (issued_ - consumed_ + n > opt_.window) break;  // no whole batch fits
     auto batch = std::make_shared<Batch>();
-    std::vector<BlockKey> sub(keys_.begin() + static_cast<std::ptrdiff_t>(issued_),
-                              keys_.begin() + static_cast<std::ptrdiff_t>(issued_ + n));
+    std::vector<BlockKey> sub;
+    sub.reserve(n);
+    for (std::size_t i = issued_; i < issued_ + n; ++i)
+      sub.push_back(key_at_(i));
     issued_ += n;
     issued_blocks_->add(n);
     inflight_.push_back(batch);
@@ -89,7 +97,7 @@ void BlockFetcher::fill_window() {
 }
 
 std::optional<Bytes> BlockFetcher::next() {
-  AEC_CHECK_MSG(consumed_ < keys_.size(), "fetcher read past end of run");
+  AEC_CHECK_MSG(consumed_ < size_, "fetcher read past end of run");
   fill_window();
   lookahead_depth_->observe(issued_ - consumed_);
   const std::shared_ptr<Batch>& batch = inflight_.front();

@@ -6,9 +6,14 @@
 // and dispatched to the Engine's shared ThreadPool, so store I/O (one
 // file open/read per block on file/sharded/cluster backends) overlaps
 // with the consumer's copy-out and XOR repair work — the pipelined
-// decoding idea of RapidRAID (PAPERS.md) applied to plain reads. On the
-// 1-core CI box the win survives as batched syscalls and one store lock
-// per batch instead of per block.
+// decoding idea of RapidRAID (PAPERS.md) applied to plain reads. Without
+// a pool the win survives as batched syscalls and one store lock per
+// batch instead of per block.
+//
+// Refill is whole batches only (the run's tail excepted): the window is
+// topped up once a full batch fits, never block by block, so a run
+// longer than its window keeps `batch`-block tasks in the pool instead
+// of trickling out one-block ones as the consumer advances.
 //
 // Concurrency/error model: each in-flight batch owns its own
 // mutex/cv/result slots inside a shared_ptr; pool tasks touch only that
@@ -22,6 +27,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -42,6 +48,9 @@ class BlockFetcher {
     std::size_t batch = 16;
   };
 
+  /// Key i of a run, produced on demand.
+  using KeyAt = std::function<BlockKey(std::size_t)>;
+
   /// `store` must stay alive until the fetcher is destroyed (the
   /// destructor drains in-flight batches, so pool tasks cannot outlive
   /// it). A null `pool` degrades to synchronous batched reads — still
@@ -51,6 +60,11 @@ class BlockFetcher {
   BlockFetcher(const BlockStore& store, ThreadPool* pool,
                std::vector<BlockKey> keys)
       : BlockFetcher(store, pool, std::move(keys), Options()) {}
+  /// A run of `size` keys computed by `key_at` as the window reaches
+  /// them, so a long run (every data block of a file) never
+  /// materializes its key list.
+  BlockFetcher(const BlockStore& store, ThreadPool* pool, std::size_t size,
+               KeyAt key_at, Options options);
   ~BlockFetcher();
 
   BlockFetcher(const BlockFetcher&) = delete;
@@ -63,19 +77,21 @@ class BlockFetcher {
   /// Must not be called past the end of the run.
   std::optional<Bytes> next();
 
-  std::size_t size() const noexcept { return keys_.size(); }
+  std::size_t size() const noexcept { return size_; }
   std::size_t consumed() const noexcept { return consumed_; }
-  bool exhausted() const noexcept { return consumed_ == keys_.size(); }
+  bool exhausted() const noexcept { return consumed_ == size_; }
 
  private:
   struct Batch;
 
-  /// Issues batches until the window is full or the run is exhausted.
+  /// Issues whole batches while one fits in the window (a shorter final
+  /// batch for the run's tail).
   void fill_window();
 
   const BlockStore& store_;
   ThreadPool* pool_;
-  std::vector<BlockKey> keys_;
+  std::size_t size_;  // declared before key_at_, which may take the keys
+  KeyAt key_at_;
   Options opt_;
   std::size_t issued_ = 0;    // keys dispatched into batches
   std::size_t consumed_ = 0;  // keys returned by next()
@@ -87,11 +103,16 @@ class BlockFetcher {
   /// next() asked for it, wasted = fetched but never consumed);
   /// lookahead_depth samples issued-minus-consumed at each next();
   /// fetch_wait_us samples only the next() calls that actually blocked.
-  obs::Counter* issued_blocks_;
-  obs::Counter* hit_blocks_;
-  obs::Counter* wasted_blocks_;
-  obs::Histogram* lookahead_depth_;
-  obs::Histogram* fetch_wait_us_;
+  obs::Counter* issued_blocks_ =
+      obs::MetricsRegistry::global().counter("read.prefetch.issued");
+  obs::Counter* hit_blocks_ =
+      obs::MetricsRegistry::global().counter("read.prefetch.hit");
+  obs::Counter* wasted_blocks_ =
+      obs::MetricsRegistry::global().counter("read.prefetch.wasted");
+  obs::Histogram* lookahead_depth_ = obs::MetricsRegistry::global().histogram(
+      "read.prefetch.lookahead_depth", obs::Histogram::size_bounds());
+  obs::Histogram* fetch_wait_us_ = obs::MetricsRegistry::global().histogram(
+      "read.prefetch.fetch_wait_us", obs::Histogram::latency_bounds_us());
 };
 
 }  // namespace aec::pipeline

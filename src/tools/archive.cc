@@ -11,6 +11,7 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "core/codec/store_registry.h"
 #include "core/util/tagged_file.h"
 
@@ -243,56 +244,62 @@ const FileEntry& FileWriter::close() {
 
 FileReader::FileReader(Archive* archive, const FileEntry& entry,
                        std::size_t window)
-    : archive_(archive),
-      name_(entry.name),
-      first_block_(entry.first_block),
-      bytes_(entry.bytes),
-      // Empty files still occupy one (all-zero) block, and reading it is
-      // what distinguishes "empty" from "irrecoverably damaged".
-      total_blocks_(std::max<std::uint64_t>(
-          1, entry.block_count(archive->block_size()))),
-      window_(window > 0 ? window
-                         : archive->engine().read_window_blocks()) {}
+    : name_(entry.name), bytes_(entry.bytes) {
+  if (window == 0) window = archive->engine().read_window_blocks();
+  chunk_bytes_ = window * archive->block_size();
+  // Empty files still occupy one (all-zero) block, and reading it is
+  // what distinguishes "empty" from "irrecoverably damaged".
+  stream_ = archive->session_->open_stream(
+      entry.first_block,
+      std::max<std::uint64_t>(1, entry.block_count(archive->block_size())),
+      window);
+}
 
-FileReader::FileReader(FileReader&& other) noexcept
-    : archive_(other.archive_),
-      name_(std::move(other.name_)),
-      first_block_(other.first_block_),
-      bytes_(other.bytes_),
-      total_blocks_(other.total_blocks_),
-      window_(other.window_),
-      next_block_(other.next_block_),
-      delivered_(other.delivered_),
-      failed_(other.failed_),
-      buffer_(std::move(other.buffer_)) {
-  other.archive_ = nullptr;
+bool FileReader::next_block() {
+  std::optional<Bytes> block = stream_->next();
+  if (!block) {
+    failed_ = true;  // irrecoverable
+    return false;
+  }
+  block_ = std::move(*block);
+  block_pos_ = 0;
+  return true;
+}
+
+std::optional<std::size_t> FileReader::read_into(Bytes& out,
+                                                 std::size_t max_bytes) {
+  AEC_CHECK_MSG(stream_ != nullptr, "read on a moved-from FileReader");
+  if (failed_) return std::nullopt;
+  const auto want = static_cast<std::size_t>(
+      std::min<std::uint64_t>(max_bytes, bytes_ - delivered_));
+  std::size_t appended = 0;
+  while (appended < want) {
+    if (block_pos_ == block_.size() && !next_block()) return std::nullopt;
+    const std::size_t n =
+        std::min(want - appended, block_.size() - block_pos_);
+    const std::uint8_t* src = block_.data() + block_pos_;
+    out.insert(out.end(), src, src + n);
+    block_pos_ += n;
+    appended += n;
+  }
+  delivered_ += appended;
+  // The zero-padded tail past the last byte is trimmed, but a block
+  // holding no file byte at all (an empty file's) is still read.
+  if (delivered_ == bytes_)
+    while (!stream_->exhausted())
+      if (!next_block()) return std::nullopt;
+  return appended;
 }
 
 std::optional<BytesView> FileReader::next_chunk() {
-  AEC_CHECK_MSG(archive_ != nullptr, "next_chunk() on a moved-from reader");
-  if (failed_) return std::nullopt;
-  if (next_block_ >= total_blocks_) return BytesView{};  // EOF
-
-  const std::uint64_t count =
-      std::min<std::uint64_t>(window_, total_blocks_ - next_block_);
-  const std::vector<std::optional<Bytes>> blocks =
-      archive_->session_->read_blocks(
-          first_block_ + static_cast<NodeIndex>(next_block_), count,
-          window_);
+  AEC_CHECK_MSG(stream_ != nullptr, "read on a moved-from FileReader");
+  obs::TraceSpan span("read.window");  // a0 = blocks, a1 = window
+  const std::uint64_t consumed = stream_->consumed();
   buffer_.clear();
-  for (const std::optional<Bytes>& block : blocks) {
-    if (!block) {
-      failed_ = true;
-      return std::nullopt;  // irrecoverable
-    }
-    buffer_.insert(buffer_.end(), block->begin(), block->end());
-  }
-  next_block_ += count;
-  // Trim the zero-padded tail to the file's true byte length.
-  const std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(
-      buffer_.size(), bytes_ - delivered_));
-  delivered_ += want;
-  return BytesView(buffer_.data(), want);
+  const std::optional<std::size_t> n = read_into(buffer_, chunk_bytes_);
+  span.set_args(stream_->consumed() - consumed, stream_->window());
+  if (!n) return std::nullopt;
+  return BytesView(buffer_.data(), *n);
 }
 
 // --- Archive ----------------------------------------------------------------
@@ -489,12 +496,9 @@ std::optional<Bytes> Archive::read_file(const std::string& name) {
   FileReader reader(this, *entry, 0);
   Bytes content;
   content.reserve(entry->bytes);
-  while (true) {
-    const auto chunk = reader.next_chunk();
-    if (!chunk) return std::nullopt;  // irrecoverable
-    if (chunk->empty()) return content;
-    content.insert(content.end(), chunk->begin(), chunk->end());
-  }
+  if (!reader.read_into(content, static_cast<std::size_t>(entry->bytes)))
+    return std::nullopt;  // irrecoverable
+  return content;
 }
 
 ScrubReport Archive::scrub() {

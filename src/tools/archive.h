@@ -152,26 +152,35 @@ class FileWriter {
 };
 
 /// Streaming read handle for one archived file (from
-/// Archive::open_reader) — the read-side mirror of FileWriter. Each
-/// next_chunk() pulls one lookahead window of blocks through the
-/// session's pipelined read path (prefetch + repair-on-read) and hands
-/// back the decoded bytes, so a huge file streams at bounded memory
+/// Archive::open_reader) — the read-side mirror of FileWriter. The
+/// reader keeps one BlockStream over the file's whole block run, so the
+/// session's pipelined read path (prefetch + repair-on-read) looks ahead
+/// across call boundaries, and a huge file streams at bounded memory
 /// (window × block_size) instead of materializing fully.
 class FileReader {
  public:
-  FileReader(FileReader&& other) noexcept;
+  FileReader(FileReader&& other) noexcept = default;
   FileReader& operator=(FileReader&&) = delete;
   FileReader(const FileReader&) = delete;
   FileReader& operator=(const FileReader&) = delete;
 
-  /// Next run of file content, valid until the next call. An empty view
-  /// means EOF; nullopt means an irrecoverable block (sticky — the
-  /// reader stays failed). Repairs performed along the way are
-  /// persisted, exactly like read_block().
+  /// Appends the file's next min(max_bytes, bytes left) bytes to `out`
+  /// — one copy, straight from the decoded blocks — and returns how
+  /// many it appended. Blocks may straddle calls; the zero-padded tail
+  /// is trimmed. 0 means EOF (for max_bytes > 0); nullopt means an
+  /// irrecoverable block (sticky — the reader stays failed, and bytes
+  /// appended by the failing call are unspecified). Repairs performed
+  /// along the way are persisted, exactly like read_block().
+  std::optional<std::size_t> read_into(Bytes& out, std::size_t max_bytes);
+
+  /// Next lookahead window's worth of file content, valid until the
+  /// next call (read_into into an internal buffer, under one
+  /// "read.window" trace span). An empty view means EOF; nullopt means
+  /// an irrecoverable block, as for read_into.
   std::optional<BytesView> next_chunk();
 
   const std::string& name() const noexcept { return name_; }
-  /// Total file size and how much next_chunk() has handed out so far.
+  /// Total file size and how much has been handed out so far.
   std::uint64_t size_bytes() const noexcept { return bytes_; }
   std::uint64_t bytes_delivered() const noexcept { return delivered_; }
   bool failed() const noexcept { return failed_; }
@@ -180,16 +189,21 @@ class FileReader {
   friend class Archive;
   FileReader(Archive* archive, const FileEntry& entry, std::size_t window);
 
-  Archive* archive_;  // null once moved-from
+  /// Pulls the stream's next block into block_; false (and failed) when
+  /// it is irrecoverable.
+  bool next_block();
+
   std::string name_;
-  NodeIndex first_block_ = 0;
   std::uint64_t bytes_ = 0;
-  std::uint64_t total_blocks_ = 0;  // ≥ 1 even for empty files
-  std::size_t window_ = 0;
-  std::uint64_t next_block_ = 0;  // blocks consumed so far
-  std::uint64_t delivered_ = 0;   // bytes handed out so far
+  std::size_t chunk_bytes_ = 0;  // next_chunk()'s size: one window
+  /// Every block of the file (≥ 1 even for empty files); null once
+  /// moved-from.
+  std::unique_ptr<BlockStream> stream_;
+  Bytes block_;                  // the block being drained
+  std::size_t block_pos_ = 0;    // bytes of block_ already handed out
+  std::uint64_t delivered_ = 0;  // bytes handed out so far
   bool failed_ = false;
-  Bytes buffer_;  // current window's decoded bytes
+  Bytes buffer_;  // next_chunk()'s window
 };
 
 class Archive {

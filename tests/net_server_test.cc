@@ -188,6 +188,38 @@ TEST_F(NetServerTest, PutGetRoundTrip) {
   EXPECT_EQ(files[0].bytes, payload.size());
 }
 
+TEST_F(NetServerTest, GetFramesFollowChunkLimitBelowBlockSize) {
+  // 1000 B frames over 1024 B blocks: every payload straddles a block
+  // boundary somewhere, and the tail frame is short.
+  ServerConfig config;
+  config.get_chunk_bytes = 1000;
+  restart_server(config);
+  const Bytes payload = random_bytes(300 * 1024 + 123, 5);
+  {
+    Client writer(client_config());
+    writer.put_bytes("blob", payload);
+  }
+  // A traced client's frames carry the AEC2 header the server writes in
+  // place ahead of each payload; the untraced one gets AEC1.
+  for (const bool traced : {false, true}) {
+    ClientConfig cc = client_config();
+    cc.trace = traced;
+    Client client(cc);
+    Bytes got;
+    std::vector<std::size_t> sizes;
+    const std::uint64_t total = client.get("blob", [&](BytesView chunk) {
+      sizes.push_back(chunk.size());
+      got.insert(got.end(), chunk.begin(), chunk.end());
+    });
+    EXPECT_EQ(total, payload.size()) << "traced " << traced;  // GET_END
+    EXPECT_EQ(got, payload) << "traced " << traced;
+    ASSERT_EQ(sizes.size(), (payload.size() + 999) / 1000);
+    for (std::size_t i = 0; i + 1 < sizes.size(); ++i)
+      ASSERT_EQ(sizes[i], 1000u) << "frame " << i << ", traced " << traced;
+    EXPECT_EQ(sizes.back(), payload.size() % 1000);
+  }
+}
+
 TEST_F(NetServerTest, EmptyFileRoundTrip) {
   Client client(client_config());
   EXPECT_EQ(client.put_bytes("empty", {}).bytes, 0u);
@@ -274,6 +306,9 @@ TEST_F(NetServerTest, MalformedPayloadIsTypedError) {
   conn.send_frame(
       Frame{static_cast<std::uint16_t>(Op::kStat), 8, w.take()});
   EXPECT_EQ(conn.recv_error(8), ErrorCode::kBadPayload);
+  // A streamed op answers a bad request payload the same way.
+  conn.send_frame(Frame{static_cast<std::uint16_t>(Op::kGetFile), 9, {}});
+  EXPECT_EQ(conn.recv_error(9), ErrorCode::kBadPayload);
 }
 
 TEST_F(NetServerTest, GarbageStreamGetsErrorThenDisconnect) {

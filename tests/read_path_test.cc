@@ -430,6 +430,63 @@ TEST_F(ReadPathFetcherTest, AbandonedFetcherCountsUnconsumedAsWasted) {
   EXPECT_EQ(wasted, issued - 5u);
 }
 
+TEST_F(ReadPathFetcherTest, RefillIssuesWholeBatchesOnly) {
+  // Records every get_batch() the fetcher makes. Topping the window up
+  // block by block would issue 4 keys, 4 keys, then one-key batches as
+  // each consumed block frees one slot.
+  class CountingStore final : public BlockStore {
+   public:
+    explicit CountingStore(InMemoryBlockStore& inner) : inner_(inner) {}
+    void put(const BlockKey& key, Bytes value) override {
+      inner_.put(key, std::move(value));
+    }
+    const Bytes* find(const BlockKey& key) const override {
+      return inner_.find(key);
+    }
+    bool contains(const BlockKey& key) const override {
+      return inner_.contains(key);
+    }
+    bool erase(const BlockKey& key) override { return inner_.erase(key); }
+    std::uint64_t size() const override { return inner_.size(); }
+    std::vector<std::optional<Bytes>> get_batch(
+        const std::vector<BlockKey>& keys) const override {
+      batch_sizes.push_back(keys.size());
+      return inner_.get_batch(keys);
+    }
+    mutable std::vector<std::size_t> batch_sizes;
+
+   private:
+    InMemoryBlockStore& inner_;
+  };
+
+  InMemoryBlockStore inner;
+  std::vector<Bytes> blocks;
+  const auto keys = seed(inner, blocks, 40);
+  pipeline::BlockFetcher::Options opt;
+  opt.window = 8;
+  opt.batch = 4;
+  {
+    CountingStore store(inner);
+    pipeline::BlockFetcher fetcher(store, nullptr, keys, opt);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const auto payload = fetcher.next();
+      ASSERT_TRUE(payload.has_value()) << "key " << i + 1;
+      EXPECT_EQ(*payload, blocks[i]);
+    }
+    EXPECT_EQ(store.batch_sizes, std::vector<std::size_t>(10, 4));
+  }
+  {
+    // A 10-key run with its keys computed on demand: two whole batches,
+    // then the run's shorter tail.
+    CountingStore store(inner);
+    pipeline::BlockFetcher fetcher(
+        store, nullptr, 10, [&](std::size_t i) { return keys[i]; }, opt);
+    for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(fetcher.next(), blocks[i]);
+    EXPECT_TRUE(fetcher.exhausted());
+    EXPECT_EQ(store.batch_sizes, (std::vector<std::size_t>{4, 4, 2}));
+  }
+}
+
 TEST_F(ReadPathFetcherTest, StoreExceptionSurfacesAtNextNotAtThePool) {
   // A throwing store must fail the reader that asked, not poison the
   // shared pool's wait_idle() for an unrelated concurrent scrub.
@@ -456,6 +513,100 @@ TEST_F(ReadPathFetcherTest, StoreExceptionSurfacesAtNextNotAtThePool) {
     EXPECT_THROW(fetcher.next(), std::runtime_error);
   }
   EXPECT_NO_THROW(engine->pool().wait_idle());
+}
+
+// --- file-long read stream -------------------------------------------------
+
+class ReadPathStreamTest : public ::testing::Test {};
+
+TEST_F(ReadPathStreamTest, FileReaderLooksAheadAcrossChunks) {
+  Rng rng(16);
+  const Bytes content = rng.random_block(kBlockSize * 200 + 9);  // 201 blocks
+  // A thread-safe store (the archive's locked mem backend) on a 2-thread
+  // engine: prefetch batches run on the pool.
+  auto archive = Archive::create(test_dir("a"), "AE(3,2,5)", kBlockSize,
+                                 Engine::with_threads(2), "mem");
+  archive->add_file("doc", content);
+
+  const std::uint64_t issued0 = counter_value("read.prefetch.issued");
+  FileReader reader = archive->open_reader("doc");  // 64 blocks, batch 16
+  const auto first = reader.next_chunk();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(first->size(), kBlockSize * 64);
+  // One stream for the whole file: while the first window drained, the
+  // fetcher kept refilling whole batches past its end. A fresh fetcher
+  // per chunk would have issued exactly the 64 blocks delivered.
+  EXPECT_GT(counter_value("read.prefetch.issued") - issued0, 64u);
+
+  Bytes streamed(first->begin(), first->end());
+  while (true) {
+    const auto chunk = reader.next_chunk();
+    ASSERT_TRUE(chunk.has_value());
+    if (chunk->empty()) break;
+    streamed.insert(streamed.end(), chunk->begin(), chunk->end());
+  }
+  EXPECT_EQ(streamed, content);
+  EXPECT_EQ(counter_value("read.prefetch.issued") - issued0, 201u);
+}
+
+TEST_F(ReadPathStreamTest, ReadIntoStraddlesBlocksAndTrimsTheTail) {
+  Rng rng(17);
+  const Bytes content = rng.random_block(kBlockSize * 10 + 13);  // 11 blocks
+  auto archive = Archive::create(test_dir("a"), "AE(3,2,5)", kBlockSize);
+  archive->add_file("doc", content);
+
+  FileReader reader = archive->open_reader("doc", 4);
+  Bytes out = {0xAB};  // appends: what the caller had stays in front
+  std::vector<std::size_t> sizes;
+  while (true) {
+    const auto n = reader.read_into(out, 100);  // not a block multiple
+    ASSERT_TRUE(n.has_value());
+    if (*n == 0) break;  // EOF
+    sizes.push_back(*n);
+  }
+  ASSERT_EQ(out.size(), content.size() + 1);
+  EXPECT_EQ(out[0], 0xAB);
+  EXPECT_TRUE(std::equal(content.begin(), content.end(), out.begin() + 1));
+  // 653 bytes in 100-byte pieces; the zero padding never shows.
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{100, 100, 100, 100, 100, 100,
+                                             53}));
+  EXPECT_EQ(reader.bytes_delivered(), content.size());
+  EXPECT_EQ(reader.read_into(out, 100), std::optional<std::size_t>(0));
+  EXPECT_EQ(out.size(), content.size() + 1);
+
+  // An empty file is EOF at once, after its one block reads back.
+  archive->begin_file("empty").close();
+  FileReader empty = archive->open_reader("empty");
+  Bytes none;
+  EXPECT_EQ(empty.read_into(none, 100), std::optional<std::size_t>(0));
+  EXPECT_TRUE(none.empty());
+  EXPECT_FALSE(empty.failed());
+}
+
+TEST_F(ReadPathStreamTest, ReadIntoFailureIsSticky) {
+  Rng rng(18);
+  const Bytes content = rng.random_block(kBlockSize * 6);
+  const fs::path root = test_dir("a");
+  Archive::create(root, "AE(3,2,5)", kBlockSize)->add_file("doc", content);
+  {
+    FileBlockStore store(root);
+    ASSERT_TRUE(store.erase(BlockKey::data(3)));
+    std::vector<BlockKey> parities;
+    store.for_each_key([&](const BlockKey& key) {
+      if (!key.is_data()) parities.push_back(key);
+    });
+    for (const BlockKey& key : parities) store.erase(key);
+  }
+  auto archive = Archive::open(root);
+  FileReader reader = archive->open_reader("doc");
+  Bytes out;
+  // Blocks 1–2 read back; block 3 is irrecoverable.
+  EXPECT_EQ(reader.read_into(out, kBlockSize * 2),
+            std::optional<std::size_t>(kBlockSize * 2));
+  EXPECT_FALSE(reader.read_into(out, kBlockSize).has_value());
+  EXPECT_TRUE(reader.failed());
+  EXPECT_FALSE(reader.read_into(out, kBlockSize).has_value());
+  EXPECT_FALSE(reader.next_chunk().has_value());
 }
 
 // --- metrics ----------------------------------------------------------------
