@@ -20,11 +20,11 @@
 // Each phase runs kReps times into a fresh root and reports the best
 // wall time. Earlier single-shot runs recorded a phantom "sharded(8)
 // t=4 regression" (10.9 vs 42.8 MB/s at t=1) that dissolved under
-// repetition and phase reordering: on this shared single-core box,
-// one-shot phase timings vary 5-10× run to run, and thread counts
-// above hw_cores oversubscribe the CPU so scheduler/writeback noise
-// lands somewhere different every run. The JSON rows carry hw_cores
-// and flag oversubscribed phases so readers can discount them.
+// repetition and phase reordering: on a shared host one-shot phase
+// timings can vary 5-10× run to run, and thread counts above hw_cores
+// oversubscribe the CPU so scheduler/writeback noise lands somewhere
+// different every run. The JSON rows carry hw_cores and flag
+// oversubscribed phases so readers can discount them.
 #include <sys/resource.h>
 
 #include <chrono>

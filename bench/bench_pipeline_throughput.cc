@@ -6,8 +6,8 @@
 // Prints MB/s of ingested data and the speedup over the serial baseline,
 // and cross-checks that the parallel store is byte-identical to the
 // serial one before reporting (a wrong fast encoder is worthless).
-// Scaling is bounded by min(s, threads, cores): on a single-core
-// container every configuration collapses to ~1×.
+// Scaling is bounded by min(s, threads, cores), so read the speedups
+// against the "hardware threads" line the run prints first.
 //
 //   bench_pipeline_throughput [blocks] [block_size]   (default 20000 4096)
 #include <chrono>

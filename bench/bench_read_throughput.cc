@@ -5,16 +5,19 @@
 // exactly the Archive wiring) with AE(3,2,5) on a 1-thread engine.
 //
 // Phases: {healthy, degraded} × {per-block, windowed w ∈ {16, 64, 256},
-// streamed}. A windowed phase calls read_blocks once per window, so its
-// prefetch drains at every window boundary; the streamed phase opens one
-// session BlockStream over the whole block run (what FileReader and
-// aecd's GET serve from), whose lookahead never drains until the end.
-// Degraded runs re-inject the same damaged-neighbourhood pattern (runs
-// of consecutive data blocks — the shape repair-on-read lookahead is
-// built for) before every measurement, and every phase starts from a
-// cold payload cache. Every phase's output is compared byte-for-byte
-// against the deterministic source blocks (a fast wrong read is
-// worthless); the run exits 1 on any mismatch.
+// streamed}, plus node-loss × {per-block, streamed}. A windowed phase
+// calls read_blocks once per window, so its prefetch drains at every
+// window boundary; the streamed phase opens one session BlockStream over
+// the whole block run (what FileReader and aecd's GET serve from), whose
+// lookahead never drains until the end. Damaged runs re-inject their
+// pattern before every measurement: "degraded" loses four runs of
+// consecutive data blocks (a damaged neighbourhood, 32 blocks), and
+// "node-loss" loses every block strand placement puts on node 0 of 4 —
+// a quarter of the data blocks, each one XOR from two live parities, the
+// shape the stream's window repair runs in one wave per window. Every
+// phase starts from a cold payload cache, and its output is compared
+// byte-for-byte against the deterministic source blocks (a fast wrong
+// read is worthless); the run exits 1 on any mismatch.
 //
 //   bench_read_throughput [file_mib] [block_size] [--json]
 //   (default 32 4096; --json emits one JSON object per phase and
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "cluster/placement.h"
 #include "common/rng.h"
 #include "core/codec/file_block_store.h"
 #include "pipeline/concurrent_block_store.h"
@@ -59,10 +63,27 @@ std::vector<NodeIndex> neighbourhood_damage(std::uint64_t total_blocks) {
   return victims;
 }
 
+/// A failed node: every key of an intact session that strand placement
+/// puts on node 0 of 4 (data and parity).
+std::vector<BlockKey> node_damage(const CodecSession& session) {
+  std::vector<BlockKey> victims;
+  session.for_each_expected_key([&](const BlockKey& key) {
+    if (cluster::place_block(key, 4, cluster::PlacementPolicy::kStrand, 0) ==
+        0)
+      victims.push_back(key);
+  });
+  return victims;
+}
+
+/// Damage shapes; the values index per-shape arrays.
+enum Damage { kNone, kNeighbourhood, kNode, kDamageShapes };
+const char* const kDamageNames[kDamageShapes] = {"none", "neighbourhood",
+                                                 "node"};
+
 struct Phase {
   enum class Mode { kPerBlock, kWindowed, kStreamed };
   const char* label;
-  bool damaged;
+  Damage damage;
   Mode mode;
   std::size_t window;  // lookahead blocks (0 for the per-block baseline)
 };
@@ -116,20 +137,25 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
                      expected.begin() + static_cast<std::ptrdiff_t>(end)});
   }
 
-  const std::vector<NodeIndex> victims = neighbourhood_damage(total_blocks);
+  std::vector<BlockKey> victims[kDamageShapes];
+  for (const NodeIndex i : neighbourhood_damage(total_blocks))
+    victims[kNeighbourhood].push_back(BlockKey::data(i));
+  victims[kNode] = node_damage(*session);
   using Mode = Phase::Mode;
   const std::size_t stream_window = session->read_window_blocks();
   const Phase phases[] = {
-      {"healthy per-block", false, Mode::kPerBlock, 0},
-      {"healthy windowed w=16", false, Mode::kWindowed, 16},
-      {"healthy windowed w=64", false, Mode::kWindowed, 64},
-      {"healthy windowed w=256", false, Mode::kWindowed, 256},
-      {"healthy streamed", false, Mode::kStreamed, stream_window},
-      {"degraded per-block", true, Mode::kPerBlock, 0},
-      {"degraded windowed w=16", true, Mode::kWindowed, 16},
-      {"degraded windowed w=64", true, Mode::kWindowed, 64},
-      {"degraded windowed w=256", true, Mode::kWindowed, 256},
-      {"degraded streamed", true, Mode::kStreamed, stream_window},
+      {"healthy per-block", kNone, Mode::kPerBlock, 0},
+      {"healthy windowed w=16", kNone, Mode::kWindowed, 16},
+      {"healthy windowed w=64", kNone, Mode::kWindowed, 64},
+      {"healthy windowed w=256", kNone, Mode::kWindowed, 256},
+      {"healthy streamed", kNone, Mode::kStreamed, stream_window},
+      {"degraded per-block", kNeighbourhood, Mode::kPerBlock, 0},
+      {"degraded windowed w=16", kNeighbourhood, Mode::kWindowed, 16},
+      {"degraded windowed w=64", kNeighbourhood, Mode::kWindowed, 64},
+      {"degraded windowed w=256", kNeighbourhood, Mode::kWindowed, 256},
+      {"degraded streamed", kNeighbourhood, Mode::kStreamed, stream_window},
+      {"node-loss per-block", kNode, Mode::kPerBlock, 0},
+      {"node-loss streamed", kNode, Mode::kStreamed, stream_window},
   };
 
   // Best-of-3 per phase: the per-phase walls are tens of milliseconds,
@@ -138,17 +164,15 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
   // cache cold) and is byte-checked.
   constexpr int kReps = 3;
   bool all_ok = true;
-  double perblock_mb_s[2] = {0.0, 0.0};  // [damaged] baseline for speedup
+  double perblock_mb_s[kDamageShapes] = {};  // speedup baselines
   for (const Phase& phase : phases) {
     double wall = 0.0;
     bool identical = false;
     for (int rep = 0; rep < kReps; ++rep) {
-      if (phase.damaged) {
-        // Re-inject the identical neighbourhood pattern (the previous
-        // repetition's repairs healed it).
-        for (const NodeIndex victim : victims)
-          locked.erase(BlockKey::data(victim));
-      }
+      // Re-inject the identical damage pattern (the previous
+      // repetition's repairs healed it).
+      for (const BlockKey& victim : victims[phase.damage])
+        locked.erase(victim);
       locked.drop_payload_cache();  // every repetition starts cold
 
       const auto start = Clock::now();
@@ -182,18 +206,18 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
 
     const double mb_per_s = mb / wall;
     const bool baseline = phase.mode == Mode::kPerBlock;
-    if (baseline) perblock_mb_s[phase.damaged ? 1 : 0] = mb_per_s;
+    if (baseline) perblock_mb_s[phase.damage] = mb_per_s;
     if (json) {
       std::printf(
           "{\"schema_version\":1,\"bench\":\"read_throughput\","
           "\"phase\":\"%s\",\"damage\":\"%s\",\"window\":%zu,"
           "\"file_mib\":%llu,\"block_size\":%zu,\"mb_per_s\":%.1f,"
           "\"wall_s\":%.3f,\"hw_cores\":%u,\"identical\":%s}\n",
-          phase.label, phase.damaged ? "neighbourhood" : "none", phase.window,
+          phase.label, kDamageNames[phase.damage], phase.window,
           static_cast<unsigned long long>(file_mib), block_size, mb_per_s,
           wall, hw_cores, identical ? "true" : "false");
     } else {
-      const double base = perblock_mb_s[phase.damaged ? 1 : 0];
+      const double base = perblock_mb_s[phase.damage];
       if (baseline || base <= 0.0) {
         std::printf("%-28s %10.1f %12.3f%s\n", phase.label, mb_per_s, wall,
                     identical ? "" : "  [BYTE MISMATCH]");

@@ -13,8 +13,9 @@
 // Prints repaired MB/s, the round count, and the speedup over the serial
 // baseline, and cross-checks that every parallel store is byte-identical
 // to the serially repaired one (same repaired set, same residue) before
-// reporting. Scaling is bounded by min(per-round width, threads, cores):
-// on a single-core container every configuration collapses to ~1×.
+// reporting. Scaling is bounded by min(per-round width, threads, cores),
+// so read the speedups against the machine's hardware threads (printed
+// first; hw_cores in every JSON row).
 //
 //   bench_repair_throughput [blocks] [block_size] [--json]
 //   (default 20000 4096; --json emits one JSON object per measurement
@@ -57,9 +58,9 @@ void print_json(const std::string& params, const char* pattern,
       "{\"schema_version\":1,\"bench\":\"repair_throughput\",\"params\":\"%s\","
       "\"pattern\":\"%s\",\"backend\":\"%s\",\"threads\":%zu,"
       "\"mb_per_s\":%.1f,\"speedup\":%.3f,\"rounds\":%u,"
-      "\"identical\":%s}\n",
+      "\"hw_cores\":%u,\"identical\":%s}\n",
       params.c_str(), pattern, backend, threads, mb_per_s, speedup, rounds,
-      identical ? "true" : "false");
+      std::thread::hardware_concurrency(), identical ? "true" : "false");
 }
 
 struct ErasurePattern {

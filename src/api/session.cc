@@ -148,10 +148,16 @@ std::unique_ptr<BlockStream> AeSession::open_stream(NodeIndex first,
                                                     std::uint64_t count,
                                                     std::size_t window) {
   check_read_range(first, count, size());
+  const std::size_t lookahead = window > 0 ? window : read_window_blocks();
+  const NodeIndex end = first + static_cast<NodeIndex>(count);
+  // Repair-on-read looks ahead one window, never past the run's end, so
+  // a read repairs no block outside its own run.
   return std::make_unique<BlockStream>(
-      *store_, pool_, first, count,
-      window > 0 ? window : read_window_blocks(),
-      [this](NodeIndex i) { return repairer().read_node(i); });
+      *store_, pool_, first, count, lookahead,
+      [this, lookahead, end](NodeIndex i) {
+        return repairer().read_node(
+            i, std::min(lookahead, static_cast<std::size_t>(end - i)));
+      });
 }
 
 std::vector<std::optional<Bytes>> AeSession::read_blocks(

@@ -110,8 +110,10 @@ class CodecSession {
   /// BlockStream): healthy blocks are prefetched up to `window` ahead of
   /// consumption through the engine pool, overlapping store I/O with
   /// copy-out and repair work; damaged blocks fall back to
-  /// repair-on-read with the repair plan's inputs batch-prefetched.
-  /// `window` = 0 uses the session default (see set_read_window_blocks).
+  /// repair-on-read with the repair plan's inputs batch-prefetched (an
+  /// AE session repairs every one-XOR loss of the next `window` blocks
+  /// of the run in one wave). `window` = 0 uses the session default
+  /// (see set_read_window_blocks).
   virtual std::unique_ptr<BlockStream> open_stream(
       NodeIndex first, std::uint64_t count, std::size_t window = 0) = 0;
 

@@ -236,7 +236,8 @@ PutResult Client::put_bytes(const std::string& name, BytesView content) {
   std::size_t pos = 0;
   return put_stream(name, [&](std::uint8_t* buf, std::size_t cap) {
     const std::size_t n = std::min(cap, content.size() - pos);
-    std::memcpy(buf, content.data() + pos, n);
+    // Empty content may have a null data(), which memcpy must not see.
+    if (n > 0) std::memcpy(buf, content.data() + pos, n);
     pos += n;
     return n;
   });

@@ -171,11 +171,30 @@ RepairReport ParallelRepairer::repair_all(std::uint32_t max_rounds) {
       [this](const std::vector<RepairStep>& wave) { execute_wave(wave); });
 }
 
-std::optional<Bytes> ParallelRepairer::read_node(NodeIndex i) {
+void ParallelRepairer::repair_window(const RepairPlanner& planner,
+                                     NodeIndex first, std::size_t lookahead) {
+  const auto last = static_cast<NodeIndex>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(first) - 1 + lookahead, lattice_.n_nodes()));
+  RepairPlan plan;
+  std::vector<RepairStep>& wave = plan.waves.emplace_back();
+  for (NodeIndex k = first; k <= last; ++k) {
+    if (store_->contains(BlockKey::data(k))) continue;  // metadata only
+    if (auto step = planner.plan_node_repair(*store_, k))
+      wave.push_back(*step);
+  }
+  if (wave.empty()) return;
+  prefetch_plan_inputs(plan);
+  execute_plan(plan);
+}
+
+std::optional<Bytes> ParallelRepairer::read_node(NodeIndex i,
+                                                 std::size_t lookahead) {
   AEC_CHECK_MSG(lattice_.is_valid_node(i), "invalid node " << i);
   if (auto direct = store_->get_copy(BlockKey::data(i))) return direct;
 
   const RepairPlanner planner(&lattice_);
+  if (lookahead > 1) repair_window(planner, i, lookahead);
+  // Empty when the window wave already repaired d_i.
   const auto plan = planner.plan_for_target(*store_, i);
   if (!plan) return std::nullopt;
   prefetch_plan_inputs(*plan);

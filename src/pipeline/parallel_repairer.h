@@ -69,7 +69,15 @@ class ParallelRepairer {
   /// the target, the plan's pre-existing inputs prefetched into the
   /// store's cache in a few large batches, then the waves executed
   /// across the pool. Returns nullopt when the block is irrecoverable.
-  std::optional<Bytes> read_node(NodeIndex i);
+  ///
+  /// `lookahead` > 1 is the streamed read's window repair: when d_i is
+  /// missing, every missing data block of [i, i + lookahead) (clamped to
+  /// the lattice) that is one XOR away is repaired first, all in one
+  /// wave — valid because each such step reads two parities present at
+  /// wave start and writes its own data block. d_i is then served as
+  /// above, so a d_i that needs more than one XOR still gets its radius
+  /// plan. lookahead = 1 is the plain per-block read.
+  std::optional<Bytes> read_node(NodeIndex i, std::size_t lookahead = 1);
 
   const Lattice& lattice() const noexcept { return lattice_; }
   std::size_t block_size() const noexcept { return block_size_; }
@@ -83,6 +91,10 @@ class ParallelRepairer {
   void execute_steps(const std::vector<RepairStep>& wave, std::size_t begin,
                      std::size_t end);
   void execute_plan(const RepairPlan& plan);
+  /// read_node's window repair: one wave of the one-XOR steps of every
+  /// missing data block in [first, first + lookahead).
+  void repair_window(const RepairPlanner& planner, NodeIndex first,
+                     std::size_t lookahead);
   /// Warms the store cache with every plan input that pre-exists the
   /// plan (inputs produced by earlier waves are cached by their own
   /// put()). Batched so repair-on-read issues a few large reads instead

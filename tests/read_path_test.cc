@@ -11,6 +11,7 @@
 #include <cctype>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -20,12 +21,14 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "cluster/placement.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/codec/file_block_store.h"
 #include "core/codec/sharded_file_block_store.h"
 #include "obs/metrics.h"
 #include "pipeline/block_fetcher.h"
+#include "pipeline/concurrent_block_store.h"
 #include "tools/archive.h"
 
 namespace aec {
@@ -52,6 +55,27 @@ fs::path test_dir(const std::string& name) {
 
 std::uint64_t counter_value(const char* name) {
   return obs::MetricsRegistry::global().counter(name)->value();
+}
+
+/// Which stored keys a damage shape destroys.
+using LosePredicate = std::function<bool(const BlockKey&)>;
+
+/// A whole failure domain goes dark: every key strand placement (paper
+/// Fig 13) puts on node 0 of 4 — a quarter of the data blocks and of the
+/// parities. On AE(3,2,5) each lost data block is one XOR from two live
+/// parities.
+bool on_node0(const BlockKey& key) {
+  return cluster::place_block(key, 4, cluster::PlacementPolicy::kStrand,
+                              0) == 0;
+}
+
+/// Erases every key of `store` that `lose` selects.
+void inflict(BlockStore& store, const LosePredicate& lose) {
+  std::vector<BlockKey> doomed;
+  store.for_each_key([&](const BlockKey& key) {
+    if (lose(key)) doomed.push_back(key);
+  });
+  for (const BlockKey& key : doomed) EXPECT_TRUE(store.erase(key));
 }
 
 // --- conformance across codecs × damage shapes ------------------------------
@@ -93,7 +117,7 @@ class ReadPathConformanceTest : public ::testing::TestWithParam<ReadSpecCase> {
   /// windowed path and the per-block baseline each start from pristine
   /// (undamaged-by-repair) state.
   std::pair<std::unique_ptr<Instance>, std::unique_ptr<Instance>> build_pair(
-      const std::vector<NodeIndex>& erase_data, bool erase_all_parities) {
+      const LosePredicate& lose) {
     const ReadSpecCase& p = GetParam();
     Rng rng(42);
     blocks_.clear();
@@ -103,15 +127,7 @@ class ReadPathConformanceTest : public ::testing::TestWithParam<ReadSpecCase> {
     auto make = [&](const char* tag) {
       auto inst = std::make_unique<Instance>(test_dir(tag), p.spec);
       inst->session->append(blocks_);
-      for (const NodeIndex i : erase_data)
-        EXPECT_TRUE(inst->store.erase(BlockKey::data(i)));
-      if (erase_all_parities) {
-        std::vector<BlockKey> parities;
-        inst->store.for_each_key([&](const BlockKey& key) {
-          if (!key.is_data()) parities.push_back(key);
-        });
-        for (const BlockKey& key : parities) inst->store.erase(key);
-      }
+      inflict(inst->store, lose);
       return inst;
     };
     return {make("windowed"), make("perblock")};
@@ -126,11 +142,10 @@ class ReadPathConformanceTest : public ::testing::TestWithParam<ReadSpecCase> {
     return out;
   }
 
-  void expect_both_paths_agree(const std::vector<NodeIndex>& erase_data,
-                               bool erase_all_parities,
+  void expect_both_paths_agree(const LosePredicate& lose,
                                const std::vector<NodeIndex>& irrecoverable) {
     const ReadSpecCase& p = GetParam();
-    auto [windowed, perblock] = build_pair(erase_data, erase_all_parities);
+    auto [windowed, perblock] = build_pair(lose);
 
     const auto via_window = windowed->session->read_blocks(1, p.blocks, 8);
     const auto via_blocks = per_block_read(*perblock->session, p.blocks);
@@ -153,34 +168,59 @@ class ReadPathConformanceTest : public ::testing::TestWithParam<ReadSpecCase> {
     }
 
     // Repairs along the windowed read are persisted, like read_block's.
-    for (const NodeIndex i : erase_data) {
-      if (std::find(irrecoverable.begin(), irrecoverable.end(), i) !=
-          irrecoverable.end())
+    for (NodeIndex i = 1; i <= static_cast<NodeIndex>(p.blocks); ++i) {
+      if (!lose(BlockKey::data(i)) ||
+          std::find(irrecoverable.begin(), irrecoverable.end(), i) !=
+              irrecoverable.end())
         continue;
       EXPECT_TRUE(windowed->store.contains(BlockKey::data(i)))
           << "repair of block " << i << " not persisted";
     }
   }
 
+  /// Damage that loses exactly the listed data blocks.
+  static LosePredicate data_blocks(std::vector<NodeIndex> lost) {
+    return [lost = std::move(lost)](const BlockKey& key) {
+      return key.is_data() &&
+             std::find(lost.begin(), lost.end(), key.index) != lost.end();
+    };
+  }
+
   std::vector<Bytes> blocks_;
 };
 
 TEST_P(ReadPathConformanceTest, Healthy) {
-  expect_both_paths_agree({}, false, {});
+  expect_both_paths_agree(data_blocks({}), {});
 }
 
 TEST_P(ReadPathConformanceTest, ScatteredDamage) {
-  expect_both_paths_agree(GetParam().scattered, false, {});
+  expect_both_paths_agree(data_blocks(GetParam().scattered), {});
 }
 
 TEST_P(ReadPathConformanceTest, DamagedNeighbourhood) {
-  expect_both_paths_agree(GetParam().neighbourhood, false, {});
+  expect_both_paths_agree(data_blocks(GetParam().neighbourhood), {});
 }
 
 TEST_P(ReadPathConformanceTest, IrrecoverableMidFile) {
   // The victim loses its block and every parity in the store: both paths
   // must report exactly that block as lost and still serve the rest.
-  expect_both_paths_agree({GetParam().victim}, true, {GetParam().victim});
+  const NodeIndex victim = GetParam().victim;
+  expect_both_paths_agree(
+      [victim](const BlockKey& key) {
+        return !key.is_data() || key.index == victim;
+      },
+      {victim});
+}
+
+TEST_P(ReadPathConformanceTest, NodeLoss) {
+  // Window repair's home shape: a strand-placed failure domain. On
+  // AE(3,2,5)/AE(2,2,5) every lost data block is one XOR away; on
+  // AE(1,-,-) the lone strand loses each one's input parity too (d1,
+  // fed by the virtual bootstrap block, aside), so those fall through
+  // to the radius plan.
+  if (std::string(GetParam().spec).rfind("AE", 0) != 0)
+    GTEST_SKIP() << "strand placement targets the AE lattice";
+  expect_both_paths_agree(on_node0, {});
 }
 
 // The instantiation name keeps the full test names under the `ReadPath*`
@@ -607,6 +647,54 @@ TEST_F(ReadPathStreamTest, ReadIntoFailureIsSticky) {
   EXPECT_TRUE(reader.failed());
   EXPECT_FALSE(reader.read_into(out, kBlockSize).has_value());
   EXPECT_FALSE(reader.next_chunk().has_value());
+}
+
+TEST_F(ReadPathStreamTest, LostBlocksRepairOneWavePerWindow) {
+  // Node 0 of 4 lost: d1, d5, d9, … — 64 of 256 blocks, each one XOR
+  // away. The stream repairs every loss of a 64-block window in one
+  // wave; one wave per lost block would be 64 waves.
+  Rng rng(19);
+  std::vector<Bytes> blocks;
+  for (int i = 0; i < 256; ++i) blocks.push_back(rng.random_block(kBlockSize));
+  auto engine = Engine::with_threads(2);
+  struct Copy {
+    pipeline::ConcurrentBlockStore store;
+    std::unique_ptr<CodecSession> session;
+  };
+  const auto damaged_copy = [&] {
+    auto copy = std::make_unique<Copy>();
+    copy->session = engine->open_session(make_codec("AE(3,2,5)"),
+                                         &copy->store, kBlockSize);
+    copy->session->append(blocks);
+    inflict(copy->store, on_node0);
+    return copy;
+  };
+
+  {
+    const auto copy = damaged_copy();
+    const std::uint64_t waves0 = counter_value("repair.waves");
+    const std::uint64_t steps0 = counter_value("repair.steps");
+    const auto out = copy->session->read_blocks(1, 256, 64);
+    ASSERT_EQ(out.size(), 256u);
+    for (std::size_t i = 0; i < out.size(); ++i)
+      EXPECT_EQ(out[i], blocks[i]) << "block " << i + 1;
+    EXPECT_EQ(counter_value("repair.waves") - waves0, 4u);
+    EXPECT_EQ(counter_value("repair.steps") - steps0, 64u);
+  }
+  {
+    // A run of 100 blocks: windows at d1 and d65, the second cut at the
+    // run's end, so d101 (node 0, just past the run) stays lost.
+    const auto copy = damaged_copy();
+    const std::uint64_t waves0 = counter_value("repair.waves");
+    const std::uint64_t steps0 = counter_value("repair.steps");
+    const auto out = copy->session->read_blocks(1, 100, 64);
+    ASSERT_EQ(out.size(), 100u);
+    for (std::size_t i = 0; i < out.size(); ++i)
+      EXPECT_EQ(out[i], blocks[i]) << "block " << i + 1;
+    EXPECT_EQ(counter_value("repair.waves") - waves0, 2u);
+    EXPECT_EQ(counter_value("repair.steps") - steps0, 25u);
+    EXPECT_FALSE(copy->store.contains(BlockKey::data(101)));
+  }
 }
 
 // --- metrics ----------------------------------------------------------------
