@@ -10,12 +10,14 @@
 //     byte-identity check against the scalar reference. The 16 KiB rows
 //     are L1-resident (compute-bound: the kernel speedup shows); the
 //     1 MiB rows are memory-bound context. The cross-PR perf-tracking
-//     format; the committed snapshot lives in BENCH_codec.json.
+//     format (every row records hw_cores, the machine's hardware
+//     threads); the committed snapshot lives in BENCH_codec.json.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "common/cpu.h"
 #include "common/rng.h"
@@ -301,10 +303,11 @@ int run_kernel_json() {
         "{\"schema_version\":1,\"bench\":\"codec_micro\",\"phase\":"
         "\"%s %s %zuK\",\"op\":\"%s\",\"kernel\":\"%s\",\"buf_bytes\":%zu,"
         "\"mb_per_s\":%.1f,\"speedup_vs_scalar\":%.2f,\"selected\":\"%s\","
-        "\"ok\":%s}\n",
+        "\"hw_cores\":%u,\"ok\":%s}\n",
         row.op, row.kernel, row.buf_bytes / 1024, row.op, row.kernel,
         row.buf_bytes, row.mb_per_s, row.mb_per_s / scalar_mb_per_s(row),
-        selected_kernel_name(), row.identical ? "true" : "false");
+        selected_kernel_name(), std::thread::hardware_concurrency(),
+        row.identical ? "true" : "false");
   }
   if (!all_identical) {
     std::fprintf(stderr,

@@ -5,7 +5,8 @@
 //
 //   bench_health_scan [n_nodes] [--json]
 //   (default 200000; --json emits one JSON object per phase — the
-//   BENCH_health.json rows CI parses)
+//   BENCH_health.json rows CI parses; every row records hw_cores, the
+//   machine's hardware threads)
 //
 // The claim under test is the one the monitor's design rests on: keeping
 // the Fig. 12 vulnerability census live must cost O(deltas), so a mostly
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "core/codec/availability_index.h"
@@ -67,14 +69,15 @@ void print_row(const PhaseRow& row, bool json) {
         "{\"schema_version\":1,\"bench\":\"health_scan\",\"mode\":\"%s\","
         "\"damage_pct\":%.0f,\"n_nodes\":%llu,\"deltas\":%llu,"
         "\"scans\":%llu,\"wall_ms\":%.3f,\"per_refresh_ms\":%.4f,"
-        "\"degraded\":%llu,\"vulnerable\":%llu,\"ok\":%s}\n",
+        "\"degraded\":%llu,\"vulnerable\":%llu,\"hw_cores\":%u,"
+        "\"ok\":%s}\n",
         row.mode, row.damage_pct,
         static_cast<unsigned long long>(row.n_nodes),
         static_cast<unsigned long long>(row.deltas),
         static_cast<unsigned long long>(row.scans), row.wall_ms,
         row.per_refresh_ms, static_cast<unsigned long long>(row.degraded),
         static_cast<unsigned long long>(row.vulnerable),
-        row.ok ? "true" : "false");
+        std::thread::hardware_concurrency(), row.ok ? "true" : "false");
   } else {
     std::printf("  %-12s %5.0f%%  %9llu deltas  %9.2f ms total  "
                 "%9.4f ms/refresh  %8llu degraded  %7llu vulnerable%s\n",

@@ -18,7 +18,8 @@
 //
 //   bench_net_load [file_mib] [connections] [--json]
 //   (default 16 8; --json emits one JSON object per phase — the
-//   cross-PR perf-tracking format; all latencies in µs)
+//   cross-PR perf-tracking format; all latencies in µs; every row
+//   records hw_cores, the machine's hardware threads)
 //
 // The archive executor serializes requests (the engine contract), so
 // closed-loop GET throughput is the daemon's real serving capacity for
@@ -95,13 +96,13 @@ void print_row(const PhaseRow& row, std::uint64_t file_mib,
         "{\"schema_version\":1,\"bench\":\"net_load\",\"phase\":\"%s\","
         "\"file_mib\":%llu,\"connections\":%zu,\"wall_s\":%.3f,"
         "\"mb_per_s\":%.1f,\"req_per_s\":%.0f,\"p50_us\":%llu,"
-        "\"p95_us\":%llu,\"p99_us\":%llu,\"ok\":%s}\n",
+        "\"p95_us\":%llu,\"p99_us\":%llu,\"hw_cores\":%u,\"ok\":%s}\n",
         row.phase.c_str(), static_cast<unsigned long long>(file_mib),
         connections, row.wall_s, row.mb_per_s, row.req_per_s,
         static_cast<unsigned long long>(row.lat.p50),
         static_cast<unsigned long long>(row.lat.p95),
         static_cast<unsigned long long>(row.lat.p99),
-        row.ok ? "true" : "false");
+        std::thread::hardware_concurrency(), row.ok ? "true" : "false");
   } else {
     std::printf("%-12s %8.3f s %10.1f MB/s %10.0f req/s   "
                 "p50/p95/p99 %llu/%llu/%llu µs%s\n",

@@ -23,7 +23,8 @@
 //
 //   bench_node_rebuild [blocks] [block_size] [--json]
 //   (default 2000 4096; --json emits one JSON object per phase —
-//   the cross-PR perf-tracking format)
+//   the cross-PR perf-tracking format; every row records hw_cores, the
+//   machine's hardware threads)
 #include <unistd.h>
 
 #include <chrono>
@@ -33,6 +34,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster_store.h"
@@ -122,11 +124,11 @@ int run(std::uint64_t blocks, std::size_t block_size, bool json) {
             "\"policy\":\"%s\","
             "\"blocks\":%llu,\"block_size\":%zu,\"node_blocks\":%zu,"
             "\"rebuild_mb_per_s\":%.1f,\"rounds\":%u,\"wall_s\":%.3f,"
-            "\"lost\":%llu,\"ok\":%s}\n",
+            "\"lost\":%llu,\"hw_cores\":%u,\"ok\":%s}\n",
             nodes, policy, static_cast<unsigned long long>(blocks),
             block_size, before.size(), rebuilt_mb / wall, report.rounds,
             wall, static_cast<unsigned long long>(lost),
-            ok ? "true" : "false");
+            std::thread::hardware_concurrency(), ok ? "true" : "false");
       } else {
         std::printf("%-8u %-8s %12zu %10.1f %8u %10.3f %6llu%s\n", nodes,
                     policy, before.size(), rebuilt_mb / wall, report.rounds,

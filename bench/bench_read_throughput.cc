@@ -1,8 +1,8 @@
 // Read throughput: the pipelined read path (BlockFetcher prefetch +
 // repair-on-read lookahead) vs the per-block baseline (read_block loop,
 // one get_copy + repair per block), over the file-backed store an
-// archive actually uses (FileBlockStore behind a LockedBlockStore,
-// exactly the Archive wiring) with AE(3,2,5) on a 1-thread engine.
+// archive actually uses (FileBlockStore, exactly the Archive wiring)
+// with AE(3,2,5) on a 1-thread engine.
 //
 // Phases: {healthy, degraded} × {per-block, windowed w ∈ {16, 64, 256},
 // streamed}, plus node-loss × {per-block, streamed}. A windowed phase
@@ -38,7 +38,6 @@
 #include "cluster/placement.h"
 #include "common/rng.h"
 #include "core/codec/file_block_store.h"
-#include "pipeline/concurrent_block_store.h"
 
 namespace {
 
@@ -107,13 +106,12 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
     std::printf("%-28s %10s %12s\n", "phase", "MB/s", "wall s");
   }
 
-  // The Archive wiring: FileBlockStore behind a LockedBlockStore, read
-  // through a 1-thread engine's session.
+  // The Archive wiring: a FileBlockStore read through a 1-thread
+  // engine's session.
   FileBlockStore store(root);
-  pipeline::LockedBlockStore locked(&store);
   auto engine = Engine::with_threads(1);
   auto session =
-      engine->open_session(make_codec("AE(3,2,5)"), &locked, block_size);
+      engine->open_session(make_codec("AE(3,2,5)"), &store, block_size);
 
   // Deterministic source blocks, kept for the per-phase byte check
   // (tail zero-padded exactly like ingest pads it).
@@ -142,7 +140,7 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
     victims[kNeighbourhood].push_back(BlockKey::data(i));
   victims[kNode] = node_damage(*session);
   using Mode = Phase::Mode;
-  const std::size_t stream_window = session->read_window_blocks();
+  const std::size_t stream_window = CodecSession::kReadWindowBlocks;
   const Phase phases[] = {
       {"healthy per-block", kNone, Mode::kPerBlock, 0},
       {"healthy windowed w=16", kNone, Mode::kWindowed, 16},
@@ -172,8 +170,8 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
       // Re-inject the identical damage pattern (the previous
       // repetition's repairs healed it).
       for (const BlockKey& victim : victims[phase.damage])
-        locked.erase(victim);
-      locked.drop_payload_cache();  // every repetition starts cold
+        store.erase(victim);
+      store.drop_payload_cache();  // every repetition starts cold
 
       const auto start = Clock::now();
       std::vector<std::optional<Bytes>> out;

@@ -27,7 +27,8 @@
 //
 //   bench_repair_bandwidth [blocks] [block_size] [--json]
 //   (default 1000 4096; --json emits one JSON object per phase —
-//   the cross-PR perf-tracking format)
+//   the cross-PR perf-tracking format; every row records hw_cores, the
+//   machine's hardware threads)
 #include <unistd.h>
 
 #include <algorithm>
@@ -36,6 +37,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster_store.h"
@@ -144,14 +146,15 @@ int run(std::uint64_t blocks, std::size_t block_size, bool json) {
             "\"survivor_bytes_avg\":%.1f,\"survivor_bytes_max\":%llu,"
             "\"bytes_per_lost_block\":%.1f,\"victim_read_bytes\":%llu,"
             "\"victim_write_bytes\":%llu,\"rounds\":%u,\"recovered\":%s,"
-            "\"ok\":%s}\n",
+            "\"hw_cores\":%u,\"ok\":%s}\n",
             codec, policy, kNodes, static_cast<unsigned long long>(blocks),
             block_size, static_cast<unsigned long long>(lost),
             survivors.c_str(), static_cast<unsigned long long>(total), avg,
             static_cast<unsigned long long>(peak), per_lost,
             static_cast<unsigned long long>(victim_reads),
             static_cast<unsigned long long>(victim_writes), report.rounds,
-            recovered ? "true" : "false", ok ? "true" : "false");
+            recovered ? "true" : "false",
+            std::thread::hardware_concurrency(), ok ? "true" : "false");
       } else {
         std::printf("%-10s %-8s %8llu %12llu %12.0f %12llu %8.0f %6u%s%s\n",
                     codec, policy, static_cast<unsigned long long>(lost),

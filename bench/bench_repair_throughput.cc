@@ -5,10 +5,10 @@
 //
 // Two backend sections:
 //   · in-memory ConcurrentBlockStore (pure compute scaling);
-//   · file-backed — LockedBlockStore-over-FileBlockStore (the single
-//     mutex every worker fights for) vs ShardedFileBlockStore(8)
-//     (per-shard mutexes + batched wave I/O), which is where the sharded
-//     storage refactor shows up at > 1 thread.
+//   · file-backed — FileBlockStore (the single mutex every worker
+//     fights for) vs ShardedFileBlockStore(8) (per-shard mutexes +
+//     batched wave I/O), which is where the sharded storage refactor
+//     shows up at > 1 thread.
 //
 // Prints repaired MB/s, the round count, and the speedup over the serial
 // baseline, and cross-checks that every parallel store is byte-identical
@@ -130,7 +130,7 @@ InMemoryBlockStore encode_pristine(const CodeParams& params,
 }
 
 void fill_from(const InMemoryBlockStore& pristine, BlockStore& store) {
-  // Batched copy-in: the cheap path on sharded/locked backends.
+  // Batched copy-in: the cheap path on sharded/file backends.
   constexpr std::size_t kBatch = 256;
   std::vector<std::pair<BlockKey, Bytes>> batch;
   batch.reserve(kBatch);
@@ -220,8 +220,9 @@ void run_memory(const CodeParams& params, std::size_t count,
       pipeline::ConcurrentBlockStore store;
       fill_from(pristine, store);
       pattern.apply(lat, store);
+      pipeline::ThreadPool pool(threads);
       pipeline::ParallelRepairer repairer(params, count, block_size,
-                                          &store, threads);
+                                          &store, &pool);
       const auto start = Clock::now();
       const RepairReport report = repairer.repair_all();
       const double wall = seconds_since(start);
@@ -254,37 +255,29 @@ void run_file_backed(const CodeParams& params, std::size_t count,
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                         std::size_t{4}, std::size_t{8}}) {
         const fs::path root = base_dir / (std::string(pattern.name) + "_" +
-                                          (sharded ? "sharded" : "locked") +
+                                          (sharded ? "sharded" : "file") +
                                           "_" + std::to_string(threads));
-        std::unique_ptr<FileBlockStore> flat;
-        std::unique_ptr<pipeline::LockedBlockStore> locked;
-        std::unique_ptr<ShardedFileBlockStore> shards;
-        BlockStore* store = nullptr;
-        if (sharded) {
-          shards = std::make_unique<ShardedFileBlockStore>(root, 8);
-          store = shards.get();
-        } else {
-          flat = std::make_unique<FileBlockStore>(root);
-          locked = std::make_unique<pipeline::LockedBlockStore>(flat.get());
-          store = locked.get();
-        }
+        std::unique_ptr<BlockStore> store;
+        if (sharded)
+          store = std::make_unique<ShardedFileBlockStore>(root, 8);
+        else
+          store = std::make_unique<FileBlockStore>(root);
         fill_from(pristine, *store);
         pattern.apply(lat, *store);
         store->drop_payload_cache();
 
+        pipeline::ThreadPool pool(threads);
         pipeline::ParallelRepairer repairer(params, count, block_size,
-                                            store, threads);
+                                            store.get(), &pool);
         const auto start = Clock::now();
         const RepairReport report = repairer.repair_all();
         const double wall = seconds_since(start);
         const bool identical = report.rounds == base.report.rounds &&
                                stores_match(base.repaired, *store);
         report_one(params, pattern, base,
-                   sharded ? "sharded-file(8)" : "locked-file", threads,
-                   wall, identical, report.rounds);
-        flat.reset();
-        locked.reset();
-        shards.reset();
+                   sharded ? "sharded-file(8)" : "file", threads, wall,
+                   identical, report.rounds);
+        store.reset();
         fs::remove_all(root);  // one config's files on disk at a time
       }
     }

@@ -6,39 +6,24 @@
 
 namespace aec {
 
-Engine::Engine(EngineConfig config)
-    : config_(config),
-      pool_(std::max<std::size_t>(1, config.threads),
-            std::max<std::size_t>(1, config.queue_capacity)) {}
+Engine::Engine(std::size_t threads)
+    : pool_(std::max<std::size_t>(1, threads)) {}
 
-std::shared_ptr<Engine> Engine::serial() {
-  return std::make_shared<Engine>(EngineConfig{});
-}
+std::shared_ptr<Engine> Engine::serial() { return std::make_shared<Engine>(); }
 
 std::shared_ptr<Engine> Engine::with_threads(std::size_t threads) {
-  EngineConfig config;
-  config.threads = threads;
-  return std::make_shared<Engine>(config);
-}
-
-std::size_t Engine::ingest_window_blocks() const noexcept {
-  if (config_.ingest_window_blocks > 0) return config_.ingest_window_blocks;
-  return 256 * threads();
-}
-
-std::size_t Engine::read_window_blocks() const noexcept {
-  if (config_.read_window_blocks > 0) return config_.read_window_blocks;
-  return 64;
-}
-
-std::string Engine::store_spec() const {
-  return config_.store_spec.empty() ? "file" : config_.store_spec;
+  return std::make_shared<Engine>(threads);
 }
 
 std::unique_ptr<CodecSession> Engine::open_session(
     std::shared_ptr<const Codec> codec, BlockStore* store,
     std::size_t block_size, std::uint64_t resume_blocks) {
   AEC_CHECK_MSG(codec != nullptr, "open_session: null codec");
+  AEC_CHECK_MSG(store != nullptr, "open_session: null store");
+  AEC_CHECK_MSG(store->thread_safe(),
+                "open_session: the store must synchronize itself (pool "
+                "tasks read and write it); InMemoryBlockStore is for "
+                "serial Encoder/Decoder use only");
   std::unique_ptr<CodecSession> session;
   if (codec->group_data_parts() == 0) {
     // Streaming family — today that is exactly the AE lattice.
@@ -46,14 +31,12 @@ std::unique_ptr<CodecSession> Engine::open_session(
     AEC_CHECK_MSG(ae != nullptr, "streaming codec " << codec->id()
                                                     << " has no session type");
     session = std::make_unique<AeSession>(std::move(ae), store, block_size,
-                                          resume_blocks, &pool_,
-                                          config_.encode_schedule);
+                                          resume_blocks, &pool_);
   } else {
     session = std::make_unique<StripedSession>(std::move(codec), store,
                                                block_size, resume_blocks,
                                                &pool_);
   }
-  session->set_read_window_blocks(read_window_blocks());
   // Shared-owned engines stay alive as long as their sessions (the
   // session runs on this engine's pool); null for stack-owned engines.
   session->engine_keepalive_ = weak_from_this().lock();

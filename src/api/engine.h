@@ -1,16 +1,18 @@
 // Engine — the execution facade of the library.
 //
-// One Engine owns one ThreadPool plus the execution knobs (encode
-// schedule, queue bound, ingest window). Everything that used to take a
-// bare `threads` count (Archive, aectool, the serial/parallel
-// Encoder/Repairer pair selection) now takes an Engine: serial execution
-// IS a 1-thread engine, so there is exactly one code path and the stored
-// bytes are identical at every thread count.
+// An Engine is one ThreadPool of a chosen size, and the thread count is
+// its only setting. Everything that used to take a bare `threads` count
+// (Archive, aectool, the serial/parallel Encoder/Repairer pair
+// selection) takes an Engine: serial execution IS a 1-thread engine, so
+// there is exactly one code path and the stored bytes are identical at
+// every thread count.
 //
 // open_session() is the single dispatch point from a Codec to its
 // executor: streaming codecs (AE) get the lattice pipeline, striped
 // codecs (RS, REP) get the stripe session — both sharing this engine's
 // worker pool, so several archives/sessions can multiplex one pool.
+// Every session runs pool tasks against its store, so open_session only
+// accepts stores that synchronize themselves (BlockStore::thread_safe).
 // Note the barrier caveat: ThreadPool::wait_idle() is pool-global, so
 // sessions of one engine must not run append/repair concurrently with
 // each other (multiplexing is sequential sharing, not parallel).
@@ -18,60 +20,31 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "api/codec.h"
 #include "api/session.h"
 #include "obs/metrics.h"
-#include "pipeline/parallel_encoder.h"
 #include "pipeline/thread_pool.h"
 
 namespace aec {
 
-struct EngineConfig {
-  /// Worker threads (≥ 1). 1 reproduces the serial byte stream with one
-  /// worker; > 1 turns on wave/strand parallelism everywhere.
-  std::size_t threads = 1;
-  /// How AE appends distribute entanglement work (see parallel_encoder.h).
-  pipeline::Schedule encode_schedule = pipeline::Schedule::kStrands;
-  /// Pending-task bound of the pool (backpressure).
-  std::size_t queue_capacity = pipeline::ThreadPool::kDefaultQueueCapacity;
-  /// Blocks a streaming FileWriter buffers before flushing a window into
-  /// the session — the peak-memory knob of chunked ingest. 0 = default
-  /// (256 blocks per worker, at least 256).
-  std::size_t ingest_window_blocks = 0;
-  /// Lookahead window (blocks) of the pipelined read path — how far a
-  /// session's read_blocks/FileReader prefetches ahead of consumption.
-  /// 0 = default (64).
-  std::size_t read_window_blocks = 0;
-  /// Default block-store backend for archives created through this
-  /// engine ("file", "sharded(8)", "mem", … — see store_registry.h).
-  /// Empty means "file"; an explicit Archive::create store spec wins.
-  std::string store_spec;
-};
-
 class Engine : public std::enable_shared_from_this<Engine> {
  public:
-  explicit Engine(EngineConfig config = {});
+  /// `threads` workers (at least 1). 1 reproduces the serial byte
+  /// stream with one worker; more turns on strand/wave parallelism.
+  explicit Engine(std::size_t threads = 1);
 
   /// 1-thread engine (the serial path).
   static std::shared_ptr<Engine> serial();
-  /// Engine with `threads` workers, defaults elsewhere.
+  /// Engine with `threads` workers.
   static std::shared_ptr<Engine> with_threads(std::size_t threads);
 
-  const EngineConfig& config() const noexcept { return config_; }
   std::size_t threads() const noexcept { return pool_.thread_count(); }
-  bool parallel() const noexcept { return threads() > 1; }
   pipeline::ThreadPool& pool() noexcept { return pool_; }
 
-  /// Resolved ingest window (blocks) for streaming writers.
-  std::size_t ingest_window_blocks() const noexcept;
-
-  /// Resolved read lookahead window (blocks) for streaming readers.
-  std::size_t read_window_blocks() const noexcept;
-
-  /// Resolved default store spec for archives ("file" unless configured).
-  std::string store_spec() const;
+  /// Blocks a streaming FileWriter buffers before flushing a window into
+  /// the session (256 per worker) — the peak memory of chunked ingest.
+  std::size_t ingest_window_blocks() const noexcept { return 256 * threads(); }
 
   /// Snapshot of the process-wide metrics registry (pool queue waits,
   /// encode/repair wave timings, store cache tallies, …). Exact once the
@@ -82,17 +55,17 @@ class Engine : public std::enable_shared_from_this<Engine> {
 
   /// Builds the session type matching the codec family over this
   /// engine's pool. `codec` is shared with the caller; `store` must
-  /// outlive the session and must be thread-safe when parallel().
-  /// `resume_blocks` > 0 resumes an existing sequence of that many data
-  /// blocks (e.g. a reopened archive). A shared-owned engine is kept
-  /// alive by its sessions; an engine constructed outside a shared_ptr
-  /// must itself outlive every session it opened.
+  /// outlive the session and must be thread-safe (CheckError otherwise,
+  /// at every thread count). `resume_blocks` > 0 resumes an existing
+  /// sequence of that many data blocks (e.g. a reopened archive). A
+  /// shared-owned engine is kept alive by its sessions; an engine
+  /// constructed outside a shared_ptr must itself outlive every session
+  /// it opened.
   std::unique_ptr<CodecSession> open_session(
       std::shared_ptr<const Codec> codec, BlockStore* store,
       std::size_t block_size, std::uint64_t resume_blocks = 0);
 
  private:
-  EngineConfig config_;
   pipeline::ThreadPool pool_;
 };
 

@@ -49,8 +49,7 @@ BlockStream::BlockStream(const BlockStore& store, pipeline::ThreadPool* pool,
     : first_(first),
       window_(window),
       recover_(std::move(recover)),
-      fetcher_(store, store.thread_safe() ? pool : nullptr,
-               static_cast<std::size_t>(count),
+      fetcher_(store, pool, static_cast<std::size_t>(count),
                [first](std::size_t b) {
                  return BlockKey::data(first + static_cast<NodeIndex>(b));
                },
@@ -106,13 +105,12 @@ std::vector<std::optional<Bytes>> CodecSession::collect_stream(
 
 AeSession::AeSession(std::shared_ptr<const AeCodec> codec, BlockStore* store,
                      std::size_t block_size, std::uint64_t resume_blocks,
-                     pipeline::ThreadPool* pool, pipeline::Schedule schedule)
+                     pipeline::ThreadPool* pool)
     : codec_(std::move(codec)),
       store_(store),
       block_size_(block_size),
       pool_(pool),
-      encoder_(codec_->params(), block_size, store, pool, resume_blocks,
-               schedule) {}
+      encoder_(codec_->params(), block_size, store, pool, resume_blocks) {}
 
 void AeSession::append(const std::vector<Bytes>& blocks) {
   encoder_.append_all(blocks);
@@ -148,7 +146,7 @@ std::unique_ptr<BlockStream> AeSession::open_stream(NodeIndex first,
                                                     std::uint64_t count,
                                                     std::size_t window) {
   check_read_range(first, count, size());
-  const std::size_t lookahead = window > 0 ? window : read_window_blocks();
+  const std::size_t lookahead = window > 0 ? window : kReadWindowBlocks;
   const NodeIndex end = first + static_cast<NodeIndex>(count);
   // Repair-on-read looks ahead one window, never past the run's end, so
   // a read repairs no block outside its own run.
@@ -460,7 +458,7 @@ std::unique_ptr<BlockStream> StripedSession::open_stream(
   check_read_range(first, count, count_);
   return std::make_unique<BlockStream>(
       *store_, pool_, first, count,
-      window > 0 ? window : read_window_blocks(), [this](NodeIndex i) {
+      window > 0 ? window : kReadWindowBlocks, [this](NodeIndex i) {
         repair_stripe(static_cast<std::uint64_t>(i - 1) / k_);
         return store_->get_copy(BlockKey::data(i));
       });

@@ -58,10 +58,8 @@ class BlockStream {
   /// Repair-on-read fallback for data block i (nullopt = irrecoverable).
   using Recover = std::function<std::optional<Bytes>(NodeIndex)>;
 
-  /// Prefetches on `pool` only when the store synchronizes its own
-  /// reads — otherwise pool tasks would race the consumer-side repair
-  /// fallback — and degrades to synchronous batched reads (one store
-  /// round trip per batch, no overlap) on other stores.
+  /// Prefetch tasks on `pool` read the (thread-safe) store while the
+  /// consumer's repair fallback writes it.
   BlockStream(const BlockStore& store, pipeline::ThreadPool* pool,
               NodeIndex first, std::uint64_t count, std::size_t window,
               Recover recover);
@@ -112,8 +110,7 @@ class CodecSession {
   /// copy-out and repair work; damaged blocks fall back to
   /// repair-on-read with the repair plan's inputs batch-prefetched (an
   /// AE session repairs every one-XOR loss of the next `window` blocks
-  /// of the run in one wave). `window` = 0 uses the session default
-  /// (see set_read_window_blocks).
+  /// of the run in one wave). `window` = 0 uses kReadWindowBlocks.
   virtual std::unique_ptr<BlockStream> open_stream(
       NodeIndex first, std::uint64_t count, std::size_t window = 0) = 0;
 
@@ -125,14 +122,8 @@ class CodecSession {
   virtual std::vector<std::optional<Bytes>> read_blocks(
       NodeIndex first, std::uint64_t count, std::size_t window = 0);
 
-  /// Default lookahead window (blocks) for read_blocks(window = 0).
-  /// Engines stamp their resolved default on every session they open.
-  void set_read_window_blocks(std::size_t window) noexcept {
-    if (window > 0) read_window_blocks_ = window;
-  }
-  std::size_t read_window_blocks() const noexcept {
-    return read_window_blocks_;
-  }
+  /// Lookahead window (blocks) of a read that passes window = 0.
+  static constexpr std::size_t kReadWindowBlocks = 64;
 
   /// Repairs everything recoverable; reports the paper's round/residue
   /// accounting (striped codecs always finish in one round).
@@ -171,18 +162,16 @@ class CodecSession {
   /// session runs on the engine's pool). Null for stack-owned engines,
   /// which must simply outlive the session.
   std::shared_ptr<const void> engine_keepalive_;
-  std::size_t read_window_blocks_ = 64;
 };
 
 /// Streaming AE lattice session.
 class AeSession final : public CodecSession {
  public:
-  /// `store` and `pool` must outlive the session; the store must have
-  /// thread-safe put()/get_copy() when the pool has > 1 worker.
+  /// `store` and `pool` must outlive the session; the store must be
+  /// thread-safe (Engine::open_session checks it).
   AeSession(std::shared_ptr<const AeCodec> codec, BlockStore* store,
             std::size_t block_size, std::uint64_t resume_blocks,
-            pipeline::ThreadPool* pool,
-            pipeline::Schedule schedule = pipeline::Schedule::kStrands);
+            pipeline::ThreadPool* pool);
 
   const Codec& codec() const override { return *codec_; }
   std::size_t block_size() const override { return block_size_; }

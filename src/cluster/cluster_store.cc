@@ -118,7 +118,8 @@ ClusterStore::ClusterStore(fs::path root, std::uint32_t n_nodes,
     n->dir = root_ / ("node" + std::to_string(k));
     n->domain = std::move(domains[k]);
     n->child = make_store(child_spec_, n->dir);
-    if (down[k]) n->staged = std::make_unique<InMemoryBlockStore>();
+    if (down[k])
+      n->staged = std::make_unique<pipeline::ConcurrentBlockStore>();
     children_safe_ = children_safe_ && n->child->thread_safe();
     nodes_.push_back(std::move(n));
   }
@@ -188,24 +189,13 @@ void ClusterStore::put(const BlockKey& key, Bytes value) {
   Node& n = node_for(key);
   n.count_write(value.size());
   std::shared_lock lock(n.mu);
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    n.staged->put(key, std::move(value));
-    return;
-  }
-  n.child->put(key, std::move(value));
+  target(n).put(key, std::move(value));
 }
 
 const Bytes* ClusterStore::find(const BlockKey& key) const {
   Node& n = node_for(key);
   std::shared_lock lock(n.mu);
-  const Bytes* value = nullptr;
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    value = n.staged->find(key);
-  } else {
-    value = n.child->find(key);
-  }
+  const Bytes* value = target(n).find(key);
   if (value != nullptr) n.count_read(value->size());
   return value;
 }
@@ -213,34 +203,20 @@ const Bytes* ClusterStore::find(const BlockKey& key) const {
 bool ClusterStore::contains(const BlockKey& key) const {
   Node& n = node_for(key);
   std::shared_lock lock(n.mu);
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    return n.staged->contains(key);
-  }
-  return n.child->contains(key);
+  return target(n).contains(key);
 }
 
 bool ClusterStore::erase(const BlockKey& key) {
   Node& n = node_for(key);
   std::shared_lock lock(n.mu);
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    return n.staged->erase(key);
-  }
-  return n.child->erase(key);
+  return target(n).erase(key);
 }
 
 std::uint64_t ClusterStore::size() const {
   std::uint64_t total = 0;
   for (const auto& node_ptr : nodes_) {
-    Node& n = *node_ptr;
-    std::shared_lock lock(n.mu);
-    if (n.staged) {
-      std::lock_guard staged_lock(n.staged_mu);
-      total += n.staged->size();
-    } else {
-      total += n.child->size();
-    }
+    std::shared_lock lock(node_ptr->mu);
+    total += target(*node_ptr).size();
   }
   return total;
 }
@@ -248,14 +224,7 @@ std::uint64_t ClusterStore::size() const {
 std::optional<Bytes> ClusterStore::get_copy(const BlockKey& key) const {
   Node& n = node_for(key);
   std::shared_lock lock(n.mu);
-  std::optional<Bytes> result;
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    const Bytes* value = n.staged->find(key);
-    if (value != nullptr) result = *value;
-  } else {
-    result = n.child->get_copy(key);
-  }
+  std::optional<Bytes> result = target(n).get_copy(key);
   if (result) n.count_read(result->size());
   return result;
 }
@@ -270,22 +239,11 @@ std::vector<std::optional<Bytes>> ClusterStore::get_batch(
   for (std::size_t k = 0; k < nodes_.size(); ++k) {
     if (by_node[k].empty()) continue;
     Node& n = *nodes_[k];
-    std::shared_lock lock(n.mu);
-    if (n.staged) {
-      std::lock_guard staged_lock(n.staged_mu);
-      for (const std::size_t i : by_node[k]) {
-        const Bytes* value = n.staged->find(keys[i]);
-        if (value != nullptr) {
-          n.count_read(value->size());
-          payloads[i] = *value;
-        }
-      }
-      continue;
-    }
     std::vector<BlockKey> sub;
     sub.reserve(by_node[k].size());
     for (const std::size_t i : by_node[k]) sub.push_back(keys[i]);
-    std::vector<std::optional<Bytes>> got = n.child->get_batch(sub);
+    std::shared_lock lock(n.mu);
+    std::vector<std::optional<Bytes>> got = target(n).get_batch(sub);
     for (std::size_t j = 0; j < by_node[k].size(); ++j) {
       if (got[j]) n.count_read(got[j]->size());
       payloads[by_node[k][j]] = std::move(got[j]);
@@ -302,8 +260,7 @@ void ClusterStore::prefetch(const std::vector<BlockKey>& keys) const {
     if (by_node[k].empty()) continue;
     Node& n = *nodes_[k];
     std::shared_lock lock(n.mu);
-    if (n.staged) continue;  // the overlay already lives in memory
-    n.child->prefetch(by_node[k]);
+    target(n).prefetch(by_node[k]);  // a no-op on the in-memory overlay
   }
 }
 
@@ -317,30 +274,22 @@ void ClusterStore::put_batch(std::vector<std::pair<BlockKey, Bytes>> items) {
     Node& n = *nodes_[k];
     for (const auto& [key, value] : by_node[k]) n.count_write(value.size());
     std::shared_lock lock(n.mu);
-    if (n.staged) {
-      std::lock_guard staged_lock(n.staged_mu);
-      for (auto& [key, value] : by_node[k])
-        n.staged->put(key, std::move(value));
-      continue;
-    }
-    n.child->put_batch(std::move(by_node[k]));
+    target(n).put_batch(std::move(by_node[k]));
   }
 }
 
 void ClusterStore::drop_payload_cache() const {
   for (const auto& node_ptr : nodes_) {
-    Node& n = *node_ptr;
-    std::shared_lock lock(n.mu);
-    // The staging overlay IS its storage — only child caches drop.
-    if (!n.staged) n.child->drop_payload_cache();
+    std::shared_lock lock(node_ptr->mu);
+    // The staging overlay IS its storage, so only child caches drop.
+    target(*node_ptr).drop_payload_cache();
   }
 }
 
 void ClusterStore::flush() const {
   for (const auto& node_ptr : nodes_) {
-    Node& n = *node_ptr;
-    std::shared_lock lock(n.mu);
-    if (!n.staged) n.child->flush();
+    std::shared_lock lock(node_ptr->mu);
+    target(*node_ptr).flush();
   }
 }
 
@@ -351,20 +300,13 @@ bool ClusterStore::for_each_key(
   // non-enumerable child must be discovered before any earlier node's
   // keys are announced. The probe is one extra in-memory index walk.
   for (const auto& node_ptr : nodes_) {
-    Node& n = *node_ptr;
-    std::shared_lock lock(n.mu);
-    if (!n.staged && !n.child->for_each_key([](const BlockKey&) {}))
+    std::shared_lock lock(node_ptr->mu);
+    if (!target(*node_ptr).for_each_key([](const BlockKey&) {}))
       return false;
   }
   for (const auto& node_ptr : nodes_) {
-    Node& n = *node_ptr;
-    std::shared_lock lock(n.mu);
-    if (n.staged) {
-      std::lock_guard staged_lock(n.staged_mu);
-      n.staged->for_each_key(fn);
-      continue;
-    }
-    if (!n.child->for_each_key(fn)) return false;  // raced a fail/heal
+    std::shared_lock lock(node_ptr->mu);
+    if (!target(*node_ptr).for_each_key(fn)) return false;  // raced fail/heal
   }
   return true;
 }
@@ -452,13 +394,8 @@ std::map<std::string, std::uint64_t> ClusterStore::fingerprint(
 
 std::uint64_t ClusterStore::node_blocks(std::uint32_t node) const {
   AEC_CHECK_MSG(node < nodes_.size(), "no node " << node);
-  Node& n = *nodes_[node];
-  std::shared_lock lock(n.mu);
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    return n.staged->size();
-  }
-  return n.child->size();
+  std::shared_lock lock(nodes_[node]->mu);
+  return target(*nodes_[node]).size();
 }
 
 void ClusterStore::fail_node(std::uint32_t node) {
@@ -476,7 +413,7 @@ void ClusterStore::fail_node(std::uint32_t node) {
                       << child_spec_
                       << "' cannot enumerate keys; availability cannot "
                          "be tracked across a node failure");
-    n.staged = std::make_unique<InMemoryBlockStore>();
+    n.staged = std::make_unique<pipeline::ConcurrentBlockStore>();
     n.staged->set_observer(observer());
     // Announce the whole failure domain as missing: an attached
     // AvailabilityIndex now plans node loss like any other damage.
@@ -528,7 +465,6 @@ void ClusterStore::replace_node(std::uint32_t node) {
 }
 
 void ClusterStore::flush_staged(Node& n) {
-  std::lock_guard staged_lock(n.staged_mu);
   n.staged->for_each([&](const BlockKey& key, const Bytes& value) {
     n.child->put(key, value);  // child notifies "present" itself
   });

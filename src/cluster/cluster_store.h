@@ -39,7 +39,8 @@
 // Thread safety: thread_safe() is inherited from the children (all
 // thread-safe children → routed operations may run concurrently; the
 // per-node state is guarded by a shared_mutex that fail/heal/replace
-// take exclusively, and the staging overlay by its own mutex).
+// take exclusively, and the staging overlay is a ConcurrentBlockStore,
+// which locks itself).
 #pragma once
 
 #include <atomic>
@@ -55,6 +56,7 @@
 
 #include "cluster/placement.h"
 #include "core/codec/block_store.h"
+#include "pipeline/concurrent_block_store.h"
 
 namespace aec::cluster {
 
@@ -163,12 +165,9 @@ class ClusterStore final : public BlockStore {
     std::string domain;
     std::unique_ptr<BlockStore> child;
     /// Degraded-mode write staging; non-null exactly while down.
-    std::unique_ptr<InMemoryBlockStore> staged;
+    std::unique_ptr<pipeline::ConcurrentBlockStore> staged;
     /// Exclusive: fail/heal/replace and domain edits. Shared: routed ops.
     mutable std::shared_mutex mu;
-    /// Guards `staged` contents (InMemoryBlockStore is not itself
-    /// thread-safe; routed ops only hold the shared node lock).
-    mutable std::mutex staged_mu;
     /// Traffic tallies (NodeTraffic fields, relaxed atomics so routed
     /// ops never take an extra lock).
     std::atomic<std::uint64_t> blocks_read{0};
@@ -186,9 +185,15 @@ class ClusterStore final : public BlockStore {
     }
   };
 
-  Node& node(std::uint32_t k) const { return *nodes_[k]; }
   Node& node_for(const BlockKey& key) const {
     return *nodes_[node_of(key)];
+  }
+  /// Where a node's routed operations land: the staging overlay while
+  /// it is down, the child otherwise. Caller holds the node lock
+  /// (shared is enough).
+  static BlockStore& target(const Node& n) {
+    if (n.staged) return *n.staged;
+    return *n.child;
   }
   /// Writes cluster.txt (topology + down/domain state). Caller holds
   /// whatever node locks it needs; the file itself is guarded by

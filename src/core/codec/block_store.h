@@ -1,9 +1,11 @@
 // Block storage abstraction. The codec is storage-agnostic (paper §III-B
-// "Implementation Details": client-, middleware- or backend-based); the
-// library ships an in-memory implementation that also supports fault
-// injection for tests, examples and simulations. Durable backends
-// (FileBlockStore, ShardedFileBlockStore) live in their own headers and
-// are constructed by name through the StoreRegistry.
+// "Implementation Details": client-, middleware- or backend-based); this
+// header ships the unsynchronized in-memory implementation used by the
+// serial Encoder/Decoder, tests, examples and simulations. The stores a
+// session runs on synchronize themselves (pipeline::ConcurrentBlockStore,
+// FileBlockStore, ShardedFileBlockStore, cluster::ClusterStore); they
+// live in their own headers and are constructed by name through the
+// StoreRegistry.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +86,10 @@ class BlockStore {
     (void)keys;
   }
 
-  /// True when put/get_copy/get_batch/contains/erase/size are safe to
-  /// call concurrently. Stores answering false go behind a
-  /// pipeline::LockedBlockStore before parallel sessions touch them.
+  /// True when every operation is safe to call concurrently (find()'s
+  /// pointer caveat aside). Engine::open_session accepts only stores
+  /// answering true; InMemoryBlockStore answers false and serves the
+  /// serial Encoder/Decoder, simulations and tests.
   virtual bool thread_safe() const noexcept { return false; }
 
   /// Drops any payload cache the store keeps (presence metadata stays).

@@ -22,6 +22,7 @@ fs::path FileBlockStore::path_of(const BlockKey& key) const {
 }
 
 void FileBlockStore::rescan() {
+  std::lock_guard lock(mu_);
   index_.clear();
   cache_.clear();
   const auto scan_dir = [&](const fs::path& dir, BlockKey::Kind kind,
@@ -47,6 +48,7 @@ void FileBlockStore::rescan() {
 }
 
 void FileBlockStore::put(const BlockKey& key, Bytes value) {
+  std::lock_guard lock(mu_);
   const fs::path path = path_of(key);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   AEC_CHECK_MSG(out.good(), "cannot write " << path.string());
@@ -60,6 +62,18 @@ void FileBlockStore::put(const BlockKey& key, Bytes value) {
 }
 
 const Bytes* FileBlockStore::find(const BlockKey& key) const {
+  std::lock_guard lock(mu_);
+  return find_locked(key);
+}
+
+std::optional<Bytes> FileBlockStore::get_copy(const BlockKey& key) const {
+  std::lock_guard lock(mu_);
+  const Bytes* value = find_locked(key);
+  if (value == nullptr) return std::nullopt;
+  return *value;
+}
+
+const Bytes* FileBlockStore::find_locked(const BlockKey& key) const {
   if (!index_.contains(key)) return nullptr;
   if (const auto it = cache_.find(key); it != cache_.end())
     return &it->second;
@@ -75,10 +89,12 @@ const Bytes* FileBlockStore::find(const BlockKey& key) const {
 }
 
 bool FileBlockStore::contains(const BlockKey& key) const {
+  std::lock_guard lock(mu_);
   return index_.contains(key);
 }
 
 bool FileBlockStore::erase(const BlockKey& key) {
+  std::lock_guard lock(mu_);
   cache_.erase(key);
   if (index_.erase(key) == 0) return false;
   std::error_code ec;
@@ -87,10 +103,14 @@ bool FileBlockStore::erase(const BlockKey& key) {
   return true;
 }
 
-std::uint64_t FileBlockStore::size() const { return index_.size(); }
+std::uint64_t FileBlockStore::size() const {
+  std::lock_guard lock(mu_);
+  return index_.size();
+}
 
 std::vector<std::optional<Bytes>> FileBlockStore::get_batch(
     const std::vector<BlockKey>& keys) const {
+  std::lock_guard lock(mu_);
   std::vector<std::optional<Bytes>> out;
   out.reserve(keys.size());
   for (const BlockKey& key : keys) {
@@ -108,6 +128,7 @@ std::vector<std::optional<Bytes>> FileBlockStore::get_batch(
 }
 
 void FileBlockStore::prefetch(const std::vector<BlockKey>& keys) const {
+  std::lock_guard lock(mu_);
   for (const BlockKey& key : keys) {
     if (!index_.contains(key) || cache_.contains(key)) continue;
     if (auto payload = read_block_file(path_of(key)))
@@ -117,10 +138,14 @@ void FileBlockStore::prefetch(const std::vector<BlockKey>& keys) const {
 
 bool FileBlockStore::for_each_key(
     const std::function<void(const BlockKey&)>& fn) const {
+  std::lock_guard lock(mu_);
   for (const auto& [key, present] : index_) fn(key);
   return true;
 }
 
-void FileBlockStore::drop_cache() const { cache_.clear(); }
+void FileBlockStore::drop_cache() const {
+  std::lock_guard lock(mu_);
+  cache_.clear();
+}
 
 }  // namespace aec

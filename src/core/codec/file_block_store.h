@@ -10,9 +10,15 @@
 // archive that survives process restarts and whose individual block
 // files can be deleted/corrupted externally and then repaired through
 // the lattice.
+//
+// Thread safety: one internal mutex serializes every operation (file
+// I/O included), so sessions may run on it at any thread count; the
+// sharded store is the variant whose callers do not all queue on one
+// lock. find()'s pointer is still only valid until the next mutation.
 #pragma once
 
 #include <filesystem>
+#include <mutex>
 #include <unordered_map>
 
 #include "core/codec/block_store.h"
@@ -29,6 +35,10 @@ class FileBlockStore final : public BlockStore {
   bool contains(const BlockKey& key) const override;
   bool erase(const BlockKey& key) override;
   std::uint64_t size() const override;
+
+  /// Copies the payload out under the store mutex.
+  std::optional<Bytes> get_copy(const BlockKey& key) const override;
+  bool thread_safe() const noexcept override { return true; }
 
   /// Streaming batch read: cache hits are copied out, misses are read
   /// with raw file I/O and NOT inserted into the cache (see the
@@ -58,7 +68,11 @@ class FileBlockStore final : public BlockStore {
   std::filesystem::path path_of(const BlockKey& key) const;
 
  private:
+  /// find() body; caller holds mu_.
+  const Bytes* find_locked(const BlockKey& key) const;
+
   std::filesystem::path root_;
+  mutable std::mutex mu_;
   std::unordered_map<BlockKey, bool, BlockKeyHash> index_;
   mutable std::unordered_map<BlockKey, Bytes, BlockKeyHash> cache_;
 };

@@ -3,8 +3,8 @@
 //
 // This is the file-backed analogue of pipeline::ConcurrentBlockStore's
 // striped locking: concurrent pipeline workers contend only when their
-// keys hash to the same shard, unlike the LockedBlockStore-over-
-// FileBlockStore path whose single mutex serializes every file put/read.
+// keys hash to the same shard, unlike FileBlockStore, whose single mutex
+// serializes every file put/read.
 // The batch overrides (get_batch/put_batch) group keys per shard so one
 // wave's worth of repair I/O takes each shard lock once instead of once
 // per block — the access pattern of log-structured/sharded archival

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "core/codec/file_block_store.h"
 #include "core/codec/sharded_file_block_store.h"
+#include "pipeline/concurrent_block_store.h"
 
 namespace aec {
 
@@ -91,7 +92,7 @@ StoreRegistry::StoreRegistry() {
       [](const StoreSpec& spec,
          const std::filesystem::path&) -> std::unique_ptr<BlockStore> {
         AEC_CHECK_MSG(spec.args.empty(), "mem store takes no arguments");
-        return std::make_unique<InMemoryBlockStore>();
+        return std::make_unique<pipeline::ConcurrentBlockStore>();
       });
   register_family(
       "file",

@@ -4,13 +4,15 @@
 // so open() rebuilds the same layout it was created with, and aectool's
 // --store flag reaches every registered backend without new code.
 //
-// Built-in families:
-//   mem        — InMemoryBlockStore (ephemeral; tests and simulations)
-//   file       — FileBlockStore (one flat directory tree, single-threaded;
-//                Archive wraps it in a LockedBlockStore when parallel)
-//   sharded(N) — ShardedFileBlockStore with N directory shards, natively
-//                thread-safe (the default N is kDefaultShards when the
-//                argument is omitted: "sharded")
+// Built-in families (every one thread-safe, so any of them can back a
+// session at any thread count):
+//   mem        — pipeline::ConcurrentBlockStore (ephemeral; tests and
+//                simulations)
+//   file       — FileBlockStore (one flat directory tree behind one
+//                mutex)
+//   sharded(N) — ShardedFileBlockStore with N directory shards, each
+//                with its own lock (the default N is kDefaultShards
+//                when the argument is omitted: "sharded")
 //   cluster(N,policy,child[,seed])
 //              — ClusterStore routing blocks across N child backends
 //                (failure domains) by placement policy (random | rr |

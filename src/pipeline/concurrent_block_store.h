@@ -1,19 +1,13 @@
-// Thread-safe BlockStore implementations for the parallel pipeline.
+// Thread-safe in-memory BlockStore for the parallel pipeline — the "mem"
+// store family, and the staging overlay of a down cluster node.
 //
 // ConcurrentBlockStore shards keys across striped-lock buckets, so the
-// s concurrent bucket-seals of one wave (paper §V-B) rarely contend: two
-// puts serialize only when their keys hash to the same stripe. Because
-// each stripe owns a node-based map, a pointer returned by find() stays
-// valid until *that key* is erased or overwritten — a strictly stronger
-// guarantee than the base interface ("until the next mutating call"),
-// which concurrent writers could not honour.
-//
-// LockedBlockStore wraps any existing store (e.g. FileBlockStore) behind
-// one mutex, making put()/contains()/erase()/size() safe to call from
-// pipeline workers without touching the wrapped implementation. find()
-// still returns a pointer into the delegate, so reads must happen while
-// no writer runs (the ParallelEncoder's coordinator-only read discipline
-// guarantees exactly that).
+// concurrent strand walks of one encode batch (paper §V-B) rarely
+// contend: two puts serialize only when their keys hash to the same
+// stripe. Because each stripe owns a node-based map, a pointer returned
+// by find() stays valid until *that key* is erased or overwritten — a
+// strictly stronger guarantee than the base interface ("until the next
+// mutating call"), which concurrent writers could not honour.
 #pragma once
 
 #include <array>
@@ -61,46 +55,6 @@ class ConcurrentBlockStore final : public BlockStore {
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::size_t mask_;
-};
-
-class LockedBlockStore final : public BlockStore {
- public:
-  /// The delegate must outlive this wrapper.
-  explicit LockedBlockStore(BlockStore* delegate);
-
-  void put(const BlockKey& key, Bytes value) override;
-  /// Safe only while no concurrent writer runs (see file comment).
-  const Bytes* find(const BlockKey& key) const override;
-  bool contains(const BlockKey& key) const override;
-  bool erase(const BlockKey& key) override;
-  std::uint64_t size() const override;
-  /// Copies under the wrapper mutex — safe against concurrent put():
-  /// this is the read pipeline workers must use.
-  std::optional<Bytes> get_copy(const BlockKey& key) const override;
-  /// One lock acquisition for the whole batch (instead of one per key),
-  /// forwarded to the delegate's own batched read so streaming-read
-  /// semantics (no cache insert on miss) survive the wrapper.
-  std::vector<std::optional<Bytes>> get_batch(
-      const std::vector<BlockKey>& keys) const override;
-  void put_batch(std::vector<std::pair<BlockKey, Bytes>> items) override;
-  void prefetch(const std::vector<BlockKey>& keys) const override;
-  bool thread_safe() const noexcept override { return true; }
-  void drop_payload_cache() const override;
-  void flush() const override;
-  bool for_each_key(
-      const std::function<void(const BlockKey&)>& fn) const override;
-  void rescan() override;
-  /// Observation happens at the delegate (where the mutation lands), so
-  /// each put/erase notifies exactly once; observer() reads back from
-  /// the delegate accordingly.
-  void set_observer(Observer* observer) override;
-  Observer* observer() const override;
-
-  BlockStore* delegate() const noexcept { return delegate_; }
-
- private:
-  mutable std::mutex mu_;
-  BlockStore* delegate_;
 };
 
 }  // namespace aec::pipeline

@@ -28,39 +28,12 @@ obs::Histogram* batch_blocks_histogram() {
 
 }  // namespace
 
-const char* to_string(Schedule schedule) noexcept {
-  return schedule == Schedule::kStrands ? "strands" : "waves";
-}
-
-ParallelEncoder::ParallelEncoder(CodeParams params, std::size_t block_size,
-                                 BlockStore* store, std::size_t threads,
-                                 std::uint64_t resume_count,
-                                 Schedule schedule)
-    : params_(std::move(params)),
-      block_size_(block_size),
-      store_(store),
-      schedule_(schedule),
-      count_(resume_count),
-      owned_pool_(std::make_unique<ThreadPool>(threads)),
-      pool_(owned_pool_.get()),
-      blocks_metric_(blocks_counter()),
-      batches_metric_(batches_counter()),
-      batch_us_metric_(batch_us_histogram()),
-      batch_blocks_metric_(batch_blocks_histogram()) {
-  AEC_CHECK_MSG(block_size_ > 0, "block size must be positive");
-  AEC_CHECK_MSG(store_ != nullptr, "encoder needs a block store");
-  for (StrandClass cls : params_.classes())
-    heads_[static_cast<std::size_t>(cls)].resize(params_.strands_of(cls));
-}
-
 ParallelEncoder::ParallelEncoder(CodeParams params, std::size_t block_size,
                                  BlockStore* store, ThreadPool* pool,
-                                 std::uint64_t resume_count,
-                                 Schedule schedule)
+                                 std::uint64_t resume_count)
     : params_(std::move(params)),
       block_size_(block_size),
       store_(store),
-      schedule_(schedule),
       count_(resume_count),
       pool_(pool),
       blocks_metric_(blocks_counter()),
@@ -79,11 +52,11 @@ void ParallelEncoder::resolve_head(const Lattice& lat, NodeIndex i,
   Bytes& slot = head_slot(cls, lat.strand_id(i, cls));
   if (!slot.empty()) return;
   if (auto in = lat.input_edge(i, cls)) {
-    const Bytes* stored = store_->find(BlockKey::parity(*in));
-    AEC_CHECK_MSG(stored != nullptr,
+    std::optional<Bytes> stored = store_->get_copy(BlockKey::parity(*in));
+    AEC_CHECK_MSG(stored.has_value(),
                   "encoder head recovery: parity " << to_string(
                       BlockKey::parity(*in)) << " missing from store");
-    slot = *stored;
+    slot = std::move(*stored);
   } else {
     slot.assign(block_size_, 0);  // strand bootstrap
   }
@@ -120,25 +93,8 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
   obs::TraceSpan span("encode.batch");  // a0 = blocks, a1 = bytes
   span.set_args(blocks.size(), blocks.size() * block_size_);
   const auto batch_start = std::chrono::steady_clock::now();
-  if (schedule_ == Schedule::kStrands)
-    append_strand_scheduled(blocks, results);
-  else
-    append_wave_scheduled(blocks, results);
-  batch_us_metric_->observe(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - batch_start)
-          .count()));
-  batch_blocks_metric_->observe(blocks.size());
-  blocks_metric_->add(blocks.size());
-  batches_metric_->add();
-  return results;
-}
-
-void ParallelEncoder::append_strand_scheduled(
-    const std::vector<Bytes>& blocks, std::vector<EncodeResult>& results) {
   const NodeIndex first = static_cast<NodeIndex>(count_) + 1;
-  const NodeIndex last =
-      static_cast<NodeIndex>(count_ + blocks.size());
+  const NodeIndex last = static_cast<NodeIndex>(count_ + blocks.size());
   const Lattice lat(params_, static_cast<std::uint64_t>(last),
                     Lattice::Boundary::kOpen);
 
@@ -218,57 +174,15 @@ void ParallelEncoder::append_strand_scheduled(
 
   pool_->wait_idle();  // batch barrier (rethrows the first task error)
   count_ = static_cast<std::uint64_t>(last);
-}
 
-void ParallelEncoder::append_wave_scheduled(
-    const std::vector<Bytes>& blocks, std::vector<EncodeResult>& results) {
-  const std::uint32_t s = params_.s();
-  const NodeIndex first = static_cast<NodeIndex>(count_) + 1;
-  const NodeIndex last = static_cast<NodeIndex>(count_ + blocks.size());
-  const Lattice lat(params_, static_cast<std::uint64_t>(last),
-                    Lattice::Boundary::kOpen);
-
-  // Consume the planner's schedule for the window's columns. The plan
-  // covers whole columns; the window may start or end mid-column, so
-  // each wave is intersected with [first, last].
-  const NodeIndex first_col = (first - 1) / s + 1;
-  const NodeIndex last_col = (last - 1) / s + 1;
-  const WritePlan plan = plan_full_writes(
-      params_, static_cast<std::uint32_t>(last_col - first_col + 1));
-
-  // Index the sealed-at-wave grid once: wave number → its window nodes.
-  std::vector<std::vector<NodeIndex>> wave_nodes(plan.waves + 1);
-  for (std::uint32_t r = 0; r < s; ++r) {
-    for (std::uint32_t c = 0; c < plan.window_columns; ++c) {
-      const NodeIndex i = (first_col - 1 + c) * s + r + 1;
-      if (i >= first && i <= last)
-        wave_nodes[plan.wave[r][c]].push_back(i);
-    }
-  }
-
-  for (std::uint32_t wave = 1; wave <= plan.waves; ++wave) {
-    std::vector<NodeIndex>& nodes = wave_nodes[wave];
-    if (nodes.empty()) continue;
-    obs::TraceSpan wave_span("encode.wave");  // a0 = wave, a1 = width
-    wave_span.set_args(wave, nodes.size());
-    std::sort(nodes.begin(), nodes.end());
-
-    // Coordinator fills any missing head slots while no worker runs.
-    for (const NodeIndex i : nodes)
-      for (StrandClass cls : params_.classes()) resolve_head(lat, i, cls);
-
-    // Dispatch the wave: one bucket-seal per node. The validity condition
-    // p ≥ s makes the α·s strand instances of a column distinct, so the
-    // tasks' head slots are disjoint.
-    for (const NodeIndex i : nodes) {
-      const auto j = static_cast<std::size_t>(i - first);
-      pool_->submit([this, &lat, i, &block = blocks[j], &result = results[j]] {
-        result = seal_node(lat, i, block);
-      });
-    }
-    pool_->wait_idle();  // wave barrier: heads advance once per wave
-  }
-  count_ = static_cast<std::uint64_t>(last);
+  batch_us_metric_->observe(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - batch_start)
+          .count()));
+  batch_blocks_metric_->observe(blocks.size());
+  blocks_metric_->add(blocks.size());
+  batches_metric_->add();
+  return results;
 }
 
 EncodeResult ParallelEncoder::append(BytesView data) {

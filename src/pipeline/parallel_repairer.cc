@@ -33,22 +33,6 @@ obs::Histogram* wave_width_histogram() {
 
 ParallelRepairer::ParallelRepairer(CodeParams params, std::uint64_t n_nodes,
                                    std::size_t block_size, BlockStore* store,
-                                   std::size_t threads)
-    : lattice_(std::move(params), n_nodes, Lattice::Boundary::kOpen),
-      block_size_(block_size),
-      store_(store),
-      owned_pool_(std::make_unique<ThreadPool>(threads)),
-      pool_(owned_pool_.get()),
-      waves_metric_(waves_counter()),
-      steps_metric_(steps_counter()),
-      wave_us_metric_(wave_us_histogram()),
-      wave_width_metric_(wave_width_histogram()) {
-  AEC_CHECK_MSG(store_ != nullptr, "repairer needs a block store");
-  AEC_CHECK_MSG(block_size_ > 0, "block size must be positive");
-}
-
-ParallelRepairer::ParallelRepairer(CodeParams params, std::uint64_t n_nodes,
-                                   std::size_t block_size, BlockStore* store,
                                    ThreadPool* pool)
     : lattice_(std::move(params), n_nodes, Lattice::Boundary::kOpen),
       block_size_(block_size),

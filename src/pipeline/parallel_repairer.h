@@ -4,20 +4,18 @@
 // planner's full-write waves: wave w contains exactly the blocks whose
 // planned inputs are intact or repaired in waves < w, so the steps of a
 // wave are mutually independent single XORs. This executor dispatches
-// each wave across a ThreadPool with a barrier between waves — the same
-// shape as ParallelEncoder's kWaves schedule — and is byte-identical to
-// the serial Decoder::repair_all, including the RepairReport round
-// structure (both are projections of the same plan).
+// each wave across a ThreadPool with a barrier between waves and is
+// byte-identical to the serial Decoder::repair_all, including the
+// RepairReport round structure (both are projections of the same plan).
 //
 // Safety discipline (no locking on the hot path beyond the store's own):
 //   · every step's inputs were chosen by the planner against wave-start
 //     availability, so a worker never reads a block another wave-w worker
 //     is writing;
 //   · workers read through BlockStore::get_copy() and write through
-//     put(), both of which thread-safe stores (ConcurrentBlockStore,
-//     LockedBlockStore) synchronize internally. With more than one
-//     worker the store must be one of those; a single-threaded repairer
-//     works on any store.
+//     put(), both of which thread-safe stores synchronize internally.
+//     With more than one worker the store must be one of those; a
+//     single-worker pool works on any store.
 //
 // Error model: an exception in any step (e.g. a store write failure) is
 // rethrown on the coordinator at the wave barrier; already-repaired
@@ -25,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "common/bytes.h"
@@ -38,15 +35,9 @@ namespace aec::pipeline {
 class ParallelRepairer {
  public:
   /// Views the first n_nodes positions of an open lattice stored in
-  /// `store` (must outlive the repairer, and must be thread-safe when
-  /// `threads` > 1). Spawns `threads` ≥ 1 owned workers.
-  ParallelRepairer(CodeParams params, std::uint64_t n_nodes,
-                   std::size_t block_size, BlockStore* store,
-                   std::size_t threads);
-
-  /// Shares an externally owned worker pool (the api::Engine shape). The
-  /// pool must outlive the repairer; the store must be thread-safe when
-  /// the pool has more than one worker.
+  /// `store`, repairing on the caller's worker `pool`. Both must outlive
+  /// the repairer; the store must be thread-safe when the pool has more
+  /// than one worker.
   ParallelRepairer(CodeParams params, std::uint64_t n_nodes,
                    std::size_t block_size, BlockStore* store,
                    ThreadPool* pool);
@@ -105,8 +96,6 @@ class ParallelRepairer {
   std::size_t block_size_;
   BlockStore* store_;
   const AvailabilityIndex* avail_index_ = nullptr;
-  /// Set only by the owning constructor; pool_ points here or outside.
-  std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;
   /// Global-registry metrics, resolved once at construction; observed
   /// at wave granularity (one clock pair + a few fetch_adds per wave).

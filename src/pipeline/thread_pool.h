@@ -1,10 +1,10 @@
 // Fixed-size worker pool with a bounded task queue.
 //
-// The encoding pipeline (paper §V-B: one wave of s bucket-seals per
-// column) needs exactly this shape: a caller that dispatches small CPU
-// tasks, blocks when the queue is full (backpressure, so a fast producer
-// cannot balloon memory), and can wait for a wave barrier before the next
-// column's strand heads advance.
+// The encoding pipeline (paper §V-B: one task per strand instance per
+// batch) and the repair waves need exactly this shape: a caller that
+// dispatches small CPU tasks, blocks when the queue is full
+// (backpressure, so a fast producer cannot balloon memory), and can wait
+// for a barrier before the next batch or wave.
 //
 // Error model: the first exception thrown by a task is captured and
 // rethrown from the next wait_idle() (or the destructor drops it after

@@ -122,6 +122,24 @@ bool is_flag_option(const std::string& key) {
   return key == "--json" || key == "--metrics";
 }
 
+/// A count option in [1, max], `fallback` when absent. Digits only, so
+/// a sign or junk is refused instead of wrapping through std::stoull.
+std::size_t count_option(const Args& args, const char* key,
+                         std::size_t fallback, std::size_t max) {
+  const auto it = args.options.find(key);
+  if (it == args.options.end()) return fallback;
+  const std::string& text = it->second;
+  const bool numeric =
+      !text.empty() && text.size() <= std::to_string(max).size() &&
+      text.find_first_not_of("0123456789") == std::string::npos;
+  AEC_CHECK_MSG(numeric, key << " wants a small number, got '" << text
+                             << "'");
+  const auto value = static_cast<std::size_t>(std::stoull(text));
+  AEC_CHECK_MSG(value >= 1 && value <= max,
+                key << " must be in [1, " << max << "], got " << text);
+  return value;
+}
+
 Args parse(int argc, char** argv) {
   if (argc < 2) usage();
   Args args;
@@ -216,11 +234,10 @@ int run(const Args& args) {
                                    "needs file, sharded(N) or a cluster "
                                    "of them");
     }
-    const auto bs_it = args.options.find("--block-size");
+    // Capped at 1 MiB: the ingest window holds 256 blocks per worker, so
+    // that already buffers 256 MiB per worker.
     const std::size_t block_size =
-        bs_it == args.options.end()
-            ? 4096
-            : static_cast<std::size_t>(std::stoull(bs_it->second));
+        count_option(args, "--block-size", 4096, std::size_t{1} << 20);
     auto archive = Archive::create(root, spec, block_size, {}, store_spec);
     std::printf("initialized %s archive at %s (store %s, block size %zu)\n",
                 archive->codec().id().c_str(), root.c_str(),
@@ -231,19 +248,7 @@ int run(const Args& args) {
   // --threads N (default 1) sizes the engine's worker pool: parallel
   // entanglement/stripe encode on put, wave-parallel repair on
   // get/scrub. The remaining commands run serially.
-  const auto threads_it = args.options.find("--threads");
-  std::size_t threads = 1;
-  if (threads_it != args.options.end()) {
-    const std::string& text = threads_it->second;
-    const bool numeric =
-        !text.empty() && text.size() <= 4 &&
-        text.find_first_not_of("0123456789") == std::string::npos;
-    AEC_CHECK_MSG(numeric,
-                  "--threads wants a small number, got '" << text << "'");
-    threads = static_cast<std::size_t>(std::stoull(text));
-    AEC_CHECK_MSG(threads >= 1 && threads <= 1024,
-                  "--threads must be in [1, 1024], got " << text);
-  }
+  const std::size_t threads = count_option(args, "--threads", 1, 1024);
   auto archive = Archive::open(root, Engine::with_threads(threads));
 
   if (args.command == "put") {
@@ -524,8 +529,11 @@ int run(const Args& args) {
     if (sub == "scrub") {
       archive->scrub();
     } else if (sub == "get") {
-      const auto content = archive->read_file(option("--name"));
-      AEC_CHECK_MSG(content.has_value(), "file unknown or irrecoverable");
+      // The streamed read `get` runs: one read.window span per window.
+      FileReader reader = archive->open_reader(option("--name"));
+      std::optional<BytesView> chunk = reader.next_chunk();
+      while (chunk && !chunk->empty()) chunk = reader.next_chunk();
+      AEC_CHECK_MSG(chunk.has_value(), "file irrecoverable");
     } else if (sub == "put") {
       AEC_CHECK_MSG(args.positional.size() == 2,
                     "trace put needs exactly one FILE");

@@ -245,7 +245,7 @@ const FileEntry& FileWriter::close() {
 FileReader::FileReader(Archive* archive, const FileEntry& entry,
                        std::size_t window)
     : name_(entry.name), bytes_(entry.bytes) {
-  if (window == 0) window = archive->engine().read_window_blocks();
+  if (window == 0) window = CodecSession::kReadWindowBlocks;
   chunk_bytes_ = window * archive->block_size();
   // Empty files still occupy one (all-zero) block, and reading it is
   // what distinguishes "empty" from "irrecoverably damaged".
@@ -319,22 +319,13 @@ Archive::Archive(fs::path root, std::shared_ptr<const Codec> codec,
     file_index_.emplace(files_[f].name, f);
   store_ = make_store(store_spec_, root_);
   cluster_ = dynamic_cast<cluster::ClusterStore*>(store_.get());
-  if (store_->thread_safe()) {
-    session_store_ = store_.get();
-  } else {
-    // Single-mutex fallback for backends without their own locking
-    // (uncontended on a 1-thread engine).
-    locked_store_ =
-        std::make_unique<pipeline::LockedBlockStore>(store_.get());
-    session_store_ = locked_store_.get();
-  }
   // Observe before the session touches the store, so every mutation
   // (including resume-time tail healing) flows into the index — and hook
   // the health monitor onto the index first, so those same deltas stream
   // into the vulnerability scores.
   avail_index_.set_delta_listener(&health_);
   store_->set_observer(&avail_index_);
-  session_ = engine_->open_session(codec_, session_store_, block_size_,
+  session_ = engine_->open_session(codec_, store_.get(), block_size_,
                                    resume_count);
   // …then reseed from authoritative store contents: damage inflicted
   // while the archive was closed predates the observer. A fresh
@@ -376,9 +367,7 @@ std::unique_ptr<Archive> Archive::create(fs::path root,
                 "archive already exists at " << root.string());
   AEC_CHECK_MSG(block_size > 0, "block size must be positive");
   std::shared_ptr<const Codec> codec = make_codec(codec_spec);
-  std::string resolved_store = store_spec;
-  if (resolved_store.empty())
-    resolved_store = engine ? engine->store_spec() : "file";
+  std::string resolved_store = store_spec.empty() ? "file" : store_spec;
   // Fail before touching the disk where possible: syntax and family must
   // resolve here; factory-level failures (e.g. a bad shard count) are
   // caught below and the root we created is removed again.

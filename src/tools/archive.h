@@ -69,7 +69,6 @@
 #include "core/codec/block_store.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "pipeline/concurrent_block_store.h"
 
 namespace aec::tools {
 
@@ -211,8 +210,7 @@ class Archive {
   /// Creates a fresh archive (root must not already hold a manifest).
   /// `codec_spec` is resolved through the CodecRegistry ("AE(3,2,5)",
   /// "RS(10,4)", "REP(3)", …) and `store_spec` through the StoreRegistry
-  /// ("file", "sharded(8)", "mem"; empty = the engine's default, which
-  /// is "file" unless configured). A null `engine` means
+  /// ("file", "sharded(8)", "mem"; empty = "file"). A null `engine` means
   /// Engine::serial(). The engine is a per-process execution choice, not
   /// an archive property — the stored bytes are identical for every
   /// engine; the store spec IS an archive property and is recorded in
@@ -272,8 +270,9 @@ class Archive {
   std::optional<Bytes> read_file(const std::string& name);
 
   /// Opens a streaming reader for an archived file (CheckError when the
-  /// name is unknown). `window` is the lookahead in blocks; 0 = the
-  /// engine's resolved default. Multiple readers may be open at once.
+  /// name is unknown). `window` is the lookahead in blocks; 0 =
+  /// CodecSession::kReadWindowBlocks. Multiple readers may be open at
+  /// once.
   FileReader open_reader(const std::string& name, std::size_t window = 0);
 
   /// The manifest entry for `name`, or nullptr — O(1) via the name
@@ -370,15 +369,9 @@ class Archive {
   /// Mutation-fed missing-block set; observer of store_. Declared before
   /// the store so it outlives the store's notifications.
   AvailabilityIndex avail_index_;
-  /// Registry-built backend ("file", "sharded(N)", "mem").
+  /// Registry-built backend ("file", "sharded(N)", "mem"); it locks
+  /// itself, so the session runs on it directly.
   std::unique_ptr<BlockStore> store_;
-  /// Single-mutex wrapper, built only when the backend is not itself
-  /// thread-safe (FileBlockStore, InMemoryBlockStore); sharded backends
-  /// are used directly.
-  std::unique_ptr<pipeline::LockedBlockStore> locked_store_;
-  /// What the session reads/writes: locked_store_ when present, else
-  /// store_.
-  BlockStore* session_store_ = nullptr;
   /// The one engine-dispatched encode/repair path (AE lattice pipeline
   /// or codec stripes — see Engine::open_session).
   std::unique_ptr<CodecSession> session_;

@@ -444,6 +444,16 @@ TEST_F(ArchiveStreamTest, SessionOutlivesTemporaryEngine) {
   EXPECT_EQ(session->read_block(7), blocks[6]);
 }
 
+TEST_F(ArchiveStreamTest, SessionRejectsAStoreThatDoesNotLockItself) {
+  // Pool tasks read and write a session's store at every thread count,
+  // so the unsynchronized InMemoryBlockStore is refused up front.
+  InMemoryBlockStore store;
+  for (const char* spec : {"AE(3,2,5)", "RS(4,2)"})
+    EXPECT_THROW(Engine::serial()->open_session(make_codec(spec), &store, 64),
+                 CheckError)
+        << spec;
+}
+
 TEST_F(ArchiveStreamTest, WriterContractChecks) {
   Rng rng(9);
   auto archive = Archive::create(dir("a"), "AE(3,2,5)", 64);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/codec/decoder.h"
@@ -90,6 +93,43 @@ TEST_F(FileBlockStoreTest, ExternalDeletionSeenAfterRescan) {
   EXPECT_EQ(store.find(key), nullptr);
   store.rescan();
   EXPECT_FALSE(store.contains(key));
+}
+
+TEST_F(FileBlockStoreTest, ConcurrentCallersShareOneStore) {
+  // The store locks itself: four threads mutate and read their own keys
+  // through every entry point at once (run under TSan in CI).
+  constexpr int kThreads = 4;
+  constexpr int kKeysPerThread = 50;
+  FileBlockStore store(root_);
+  const auto payload = [](NodeIndex i) {
+    return Bytes(32, static_cast<std::uint8_t>(i % 251));
+  };
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 1; k <= kKeysPerThread; ++k) {
+        const NodeIndex i = t * kKeysPerThread + k;
+        const BlockKey key = BlockKey::data(i);
+        store.put(key, payload(i));
+        if (store.get_copy(key) != payload(i)) ++wrong;
+        if (store.get_batch({key}).front() != payload(i)) ++wrong;
+        store.prefetch({key});
+        if (k % 5 == 0 && !store.erase(key)) ++wrong;
+        if (k % 7 == 0) store.drop_payload_cache();
+        if (store.size() > kThreads * kKeysPerThread) ++wrong;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(store.size(), 160u);  // 200 keys, every 5th erased
+  for (NodeIndex i = 1; i <= kThreads * kKeysPerThread; ++i) {
+    const bool erased = (i - 1) % kKeysPerThread % 5 == 4;
+    EXPECT_EQ(store.get_copy(BlockKey::data(i)),
+              erased ? std::nullopt : std::optional<Bytes>(payload(i)))
+        << "d" << i;
+  }
 }
 
 TEST_F(FileBlockStoreTest, WorksAsCodecBackend) {
