@@ -5,9 +5,9 @@
 //
 // Two backend sections:
 //   · in-memory ConcurrentBlockStore (pure compute scaling);
-//   · file-backed — FileBlockStore (the single mutex every worker
-//     fights for) vs ShardedFileBlockStore(8) (per-shard mutexes +
-//     batched wave I/O), which is where the sharded storage refactor
+//   · file-backed — FileBlockStore's flat `file` layout (the single
+//     mutex every worker fights for) vs its sharded(8) layout
+//     (per-shard mutexes + batched wave I/O), which is where sharding
 //     shows up at > 1 thread.
 //
 // Prints repaired MB/s, the round count, and the speedup over the serial
@@ -34,7 +34,6 @@
 #include "core/codec/decoder.h"
 #include "core/codec/encoder.h"
 #include "core/codec/file_block_store.h"
-#include "core/codec/sharded_file_block_store.h"
 #include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_repairer.h"
 
@@ -257,11 +256,8 @@ void run_file_backed(const CodeParams& params, std::size_t count,
         const fs::path root = base_dir / (std::string(pattern.name) + "_" +
                                           (sharded ? "sharded" : "file") +
                                           "_" + std::to_string(threads));
-        std::unique_ptr<BlockStore> store;
-        if (sharded)
-          store = std::make_unique<ShardedFileBlockStore>(root, 8);
-        else
-          store = std::make_unique<FileBlockStore>(root);
+        auto store = sharded ? std::make_unique<FileBlockStore>(root, 8)
+                             : std::make_unique<FileBlockStore>(root);
         fill_from(pristine, *store);
         pattern.apply(lat, *store);
         store->drop_payload_cache();

@@ -9,7 +9,7 @@
 // session groups blocks into fixed-width codec stripes (RS, REP) whose
 // parities live in a flat parity index space.
 //
-// Key layout (shared with FileBlockStore's on-disk naming):
+// Key layout (shared with FileBlockStore's on-disk naming, both layouts):
 //   data block i        — BlockKey::data(i), i in [1, size()]
 //   AE parity           — BlockKey::parity(output edge), lattice naming
 //   striped parity j of stripe g (0-based)

@@ -3,9 +3,8 @@
 // header ships the unsynchronized in-memory implementation used by the
 // serial Encoder/Decoder, tests, examples and simulations. The stores a
 // session runs on synchronize themselves (pipeline::ConcurrentBlockStore,
-// FileBlockStore, ShardedFileBlockStore, cluster::ClusterStore); they
-// live in their own headers and are constructed by name through the
-// StoreRegistry.
+// FileBlockStore, cluster::ClusterStore); they live in their own headers
+// and are constructed by name through the StoreRegistry.
 #pragma once
 
 #include <cstdint>

@@ -38,7 +38,7 @@ std::optional<Bytes> read_block_file(const std::filesystem::path& path) {
 bool write_block_file(const std::filesystem::path& path,
                       BytesView payload) noexcept {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                  0644);
+                  0666);
   if (fd < 0) return false;
   std::size_t put = 0;
   while (put < payload.size()) {

@@ -1,11 +1,11 @@
-// Raw block-file reads for the batched read path.
+// Raw block-file I/O: the one read and the one write routine behind
+// every FileBlockStore layout and mode.
 //
-// FileBlockStore/ShardedFileBlockStore resolve single get_copy() calls
-// through an ifstream plus their payload cache; the batched streaming
-// reads (get_batch) bypass both — one open/fstat/read/close per block,
-// no stream/locale machinery, no cache insert — which is where the
-// windowed read path's per-block savings come from on one-file-per-block
-// layouts.
+// One open/fstat/read/close (or open/write/close) per block, no
+// stream/locale machinery. Single get_copy() calls put what they read
+// into the store's payload cache; the batched streaming reads
+// (get_batch) do not — which is where the windowed read path's
+// per-block savings come from on one-file-per-block layouts.
 #pragma once
 
 #include <filesystem>
@@ -16,12 +16,13 @@
 namespace aec {
 
 /// Reads a whole block file with raw POSIX I/O. Returns nullopt when the
-/// file is missing or unreadable (deleted/truncated externally) — the
-/// same "treat as absent" semantics the stream-based readers use.
+/// file is missing or unreadable (deleted/truncated externally): the
+/// store treats such a block as absent.
 std::optional<Bytes> read_block_file(const std::filesystem::path& path);
 
 /// Writes (create-or-truncate) a whole block file with raw POSIX I/O.
-/// No fsync — durability barriers are the store's job (see
+/// A new file gets mode 0666 & ~umask, as fopen/ofstream would. No
+/// fsync — durability barriers are the store's job (see
 /// sync_filesystem). Returns false on any open/write failure.
 bool write_block_file(const std::filesystem::path& path,
                       BytesView payload) noexcept;

@@ -6,7 +6,6 @@
 #include "cluster/cluster_store.h"
 #include "common/check.h"
 #include "core/codec/file_block_store.h"
-#include "core/codec/sharded_file_block_store.h"
 #include "pipeline/concurrent_block_store.h"
 
 namespace aec {
@@ -108,11 +107,9 @@ StoreRegistry::StoreRegistry() {
         AEC_CHECK_MSG(spec.args.size() <= 2,
                       "sharded store wants sharded, sharded(N) or "
                       "sharded(N,wb|sync)");
-        const std::uint64_t shards =
-            spec.args.empty() ? ShardedFileBlockStore::kDefaultShards
-                              : store_spec_uint(spec, 0);
-        AEC_CHECK_MSG(shards >= 1 && shards <= 4096,
-                      "sharded store wants 1..4096 shards, got " << shards);
+        const std::uint64_t shards = spec.args.empty()
+                                         ? FileBlockStore::kDefaultShards
+                                         : store_spec_uint(spec, 0);
         bool write_behind = true;
         if (spec.args.size() == 2) {
           AEC_CHECK_MSG(spec.args[1] == "wb" || spec.args[1] == "sync",
@@ -120,7 +117,8 @@ StoreRegistry::StoreRegistry() {
                             << spec.args[1] << "'");
           write_behind = spec.args[1] == "wb";
         }
-        return std::make_unique<ShardedFileBlockStore>(
+        // The store range-checks the count before creating anything.
+        return std::make_unique<FileBlockStore>(
             root, static_cast<std::size_t>(shards), write_behind);
       });
   register_family(
@@ -166,13 +164,6 @@ void StoreRegistry::register_family(const std::string& family,
 
 bool StoreRegistry::has_family(const std::string& family) const {
   return factories_.contains(family);
-}
-
-std::vector<std::string> StoreRegistry::families() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
 }
 
 std::unique_ptr<BlockStore> StoreRegistry::make(

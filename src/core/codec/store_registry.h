@@ -8,11 +8,13 @@
 // session at any thread count):
 //   mem        — pipeline::ConcurrentBlockStore (ephemeral; tests and
 //                simulations)
-//   file       — FileBlockStore (one flat directory tree behind one
-//                mutex)
-//   sharded(N) — ShardedFileBlockStore with N directory shards, each
-//                with its own lock (the default N is kDefaultShards
-//                when the argument is omitted: "sharded")
+//   file       — FileBlockStore, flat layout (one directory tree
+//                behind one mutex, synchronous writes)
+//   sharded(N[,wb|sync])
+//              — FileBlockStore, sharded layout: N directory shards,
+//                each with its own lock, write-behind unless "sync"
+//                (the default N is kDefaultShards when the argument is
+//                omitted: "sharded")
 //   cluster(N,policy,child[,seed])
 //              — ClusterStore routing blocks across N child backends
 //                (failure domains) by placement policy (random | rr |
@@ -68,7 +70,6 @@ class StoreRegistry {
 
   void register_family(const std::string& family, Factory factory);
   bool has_family(const std::string& family) const;
-  std::vector<std::string> families() const;
 
   /// Parses `spec` and builds the backend rooted at `root` (durable
   /// families create their directories there; "mem" ignores it). Throws

@@ -13,7 +13,6 @@
 #include "core/codec/encoder.h"
 #include "core/codec/file_block_store.h"
 #include "core/codec/repair_planner.h"
-#include "core/codec/sharded_file_block_store.h"
 #include "tools/archive.h"
 
 namespace aec {
@@ -188,7 +187,7 @@ TEST_F(ArchiveStorePathTest, ShardedIndexedScrubMatchesFileStorePath) {
   // Byte identity across every expected key, straight from the stores.
   {
     FileBlockStore flat(dir("file"));
-    ShardedFileBlockStore sharded(dir("sharded"), 4);
+    FileBlockStore sharded(dir("sharded"), 4);
     const CodeParams params(3, 2, 5);
     const Lattice lat(params, file_archive->blocks(),
                       Lattice::Boundary::kOpen);

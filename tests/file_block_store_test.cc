@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -9,6 +13,7 @@
 #include "core/codec/decoder.h"
 #include "core/codec/encoder.h"
 #include "core/codec/file_block_store.h"
+#include "core/codec/store_registry.h"
 
 namespace aec {
 namespace {
@@ -86,13 +91,89 @@ TEST_F(FileBlockStoreTest, ExternalDeletionSeenAfterRescan) {
   FileBlockStore store(root_);
   const BlockKey key = BlockKey::data(2);
   store.put(key, Bytes{1, 2});
-  store.drop_cache();
+  store.drop_payload_cache();
   fs::remove(store.path_of(key));  // sabotage behind the store's back
   // The index is stale until rescan; find() detects the hole lazily.
   EXPECT_TRUE(store.contains(key));
   EXPECT_EQ(store.find(key), nullptr);
   store.rescan();
   EXPECT_FALSE(store.contains(key));
+}
+
+TEST_F(FileBlockStoreTest, BothLayoutsLiveAtLiteralPaths) {
+  // path_of() moves with the layout, so it cannot catch a layout drift:
+  // these are the literal paths existing archives hold. The shard of a
+  // key in sharded(3) is mixed_block_key_hash(key) % 3 — d7 and p(LH,4)
+  // in shard0, p(RH,9) in shard1, d12 in shard2.
+  const auto slurp = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const auto spit = [](const fs::path& path, const std::string& text) {
+    fs::create_directories(path.parent_path());
+    std::ofstream(path, std::ios::binary) << text;
+  };
+  const BlockKey d7 = BlockKey::data(7);
+  const BlockKey rh9 = BlockKey::parity(Edge{StrandClass::kRightHanded, 9});
+  const BlockKey d12 = BlockKey::data(12);
+  const BlockKey lh4 = BlockKey::parity(Edge{StrandClass::kLeftHanded, 4});
+
+  const fs::path flat = root_ / "flat";
+  const fs::path sharded = root_ / "sharded";
+  for (const auto& [spec, root] : {std::pair{"file", flat},
+                                   std::pair{"sharded(3)", sharded}}) {
+    const auto store = make_store(spec, root);
+    store->put(d7, Bytes{'a'});
+    store->put(rh9, Bytes{'b'});
+  }  // the sharded store's destructor drains its write-behind queue
+
+  EXPECT_EQ(slurp(flat / "d" / "7"), "a");
+  EXPECT_EQ(slurp(flat / "p" / "RH" / "9"), "b");
+  EXPECT_FALSE(fs::exists(flat / "shards.txt"));
+  EXPECT_FALSE(fs::exists(flat / "shard0"));
+
+  EXPECT_EQ(slurp(sharded / "shards.txt"), "3\n");
+  EXPECT_EQ(slurp(sharded / "shard0" / "d" / "7"), "a");
+  EXPECT_EQ(slurp(sharded / "shard1" / "p" / "RH" / "9"), "b");
+  EXPECT_FALSE(fs::exists(sharded / "d"));
+  EXPECT_FALSE(fs::exists(sharded / "shard3"));
+
+  // Block files written by hand at those paths open, are indexed and
+  // read back.
+  spit(flat / "d" / "12", "c");
+  spit(flat / "p" / "LH" / "4", "d");
+  spit(sharded / "shard2" / "d" / "12", "c");
+  spit(sharded / "shard0" / "p" / "LH" / "4", "d");
+  for (const auto& [spec, root] : {std::pair{"file", flat},
+                                   std::pair{"sharded(3)", sharded}}) {
+    const auto store = make_store(spec, root);
+    EXPECT_EQ(store->size(), 4u) << spec;
+    EXPECT_TRUE(store->contains(d12)) << spec;
+    EXPECT_TRUE(store->contains(lh4)) << spec;
+    EXPECT_EQ(store->get_copy(d7), Bytes{'a'}) << spec;
+    EXPECT_EQ(store->get_copy(rh9), Bytes{'b'}) << spec;
+    EXPECT_EQ(store->get_copy(d12), Bytes{'c'}) << spec;
+    EXPECT_EQ(store->get_copy(lh4), Bytes{'d'}) << spec;
+  }
+}
+
+TEST_F(FileBlockStoreTest, BlockFilesFollowTheUmask) {
+  // Every write mode creates block files 0666 & ~umask, as fopen does,
+  // so a group-writable umask keeps an archive group-writable.
+  const BlockKey key = BlockKey::data(1);
+  FileBlockStore flat(root_ / "flat");
+  FileBlockStore sync(root_ / "sync", 2, /*write_behind=*/false);
+  FileBlockStore queued(root_ / "queued", 2, /*write_behind=*/true);
+  const mode_t saved = ::umask(002);
+  for (FileBlockStore* store : {&flat, &sync, &queued}) {
+    store->put(key, Bytes{1});
+    store->flush();
+  }
+  ::umask(saved);
+  for (const FileBlockStore* store : {&flat, &sync, &queued})
+    EXPECT_EQ(fs::status(store->path_of(key)).permissions() & fs::perms::all,
+              static_cast<fs::perms>(0664))
+        << store->path_of(key);
 }
 
 TEST_F(FileBlockStoreTest, ConcurrentCallersShareOneStore) {
@@ -146,7 +227,7 @@ TEST_F(FileBlockStoreTest, WorksAsCodecBackend) {
   }
   store.erase(BlockKey::data(10));
   store.erase(BlockKey::data(11));
-  store.drop_cache();
+  store.drop_payload_cache();
 
   Decoder decoder(params, 30, kBlockSize, &store);
   const RepairReport report = decoder.repair_all();

@@ -25,7 +25,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/codec/file_block_store.h"
-#include "core/codec/sharded_file_block_store.h"
 #include "obs/metrics.h"
 #include "pipeline/block_fetcher.h"
 #include "pipeline/concurrent_block_store.h"
@@ -765,7 +764,7 @@ TEST_F(ReadPathConcurrencyTest, FileReaderStreamsWhileScrubRepairs) {
   {
     // Damage confined to file b, injected while the archive is closed so
     // the reopen seeds an accurate availability index.
-    ShardedFileBlockStore store(root, 4);
+    FileBlockStore store(root, 4);
     for (std::uint64_t i = 0; i < b_blocks; i += 17)
       ASSERT_TRUE(
           store.erase(BlockKey::data(b_first + static_cast<NodeIndex>(i))));

@@ -1,10 +1,13 @@
-// ShardedFileBlockStore: byte-identity with FileBlockStore, batch-op
-// contracts, shard-count pinning across reopen, observer notifications,
-// and concurrent access (the latter suites run under the TSan CI job).
+// FileBlockStore's sharded layout: byte-identity with the flat layout,
+// batch-op contracts, shard-count pinning across reopen (and rejection
+// of a corrupt pin), observer notifications, write-behind, and
+// concurrent access (the latter suites run under the TSan CI job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "common/check.h"
@@ -12,7 +15,6 @@
 #include "core/codec/decoder.h"
 #include "core/codec/encoder.h"
 #include "core/codec/file_block_store.h"
-#include "core/codec/sharded_file_block_store.h"
 #include "core/codec/store_registry.h"
 
 namespace aec {
@@ -40,7 +42,7 @@ class ShardedFileBlockStoreTest : public ::testing::Test {
 };
 
 TEST_F(ShardedFileBlockStoreTest, PutFindEraseRoundTrip) {
-  ShardedFileBlockStore store(dir("s"), 4);
+  FileBlockStore store(dir("s"), 4);
   const BlockKey key = BlockKey::data(7);
   store.put(key, Bytes{1, 2, 3, 4});
   ASSERT_TRUE(store.contains(key));
@@ -61,7 +63,7 @@ TEST_F(ShardedFileBlockStoreTest, ByteIdentityVsFileBlockStore) {
   constexpr std::size_t kBlockSize = 64;
   constexpr int kBlocks = 40;
   FileBlockStore flat(dir("flat"));
-  ShardedFileBlockStore sharded(dir("sharded"), 4);
+  FileBlockStore sharded(dir("sharded"), 4);
   {
     Encoder enc_flat(params, kBlockSize, &flat);
     Encoder enc_sharded(params, kBlockSize, &sharded);
@@ -93,16 +95,16 @@ TEST_F(ShardedFileBlockStoreTest, ByteIdentityVsFileBlockStore) {
   // Reopen both (fresh index scan) and compare again. The first sharded
   // store is still open, so its write-behind queue must land before a
   // second open's directory walk can see every block.
-  sharded.flush_writes();
+  sharded.flush();
   FileBlockStore flat2(dir("flat"));
-  ShardedFileBlockStore sharded2(dir("sharded"), 4);
+  FileBlockStore sharded2(dir("sharded"), 4);
   ASSERT_EQ(flat2.size(), sharded2.size());
   compare_all(flat2, sharded2);
 }
 
 TEST_F(ShardedFileBlockStoreTest, ReopenPinsTheCreationShardCount) {
   {
-    ShardedFileBlockStore store(dir("s"), 3);
+    FileBlockStore store(dir("s"), 3);
     EXPECT_EQ(store.shard_count(), 3u);
     store.put(BlockKey::data(1), Bytes{1});
     store.put(BlockKey::parity(Edge{StrandClass::kLeftHanded, 9}),
@@ -110,7 +112,7 @@ TEST_F(ShardedFileBlockStoreTest, ReopenPinsTheCreationShardCount) {
   }
   // Whatever count a reopen asks for, the pinned layout wins — the
   // existing files keep resolving.
-  ShardedFileBlockStore reopened(dir("s"), 16);
+  FileBlockStore reopened(dir("s"), 16);
   EXPECT_EQ(reopened.shard_count(), 3u);
   EXPECT_EQ(reopened.size(), 2u);
   EXPECT_EQ(reopened.get_copy(BlockKey::data(1)), Bytes{1});
@@ -119,8 +121,23 @@ TEST_F(ShardedFileBlockStoreTest, ReopenPinsTheCreationShardCount) {
       Bytes{2});
 }
 
+TEST_F(ShardedFileBlockStoreTest, CorruptShardMarkerIsRejected) {
+  // shards.txt is outside input: a count that is not a number in
+  // 1..kMaxShards is refused before any shard directory is created.
+  for (const std::string marker : {"0", "abc", "-1", "4097"}) {
+    const fs::path root = dir(("marker_" + marker).c_str());
+    fs::create_directories(root);
+    std::ofstream(root / "shards.txt") << marker << "\n";
+    EXPECT_THROW(make_store("sharded(4)", root), CheckError) << marker;
+    for (const auto& entry : fs::directory_iterator(root))
+      EXPECT_FALSE(entry.is_directory() &&
+                   entry.path().filename().string().starts_with("shard"))
+          << marker << ": " << entry.path();
+  }
+}
+
 TEST_F(ShardedFileBlockStoreTest, BatchOpsMatchSingleOps) {
-  ShardedFileBlockStore store(dir("s"), 4);
+  FileBlockStore store(dir("s"), 4);
   std::vector<std::pair<BlockKey, Bytes>> items;
   for (NodeIndex i = 1; i <= 20; ++i)
     items.emplace_back(BlockKey::data(i),
@@ -141,7 +158,7 @@ TEST_F(ShardedFileBlockStoreTest, BatchOpsMatchSingleOps) {
 }
 
 TEST_F(ShardedFileBlockStoreTest, RescanSeesExternalChanges) {
-  ShardedFileBlockStore store(dir("s"), 2);
+  FileBlockStore store(dir("s"), 2);
   const BlockKey key = BlockKey::data(5);
   store.put(key, Bytes{1, 2});
   store.drop_payload_cache();
@@ -159,7 +176,7 @@ TEST_F(ShardedFileBlockStoreTest, ObserverSeesEveryMutation) {
       events.emplace_back(key, present);
     }
   } recorder;
-  ShardedFileBlockStore store(dir("s"), 2);
+  FileBlockStore store(dir("s"), 2);
   store.set_observer(&recorder);
   store.put(BlockKey::data(1), Bytes{1});
   store.put_batch({{BlockKey::data(2), Bytes{2}}});
@@ -178,7 +195,7 @@ TEST_F(ShardedFileBlockStoreTest, WorksAsCodecBackend) {
   // The whole encode→damage→repair cycle against real sharded files.
   const CodeParams params(3, 2, 5);
   constexpr std::size_t kBlockSize = 64;
-  ShardedFileBlockStore store(dir("s"), 4);
+  FileBlockStore store(dir("s"), 4);
   Encoder encoder(params, kBlockSize, &store);
   Rng rng(5);
   std::vector<Bytes> truth;
@@ -206,17 +223,20 @@ TEST_F(ShardedFileBlockStoreTest, RegistryBuildsEveryFamily) {
   auto mem = make_store("mem", dir("unused"));
   EXPECT_TRUE(mem->thread_safe());
   auto file = make_store("file", dir("f"));
-  EXPECT_NE(dynamic_cast<FileBlockStore*>(file.get()), nullptr);
+  const auto* flat = dynamic_cast<FileBlockStore*>(file.get());
+  ASSERT_NE(flat, nullptr);
+  EXPECT_EQ(flat->shard_count(), 1u);
+  EXPECT_FALSE(flat->write_behind());
   EXPECT_TRUE(file->thread_safe());
   auto sharded = make_store("sharded(8)", dir("s8"));
-  auto* typed = dynamic_cast<ShardedFileBlockStore*>(sharded.get());
+  auto* typed = dynamic_cast<FileBlockStore*>(sharded.get());
   ASSERT_NE(typed, nullptr);
   EXPECT_EQ(typed->shard_count(), 8u);
   EXPECT_TRUE(typed->thread_safe());
   auto sharded_default = make_store("sharded", dir("sdef"));
-  EXPECT_EQ(dynamic_cast<ShardedFileBlockStore*>(sharded_default.get())
-                ->shard_count(),
-            ShardedFileBlockStore::kDefaultShards);
+  EXPECT_EQ(
+      dynamic_cast<FileBlockStore*>(sharded_default.get())->shard_count(),
+      FileBlockStore::kDefaultShards);
 
   EXPECT_THROW(make_store("tape", dir("t")), CheckError);
   EXPECT_THROW(make_store("sharded(0)", dir("t")), CheckError);
@@ -232,7 +252,7 @@ TEST_F(ShardedFileBlockStoreTest, WriteBehindReadsYourWrites) {
   // Puts are visible to every read path immediately, before any flush:
   // unflushed blocks live in the payload cache, which all reads consult
   // before touching files.
-  ShardedFileBlockStore store(dir("s"), 2);
+  FileBlockStore store(dir("s"), 2);
   ASSERT_TRUE(store.write_behind());
   for (NodeIndex i = 1; i <= 40; ++i)
     store.put(BlockKey::data(i), Bytes{static_cast<std::uint8_t>(i)});
@@ -247,25 +267,25 @@ TEST_F(ShardedFileBlockStoreTest, WriteBehindReadsYourWrites) {
 }
 
 TEST_F(ShardedFileBlockStoreTest, FlushWritesLandsQueuedFiles) {
-  ShardedFileBlockStore store(dir("s"), 4);
+  FileBlockStore store(dir("s"), 4);
   for (NodeIndex i = 1; i <= 64; ++i)
     store.put(BlockKey::data(i), Bytes{static_cast<std::uint8_t>(i), 9});
-  store.flush_writes();
+  store.flush();
   for (NodeIndex i = 1; i <= 64; ++i)
     EXPECT_TRUE(fs::exists(store.path_of(BlockKey::data(i)))) << i;
   // An independent open scans complete files.
-  ShardedFileBlockStore reader(dir("s"), 4);
+  FileBlockStore reader(dir("s"), 4);
   EXPECT_EQ(reader.size(), 64u);
   EXPECT_EQ(reader.get_copy(BlockKey::data(33)), (Bytes{33, 9}));
 }
 
 TEST_F(ShardedFileBlockStoreTest, DestructorDrainsTheQueue) {
   {
-    ShardedFileBlockStore store(dir("s"), 2);
+    FileBlockStore store(dir("s"), 2);
     for (NodeIndex i = 1; i <= 50; ++i)
       store.put(BlockKey::data(i), Bytes{static_cast<std::uint8_t>(i)});
   }  // no explicit flush
-  ShardedFileBlockStore reopened(dir("s"), 2);
+  FileBlockStore reopened(dir("s"), 2);
   EXPECT_EQ(reopened.size(), 50u);
   EXPECT_EQ(reopened.get_copy(BlockKey::data(50)), Bytes{50});
 }
@@ -273,14 +293,14 @@ TEST_F(ShardedFileBlockStoreTest, DestructorDrainsTheQueue) {
 TEST_F(ShardedFileBlockStoreTest, EraseCancelsQueuedWrites) {
   // erase purges the key's queued writes (and waits out an in-flight
   // one), so the flusher can never resurrect an erased block's file.
-  ShardedFileBlockStore store(dir("s"), 1);
+  FileBlockStore store(dir("s"), 1);
   for (int round = 0; round < 200; ++round) {
     const BlockKey key = BlockKey::data(1 + (round % 5));
     store.put(key, Bytes{1, 2, 3});
     EXPECT_TRUE(store.erase(key));
     EXPECT_FALSE(store.contains(key));
   }
-  store.flush_writes();
+  store.flush();
   for (NodeIndex i = 1; i <= 5; ++i) {
     EXPECT_FALSE(store.contains(BlockKey::data(i)));
     EXPECT_FALSE(fs::exists(store.path_of(BlockKey::data(i)))) << i;
@@ -291,7 +311,7 @@ TEST_F(ShardedFileBlockStoreTest, DropPayloadCacheDrainsFirst) {
   // Dropping the cache in write-behind mode must not lose unflushed
   // blocks: the drain runs first, so post-drop reads resolve from
   // complete files.
-  ShardedFileBlockStore store(dir("s"), 2);
+  FileBlockStore store(dir("s"), 2);
   store.put(BlockKey::data(3), Bytes{4, 5, 6});
   store.drop_payload_cache();
   EXPECT_TRUE(fs::exists(store.path_of(BlockKey::data(3))));
@@ -299,20 +319,18 @@ TEST_F(ShardedFileBlockStoreTest, DropPayloadCacheDrainsFirst) {
 }
 
 TEST_F(ShardedFileBlockStoreTest, SyncModeWritesInline) {
-  ShardedFileBlockStore store(dir("s"), 2, /*write_behind=*/false);
+  FileBlockStore store(dir("s"), 2, /*write_behind=*/false);
   EXPECT_FALSE(store.write_behind());
   store.put(BlockKey::data(1), Bytes{8});
   EXPECT_TRUE(fs::exists(store.path_of(BlockKey::data(1))));
-  store.flush_writes();  // no-op, must not hang
+  store.flush();  // no-op, must not hang
 }
 
 TEST_F(ShardedFileBlockStoreTest, RegistryParsesWriteBehindMode) {
   auto wb = make_store("sharded(2,wb)", dir("wb"));
-  EXPECT_TRUE(
-      dynamic_cast<ShardedFileBlockStore*>(wb.get())->write_behind());
+  EXPECT_TRUE(dynamic_cast<FileBlockStore*>(wb.get())->write_behind());
   auto sync = make_store("sharded(2,sync)", dir("sync"));
-  EXPECT_FALSE(
-      dynamic_cast<ShardedFileBlockStore*>(sync.get())->write_behind());
+  EXPECT_FALSE(dynamic_cast<FileBlockStore*>(sync.get())->write_behind());
   EXPECT_THROW(make_store("sharded(2,later)", dir("t")), CheckError);
 }
 
@@ -322,7 +340,7 @@ TEST_F(ShardedFileBlockStoreTest, ConcurrentMixedAccessIsSafe) {
   // Writers, readers and erasers race across overlapping key ranges.
   // Every writer writes the same deterministic payload per key, so the
   // final state is exact: a key is either absent or holds its payload.
-  ShardedFileBlockStore store(dir("s"), 8);
+  FileBlockStore store(dir("s"), 8);
   constexpr NodeIndex kKeys = 120;
   const auto payload_of = [](NodeIndex i) {
     return Bytes{static_cast<std::uint8_t>(i), 7,
@@ -371,8 +389,8 @@ TEST_F(ShardedFileBlockStoreTest, ConcurrentMixedAccessIsSafe) {
 TEST_F(ShardedFileBlockStoreTest, ConcurrentWriteBehindBarriersAreSafe) {
   // Producers racing the drain barriers: put_batch bursts (deep enough
   // to trip the per-shard backpressure bound on a 1-shard store) against
-  // concurrent flush_writes/drop_payload_cache/erase callers.
-  ShardedFileBlockStore store(dir("s"), 1);
+  // concurrent flush/drop_payload_cache/erase callers.
+  FileBlockStore store(dir("s"), 1);
   constexpr NodeIndex kKeys = 64;
   const auto payload_of = [](NodeIndex i) {
     return Bytes{static_cast<std::uint8_t>(i), 11};
@@ -391,7 +409,7 @@ TEST_F(ShardedFileBlockStoreTest, ConcurrentWriteBehindBarriersAreSafe) {
   }
   threads.emplace_back([&] {
     for (int round = 0; round < 20; ++round) {
-      store.flush_writes();
+      store.flush();
       store.drop_payload_cache();
     }
   });
@@ -403,7 +421,7 @@ TEST_F(ShardedFileBlockStoreTest, ConcurrentWriteBehindBarriersAreSafe) {
   });
   for (std::thread& t : threads) t.join();
 
-  store.flush_writes();
+  store.flush();
   for (NodeIndex i = 1; i <= kKeys; ++i) {
     const auto value = store.get_copy(BlockKey::data(i));
     if (value) {

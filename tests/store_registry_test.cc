@@ -9,7 +9,6 @@
 #include "cluster/cluster_store.h"
 #include "common/check.h"
 #include "core/codec/file_block_store.h"
-#include "core/codec/sharded_file_block_store.h"
 #include "core/codec/store_registry.h"
 
 namespace aec {
