@@ -1,15 +1,16 @@
-// Read throughput: the pipelined read path (BlockFetcher prefetch +
-// repair-on-read lookahead) vs the per-block baseline (read_block loop,
-// one get_copy + repair per block), over the file-backed store an
-// archive actually uses (FileBlockStore, exactly the Archive wiring)
-// with AE(3,2,5) on a 1-thread engine.
+// Read throughput: the session's one read path (BlockStream's batched
+// prefetch + repair-on-read lookahead) at several windows, over the
+// file-backed store an archive actually uses (FileBlockStore, exactly the
+// Archive wiring) with AE(3,2,5) on a 1-thread engine.
 //
-// Phases: {healthy, degraded} × {per-block, windowed w ∈ {16, 64, 256},
-// streamed}, plus node-loss × {per-block, streamed}. A windowed phase
-// calls read_blocks once per window, so its prefetch drains at every
-// window boundary; the streamed phase opens one session BlockStream over
-// the whole block run (what FileReader and aecd's GET serve from), whose
-// lookahead never drains until the end. Damaged runs re-inject their
+// Phases: {healthy, degraded} × {w=1, windowed w ∈ {16, 64, 256},
+// streamed}, plus node-loss × {w=1, streamed}. The w=1 phase is one
+// window-1 stream over the whole run: the per-block reference, which
+// fetches each block through the pool and repairs each lost block on
+// its own. A windowed phase opens one stream per window, so its prefetch
+// drains at every window boundary; the streamed phase opens one stream
+// over the whole block run (what FileReader and aecd's GET serve from),
+// whose lookahead never drains until the end. Damaged runs re-inject their
 // pattern before every measurement: "degraded" loses four runs of
 // consecutive data blocks (a damaged neighbourhood, 32 blocks), and
 // "node-loss" loses every block strand placement puts on node 0 of 4 —
@@ -80,11 +81,11 @@ const char* const kDamageNames[kDamageShapes] = {"none", "neighbourhood",
                                                  "node"};
 
 struct Phase {
-  enum class Mode { kPerBlock, kWindowed, kStreamed };
+  enum class Mode { kWindowed, kStreamed };
   const char* label;
   Damage damage;
   Mode mode;
-  std::size_t window;  // lookahead blocks (0 for the per-block baseline)
+  std::size_t window;  // lookahead blocks (1 for the per-block reference)
 };
 
 int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
@@ -142,17 +143,17 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
   using Mode = Phase::Mode;
   const std::size_t stream_window = CodecSession::kReadWindowBlocks;
   const Phase phases[] = {
-      {"healthy per-block", kNone, Mode::kPerBlock, 0},
+      {"healthy w=1", kNone, Mode::kStreamed, 1},
       {"healthy windowed w=16", kNone, Mode::kWindowed, 16},
       {"healthy windowed w=64", kNone, Mode::kWindowed, 64},
       {"healthy windowed w=256", kNone, Mode::kWindowed, 256},
       {"healthy streamed", kNone, Mode::kStreamed, stream_window},
-      {"degraded per-block", kNeighbourhood, Mode::kPerBlock, 0},
+      {"degraded w=1", kNeighbourhood, Mode::kStreamed, 1},
       {"degraded windowed w=16", kNeighbourhood, Mode::kWindowed, 16},
       {"degraded windowed w=64", kNeighbourhood, Mode::kWindowed, 64},
       {"degraded windowed w=256", kNeighbourhood, Mode::kWindowed, 256},
       {"degraded streamed", kNeighbourhood, Mode::kStreamed, stream_window},
-      {"node-loss per-block", kNode, Mode::kPerBlock, 0},
+      {"node-loss w=1", kNode, Mode::kStreamed, 1},
       {"node-loss streamed", kNode, Mode::kStreamed, stream_window},
   };
 
@@ -162,7 +163,7 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
   // cache cold) and is byte-checked.
   constexpr int kReps = 3;
   bool all_ok = true;
-  double perblock_mb_s[kDamageShapes] = {};  // speedup baselines
+  double reference_mb_s[kDamageShapes] = {};  // w=1 speedup baselines
   for (const Phase& phase : phases) {
     double wall = 0.0;
     bool identical = false;
@@ -176,20 +177,15 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
       const auto start = Clock::now();
       std::vector<std::optional<Bytes>> out;
       out.reserve(total_blocks);
-      if (phase.mode == Mode::kPerBlock) {
-        for (std::uint64_t i = 1; i <= total_blocks; ++i)
-          out.push_back(session->read_block(static_cast<NodeIndex>(i)));
-      } else if (phase.mode == Mode::kWindowed) {
-        for (std::uint64_t first = 1; first <= total_blocks;
-             first += phase.window) {
-          const std::uint64_t count =
-              std::min<std::uint64_t>(phase.window, total_blocks - first + 1);
-          auto range = session->read_blocks(static_cast<NodeIndex>(first),
-                                            count, phase.window);
-          for (auto& block : range) out.push_back(std::move(block));
-        }
-      } else {
-        const auto stream = session->open_stream(1, total_blocks, phase.window);
+      // A streamed phase is one run; a windowed one, one run per window.
+      const std::uint64_t run = phase.mode == Mode::kStreamed
+                                    ? total_blocks
+                                    : phase.window;
+      for (std::uint64_t first = 1; first <= total_blocks; first += run) {
+        const auto stream = session->open_stream(
+            static_cast<NodeIndex>(first),
+            std::min<std::uint64_t>(run, total_blocks - first + 1),
+            phase.window);
         while (!stream->exhausted()) out.push_back(stream->next());
       }
       const double rep_wall = seconds_since(start);
@@ -203,8 +199,8 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
     all_ok = all_ok && identical;
 
     const double mb_per_s = mb / wall;
-    const bool baseline = phase.mode == Mode::kPerBlock;
-    if (baseline) perblock_mb_s[phase.damage] = mb_per_s;
+    const bool baseline = phase.window == 1;
+    if (baseline) reference_mb_s[phase.damage] = mb_per_s;
     if (json) {
       std::printf(
           "{\"schema_version\":1,\"bench\":\"read_throughput\","
@@ -215,12 +211,12 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
           static_cast<unsigned long long>(file_mib), block_size, mb_per_s,
           wall, hw_cores, identical ? "true" : "false");
     } else {
-      const double base = perblock_mb_s[phase.damage];
+      const double base = reference_mb_s[phase.damage];
       if (baseline || base <= 0.0) {
         std::printf("%-28s %10.1f %12.3f%s\n", phase.label, mb_per_s, wall,
                     identical ? "" : "  [BYTE MISMATCH]");
       } else {
-        std::printf("%-28s %10.1f %12.3f  %.2fx per-block%s\n", phase.label,
+        std::printf("%-28s %10.1f %12.3f  %.2fx w=1%s\n", phase.label,
                     mb_per_s, wall, mb_per_s / base,
                     identical ? "" : "  [BYTE MISMATCH]");
       }

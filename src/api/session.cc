@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
 #include <numeric>
 
 #include "common/check.h"
 #include "core/codec/tamper.h"
 #include "core/lattice/lattice.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "pipeline/block_fetcher.h"
 
 namespace aec {
 
@@ -20,14 +21,6 @@ double seconds_since(
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-/// Fetcher options for a `window`-block lookahead; the default batch is
-/// clamped to the window by the fetcher.
-pipeline::BlockFetcher::Options fetch_options(std::size_t window) {
-  pipeline::BlockFetcher::Options opt;
-  opt.window = window;
-  return opt;
 }
 
 void check_read_range(NodeIndex first, std::uint64_t count,
@@ -43,21 +36,100 @@ void check_read_range(NodeIndex first, std::uint64_t count,
 
 // --- BlockStream ------------------------------------------------------------
 
-BlockStream::BlockStream(const BlockStore& store, pipeline::ThreadPool* pool,
+struct BlockStream::Batch {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::exception_ptr error;
+  std::vector<std::optional<Bytes>> results;
+};
+
+BlockStream::BlockStream(const BlockStore& store, pipeline::ThreadPool& pool,
                          NodeIndex first, std::uint64_t count,
                          std::size_t window, Recover recover)
-    : first_(first),
+    : store_(store),
+      pool_(pool),
+      first_(first),
+      size_(count),
       window_(window),
-      recover_(std::move(recover)),
-      fetcher_(store, pool, static_cast<std::size_t>(count),
-               [first](std::size_t b) {
-                 return BlockKey::data(first + static_cast<NodeIndex>(b));
-               },
-               fetch_options(window)) {}
+      batch_(std::min(kBatchBlocks, window)),
+      recover_(std::move(recover)) {
+  AEC_CHECK_MSG(window_ >= 1, "stream window must be >= 1");
+}
+
+BlockStream::~BlockStream() {
+  // Drain in-flight batches so no pool task can touch the store after
+  // the caller tears it down; whatever they fetched goes unconsumed.
+  for (const auto& batch : inflight_) {
+    std::unique_lock lock(batch->mu);
+    batch->cv.wait(lock, [&] { return batch->done; });
+  }
+  if (issued_ > consumed_) wasted_blocks_->add(issued_ - consumed_);
+}
+
+void BlockStream::fill_window() {
+  while (issued_ < size_) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(batch_, size_ - issued_));
+    if (issued_ - consumed_ + n > window_) break;  // no whole batch fits
+    auto batch = std::make_shared<Batch>();
+    std::vector<BlockKey> keys;
+    keys.reserve(n);
+    for (std::size_t b = 0; b < n; ++b)
+      keys.push_back(
+          BlockKey::data(first_ + static_cast<NodeIndex>(issued_ + b)));
+    issued_ += n;
+    issued_blocks_->add(n);
+    inflight_.push_back(batch);
+    // The task captures only the batch (shared) and the store; errors
+    // stay inside the batch so a shared pool's wait_idle() never sees
+    // them.
+    pool_.submit([store = &store_, batch, keys = std::move(keys)] {
+      std::vector<std::optional<Bytes>> results;
+      std::exception_ptr error;
+      try {
+        results = store->get_batch(keys);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      {
+        std::lock_guard lock(batch->mu);
+        batch->results = std::move(results);
+        batch->error = error;
+        batch->done = true;
+      }
+      batch->cv.notify_all();
+    });
+  }
+}
 
 std::optional<Bytes> BlockStream::next() {
-  const auto i = first_ + static_cast<NodeIndex>(fetcher_.consumed());
-  std::optional<Bytes> payload = fetcher_.next();
+  AEC_CHECK_MSG(consumed_ < size_, "stream read past end of run");
+  fill_window();
+  lookahead_depth_->observe(issued_ - consumed_);
+  const std::shared_ptr<Batch>& batch = inflight_.front();
+  {
+    std::unique_lock lock(batch->mu);
+    if (batch->done) {
+      hit_blocks_->add();
+    } else {
+      const auto t0 = std::chrono::steady_clock::now();
+      batch->cv.wait(lock, [&] { return batch->done; });
+      fetch_wait_us_->observe(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
+    }
+    if (batch->error) std::rethrow_exception(batch->error);
+  }
+  std::optional<Bytes> payload = std::move(batch->results[front_pos_]);
+  const NodeIndex i = first_ + static_cast<NodeIndex>(consumed_);
+  ++front_pos_;
+  ++consumed_;
+  if (front_pos_ == batch->results.size()) {
+    inflight_.pop_front();
+    front_pos_ = 0;
+  }
   if (!payload) payload = recover_(i);
   return payload;
 }
@@ -76,29 +148,6 @@ CodecSession::CodecSession() {
                      obs::Histogram::size_bounds());
   registry.histogram("read.prefetch.fetch_wait_us",
                      obs::Histogram::latency_bounds_us());
-}
-
-std::vector<std::optional<Bytes>> CodecSession::read_blocks(
-    NodeIndex first, std::uint64_t count, std::size_t window) {
-  (void)window;  // the per-block baseline has no lookahead
-  std::vector<std::optional<Bytes>> out;
-  out.reserve(count);
-  for (std::uint64_t b = 0; b < count; ++b)
-    out.push_back(read_block(first + static_cast<NodeIndex>(b)));
-  return out;
-}
-
-std::vector<std::optional<Bytes>> CodecSession::collect_stream(
-    NodeIndex first, std::uint64_t count, std::size_t window) {
-  if (count == 0) return {};
-  const std::unique_ptr<BlockStream> stream =
-      open_stream(first, count, window);
-  obs::TraceSpan span("read.window");  // a0 = blocks, a1 = window
-  span.set_args(count, stream->window());
-  std::vector<std::optional<Bytes>> out;
-  out.reserve(count);
-  while (!stream->exhausted()) out.push_back(stream->next());
-  return out;
 }
 
 // --- AeSession --------------------------------------------------------------
@@ -135,13 +184,6 @@ bool AeSession::is_expected_key(const BlockKey& key) const {
   return lattice_expects(codec_->params(), size(), key);
 }
 
-std::optional<Bytes> AeSession::read_block(NodeIndex i) {
-  AEC_CHECK_MSG(i >= 1 && static_cast<std::uint64_t>(i) <= size(),
-                "read_block: index " << i << " outside [1, " << size()
-                                     << "]");
-  return repairer().read_node(i);
-}
-
 std::unique_ptr<BlockStream> AeSession::open_stream(NodeIndex first,
                                                     std::uint64_t count,
                                                     std::size_t window) {
@@ -151,16 +193,11 @@ std::unique_ptr<BlockStream> AeSession::open_stream(NodeIndex first,
   // Repair-on-read looks ahead one window, never past the run's end, so
   // a read repairs no block outside its own run.
   return std::make_unique<BlockStream>(
-      *store_, pool_, first, count, lookahead,
+      *store_, *pool_, first, count, lookahead,
       [this, lookahead, end](NodeIndex i) {
         return repairer().read_node(
             i, std::min(lookahead, static_cast<std::size_t>(end - i)));
       });
-}
-
-std::vector<std::optional<Bytes>> AeSession::read_blocks(
-    NodeIndex first, std::uint64_t count, std::size_t window) {
-  return collect_stream(first, count, window);
 }
 
 RepairReport AeSession::repair_all() {
@@ -373,7 +410,8 @@ void StripedSession::append(const std::vector<Bytes>& blocks) {
     for (std::uint64_t index = first_stripe * k_; index < count_; ++index) {
       const auto key = BlockKey::data(static_cast<NodeIndex>(index) + 1);
       if (store_->contains(key)) continue;
-      AEC_CHECK_MSG(read_block(static_cast<NodeIndex>(index) + 1).has_value(),
+      repair_stripe(first_stripe);
+      AEC_CHECK_MSG(store_->contains(key),
                     "append: tail stripe member d"
                         << index + 1 << " is irrecoverable; cannot extend");
     }
@@ -443,30 +481,15 @@ StripedSession::StripeOutcome StripedSession::repair_stripe(
   return outcome;
 }
 
-std::optional<Bytes> StripedSession::read_block(NodeIndex i) {
-  AEC_CHECK_MSG(i >= 1 && static_cast<std::uint64_t>(i) <= count_,
-                "read_block: index " << i << " outside [1, " << count_
-                                     << "]");
-  const BlockKey key = BlockKey::data(i);
-  if (auto direct = store_->get_copy(key)) return direct;
-  repair_stripe(static_cast<std::uint64_t>(i - 1) / k_);
-  return store_->get_copy(key);
-}
-
 std::unique_ptr<BlockStream> StripedSession::open_stream(
     NodeIndex first, std::uint64_t count, std::size_t window) {
   check_read_range(first, count, count_);
   return std::make_unique<BlockStream>(
-      *store_, pool_, first, count,
+      *store_, *pool_, first, count,
       window > 0 ? window : kReadWindowBlocks, [this](NodeIndex i) {
         repair_stripe(static_cast<std::uint64_t>(i - 1) / k_);
         return store_->get_copy(BlockKey::data(i));
       });
-}
-
-std::vector<std::optional<Bytes>> StripedSession::read_blocks(
-    NodeIndex first, std::uint64_t count, std::size_t window) {
-  return collect_stream(first, count, window);
 }
 
 RepairReport StripedSession::repair_all() {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -28,7 +29,7 @@
 #include "core/codec/block_key.h"
 #include "core/codec/block_store.h"
 #include "core/codec/repair_planner.h"
-#include "pipeline/block_fetcher.h"
+#include "obs/metrics.h"
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/parallel_repairer.h"
 #include "pipeline/thread_pool.h"
@@ -46,38 +47,95 @@ struct IntegrityReport {
   std::vector<NodeIndex> suspect_nodes;
 };
 
-/// Ordered read of one run of data blocks with read_block()'s per-block
-/// semantics: healthy blocks are prefetched up to `window` ahead of the
-/// consumer (whole-batch BlockFetcher refill on the engine pool), and a
-/// block the prefetch found missing falls back to repair-on-read, whose
-/// repairs are persisted. Opened by CodecSession::open_stream; the
-/// session (and its store) must outlive the stream. Like the session
-/// itself, a stream has one consumer thread.
+/// Ordered read of data blocks [first, first + count) — the one way a
+/// session reads (opened by CodecSession::open_stream). Healthy blocks
+/// are prefetched up to `window` ahead of the consumer as whole
+/// get_batch() calls on the engine pool, so store I/O (one file
+/// open/read per block on file/sharded/cluster backends) overlaps with
+/// the consumer's copy-out and repair work — the pipelined decoding idea
+/// of RapidRAID (PAPERS.md) applied to plain reads. A block the prefetch
+/// found missing falls back to the session's repair-on-read, whose
+/// repairs are persisted. Window 1 fetches and repairs one block at a
+/// time: the per-block reference.
+///
+/// Refill is whole batches only (the run's tail excepted): the window is
+/// topped up once a full batch fits, never block by block, so a run
+/// longer than its window keeps batch-sized pool tasks instead of
+/// trickling out one-block ones as the consumer advances.
+///
+/// Concurrency/error model: each in-flight batch owns its own
+/// mutex/cv/result slots inside a shared_ptr; pool tasks touch only that
+/// batch and the store, never the stream, so destroying the stream
+/// mid-run is safe (the destructor still drains in-flight batches so the
+/// store cannot be torn down under a task). A store exception is captured
+/// in its batch and rethrown from the next() that consumes it — it never
+/// reaches ThreadPool::wait_idle(), so a concurrent scrub on the same
+/// pool cannot observe another session's read failure. The session (and
+/// its store) must outlive the stream; like the session itself, a stream
+/// has one consumer thread.
 class BlockStream {
  public:
   /// Repair-on-read fallback for data block i (nullopt = irrecoverable).
   using Recover = std::function<std::optional<Bytes>(NodeIndex)>;
 
+  /// Blocks per get_batch() dispatch, clamped to the window.
+  static constexpr std::size_t kBatchBlocks = 16;
+
   /// Prefetch tasks on `pool` read the (thread-safe) store while the
-  /// consumer's repair fallback writes it.
-  BlockStream(const BlockStore& store, pipeline::ThreadPool* pool,
+  /// consumer's repair fallback writes it. `window` must be ≥ 1.
+  BlockStream(const BlockStore& store, pipeline::ThreadPool& pool,
               NodeIndex first, std::uint64_t count, std::size_t window,
               Recover recover);
+  ~BlockStream();
 
-  /// The next block of the run (nullopt = irrecoverable). Must not be
-  /// called past the end of the run.
+  BlockStream(const BlockStream&) = delete;
+  BlockStream& operator=(const BlockStream&) = delete;
+
+  /// The next block of the run (nullopt = irrecoverable). Tops the
+  /// window up before blocking on the front batch; rethrows a store
+  /// exception captured by that batch's task. Must not be called past
+  /// the end of the run.
   std::optional<Bytes> next();
 
-  std::uint64_t size() const noexcept { return fetcher_.size(); }
-  std::uint64_t consumed() const noexcept { return fetcher_.consumed(); }
-  bool exhausted() const noexcept { return fetcher_.exhausted(); }
+  std::uint64_t size() const noexcept { return size_; }
+  std::uint64_t consumed() const noexcept { return consumed_; }
+  bool exhausted() const noexcept { return consumed_ == size_; }
   std::size_t window() const noexcept { return window_; }
 
  private:
+  struct Batch;
+
+  /// Issues whole batches while one fits in the window (a shorter final
+  /// batch for the run's tail).
+  void fill_window();
+
+  const BlockStore& store_;
+  pipeline::ThreadPool& pool_;
   NodeIndex first_;
+  std::uint64_t size_;
   std::size_t window_;
+  std::size_t batch_;  // kBatchBlocks clamped to the window
   Recover recover_;
-  pipeline::BlockFetcher fetcher_;
+  std::uint64_t issued_ = 0;    // blocks dispatched into batches
+  std::uint64_t consumed_ = 0;  // blocks returned by next()
+  std::deque<std::shared_ptr<Batch>> inflight_;
+  std::size_t front_pos_ = 0;  // next result slot in inflight_.front()
+
+  /// Global-registry metrics, resolved once at construction:
+  /// issued/hit/wasted are in blocks (hit = batch already complete when
+  /// next() asked for it, wasted = fetched but never consumed);
+  /// lookahead_depth samples issued-minus-consumed at each next();
+  /// fetch_wait_us samples only the next() calls that actually blocked.
+  obs::Counter* issued_blocks_ =
+      obs::MetricsRegistry::global().counter("read.prefetch.issued");
+  obs::Counter* hit_blocks_ =
+      obs::MetricsRegistry::global().counter("read.prefetch.hit");
+  obs::Counter* wasted_blocks_ =
+      obs::MetricsRegistry::global().counter("read.prefetch.wasted");
+  obs::Histogram* lookahead_depth_ = obs::MetricsRegistry::global().histogram(
+      "read.prefetch.lookahead_depth", obs::Histogram::size_bounds());
+  obs::Histogram* fetch_wait_us_ = obs::MetricsRegistry::global().histogram(
+      "read.prefetch.fetch_wait_us", obs::Histogram::latency_bounds_us());
 };
 
 class CodecSession {
@@ -99,28 +157,18 @@ class CodecSession {
   /// and the redundancy the codec derives for them.
   virtual void append(const std::vector<Bytes>& blocks) = 0;
 
-  /// Returns data block i (1 ≤ i ≤ size()), repairing through the codec
-  /// when blocks are missing; repairs are persisted. nullopt when the
-  /// block is irrecoverable.
-  virtual std::optional<Bytes> read_block(NodeIndex i) = 0;
-
-  /// Opens the pipelined read of data blocks [first, first+count) (see
-  /// BlockStream): healthy blocks are prefetched up to `window` ahead of
-  /// consumption through the engine pool, overlapping store I/O with
-  /// copy-out and repair work; damaged blocks fall back to
-  /// repair-on-read with the repair plan's inputs batch-prefetched (an
-  /// AE session repairs every one-XOR loss of the next `window` blocks
-  /// of the run in one wave). `window` = 0 uses kReadWindowBlocks.
+  /// Opens the read of data blocks [first, first+count) within
+  /// [1, size()] — the session's only read (see BlockStream): healthy
+  /// blocks are prefetched up to `window` ahead of consumption through
+  /// the engine pool, overlapping store I/O with copy-out and repair
+  /// work; a missing block is repaired through the codec with the repair
+  /// plan's inputs batch-prefetched (an AE session repairs every one-XOR
+  /// loss of the next `window` blocks of the run in one wave), and the
+  /// repairs are persisted. The stream yields nullopt for an
+  /// irrecoverable block. `window` = 0 uses kReadWindowBlocks; window 1
+  /// repairs each lost block on its own.
   virtual std::unique_ptr<BlockStream> open_stream(
       NodeIndex first, std::uint64_t count, std::size_t window = 0) = 0;
-
-  /// Ranged read: data blocks [first, first+count), one entry per block
-  /// with read_block()'s per-block semantics (repairs persisted, nullopt
-  /// = irrecoverable). The sessions collect open_stream(); the base
-  /// implementation is the unwindowed per-block loop — the baseline the
-  /// conformance tests and bench_read_throughput compare against.
-  virtual std::vector<std::optional<Bytes>> read_blocks(
-      NodeIndex first, std::uint64_t count, std::size_t window = 0);
 
   /// Lookahead window (blocks) of a read that passes window = 0.
   static constexpr std::size_t kReadWindowBlocks = 64;
@@ -149,13 +197,6 @@ class CodecSession {
   /// Re-derives redundancy from the present blocks and flags mismatches.
   virtual IntegrityReport verify_integrity() const = 0;
 
- protected:
-  /// The sessions' read_blocks: every block of open_stream(), in order,
-  /// under one "read.window" trace span.
-  std::vector<std::optional<Bytes>> collect_stream(NodeIndex first,
-                                                   std::uint64_t count,
-                                                   std::size_t window);
-
  private:
   friend class Engine;
   /// Keeps a shared-owned Engine alive for as long as its session (the
@@ -177,12 +218,9 @@ class AeSession final : public CodecSession {
   std::size_t block_size() const override { return block_size_; }
   std::uint64_t size() const override { return encoder_.size(); }
   void append(const std::vector<Bytes>& blocks) override;
-  std::optional<Bytes> read_block(NodeIndex i) override;
   std::unique_ptr<BlockStream> open_stream(NodeIndex first,
                                            std::uint64_t count,
                                            std::size_t window = 0) override;
-  std::vector<std::optional<Bytes>> read_blocks(
-      NodeIndex first, std::uint64_t count, std::size_t window = 0) override;
   RepairReport repair_all() override;
   void for_each_expected_key(
       const std::function<void(const BlockKey&)>& fn) const override;
@@ -227,12 +265,9 @@ class StripedSession final : public CodecSession {
   std::size_t block_size() const override { return block_size_; }
   std::uint64_t size() const override { return count_; }
   void append(const std::vector<Bytes>& blocks) override;
-  std::optional<Bytes> read_block(NodeIndex i) override;
   std::unique_ptr<BlockStream> open_stream(NodeIndex first,
                                            std::uint64_t count,
                                            std::size_t window = 0) override;
-  std::vector<std::optional<Bytes>> read_blocks(
-      NodeIndex first, std::uint64_t count, std::size_t window = 0) override;
   RepairReport repair_all() override;
   void for_each_expected_key(
       const std::function<void(const BlockKey&)>& fn) const override;

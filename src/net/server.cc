@@ -257,8 +257,12 @@ void Server::on_readable(Connection& conn) {
     if (conn.close_after_flush) continue;  // drain-and-discard
     conn.parser.feed(BytesView(buf, static_cast<std::size_t>(n)));
 
+    // Bytes in = what the parser consumed per frame: the AEC1 or AEC2
+    // header plus the payload.
+    std::size_t buffered = conn.parser.buffered();
     while (auto frame = conn.parser.next()) {
-      req_bytes_in_->add(kHeaderSize + frame->payload.size());
+      req_bytes_in_->add(buffered - conn.parser.buffered());
+      buffered = conn.parser.buffered();
       req_count_->add();
       if (!is_request_op(frame->op)) {
         req_rejected_->add();

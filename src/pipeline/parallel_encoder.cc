@@ -62,26 +62,6 @@ void ParallelEncoder::resolve_head(const Lattice& lat, NodeIndex i,
   }
 }
 
-EncodeResult ParallelEncoder::seal_node(const Lattice& lat, NodeIndex i,
-                                        BytesView data) {
-  EncodeResult result;
-  result.index = i;
-  // One batched write per node (α parities + the data block): a sharded
-  // store takes each touched shard lock once instead of α+1 times.
-  std::vector<std::pair<BlockKey, Bytes>> puts;
-  puts.reserve(params_.classes().size() + 1);
-  for (StrandClass cls : params_.classes()) {
-    Bytes& head = head_slot(cls, lat.strand_id(i, cls));
-    xor_into(head, data);  // p_{i,j} = d_i XOR p_{h,i}, advancing the head
-    const Edge out = lat.output_edge(i, cls);
-    puts.emplace_back(BlockKey::parity(out), head);  // copies the head
-    result.parities.push_back(out);
-  }
-  puts.emplace_back(BlockKey::data(i), Bytes(data.begin(), data.end()));
-  store_->put_batch(std::move(puts));
-  return result;
-}
-
 std::vector<EncodeResult> ParallelEncoder::append_all(
     const std::vector<Bytes>& blocks) {
   for (const Bytes& b : blocks)
@@ -183,16 +163,6 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
   blocks_metric_->add(blocks.size());
   batches_metric_->add();
   return results;
-}
-
-EncodeResult ParallelEncoder::append(BytesView data) {
-  AEC_CHECK_MSG(data.size() == block_size_,
-                "append: block size " << data.size() << " != configured "
-                                      << block_size_);
-  const NodeIndex i = static_cast<NodeIndex>(++count_);
-  const Lattice lat(params_, count_, Lattice::Boundary::kOpen);
-  for (StrandClass cls : params_.classes()) resolve_head(lat, i, cls);
-  return seal_node(lat, i, data);
 }
 
 Lattice ParallelEncoder::lattice() const {

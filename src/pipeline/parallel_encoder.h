@@ -55,9 +55,6 @@ class ParallelEncoder {
   /// and every stored block is byte-identical to the serial encoding.
   std::vector<EncodeResult> append_all(const std::vector<Bytes>& blocks);
 
-  /// Single-block append (runs on the coordinator; no dispatch).
-  EncodeResult append(BytesView data);
-
   const CodeParams& params() const noexcept { return params_; }
   std::size_t block_size() const noexcept { return block_size_; }
   std::size_t thread_count() const noexcept { return pool_->thread_count(); }
@@ -86,10 +83,6 @@ class ParallelEncoder {
   /// fetch on crash recovery, zero block on strand bootstrap. Runs
   /// while no worker is in flight.
   void resolve_head(const Lattice& lat, NodeIndex i, StrandClass cls);
-
-  /// Seals node i's bucket: α in-place head XORs + α+1 store puts
-  /// (the single-block append, on the coordinator).
-  EncodeResult seal_node(const Lattice& lat, NodeIndex i, BytesView data);
 
   CodeParams params_;
   std::size_t block_size_;

@@ -393,14 +393,6 @@ std::unique_ptr<Archive> Archive::create(fs::path root,
   return archive;
 }
 
-std::unique_ptr<Archive> Archive::create(fs::path root, CodeParams params,
-                                         std::size_t block_size,
-                                         std::size_t threads) {
-  return create(std::move(root), params.name(), block_size,
-                threads <= 1 ? Engine::serial()
-                             : Engine::with_threads(threads));
-}
-
 std::unique_ptr<Archive> Archive::open(fs::path root,
                                        std::shared_ptr<Engine> engine) {
   std::ifstream in(root / "manifest.txt");
@@ -412,11 +404,6 @@ std::unique_ptr<Archive> Archive::open(fs::path root,
       std::move(root), std::move(codec), std::move(manifest.store_spec),
       manifest.block_size, manifest.blocks, std::move(manifest.files),
       std::move(engine)));
-}
-
-std::unique_ptr<Archive> Archive::open(fs::path root, std::size_t threads) {
-  return open(std::move(root), threads <= 1 ? Engine::serial()
-                                            : Engine::with_threads(threads));
 }
 
 const CodeParams& Archive::params() const {

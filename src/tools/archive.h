@@ -169,7 +169,7 @@ class FileReader {
   /// is trimmed. 0 means EOF (for max_bytes > 0); nullopt means an
   /// irrecoverable block (sticky — the reader stays failed, and bytes
   /// appended by the failing call are unspecified). Repairs performed
-  /// along the way are persisted, exactly like read_block().
+  /// along the way are persisted, as on every session read.
   std::optional<std::size_t> read_into(Bytes& out, std::size_t max_bytes);
 
   /// Next lookahead window's worth of file content, valid until the
@@ -221,18 +221,11 @@ class Archive {
                                          std::shared_ptr<Engine> engine = {},
                                          const std::string& store_spec = {});
 
-  /// Back-compat: AE codec from params + a bare thread count.
-  static std::unique_ptr<Archive> create(std::filesystem::path root,
-                                         CodeParams params,
-                                         std::size_t block_size,
-                                         std::size_t threads = 1);
-
   /// Opens an existing archive from its manifest (v1 or v2). The store
-  /// backend comes from the manifest's store spec.
+  /// backend comes from the manifest's store spec; a null `engine` means
+  /// Engine::serial(), as for create().
   static std::unique_ptr<Archive> open(std::filesystem::path root,
-                                       std::shared_ptr<Engine> engine);
-  static std::unique_ptr<Archive> open(std::filesystem::path root,
-                                       std::size_t threads = 1);
+                                       std::shared_ptr<Engine> engine = {});
 
   ~Archive();
 

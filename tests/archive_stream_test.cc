@@ -166,7 +166,8 @@ TEST_F(ArchiveStreamTest, V1ManifestRoundTripsToV2) {
   Rng rng(4);
   const Bytes doc = rng.random_block(300);
   {
-    auto archive = Archive::create(dir("a"), CodeParams(2, 2, 5), 128);
+    auto archive =
+        Archive::create(dir("a"), CodeParams(2, 2, 5).name(), 128);
     archive->add_file("doc", doc);
   }
   // Downgrade the manifest to the v1 format by hand.
@@ -441,7 +442,7 @@ TEST_F(ArchiveStreamTest, SessionOutlivesTemporaryEngine) {
   for (int i = 0; i < 50; ++i) blocks.push_back(rng.random_block(64));
   session->append(blocks);  // engine's pool must still be alive here
   EXPECT_EQ(session->size(), 50u);
-  EXPECT_EQ(session->read_block(7), blocks[6]);
+  EXPECT_EQ(session->open_stream(7, 1)->next(), blocks[6]);
 }
 
 TEST_F(ArchiveStreamTest, SessionRejectsAStoreThatDoesNotLockItself) {

@@ -29,20 +29,20 @@ class ArchiveTest : public ::testing::Test {
 
 TEST_F(ArchiveTest, CreateAndReopen) {
   {
-    auto archive = Archive::create(root_, CodeParams(3, 2, 5), 256);
+    auto archive = Archive::create(root_, CodeParams(3, 2, 5).name(), 256);
     EXPECT_EQ(archive->blocks(), 0u);
     EXPECT_EQ(archive->params().name(), "AE(3,2,5)");
   }
   auto reopened = Archive::open(root_);
   EXPECT_EQ(reopened->params().name(), "AE(3,2,5)");
   EXPECT_EQ(reopened->block_size(), 256u);
-  EXPECT_THROW(Archive::create(root_, CodeParams(2, 2, 2), 256),
+  EXPECT_THROW(Archive::create(root_, CodeParams(2, 2, 2).name(), 256),
                CheckError);
   EXPECT_THROW(Archive::open(root_ / "nowhere"), CheckError);
 }
 
 TEST_F(ArchiveTest, AddAndReadFiles) {
-  auto archive = Archive::create(root_, CodeParams(3, 2, 5), 128);
+  auto archive = Archive::create(root_, CodeParams(3, 2, 5).name(), 128);
   Rng rng(1);
   const Bytes a = rng.random_block(1000);  // pads to 8 blocks
   const Bytes b = rng.random_block(128);   // exactly one block
@@ -64,7 +64,7 @@ TEST_F(ArchiveTest, FilesSurviveReopen) {
   Rng rng(2);
   const Bytes payload = rng.random_block(3000);
   {
-    auto archive = Archive::create(root_, CodeParams(2, 2, 5), 256);
+    auto archive = Archive::create(root_, CodeParams(2, 2, 5).name(), 256);
     archive->add_file("doc", payload);
   }
   auto archive = Archive::open(root_);
@@ -80,7 +80,7 @@ TEST_F(ArchiveTest, FilesSurviveReopen) {
 }
 
 TEST_F(ArchiveTest, SurvivesHeavyDamage) {
-  auto archive = Archive::create(root_, CodeParams(3, 2, 5), 128);
+  auto archive = Archive::create(root_, CodeParams(3, 2, 5).name(), 128);
   Rng rng(3);
   const Bytes payload = rng.random_block(128 * 40);
   archive->add_file("big", payload);
@@ -96,7 +96,7 @@ TEST_F(ArchiveTest, SurvivesHeavyDamage) {
 }
 
 TEST_F(ArchiveTest, ReadRepairsLazilyWithoutScrub) {
-  auto archive = Archive::create(root_, CodeParams(3, 2, 5), 128);
+  auto archive = Archive::create(root_, CodeParams(3, 2, 5).name(), 128);
   Rng rng(4);
   const Bytes payload = rng.random_block(128 * 20);
   archive->add_file("doc", payload);
@@ -105,7 +105,7 @@ TEST_F(ArchiveTest, ReadRepairsLazilyWithoutScrub) {
 }
 
 TEST_F(ArchiveTest, ScrubFlagsTampering) {
-  auto archive = Archive::create(root_, CodeParams(3, 2, 5), 64);
+  auto archive = Archive::create(root_, CodeParams(3, 2, 5).name(), 64);
   Rng rng(5);
   archive->add_file("doc", rng.random_block(64 * 20));
 

@@ -22,6 +22,7 @@
 
 #include "common/check.h"
 #include "net/client.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tools/archive.h"
 
@@ -409,6 +410,22 @@ TEST_F(NetServerTest, MetricsExposeNetCounters) {
   const std::string stat = client.stat_json(true);
   EXPECT_NE(stat.find("\"metrics\""), std::string::npos);
   EXPECT_NE(stat.find("net.req.bytes_in"), std::string::npos);
+}
+
+TEST_F(NetServerTest, BytesInCountsTheWireHeader) {
+  // A PING's payload is empty, so each one adds exactly its header: the
+  // 20-byte AEC1 header untraced, the 28-byte AEC2 header traced.
+  const obs::Counter* bytes_in =
+      obs::MetricsRegistry::global().counter("net.req.bytes_in");
+  for (const bool traced : {false, true}) {
+    ClientConfig config = client_config();
+    config.trace = traced;
+    Client client(config);
+    const std::uint64_t before = bytes_in->value();
+    client.ping();
+    EXPECT_EQ(bytes_in->value() - before, traced ? 28u : 20u)
+        << "traced " << traced;
+  }
 }
 
 TEST_F(NetServerTest, ShutdownDrainsAndRefusesNewWork) {

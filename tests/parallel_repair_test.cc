@@ -395,13 +395,12 @@ TEST_F(ArchiveParallelRepair, ScrubAndGetHonourThreadCount) {
   const Bytes payload = rng.random_block(16000);
 
   for (const fs::path& r : {serial_root, parallel_root}) {
-    auto archive =
-        tools::Archive::create(r, CodeParams(3, 2, 5), 128);
+    auto archive = tools::Archive::create(r, CodeParams(3, 2, 5).name(), 128);
     archive->add_file("payload", payload);
   }
 
-  auto serial = tools::Archive::open(serial_root, 1);
-  auto parallel = tools::Archive::open(parallel_root, 4);
+  auto serial = tools::Archive::open(serial_root, Engine::serial());
+  auto parallel = tools::Archive::open(parallel_root, Engine::with_threads(4));
   EXPECT_EQ(serial->inject_damage(0.25, 7), parallel->inject_damage(0.25, 7));
 
   const tools::ScrubReport a = serial->scrub();
@@ -420,10 +419,11 @@ TEST_F(ArchiveParallelRepair, ParallelGetRepairsLazilyWithoutScrub) {
   Rng rng(13);
   const Bytes payload = rng.random_block(8000);
   {
-    auto archive = tools::Archive::create(root_, CodeParams(3, 2, 5), 128);
+    auto archive =
+        tools::Archive::create(root_, CodeParams(3, 2, 5).name(), 128);
     archive->add_file("payload", payload);
   }
-  auto archive = tools::Archive::open(root_, 4);
+  auto archive = tools::Archive::open(root_, Engine::with_threads(4));
   archive->inject_damage(0.15, 3);
   EXPECT_EQ(archive->read_file("payload"), payload);
 }

@@ -237,9 +237,10 @@ TEST(ParallelEncoder, SingleAppendInterleavesWithBatches) {
   ThreadPool pool(2);
   ConcurrentBlockStore store;
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
-  enc.append(blocks[0]);
+  // One-block batches around a larger one.
+  enc.append_all({blocks[0]});
   enc.append_all({blocks.begin() + 1, blocks.begin() + 60});
-  for (std::size_t i = 60; i < blocks.size(); ++i) enc.append(blocks[i]);
+  for (std::size_t i = 60; i < blocks.size(); ++i) enc.append_all({blocks[i]});
   expect_stores_identical(expected, store);
 }
 
@@ -300,7 +301,6 @@ TEST(ParallelEncoder, RejectsWrongBlockSize) {
   ThreadPool pool(2);
   ConcurrentBlockStore store;
   ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, &pool);
-  EXPECT_THROW(enc.append(Bytes(kBlockSize + 1, 0)), CheckError);
   EXPECT_THROW(enc.append_all({Bytes(kBlockSize, 0), Bytes(1, 0)}),
                CheckError);
 }
@@ -329,10 +329,10 @@ TEST(ArchiveParallelIngest, MatchesSerialArchiveByteForByte) {
 
   TempDir serial_dir("serial");
   TempDir parallel_dir("parallel");
-  auto serial = tools::Archive::create(serial_dir.path(), params, 64,
-                                       /*threads=*/1);
-  auto parallel = tools::Archive::create(parallel_dir.path(), params, 64,
-                                         /*threads=*/4);
+  auto serial = tools::Archive::create(serial_dir.path(), params.name(), 64,
+                                       Engine::serial());
+  auto parallel = tools::Archive::create(parallel_dir.path(), params.name(),
+                                         64, Engine::with_threads(4));
   serial->add_file("big.bin", content);
   parallel->add_file("big.bin", content);
   ASSERT_EQ(serial->blocks(), parallel->blocks());
@@ -365,12 +365,12 @@ TEST(ArchiveParallelIngest, ReadBackAndRepairAfterDamage) {
 
   TempDir dir("damage");
   {
-    auto archive =
-        tools::Archive::create(dir.path(), CodeParams(3, 2, 5), 64, 4);
+    auto archive = tools::Archive::create(
+        dir.path(), CodeParams(3, 2, 5).name(), 64, Engine::with_threads(4));
     archive->add_file("data.bin", content);
   }
   // Reopen (parallel again), damage, and read through lattice repair.
-  auto archive = tools::Archive::open(dir.path(), 4);
+  auto archive = tools::Archive::open(dir.path(), Engine::with_threads(4));
   EXPECT_GT(archive->inject_damage(0.10, 5), 0u);
   const auto restored = archive->read_file("data.bin");
   ASSERT_TRUE(restored.has_value());

@@ -1,10 +1,11 @@
-// Pipelined read path conformance: the windowed read (BlockFetcher
-// prefetch + repair-on-read lookahead) must be byte-identical to the
-// per-block baseline on every codec family, under every damage shape —
-// including agreeing on which blocks are irrecoverable. Plus window
-// boundary cases, the streaming FileReader, the archive name index, the
-// read.prefetch.* instrumentation, and a concurrent reader-vs-scrub
-// exercise (all suites here match the CI TSan filter `ReadPath*`).
+// Pipelined read path conformance: the windowed stream (batched prefetch
+// + repair-on-read lookahead) must be byte-identical to the per-block
+// reference — a window-1 stream — on every codec family, under every
+// damage shape, including agreeing on which blocks are irrecoverable.
+// Plus window boundary cases, BlockStream's prefetch unit behaviour, the
+// streaming FileReader, the archive name index, the read.prefetch.*
+// instrumentation, and a concurrent reader-vs-scrub exercise (all suites
+// here match the CI TSan filter `ReadPath*`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -26,8 +28,8 @@
 #include "common/rng.h"
 #include "core/codec/file_block_store.h"
 #include "obs/metrics.h"
-#include "pipeline/block_fetcher.h"
 #include "pipeline/concurrent_block_store.h"
+#include "pipeline/thread_pool.h"
 #include "tools/archive.h"
 
 namespace aec {
@@ -66,6 +68,18 @@ using LosePredicate = std::function<bool(const BlockKey&)>;
 bool on_node0(const BlockKey& key) {
   return cluster::place_block(key, 4, cluster::PlacementPolicy::kStrand,
                               0) == 0;
+}
+
+/// Every block of a stream over data blocks [first, first + count).
+std::vector<std::optional<Bytes>> read_run(CodecSession& session,
+                                           NodeIndex first,
+                                           std::uint64_t count,
+                                           std::size_t window = 0) {
+  const std::unique_ptr<BlockStream> stream =
+      session.open_stream(first, count, window);
+  std::vector<std::optional<Bytes>> out;
+  while (!stream->exhausted()) out.push_back(stream->next());
+  return out;
 }
 
 /// Erases every key of `store` that `lose` selects.
@@ -113,8 +127,8 @@ class ReadPathConformanceTest : public ::testing::TestWithParam<ReadSpecCase> {
   };
 
   /// Two byte-identical session+store pairs with the same damage, so the
-  /// windowed path and the per-block baseline each start from pristine
-  /// (undamaged-by-repair) state.
+  /// windowed stream and the per-block reference each start from
+  /// pristine (undamaged-by-repair) state.
   std::pair<std::unique_ptr<Instance>, std::unique_ptr<Instance>> build_pair(
       const LosePredicate& lose) {
     const ReadSpecCase& p = GetParam();
@@ -132,22 +146,15 @@ class ReadPathConformanceTest : public ::testing::TestWithParam<ReadSpecCase> {
     return {make("windowed"), make("perblock")};
   }
 
-  /// The per-block baseline: a plain read_block loop.
-  static std::vector<std::optional<Bytes>> per_block_read(
-      CodecSession& session, std::uint64_t count) {
-    std::vector<std::optional<Bytes>> out;
-    for (std::uint64_t i = 1; i <= count; ++i)
-      out.push_back(session.read_block(static_cast<NodeIndex>(i)));
-    return out;
-  }
-
   void expect_both_paths_agree(const LosePredicate& lose,
                                const std::vector<NodeIndex>& irrecoverable) {
     const ReadSpecCase& p = GetParam();
     auto [windowed, perblock] = build_pair(lose);
 
-    const auto via_window = windowed->session->read_blocks(1, p.blocks, 8);
-    const auto via_blocks = per_block_read(*perblock->session, p.blocks);
+    const auto via_window = read_run(*windowed->session, 1, p.blocks, 8);
+    // The per-block reference: a window-1 stream repairs each lost block
+    // on its own (ParallelRepairer::read_node(i, 1) for AE).
+    const auto via_blocks = read_run(*perblock->session, 1, p.blocks, 1);
 
     ASSERT_EQ(via_window.size(), p.blocks);
     ASSERT_EQ(via_blocks.size(), p.blocks);
@@ -166,7 +173,8 @@ class ReadPathConformanceTest : public ::testing::TestWithParam<ReadSpecCase> {
       }
     }
 
-    // Repairs along the windowed read are persisted, like read_block's.
+    // Repairs along the windowed read are persisted, like the per-block
+    // reference's.
     for (NodeIndex i = 1; i <= static_cast<NodeIndex>(p.blocks); ++i) {
       if (!lose(BlockKey::data(i)) ||
           std::find(irrecoverable.begin(), irrecoverable.end(), i) !=
@@ -257,7 +265,7 @@ TEST_F(ReadPathWindowTest, WindowOfOneAndWindowBeyondFile) {
   ASSERT_TRUE(store.erase(BlockKey::data(11)));
 
   for (const std::size_t window : {std::size_t{1}, std::size_t{1000}}) {
-    const auto out = session->read_blocks(1, count, window);
+    const auto out = read_run(*session, 1, count, window);
     ASSERT_EQ(out.size(), count) << "window " << window;
     for (std::uint64_t i = 0; i < count; ++i) {
       ASSERT_TRUE(out[i].has_value()) << "window " << window;
@@ -266,8 +274,8 @@ TEST_F(ReadPathWindowTest, WindowOfOneAndWindowBeyondFile) {
   }
 
   // Interior range, zero count, and the engine-default window.
-  EXPECT_TRUE(session->read_blocks(5, 0).empty());
-  const auto mid = session->read_blocks(7, 5);
+  EXPECT_TRUE(session->open_stream(5, 0)->exhausted());
+  const auto mid = read_run(*session, 7, 5);
   ASSERT_EQ(mid.size(), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(*mid[i], blocks[6 + i]);
 }
@@ -407,61 +415,62 @@ TEST_F(ReadPathArchiveTest, NameIndexFindsEveryFileAndRejectsDuplicates) {
   EXPECT_EQ(archive->read_file("c"), c);
 }
 
-// --- BlockFetcher unit behaviour --------------------------------------------
+// --- BlockStream unit behaviour ---------------------------------------------
 
-class ReadPathFetcherTest : public ::testing::Test {
+class ReadPathBlockStreamTest : public ::testing::Test {
  protected:
-  static std::vector<BlockKey> seed(InMemoryBlockStore& store,
-                                    std::vector<Bytes>& blocks,
-                                    std::size_t count) {
+  /// Stores data blocks 1..count in `store` and returns their payloads.
+  static std::vector<Bytes> seed(BlockStore& store, std::size_t count) {
     Rng rng(12);
-    std::vector<BlockKey> keys;
+    std::vector<Bytes> blocks;
     for (std::size_t i = 1; i <= count; ++i) {
-      keys.push_back(BlockKey::data(static_cast<NodeIndex>(i)));
       blocks.push_back(rng.random_block(kBlockSize));
-      store.put(keys.back(), blocks.back());
+      store.put(BlockKey::data(static_cast<NodeIndex>(i)), blocks.back());
     }
-    return keys;
+    return blocks;
   }
+
+  /// A repair fallback that repairs nothing.
+  static std::optional<Bytes> no_repair(NodeIndex) { return std::nullopt; }
+
+  pipeline::ThreadPool pool_{1};
 };
 
-TEST_F(ReadPathFetcherTest, DeliversInOrderWithMissingAsNullopt) {
-  InMemoryBlockStore store;
-  std::vector<Bytes> blocks;
-  auto keys = seed(store, blocks, 20);
+TEST_F(ReadPathBlockStreamTest, DeliversInOrderAndRecoversOnlyMissingBlocks) {
+  pipeline::ConcurrentBlockStore store;
+  const std::vector<Bytes> blocks = seed(store, 20);
   store.erase(BlockKey::data(7));
   store.erase(BlockKey::data(8));
 
-  pipeline::BlockFetcher::Options opt;
-  opt.window = 6;
-  opt.batch = 3;
-  pipeline::BlockFetcher fetcher(store, nullptr, keys, opt);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto payload = fetcher.next();
-    if (i == 6 || i == 7) {
-      EXPECT_FALSE(payload.has_value()) << "key " << i + 1;
+  // d7 comes back from the fallback, d8 stays irrecoverable.
+  std::vector<NodeIndex> recovered;
+  BlockStream stream(store, pool_, 1, 20, 6, [&](NodeIndex i) {
+    recovered.push_back(i);
+    return i == 7 ? std::optional<Bytes>(blocks[6]) : std::nullopt;
+  });
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const auto payload = stream.next();
+    if (i == 7) {
+      EXPECT_FALSE(payload.has_value()) << "block " << i + 1;
     } else {
-      ASSERT_TRUE(payload.has_value()) << "key " << i + 1;
+      ASSERT_TRUE(payload.has_value()) << "block " << i + 1;
       EXPECT_EQ(*payload, blocks[i]);
     }
   }
-  EXPECT_TRUE(fetcher.exhausted());
-  EXPECT_EQ(fetcher.consumed(), 20u);
+  EXPECT_EQ(recovered, (std::vector<NodeIndex>{7, 8}));
+  EXPECT_TRUE(stream.exhausted());
+  EXPECT_EQ(stream.consumed(), 20u);
 }
 
-TEST_F(ReadPathFetcherTest, AbandonedFetcherCountsUnconsumedAsWasted) {
-  InMemoryBlockStore store;
-  std::vector<Bytes> blocks;
-  auto keys = seed(store, blocks, 20);
+TEST_F(ReadPathBlockStreamTest, AbandonedStreamCountsUnconsumedAsWasted) {
+  pipeline::ConcurrentBlockStore store;
+  seed(store, 20);
 
   const std::uint64_t issued0 = counter_value("read.prefetch.issued");
   const std::uint64_t wasted0 = counter_value("read.prefetch.wasted");
   {
-    pipeline::BlockFetcher::Options opt;
-    opt.window = 8;
-    opt.batch = 4;
-    pipeline::BlockFetcher fetcher(store, nullptr, keys, opt);
-    for (int i = 0; i < 5; ++i) ASSERT_TRUE(fetcher.next().has_value());
+    BlockStream stream(store, pool_, 1, 20, 8, no_repair);
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(stream.next().has_value());
   }
   const std::uint64_t issued = counter_value("read.prefetch.issued") - issued0;
   const std::uint64_t wasted = counter_value("read.prefetch.wasted") - wasted0;
@@ -469,13 +478,13 @@ TEST_F(ReadPathFetcherTest, AbandonedFetcherCountsUnconsumedAsWasted) {
   EXPECT_EQ(wasted, issued - 5u);
 }
 
-TEST_F(ReadPathFetcherTest, RefillIssuesWholeBatchesOnly) {
-  // Records every get_batch() the fetcher makes. Topping the window up
-  // block by block would issue 4 keys, 4 keys, then one-key batches as
-  // each consumed block frees one slot.
+TEST_F(ReadPathBlockStreamTest, RefillIssuesWholeBatchesOnly) {
+  // Records every get_batch() the stream makes (from the pool's worker).
+  // Topping the window up block by block would issue 16 keys, 16 keys,
+  // then one-key batches as each consumed block frees one slot.
   class CountingStore final : public BlockStore {
    public:
-    explicit CountingStore(InMemoryBlockStore& inner) : inner_(inner) {}
+    explicit CountingStore(BlockStore& inner) : inner_(inner) {}
     void put(const BlockKey& key, Bytes value) override {
       inner_.put(key, std::move(value));
     }
@@ -487,46 +496,42 @@ TEST_F(ReadPathFetcherTest, RefillIssuesWholeBatchesOnly) {
     }
     bool erase(const BlockKey& key) override { return inner_.erase(key); }
     std::uint64_t size() const override { return inner_.size(); }
+    bool thread_safe() const noexcept override { return true; }
     std::vector<std::optional<Bytes>> get_batch(
         const std::vector<BlockKey>& keys) const override {
-      batch_sizes.push_back(keys.size());
+      {
+        std::lock_guard lock(mu_);
+        batch_sizes_.push_back(keys.size());
+      }
       return inner_.get_batch(keys);
     }
-    mutable std::vector<std::size_t> batch_sizes;
+    std::vector<std::size_t> batch_sizes() const {
+      std::lock_guard lock(mu_);
+      return batch_sizes_;
+    }
 
    private:
-    InMemoryBlockStore& inner_;
+    BlockStore& inner_;
+    mutable std::mutex mu_;
+    mutable std::vector<std::size_t> batch_sizes_;
   };
 
-  InMemoryBlockStore inner;
-  std::vector<Bytes> blocks;
-  const auto keys = seed(inner, blocks, 40);
-  pipeline::BlockFetcher::Options opt;
-  opt.window = 8;
-  opt.batch = 4;
+  pipeline::ConcurrentBlockStore inner;
+  const std::vector<Bytes> blocks = seed(inner, 72);
+  CountingStore store(inner);
   {
-    CountingStore store(inner);
-    pipeline::BlockFetcher fetcher(store, nullptr, keys, opt);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const auto payload = fetcher.next();
-      ASSERT_TRUE(payload.has_value()) << "key " << i + 1;
-      EXPECT_EQ(*payload, blocks[i]);
-    }
-    EXPECT_EQ(store.batch_sizes, std::vector<std::size_t>(10, 4));
+    // A 32-block window holds two whole batches; the 72-block run ends
+    // in a shorter tail batch.
+    BlockStream stream(store, pool_, 1, 72, 32, no_repair);
+    for (std::size_t i = 0; i < blocks.size(); ++i)
+      EXPECT_EQ(stream.next(), blocks[i]) << "block " << i + 1;
+    EXPECT_TRUE(stream.exhausted());
   }
-  {
-    // A 10-key run with its keys computed on demand: two whole batches,
-    // then the run's shorter tail.
-    CountingStore store(inner);
-    pipeline::BlockFetcher fetcher(
-        store, nullptr, 10, [&](std::size_t i) { return keys[i]; }, opt);
-    for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(fetcher.next(), blocks[i]);
-    EXPECT_TRUE(fetcher.exhausted());
-    EXPECT_EQ(store.batch_sizes, (std::vector<std::size_t>{4, 4, 2}));
-  }
+  EXPECT_EQ(store.batch_sizes(),
+            (std::vector<std::size_t>{16, 16, 16, 16, 8}));
 }
 
-TEST_F(ReadPathFetcherTest, StoreExceptionSurfacesAtNextNotAtThePool) {
+TEST_F(ReadPathBlockStreamTest, StoreExceptionSurfacesAtNextNotAtThePool) {
   // A throwing store must fail the reader that asked, not poison the
   // shared pool's wait_idle() for an unrelated concurrent scrub.
   class ThrowingStore final : public BlockStore {
@@ -545,11 +550,9 @@ TEST_F(ReadPathFetcherTest, StoreExceptionSurfacesAtNextNotAtThePool) {
 
   ThrowingStore store;
   auto engine = Engine::with_threads(2);
-  std::vector<BlockKey> keys;
-  for (NodeIndex i = 1; i <= 8; ++i) keys.push_back(BlockKey::data(i));
   {
-    pipeline::BlockFetcher fetcher(store, &engine->pool(), keys);
-    EXPECT_THROW(fetcher.next(), std::runtime_error);
+    BlockStream stream(store, engine->pool(), 1, 8, 64, no_repair);
+    EXPECT_THROW(stream.next(), std::runtime_error);
   }
   EXPECT_NO_THROW(engine->pool().wait_idle());
 }
@@ -573,8 +576,8 @@ TEST_F(ReadPathStreamTest, FileReaderLooksAheadAcrossChunks) {
   ASSERT_TRUE(first.has_value());
   ASSERT_EQ(first->size(), kBlockSize * 64);
   // One stream for the whole file: while the first window drained, the
-  // fetcher kept refilling whole batches past its end. A fresh fetcher
-  // per chunk would have issued exactly the 64 blocks delivered.
+  // stream kept refilling whole batches past its end. A fresh stream per
+  // chunk would have issued exactly the 64 blocks delivered.
   EXPECT_GT(counter_value("read.prefetch.issued") - issued0, 64u);
 
   Bytes streamed(first->begin(), first->end());
@@ -673,7 +676,7 @@ TEST_F(ReadPathStreamTest, LostBlocksRepairOneWavePerWindow) {
     const auto copy = damaged_copy();
     const std::uint64_t waves0 = counter_value("repair.waves");
     const std::uint64_t steps0 = counter_value("repair.steps");
-    const auto out = copy->session->read_blocks(1, 256, 64);
+    const auto out = read_run(*copy->session, 1, 256, 64);
     ASSERT_EQ(out.size(), 256u);
     for (std::size_t i = 0; i < out.size(); ++i)
       EXPECT_EQ(out[i], blocks[i]) << "block " << i + 1;
@@ -686,7 +689,7 @@ TEST_F(ReadPathStreamTest, LostBlocksRepairOneWavePerWindow) {
     const auto copy = damaged_copy();
     const std::uint64_t waves0 = counter_value("repair.waves");
     const std::uint64_t steps0 = counter_value("repair.steps");
-    const auto out = copy->session->read_blocks(1, 100, 64);
+    const auto out = read_run(*copy->session, 1, 100, 64);
     ASSERT_EQ(out.size(), 100u);
     for (std::size_t i = 0; i < out.size(); ++i)
       EXPECT_EQ(out[i], blocks[i]) << "block " << i + 1;
@@ -715,7 +718,7 @@ TEST_F(ReadPathMetricsTest, WindowedReadCountsIssuedAndHitBlocks) {
   const std::uint64_t issued0 = counter_value("read.prefetch.issued");
   const std::uint64_t hit0 = counter_value("read.prefetch.hit");
   const std::uint64_t waits0 = waits->count();
-  const auto out = session->read_blocks(1, 40, 8);
+  const auto out = read_run(*session, 1, 40, 8);
   ASSERT_EQ(out.size(), 40u);
   // Every block is issued, and the batches run on the engine pool: each
   // block either finds its batch complete (a hit) or waits for it (one
