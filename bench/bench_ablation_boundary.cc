@@ -8,8 +8,9 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
+#include "pipeline/parallel_encoder.h"
+#include "pipeline/parallel_repairer.h"
+#include "pipeline/thread_pool.h"
 #include "sim/runner.h"
 #include "sim/schemes.h"
 
@@ -24,20 +25,24 @@ struct Outcome {
 Outcome run_open(const aec::CodeParams& params, std::uint64_t n,
                  double rate, std::uint64_t seed) {
   using namespace aec;
-  InMemoryBlockStore store;
-  Encoder encoder(params, 1, &store);
+  std::vector<Bytes> blocks;
+  blocks.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i)
-    encoder.append(Bytes{static_cast<std::uint8_t>(i)});
-  Decoder decoder(params, n, 1, &store);
+    blocks.push_back(Bytes{static_cast<std::uint8_t>(i)});
+  InMemoryBlockStore store;
+  pipeline::ThreadPool pool(1);
+  pipeline::ParallelEncoder encoder(params, 1, &store, &pool);
+  encoder.append_all(blocks);
+  pipeline::ParallelRepairer repairer(params, n, 1, &store, &pool);
   Rng rng(seed);
-  const Lattice& lat = decoder.lattice();
+  const Lattice& lat = repairer.lattice();
   for (NodeIndex i = 1; i <= static_cast<NodeIndex>(n); ++i) {
     if (rng.bernoulli(rate)) store.erase(BlockKey::data(i));
     for (StrandClass cls : params.classes())
       if (rng.bernoulli(rate))
         store.erase(BlockKey::parity(lat.output_edge(i, cls)));
   }
-  decoder.repair_all();
+  repairer.repair_all();
   Outcome outcome;
   for (NodeIndex i = 1; i <= static_cast<NodeIndex>(n); ++i) {
     if (store.contains(BlockKey::data(i))) continue;

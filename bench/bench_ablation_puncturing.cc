@@ -7,9 +7,10 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
 #include "core/codec/puncture.h"
+#include "pipeline/parallel_encoder.h"
+#include "pipeline/parallel_repairer.h"
+#include "pipeline/thread_pool.h"
 #include "sim/runner.h"
 
 namespace {
@@ -17,17 +18,21 @@ namespace {
 std::uint64_t run_loss(const aec::CodeParams& params, std::uint64_t n,
                        double rate, std::uint64_t seed, bool punctured) {
   using namespace aec;
-  InMemoryBlockStore store;
-  Encoder encoder(params, 1, &store);
+  std::vector<Bytes> blocks;
+  blocks.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i)
-    encoder.append(Bytes{static_cast<std::uint8_t>(i * 31)});
+    blocks.push_back(Bytes{static_cast<std::uint8_t>(i * 31)});
+  InMemoryBlockStore store;
+  pipeline::ThreadPool pool(1);
+  pipeline::ParallelEncoder encoder(params, 1, &store, &pool);
+  encoder.append_all(blocks);
   if (punctured) {
     const PunctureSpec spec{StrandClass::kLeftHanded, 2, 0};
     puncture(store, encoder.lattice(), {{spec}});
   }
-  Decoder decoder(params, n, 1, &store);
+  pipeline::ParallelRepairer repairer(params, n, 1, &store, &pool);
   Rng rng(seed);
-  const Lattice& lat = decoder.lattice();
+  const Lattice& lat = repairer.lattice();
   for (NodeIndex i = 1; i <= static_cast<NodeIndex>(n); ++i) {
     if (rng.bernoulli(rate)) store.erase(BlockKey::data(i));
     for (StrandClass cls : params.classes()) {
@@ -35,7 +40,7 @@ std::uint64_t run_loss(const aec::CodeParams& params, std::uint64_t n,
       if (rng.bernoulli(rate)) store.erase(key);
     }
   }
-  return decoder.repair_all().nodes_unrecovered;
+  return repairer.repair_all().nodes_unrecovered;
 }
 
 }  // namespace

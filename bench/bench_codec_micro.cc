@@ -22,10 +22,11 @@
 #include "common/cpu.h"
 #include "common/rng.h"
 #include "common/xor_engine.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
 #include "core/codec/tamper.h"
 #include "gf/gf256.h"
+#include "pipeline/parallel_encoder.h"
+#include "pipeline/parallel_repairer.h"
+#include "pipeline/thread_pool.h"
 #include "rs/reed_solomon.h"
 
 namespace {
@@ -73,11 +74,12 @@ void BM_AeEncode(benchmark::State& state) {
   const CodeParams params = alpha == 1 ? CodeParams::single()
                                        : CodeParams(alpha, 2, 5);
   Rng rng(2);
-  const Bytes block = rng.random_block(block_size);
+  const std::vector<Bytes> block{rng.random_block(block_size)};
   InMemoryBlockStore store;
-  Encoder encoder(params, block_size, &store);
+  pipeline::ThreadPool pool(1);
+  pipeline::ParallelEncoder encoder(params, block_size, &store, &pool);
   for (auto _ : state) {
-    encoder.append(block);
+    encoder.append_all(block);  // one block per batch, one worker
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -93,15 +95,20 @@ void BM_AeSingleFailureRepair(benchmark::State& state) {
                                        : CodeParams(alpha, 2, 5);
   Rng rng(3);
   InMemoryBlockStore store;
-  Encoder encoder(params, block_size, &store);
+  pipeline::ThreadPool pool(1);
   const std::uint64_t n = 256;
-  for (std::uint64_t i = 0; i < n; ++i)
-    encoder.append(rng.random_block(block_size));
-  Decoder decoder(params, n, block_size, &store);
+  {
+    std::vector<Bytes> blocks;
+    for (std::uint64_t i = 0; i < n; ++i)
+      blocks.push_back(rng.random_block(block_size));
+    pipeline::ParallelEncoder encoder(params, block_size, &store, &pool);
+    encoder.append_all(blocks);
+  }
+  pipeline::ParallelRepairer repairer(params, n, block_size, &store, &pool);
   NodeIndex victim = 100;
   for (auto _ : state) {
     store.erase(BlockKey::data(victim));
-    auto repaired = decoder.try_repair_node(victim);
+    auto repaired = repairer.read_node(victim);
     benchmark::DoNotOptimize(repaired);
     victim = victim % 200 + 20;  // wander around the lattice interior
   }
@@ -166,10 +173,13 @@ void BM_TamperScan(benchmark::State& state) {
   const CodeParams params(3, 2, 5);
   Rng rng(6);
   InMemoryBlockStore store;
-  Encoder encoder(params, block_size, &store);
   const std::uint64_t n = 500;
+  std::vector<Bytes> blocks;
   for (std::uint64_t i = 0; i < n; ++i)
-    encoder.append(rng.random_block(block_size));
+    blocks.push_back(rng.random_block(block_size));
+  pipeline::ThreadPool pool(1);
+  pipeline::ParallelEncoder encoder(params, block_size, &store, &pool);
+  encoder.append_all(blocks);
   const Lattice lattice = encoder.lattice();
   for (auto _ : state) {
     auto scan = scan_for_tampering(store, lattice, block_size);

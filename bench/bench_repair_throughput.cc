@@ -1,7 +1,7 @@
-// Repair throughput: serial Decoder::repair_all vs the wave-parallel
-// ParallelRepairer at 1/2/4/8 threads, for random and burst erasures
-// (paper §V: rounds are the serial dependency; within a round every
-// repair is an independent XOR of two available blocks).
+// Repair throughput: the wave-parallel ParallelRepairer at 1/2/4/8
+// threads, for random and burst erasures (paper §V: rounds are the
+// serial dependency; within a round every repair is an independent XOR
+// of two available blocks).
 //
 // Two backend sections:
 //   · in-memory ConcurrentBlockStore (pure compute scaling);
@@ -10,16 +10,19 @@
 //     (per-shard mutexes + batched wave I/O), which is where sharding
 //     shows up at > 1 thread.
 //
-// Prints repaired MB/s, the round count, and the speedup over the serial
-// baseline, and cross-checks that every parallel store is byte-identical
-// to the serially repaired one (same repaired set, same residue) before
-// reporting. Scaling is bounded by min(per-round width, threads, cores),
-// so read the speedups against the machine's hardware threads (printed
-// first; hw_cores in every JSON row).
+// Prints repaired MB/s, the round count, and the speedup over the
+// backend's own one-thread row (the serial case). Before reporting, every
+// repaired store is checked against the pristine lattice — each block
+// present is the original, exactly the reported residue is missing — and
+// every multi-thread run must report the same rounds and counts as the
+// one-thread run. Scaling is bounded by min(per-round width, threads,
+// cores), so read the speedups against the machine's hardware threads
+// (printed first; hw_cores in every JSON row).
 //
 //   bench_repair_throughput [blocks] [block_size] [--json]
 //   (default 20000 4096; --json emits one JSON object per measurement
-//   and suppresses the tables — the cross-PR perf-tracking format)
+//   and suppresses the tables — the cross-PR perf-tracking format; its
+//   `speedup` is likewise relative to the backend's t=1 row)
 #include <unistd.h>
 
 #include <chrono>
@@ -27,14 +30,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 
 #include "common/rng.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
 #include "core/codec/file_block_store.h"
 #include "pipeline/concurrent_block_store.h"
+#include "pipeline/parallel_encoder.h"
 #include "pipeline/parallel_repairer.h"
 
 namespace {
@@ -106,25 +110,43 @@ const ErasurePattern kPatterns[] = {
     {"burst 10%", &erase_burst},
 };
 
-bool stores_match(const InMemoryBlockStore& expected,
-                  const BlockStore& actual) {
-  if (expected.size() != actual.size()) return false;
+/// Ground truth for a repaired store: every block still present is the
+/// pristine block, and exactly the report's residue is missing.
+bool matches_pristine(const InMemoryBlockStore& pristine,
+                      const BlockStore& store, const RepairReport& report) {
+  std::uint64_t missing = 0;
   bool ok = true;
-  expected.for_each([&](const BlockKey& key, const Bytes& value) {
-    const auto copy = actual.get_copy(key);
-    if (!copy || *copy != value) ok = false;
+  pristine.for_each([&](const BlockKey& key, const Bytes& value) {
+    const auto copy = store.get_copy(key);
+    if (!copy)
+      ++missing;
+    else if (*copy != value)
+      ok = false;
   });
-  return ok;
+  return ok && store.size() == pristine.size() - missing &&
+         missing == report.nodes_unrecovered + report.edges_unrecovered;
+}
+
+bool same_report(const RepairReport& a, const RepairReport& b) {
+  return a.rounds == b.rounds &&
+         a.nodes_repaired_per_round == b.nodes_repaired_per_round &&
+         a.edges_repaired_per_round == b.edges_repaired_per_round &&
+         a.nodes_unrecovered == b.nodes_unrecovered &&
+         a.edges_unrecovered == b.edges_unrecovered;
 }
 
 InMemoryBlockStore encode_pristine(const CodeParams& params,
                                    std::size_t count,
                                    std::size_t block_size) {
-  InMemoryBlockStore pristine;
-  Encoder enc(params, block_size, &pristine);
   Rng rng(2026);
+  std::vector<Bytes> blocks;
+  blocks.reserve(count);
   for (std::size_t i = 0; i < count; ++i)
-    enc.append(rng.random_block(block_size));
+    blocks.push_back(rng.random_block(block_size));
+  InMemoryBlockStore pristine;
+  pipeline::ThreadPool pool(1);
+  pipeline::ParallelEncoder encoder(params, block_size, &pristine, &pool);
+  encoder.append_all(blocks);
   return pristine;
 }
 
@@ -143,142 +165,93 @@ void fill_from(const InMemoryBlockStore& pristine, BlockStore& store) {
   if (!batch.empty()) store.put_batch(std::move(batch));
 }
 
-/// Serial Decoder baseline over a private InMemory copy; also the
-/// byte-identity oracle every parallel run is compared against.
-struct SerialBaseline {
-  InMemoryBlockStore repaired;
-  RepairReport report;
-  std::uint64_t erased = 0;
+/// Builds the empty store of one measurement (called once per thread
+/// count, after the previous measurement's store is gone).
+using StoreFactory = std::function<std::unique_ptr<BlockStore>()>;
+
+/// One backend × pattern: a fresh damaged copy of `pristine` per thread
+/// count, repaired and checked; the one-thread row is the baseline.
+void measure(const CodeParams& params, std::size_t count,
+             std::size_t block_size, const InMemoryBlockStore& pristine,
+             const ErasurePattern& pattern, const char* backend,
+             const StoreFactory& make_store) {
+  const Lattice lat(params, count, Lattice::Boundary::kOpen);
+  RepairReport baseline;
+  double baseline_wall = 0.0;
   double repaired_mb = 0.0;
-};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}, std::size_t{8}}) {
+    const std::unique_ptr<BlockStore> store = make_store();
+    fill_from(pristine, *store);
+    const std::uint64_t erased = pattern.apply(lat, *store);
+    store->drop_payload_cache();
 
-SerialBaseline run_serial(const CodeParams& params, std::size_t count,
-                          std::size_t block_size, const Lattice& lat,
-                          const InMemoryBlockStore& pristine,
-                          const ErasurePattern& pattern) {
-  SerialBaseline base;
-  pristine.for_each([&](const BlockKey& key, const Bytes& value) {
-    base.repaired.put(key, value);
-  });
-  base.erased = pattern.apply(lat, base.repaired);
-  Decoder dec(params, count, block_size, &base.repaired);
-  base.report = dec.repair_all();
-  base.repaired_mb =
-      static_cast<double>(base.report.blocks_repaired_total() * block_size) /
-      (1024.0 * 1024.0);
-  return base;
-}
-
-void report_one(const CodeParams& params, const ErasurePattern& pattern,
-                const SerialBaseline& base, const char* backend,
-                std::size_t threads, double wall, bool identical,
-                std::uint32_t rounds) {
-  if (g_json) {
-    print_json(params.name(), pattern.name, backend, threads,
-               base.repaired_mb / wall, base.report.wall_seconds / wall,
-               rounds, identical);
-  } else {
-    std::printf("  %-22s ×%zu thread%s %8.1f MB/s   %5.2fx  %s\n", backend,
-                threads, threads == 1 ? " " : "s", base.repaired_mb / wall,
-                base.report.wall_seconds / wall,
-                identical ? "byte-identical" : "MISMATCH!");
+    pipeline::ThreadPool pool(threads);
+    pipeline::ParallelRepairer repairer(params, count, block_size,
+                                        store.get(), &pool);
+    const auto start = Clock::now();
+    const RepairReport report = repairer.repair_all();
+    const double wall = seconds_since(start);
+    const bool correct = matches_pristine(pristine, *store, report) &&
+                         (threads == 1 || same_report(report, baseline));
+    if (threads == 1) {
+      baseline = report;
+      baseline_wall = wall;
+      repaired_mb =
+          static_cast<double>(report.blocks_repaired_total() * block_size) /
+          (1024.0 * 1024.0);
+      if (!g_json)
+        std::printf("\n%s — %s, %s: %llu erased, %llu repaired (%.1f MiB), "
+                    "%u round(s), %llu unrecovered\n",
+                    params.name().c_str(), pattern.name, backend,
+                    static_cast<unsigned long long>(erased),
+                    static_cast<unsigned long long>(
+                        report.blocks_repaired_total()),
+                    repaired_mb, report.rounds,
+                    static_cast<unsigned long long>(
+                        report.nodes_unrecovered + report.edges_unrecovered));
+    }
+    if (g_json) {
+      print_json(params.name(), pattern.name, backend, threads,
+                 repaired_mb / wall, baseline_wall / wall, report.rounds,
+                 correct);
+    } else {
+      std::printf("  %-22s ×%zu thread%s %8.1f MB/s   %5.2fx  %s\n", backend,
+                  threads, threads == 1 ? " " : "s", repaired_mb / wall,
+                  baseline_wall / wall, correct ? "correct" : "MISMATCH!");
+    }
+    if (!correct) std::exit(1);
   }
-  if (!identical) std::exit(1);
 }
 
 void run_memory(const CodeParams& params, std::size_t count,
                 std::size_t block_size) {
   const InMemoryBlockStore pristine =
       encode_pristine(params, count, block_size);
-  const Lattice lat(params, count, Lattice::Boundary::kOpen);
-
-  for (const ErasurePattern& pattern : kPatterns) {
-    const SerialBaseline base =
-        run_serial(params, count, block_size, lat, pristine, pattern);
-    if (g_json) {
-      print_json(params.name(), pattern.name, "serial-decoder", 1,
-                 base.repaired_mb / base.report.wall_seconds, 1.0,
-                 base.report.rounds, true);
-    } else {
-      std::printf("\n%s — %s: %llu erased, %llu repaired (%.1f MiB), "
-                  "%u round(s), %llu unrecovered\n",
-                  params.name().c_str(), pattern.name,
-                  static_cast<unsigned long long>(base.erased),
-                  static_cast<unsigned long long>(
-                      base.report.blocks_repaired_total()),
-                  base.repaired_mb, base.report.rounds,
-                  static_cast<unsigned long long>(
-                      base.report.nodes_unrecovered +
-                      base.report.edges_unrecovered));
-      std::printf("  %-32s %8.1f MB/s\n", "serial Decoder",
-                  base.repaired_mb / base.report.wall_seconds);
-    }
-
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{4}, std::size_t{8}}) {
-      pipeline::ConcurrentBlockStore store;
-      fill_from(pristine, store);
-      pattern.apply(lat, store);
-      pipeline::ThreadPool pool(threads);
-      pipeline::ParallelRepairer repairer(params, count, block_size,
-                                          &store, &pool);
-      const auto start = Clock::now();
-      const RepairReport report = repairer.repair_all();
-      const double wall = seconds_since(start);
-      const bool identical = report.rounds == base.report.rounds &&
-                             stores_match(base.repaired, store);
-      report_one(params, pattern, base, "mem-concurrent", threads, wall,
-                 identical, report.rounds);
-    }
-  }
+  for (const ErasurePattern& pattern : kPatterns)
+    measure(params, count, block_size, pristine, pattern, "mem-concurrent",
+            [] { return std::make_unique<pipeline::ConcurrentBlockStore>(); });
 }
 
 void run_file_backed(const CodeParams& params, std::size_t count,
                      std::size_t block_size) {
   const InMemoryBlockStore pristine =
       encode_pristine(params, count, block_size);
-  const Lattice lat(params, count, Lattice::Boundary::kOpen);
-  const fs::path base_dir =
-      fs::temp_directory_path() /
-      ("aec_bench_repair_" + std::to_string(::getpid()));
-  fs::remove_all(base_dir);
-
+  const fs::path root = fs::temp_directory_path() /
+                        ("aec_bench_repair_" + std::to_string(::getpid()));
   for (const ErasurePattern& pattern : kPatterns) {
-    const SerialBaseline base =
-        run_serial(params, count, block_size, lat, pristine, pattern);
-    if (!g_json)
-      std::printf("\n%s — %s, file-backed (%zu blocks):\n",
-                  params.name().c_str(), pattern.name, count);
-
     for (const bool sharded : {false, true}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                        std::size_t{4}, std::size_t{8}}) {
-        const fs::path root = base_dir / (std::string(pattern.name) + "_" +
-                                          (sharded ? "sharded" : "file") +
-                                          "_" + std::to_string(threads));
-        auto store = sharded ? std::make_unique<FileBlockStore>(root, 8)
-                             : std::make_unique<FileBlockStore>(root);
-        fill_from(pristine, *store);
-        pattern.apply(lat, *store);
-        store->drop_payload_cache();
-
-        pipeline::ThreadPool pool(threads);
-        pipeline::ParallelRepairer repairer(params, count, block_size,
-                                            store.get(), &pool);
-        const auto start = Clock::now();
-        const RepairReport report = repairer.repair_all();
-        const double wall = seconds_since(start);
-        const bool identical = report.rounds == base.report.rounds &&
-                               stores_match(base.repaired, *store);
-        report_one(params, pattern, base,
-                   sharded ? "sharded-file(8)" : "file", threads, wall,
-                   identical, report.rounds);
-        store.reset();
-        fs::remove_all(root);  // one config's files on disk at a time
-      }
+      // One configuration's files on disk at a time.
+      measure(params, count, block_size, pristine, pattern,
+              sharded ? "sharded-file(8)" : "file",
+              [&]() -> std::unique_ptr<BlockStore> {
+                fs::remove_all(root);
+                if (sharded) return std::make_unique<FileBlockStore>(root, 8);
+                return std::make_unique<FileBlockStore>(root);
+              });
     }
   }
-  fs::remove_all(base_dir);
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -7,9 +7,10 @@
 // verifier pinpointing it, and prices the full cover-up.
 #include <cstdio>
 
+#include "api/engine.h"
 #include "common/rng.h"
-#include "core/codec/encoder.h"
 #include "core/codec/tamper.h"
+#include "pipeline/concurrent_block_store.h"
 
 int main() {
   using namespace aec;
@@ -18,19 +19,22 @@ int main() {
   constexpr std::size_t kBlockSize = 256;
   constexpr std::uint64_t kBlocks = 60;
 
-  InMemoryBlockStore store;
-  Encoder encoder(params, kBlockSize, &store);
+  pipeline::ConcurrentBlockStore store;
+  const auto session = Engine::serial()->open_session(
+      make_codec(params.name()), &store, kBlockSize);
   Rng rng(9);
+  std::vector<Bytes> blocks;
   for (std::uint64_t i = 0; i < kBlocks; ++i)
-    encoder.append(rng.random_block(kBlockSize));
-  const Lattice lattice = encoder.lattice();
+    blocks.push_back(rng.random_block(kBlockSize));
+  session->append(blocks);
+  const Lattice lattice(params, kBlocks, Lattice::Boundary::kOpen);
 
   auto scan = scan_for_tampering(store, lattice, kBlockSize);
   std::printf("clean archive: %zu inconsistent parities, %zu suspects\n",
               scan.inconsistent_parities.size(), scan.suspect_nodes.size());
 
   // An attacker silently modifies d26.
-  Bytes forged = *store.find(BlockKey::data(26));
+  Bytes forged = *store.get_copy(BlockKey::data(26));
   forged[0] ^= 0x80;
   store.put(BlockKey::data(26), forged);
 

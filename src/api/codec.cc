@@ -6,9 +6,10 @@
 #include "common/check.h"
 #include "core/codec/block_key.h"
 #include "core/codec/block_store.h"
-#include "core/codec/encoder.h"
 #include "core/codec/repair_planner.h"
 #include "core/lattice/lattice.h"
+#include "pipeline/parallel_encoder.h"
+#include "pipeline/parallel_repairer.h"
 
 namespace aec {
 
@@ -75,8 +76,11 @@ double AeCodec::storage_overhead_percent() const {
 
 std::vector<Bytes> AeCodec::encode(const std::vector<Bytes>& data) const {
   const std::size_t block_size = uniform_block_size(data);
+  // One worker: the group is one strand-scheduled batch on a private,
+  // unsynchronized store (the coordinator waits at the batch barrier).
   InMemoryBlockStore store;
-  Encoder encoder(params_, block_size, &store);
+  pipeline::ThreadPool pool(1);
+  pipeline::ParallelEncoder encoder(params_, block_size, &store, &pool);
   const std::vector<EncodeResult> sealed = encoder.append_all(data);
   std::vector<Bytes> parities;
   parities.reserve(data.size() * params_.classes().size());
@@ -157,14 +161,12 @@ std::optional<std::vector<Bytes>> AeCodec::repair(
     AEC_CHECK_MSG(!parts[part], "repair: erased part " << part
                                                        << " holds a payload");
 
-  const Lattice lattice(params_, n_data, Lattice::Boundary::kOpen);
-  const RepairPlanner planner(&lattice);
-  AvailabilityMap avail = planner.snapshot(store);
-  const RepairPlan plan = planner.plan(avail);
-  if (!plan.residue.empty()) return std::nullopt;
-  for (const auto& wave : plan.waves)
-    for (const RepairStep& step : wave)
-      store.put(step.key, reconstruct_step(lattice, store, block_size, step));
+  pipeline::ThreadPool pool(1);
+  pipeline::ParallelRepairer repairer(params_, n_data, block_size, &store,
+                                      &pool);
+  const RepairReport report = repairer.repair_all();
+  if (report.nodes_unrecovered + report.edges_unrecovered != 0)
+    return std::nullopt;
 
   std::vector<Bytes> rebuilt;
   rebuilt.reserve(erased.size());

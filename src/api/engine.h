@@ -1,11 +1,10 @@
 // Engine — the execution facade of the library.
 //
 // An Engine is one ThreadPool of a chosen size, and the thread count is
-// its only setting. Everything that used to take a bare `threads` count
-// (Archive, aectool, the serial/parallel Encoder/Repairer pair
-// selection) takes an Engine: serial execution IS a 1-thread engine, so
-// there is exactly one code path and the stored bytes are identical at
-// every thread count.
+// its only setting. Everything that sizes execution (Archive, aectool,
+// aecd) takes an Engine: serial execution IS a 1-thread engine, so there
+// is exactly one code path (ParallelEncoder/ParallelRepairer for AE) and
+// the stored bytes are identical at every thread count.
 //
 // open_session() is the single dispatch point from a Codec to its
 // executor: streaming codecs (AE) get the lattice pipeline, striped

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <memory>
 
 #include "common/check.h"
-#include "core/codec/block_store.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
+#include "core/codec/block_key.h"
+#include "core/codec/repair_planner.h"
 
 namespace aec {
 
@@ -242,9 +240,10 @@ bool verify_minimal_erasure(const CodeParams& params,
                             const ErasurePattern& pattern) {
   if (pattern.nodes.empty()) return false;
 
-  // Materialize a real store covering the pattern plus margin, erase the
-  // pattern, and check the two minimal-erasure properties with the byte
-  // decoder.
+  // Mark the pattern missing on a lattice covering it plus margin, and
+  // check the two minimal-erasure properties against the planner's
+  // fixpoint. Pattern blocks outside the lattice's key set are never
+  // stored, so they cannot be missing either.
   NodeIndex max_index = 0;
   for (NodeIndex n : pattern.nodes) max_index = std::max(max_index, n);
   for (const Edge& e : pattern.edges) max_index = std::max(max_index, e.tail);
@@ -253,26 +252,23 @@ bool verify_minimal_erasure(const CodeParams& params,
           ? 8
           : 2 * static_cast<std::int64_t>(params.s()) * params.p() + 8;
   const auto n_nodes = static_cast<std::uint64_t>(max_index + margin);
+  const Lattice lattice(params, n_nodes, Lattice::Boundary::kOpen);
+  const RepairPlanner planner(&lattice);
 
-  const std::size_t block_size = 1;
-  auto build_store = [&](const ErasurePattern& erased) {
-    auto store = std::make_unique<InMemoryBlockStore>();
-    Encoder encoder(params, block_size, store.get());
-    for (std::uint64_t i = 0; i < n_nodes; ++i)
-      encoder.append(Bytes{static_cast<std::uint8_t>(i * 131 + 7)});
-    for (NodeIndex node : erased.nodes) store->erase(BlockKey::data(node));
-    for (const Edge& e : erased.edges) store->erase(BlockKey::parity(e));
-    return store;
+  // Blocks the fixpoint repairs once `erased` is missing.
+  auto repaired = [&](const ErasurePattern& erased) {
+    AvailabilityMap avail(params, n_nodes);
+    const auto mark_missing = [&](const BlockKey& key) {
+      if (lattice_expects(params, n_nodes, key)) avail.set(key, false);
+    };
+    for (NodeIndex node : erased.nodes) mark_missing(BlockKey::data(node));
+    for (const Edge& e : erased.edges) mark_missing(BlockKey::parity(e));
+    const RepairPlan plan = planner.plan(avail);
+    return plan.nodes_planned + plan.edges_planned;
   };
 
   // (a) Nothing in the pattern is recoverable.
-  {
-    auto store = build_store(pattern);
-    Decoder decoder(params, n_nodes, block_size, store.get());
-    const RepairReport report = decoder.repair_all();
-    if (report.nodes_repaired_total + report.edges_repaired_total != 0)
-      return false;
-  }
+  if (repaired(pattern) != 0) return false;
 
   // (b) Irreducible: dropping any single block unlocks some repair.
   const std::size_t total =
@@ -284,11 +280,7 @@ bool verify_minimal_erasure(const CodeParams& params,
     for (std::size_t j = 0; j < pattern.edges.size(); ++j)
       if (j + pattern.nodes.size() != skip)
         reduced.edges.push_back(pattern.edges[j]);
-    auto store = build_store(reduced);
-    Decoder decoder(params, n_nodes, block_size, store.get());
-    const RepairReport report = decoder.repair_all();
-    if (report.nodes_repaired_total + report.edges_repaired_total == 0)
-      return false;
+    if (repaired(reduced) == 0) return false;
   }
   return true;
 }

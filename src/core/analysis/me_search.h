@@ -70,10 +70,11 @@ class MinimalErasureSearch {
   std::int64_t window_;     // node-offset search window
 };
 
-/// Independent check with the byte decoder: (a) the fixpoint recovers no
-/// block of the pattern; (b) removing any single block makes some erased
-/// block recoverable. This is the executable replacement for the paper's
-/// Prolog verification.
+/// Independent check with the repair planner the byte codec executes
+/// (RepairPlanner::plan, the synchronous-round fixpoint): (a) the
+/// fixpoint recovers no block of the pattern; (b) removing any single
+/// block makes some erased block recoverable. This is the executable
+/// replacement for the paper's Prolog verification.
 bool verify_minimal_erasure(const CodeParams& params,
                             const ErasurePattern& pattern);
 

@@ -1,10 +1,11 @@
 // Block storage abstraction. The codec is storage-agnostic (paper §III-B
 // "Implementation Details": client-, middleware- or backend-based); this
-// header ships the unsynchronized in-memory implementation used by the
-// serial Encoder/Decoder, tests, examples and simulations. The stores a
-// session runs on synchronize themselves (pipeline::ConcurrentBlockStore,
-// FileBlockStore, cluster::ClusterStore); they live in their own headers
-// and are constructed by name through the StoreRegistry.
+// header ships the unsynchronized in-memory implementation, which backs
+// one-worker pipelines outside sessions (AeCodec::encode/repair), tests
+// and simulations. The stores a session runs on synchronize themselves
+// (pipeline::ConcurrentBlockStore, FileBlockStore,
+// cluster::ClusterStore); they live in their own headers and are
+// constructed by name through the StoreRegistry.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +88,8 @@ class BlockStore {
 
   /// True when every operation is safe to call concurrently (find()'s
   /// pointer caveat aside). Engine::open_session accepts only stores
-  /// answering true; InMemoryBlockStore answers false and serves the
-  /// serial Encoder/Decoder, simulations and tests.
+  /// answering true; InMemoryBlockStore answers false and serves
+  /// one-worker pools, simulations and tests.
   virtual bool thread_safe() const noexcept { return false; }
 
   /// Drops any payload cache the store keeps (presence metadata stays).

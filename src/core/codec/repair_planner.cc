@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "common/check.h"
-#include "common/xor_engine.h"
 #include "core/codec/availability_index.h"
 
 namespace aec {
@@ -22,7 +21,7 @@ bool in_lattice(const Lattice& lat, const BlockKey& key) {
 
 // Lazy availability view over a live store: presence is probed on first
 // touch and memoized, plan-time repairs shadow the store. Gives the
-// radius-scoped queries (plan_for_target, plan_node/edge_repair) a cost
+// radius-scoped queries (plan_for_target, plan_node_repair) a cost
 // proportional to the blocks actually examined instead of the lattice.
 class LazyAvailability {
  public:
@@ -213,16 +212,6 @@ bool RepairPlanner::node_repairable(NodeIndex i,
   return node_step_impl(*lattice_, i, avail).has_value();
 }
 
-bool RepairPlanner::edge_repairable(Edge e,
-                                    const AvailabilityMap& avail) const {
-  return edge_step_impl(*lattice_, e, avail).has_value();
-}
-
-bool RepairPlanner::edge_adjacent_to_missing_data(
-    Edge e, const AvailabilityMap& avail) const {
-  return edge_adjacent_to_missing_data_impl(*lattice_, e, avail);
-}
-
 RepairPlan RepairPlanner::plan(AvailabilityMap& avail, RepairPolicy policy,
                                std::uint32_t max_rounds) const {
   // Missing set in stable block order (data first, then parities per
@@ -253,12 +242,6 @@ std::optional<RepairStep> RepairPlanner::plan_node_repair(
     const BlockStore& store, NodeIndex i) const {
   const LazyAvailability avail(store);
   return node_step_impl(*lattice_, i, avail);
-}
-
-std::optional<RepairStep> RepairPlanner::plan_edge_repair(
-    const BlockStore& store, Edge e) const {
-  const LazyAvailability avail(store);
-  return edge_step_impl(*lattice_, e, avail);
 }
 
 std::optional<RepairPlan> RepairPlanner::plan_for_target(
@@ -316,13 +299,6 @@ std::optional<RepairPlan> RepairPlanner::plan_for_target(
 
 RepairReport execute_repair_plan(
     const RepairPlanner& planner, const BlockStore& store,
-    std::uint32_t max_rounds,
-    const std::function<void(const std::vector<RepairStep>&)>& run_wave) {
-  return execute_repair_plan(planner, store, nullptr, max_rounds, run_wave);
-}
-
-RepairReport execute_repair_plan(
-    const RepairPlanner& planner, const BlockStore& store,
     const AvailabilityIndex* index, std::uint32_t max_rounds,
     const std::function<void(const std::vector<RepairStep>&)>& run_wave) {
   const auto start = std::chrono::steady_clock::now();
@@ -373,21 +349,6 @@ RepairStepInputs repair_step_inputs(const Lattice& lattice,
   return RepairStepInputs{
       .input = BlockKey::data(j),
       .other = BlockKey::parity(lattice.output_edge(j, e.cls))};
-}
-
-Bytes reconstruct_step(const Lattice& lattice, const BlockStore& store,
-                       std::size_t block_size, const RepairStep& step) {
-  const auto fetch = [&](const BlockKey& key) {
-    auto copy = store.get_copy(key);
-    AEC_CHECK_MSG(copy.has_value(), "repair step input "
-                                        << to_string(key)
-                                        << " missing from store");
-    return std::move(*copy);
-  };
-  const RepairStepInputs inputs = repair_step_inputs(lattice, step);
-  Bytes acc = inputs.input ? fetch(*inputs.input) : Bytes(block_size, 0);
-  xor_into(acc, fetch(inputs.other));
-  return acc;
 }
 
 }  // namespace aec

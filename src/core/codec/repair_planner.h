@@ -11,15 +11,16 @@
 // residue that no wave can reach.
 //
 // Planning is a pure availability computation — no payload bytes. That is
-// what lets the byte codec (Decoder, ParallelRepairer; open lattices) and
-// the disaster simulation (sim::AeScheme; closed lattices) share one
-// implementation: simulated round counts and real repair rounds cannot
-// drift apart. Each planned step also records *how* to reconstruct the
-// block (which strand for a node, which side for a parity), chosen
-// against wave-start availability, so executors — serial or parallel —
-// never consult availability again and never read a block written in the
-// same wave. Any valid reconstruction path yields the same bytes, so the
-// executed result is byte-identical to the historical sequential repair.
+// what lets the byte codec (ParallelRepairer; open lattices), the
+// minimal-erasure analysis and the disaster simulation (sim::AeScheme;
+// closed lattices) share one implementation: simulated round counts and
+// real repair rounds cannot drift apart. Each planned step also records
+// *how* to reconstruct the block (which strand for a node, which side for
+// a parity), chosen against wave-start availability, so the executor —
+// at any worker count — never consults availability again and never
+// reads a block written in the same wave. Any valid reconstruction path
+// yields the same bytes, so the executed result does not depend on the
+// path chosen.
 #pragma once
 
 #include <array>
@@ -163,15 +164,6 @@ class RepairPlanner {
   /// open-lattice bootstrap input counts as present).
   bool node_repairable(NodeIndex i, const AvailabilityMap& avail) const;
 
-  /// p_{i,j} is one XOR away: tail side (d_i + input parity) or head side
-  /// (d_j + successor parity).
-  bool edge_repairable(Edge e, const AvailabilityMap& avail) const;
-
-  /// Minimal-maintenance filter: the parity is part of a data repair's
-  /// dependency chain, i.e. adjacent to a missing data block.
-  bool edge_adjacent_to_missing_data(Edge e,
-                                     const AvailabilityMap& avail) const;
-
   /// Computes the full wave schedule from `avail`, which is advanced to
   /// the resulting fixpoint state (useful for post-repair censuses).
   /// max_rounds = 0 means unlimited.
@@ -201,33 +193,23 @@ class RepairPlanner {
   std::optional<RepairPlan> plan_for_target(const BlockStore& store,
                                             NodeIndex target) const;
 
-  /// Single-block plan queries against live store availability (lazy,
-  /// local probes): the one-XOR step that would repair d_i / p_{i,j}
-  /// right now, or nullopt. These are the planner-side source of truth
-  /// for Decoder::try_repair_node / try_repair_edge.
+  /// Single-block plan query against live store availability (lazy,
+  /// local probes): the one-XOR step that would repair d_i right now, or
+  /// nullopt — the read path's window repair collects these into one
+  /// wave.
   std::optional<RepairStep> plan_node_repair(const BlockStore& store,
                                              NodeIndex i) const;
-  std::optional<RepairStep> plan_edge_repair(const BlockStore& store,
-                                             Edge e) const;
 
  private:
   const Lattice* lattice_;
 };
 
-/// Shared repair_all flow (serial Decoder and ParallelRepairer):
-/// snapshot → plan (kFull) → run every wave through `run_wave` →
-/// report stamped with wall time. Keeping the flow in one place is what
-/// keeps the serial and parallel reports structurally identical.
-RepairReport execute_repair_plan(
-    const RepairPlanner& planner, const BlockStore& store,
-    std::uint32_t max_rounds,
-    const std::function<void(const std::vector<RepairStep>&)>& run_wave);
-
-/// Same flow planned from an AvailabilityIndex when one is attached
-/// (`index` non-null): snapshot and missing set come from the index —
-/// O(damage) — instead of a full store scan. Null `index` falls back to
-/// the scanning overload. The plans (and therefore the executed bytes,
-/// waves and residue) are identical either way.
+/// The repair_all flow: snapshot → plan (kFull) → run every wave
+/// through `run_wave` → report stamped with wall time. With an
+/// AvailabilityIndex attached (`index` non-null) the snapshot and missing
+/// set come from the index — O(damage) — instead of a full store scan;
+/// the plans (and therefore the executed bytes, waves and residue) are
+/// identical either way.
 RepairReport execute_repair_plan(
     const RepairPlanner& planner, const BlockStore& store,
     const AvailabilityIndex* index, std::uint32_t max_rounds,
@@ -243,14 +225,5 @@ struct RepairStepInputs {
 /// Resolves the keys a step reads, per its recorded strand/side choice.
 RepairStepInputs repair_step_inputs(const Lattice& lattice,
                                     const RepairStep& step);
-
-/// Executes one planned step against a byte store: fetches the two input
-/// blocks the plan chose (via get_copy, so thread-safe stores make this
-/// callable from concurrent wave workers) and returns their XOR. The
-/// inputs are guaranteed present if all earlier waves were applied.
-/// Serial executors holding the only reference to the store can skip the
-/// defensive copies by XORing find() pointers over repair_step_inputs().
-Bytes reconstruct_step(const Lattice& lattice, const BlockStore& store,
-                       std::size_t block_size, const RepairStep& step);
 
 }  // namespace aec

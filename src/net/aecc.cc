@@ -260,7 +260,13 @@ int run(Args args) {
                    text.c_str());
       usage();
     }
-    config.port = static_cast<std::uint16_t>(std::stoul(text));
+    const unsigned long port = std::stoul(text);
+    if (port < 1 || port > 65535) {
+      std::fprintf(stderr, "error: --port must be in [1, 65535], got %s\n",
+                   text.c_str());
+      usage();
+    }
+    config.port = static_cast<std::uint16_t>(port);
   }
   const auto host_it = args.options.find("--host");
   if (host_it != args.options.end()) config.host = host_it->second;

@@ -45,7 +45,7 @@ namespace {
       "  --root DIR             archive to serve (required)\n"
       "  --port P               TCP port (default 0 = ephemeral)\n"
       "  --bind ADDR            bind address (default 127.0.0.1)\n"
-      "  --threads N            engine worker threads (default 1)\n"
+      "  --threads N            engine worker threads, 1..1024 (default 1)\n"
       "  --max-inflight N       admission limit (default 64)\n"
       "  --idle-timeout-ms N    idle connection sweep (default 60000,"
       " 0 = off)\n"
@@ -68,6 +68,20 @@ std::uint64_t parse_number(const std::string& key, const std::string& text) {
     usage();
   }
   return std::stoull(text);
+}
+
+/// parse_number() restricted to [lo, hi]: out-of-range values exit 2
+/// instead of wrapping when cast to the option's narrower type.
+std::uint64_t parse_bounded(const std::string& key, const std::string& text,
+                            std::uint64_t lo, std::uint64_t hi) {
+  const std::uint64_t value = parse_number(key, text);
+  if (value < lo || value > hi) {
+    std::fprintf(stderr, "error: %s must be in [%llu, %llu], got %s\n",
+                 key.c_str(), static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), text.c_str());
+    usage();
+  }
+  return value;
 }
 
 int run(int argc, char** argv) {
@@ -94,11 +108,12 @@ int run(int argc, char** argv) {
     if (key == "--root") {
       continue;
     } else if (key == "--port") {
-      config.port = static_cast<std::uint16_t>(parse_number(key, value));
+      config.port =
+          static_cast<std::uint16_t>(parse_bounded(key, value, 0, 65535));
     } else if (key == "--bind") {
       config.bind_address = value;
     } else if (key == "--threads") {
-      threads = static_cast<std::size_t>(parse_number(key, value));
+      threads = static_cast<std::size_t>(parse_bounded(key, value, 1, 1024));
     } else if (key == "--max-inflight") {
       config.max_inflight = static_cast<std::size_t>(parse_number(key, value));
     } else if (key == "--idle-timeout-ms") {
@@ -106,7 +121,7 @@ int run(int argc, char** argv) {
     } else if (key == "--port-file") {
       port_file = value;
     } else if (key == "--http-port") {
-      config.http_port = static_cast<int>(parse_number(key, value));
+      config.http_port = static_cast<int>(parse_bounded(key, value, 0, 65535));
     } else if (key == "--http-port-file") {
       http_port_file = value;
     } else if (key == "--log-level") {

@@ -1,4 +1,13 @@
-// Strand-scheduled multi-threaded entanglement (paper §V-B, Fig 10).
+// Strand-scheduled entanglement (paper §III-B encoder, §V-B Fig 10
+// schedule) — the library's one AE encoder; a one-worker pool is the
+// serial case.
+//
+// Entangling d_i computes, for each of its α strands, p_{i,j} = d_i XOR
+// p_{h,i}, where p_{h,i} is the strand head — the most recent parity of
+// that strand instance (the zero block at strand bootstrap). The encoder
+// keeps exactly s + (α−1)·p head blocks in memory (paper §IV-A);
+// everything else lives in the BlockStore, and after a crash the heads
+// are re-fetched from it.
 //
 // The paper's full writes seal a column's s buckets as one wave: the
 // validity condition p ≥ s makes the α·s strand instances a column
@@ -9,7 +18,7 @@
 // independent XOR chain over read-only data blocks, so one worker task
 // walks one strand across the entire window and the only barrier is at
 // the end of the batch. Same operations, same per-strand order, so the
-// output is byte-identical to the serial Encoder.
+// stored bytes do not depend on the worker count or the batch split.
 //
 // Ownership discipline that makes that hold without any locking on the
 // hot path:
@@ -19,8 +28,12 @@
 //   · cache misses (fresh strands, crash recovery via drop_head_cache())
 //     are resolved by the coordinator *before* workers run, so workers
 //     never read the store — they only put().
-// The store must therefore have a thread-safe put() (every store a
-// session accepts does).
+// With more than one worker the store must therefore have a thread-safe
+// put() (every store a session accepts does). A one-worker pool works on
+// any store: the coordinator touches the store only while no task is in
+// flight and waits at the batch barrier, so store access never overlaps.
+// Tasks run in submission order there, so a one-block batch stores its α
+// parities in class order, then the data block.
 //
 // Error model: an exception in any task (e.g. a store write failure) is
 // rethrown on the coordinator at the batch barrier; the encoder is then
@@ -32,9 +45,21 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "core/codec/encoder.h"
+#include "core/codec/block_store.h"
+#include "core/lattice/lattice.h"
 #include "obs/metrics.h"
 #include "pipeline/thread_pool.h"
+
+namespace aec {
+
+/// Outcome of entangling one data block: its lattice position plus the α
+/// parities created ("sealed bucket" contents, paper §V-B).
+struct EncodeResult {
+  NodeIndex index = 0;
+  std::vector<Edge> parities;
+};
+
+}  // namespace aec
 
 namespace aec::pipeline {
 
@@ -42,17 +67,18 @@ class ParallelEncoder {
  public:
   /// Runs on the caller's worker `pool`, which must outlive the encoder
   /// and must not be waited on concurrently by another coordinator during
-  /// append_all (wait_idle is pool-global). `store` needs a thread-safe
-  /// put() and must outlive the encoder. `resume_count` > 0 resumes an
-  /// existing lattice (heads re-fetched from the store between batches,
-  /// on demand).
+  /// append_all (wait_idle is pool-global). `store` must outlive the
+  /// encoder and needs a thread-safe put() when the pool has more than
+  /// one worker. `resume_count` > 0 resumes an existing lattice (heads
+  /// re-fetched from the store between batches, on demand).
   ParallelEncoder(CodeParams params, std::size_t block_size,
                   BlockStore* store, ThreadPool* pool,
                   std::uint64_t resume_count = 0);
 
-  /// Entangles `blocks` in order. Results come back in input order,
-  /// parities in class order — exactly what Encoder::append_all returns,
-  /// and every stored block is byte-identical to the serial encoding.
+  /// Entangles `blocks` in order: stores each data block and its α
+  /// parities, advances the strand heads. Results come back in input
+  /// order, parities in class order. Throws CheckError on a block size
+  /// mismatch.
   std::vector<EncodeResult> append_all(const std::vector<Bytes>& blocks);
 
   const CodeParams& params() const noexcept { return params_; }

@@ -1,12 +1,14 @@
-// Wave-parallel repair executor (paper §V, Table VI, Figs 11–13).
+// Wave-parallel repair executor (paper §III-A repair rules, §V rounds,
+// Table VI, Figs 11–13) — the library's one AE repair executor; a
+// one-worker pool is the serial case.
 //
 // The RepairPlanner's waves are the repair-side analogue of the write
 // planner's full-write waves: wave w contains exactly the blocks whose
 // planned inputs are intact or repaired in waves < w, so the steps of a
 // wave are mutually independent single XORs. This executor dispatches
-// each wave across a ThreadPool with a barrier between waves and is
-// byte-identical to the serial Decoder::repair_all, including the
-// RepairReport round structure (both are projections of the same plan).
+// each wave across a ThreadPool with a barrier between waves. The
+// RepairReport is a projection of the plan, so the repaired bytes, the
+// round structure and the residue are the same at every worker count.
 //
 // Safety discipline (no locking on the hot path beyond the store's own):
 //   · every step's inputs were chosen by the planner against wave-start
@@ -42,9 +44,9 @@ class ParallelRepairer {
                    std::size_t block_size, BlockStore* store,
                    ThreadPool* pool);
 
-  /// Plans with the shared RepairPlanner, then executes each wave across
-  /// the worker pool. Same repaired bytes, same round counts and same
-  /// residue as the serial Decoder::repair_all.
+  /// Synchronous round-based repair of everything recoverable: plans
+  /// with the shared RepairPlanner, then executes each wave across the
+  /// worker pool. max_rounds caps the planned rounds (0 = unlimited).
   RepairReport repair_all(std::uint32_t max_rounds = 0 /* unlimited */);
 
   /// Attaches an incrementally maintained availability index (nullptr
@@ -56,10 +58,12 @@ class ParallelRepairer {
     avail_index_ = index;
   }
 
-  /// Parallel counterpart of Decoder::read_node: radius-scoped plan for
+  /// Returns the payload of d_i, repairing it through the shortest
+  /// available path when missing (paper Fig 2): radius-scoped plan for
   /// the target, the plan's pre-existing inputs prefetched into the
   /// store's cache in a few large batches, then the waves executed
-  /// across the pool. Returns nullopt when the block is irrecoverable.
+  /// across the pool. Repairs are persisted to the store. Returns
+  /// nullopt when the block is irrecoverable.
   ///
   /// `lookahead` > 1 is the streamed read's window repair: when d_i is
   /// missing, every missing data block of [i, i + lookahead) (clamped to

@@ -1,9 +1,11 @@
 #include "store/geo_backup.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "pipeline/parallel_repairer.h"
 
 namespace aec::store {
 
@@ -155,21 +157,24 @@ Broker::Broker(std::string user, CodeParams params, std::size_t block_size,
       placement_seed_(placement_seed) {
   AEC_CHECK_MSG(network_ != nullptr, "broker needs a network");
   store_ = std::make_unique<RoutingStore>(user_, network_, placement_seed_);
-  encoder_ = std::make_unique<Encoder>(params_, block_size_, store_.get());
+  encoder_ = std::make_unique<pipeline::ParallelEncoder>(
+      params_, block_size_, store_.get(), &pool_);
 }
 
 Broker::~Broker() = default;
 
 std::vector<NodeIndex> Broker::backup(BytesView content) {
-  std::vector<NodeIndex> written;
+  std::vector<Bytes> blocks;
   for (std::size_t offset = 0; offset < content.size();
        offset += block_size_) {
-    Bytes block(block_size_, 0);  // last block zero-padded
+    Bytes& block = blocks.emplace_back(block_size_, 0);  // zero-padded tail
     const std::size_t len = std::min(block_size_, content.size() - offset);
     std::copy_n(content.begin() + static_cast<std::ptrdiff_t>(offset), len,
                 block.begin());
-    written.push_back(encoder_->append(block).index);
   }
+  std::vector<NodeIndex> written;
+  for (const EncodeResult& result : encoder_->append_all(blocks))
+    written.push_back(result.index);
   return written;
 }
 
@@ -191,7 +196,7 @@ std::optional<Bytes> Broker::read_block(NodeIndex i, RepairTrace* trace) {
   }
 
   // Table III flow, generalized: gather the pp-tuple ids per strand,
-  // resolve their storage locations, fetch and XOR (the Decoder performs
+  // resolve their storage locations, fetch and XOR (the repairer performs
   // steps 4–5; we record 1–3 for observability).
   const Lattice lat(params_, blocks(), Lattice::Boundary::kOpen);
   if (trace) {
@@ -214,8 +219,9 @@ std::optional<Bytes> Broker::read_block(NodeIndex i, RepairTrace* trace) {
       trace->steps.push_back(step.str());
     }
   }
-  Decoder decoder(params_, blocks(), block_size_, store_.get());
-  auto value = decoder.read_node(i);
+  pipeline::ParallelRepairer repairer(params_, blocks(), block_size_,
+                                      store_.get(), &pool_);
+  auto value = repairer.read_node(i);
   if (trace)
     trace->steps.push_back(value ? "repair: d" + std::to_string(i) +
                                        " regenerated with XOR"
@@ -232,8 +238,9 @@ Broker::MaintenanceReport Broker::regenerate_lattice() {
       if (!store_->contains(BlockKey::parity(lat.output_edge(i, cls))))
         ++report.parities_missing;
 
-  Decoder decoder(params_, blocks(), block_size_, store_.get());
-  const RepairReport repair = decoder.repair_all();
+  pipeline::ParallelRepairer repairer(params_, blocks(), block_size_,
+                                      store_.get(), &pool_);
+  const RepairReport repair = repairer.repair_all();
   report.parities_repaired = repair.edges_repaired_total;
   report.data_repaired = repair.nodes_repaired_total;
   report.unrecoverable =

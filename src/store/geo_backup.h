@@ -6,11 +6,13 @@
 // remote nodes chosen by a deterministic key→node mapping, so multiple
 // per-user lattices coexist over one loosely connected cluster.
 //
-// The broker plugs a RoutingStore into the ordinary Encoder/Decoder: data
-// keys resolve to local storage, parity keys to network nodes (with
-// re-homing onto an online node when the default home is down). Repair is
-// therefore the standard lattice repair, executed against remote blocks —
-// exactly the Table III step sequence.
+// The broker plugs a RoutingStore into the library's encoder and repairer
+// (pipeline::ParallelEncoder/ParallelRepairer on a one-worker pool, which
+// is safe on the unsynchronized store): data keys resolve to local
+// storage, parity keys to network nodes (with re-homing onto an online
+// node when the default home is down). Repair is therefore the standard
+// lattice repair, executed against remote blocks — exactly the Table III
+// step sequence.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +24,8 @@
 #include <vector>
 
 #include "core/codec/block_store.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
+#include "pipeline/parallel_encoder.h"
+#include "pipeline/thread_pool.h"
 
 namespace aec::store {
 
@@ -128,7 +130,8 @@ class Broker {
   CooperativeNetwork* network_;
   std::uint64_t placement_seed_;
   std::unique_ptr<RoutingStore> store_;
-  std::unique_ptr<Encoder> encoder_;
+  pipeline::ThreadPool pool_{1};
+  std::unique_ptr<pipeline::ParallelEncoder> encoder_;
 };
 
 }  // namespace aec::store

@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "pipeline/parallel_repairer.h"
 
 namespace aec::store {
 
@@ -114,13 +115,18 @@ RaidAeArray::RaidAeArray(CodeParams params, std::uint32_t drives,
     : params_(std::move(params)), block_size_(block_size) {
   AEC_CHECK_MSG(drives >= 2, "an array needs at least two drives");
   store_ = std::make_unique<ArrayStore>(drives);
-  encoder_ = std::make_unique<Encoder>(params_, block_size_, store_.get());
+  encoder_ = std::make_unique<pipeline::ParallelEncoder>(
+      params_, block_size_, store_.get(), &pool_);
 }
 
 RaidAeArray::~RaidAeArray() = default;
 
 NodeIndex RaidAeArray::write_block(BytesView data) {
-  return encoder_->append(data).index;
+  // One block per batch: a one-worker pool runs the α parity tasks in
+  // class order, then the data task, so device writes keep arrival order.
+  return encoder_->append_all({Bytes(data.begin(), data.end())})
+      .front()
+      .index;
 }
 
 std::uint32_t RaidAeArray::drive_count() const noexcept {
@@ -197,8 +203,9 @@ RaidAeArray::ReadResult RaidAeArray::degraded_read(NodeIndex i) {
   }
   result.degraded = true;
   OverlayStore overlay(store_.get());
-  Decoder decoder(params_, blocks_written(), block_size_, &overlay);
-  result.value = decoder.read_node(i);
+  pipeline::ParallelRepairer repairer(params_, blocks_written(), block_size_,
+                                      &overlay, &pool_);
+  result.value = repairer.read_node(i);
   result.blocks_fetched = store_->fetches();  // device reads only
   return result;
 }
@@ -211,8 +218,9 @@ RaidAeArray::RebuildReport RaidAeArray::rebuild_drive(std::uint32_t drive) {
   for (const BlockKey& key : victims) store_->unpin(key);
 
   store_->reset_fetches();
-  Decoder decoder(params_, blocks_written(), block_size_, store_.get());
-  const RepairReport repair = decoder.repair_all();
+  pipeline::ParallelRepairer repairer(params_, blocks_written(), block_size_,
+                                      store_.get(), &pool_);
+  const RepairReport repair = repairer.repair_all();
   report.blocks_rebuilt =
       repair.nodes_repaired_total + repair.edges_repaired_total;
   report.blocks_read = store_->fetches();

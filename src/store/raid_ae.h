@@ -6,6 +6,10 @@
 // without re-encoding (unlike RAID5's fixed-width stripes). Degraded
 // reads route through the lattice's alternative paths; rebuilding a
 // failed drive costs 2 block reads per missing block instead of RS's k.
+//
+// Encoding and repair run on the library's pipeline classes over a
+// one-worker pool, which is safe on the array's unsynchronized store
+// (the coordinator waits at every barrier).
 #pragma once
 
 #include <cstdint>
@@ -14,8 +18,8 @@
 #include <vector>
 
 #include "core/codec/block_store.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
+#include "pipeline/parallel_encoder.h"
+#include "pipeline/thread_pool.h"
 
 namespace aec::store {
 
@@ -83,7 +87,8 @@ class RaidAeArray {
   CodeParams params_;
   std::size_t block_size_;
   std::unique_ptr<ArrayStore> store_;
-  std::unique_ptr<Encoder> encoder_;
+  pipeline::ThreadPool pool_{1};
+  std::unique_ptr<pipeline::ParallelEncoder> encoder_;
 };
 
 }  // namespace aec::store

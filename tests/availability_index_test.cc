@@ -8,9 +8,9 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "ae_test_util.h"
 #include "common/rng.h"
 #include "core/codec/availability_index.h"
-#include "core/codec/encoder.h"
 #include "core/codec/file_block_store.h"
 #include "core/codec/repair_planner.h"
 #include "tools/archive.h"
@@ -36,12 +36,8 @@ TEST(AvailabilityIndexTest, TracksRandomizedMutationSequences) {
   constexpr std::size_t kBlockSize = 32;
   constexpr std::uint64_t kNodes = 60;
   InMemoryBlockStore store;
-  {
-    Encoder enc(params, kBlockSize, &store);
-    Rng rng(1);
-    for (std::uint64_t i = 0; i < kNodes; ++i)
-      enc.append(rng.random_block(kBlockSize));
-  }
+  test::encode_into(params, kBlockSize,
+                    test::random_blocks(kNodes, kBlockSize, 1), store);
   const Lattice lat(params, kNodes, Lattice::Boundary::kOpen);
   const std::vector<BlockKey> universe = lattice_keys(lat);
 
@@ -78,12 +74,8 @@ TEST(AvailabilityIndexTest, SnapshotAndPlanMatchTheScanningPath) {
   constexpr std::size_t kBlockSize = 32;
   constexpr std::uint64_t kNodes = 200;
   InMemoryBlockStore store;
-  {
-    Encoder enc(params, kBlockSize, &store);
-    Rng rng(2);
-    for (std::uint64_t i = 0; i < kNodes; ++i)
-      enc.append(rng.random_block(kBlockSize));
-  }
+  test::encode_into(params, kBlockSize,
+                    test::random_blocks(kNodes, kBlockSize, 2), store);
   const Lattice lat(params, kNodes, Lattice::Boundary::kOpen);
 
   AvailabilityIndex index;

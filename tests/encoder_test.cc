@@ -1,14 +1,22 @@
+// The AE encoder (paper §III-B) on a one-worker pool: block placement,
+// the entanglement equation, the strand-head memory bound and crash
+// recovery. Multi-worker scheduling is covered by pipeline_test.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "ae_test_util.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/xor_engine.h"
-#include "core/codec/encoder.h"
+#include "pipeline/parallel_encoder.h"
+#include "pipeline/thread_pool.h"
 
 namespace aec {
 namespace {
+
+using pipeline::ParallelEncoder;
+using pipeline::ThreadPool;
 
 constexpr std::size_t kBlockSize = 64;
 
@@ -20,41 +28,43 @@ std::vector<Bytes> random_blocks(std::size_t count, Rng& rng) {
   return blocks;
 }
 
-TEST(Encoder, StoresDataAndAlphaParities) {
+TEST(Encoding, StoresDataAndAlphaParities) {
   InMemoryBlockStore store;
-  Encoder enc(CodeParams(3, 2, 5), kBlockSize, &store);
+  ThreadPool pool(1);
+  ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, &pool);
   Rng rng(1);
-  const auto result = enc.append(rng.random_block(kBlockSize));
+  const auto result = enc.append_all({rng.random_block(kBlockSize)}).front();
   EXPECT_EQ(result.index, 1);
   EXPECT_EQ(result.parities.size(), 3u);
   EXPECT_EQ(store.size(), 4u);  // 1 data + 3 parities
 }
 
-TEST(Encoder, RejectsWrongBlockSize) {
+TEST(Encoding, RejectsWrongBlockSize) {
   InMemoryBlockStore store;
-  Encoder enc(CodeParams(3, 2, 5), kBlockSize, &store);
-  EXPECT_THROW(enc.append(Bytes(kBlockSize - 1, 0)), CheckError);
+  ThreadPool pool(1);
+  ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, &pool);
+  EXPECT_THROW(enc.append_all({Bytes(kBlockSize - 1, 0)}), CheckError);
+  EXPECT_EQ(store.size(), 0u);
 }
 
-TEST(Encoder, FirstParityEqualsDataOnBootstrapStrand) {
+TEST(Encoding, FirstParityEqualsDataOnBootstrapStrand) {
   // p_{1,j} = d_1 XOR zero-block = d_1.
   InMemoryBlockStore store;
-  Encoder enc(CodeParams::single(), kBlockSize, &store);
   Rng rng(2);
   const Bytes d1 = rng.random_block(kBlockSize);
-  const auto r = enc.append(d1);
+  const auto r =
+      test::encode_into(CodeParams::single(), kBlockSize, {d1}, store).front();
   const Bytes* p = store.find(BlockKey::parity(r.parities[0]));
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(*p, d1);
 }
 
-TEST(Encoder, ChainRecurrenceForSingleEntanglement) {
+TEST(Encoding, ChainRecurrenceForSingleEntanglement) {
   // p_{i,i+1} = d_i XOR p_{i-1,i}: the running XOR of the whole prefix.
   InMemoryBlockStore store;
-  Encoder enc(CodeParams::single(), kBlockSize, &store);
   Rng rng(3);
   const auto blocks = random_blocks(10, rng);
-  enc.append_all(blocks);
+  test::encode_into(CodeParams::single(), kBlockSize, blocks, store);
 
   Bytes prefix(kBlockSize, 0);
   for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -75,7 +85,7 @@ std::string param_name(const ::testing::TestParamInfo<ParamTuple>& info) {
 }
 
 
-class EncoderGrid : public ::testing::TestWithParam<ParamTuple> {
+class EncodingGrid : public ::testing::TestWithParam<ParamTuple> {
  protected:
   CodeParams make_params() const {
     const auto [a, s, p] = GetParam();
@@ -85,11 +95,12 @@ class EncoderGrid : public ::testing::TestWithParam<ParamTuple> {
   }
 };
 
-TEST_P(EncoderGrid, EntanglementEquationHoldsEverywhere) {
+TEST_P(EncodingGrid, EntanglementEquationHoldsEverywhere) {
   // For every parity: p_{i,j} = d_i XOR p_{h,i} (zero block at bootstrap).
   const CodeParams params = make_params();
   InMemoryBlockStore store;
-  Encoder enc(params, kBlockSize, &store);
+  ThreadPool pool(1);
+  ParallelEncoder enc(params, kBlockSize, &store, &pool);
   Rng rng(11);
   const std::size_t n = 200;
   const auto blocks = random_blocks(n, rng);
@@ -112,18 +123,20 @@ TEST_P(EncoderGrid, EntanglementEquationHoldsEverywhere) {
   }
 }
 
-TEST_P(EncoderGrid, HeadCacheBoundedByStrandCount) {
+TEST_P(EncodingGrid, HeadCacheBoundedByStrandCount) {
   const CodeParams params = make_params();
   InMemoryBlockStore store;
-  Encoder enc(params, kBlockSize, &store);
+  ThreadPool pool(1);
+  ParallelEncoder enc(params, kBlockSize, &store, &pool);
   Rng rng(13);
-  for (int i = 0; i < 300; ++i) enc.append(rng.random_block(kBlockSize));
+  for (int i = 0; i < 300; ++i)
+    enc.append_all({rng.random_block(kBlockSize)});
   // Paper §IV-A: the broker keeps the last p-block of each strand.
   EXPECT_LE(enc.cached_heads(), params.total_strands());
   EXPECT_EQ(enc.cached_heads(), params.total_strands());
 }
 
-TEST_P(EncoderGrid, CrashRecoveryProducesIdenticalParities) {
+TEST_P(EncodingGrid, CrashRecoveryProducesIdenticalParities) {
   // Dropping the head cache (broker crash) must not change the encoding:
   // heads are re-fetched from the store (paper §IV-A).
   const CodeParams params = make_params();
@@ -131,38 +144,35 @@ TEST_P(EncoderGrid, CrashRecoveryProducesIdenticalParities) {
   const auto blocks = random_blocks(120, rng);
 
   InMemoryBlockStore store_a;
-  Encoder enc_a(params, kBlockSize, &store_a);
-  for (const auto& b : blocks) enc_a.append(b);
+  test::encode_into(params, kBlockSize, blocks, store_a);
+  test::expect_encoding_of(params, kBlockSize, blocks, store_a);
 
   InMemoryBlockStore store_b;
-  Encoder enc_b(params, kBlockSize, &store_b);
+  ThreadPool pool(1);
+  ParallelEncoder enc_b(params, kBlockSize, &store_b, &pool);
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     if (i % 17 == 0) enc_b.drop_head_cache();  // crash every 17 appends
-    enc_b.append(blocks[i]);
+    enc_b.append_all({blocks[i]});
   }
 
-  store_a.for_each([&](const BlockKey& key, const Bytes& value) {
-    const Bytes* other = store_b.find(key);
-    ASSERT_NE(other, nullptr) << to_string(key);
-    ASSERT_EQ(*other, value) << to_string(key);
-  });
-  EXPECT_EQ(store_a.size(), store_b.size());
+  test::expect_stores_identical(store_a, store_b);
 }
 
-TEST_P(EncoderGrid, TotalBlockCount) {
+TEST_P(EncodingGrid, TotalBlockCount) {
   const CodeParams params = make_params();
   InMemoryBlockStore store;
-  Encoder enc(params, kBlockSize, &store);
+  ThreadPool pool(1);
+  ParallelEncoder enc(params, kBlockSize, &store, &pool);
   Rng rng(19);
   const std::size_t n = 100;
   for (std::size_t i = 0; i < n; ++i)
-    enc.append(rng.random_block(kBlockSize));
+    enc.append_all({rng.random_block(kBlockSize)});
   EXPECT_EQ(store.size(), n * (1 + params.alpha()));
   EXPECT_EQ(enc.size(), n);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    CodeSettings, EncoderGrid,
+    CodeSettings, EncodingGrid,
     ::testing::Values(ParamTuple{1, 1, 0}, ParamTuple{2, 1, 1},
                       ParamTuple{2, 2, 2}, ParamTuple{2, 2, 5},
                       ParamTuple{3, 1, 4}, ParamTuple{3, 2, 2},

@@ -9,9 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "ae_test_util.h"
 #include "common/rng.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
 #include "core/codec/file_block_store.h"
 #include "core/codec/store_registry.h"
 
@@ -218,19 +217,15 @@ TEST_F(FileBlockStoreTest, WorksAsCodecBackend) {
   const CodeParams params(3, 2, 5);
   constexpr std::size_t kBlockSize = 64;
   FileBlockStore store(root_);
-  Encoder encoder(params, kBlockSize, &store);
-  Rng rng(5);
-  std::vector<Bytes> truth;
-  for (int i = 0; i < 30; ++i) {
-    truth.push_back(rng.random_block(kBlockSize));
-    encoder.append(truth.back());
-  }
+  const std::vector<Bytes> truth = test::random_blocks(30, kBlockSize, 5);
+  test::encode_into(params, kBlockSize, truth, store);
   store.erase(BlockKey::data(10));
   store.erase(BlockKey::data(11));
   store.drop_payload_cache();
 
-  Decoder decoder(params, 30, kBlockSize, &store);
-  const RepairReport report = decoder.repair_all();
+  pipeline::ThreadPool pool(1);
+  pipeline::ParallelRepairer repairer(params, 30, kBlockSize, &store, &pool);
+  const RepairReport report = repairer.repair_all();
   EXPECT_EQ(report.nodes_unrecovered, 0u);
   EXPECT_EQ(*store.find(BlockKey::data(10)), truth[9]);
   EXPECT_EQ(*store.find(BlockKey::data(11)), truth[10]);
@@ -245,20 +240,21 @@ TEST_F(FileBlockStoreTest, ResumedEncoderContinuesTheLattice) {
 
   // One continuous encoder vs a restart in the middle.
   InMemoryBlockStore continuous;
-  Encoder enc_a(params, kBlockSize, &continuous);
-  for (const auto& b : blocks) enc_a.append(b);
+  test::encode_into(params, kBlockSize, blocks, continuous);
 
   FileBlockStore durable(root_);
+  pipeline::ThreadPool pool(1);
   {
-    Encoder enc_b(params, kBlockSize, &durable);
-    for (int i = 0; i < 12; ++i) enc_b.append(blocks[static_cast<std::size_t>(i)]);
+    pipeline::ParallelEncoder enc_b(params, kBlockSize, &durable, &pool);
+    enc_b.append_all({blocks.begin(), blocks.begin() + 12});
   }
   {
-    Encoder enc_c(params, kBlockSize, &durable, /*resume_count=*/12);
-    for (int i = 12; i < 20; ++i)
-      enc_c.append(blocks[static_cast<std::size_t>(i)]);
+    pipeline::ParallelEncoder enc_c(params, kBlockSize, &durable, &pool,
+                                    /*resume_count=*/12);
+    enc_c.append_all({blocks.begin() + 12, blocks.end()});
     EXPECT_EQ(enc_c.size(), 20u);
   }
+  test::expect_encoding_of(params, kBlockSize, blocks, durable);
   // Identical parities everywhere.
   const Lattice lat(params, 20, Lattice::Boundary::kOpen);
   for (NodeIndex i = 1; i <= 20; ++i) {

@@ -106,9 +106,9 @@ TEST(MinimalErasure, Me2MinimalAtSEqualsP) {
   }
 }
 
-TEST(MinimalErasure, PatternsVerifyAgainstDecoder) {
-  // The found patterns must (a) deadlock the real decoder and (b) be
-  // irreducible — checked with the byte codec.
+TEST(MinimalErasure, PatternsVerifyAgainstPlanner) {
+  // The found patterns must (a) deadlock the repair planner the byte
+  // codec executes and (b) be irreducible.
   for (auto params :
        {CodeParams::single(), CodeParams(2, 1, 1), CodeParams(2, 2, 2),
         CodeParams(3, 1, 4), CodeParams(3, 2, 2)}) {
@@ -119,7 +119,7 @@ TEST(MinimalErasure, PatternsVerifyAgainstDecoder) {
   }
 }
 
-TEST(MinimalErasure, Me4PatternVerifiesAgainstDecoder) {
+TEST(MinimalErasure, Me4PatternVerifiesAgainstPlanner) {
   const CodeParams params(2, 2, 2);
   const MinimalErasureSearch search(params);
   const auto pattern = search.find_minimal_erasure(4);

@@ -1,13 +1,13 @@
 // RepairPlanner + ParallelRepairer properties.
 //
 // Three claims are verified against randomized erasures:
-//   1. the planner's waves reproduce the historical synchronous-round
-//      semantics exactly (an independent reference fixpoint is
-//      re-implemented here, predicate by predicate);
-//   2. the wave-parallel executor is byte-identical to the serial
-//      Decoder::repair_all — same repaired bytes, same round structure,
-//      same unrecoverable residue — at 1, 2 and 8 threads, including
-//      erasure rates heavy enough to leave residue;
+//   1. the planner's waves reproduce the synchronous-round semantics
+//      exactly (an independent reference fixpoint is re-implemented here,
+//      predicate by predicate);
+//   2. the wave executor repairs exactly the reference's blocks, round by
+//      round, back to their pristine bytes, leaves exactly the
+//      reference's residue, and reports the same at 1, 2 and 8 workers —
+//      including erasure rates heavy enough to leave residue;
 //   3. the user-facing Archive honours its thread count on the repair
 //      path without changing any stored byte.
 #include <gtest/gtest.h>
@@ -17,9 +17,8 @@
 #include <tuple>
 #include <unordered_set>
 
+#include "ae_test_util.h"
 #include "common/rng.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
 #include "core/codec/repair_planner.h"
 #include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_repairer.h"
@@ -35,14 +34,28 @@ constexpr std::size_t kBlockSize = 24;
 std::vector<Bytes> encode_random(const CodeParams& params, std::uint64_t n,
                                  std::uint64_t seed,
                                  InMemoryBlockStore& store) {
-  Encoder enc(params, kBlockSize, &store);
-  Rng rng(seed);
-  std::vector<Bytes> truth;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    truth.push_back(rng.random_block(kBlockSize));
-    enc.append(truth.back());
-  }
+  std::vector<Bytes> truth = test::random_blocks(n, kBlockSize, seed);
+  test::encode_into(params, kBlockSize, truth, store);
   return truth;
+}
+
+/// One repair pass over `store` on a `threads`-worker pool.
+RepairReport repair_with(const CodeParams& params, std::uint64_t n,
+                         BlockStore& store, std::size_t threads,
+                         std::uint32_t max_rounds = 0) {
+  pipeline::ThreadPool pool(threads);
+  pipeline::ParallelRepairer repairer(params, n, kBlockSize, &store, &pool);
+  return repairer.repair_all(max_rounds);
+}
+
+void expect_same_report(const RepairReport& a, const RepairReport& b) {
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.nodes_repaired_per_round, b.nodes_repaired_per_round);
+  EXPECT_EQ(a.edges_repaired_per_round, b.edges_repaired_per_round);
+  EXPECT_EQ(a.nodes_repaired_total, b.nodes_repaired_total);
+  EXPECT_EQ(a.edges_repaired_total, b.edges_repaired_total);
+  EXPECT_EQ(a.nodes_unrecovered, b.nodes_unrecovered);
+  EXPECT_EQ(a.edges_unrecovered, b.edges_unrecovered);
 }
 
 /// Erases a `rate` fraction of all blocks; deterministic for a seed.
@@ -74,7 +87,7 @@ std::vector<BlockKey> sorted(std::vector<BlockKey> keys) {
   return keys;
 }
 
-// --- independent reference: the historical synchronous-round fixpoint -------
+// --- independent reference: the synchronous-round fixpoint ------------------
 // Deliberately re-implemented from the paper's repair rules (one XOR of
 // two available blocks, rounds decided against round-start availability)
 // rather than calling the planner, so planner bugs cannot self-certify.
@@ -131,7 +144,7 @@ ReferenceRounds reference_rounds(const Lattice& lat,
   return ref;
 }
 
-// --- 1. planner waves == reference serial round structure -------------------
+// --- 1. planner waves == reference round structure -------------------------
 
 using SweepParam = std::tuple<int, int, int, int>;  // alpha, s, p, loss %
 
@@ -170,9 +183,8 @@ TEST_P(RepairPlannerProperty, WavesMatchReferenceRoundStructure) {
   }
   EXPECT_EQ(sorted(plan.residue), sorted(ref.residue));
 
-  // The serial executor's report is a projection of the same plan.
-  Decoder dec(params, n, kBlockSize, &store);
-  const RepairReport report = dec.repair_all();
+  // The executed report is a projection of the same plan.
+  const RepairReport report = repair_with(params, n, store, 1);
   EXPECT_EQ(report.rounds, plan.rounds());
   EXPECT_EQ(report.nodes_repaired_total, plan.nodes_planned);
   EXPECT_EQ(report.edges_repaired_total, plan.edges_planned);
@@ -188,7 +200,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{3, 5, 5, 35}, SweepParam{3, 5, 5, 55}),
     sweep_name);
 
-TEST(RepairPlanner, MaxRoundsCapMatchesSerialExecutor) {
+TEST(RepairPlanner, MaxRoundsCapMatchesExecutedReport) {
   // A contiguous AE(1) parity run needs ~6 rounds; capping at 2 must
   // leave the inner blocks as (repairable) residue, identically in the
   // plan and in the executed report.
@@ -206,8 +218,7 @@ TEST(RepairPlanner, MaxRoundsCapMatchesSerialExecutor) {
   EXPECT_EQ(plan.edges_planned, 4u);  // two per side per round
   EXPECT_EQ(plan.residue.size(), 7u);
 
-  Decoder dec(params, 60, kBlockSize, &store);
-  const RepairReport report = dec.repair_all(2);
+  const RepairReport report = repair_with(params, 60, store, 1, 2);
   EXPECT_EQ(report.rounds, 2u);
   EXPECT_EQ(report.edges_repaired_total, 4u);
   EXPECT_EQ(report.edges_unrecovered, 7u);
@@ -245,60 +256,70 @@ std::string thread_name(const ::testing::TestParamInfo<ThreadParam>& info) {
 class ParallelRepairerEquivalence
     : public ::testing::TestWithParam<ThreadParam> {};
 
-TEST_P(ParallelRepairerEquivalence, ByteIdenticalToSerialRepairAll) {
+TEST_P(ParallelRepairerEquivalence, MatchesPristineAndReferenceRounds) {
   const auto [a, s, p, loss, threads] = GetParam();
   const CodeParams params(static_cast<std::uint32_t>(a),
                           static_cast<std::uint32_t>(s),
                           static_cast<std::uint32_t>(p));
   const std::uint64_t n = 600;
   InMemoryBlockStore pristine;
-  const std::vector<Bytes> truth = encode_random(params, n, 42, pristine);
+  encode_random(params, n, 42, pristine);
   const Lattice lat(params, n, Lattice::Boundary::kOpen);
 
   // Same erasure pattern on both stores.
-  InMemoryBlockStore serial_store;
-  pipeline::ConcurrentBlockStore parallel_store;
-  copy_store(pristine, serial_store);
-  copy_store(pristine, parallel_store);
+  InMemoryBlockStore one_worker_store;
+  pipeline::ConcurrentBlockStore store;
+  copy_store(pristine, one_worker_store);
+  copy_store(pristine, store);
   erase_random(lat, loss / 100.0, 1000 + static_cast<std::uint64_t>(loss),
-               serial_store);
+               one_worker_store);
   erase_random(lat, loss / 100.0, 1000 + static_cast<std::uint64_t>(loss),
-               parallel_store);
-  ASSERT_EQ(serial_store.size(), parallel_store.size());
+               store);
+  ASSERT_EQ(one_worker_store.size(), store.size());
+  const ReferenceRounds ref = reference_rounds(lat, store);
 
-  Decoder dec(params, n, kBlockSize, &serial_store);
-  const RepairReport serial = dec.repair_all();
-  pipeline::ThreadPool pool(static_cast<std::size_t>(threads));
-  pipeline::ParallelRepairer repairer(params, n, kBlockSize,
-                                      &parallel_store, &pool);
-  const RepairReport parallel = repairer.repair_all();
+  const RepairReport report = repair_with(params, n, store,
+                                          static_cast<std::size_t>(threads));
 
-  // Identical round structure and residue accounting.
-  EXPECT_EQ(parallel.rounds, serial.rounds);
-  EXPECT_EQ(parallel.nodes_repaired_per_round,
-            serial.nodes_repaired_per_round);
-  EXPECT_EQ(parallel.edges_repaired_per_round,
-            serial.edges_repaired_per_round);
-  EXPECT_EQ(parallel.nodes_repaired_total, serial.nodes_repaired_total);
-  EXPECT_EQ(parallel.edges_repaired_total, serial.edges_repaired_total);
-  EXPECT_EQ(parallel.nodes_unrecovered, serial.nodes_unrecovered);
-  EXPECT_EQ(parallel.edges_unrecovered, serial.edges_unrecovered);
+  // Round structure and residue of the independent reference.
+  ASSERT_EQ(report.rounds, ref.rounds.size());
+  std::uint64_t nodes_total = 0;
+  std::uint64_t edges_total = 0;
+  for (std::size_t w = 0; w < ref.rounds.size(); ++w) {
+    const auto nodes = static_cast<std::uint64_t>(
+        std::count_if(ref.rounds[w].begin(), ref.rounds[w].end(),
+                      [](const BlockKey& key) { return key.is_data(); }));
+    EXPECT_EQ(report.nodes_repaired_per_round[w], nodes) << "round " << w;
+    EXPECT_EQ(report.edges_repaired_per_round[w],
+              ref.rounds[w].size() - nodes)
+        << "round " << w;
+    nodes_total += nodes;
+    edges_total += ref.rounds[w].size() - nodes;
+  }
+  EXPECT_EQ(report.nodes_repaired_total, nodes_total);
+  EXPECT_EQ(report.edges_repaired_total, edges_total);
+  const auto residue_nodes = static_cast<std::uint64_t>(
+      std::count_if(ref.residue.begin(), ref.residue.end(),
+                    [](const BlockKey& key) { return key.is_data(); }));
+  EXPECT_EQ(report.nodes_unrecovered, residue_nodes);
+  EXPECT_EQ(report.edges_unrecovered, ref.residue.size() - residue_nodes);
 
-  // Identical stores, byte for byte.
-  ASSERT_EQ(parallel_store.size(), serial_store.size());
-  serial_store.for_each([&](const BlockKey& key, const Bytes& value) {
-    const auto copy = parallel_store.get_copy(key);
-    ASSERT_TRUE(copy.has_value()) << to_string(key);
-    ASSERT_EQ(*copy, value) << to_string(key);
+  // Every block the reference repairs is back, byte-identical to the
+  // pristine store; exactly the residue is still missing.
+  const std::unordered_set<BlockKey, BlockKeyHash> residue(
+      ref.residue.begin(), ref.residue.end());
+  ASSERT_EQ(store.size(), pristine.size() - residue.size());
+  pristine.for_each([&](const BlockKey& key, const Bytes& value) {
+    const auto copy = store.get_copy(key);
+    ASSERT_EQ(copy.has_value(), !residue.contains(key)) << to_string(key);
+    if (copy) {
+      ASSERT_EQ(*copy, value) << to_string(key);
+    }
   });
 
-  // Whatever was repaired matches ground truth.
-  for (NodeIndex i = 1; i <= static_cast<NodeIndex>(n); ++i) {
-    if (const auto value = parallel_store.get_copy(BlockKey::data(i))) {
-      ASSERT_EQ(*value, truth[static_cast<std::size_t>(i - 1)])
-          << "node " << i;
-    }
-  }
+  // The same report and the same store on one worker.
+  expect_same_report(repair_with(params, n, one_worker_store, 1), report);
+  test::expect_stores_identical(one_worker_store, store);
 }
 
 INSTANTIATE_TEST_SUITE_P(

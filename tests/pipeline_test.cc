@@ -1,18 +1,20 @@
 // Parallel entanglement pipeline: ThreadPool, ConcurrentBlockStore and
-// ParallelEncoder. The load-bearing property is byte-identity — the
-// strand-scheduled encoder must produce exactly the blocks the serial
-// Encoder produces (paper §V-B: partial writes reorder work, never
-// results).
+// ParallelEncoder. The load-bearing property is that scheduling never
+// changes a byte (paper §V-B: partial writes reorder work, never
+// results): every encoding matches the ground truth — the data blocks
+// themselves plus parities satisfying p_{i,j} = d_i XOR p_{h,i} — and is
+// byte-identical across worker counts, batch splits and crash resumes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 
+#include "ae_test_util.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/codec/encoder.h"
 #include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/thread_pool.h"
@@ -28,34 +30,30 @@ using pipeline::ThreadPool;
 
 constexpr std::size_t kBlockSize = 64;
 
+using test::expect_encoding_of;
+using test::expect_stores_identical;
+
 std::vector<Bytes> random_blocks(std::size_t count, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Bytes> blocks;
-  blocks.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    blocks.push_back(rng.random_block(kBlockSize));
-  return blocks;
+  return test::random_blocks(count, kBlockSize, seed);
 }
 
-/// Serial reference encoding of `blocks`; returns the resulting store.
-InMemoryBlockStore serial_reference(const CodeParams& params,
-                                    const std::vector<Bytes>& blocks) {
+/// One-worker reference encoding of `blocks`, fed in ragged batches
+/// (1, 2, 3, … blocks) so a batch boundary falls mid-column; checked
+/// against the ground truth before it serves as a reference.
+InMemoryBlockStore one_worker_reference(const CodeParams& params,
+                                        const std::vector<Bytes>& blocks) {
   InMemoryBlockStore store;
-  Encoder enc(params, kBlockSize, &store);
-  enc.append_all(blocks);
+  ThreadPool pool(1);
+  ParallelEncoder enc(params, kBlockSize, &store, &pool);
+  std::size_t done = 0;
+  for (std::size_t batch = 1; done < blocks.size(); ++batch) {
+    const std::size_t end = std::min(done + batch, blocks.size());
+    enc.append_all({blocks.begin() + static_cast<std::ptrdiff_t>(done),
+                    blocks.begin() + static_cast<std::ptrdiff_t>(end)});
+    done = end;
+  }
+  expect_encoding_of(params, kBlockSize, blocks, store);
   return store;
-}
-
-/// Every block of `expected` present and byte-identical in `actual`, and
-/// no extras.
-void expect_stores_identical(const InMemoryBlockStore& expected,
-                             const ConcurrentBlockStore& actual) {
-  ASSERT_EQ(expected.size(), actual.size());
-  expected.for_each([&](const BlockKey& key, const Bytes& value) {
-    const auto copy = actual.get_copy(key);
-    ASSERT_TRUE(copy.has_value()) << to_string(key);
-    ASSERT_EQ(*copy, value) << to_string(key);
-  });
 }
 
 // --- ThreadPool -------------------------------------------------------------
@@ -156,7 +154,7 @@ TEST(ConcurrentBlockStore, ConcurrentPutsFromManyThreadsAllLand) {
   }
 }
 
-// --- ParallelEncoder: serial equivalence ------------------------------------
+// --- ParallelEncoder: ground truth, worker counts and batch splits ----------
 
 struct EquivalenceCase {
   CodeParams params;
@@ -167,10 +165,11 @@ struct EquivalenceCase {
 class ParallelEncoderEquivalence
     : public ::testing::TestWithParam<EquivalenceCase> {};
 
-TEST_P(ParallelEncoderEquivalence, ByteIdenticalToSerialEncoder) {
+TEST_P(ParallelEncoderEquivalence, GroundTruthAtEveryWorkerCount) {
+  // One batch on `threads` workers against the ground truth, and
+  // byte-identical to a one-worker encoding fed in ragged batches.
   const auto& [params, threads, count] = GetParam();
   const auto blocks = random_blocks(count, 101);
-  const InMemoryBlockStore expected = serial_reference(params, blocks);
 
   ThreadPool pool(threads);
   ConcurrentBlockStore store;
@@ -179,7 +178,8 @@ TEST_P(ParallelEncoderEquivalence, ByteIdenticalToSerialEncoder) {
 
   ASSERT_EQ(results.size(), blocks.size());
   EXPECT_EQ(enc.size(), count);
-  expect_stores_identical(expected, store);
+  expect_encoding_of(params, kBlockSize, blocks, store);
+  expect_stores_identical(one_worker_reference(params, blocks), store);
 }
 
 std::string case_name(
@@ -209,30 +209,35 @@ INSTANTIATE_TEST_SUITE_P(
         EquivalenceCase{CodeParams(3, 5, 7), 3, 1234}),
     case_name);
 
-TEST(ParallelEncoder, ResultsMatchSerialAppendResults) {
+TEST(ParallelEncoder, ResultsNameEachBlockAndItsOutputEdges) {
+  // Results come back in input order, parities in class order: block j
+  // of the batch is node j + 1, and its parities are its output edges.
   const CodeParams params(3, 2, 5);
   const auto blocks = random_blocks(37, 7);
+  const Lattice lattice(params, blocks.size(), Lattice::Boundary::kOpen);
 
-  InMemoryBlockStore serial_store;
-  Encoder serial(params, kBlockSize, &serial_store);
-  const auto expected = serial.append_all(blocks);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    ConcurrentBlockStore store;
+    ParallelEncoder enc(params, kBlockSize, &store, &pool);
+    const auto results = enc.append_all(blocks);
 
-  ThreadPool pool(4);
-  ConcurrentBlockStore store;
-  ParallelEncoder parallel(params, kBlockSize, &store, &pool);
-  const auto actual = parallel.append_all(blocks);
-
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i].index, expected[i].index);
-    EXPECT_EQ(actual[i].parities, expected[i].parities);
+    ASSERT_EQ(results.size(), blocks.size());
+    for (std::size_t j = 0; j < results.size(); ++j) {
+      const auto i = static_cast<NodeIndex>(j + 1);
+      EXPECT_EQ(results[j].index, i);
+      std::vector<Edge> outputs;
+      for (StrandClass cls : params.classes())
+        outputs.push_back(lattice.output_edge(i, cls));
+      EXPECT_EQ(results[j].parities, outputs) << "node " << i;
+    }
   }
 }
 
 TEST(ParallelEncoder, SingleAppendInterleavesWithBatches) {
   const CodeParams params(3, 2, 5);
   const auto blocks = random_blocks(100, 23);
-  const InMemoryBlockStore expected = serial_reference(params, blocks);
+  const InMemoryBlockStore expected = one_worker_reference(params, blocks);
 
   ThreadPool pool(2);
   ConcurrentBlockStore store;
@@ -259,7 +264,7 @@ TEST(ParallelEncoder, CrashResumeThroughDropHeadCache) {
   // next wave.
   const CodeParams params(3, 2, 5);
   const auto blocks = random_blocks(500, 57);
-  const InMemoryBlockStore expected = serial_reference(params, blocks);
+  const InMemoryBlockStore expected = one_worker_reference(params, blocks);
 
   ThreadPool pool(4);
   ConcurrentBlockStore store;
@@ -281,7 +286,7 @@ TEST(ParallelEncoder, CrashResumeThroughDropHeadCache) {
 TEST(ParallelEncoder, ResumeCountContinuesAnExistingLattice) {
   const CodeParams params(3, 5, 5);
   const auto blocks = random_blocks(612, 71);
-  const InMemoryBlockStore expected = serial_reference(params, blocks);
+  const InMemoryBlockStore expected = one_worker_reference(params, blocks);
 
   ThreadPool pool(4);
   ConcurrentBlockStore store;
@@ -337,10 +342,19 @@ TEST(ArchiveParallelIngest, MatchesSerialArchiveByteForByte) {
   parallel->add_file("big.bin", content);
   ASSERT_EQ(serial->blocks(), parallel->blocks());
 
-  // Same logical blocks ⇒ same files on disk, bit for bit.
+  // Same logical blocks ⇒ same files on disk, bit for bit, and those are
+  // the content's zero-padded blocks entangled per the ground truth.
   FileBlockStore serial_store(serial_dir.path());
   FileBlockStore parallel_store(parallel_dir.path());
   ASSERT_EQ(serial_store.size(), parallel_store.size());
+  std::vector<Bytes> expected;
+  for (std::size_t off = 0; off < content.size(); off += 64) {
+    Bytes& block = expected.emplace_back(64, 0);
+    std::copy_n(content.begin() + static_cast<std::ptrdiff_t>(off),
+                std::min<std::size_t>(64, content.size() - off),
+                block.begin());
+  }
+  expect_encoding_of(params, 64, expected, serial_store);
   const Lattice lattice(params, serial->blocks(), Lattice::Boundary::kOpen);
   for (NodeIndex i = 1; i <= static_cast<NodeIndex>(serial->blocks()); ++i) {
     const Bytes* a = serial_store.find(BlockKey::data(i));

@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "ae_test_util.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
 #include "core/codec/puncture.h"
 
 namespace aec {
@@ -14,11 +13,10 @@ constexpr std::size_t kBlockSize = 16;
 TEST(Puncture, DropsExpectedCount) {
   const CodeParams params(3, 2, 5);
   InMemoryBlockStore store;
-  Encoder enc(params, kBlockSize, &store);
-  Rng rng(5);
-  for (int i = 0; i < 100; ++i) enc.append(rng.random_block(kBlockSize));
+  test::encode_into(params, kBlockSize, test::random_blocks(100, kBlockSize, 5),
+                    store);
 
-  const Lattice lat = enc.lattice();
+  const Lattice lat(params, 100, Lattice::Boundary::kOpen);
   const PunctureSpec spec{StrandClass::kLeftHanded, 2, 0};  // even LH tails
   const std::uint64_t dropped = puncture(store, lat, {{spec}});
   EXPECT_EQ(dropped, 50u);
@@ -28,31 +26,23 @@ TEST(Puncture, DropsExpectedCount) {
 TEST(Puncture, DisabledSpecDropsNothing) {
   const CodeParams params(2, 2, 2);
   InMemoryBlockStore store;
-  Encoder enc(params, kBlockSize, &store);
-  Rng rng(6);
-  for (int i = 0; i < 50; ++i) enc.append(rng.random_block(kBlockSize));
+  test::encode_into(params, kBlockSize, test::random_blocks(50, kBlockSize, 6),
+                    store);
   const PunctureSpec disabled{StrandClass::kHorizontal, 0, 0};
-  EXPECT_EQ(puncture(store, enc.lattice(), {{disabled}}), 0u);
+  EXPECT_EQ(puncture(store, Lattice(params, 50, Lattice::Boundary::kOpen),
+                     {{disabled}}),
+            0u);
 }
 
 TEST(Puncture, PuncturedLatticeStillRepairsSingleFailures) {
   // Dropping half the LH parities leaves H and RH pairs intact: single
   // data-block failures still repair with one XOR.
-  const CodeParams params(3, 2, 5);
-  InMemoryBlockStore store;
-  Encoder enc(params, kBlockSize, &store);
-  Rng rng(7);
-  std::vector<Bytes> truth;
-  for (int i = 0; i < 100; ++i) {
-    truth.push_back(rng.random_block(kBlockSize));
-    enc.append(truth.back());
-  }
-  puncture(store, enc.lattice(), {{PunctureSpec{StrandClass::kLeftHanded,
-                                                2, 0}}});
-  Decoder dec(params, 100, kBlockSize, &store);
-  store.erase(BlockKey::data(60));
-  const RepairReport report = dec.repair_all();
-  EXPECT_EQ(*store.find(BlockKey::data(60)), truth[59]);
+  test::EncodedLattice f(CodeParams(3, 2, 5), 100, kBlockSize, 7);
+  puncture(f.store, f.lattice(),
+           {{PunctureSpec{StrandClass::kLeftHanded, 2, 0}}});
+  f.store.erase(BlockKey::data(60));
+  const RepairReport report = f.repair_all();
+  EXPECT_EQ(*f.store.find(BlockKey::data(60)), f.truth(60));
   EXPECT_EQ(report.nodes_unrecovered, 0u);
 }
 
@@ -70,23 +60,19 @@ TEST(Puncture, FaultToleranceDegradesGracefully) {
   // recovery for the same code under the same erasure pattern.
   const CodeParams params(3, 2, 5);
   auto run = [&](bool punctured) {
-    InMemoryBlockStore store;
-    Encoder enc(params, kBlockSize, &store);
-    Rng rng(9);
-    for (int i = 0; i < 300; ++i) enc.append(rng.random_block(kBlockSize));
+    test::EncodedLattice f(params, 300, kBlockSize, 9);
+    const Lattice lat = f.lattice();
     if (punctured)
-      puncture(store, enc.lattice(),
+      puncture(f.store, lat,
                {{PunctureSpec{StrandClass::kLeftHanded, 2, 0}}});
-    Decoder dec(params, 300, kBlockSize, &store);
     Rng eraser(4242);  // same erasure stream in both runs
-    const Lattice& lat = dec.lattice();
     for (NodeIndex i = 1; i <= 300; ++i) {
-      if (eraser.bernoulli(0.3)) store.erase(BlockKey::data(i));
+      if (eraser.bernoulli(0.3)) f.store.erase(BlockKey::data(i));
       for (StrandClass cls : params.classes())
         if (eraser.bernoulli(0.3))
-          store.erase(BlockKey::parity(lat.output_edge(i, cls)));
+          f.store.erase(BlockKey::parity(lat.output_edge(i, cls)));
     }
-    return dec.repair_all().nodes_unrecovered;
+    return f.repair_all().nodes_unrecovered;
   };
   EXPECT_LE(run(false), run(true));
 }

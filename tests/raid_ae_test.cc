@@ -27,14 +27,28 @@ TEST(RaidAe, WritePenaltyIsAlphaPlusOne) {
 }
 
 TEST(RaidAe, BlocksSpreadRoundRobin) {
-  RaidAeArray array(CodeParams(2, 2, 2), 4, kBlockSize);
+  const CodeParams params(2, 2, 2);
+  RaidAeArray array(params, 4, kBlockSize);
   write_blocks(array, 8);
+  // Arrival order per block: its α parities in class order, then the
+  // data block — write k (0-based) lands on drive k mod 4. Block i's
+  // writes are 3(i−1) + c for class c and 3(i−1) + 2 for the data.
   // 8 data + 16 parity = 24 block writes over 4 drives → 6 each.
+  const Lattice lattice(params, 8, Lattice::Boundary::kOpen);
   std::vector<std::uint32_t> per_drive(4, 0);
-  for (NodeIndex i = 1; i <= 8; ++i) ++per_drive[array.drive_of_data(i)];
-  std::uint32_t total = 0;
-  for (std::uint32_t c : per_drive) total += c;
-  EXPECT_EQ(total, 8u);
+  for (NodeIndex i = 1; i <= 8; ++i) {
+    const auto base = static_cast<std::uint32_t>(3 * (i - 1));
+    EXPECT_EQ(array.drive_of_data(i), (base + 2) % 4) << "d" << i;
+    ++per_drive[array.drive_of_data(i)];
+    for (StrandClass cls : params.classes()) {
+      const auto c = static_cast<std::uint32_t>(cls);
+      const std::uint32_t drive =
+          array.drive_of_parity(lattice.output_edge(i, cls));
+      EXPECT_EQ(drive, (base + c) % 4) << to_string(cls) << " of " << i;
+      ++per_drive[drive];
+    }
+  }
+  EXPECT_EQ(per_drive, (std::vector<std::uint32_t>{6, 6, 6, 6}));
 }
 
 TEST(RaidAe, HealthyReadFetchesOneBlock) {

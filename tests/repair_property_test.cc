@@ -1,14 +1,13 @@
 // Property-style sweeps of the repair engine across code settings and
-// erasure rates: everything the decoder repairs must match ground truth,
+// erasure rates: everything the repairer rebuilds must match ground truth,
 // low erasure rates must be fully recovered, and fault tolerance must be
 // monotone in α.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "ae_test_util.h"
 #include "common/rng.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
 
 namespace aec {
 namespace {
@@ -33,17 +32,17 @@ TEST_P(RepairSweep, RepairsAreCorrectAndCounted) {
                           static_cast<std::uint32_t>(s),
                           static_cast<std::uint32_t>(p));
   InMemoryBlockStore store;
-  Encoder enc(params, kBlockSize, &store);
   Rng rng(static_cast<std::uint64_t>(a * 10007 + s * 101 + p * 13 +
                                      loss_percent));
   std::vector<Bytes> truth;
-  for (std::uint64_t i = 0; i < kNodes; ++i) {
+  for (std::uint64_t i = 0; i < kNodes; ++i)
     truth.push_back(rng.random_block(kBlockSize));
-    enc.append(truth.back());
-  }
+  test::encode_into(params, kBlockSize, truth, store);
 
-  Decoder dec(params, kNodes, kBlockSize, &store);
-  const Lattice& lat = dec.lattice();
+  pipeline::ThreadPool pool(1);
+  pipeline::ParallelRepairer repairer(params, kNodes, kBlockSize, &store,
+                                      &pool);
+  const Lattice& lat = repairer.lattice();
   const double rate = loss_percent / 100.0;
   std::uint64_t erased_nodes = 0;
   for (NodeIndex i = 1; i <= static_cast<NodeIndex>(kNodes); ++i) {
@@ -55,7 +54,7 @@ TEST_P(RepairSweep, RepairsAreCorrectAndCounted) {
         store.erase(BlockKey::parity(lat.output_edge(i, cls)));
   }
 
-  const RepairReport report = dec.repair_all();
+  const RepairReport report = repairer.repair_all();
 
   // Count conservation.
   EXPECT_EQ(report.nodes_repaired_total + report.nodes_unrecovered,
@@ -79,7 +78,7 @@ TEST_P(RepairSweep, RepairsAreCorrectAndCounted) {
   }
 
   // Fixpoint really is a fixpoint: a second pass repairs nothing.
-  const RepairReport again = dec.repair_all();
+  const RepairReport again = repairer.repair_all();
   EXPECT_EQ(again.nodes_repaired_total, 0u);
   EXPECT_EQ(again.edges_repaired_total, 0u);
 }
@@ -105,22 +104,17 @@ TEST(RepairMonotonicity, HigherAlphaNeverLosesMoreData) {
   std::vector<std::uint64_t> losses;
   for (auto params : {CodeParams::single(), CodeParams(2, 2, 5),
                       CodeParams(3, 2, 5)}) {
-    InMemoryBlockStore store;
-    Encoder enc(params, kBlockSize, &store);
-    Rng content(5);
-    for (std::uint64_t i = 0; i < n; ++i)
-      enc.append(content.random_block(kBlockSize));
-    Decoder dec(params, n, kBlockSize, &store);
+    test::EncodedLattice f(params, n, kBlockSize, 5);
     Rng eraser(1234);  // identical stream for every code
     for (NodeIndex i = 1; i <= static_cast<NodeIndex>(n); ++i) {
       const bool kill_data = eraser.bernoulli(0.3);
       const bool kill_parity = eraser.bernoulli(0.3);
-      if (kill_data) store.erase(BlockKey::data(i));
+      if (kill_data) f.store.erase(BlockKey::data(i));
       if (kill_parity)
-        store.erase(
+        f.store.erase(
             BlockKey::parity(Edge{StrandClass::kHorizontal, i}));
     }
-    losses.push_back(dec.repair_all().nodes_unrecovered);
+    losses.push_back(f.repair_all().nodes_unrecovered);
   }
   EXPECT_GE(losses[0], losses[1]);
   EXPECT_GE(losses[1], losses[2]);

@@ -10,10 +10,9 @@
 #include <string>
 #include <thread>
 
+#include "ae_test_util.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/codec/decoder.h"
-#include "core/codec/encoder.h"
 #include "core/codec/file_block_store.h"
 #include "core/codec/store_registry.h"
 
@@ -64,17 +63,12 @@ TEST_F(ShardedFileBlockStoreTest, ByteIdentityVsFileBlockStore) {
   constexpr int kBlocks = 40;
   FileBlockStore flat(dir("flat"));
   FileBlockStore sharded(dir("sharded"), 4);
-  {
-    Encoder enc_flat(params, kBlockSize, &flat);
-    Encoder enc_sharded(params, kBlockSize, &sharded);
-    Rng rng(11);
-    for (int i = 0; i < kBlocks; ++i) {
-      const Bytes block = rng.random_block(kBlockSize);
-      enc_flat.append(block);
-      enc_sharded.append(block);
-    }
-  }
+  const std::vector<Bytes> blocks =
+      test::random_blocks(kBlocks, kBlockSize, 11);
+  test::encode_into(params, kBlockSize, blocks, flat);
+  test::encode_into(params, kBlockSize, blocks, sharded, 4);
   ASSERT_EQ(flat.size(), sharded.size());
+  test::expect_encoding_of(params, kBlockSize, blocks, flat);
 
   const auto compare_all = [&](const BlockStore& a, const BlockStore& b) {
     const Lattice lat(params, kBlocks, Lattice::Boundary::kOpen);
@@ -196,19 +190,15 @@ TEST_F(ShardedFileBlockStoreTest, WorksAsCodecBackend) {
   const CodeParams params(3, 2, 5);
   constexpr std::size_t kBlockSize = 64;
   FileBlockStore store(dir("s"), 4);
-  Encoder encoder(params, kBlockSize, &store);
-  Rng rng(5);
-  std::vector<Bytes> truth;
-  for (int i = 0; i < 30; ++i) {
-    truth.push_back(rng.random_block(kBlockSize));
-    encoder.append(truth.back());
-  }
+  const std::vector<Bytes> truth = test::random_blocks(30, kBlockSize, 5);
+  test::encode_into(params, kBlockSize, truth, store);
   store.erase(BlockKey::data(10));
   store.erase(BlockKey::data(11));
   store.drop_payload_cache();
 
-  Decoder decoder(params, 30, kBlockSize, &store);
-  const RepairReport report = decoder.repair_all();
+  pipeline::ThreadPool pool(1);
+  pipeline::ParallelRepairer repairer(params, 30, kBlockSize, &store, &pool);
+  const RepairReport report = repairer.repair_all();
   EXPECT_EQ(report.nodes_unrecovered, 0u);
   EXPECT_EQ(store.get_copy(BlockKey::data(10)), truth[9]);
   EXPECT_EQ(store.get_copy(BlockKey::data(11)), truth[10]);

@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
+#include "ae_test_util.h"
 #include "common/xor_engine.h"
-#include "core/codec/encoder.h"
 #include "core/codec/tamper.h"
 
 namespace aec {
@@ -17,10 +16,8 @@ struct Fixture {
 
   explicit Fixture(CodeParams code, std::uint64_t count = 100)
       : params(code), n(count) {
-    Encoder enc(params, kBlockSize, &store);
-    Rng rng(77);
-    for (std::uint64_t i = 0; i < n; ++i)
-      enc.append(rng.random_block(kBlockSize));
+    test::encode_into(params, kBlockSize,
+                      test::random_blocks(n, kBlockSize, 77), store);
   }
 
   Lattice lattice() const {
