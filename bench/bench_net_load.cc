@@ -1,6 +1,6 @@
 // Network daemon load: an in-process aecd Server on a temp archive,
 // driven by real Client connections over loopback TCP — the full
-// framing/reactor/executor/backpressure path, no mocks.
+// framing/reactor/lane/backpressure path, no mocks.
 //
 // Phases:
 //   · ingest        one connection streams file_mib up (PUT), then reads
@@ -21,9 +21,10 @@
 //   cross-PR perf-tracking format; all latencies in µs; every row
 //   records hw_cores, the machine's hardware threads)
 //
-// The archive executor serializes requests (the engine contract), so
-// closed-loop GET throughput is the daemon's real serving capacity for
-// concurrent clients, not C independent archives.
+// GETs run on the daemon's read lanes (one per engine worker) beside its
+// writer lane, all sharing the engine's one pool, so closed-loop GET
+// throughput is the daemon's real serving capacity for concurrent
+// clients, not C independent archives.
 #include <unistd.h>
 
 #include <algorithm>

@@ -12,9 +12,10 @@
 // worker pool, so several archives/sessions can multiplex one pool.
 // Every session runs pool tasks against its store, so open_session only
 // accepts stores that synchronize themselves (BlockStore::thread_safe).
-// Note the barrier caveat: ThreadPool::wait_idle() is pool-global, so
-// sessions of one engine must not run append/repair concurrently with
-// each other (multiplexing is sequential sharing, not parallel).
+// Each batch, wave and repair pass waits on its own completion group
+// (ThreadPool::Group), so sessions of one engine — and the one writer
+// and many readers of one session (session.h) — run side by side on the
+// shared pool without waiting for each other's tasks.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +47,8 @@ class Engine : public std::enable_shared_from_this<Engine> {
   std::size_t ingest_window_blocks() const noexcept { return 256 * threads(); }
 
   /// Snapshot of the process-wide metrics registry (pool queue waits,
-  /// encode/repair wave timings, store cache tallies, …). Exact once the
-  /// pool is idle; see obs/metrics.h for the consistency model.
+  /// encode/repair wave timings, store cache tallies, …). Exact once no
+  /// operation is running; see obs/metrics.h for the consistency model.
   obs::MetricsSnapshot metrics() const {
     return obs::MetricsRegistry::global().snapshot();
   }

@@ -58,12 +58,8 @@ BlockStream::BlockStream(const BlockStore& store, pipeline::ThreadPool& pool,
 }
 
 BlockStream::~BlockStream() {
-  // Drain in-flight batches so no pool task can touch the store after
-  // the caller tears it down; whatever they fetched goes unconsumed.
-  for (const auto& batch : inflight_) {
-    std::unique_lock lock(batch->mu);
-    batch->cv.wait(lock, [&] { return batch->done; });
-  }
+  // prefetch_'s destructor then waits for the in-flight batches, whose
+  // blocks go unconsumed.
   if (issued_ > consumed_) wasted_blocks_->add(issued_ - consumed_);
 }
 
@@ -82,9 +78,8 @@ void BlockStream::fill_window() {
     issued_blocks_->add(n);
     inflight_.push_back(batch);
     // The task captures only the batch (shared) and the store; errors
-    // stay inside the batch so a shared pool's wait_idle() never sees
-    // them.
-    pool_.submit([store = &store_, batch, keys = std::move(keys)] {
+    // stay inside the batch, for the next() that consumes it.
+    pool_.submit(prefetch_, [store = &store_, batch, keys = std::move(keys)] {
       std::vector<std::optional<Bytes>> results;
       std::exception_ptr error;
       try {
@@ -165,17 +160,22 @@ void AeSession::append(const std::vector<Bytes>& blocks) {
   encoder_.append_all(blocks);
 }
 
-pipeline::ParallelRepairer& AeSession::repairer() {
-  AEC_CHECK_MSG(size() > 0, "repairer(): empty session");
-  if (!repairer_ || repairer_->lattice().n_nodes() != size()) {
-    repairer_ = std::make_unique<pipeline::ParallelRepairer>(
-        codec_->params(), size(), block_size_, store_, pool_);
+std::shared_ptr<pipeline::ParallelRepairer> AeSession::repairer() {
+  const std::uint64_t n = size();
+  AEC_CHECK_MSG(n > 0, "repairer(): empty session");
+  std::lock_guard lock(repairer_mu_);
+  // Grow only: a reader holding an older snapshot of size() gets the
+  // larger lattice, whose extra nodes are just as committed.
+  if (!repairer_ || repairer_->lattice().n_nodes() < n) {
+    repairer_ = std::make_shared<pipeline::ParallelRepairer>(
+        codec_->params(), n, block_size_, store_, pool_);
     repairer_->set_availability_index(avail_index_);
   }
-  return *repairer_;
+  return repairer_;
 }
 
 void AeSession::attach_availability_index(const AvailabilityIndex* index) {
+  std::lock_guard lock(repairer_mu_);
   avail_index_ = index;
   if (repairer_) repairer_->set_availability_index(index);
 }
@@ -195,14 +195,14 @@ std::unique_ptr<BlockStream> AeSession::open_stream(NodeIndex first,
   return std::make_unique<BlockStream>(
       *store_, *pool_, first, count, lookahead,
       [this, lookahead, end](NodeIndex i) {
-        return repairer().read_node(
+        return repairer()->read_node(
             i, std::min(lookahead, static_cast<std::size_t>(end - i)));
       });
 }
 
 RepairReport AeSession::repair_all() {
   if (size() == 0) return {};
-  return repairer().repair_all();
+  return repairer()->repair_all();
 }
 
 void AeSession::for_each_expected_key(
@@ -250,9 +250,10 @@ StripedSession::StripedSession(std::shared_ptr<const Codec> codec,
 }
 
 void StripedSession::heal_tail_stripe() {
-  const std::uint64_t stripe = count_ / k_;
+  const std::uint64_t count = size();
+  const std::uint64_t stripe = count / k_;
   const std::uint64_t first = stripe * k_;
-  const auto committed = static_cast<std::uint32_t>(count_ - first);
+  const auto committed = static_cast<std::uint32_t>(count - first);
 
   // Orphan payloads at the uncommitted tail positions mean an append
   // was interrupted after its data puts: the stored parities may bind
@@ -334,7 +335,7 @@ void StripedSession::heal_tail_stripe() {
   // Restore the invariant (parities bind committed data + zeros) and
   // drop the orphans so later opens see a clean stripe.
   if (missing.empty()) {
-    encode_stripe(stripe);
+    encode_stripe(stripe, count);
     for (std::uint32_t r = committed; r < k_; ++r)
       store_->erase(BlockKey::data(static_cast<NodeIndex>(first + r) + 1));
   } else {
@@ -349,10 +350,9 @@ void StripedSession::heal_tail_stripe() {
 }
 
 std::vector<std::optional<Bytes>> StripedSession::collect_parts(
-    std::uint64_t stripe, PartIndexList& erased) const {
+    std::uint64_t stripe, std::uint64_t count, PartIndexList& erased) const {
   const std::uint64_t first = stripe * k_;  // 0-based data offset
-  const std::uint32_t real =
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(k_, count_ - first));
+  const std::uint32_t real = real_parts(stripe, count);
   std::vector<std::optional<Bytes>> parts(k_ + m_);
   for (std::uint32_t r = 0; r < k_; ++r) {
     if (r >= real) {
@@ -370,13 +370,14 @@ std::vector<std::optional<Bytes>> StripedSession::collect_parts(
   return parts;
 }
 
-void StripedSession::encode_stripe(std::uint64_t stripe) {
+void StripedSession::encode_stripe(std::uint64_t stripe,
+                                   std::uint64_t count) {
   const std::uint64_t first = stripe * k_;
   std::vector<Bytes> data;
   data.reserve(k_);
   for (std::uint32_t r = 0; r < k_; ++r) {
     const std::uint64_t index = first + r;
-    if (index >= count_) {
+    if (index >= count) {
       data.emplace_back(block_size_, 0);  // virtual tail block
       continue;
     }
@@ -400,17 +401,24 @@ void StripedSession::append(const std::vector<Bytes>& blocks) {
                   "append: block size " << b.size() << " != configured "
                                         << block_size_);
   if (blocks.empty()) return;
+  const std::uint64_t count = size();
+  const std::uint64_t new_count = count + blocks.size();
 
-  // A resumed partial tail stripe must be healed while its tail is still
-  // virtual (all-zero): its stored parities bind the old state, so a
-  // missing member is unrecoverable once new payloads overwrite the
-  // zero-padding the parities assumed.
-  const std::uint64_t first_stripe = count_ / k_;
-  if (count_ % k_ != 0) {
-    for (std::uint64_t index = first_stripe * k_; index < count_; ++index) {
+  // Readers may be repairing committed members of a partial tail stripe:
+  // hold them off from the first write into it until the new size is
+  // published (see the class comment).
+  const std::uint64_t first_stripe = count / k_;
+  std::unique_lock tail_lock(tail_mu_, std::defer_lock);
+  if (count % k_ != 0) {
+    tail_lock.lock();
+    // A partial tail stripe must be healed while its tail is still
+    // virtual (all-zero): its stored parities bind the old state, so a
+    // missing member is unrecoverable once new payloads overwrite the
+    // zero-padding the parities assumed.
+    for (std::uint64_t index = first_stripe * k_; index < count; ++index) {
       const auto key = BlockKey::data(static_cast<NodeIndex>(index) + 1);
       if (store_->contains(key)) continue;
-      repair_stripe(first_stripe);
+      repair_stripe(first_stripe, count);
       AEC_CHECK_MSG(store_->contains(key),
                     "append: tail stripe member d"
                         << index + 1 << " is irrecoverable; cannot extend");
@@ -425,24 +433,33 @@ void StripedSession::append(const std::vector<Bytes>& blocks) {
     std::vector<std::pair<BlockKey, Bytes>> puts;
     puts.reserve(stop - b);
     for (std::size_t j = b; j < stop; ++j)
-      puts.emplace_back(BlockKey::data(static_cast<NodeIndex>(count_ + j) + 1),
+      puts.emplace_back(BlockKey::data(static_cast<NodeIndex>(count + j) + 1),
                         blocks[j]);
     store_->put_batch(std::move(puts));
   }
-  count_ += blocks.size();
 
   // Stripes are independent: re-encode every touched stripe across the
   // pool (reads go through get_copy, writes land in disjoint keys).
-  const std::uint64_t last_stripe = (count_ - 1) / k_;
+  const std::uint64_t last_stripe = (new_count - 1) / k_;
+  pipeline::ThreadPool::Group batch;
   for (std::uint64_t g = first_stripe; g <= last_stripe; ++g)
-    pool_->submit([this, g] { encode_stripe(g); });
-  pool_->wait_idle();  // batch barrier (rethrows the first task error)
+    pool_->submit(batch, [this, g, new_count] { encode_stripe(g, new_count); });
+  try {
+    pool_->wait(batch);  // batch barrier (rethrows the first task error)
+  } catch (...) {
+    // The partial tail stripe's parities may already bind the new blocks,
+    // which stay uncommitted: bind them to the committed ones again, so a
+    // repair of that stripe still decodes what its readers stored.
+    if (count % k_ != 0) encode_stripe(first_stripe, count);
+    throw;
+  }
+  count_.store(new_count);
 }
 
-PartIndexList StripedSession::probe_erased(std::uint64_t stripe) const {
+PartIndexList StripedSession::probe_erased(std::uint64_t stripe,
+                                           std::uint64_t count) const {
   const std::uint64_t first = stripe * k_;
-  const std::uint32_t real =
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(k_, count_ - first));
+  const std::uint32_t real = real_parts(stripe, count);
   PartIndexList erased;
   for (std::uint32_t r = 0; r < real; ++r)
     if (!store_->contains(
@@ -454,14 +471,14 @@ PartIndexList StripedSession::probe_erased(std::uint64_t stripe) const {
 }
 
 StripedSession::StripeOutcome StripedSession::repair_stripe(
-    std::uint64_t stripe) {
+    std::uint64_t stripe, std::uint64_t count) {
   StripeOutcome outcome;
   // Metadata-only availability probe first: an intact stripe (the
   // common scrub case) costs index lookups, not k+m payload reads.
-  if (probe_erased(stripe).empty()) return outcome;
+  if (probe_erased(stripe, count).empty()) return outcome;
   PartIndexList erased;
   const std::vector<std::optional<Bytes>> parts =
-      collect_parts(stripe, erased);
+      collect_parts(stripe, count, erased);
   if (erased.empty()) return outcome;  // raced back to health
 
   const auto rebuilt = codec_->repair(parts, erased);
@@ -481,20 +498,30 @@ StripedSession::StripeOutcome StripedSession::repair_stripe(
   return outcome;
 }
 
+void StripedSession::repair_for_read(std::uint64_t stripe) {
+  // A stripe full by this snapshot is never re-encoded again; one that
+  // is partial may be, so take the append's lock and re-read the size
+  // under it.
+  std::unique_lock lock(tail_mu_, std::defer_lock);
+  if ((stripe + 1) * k_ > size()) lock.lock();
+  repair_stripe(stripe, size());
+}
+
 std::unique_ptr<BlockStream> StripedSession::open_stream(
     NodeIndex first, std::uint64_t count, std::size_t window) {
-  check_read_range(first, count, count_);
+  check_read_range(first, count, size());
   return std::make_unique<BlockStream>(
       *store_, *pool_, first, count,
       window > 0 ? window : kReadWindowBlocks, [this](NodeIndex i) {
-        repair_stripe(static_cast<std::uint64_t>(i - 1) / k_);
+        repair_for_read(static_cast<std::uint64_t>(i - 1) / k_);
         return store_->get_copy(BlockKey::data(i));
       });
 }
 
 RepairReport StripedSession::repair_all() {
   RepairReport report;
-  if (count_ == 0) return report;
+  const std::uint64_t count = size();
+  if (count == 0) return report;
   const auto start = std::chrono::steady_clock::now();
 
   // With an availability index attached only the damaged stripes are
@@ -514,11 +541,12 @@ RepairReport StripedSession::repair_all() {
   }
 
   std::vector<StripeOutcome> outcomes(targets.size());
+  pipeline::ThreadPool::Group pass;
   for (std::size_t t = 0; t < targets.size(); ++t)
-    pool_->submit([this, &outcomes, &targets, t] {
-      outcomes[t] = repair_stripe(targets[t]);
+    pool_->submit(pass, [this, &outcomes, &targets, t, count] {
+      outcomes[t] = repair_stripe(targets[t], count);
     });
-  pool_->wait_idle();
+  pool_->wait(pass);
 
   for (const StripeOutcome& outcome : outcomes) {
     report.nodes_repaired_total += outcome.nodes_repaired;
@@ -538,7 +566,7 @@ RepairReport StripedSession::repair_all() {
 bool StripedSession::is_expected_key(const BlockKey& key) const {
   if (key.index < 1) return false;
   if (key.is_data())
-    return static_cast<std::uint64_t>(key.index) <= count_;
+    return static_cast<std::uint64_t>(key.index) <= size();
   return key.cls == StrandClass::kHorizontal &&
          static_cast<std::uint64_t>(key.index) <= stripes() * m_;
 }
@@ -550,10 +578,11 @@ void StripedSession::attach_availability_index(
 
 void StripedSession::for_each_expected_key(
     const std::function<void(const BlockKey&)>& fn) const {
-  for (std::uint64_t g = 0; g < stripes(); ++g) {
+  const std::uint64_t count = size();
+  const std::uint64_t stripe_count = (count + k_ - 1) / k_;
+  for (std::uint64_t g = 0; g < stripe_count; ++g) {
     const std::uint64_t first = g * k_;
-    const std::uint32_t real = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(k_, count_ - first));
+    const std::uint32_t real = real_parts(g, count);
     for (std::uint32_t r = 0; r < real; ++r)
       fn(BlockKey::data(static_cast<NodeIndex>(first + r) + 1));
     for (std::uint32_t j = 0; j < m_; ++j) fn(parity_key(g, j));
@@ -562,9 +591,12 @@ void StripedSession::for_each_expected_key(
 
 IntegrityReport StripedSession::verify_integrity() const {
   IntegrityReport report;
-  for (std::uint64_t g = 0; g < stripes(); ++g) {
+  const std::uint64_t count = size();
+  const std::uint64_t stripe_count = (count + k_ - 1) / k_;
+  for (std::uint64_t g = 0; g < stripe_count; ++g) {
     PartIndexList erased;
-    const std::vector<std::optional<Bytes>> parts = collect_parts(g, erased);
+    const std::vector<std::optional<Bytes>> parts =
+        collect_parts(g, count, erased);
     if (!erased.empty()) continue;  // incomplete stripes are not verifiable
     std::vector<Bytes> data;
     data.reserve(k_);

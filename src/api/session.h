@@ -9,6 +9,18 @@
 // session groups blocks into fixed-width codec stripes (RS, REP) whose
 // parities live in a flat parity index space.
 //
+// Concurrency contract: one writer plus any number of readers. One
+// thread at a time appends (the writer); any number of threads consume
+// streams from open_stream() beside it, each stream on one thread, and
+// their repair-on-read persists what it repairs. size() is safe from any
+// thread and advances only once an append is wholly in the store, so a
+// stream opened within [1, size()] never meets half-written blocks.
+// repair_all(), verify_integrity() and attach_availability_index() run
+// exclusively — with no append and no open stream (Archive enforces this
+// for its sessions). Every barrier is a per-operation completion group
+// on the shared pool, so a reader's repair wave and a writer's batch
+// never wait for each other's tasks.
+//
 // Key layout (shared with FileBlockStore's on-disk naming, both layouts):
 //   data block i        — BlockKey::data(i), i in [1, size()]
 //   AE parity           — BlockKey::parity(output edge), lattice naming
@@ -16,10 +28,13 @@
 //                       — BlockKey{kParity, kHorizontal, g·m + j + 1}
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -66,13 +81,12 @@ struct IntegrityReport {
 /// Concurrency/error model: each in-flight batch owns its own
 /// mutex/cv/result slots inside a shared_ptr; pool tasks touch only that
 /// batch and the store, never the stream, so destroying the stream
-/// mid-run is safe (the destructor still drains in-flight batches so the
-/// store cannot be torn down under a task). A store exception is captured
-/// in its batch and rethrown from the next() that consumes it — it never
-/// reaches ThreadPool::wait_idle(), so a concurrent scrub on the same
-/// pool cannot observe another session's read failure. The session (and
-/// its store) must outlive the stream; like the session itself, a stream
-/// has one consumer thread.
+/// mid-run is safe (the stream's completion group still waits for
+/// in-flight batches so the store cannot be torn down under a task). A
+/// store exception is captured in its batch and rethrown from the next()
+/// that consumes it, by the reader that asked — no other operation waits
+/// on the stream's group. The session (and its store) must outlive the
+/// stream, and a stream has one consumer thread.
 class BlockStream {
  public:
   /// Repair-on-read fallback for data block i (nullopt = irrecoverable).
@@ -136,6 +150,9 @@ class BlockStream {
       "read.prefetch.lookahead_depth", obs::Histogram::size_bounds());
   obs::Histogram* fetch_wait_us_ = obs::MetricsRegistry::global().histogram(
       "read.prefetch.fetch_wait_us", obs::Histogram::latency_bounds_us());
+  /// The in-flight batches; declared last, so its destructor waits for
+  /// them before any other member goes.
+  pipeline::ThreadPool::Group prefetch_;
 };
 
 class CodecSession {
@@ -150,11 +167,13 @@ class CodecSession {
   virtual const Codec& codec() const = 0;
   virtual std::size_t block_size() const = 0;
 
-  /// Data blocks appended so far.
+  /// Data blocks appended so far (safe from any thread).
   virtual std::uint64_t size() const = 0;
 
   /// Appends data blocks (each exactly block_size bytes): stores them
-  /// and the redundancy the codec derives for them.
+  /// and the redundancy the codec derives for them. On an exception
+  /// size() has not advanced, and a later append (of the same or other
+  /// blocks) re-encodes the same positions.
   virtual void append(const std::vector<Bytes>& blocks) = 0;
 
   /// Opens the read of data blocks [first, first+count) within
@@ -229,17 +248,20 @@ class AeSession final : public CodecSession {
   IntegrityReport verify_integrity() const override;
 
  private:
-  /// Wave-parallel repair engine, created lazily and rebuilt when the
-  /// lattice has grown since.
-  pipeline::ParallelRepairer& repairer();
+  /// Wave-parallel repair engine over the current lattice, created
+  /// lazily and rebuilt under repairer_mu_ when the lattice has grown
+  /// since. Shared ownership: a reader keeps repairing on the one it got
+  /// while a later call swaps in a larger one.
+  std::shared_ptr<pipeline::ParallelRepairer> repairer();
 
   std::shared_ptr<const AeCodec> codec_;
   BlockStore* store_;
   std::size_t block_size_;
   pipeline::ThreadPool* pool_;
-  const AvailabilityIndex* avail_index_ = nullptr;
   pipeline::ParallelEncoder encoder_;
-  std::unique_ptr<pipeline::ParallelRepairer> repairer_;
+  std::mutex repairer_mu_;  // guards avail_index_ and repairer_
+  const AvailabilityIndex* avail_index_ = nullptr;
+  std::shared_ptr<pipeline::ParallelRepairer> repairer_;
 };
 
 /// Fixed-width stripe session for striped codecs (RS, REP). The tail
@@ -255,6 +277,14 @@ class AeSession final : public CodecSession {
 /// committed data + zeros, and the orphans are dropped — so repairs
 /// after a crash never reconstruct from a state the parities don't
 /// describe.
+///
+/// Readers and the writer meet in the partial tail stripe: an append
+/// fills its virtual zero blocks and re-encodes its parities, while a
+/// reader may be repairing one of its committed blocks. The append holds
+/// tail_mu_ from its first write into that stripe until it publishes the
+/// new size, and a reader repairing a stripe that is partial by its
+/// snapshot of size() takes tail_mu_ too, so a decode never mixes the
+/// stripe's old and new parities.
 class StripedSession final : public CodecSession {
  public:
   StripedSession(std::shared_ptr<const Codec> codec, BlockStore* store,
@@ -263,7 +293,7 @@ class StripedSession final : public CodecSession {
 
   const Codec& codec() const override { return *codec_; }
   std::size_t block_size() const override { return block_size_; }
-  std::uint64_t size() const override { return count_; }
+  std::uint64_t size() const override { return count_.load(); }
   void append(const std::vector<Bytes>& blocks) override;
   std::unique_ptr<BlockStream> open_stream(NodeIndex first,
                                            std::uint64_t count,
@@ -275,7 +305,7 @@ class StripedSession final : public CodecSession {
   void attach_availability_index(const AvailabilityIndex* index) override;
   IntegrityReport verify_integrity() const override;
 
-  std::uint64_t stripes() const noexcept { return (count_ + k_ - 1) / k_; }
+  std::uint64_t stripes() const noexcept { return (size() + k_ - 1) / k_; }
 
  private:
   BlockKey parity_key(std::uint64_t stripe, std::uint32_t j) const noexcept {
@@ -283,15 +313,25 @@ class StripedSession final : public CodecSession {
                     static_cast<NodeIndex>(stripe * m_ + j) + 1};
   }
 
+  // The stripe helpers take the session size they work against: an
+  // append encodes against its new size before publishing it.
+
+  /// Data parts of stripe g that are real (not virtual tail zeros).
+  std::uint32_t real_parts(std::uint64_t stripe,
+                           std::uint64_t count) const noexcept {
+    return static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(k_, count - stripe * k_));
+  }
+
   /// The whole group of stripe g as codec parts: present payloads,
   /// nullopt for missing real parts, zero blocks for the virtual tail.
   /// `erased` receives the missing real part indices.
   std::vector<std::optional<Bytes>> collect_parts(
-      std::uint64_t stripe, PartIndexList& erased) const;
+      std::uint64_t stripe, std::uint64_t count, PartIndexList& erased) const;
 
   /// Availability-only probe of stripe g: the missing real part
   /// indices, without reading any payloads.
-  PartIndexList probe_erased(std::uint64_t stripe) const;
+  PartIndexList probe_erased(std::uint64_t stripe, std::uint64_t count) const;
 
   /// Resume-time crash recovery for a partial tail stripe (see the
   /// class comment). No-op when no orphan blocks exist.
@@ -299,7 +339,7 @@ class StripedSession final : public CodecSession {
 
   /// Recomputes and stores the parities of one stripe from the data
   /// blocks currently in the store (virtual tail = zero blocks).
-  void encode_stripe(std::uint64_t stripe);
+  void encode_stripe(std::uint64_t stripe, std::uint64_t count);
 
   struct StripeOutcome {
     std::uint64_t nodes_repaired = 0;
@@ -310,7 +350,11 @@ class StripedSession final : public CodecSession {
 
   /// Repairs one stripe in place (no-op when intact); an irreparable
   /// stripe reports its missing parts as unrecovered instead.
-  StripeOutcome repair_stripe(std::uint64_t stripe);
+  StripeOutcome repair_stripe(std::uint64_t stripe, std::uint64_t count);
+
+  /// A reader's repair of stripe g, serialized with an append that is
+  /// re-encoding it (see the class comment).
+  void repair_for_read(std::uint64_t stripe);
 
   /// Stripe a key belongs to (valid only for expected keys).
   std::uint64_t stripe_of_key(const BlockKey& key) const noexcept {
@@ -326,7 +370,9 @@ class StripedSession final : public CodecSession {
   const AvailabilityIndex* avail_index_ = nullptr;
   std::uint32_t k_;  // data parts per stripe
   std::uint32_t m_;  // parity parts per stripe
-  std::uint64_t count_ = 0;
+  /// Written by the appending writer only, once an append is stored.
+  std::atomic<std::uint64_t> count_;
+  std::mutex tail_mu_;
 };
 
 }  // namespace aec

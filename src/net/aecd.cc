@@ -5,9 +5,10 @@
 //        [--http-port P] [--http-port-file PATH] [--log-level LEVEL]
 //
 // The daemon owns the archive for its lifetime: one epoll reactor
-// thread multiplexes every connection, one executor thread drives the
-// archive, and the engine's worker pool (--threads) parallelizes each
-// operation internally. --port 0 (the default) binds an ephemeral port;
+// thread multiplexes every connection, one writer lane drives ingest and
+// the exclusive operations while one read lane per engine worker serves
+// GETs beside it (server.h), and the engine's worker pool (--threads)
+// parallelizes each operation internally. --port 0 (the default) binds an ephemeral port;
 // --port-file writes the bound port to PATH so scripts can discover it
 // without parsing logs. SIGTERM/SIGINT trigger a graceful drain:
 // in-flight requests finish and flush, new ones are refused with

@@ -4,8 +4,8 @@
 // One thread runs run(); every registered fd's callback fires on that
 // thread, so connection state needs no locks. Other threads communicate
 // with the loop exclusively through post(), which enqueues a closure
-// and wakes the loop via an eventfd — this is how the archive-executor
-// thread hands finished responses back to the socket side.
+// and wakes the loop via an eventfd — this is how the archive lanes
+// hand finished responses back to the socket side.
 //
 // Dispatch is level-triggered and keyed on a (fd, generation) token
 // carried in epoll_event.data.u64, so a callback that removes another

@@ -85,6 +85,8 @@ Server::Server(tools::Archive* archive, ServerConfig config)
   health_parity_missing_ = reg.gauge("health.parity_missing");
   health_min_margin_ = reg.gauge("health.min_margin");
 
+  lanes_.resize(1 + archive_->threads());  // writer + one read lane per worker
+  for (auto& lane : lanes_) lane = std::make_unique<Lane>();
   open_listener();
   if (config_.http_port >= 0) open_http_listener();
   loop_.set_tick(250, [this] {
@@ -136,18 +138,20 @@ void Server::open_listener() {
 }
 
 void Server::run() {
-  executor_ = std::thread([this] { executor_loop(); });
   loop_.run();
 
-  // Past this point nothing reads sockets; unblock and stop the
-  // executor, then tear the connections down.
+  // Past this point nothing reads sockets; unblock and stop the lanes
+  // that started, then tear the connections down.
   for (auto& [id, conn] : conns_) {
     std::lock_guard lock(conn->gate->mu);
     conn->gate->closed = true;
     conn->gate->cv.notify_all();
   }
-  exec_push(ExecItem{ExecItem::Kind::kStop, 0, {}, nullptr, {}});
-  executor_.join();
+  for (std::size_t k = 0; k < lanes_.size(); ++k)
+    if (lanes_[k]->thread.joinable())
+      lane_push(k, ExecItem{ExecItem::Kind::kStop, 0, {}, nullptr, {}});
+  for (auto& lane : lanes_)
+    if (lane->thread.joinable()) lane->thread.join();
   for (auto& [id, conn] : conns_) {
     loop_.remove(conn->fd);
     ::close(conn->fd);
@@ -296,7 +300,7 @@ void Server::on_readable(Connection& conn) {
       item.frame = std::move(*frame);
       item.gate = conn.gate;
       item.enqueued = Clock::now();
-      exec_push(std::move(item));
+      dispatch(conn, std::move(item));
     }
     if (conn.parser.error()) {
       // The stream cannot be re-synchronized: answer with a typed
@@ -382,7 +386,7 @@ bool Server::send_error_from_loop(Connection& conn, std::uint64_t request_id,
     queued = conn.gate->queued;
   }
   if (queued + buffer.size() > config_.write_queue_limit) {
-    // The executor blocks on the gate when it exceeds the budget; the
+    // A lane blocks on the gate when it exceeds the budget; the
     // loop cannot. A client that streams rejected frames while never
     // reading replies would otherwise grow the queue without bound —
     // drop it instead.
@@ -406,10 +410,12 @@ void Server::close_conn(std::uint64_t conn_id) {
   conn.fd = -1;
   conn_closed_->add();
   conn_active_->add(-1);
-  // Tell the executor so it can drop any open PUT session. Requests from
-  // this connection already queued ahead of the marker still execute;
-  // their responses are discarded at the (closed) gate.
-  exec_push(ExecItem{ExecItem::Kind::kConnClosed, conn_id, {}, nullptr, {}});
+  // Tell the writer lane so it can drop any open PUT session. Requests
+  // from this connection already queued still execute; their responses
+  // are discarded at the (closed) gate. Parked ones never run.
+  inflight_total_ -= conn.parked.size();
+  lane_push(kWriterLane,
+            ExecItem{ExecItem::Kind::kConnClosed, conn_id, {}, nullptr, {}});
   conns_.erase(it);
   if (draining_) check_drain();
 }
@@ -631,41 +637,88 @@ void Server::close_http_conn(std::uint64_t conn_id) {
   http_conns_.erase(it);
 }
 
-// --- executor ------------------------------------------------------------
+// --- lane dispatch ---------------------------------------------------------
 
-void Server::exec_push(ExecItem item) {
-  {
-    std::lock_guard lock(exec_mu_);
-    exec_queue_.push_back(std::move(item));
-  }
-  exec_cv_.notify_one();
+void Server::dispatch(Connection& conn, ExecItem item) {
+  conn.parked.push_back(std::move(item));
+  release_parked(conn);
 }
 
-void Server::executor_loop() {
+void Server::release_parked(Connection& conn) {
+  while (!conn.parked.empty()) {
+    const bool read = conn.parked.front().frame.op ==
+                      static_cast<std::uint16_t>(Op::kGetFile);
+    const std::size_t on_lane = conn.inflight - conn.parked.size();
+    // Replies keep request order: a writer-lane op waits for the
+    // connection's requests on a read lane.
+    if (on_lane > 0 && !read && conn.lane != kWriterLane) return;
+    if (on_lane == 0) conn.lane = read ? least_loaded_lane() : kWriterLane;
+    ++lanes_[conn.lane]->load;
+    lane_push(conn.lane, std::move(conn.parked.front()));
+    conn.parked.pop_front();
+  }
+}
+
+std::size_t Server::least_loaded_lane() const {
+  std::size_t best = kWriterLane;
+  for (std::size_t k = 1; k < lanes_.size(); ++k)
+    if (lanes_[k]->load < lanes_[best]->load) best = k;
+  return best;
+}
+
+void Server::on_request_done(std::uint64_t conn_id, std::size_t lane) {
+  --inflight_total_;
+  --lanes_[lane]->load;
+  const auto it = conns_.find(conn_id);
+  if (it != conns_.end()) {
+    Connection& conn = *it->second;
+    --conn.inflight;
+    release_parked(conn);
+  }
+  if (draining_) check_drain();
+}
+
+// --- lanes ------------------------------------------------------------------
+
+void Server::lane_push(std::size_t lane, ExecItem item) {
+  Lane& target = *lanes_[lane];
+  // A lane starts on its first item, so a server with one client runs on
+  // one lane thread. An idle lane is not free: its thread still touches
+  // the allocator when it exits, which changes which malloc arena the
+  // next archive's threads reuse — with idle read lanes, perfbench
+  // ingest's peak RSS rose from about 1190 to 1500 MiB in half the runs
+  // (4-core host).
+  if (!target.thread.joinable())
+    target.thread = std::thread([this, lane] { lane_loop(lane); });
+  {
+    std::lock_guard lock(target.mu);
+    target.queue.push_back(std::move(item));
+  }
+  target.cv.notify_one();
+}
+
+void Server::lane_loop(std::size_t lane) {
+  Lane& self = *lanes_[lane];
   for (;;) {
     ExecItem item;
     {
-      std::unique_lock lock(exec_mu_);
-      exec_cv_.wait(lock, [this] { return !exec_queue_.empty(); });
-      item = std::move(exec_queue_.front());
-      exec_queue_.pop_front();
+      std::unique_lock lock(self.mu);
+      self.cv.wait(lock, [&] { return !self.queue.empty(); });
+      item = std::move(self.queue.front());
+      self.queue.pop_front();
     }
     switch (item.kind) {
       case ExecItem::Kind::kStop:
-        puts_.clear();  // abandons any open ingest (FileWriter dtor)
+        // Abandons any open ingest (FileWriter dtor): the writer lane's.
+        if (lane == kWriterLane) puts_.clear();
         return;
-      case ExecItem::Kind::kConnClosed:
+      case ExecItem::Kind::kConnClosed:  // writer lane only
         puts_.erase(item.conn_id);
         break;
       case ExecItem::Kind::kRequest: {
         handle_request(item);
         const std::uint64_t conn_id = item.conn_id;
-        loop_.post([this, conn_id] {
-          --inflight_total_;
-          const auto it = conns_.find(conn_id);
-          if (it != conns_.end()) --it->second->inflight;
-          if (draining_) check_drain();
-        });
+        loop_.post([this, conn_id, lane] { on_request_done(conn_id, lane); });
         break;
       }
     }
@@ -692,7 +745,7 @@ bool Server::exec_send_encoded(const ExecItem& item, Bytes buffer) {
         });
     if (item.gate->closed) return false;
     if (!ok) {
-      // The client stopped reading; it may not park the archive lane.
+      // The client stopped reading; it may not park its lane.
       lock.unlock();
       obs::Logger::global().warn(
           "net", "dropping stalled connection: write budget blocked past "
@@ -763,7 +816,7 @@ void Server::handle_request(const ExecItem& item) {
       }
       case Op::kList: {
         req.expect_done();
-        const auto& files = archive_->files();
+        const std::vector<tools::FileEntry> files = archive_->files();
         PayloadWriter w;
         w.u32(static_cast<std::uint32_t>(files.size()));
         for (const tools::FileEntry& entry : files) {
@@ -781,7 +834,7 @@ void Server::handle_request(const ExecItem& item) {
           reply = error_frame(id, ErrorCode::kBadState,
                               "PUT already open on this connection");
         } else if (!puts_.empty()) {
-          // Only this thread opens writers, so a non-empty map IS the
+          // Only the writer lane opens writers, so a non-empty map IS the
           // "another FileWriter is open" condition — reject as retryable
           // busy instead of letting begin_file throw.
           reply = error_frame(id, ErrorCode::kBusy,
@@ -797,7 +850,14 @@ void Server::handle_request(const ExecItem& item) {
           reply = error_frame(id, ErrorCode::kBadState,
                               "PUT_CHUNK without PUT_BEGIN");
         } else {
-          it->second.write(req.rest());
+          try {
+            it->second.write(req.rest());
+          } catch (...) {
+            // A failed append poisons the writer (archive.h): drop it, so
+            // the slot frees and a later PUT_END answers kBadState.
+            puts_.erase(it);
+            throw;
+          }
         }
         break;
       }
@@ -874,13 +934,14 @@ void Server::handle_get(const ExecItem& item, PayloadReader& req) {
   const std::uint64_t trace = item.frame.trace_id;
   const std::string name = req.str();
   req.expect_done();
-  if (archive_->find_file(name) == nullptr) {
+  std::optional<tools::FileReader> opened = archive_->try_open_reader(name);
+  if (!opened) {
     Frame err = error_frame(id, ErrorCode::kNotFound, "no such file: " + name);
     err.trace_id = trace;
     exec_send(item, err);
     return;
   }
-  tools::FileReader reader = archive_->open_reader(name);
+  tools::FileReader& reader = *opened;
   for (;;) {
     // Size the frame up front, then let the reader copy the payload
     // straight from the decoded blocks into place behind the header:

@@ -1,31 +1,44 @@
-// aecd server core: one epoll reactor thread + one archive-executor
-// thread serving an Archive over the framed protocol (protocol.h).
+// aecd server core: one epoll reactor thread plus the archive lanes —
+// one writer lane and one read lane per engine worker — serving an
+// Archive over the framed protocol (protocol.h).
 //
 // Threading model
 //   · The reactor thread (run()) owns every socket, read/write buffer
 //     and framing state machine. It never touches the archive or the
-//     disk: complete request frames are handed to the executor queue,
+//     disk: complete request frames are dispatched to a lane's queue,
 //     and everything it does per byte is O(1) buffer work.
-//   · The archive-executor thread drains that queue in FIFO order and
-//     is the only thread that calls into the Archive. Requests from
-//     different connections are therefore serialized at the archive
-//     boundary — which is exactly the Engine contract (sessions of one
-//     engine must not run append/repair concurrently, engine.h) — while
-//     each operation itself fans out across the shared Engine worker
-//     pool. Running archive work *as* a pool task would deadlock: the
-//     session's own wave barriers call pool.wait_idle(), which can
-//     never return while the caller occupies a worker slot.
+//   · The lanes are the only threads that call into the Archive. Each
+//     drains its own queue in FIFO order, and each operation fans out
+//     across the shared Engine worker pool, waiting only on its own
+//     completion groups. The writer lane runs every op except GET_FILE:
+//     it alone owns the open PUT state (puts_), and the exclusive ops it
+//     runs (scrub, node fail/heal/rebuild — archive.h) wait for the
+//     GETs in flight on the read lanes. The read lanes, as many as the
+//     engine has workers, serve GET_FILE beside the writer, as the
+//     archive's one-writer/many-readers contract allows. A lane's thread
+//     starts with its first request. Lane work never runs *as* a pool
+//     task: an operation waiting on its group would then hold a worker
+//     its own tasks may need.
+//   · Per-connection FIFO: a connection's replies leave in request order
+//     because all its in-flight requests run on one lane — a connection
+//     with requests in flight stays on their lane (pipelined PUT_CHUNKs
+//     rely on this). An idle connection's GET_FILE goes to the
+//     least-loaded lane, the writer lane winning ties, so a lone client
+//     (PUT, then a read-back GET) stays on one thread; every other op
+//     goes to the writer lane. An op bound for the writer lane that
+//     arrives while the connection's requests run on a read lane is
+//     parked on the reactor until they finish.
 //
 // Flow control (three independent valves):
 //   · Admission: at most `max_inflight` requests queued/executing
 //     across all connections; excess requests get an immediate
-//     ErrorCode::kBusy reply and never reach the executor.
+//     ErrorCode::kBusy reply and never reach a lane.
 //   · Per-connection write budget: a connection may have at most
-//     `write_queue_limit` response bytes queued. The executor blocks
-//     before producing more output for that connection (bounded by
-//     `write_stall_timeout_ms`, after which the connection is dropped —
-//     a client that stops reading cannot park the archive lane
-//     forever).
+//     `write_queue_limit` response bytes queued. The lane serving it
+//     blocks before producing more output for that connection (bounded
+//     by `write_stall_timeout_ms`, after which the connection is
+//     dropped — a client that stops reading cannot park its lane
+//     forever, and other clients' GETs meanwhile run on other lanes).
 //   · Idle timeout: connections with no socket activity and no queued
 //     work for `idle_timeout_ms` are closed by the periodic sweep.
 //
@@ -47,7 +60,7 @@
 // /healthz answers 200/503 from the health gauges, GET /trace dumps the
 // span ring as JSONL. Exposition is reactor-thread-only and reads
 // nothing but atomics (metric registry snapshots, the trace ring) — a
-// wedged archive executor can never wedge the health endpoint.
+// wedged lane can never wedge the health endpoint.
 #pragma once
 
 #include <chrono>
@@ -60,6 +73,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "net/event_loop.h"
 #include "net/protocol.h"
@@ -82,7 +96,7 @@ struct ServerConfig {
   /// connections; excess gets ErrorCode::kBusy.
   std::size_t max_inflight = 64;
   /// Response bytes a single connection may have queued before the
-  /// executor blocks producing more for it.
+  /// lane serving it blocks producing more for it.
   std::size_t write_queue_limit = 16u << 20;
   /// GET_FILE stream chunk size (one kGetData frame's payload).
   std::size_t get_chunk_bytes = 256u << 10;
@@ -96,9 +110,9 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// `archive` must outlive the server; the server becomes its only
-  /// user for the duration of run() (the executor thread is the one
-  /// archive caller).
+  /// `archive` must outlive the server. During run() the lanes call
+  /// into it; other threads may too, within the archive's concurrency
+  /// contract (archive.h).
   Server(tools::Archive* archive, ServerConfig config = {});
   ~Server();
   Server(const Server&) = delete;
@@ -119,29 +133,13 @@ class Server {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Loop↔executor backpressure state for one connection, shared so
-  /// the executor can block on a write budget the loop replenishes.
+  /// Loop↔lane backpressure state for one connection, shared so the
+  /// lane serving it can block on a write budget the loop replenishes.
   struct WriteGate {
     std::mutex mu;
     std::condition_variable cv;
     std::size_t queued = 0;  // response bytes enqueued, not yet written
     bool closed = false;
-  };
-
-  /// Reactor-thread-only connection state.
-  struct Connection {
-    int fd = -1;
-    std::uint64_t id = 0;
-    FrameParser parser;
-    std::deque<Bytes> write_queue;
-    std::size_t write_offset = 0;  // into write_queue.front()
-    std::shared_ptr<WriteGate> gate;
-    Clock::time_point last_activity{};
-    std::size_t inflight = 0;
-    bool want_write = false;
-    bool close_after_flush = false;
-
-    explicit Connection(std::size_t max_payload) : parser(max_payload) {}
   };
 
   struct ExecItem {
@@ -153,9 +151,40 @@ class Server {
     Clock::time_point enqueued{};
   };
 
+  /// Reactor-thread-only connection state.
+  struct Connection {
+    int fd = -1;
+    std::uint64_t id = 0;
+    FrameParser parser;
+    std::deque<Bytes> write_queue;
+    std::size_t write_offset = 0;  // into write_queue.front()
+    std::shared_ptr<WriteGate> gate;
+    Clock::time_point last_activity{};
+    std::size_t inflight = 0;  // admitted: parked, queued or executing
+    std::size_t lane = 0;  // where its inflight - parked.size() others run
+    /// Requests waiting, in arrival order, for the read lane to finish
+    /// this connection's earlier requests (see the threading model).
+    std::deque<ExecItem> parked;
+    bool want_write = false;
+    bool close_after_flush = false;
+
+    explicit Connection(std::size_t max_payload) : parser(max_payload) {}
+  };
+
+  /// One archive-calling thread and its FIFO queue. lanes_[kWriterLane]
+  /// is the writer lane; the rest are read lanes.
+  struct Lane {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::deque<ExecItem> queue;
+    std::thread thread;    // started by the first lane_push (run()'s thread)
+    std::size_t load = 0;  // loop thread only: requests queued/executing
+  };
+  static constexpr std::size_t kWriterLane = 0;
+
   /// Reactor-thread-only HTTP exposition connection: one request in,
   /// one response out, then close. No gate — responses are bounded
-  /// (metrics/trace snapshots) and never touch the executor.
+  /// (metrics/trace snapshots) and never touch a lane.
   struct HttpConn {
     int fd = -1;
     std::uint64_t id = 0;
@@ -174,13 +203,13 @@ class Server {
   /// Flushes the write queue; false when the connection was closed.
   bool flush(Connection& conn);
   void update_interest(Connection& conn);
-  /// Enqueues an encoded buffer. `reserved` marks bytes the executor
+  /// Enqueues an encoded buffer. `reserved` marks bytes a lane
   /// already charged against the gate. Returns the flush result: false
   /// when the connection was closed — callers on the loop thread must
   /// not touch `conn` afterwards.
   bool enqueue_out(Connection& conn, Bytes buffer, bool reserved);
   /// Loop-originated error reply, subject to the same write budget as
-  /// executor responses; false when the connection was closed (budget
+  /// lane responses; false when the connection was closed (budget
   /// exceeded or fatal send error) — `conn` is gone on false.
   bool send_error_from_loop(Connection& conn, std::uint64_t request_id,
                             ErrorCode code, const std::string& message);
@@ -199,9 +228,21 @@ class Server {
   void close_http_conn(std::uint64_t conn_id);
   std::string http_body_healthz(int& status) const;
 
-  // --- executor side ----------------------------------------------------
-  void exec_push(ExecItem item);
-  void executor_loop();
+  // --- lane dispatch (loop thread) --------------------------------------
+  /// Sends an admitted request to its lane, or parks it (threading model).
+  void dispatch(Connection& conn, ExecItem item);
+  /// Sends parked requests to their lanes, in order, until one must wait.
+  void release_parked(Connection& conn);
+  /// Least-loaded lane; the writer lane wins ties.
+  std::size_t least_loaded_lane() const;
+  /// A lane finished one of `conn_id`'s requests.
+  void on_request_done(std::uint64_t conn_id, std::size_t lane);
+
+  // --- lane side ----------------------------------------------------------
+  /// Queues an item on a lane, starting the lane's thread on first use.
+  /// Called only from run()'s thread.
+  void lane_push(std::size_t lane, ExecItem item);
+  void lane_loop(std::size_t lane);
   void handle_request(const ExecItem& item);
   /// Gate-aware send of one encoded frame; false when the connection is
   /// gone or stalled out (streaming ops abort on false).
@@ -231,11 +272,9 @@ class Server {
   bool draining_ = false;
   Clock::time_point drain_deadline_{};
 
-  std::mutex exec_mu_;
-  std::condition_variable exec_cv_;
-  std::deque<ExecItem> exec_queue_;
-  std::thread executor_;
-  /// Executor-thread-only: open streamed ingest per connection.
+  /// Writer lane first, then one read lane per engine worker.
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  /// Writer-lane-only: open streamed ingest per connection.
   std::unordered_map<std::uint64_t, tools::FileWriter> puts_;
 
   obs::Counter* conn_accepted_;

@@ -13,7 +13,8 @@
 //     observe a histogram mid-update (buckets, then count, then sum, so
 //     the count trails the buckets by at most the observes in flight).
 //     Snapshots are for reporting, not for invariants — after mutators
-//     quiesce (pool wait_idle) a snapshot is exact.
+//     quiesce (every operation's completion group waited) a snapshot is
+//     exact.
 //
 // Naming convention: "<subsystem>.<metric>[_<unit>]", e.g.
 // "repair.wave_us", "store.sharded.cache_hits", "pool.queue_wait_us".

@@ -73,8 +73,9 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
   obs::TraceSpan span("encode.batch");  // a0 = blocks, a1 = bytes
   span.set_args(blocks.size(), blocks.size() * block_size_);
   const auto batch_start = std::chrono::steady_clock::now();
-  const NodeIndex first = static_cast<NodeIndex>(count_) + 1;
-  const NodeIndex last = static_cast<NodeIndex>(count_ + blocks.size());
+  const std::uint64_t count = count_.load();
+  const NodeIndex first = static_cast<NodeIndex>(count) + 1;
+  const NodeIndex last = static_cast<NodeIndex>(count + blocks.size());
   const Lattice lat(params_, static_cast<std::uint64_t>(last),
                     Lattice::Boundary::kOpen);
 
@@ -100,14 +101,15 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
   // One task per strand instance: walk the strand's XOR chain across the
   // whole window (§V-B partial writes — helical parities of later
   // columns computed early; the per-strand order is all that matters).
+  ThreadPool::Group batch;
   for (StrandClass cls : params_.classes()) {
     // classes() is the [H, RH, LH] prefix, so a parity's slot in
     // EncodeResult::parities is the class value itself.
     const auto slot = static_cast<std::size_t>(cls);
     for (const std::vector<std::uint32_t>& bucket : buckets[slot]) {
       if (bucket.empty()) continue;
-      pool_->submit([this, &lat, &blocks, &results, &bucket, cls, slot,
-                    first] {
+      pool_->submit(batch, [this, &lat, &blocks, &results, &bucket, cls,
+                            slot, first] {
         // Parity puts flushed in bounded batches: fewer store lock
         // round trips, at most kPutBatch head copies buffered.
         constexpr std::size_t kPutBatch = 64;
@@ -137,7 +139,7 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
   const std::size_t chunk = (blocks.size() + chunk_count - 1) / chunk_count;
   for (std::size_t begin = 0; begin < blocks.size(); begin += chunk) {
     const std::size_t end = std::min(begin + chunk, blocks.size());
-    pool_->submit([this, &blocks, first, begin, end] {
+    pool_->submit(batch, [this, &blocks, first, begin, end] {
       constexpr std::size_t kPutBatch = 64;
       std::vector<std::pair<BlockKey, Bytes>> puts;
       for (std::size_t b = begin; b < end; b += kPutBatch) {
@@ -152,8 +154,13 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
     });
   }
 
-  pool_->wait_idle();  // batch barrier (rethrows the first task error)
-  count_ = static_cast<std::uint64_t>(last);
+  try {
+    pool_->wait(batch);  // batch barrier (rethrows the first task error)
+  } catch (...) {
+    drop_head_cache();  // finished strands moved their heads past size()
+    throw;
+  }
+  count_.store(static_cast<std::uint64_t>(last));
 
   batch_us_metric_->observe(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -166,8 +173,9 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
 }
 
 Lattice ParallelEncoder::lattice() const {
-  AEC_CHECK_MSG(count_ > 0, "lattice(): nothing encoded yet");
-  return Lattice(params_, count_, Lattice::Boundary::kOpen);
+  const std::uint64_t count = size();
+  AEC_CHECK_MSG(count > 0, "lattice(): nothing encoded yet");
+  return Lattice(params_, count, Lattice::Boundary::kOpen);
 }
 
 std::size_t ParallelEncoder::cached_heads() const noexcept {

@@ -36,11 +36,21 @@
 // parities in class order, then the data block.
 //
 // Error model: an exception in any task (e.g. a store write failure) is
-// rethrown on the coordinator at the batch barrier; the encoder is then
-// poisoned — already-sealed buckets remain in the store, and the head
-// cache must be dropped (or the encoder rebuilt) before further appends.
+// rethrown on the coordinator at the batch barrier. Strand tasks that
+// finished before the failure have already XORed their head slots
+// forward while size() has not advanced, so append_all drops the head
+// cache before rethrowing: a retried batch re-fetches its heads from the
+// store — parities of nodes ≤ size(), which no task of the failed batch
+// wrote — and re-encodes the same positions byte-identically.
+//
+// Concurrency: one coordinator appends at a time (the session's one
+// writer). append_all waits on its own completion group, so other
+// coordinators (readers repairing on the same pool) run beside it, and
+// size() may be read from any thread: it is published only once a batch
+// is wholly in the store.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -66,8 +76,7 @@ namespace aec::pipeline {
 class ParallelEncoder {
  public:
   /// Runs on the caller's worker `pool`, which must outlive the encoder
-  /// and must not be waited on concurrently by another coordinator during
-  /// append_all (wait_idle is pool-global). `store` must outlive the
+  /// and may be shared with other coordinators. `store` must outlive the
   /// encoder and needs a thread-safe put() when the pool has more than
   /// one worker. `resume_count` > 0 resumes an existing lattice (heads
   /// re-fetched from the store between batches, on demand).
@@ -78,15 +87,16 @@ class ParallelEncoder {
   /// Entangles `blocks` in order: stores each data block and its α
   /// parities, advances the strand heads. Results come back in input
   /// order, parities in class order. Throws CheckError on a block size
-  /// mismatch.
+  /// mismatch, and rethrows a task's error with the head cache dropped
+  /// (see the error model above).
   std::vector<EncodeResult> append_all(const std::vector<Bytes>& blocks);
 
   const CodeParams& params() const noexcept { return params_; }
   std::size_t block_size() const noexcept { return block_size_; }
   std::size_t thread_count() const noexcept { return pool_->thread_count(); }
 
-  /// Number of data blocks entangled so far.
-  std::uint64_t size() const noexcept { return count_; }
+  /// Number of data blocks entangled so far (safe from any thread).
+  std::uint64_t size() const noexcept { return count_.load(); }
 
   /// Open lattice over the blocks appended so far.
   Lattice lattice() const;
@@ -113,7 +123,8 @@ class ParallelEncoder {
   CodeParams params_;
   std::size_t block_size_;
   BlockStore* store_;
-  std::uint64_t count_ = 0;
+  /// Written by the appending coordinator only, once a batch is stored.
+  std::atomic<std::uint64_t> count_;
   /// heads_[class][strand_id]; sized s / p / p (unused classes empty).
   std::vector<Bytes> heads_[3];
   ThreadPool* pool_;

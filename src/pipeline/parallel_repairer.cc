@@ -56,11 +56,13 @@ void ParallelRepairer::execute_wave(const std::vector<RepairStep>& wave) {
   const std::size_t chunk_count =
       std::min(pool_->thread_count(), wave.size());
   const std::size_t chunk = (wave.size() + chunk_count - 1) / chunk_count;
+  ThreadPool::Group group;
   for (std::size_t begin = 0; begin < wave.size(); begin += chunk) {
     const std::size_t end = std::min(begin + chunk, wave.size());
-    pool_->submit([this, &wave, begin, end] { execute_steps(wave, begin, end); });
+    pool_->submit(group,
+                  [this, &wave, begin, end] { execute_steps(wave, begin, end); });
   }
-  pool_->wait_idle();  // wave barrier (rethrows the first task error)
+  pool_->wait(group);  // wave barrier (rethrows the first task error)
   wave_us_metric_->observe(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - wave_start)

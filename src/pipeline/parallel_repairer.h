@@ -22,6 +22,14 @@
 // Error model: an exception in any step (e.g. a store write failure) is
 // rethrown on the coordinator at the wave barrier; already-repaired
 // blocks remain in the store and the pass aborts.
+//
+// Concurrency: every wave waits on its own completion group and the
+// executor keeps no mutable state between calls, so several readers may
+// run read_node() on one repairer at once, beside an encoder appending
+// to the same store. Their plans stay valid because, while they run, the
+// store only gains blocks: concurrent repairs of one block write the
+// same bytes, and an append writes only keys past this repairer's
+// lattice. repair_all() (scrub, rebuild) runs alone.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +87,8 @@ class ParallelRepairer {
   std::size_t thread_count() const noexcept { return pool_->thread_count(); }
 
  private:
-  /// Dispatches one wave in contiguous chunks and waits at the barrier.
+  /// Dispatches one wave in contiguous chunks and waits for them (the
+  /// wave's own completion group).
   void execute_wave(const std::vector<RepairStep>& wave);
   /// Worker body: steps [begin, end) of a wave, batched through the
   /// store's get_batch/put_batch.

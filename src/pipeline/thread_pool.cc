@@ -7,6 +7,12 @@
 
 namespace aec::pipeline {
 
+ThreadPool::Group::~Group() {
+  if (pool_ == nullptr) return;
+  std::unique_lock lock(pool_->mu_);
+  done_.wait(lock, [this] { return pending_ == 0; });
+}
+
 ThreadPool::ThreadPool(std::size_t threads, std::size_t queue_capacity)
     : capacity_(queue_capacity),
       tasks_submitted_(
@@ -30,7 +36,9 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::submit(Group& group, std::function<void()> task) {
+  AEC_CHECK_MSG(group.pool_ == nullptr || group.pool_ == this,
+                "a completion group belongs to one pool");
   AEC_CHECK_MSG(task != nullptr, "cannot submit an empty task");
   {
     std::unique_lock lock(mu_);
@@ -45,17 +53,19 @@ void ThreadPool::submit(std::function<void()> task) {
               .count()));
     }
     AEC_CHECK_MSG(!stop_, "submit() on a stopping thread pool");
-    queue_.push_back(std::move(task));
+    group.pool_ = this;
+    ++group.pending_;
+    queue_.push_back(Task{std::move(task), &group});
   }
   tasks_submitted_->add();
   not_empty_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
+void ThreadPool::wait(Group& group) {
   std::unique_lock lock(mu_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-  if (first_error_) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
+  group.done_.wait(lock, [&] { return group.pending_ == 0; });
+  if (group.error_) {
+    std::exception_ptr error = std::exchange(group.error_, nullptr);
     lock.unlock();
     std::rethrow_exception(error);
   }
@@ -63,27 +73,28 @@ void ThreadPool::wait_idle() {
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock lock(mu_);
       not_empty_.wait(lock, [this] { return !queue_.empty() || stop_; });
       if (queue_.empty()) return;  // stop_ && drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     not_full_.notify_one();
+    std::exception_ptr error;
     try {
-      task();
+      task.fn();
     } catch (...) {
-      std::unique_lock lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
+      error = std::current_exception();
     }
-    {
-      std::unique_lock lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_.notify_all();
-    }
+    task.fn = nullptr;  // captures die before the group can be released
+    std::lock_guard lock(mu_);
+    Group& group = *task.group;
+    if (error && !group.error_) group.error_ = std::move(error);
+    // Notified under the lock: a waiter that wakes may destroy the group
+    // as soon as it reacquires mu_.
+    if (--group.pending_ == 0) group.done_.notify_all();
   }
 }
 

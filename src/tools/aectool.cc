@@ -269,7 +269,8 @@ int run(const Args& args) {
   }
   if (args.command == "get") {
     const std::string& name = option("--name");
-    if (archive->find_file(name) == nullptr) {
+    std::optional<FileReader> reader = archive->try_open_reader(name);
+    if (!reader) {
       std::fprintf(stderr, "error: file unknown or irrecoverable\n");
       return 1;
     }
@@ -283,9 +284,8 @@ int run(const Args& args) {
       AEC_CHECK_MSG(out.good(), "cannot write " << out_it->second);
     }
     const auto start = std::chrono::steady_clock::now();
-    FileReader reader = archive->open_reader(name);
     while (true) {
-      const auto chunk = reader.next_chunk();
+      const auto chunk = reader->next_chunk();
       if (!chunk) {
         std::fprintf(stderr, "error: file unknown or irrecoverable\n");
         if (!to_stdout) {
@@ -308,20 +308,20 @@ int run(const Args& args) {
                                       start)
             .count();
     const double mb_per_s =
-        static_cast<double>(reader.bytes_delivered()) / (1024.0 * 1024.0) /
+        static_cast<double>(reader->bytes_delivered()) / (1024.0 * 1024.0) /
         std::max(seconds, 1e-9);
     if (to_stdout) {
       // The payload owns stdout; the report goes to stderr.
       std::fprintf(stderr, "restored '%s' (%llu bytes, %.1f MB/s)\n",
                    name.c_str(),
-                   static_cast<unsigned long long>(reader.bytes_delivered()),
+                   static_cast<unsigned long long>(reader->bytes_delivered()),
                    mb_per_s);
     } else {
       out.close();
       AEC_CHECK_MSG(out.good(), "cannot write " << out_it->second);
       std::printf("restored '%s' (%llu bytes, %.1f MB/s) to %s\n",
                   name.c_str(),
-                  static_cast<unsigned long long>(reader.bytes_delivered()),
+                  static_cast<unsigned long long>(reader->bytes_delivered()),
                   mb_per_s, out_it->second.c_str());
     }
     return 0;

@@ -133,6 +133,36 @@ ParsedManifest parse_manifest(std::istream& in) {
 
 }  // namespace
 
+// --- ReadGate ---------------------------------------------------------------
+
+ReadGate::Lease ReadGate::enter() {
+  std::unique_lock lock(mu_);
+  cv_.wait(lock, [this] { return !exclusive_ && exclusive_waiting_ == 0; });
+  ++leases_;
+  return Lease(this);
+}
+
+void ReadGate::leave() {
+  std::lock_guard lock(mu_);
+  if (--leases_ == 0) cv_.notify_all();
+}
+
+void ReadGate::lock() {
+  std::unique_lock lock(mu_);
+  ++exclusive_waiting_;
+  cv_.wait(lock, [this] { return !exclusive_ && leases_ == 0; });
+  --exclusive_waiting_;
+  exclusive_ = true;
+}
+
+void ReadGate::unlock() {
+  {
+    std::lock_guard lock(mu_);
+    exclusive_ = false;
+  }
+  cv_.notify_all();
+}
+
 // --- FileWriter -------------------------------------------------------------
 
 FileWriter::FileWriter(Archive* archive, std::string name)
@@ -148,7 +178,8 @@ FileWriter::FileWriter(FileWriter&& other) noexcept
       first_block_(other.first_block_),
       bytes_(other.bytes_),
       ready_(std::move(other.ready_)),
-      partial_(std::move(other.partial_)) {
+      partial_(std::move(other.partial_)),
+      failed_(other.failed_) {
   other.archive_ = nullptr;
 }
 
@@ -158,6 +189,7 @@ FileWriter::~FileWriter() {
 
 void FileWriter::write(BytesView chunk) {
   AEC_CHECK_MSG(archive_ != nullptr, "write() on a closed FileWriter");
+  AEC_CHECK_MSG(!failed_, "write() on a FileWriter whose append failed");
   const std::size_t block_size = archive_->block_size();
   bytes_ += chunk.size();
   while (!chunk.empty()) {
@@ -193,17 +225,25 @@ std::vector<Bytes> FileWriter::take_ready(std::size_t count) {
   return blocks;
 }
 
+void FileWriter::append(const std::vector<Bytes>& blocks) {
+  try {
+    archive_->session_->append(blocks);
+  } catch (...) {
+    // The blocks have left ready_ and the session did not advance: the
+    // file now has a hole, so no part of it may be committed.
+    failed_ = true;
+    throw;
+  }
+  // The payload cache would otherwise retain every block of the file;
+  // the index (and the blocks on disk) survive, so streaming ingest
+  // keeps only the current window plus the codec's heads in memory.
+  archive_->store_->drop_payload_cache();
+}
+
 void FileWriter::flush_windows() {
   const std::size_t window_blocks =
       archive_->engine().ingest_window_blocks();
-  while (ready_.size() >= window_blocks) {
-    const std::vector<Bytes> blocks = take_ready(window_blocks);
-    archive_->session_->append(blocks);
-    // The payload cache would otherwise retain every block of the file;
-    // the index (and the blocks on disk) survive, so streaming ingest
-    // keeps only the current window plus the codec's heads in memory.
-    archive_->store_->drop_payload_cache();
-  }
+  while (ready_.size() >= window_blocks) append(take_ready(window_blocks));
   // Margins of earlier blocks can change when a missing parity's head
   // edge lands on newly appended nodes — O(damage) catch-up.
   archive_->health_.grow_to(archive_->session_->size());
@@ -211,6 +251,7 @@ void FileWriter::flush_windows() {
 
 const FileEntry& FileWriter::close() {
   AEC_CHECK_MSG(archive_ != nullptr, "close() on a closed FileWriter");
+  AEC_CHECK_MSG(!failed_, "close() on a FileWriter whose append failed");
   Archive& archive = *archive_;
 
   // Seal the tail: the remaining whole blocks, then a zero-padded final
@@ -221,22 +262,24 @@ const FileEntry& FileWriter::close() {
     std::copy(partial_.begin(), partial_.end(), tail.begin());
     blocks.push_back(std::move(tail));
   }
-  if (!blocks.empty()) {
-    archive.session_->append(blocks);
-    archive.store_->drop_payload_cache();
-  }
+  if (!blocks.empty()) append(blocks);
   partial_.clear();
 
   FileEntry entry;
   entry.name = name_;
   entry.first_block = first_block_;
   entry.bytes = bytes_;
-  archive.file_index_.emplace(entry.name, archive.files_.size());
-  archive.files_.push_back(std::move(entry));
+  {
+    std::unique_lock lock(archive.files_mu_);
+    archive.file_index_.emplace(entry.name, archive.files_.size());
+    archive.files_.push_back(std::move(entry));
+  }
   archive.writer_open_ = false;
   archive_ = nullptr;
   archive.health_.grow_to(archive.session_->size());
   archive.save_manifest();
+  // Only the writer's thread appends to files_, so this element stays put
+  // until it commits the next file.
   return archive.files_.back();
 }
 
@@ -244,7 +287,9 @@ const FileEntry& FileWriter::close() {
 
 FileReader::FileReader(Archive* archive, const FileEntry& entry,
                        std::size_t window)
-    : name_(entry.name), bytes_(entry.bytes) {
+    : name_(entry.name),
+      bytes_(entry.bytes),
+      lease_(archive->read_gate_.enter()) {
   if (window == 0) window = CodecSession::kReadWindowBlocks;
   chunk_bytes_ = window * archive->block_size();
   // Empty files still occupy one (all-zero) block, and reading it is
@@ -419,9 +464,12 @@ void Archive::save_manifest() const {
   out.row("store", store_spec_);
   out.row("block_size", block_size_);
   out.row("blocks", blocks());
-  for (const FileEntry& entry : files_)
-    out.row("file", hex_encode(entry.name), entry.first_block, entry.bytes);
-  out.row("end", files_.size());
+  {
+    std::shared_lock lock(files_mu_);
+    for (const FileEntry& entry : files_)
+      out.row("file", hex_encode(entry.name), entry.first_block, entry.bytes);
+    out.row("end", files_.size());
+  }
   out.write_atomic(root_ / "manifest.txt");
 }
 
@@ -434,7 +482,7 @@ FileWriter Archive::begin_file(const std::string& name) {
   AEC_CHECK_MSG(cluster_ == nullptr || !cluster_->any_node_down(),
                 "begin_file: archive is degraded (a cluster node is "
                 "down); heal or rebuild it before ingesting new files");
-  AEC_CHECK_MSG(!file_index_.contains(name),
+  AEC_CHECK_MSG(!find_file(name).has_value(),
                 "file '" << name << "' already archived");
   writer_open_ = true;
   return FileWriter(this, name);
@@ -453,31 +501,44 @@ const FileEntry& Archive::add_file(const std::string& name,
   return writer.close();
 }
 
-const FileEntry* Archive::find_file(const std::string& name) const {
-  const auto it = file_index_.find(name);
-  return it == file_index_.end() ? nullptr : &files_[it->second];
+std::vector<FileEntry> Archive::files() const {
+  std::shared_lock lock(files_mu_);
+  return files_;
 }
 
-FileReader Archive::open_reader(const std::string& name, std::size_t window) {
-  const FileEntry* entry = find_file(name);
-  AEC_CHECK_MSG(entry != nullptr,
-                "open_reader: no archived file named '" << name << "'");
+std::optional<FileEntry> Archive::find_file(const std::string& name) const {
+  std::shared_lock lock(files_mu_);
+  const auto it = file_index_.find(name);
+  if (it == file_index_.end()) return std::nullopt;
+  return files_[it->second];
+}
+
+std::optional<FileReader> Archive::try_open_reader(const std::string& name,
+                                                   std::size_t window) {
+  const std::optional<FileEntry> entry = find_file(name);
+  if (!entry) return std::nullopt;
   return FileReader(this, *entry, window);
 }
 
-std::optional<Bytes> Archive::read_file(const std::string& name) {
-  const FileEntry* entry = find_file(name);
-  if (entry == nullptr) return std::nullopt;
+FileReader Archive::open_reader(const std::string& name, std::size_t window) {
+  std::optional<FileReader> reader = try_open_reader(name, window);
+  AEC_CHECK_MSG(reader.has_value(),
+                "open_reader: no archived file named '" << name << "'");
+  return std::move(*reader);
+}
 
-  FileReader reader(this, *entry, 0);
+std::optional<Bytes> Archive::read_file(const std::string& name) {
+  std::optional<FileReader> reader = try_open_reader(name);
+  if (!reader) return std::nullopt;
   Bytes content;
-  content.reserve(entry->bytes);
-  if (!reader.read_into(content, static_cast<std::size_t>(entry->bytes)))
-    return std::nullopt;  // irrecoverable
+  const auto bytes = static_cast<std::size_t>(reader->size_bytes());
+  content.reserve(bytes);
+  if (!reader->read_into(content, bytes)) return std::nullopt;  // irrecoverable
   return content;
 }
 
 ScrubReport Archive::scrub() {
+  std::lock_guard exclusive(read_gate_);
   ScrubReport report;
   if (blocks() == 0) return report;
   report.repair = session_->repair_all();
@@ -566,7 +627,10 @@ std::string Archive::stat_json(bool include_metrics) const {
                             .gauge("store.sharded.wb_queue_blocks")
                             ->value());
   out += ",\"data_blocks\":" + std::to_string(blocks());
-  out += ",\"files\":" + std::to_string(files_.size());
+  {
+    std::shared_lock lock(files_mu_);
+    out += ",\"files\":" + std::to_string(files_.size());
+  }
   out += ",\"availability\":[";
   bool first = true;
   for (const AvailabilityClassSummary& row : availability_summary()) {
@@ -601,6 +665,7 @@ std::string Archive::stat_json(bool include_metrics) const {
 std::uint64_t Archive::inject_damage(double fraction, std::uint64_t seed) {
   AEC_CHECK_MSG(fraction >= 0.0 && fraction <= 1.0,
                 "fraction must be in [0,1]");
+  std::lock_guard exclusive(read_gate_);
   Rng rng(seed);
   std::uint64_t destroyed = 0;
   session_->for_each_expected_key([&](const BlockKey& key) {
@@ -742,6 +807,7 @@ void Archive::save_availability_sidecar() const {
 }
 
 std::uint64_t Archive::reindex() {
+  std::lock_guard exclusive(read_gate_);
   store_->rescan();
   avail_index_.clear();
   seed_availability_index();
@@ -756,12 +822,14 @@ std::uint64_t Archive::reindex() {
 void Archive::fail_node(std::uint32_t node) {
   AEC_CHECK_MSG(cluster_ != nullptr,
                 "fail_node: store '" << store_spec_ << "' is not a cluster");
+  std::lock_guard exclusive(read_gate_);
   cluster_->fail_node(node);
 }
 
 void Archive::heal_node(std::uint32_t node) {
   AEC_CHECK_MSG(cluster_ != nullptr,
                 "heal_node: store '" << store_spec_ << "' is not a cluster");
+  std::lock_guard exclusive(read_gate_);
   cluster_->heal_node(node);
 }
 
@@ -769,6 +837,7 @@ RepairReport Archive::rebuild_node(std::uint32_t node) {
   AEC_CHECK_MSG(cluster_ != nullptr, "rebuild_node: store '"
                                          << store_spec_
                                          << "' is not a cluster");
+  std::lock_guard exclusive(read_gate_);
   AEC_CHECK_MSG(cluster_->node_down(node),
                 "rebuild_node: node " << node
                                       << " is up; fail it first (or heal "

@@ -50,13 +50,36 @@
 // buffer fully in memory; add_file() is a convenience wrapper over it.
 // Reads repair missing blocks through the codec transparently; scrub()
 // runs the global repair plus the integrity scan.
+//
+// Concurrency contract — one writer, many readers, exclusive operations:
+//   · Readers: open_reader/try_open_reader/read_file, and the const
+//     queries (files, find_file, blocks, stat_json, metrics, …), are
+//     safe from any number of threads at once. Each FileReader is used
+//     by one thread at a time, and its repair-on-read runs beside other
+//     readers and beside the writer.
+//   · The writer: begin_file/add_file and the FileWriter they return
+//     are driven by one thread at a time. Appends run beside readers; a
+//     file becomes visible to readers only once close() commits it.
+//   · Exclusive operations: scrub, reindex, inject_damage and the node
+//     operations (fail_node, heal_node, rebuild_node) wait until every
+//     open FileReader is destroyed, on whatever thread it has moved to,
+//     and keep new ones from opening until they finish. They come from
+//     the writer's thread, or at least never overlap a write. A thread
+//     that holds an open FileReader must neither run one (it would wait
+//     for its own reader) nor open a second reader (a waiting exclusive
+//     operation keeps the second out until the first is gone).
+// aecd maps this onto threads directly: its writer lane runs every
+// write and exclusive operation, and its read lanes serve GET_FILE.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -99,6 +122,36 @@ struct AvailabilityClassSummary {
 
 class Archive;
 
+/// Admits any number of readers at once, or one exclusive operation (see
+/// the concurrency contract above). An exclusive operation waiting for
+/// the readers to leave keeps new ones out, so a steady stream of reads
+/// cannot starve it. A lease belongs to its FileReader, not to a thread,
+/// so it may be released on any thread.
+class ReadGate {
+ public:
+  struct Release {
+    void operator()(ReadGate* gate) const { gate->leave(); }
+  };
+  using Lease = std::unique_ptr<ReadGate, Release>;
+
+  /// A reader's lease: blocks while an exclusive operation runs or waits.
+  Lease enter();
+
+  /// Exclusive side (BasicLockable): waits for every lease to be
+  /// released.
+  void lock();
+  void unlock();
+
+ private:
+  void leave();
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t leases_ = 0;
+  std::size_t exclusive_waiting_ = 0;
+  bool exclusive_ = false;
+};
+
 /// Streaming ingest handle for one file (from Archive::begin_file). Feed
 /// chunks of any size through write(); whole windows of blocks are
 /// encoded and persisted as they fill, so peak memory stays bounded by
@@ -109,6 +162,10 @@ class Archive;
 /// written; blocks already flushed stay in the store as unreferenced
 /// lattice filler until later ingest overwrites them (exactly the state
 /// a crash mid-put leaves behind, which reopen resumes from).
+///
+/// A writer whose window append failed (a store error) has lost that
+/// window's blocks and is poisoned: later write() and close() throw and
+/// commit nothing, and the next writer re-encodes the same positions.
 class FileWriter {
  public:
   FileWriter(FileWriter&& other) noexcept;
@@ -118,11 +175,12 @@ class FileWriter {
   ~FileWriter();
 
   /// Appends a chunk (any size, including empty). Throws CheckError if
-  /// the writer is closed.
+  /// the writer is closed or poisoned, and rethrows a failed append.
   void write(BytesView chunk);
 
-  /// Flushes the tail, records the manifest entry and returns it. The
-  /// writer is unusable afterwards.
+  /// Flushes the tail, records the manifest entry and returns it (valid
+  /// until the writer's thread commits another file). The writer is
+  /// unusable afterwards. Throws CheckError if the writer is poisoned.
   const FileEntry& close();
 
   const std::string& name() const noexcept { return name_; }
@@ -134,6 +192,8 @@ class FileWriter {
 
   /// Encodes every full window currently buffered.
   void flush_windows();
+  /// One session append; poisons the writer when it throws.
+  void append(const std::vector<Bytes>& blocks);
   /// Moves the first `count` ready blocks into a batch (O(count) span
   /// moves, no byte memmove).
   std::vector<Bytes> take_ready(std::size_t count);
@@ -148,6 +208,7 @@ class FileWriter {
   std::deque<Bytes> ready_;
   /// The one partially filled tail block (< block_size bytes).
   Bytes partial_;
+  bool failed_ = false;  // an append threw: see the class comment
 };
 
 /// Streaming read handle for one archived file (from
@@ -155,7 +216,9 @@ class FileWriter {
 /// reader keeps one BlockStream over the file's whole block run, so the
 /// session's pipelined read path (prefetch + repair-on-read) looks ahead
 /// across call boundaries, and a huge file streams at bounded memory
-/// (window × block_size) instead of materializing fully.
+/// (window × block_size) instead of materializing fully. A reader holds a
+/// lease on the archive's ReadGate for its lifetime, wherever it moves,
+/// so exclusive operations wait for it.
 class FileReader {
  public:
   FileReader(FileReader&& other) noexcept = default;
@@ -195,6 +258,9 @@ class FileReader {
   std::string name_;
   std::uint64_t bytes_ = 0;
   std::size_t chunk_bytes_ = 0;  // next_chunk()'s size: one window
+  /// Declared before stream_: released only after the stream has drained
+  /// its in-flight prefetch tasks.
+  ReadGate::Lease lease_;
   /// Every block of the file (≥ 1 even for empty files); null once
   /// moved-from.
   std::unique_ptr<BlockStream> stream_;
@@ -236,7 +302,8 @@ class Archive {
   std::uint64_t blocks() const noexcept { return session_->size(); }
   Engine& engine() const noexcept { return *engine_; }
   std::size_t threads() const noexcept { return engine_->threads(); }
-  const std::vector<FileEntry>& files() const noexcept { return files_; }
+  /// Snapshot of the committed files, in commit order.
+  std::vector<FileEntry> files() const;
   /// The manifest-recorded store backend spec ("file", "sharded(8)", …).
   const std::string& store_spec() const noexcept { return store_spec_; }
   /// The live availability index (kept current by store mutations).
@@ -268,12 +335,17 @@ class Archive {
   /// once.
   FileReader open_reader(const std::string& name, std::size_t window = 0);
 
-  /// The manifest entry for `name`, or nullptr — O(1) via the name
-  /// index. The pointer stays valid until the file set next changes.
-  const FileEntry* find_file(const std::string& name) const;
+  /// open_reader for a name that may be unknown: nullopt then. The
+  /// lookup and the open see one state of the file table.
+  std::optional<FileReader> try_open_reader(const std::string& name,
+                                            std::size_t window = 0);
 
-  /// Global repair + integrity scan. Availability comes from the
-  /// incremental index — O(damage), no store scan.
+  /// The manifest entry for `name` (a copy), or nullopt — O(1) via the
+  /// name index.
+  std::optional<FileEntry> find_file(const std::string& name) const;
+
+  /// Global repair + integrity scan (exclusive). Availability comes from
+  /// the incremental index — O(damage), no store scan.
   ScrubReport scrub();
 
   /// Missing blocks right now, from the index — O(damage).
@@ -294,7 +366,7 @@ class Archive {
   std::string stat_json(bool include_metrics = false) const;
 
   /// Deletes a random fraction of the block files (damage injection for
-  /// demos/tests). Returns how many blocks were destroyed.
+  /// demos/tests; exclusive). Returns how many blocks were destroyed.
   std::uint64_t inject_damage(double fraction, std::uint64_t seed);
 
   /// True when the open skipped the O(lattice) seeding walk because a
@@ -303,8 +375,8 @@ class Archive {
 
   /// Re-reads authoritative store presence (directory rescan) and
   /// reseeds the availability index from it — the recovery path for
-  /// out-of-band damage the index cannot observe. Returns the missing
-  /// count afterwards.
+  /// out-of-band damage the index cannot observe (exclusive). Returns
+  /// the missing count afterwards.
   std::uint64_t reindex();
 
   // --- multi-node archives (cluster store backends) -------------------------
@@ -314,7 +386,8 @@ class Archive {
   /// through this pointer keeps censuses and repair planning accurate.)
   cluster::ClusterStore* cluster() const noexcept { return cluster_; }
 
-  /// Fault injection on a cluster archive (CheckError otherwise).
+  /// Fault injection on a cluster archive (CheckError otherwise);
+  /// exclusive, like rebuild_node.
   void fail_node(std::uint32_t node);
   void heal_node(std::uint32_t node);
 
@@ -349,12 +422,17 @@ class Archive {
   std::string store_spec_;
   std::size_t block_size_;
   std::shared_ptr<Engine> engine_;
+  /// Guards files_ and file_index_: FileWriter::close appends under the
+  /// exclusive lock, every lookup takes the shared one.
+  mutable std::shared_mutex files_mu_;
   std::vector<FileEntry> files_;
   /// name → position in files_, maintained by the constructor and
   /// FileWriter::close (duplicates are rejected at manifest load and at
   /// begin_file). Lookups (read_file, begin_file, open_reader) are O(1)
   /// instead of a per-call scan of every entry.
   std::unordered_map<std::string, std::size_t> file_index_;
+  /// Open FileReaders against exclusive operations.
+  ReadGate read_gate_;
   /// Per-block vulnerability scores, fed by avail_index_'s delta stream.
   /// Declared before the index so it outlives the index's notifications
   /// (mutable: stat_json lazily catches margins up to archive growth).

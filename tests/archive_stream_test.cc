@@ -7,10 +7,12 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/codec/file_block_store.h"
+#include "hooked_store.h"
 #include "tools/archive.h"
 
 namespace aec::tools {
@@ -476,6 +478,55 @@ TEST_F(ArchiveStreamTest, WriterContractChecks) {
   writer.close();
   EXPECT_EQ(archive->files().size(), 3u);  // first, doc, real — no ghost
   EXPECT_EQ(archive->read_file("real"), Bytes{42});
+}
+
+TEST_F(ArchiveStreamTest, FailedAppendPoisonsTheWriterAndCommitsNothing) {
+  // A store fails once inside the second of three 256-block windows. The
+  // writer has lost that window's blocks, so close() must not commit a
+  // file that reaches past the archive's blocks (which made the archive
+  // refuse to reopen), and a new writer re-encodes the same positions.
+  // Both codec families take the same path through FileWriter.
+  for (const char* codec : {"AE(3,2,5)", "RS(4,2)"}) {
+    SCOPED_TRACE(codec);
+    const auto store = test::register_hooked_family("flakyarchive");
+    const fs::path root = dir(std::string("a") + codec[0]);
+    Rng rng(21);
+    const Bytes content = rng.random_block(64 * 768);
+    {
+      auto archive = Archive::create(root, codec, 64, Engine::serial(),
+                                     "flakyarchive");
+      archive->add_file("before", rng.random_block(64 * 3));
+      const std::uint64_t blocks_before = archive->blocks();
+      // Fail a put inside the second window: for AE inside its strand
+      // tasks (the first window is 256 · 4 puts), for RS inside the
+      // re-encode that follows its 256 data puts (the first window is
+      // 256 data puts and 65 stripes' 2 parities, the second window's
+      // first stripe being the partial tail the failure must leave
+      // consistent).
+      (*store)->fail_countdown =
+          codec[0] == 'A' ? 256 * 4 + 100 : 256 + 130 + 256 + 10;
+      {
+        FileWriter writer = archive->begin_file("f");
+        EXPECT_THROW(writer.write(content), std::runtime_error);
+        EXPECT_THROW(writer.write(Bytes{1}), CheckError);  // poisoned
+        EXPECT_THROW(writer.close(), CheckError);          // commits nothing
+      }
+      EXPECT_FALSE(archive->find_file("f").has_value());
+      EXPECT_EQ(archive->files().size(), 1u);
+      // The first window landed; the failed one did not advance the
+      // session, so the next writer starts at its positions, and the
+      // redundancy of what is committed stays consistent.
+      EXPECT_EQ(archive->blocks(), blocks_before + 256);
+      EXPECT_EQ(archive->scrub().inconsistent_parities, 0u);
+      // The manifest the failure left behind still opens.
+      EXPECT_NO_THROW(Archive::open(root));
+      // The slot is free again, and the retry reads back and scrubs clean.
+      archive->add_file("f", content);
+      EXPECT_EQ(archive->read_file("f"), content);
+      EXPECT_EQ(archive->scrub().inconsistent_parities, 0u);
+      EXPECT_EQ(archive->missing_blocks(), 0u);
+    }
+  }
 }
 
 TEST_F(ArchiveStreamTest, EmptyFileStillOccupiesOneBlock) {

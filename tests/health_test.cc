@@ -279,8 +279,9 @@ TEST(HealthMonitorTest, ConcurrentDeltasConvergeToFullRecompute) {
   constexpr std::size_t kTasks = 8;
   {
     pipeline::ThreadPool pool(4);
+    pipeline::ThreadPool::Group group;
     for (std::size_t t = 0; t < kTasks; ++t) {
-      pool.submit([&, t] {
+      pool.submit(group, [&, t] {
         std::mt19937_64 rng(t);
         for (std::size_t k = t; k < keys.size(); k += kTasks) {
           // Churn, then settle: final state is a pure function of k.
@@ -290,7 +291,7 @@ TEST(HealthMonitorTest, ConcurrentDeltasConvergeToFullRecompute) {
         }
       });
     }
-    pool.wait_idle();
+    pool.wait(group);
   }
   EXPECT_EQ(mon.degraded_all(), compute_degraded_full(params, kNodes, index));
   const HealthSummary s = mon.summary();

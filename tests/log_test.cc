@@ -125,14 +125,15 @@ TEST(LogTest, ConcurrentWritersNeverInterleaveLines) {
   constexpr std::size_t kPerTask = 200;
   {
     pipeline::ThreadPool pool(4);
+    pipeline::ThreadPool::Group group;
     for (std::size_t t = 0; t < kTasks; ++t) {
-      pool.submit([&, t] {
+      pool.submit(group, [&, t] {
         const std::string msg = "worker " + std::to_string(t);
         for (std::size_t i = 0; i < kPerTask; ++i)
           cap.logger.info("test", msg);
       });
     }
-    pool.wait_idle();
+    pool.wait(group);
   }
   const auto lines = cap.lines();
   ASSERT_EQ(lines.size(), kTasks * kPerTask);

@@ -141,15 +141,16 @@ TEST(MetricsTest, ParallelIncrementsFromPoolWorkersSumExactly) {
   constexpr std::size_t kPerTask = 10000;
   {
     pipeline::ThreadPool pool(4);
+    pipeline::ThreadPool::Group group;
     for (std::size_t t = 0; t < kTasks; ++t) {
-      pool.submit([&, t] {
+      pool.submit(group, [&, t] {
         for (std::size_t i = 0; i < kPerTask; ++i) {
           counter->add();
           histogram->observe(t);  // task index → a fixed bucket
         }
       });
     }
-    pool.wait_idle();
+    pool.wait(group);
   }
   EXPECT_EQ(counter->value(), kTasks * kPerTask);
   EXPECT_EQ(histogram->count(), kTasks * kPerTask);
@@ -250,13 +251,14 @@ TEST(TraceTest, ConcurrentSpansAllLand) {
   constexpr std::size_t kPerTask = 100;
   {
     pipeline::ThreadPool pool(4);
+    pipeline::ThreadPool::Group group;
     for (std::size_t t = 0; t < kTasks; ++t) {
-      pool.submit([&] {
+      pool.submit(group, [&] {
         for (std::size_t i = 0; i < kPerTask; ++i)
           TraceSpan span(ring, "burst");
       });
     }
-    pool.wait_idle();
+    pool.wait(group);
   }
   ring.disable();
   EXPECT_EQ(ring.events().size() + ring.dropped(), kTasks * kPerTask);

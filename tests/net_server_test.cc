@@ -8,11 +8,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -21,6 +23,7 @@
 #include <thread>
 
 #include "common/check.h"
+#include "hooked_store.h"
 #include "net/client.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -38,13 +41,24 @@ Bytes random_bytes(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+/// A request frame whose payload is one string (PUT_BEGIN, GET_FILE).
+Frame named_frame(Op op, std::uint64_t request_id, const std::string& name) {
+  PayloadWriter w;
+  w.str(name);
+  return Frame{static_cast<std::uint16_t>(op), request_id, w.take()};
+}
+
 /// Raw TCP connection speaking hand-crafted frames — for the malformed
 /// and mid-stream-disconnect cases the Client refuses to produce.
 class RawConn {
  public:
-  explicit RawConn(std::uint16_t port) {
+  /// `rcvbuf` > 0 shrinks the receive buffer before connecting, so a
+  /// peer that stops reading backs the server up quickly.
+  explicit RawConn(std::uint16_t port, int rcvbuf = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     AEC_CHECK_MSG(fd_ >= 0, "socket");
+    if (rcvbuf > 0)
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -98,6 +112,41 @@ class RawConn {
       AEC_CHECK_MSG(n >= 0, "recv: " << std::strerror(errno));
       if (n == 0) return std::nullopt;
       parser_.feed(BytesView(buf, static_cast<std::size_t>(n)));
+    }
+  }
+
+  /// True when a frame's bytes (or EOF) arrive within `ms`.
+  bool readable_within(int ms) {
+    if (parser_.buffered() > 0) return true;
+    pollfd pfd{fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, ms) > 0;
+  }
+
+  /// Expects an empty-or-not kReply to `request_id`.
+  void recv_reply(std::uint64_t request_id) {
+    const auto frame = recv_frame();
+    AEC_CHECK_MSG(frame.has_value(), "connection closed before reply");
+    EXPECT_EQ(frame->op, static_cast<std::uint16_t>(Op::kReply));
+    EXPECT_EQ(frame->request_id, request_id);
+  }
+
+  /// Reads one GET_FILE response (kGetData* then kGetEnd) to
+  /// `request_id` and returns the file's bytes.
+  Bytes recv_file(std::uint64_t request_id) {
+    Bytes content;
+    for (;;) {
+      const auto frame = recv_frame();
+      AEC_CHECK_MSG(frame.has_value(), "connection closed mid-GET");
+      EXPECT_EQ(frame->request_id, request_id);
+      if (frame->op == static_cast<std::uint16_t>(Op::kGetData)) {
+        content.insert(content.end(), frame->payload.begin(),
+                       frame->payload.end());
+        continue;
+      }
+      EXPECT_EQ(frame->op, static_cast<std::uint16_t>(Op::kGetEnd));
+      PayloadReader r(frame->payload);
+      EXPECT_EQ(r.u64(), content.size());
+      return content;
     }
   }
 
@@ -158,6 +207,45 @@ class NetServerTest : public ::testing::Test {
     config.idle_timeout_ms = 0;
     server_ = std::make_unique<Server>(archive_.get(), config);
     server_thread_ = std::thread([this] { server_->run(); });
+  }
+
+  /// Like restart_server, over a fresh AE(3,2,5) archive on a 2-thread
+  /// engine with the given store and block size.
+  void serve_new_archive(const std::string& store_spec,
+                         std::size_t block_size, ServerConfig config) {
+    server_->shutdown();
+    server_thread_.join();
+    server_.reset();
+    archive_.reset();
+    fs::remove_all(root_);
+    archive_ = tools::Archive::create(root_, "AE(3,2,5)", block_size,
+                                      Engine::with_threads(2), store_spec);
+    config.idle_timeout_ms = 0;
+    server_ = std::make_unique<Server>(archive_.get(), config);
+    server_thread_ = std::thread([this] { server_->run(); });
+  }
+
+  /// Serves a 16 MiB "big" file and a small one, then parks a raw
+  /// connection's GET of "big" on its lane: the connection stops reading,
+  /// so that lane blocks on the write budget until the stall timeout.
+  /// The GET lands on the writer lane (idle server: the writer lane wins
+  /// ties). Returns the stalled connection and fills `small`.
+  std::unique_ptr<RawConn> stall_writer_lane(Bytes& small) {
+    ServerConfig config;
+    config.write_queue_limit = 256u << 10;
+    config.write_stall_timeout_ms = 8'000;
+    serve_new_archive("mem", 64u << 10, config);
+    {
+      Client writer(client_config());
+      writer.put_bytes("big", random_bytes(16u << 20, 11));
+      small = random_bytes(100 * 1024 + 3, 12);
+      writer.put_bytes("small", small);
+    }
+    auto stalled = std::make_unique<RawConn>(server_->port(), 4096);
+    stalled->send_frame(named_frame(Op::kGetFile, 1, "big"));
+    // Time for the lane to fill the socket buffers and the write budget.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    return stalled;
   }
 
   fs::path root_;
@@ -251,15 +339,106 @@ TEST_F(NetServerTest, ConcurrentConnectionsRoundTrip) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST_F(NetServerTest, StalledGetDoesNotHoldUpAnotherConnectionsGet) {
+  // Connection A asks for more than its write budget and stops reading,
+  // so its lane blocks until write_stall_timeout_ms (8 s) drops it.
+  // Connection B's GET goes to an idle read lane and finishes at once;
+  // with one lane it would queue behind A's stall.
+  Bytes small;
+  const std::unique_ptr<RawConn> stalled = stall_writer_lane(small);
+  const auto start = std::chrono::steady_clock::now();
+  {
+    Client reader(client_config());
+    EXPECT_EQ(reader.get_bytes("small"), small);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(3))
+      << "a GET waited for another connection's stalled GET";
+  stalled->close();  // frees A's lane at once
+}
+
+TEST_F(NetServerTest, PipelinedPutThenGetOnOneConnectionKeepsOrder) {
+  // PUT_BEGIN … PUT_END then GET_FILE, sent back to back before reading
+  // anything: the replies come in request order, and the GET (which
+  // follows the PUT on its lane) sees the committed file.
+  const Bytes payload = random_bytes(3 * 1024 * 1024 + 17, 13);
+  RawConn conn(server_->port());
+  conn.send_frame(named_frame(Op::kPutBegin, 1, "piped"));
+  std::uint64_t id = 2;
+  for (std::size_t off = 0; off < payload.size(); off += 1u << 20) {
+    const std::size_t n = std::min<std::size_t>(1u << 20, payload.size() - off);
+    conn.send_frame(Frame{static_cast<std::uint16_t>(Op::kPutChunk), id++,
+                          Bytes(payload.begin() + static_cast<std::ptrdiff_t>(off),
+                                payload.begin() +
+                                    static_cast<std::ptrdiff_t>(off + n))});
+  }
+  const std::uint64_t end_id = id++;
+  conn.send_frame(Frame{static_cast<std::uint16_t>(Op::kPutEnd), end_id, {}});
+  const std::uint64_t get_id = id++;
+  conn.send_frame(named_frame(Op::kGetFile, get_id, "piped"));
+
+  for (std::uint64_t r = 1; r <= end_id; ++r) conn.recv_reply(r);
+  EXPECT_EQ(conn.recv_file(get_id), payload);
+}
+
+TEST_F(NetServerTest, WriterOpsWaitBehindTheirConnectionsReadLaneGet) {
+  // With the writer lane stalled by another connection, C's GET_FILE
+  // runs on a read lane; the PUT frames pipelined behind it must wait on
+  // the reactor until it finishes (they need the writer lane, which owns
+  // the open PUTs), and C's replies still come back in request order.
+  Bytes small;
+  std::unique_ptr<RawConn> stalled = stall_writer_lane(small);
+  const Bytes payload = random_bytes(200 * 1024 + 5, 14);
+  RawConn conn(server_->port());
+  conn.send_frame(named_frame(Op::kGetFile, 1, "small"));
+  conn.send_frame(named_frame(Op::kPutBegin, 2, "fresh"));
+  conn.send_frame(
+      Frame{static_cast<std::uint16_t>(Op::kPutChunk), 3, payload});
+  conn.send_frame(Frame{static_cast<std::uint16_t>(Op::kPutEnd), 4, {}});
+  conn.send_frame(named_frame(Op::kGetFile, 5, "fresh"));
+
+  EXPECT_EQ(conn.recv_file(1), small);  // on a read lane, beside the stall
+  EXPECT_FALSE(conn.readable_within(200))
+      << "a PUT ran before the writer lane was free";
+  stalled->close();  // frees the writer lane
+  for (std::uint64_t r = 2; r <= 4; ++r) conn.recv_reply(r);
+  EXPECT_EQ(conn.recv_file(5), payload);
+}
+
+TEST_F(NetServerTest, FailedPutChunkDropsTheWriter) {
+  // A store failure inside a PUT_CHUNK's window poisons the file: the
+  // server drops the connection's writer, so PUT_END answers kBadState
+  // and nothing is committed, and the next PUT succeeds.
+  const auto store = test::register_hooked_family("flakynet");
+  serve_new_archive("flakynet", 1024, ServerConfig{});
+  RawConn conn(server_->port());
+  conn.send_frame(named_frame(Op::kPutBegin, 1, "doomed"));
+  conn.recv_reply(1);
+  (*store)->fail_countdown = 100;  // inside the first 512-block window
+  conn.send_frame(Frame{static_cast<std::uint16_t>(Op::kPutChunk), 2,
+                        random_bytes(600 * 1024, 15)});
+  EXPECT_EQ(conn.recv_error(2), ErrorCode::kIo);
+  conn.send_frame(Frame{static_cast<std::uint16_t>(Op::kPutEnd), 3, {}});
+  EXPECT_EQ(conn.recv_error(3), ErrorCode::kBadState);
+
+  Client client(client_config());
+  const Bytes payload = random_bytes(700 * 1024 + 9, 16);
+  client.put_bytes("kept", payload);
+  EXPECT_EQ(client.get_bytes("kept"), payload);
+  const auto files = client.list();
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].name, "kept");
+}
+
 TEST_F(NetServerTest, GetRepairsDamagedBlocks) {
   const Bytes payload = random_bytes(64 * 1024, 3);
   {
     Client client(client_config());
     client.put_bytes("fragile", payload);
   }
-  // Out-of-band damage + reindex so the daemon's index sees it. (The
-  // executor thread is idle between requests; this direct archive
-  // access from the test thread is the same single-caller discipline.)
+  // Out-of-band damage + reindex so the daemon's index sees it. (Both
+  // are exclusive archive operations, so this direct access from the
+  // test thread waits for any GET in flight on the server's lanes.)
   EXPECT_GT(archive_->inject_damage(0.2, 99), 0u);
   archive_->reindex();
   Client client(client_config());

@@ -1,5 +1,5 @@
-// Parallel entanglement pipeline: ThreadPool, ConcurrentBlockStore and
-// ParallelEncoder. The load-bearing property is that scheduling never
+// Parallel entanglement pipeline: ThreadPool (completion groups),
+// ConcurrentBlockStore and ParallelEncoder. The load-bearing property is that scheduling never
 // changes a byte (paper §V-B: partial writes reorder work, never
 // results): every encoding matches the ground truth — the data blocks
 // themselves plus parities satisfying p_{i,j} = d_i XOR p_{h,i} — and is
@@ -10,9 +10,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
+#include <stdexcept>
+#include <thread>
 
 #include "ae_test_util.h"
+#include "hooked_store.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "pipeline/concurrent_block_store.h"
@@ -60,10 +66,11 @@ InMemoryBlockStore one_worker_reference(const CodeParams& params,
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
   ThreadPool pool(4);
+  ThreadPool::Group group;
   std::atomic<int> counter{0};
   for (int i = 0; i < 1000; ++i)
-    pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
+    pool.submit(group, [&counter] { counter.fetch_add(1); });
+  pool.wait(group);
   EXPECT_EQ(counter.load(), 1000);
 }
 
@@ -71,28 +78,79 @@ TEST(ThreadPool, BackpressureBoundsTheQueueWithoutLosingTasks) {
   // Capacity 2 with 1 worker: submit() must block rather than overflow or
   // drop; all tasks still complete.
   ThreadPool pool(1, 2);
+  ThreadPool::Group group;
   std::atomic<int> counter{0};
   for (int i = 0; i < 200; ++i)
-    pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
+    pool.submit(group, [&counter] { counter.fetch_add(1); });
+  pool.wait(group);
   EXPECT_EQ(counter.load(), 200);
 }
 
-TEST(ThreadPool, WaitIdleRethrowsFirstTaskError) {
+TEST(ThreadPool, WaitRethrowsFirstTaskError) {
   ThreadPool pool(2);
-  pool.submit([] { throw CheckError("task failed"); });
-  EXPECT_THROW(pool.wait_idle(), CheckError);
-  // The pool survives the error and keeps working.
+  ThreadPool::Group group;
+  pool.submit(group, [] { throw CheckError("task failed"); });
+  EXPECT_THROW(pool.wait(group), CheckError);
+  // The error is consumed; the group and the pool keep working.
   std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
+  pool.submit(group, [&counter] { counter.fetch_add(1); });
+  pool.wait(group);
   EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
+TEST(ThreadPool, WaitOnEmptyGroupReturnsImmediately) {
   ThreadPool pool(2);
-  pool.wait_idle();
-  pool.wait_idle();
+  ThreadPool::Group group;
+  pool.wait(group);
+  pool.wait(group);
+}
+
+TEST(ThreadPool, GroupsOnOnePoolWaitAndFailIndependently) {
+  // Two coordinators share one pool. Group A's task blocks until the
+  // test releases it: waiting on group B must return without it, and
+  // B's error must surface in B only.
+  ThreadPool pool(2);
+  ThreadPool::Group a;
+  ThreadPool::Group b;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  std::atomic<bool> a_done{false};
+  pool.submit(a, [&] {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return released; });
+    a_done = true;
+  });
+  std::atomic<int> b_ran{0};
+  pool.submit(b, [&b_ran] { b_ran.fetch_add(1); });
+  pool.submit(b, [] { throw CheckError("b failed"); });
+  EXPECT_THROW(pool.wait(b), CheckError);
+  EXPECT_EQ(b_ran.load(), 1);
+  EXPECT_FALSE(a_done.load()) << "wait(b) waited for group a's task";
+  {
+    std::lock_guard lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  EXPECT_NO_THROW(pool.wait(a));
+  EXPECT_TRUE(a_done.load());
+}
+
+TEST(ThreadPool, GroupDestructorWaitsForItsTasks) {
+  // Tasks may reference the coordinator's stack, so a group that goes
+  // out of scope unwaited (an exception between submit and wait) must
+  // still outlast them.
+  ThreadPool pool(3);
+  std::atomic<int> counter{0};
+  {
+    ThreadPool::Group group;
+    for (int i = 0; i < 64; ++i)
+      pool.submit(group, [&counter] {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        counter.fetch_add(1);
+      });
+  }
+  EXPECT_EQ(counter.load(), 64);
 }
 
 // --- ConcurrentBlockStore ---------------------------------------------------
@@ -134,9 +192,10 @@ TEST(ConcurrentBlockStore, GetCopyAndForEach) {
 TEST(ConcurrentBlockStore, ConcurrentPutsFromManyThreadsAllLand) {
   ConcurrentBlockStore store;
   ThreadPool pool(8);
+  ThreadPool::Group group;
   constexpr int kPerThreadKeys = 500;
   for (int t = 0; t < 8; ++t) {
-    pool.submit([&store, t] {
+    pool.submit(group, [&store, t] {
       for (int i = 0; i < kPerThreadKeys; ++i) {
         const auto index =
             static_cast<NodeIndex>(t * kPerThreadKeys + i + 1);
@@ -145,7 +204,7 @@ TEST(ConcurrentBlockStore, ConcurrentPutsFromManyThreadsAllLand) {
       }
     });
   }
-  pool.wait_idle();
+  pool.wait(group);
   EXPECT_EQ(store.size(), 8u * kPerThreadKeys);
   for (NodeIndex i = 1; i <= 8 * kPerThreadKeys; ++i) {
     const auto copy = store.get_copy(BlockKey::data(i));
@@ -300,6 +359,28 @@ TEST(ParallelEncoder, ResumeCountContinuesAnExistingLattice) {
   second.append_all({blocks.begin() + 203, blocks.end()});
   EXPECT_EQ(second.size(), blocks.size());
   expect_stores_identical(expected, store);
+}
+
+TEST(ParallelEncoder, FailedBatchRetriesByteIdentically) {
+  // A store failure mid-batch: strand tasks that finished first have
+  // already XORed their heads forward while size() stays put. The retry
+  // must re-fetch the heads from the store, not XOR the batch in twice.
+  const CodeParams params(3, 2, 5);
+  const auto blocks = random_blocks(40, 83);
+  const std::vector<Bytes> second(blocks.begin() + 20, blocks.end());
+  for (const std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    test::HookedStore store;
+    ParallelEncoder enc(params, kBlockSize, &store, &pool);
+    enc.append_all({blocks.begin(), blocks.begin() + 20});
+    store.fail_countdown = 31;  // the batch's 31st put throws
+    EXPECT_THROW(enc.append_all(second), std::runtime_error);
+    EXPECT_EQ(enc.size(), 20u);
+    enc.append_all(second);
+    EXPECT_EQ(enc.size(), 40u);
+    expect_encoding_of(params, kBlockSize, blocks, store);
+  }
 }
 
 TEST(ParallelEncoder, RejectsWrongBlockSize) {

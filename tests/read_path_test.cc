@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <filesystem>
@@ -405,10 +406,11 @@ TEST_F(ReadPathArchiveTest, NameIndexFindsEveryFileAndRejectsDuplicates) {
     EXPECT_THROW(archive->begin_file("b"), CheckError);  // duplicate name
   }
   auto archive = Archive::open(root);  // index rebuilt from the manifest
-  ASSERT_NE(archive->find_file("b"), nullptr);
+  ASSERT_TRUE(archive->find_file("b").has_value());
   EXPECT_EQ(archive->find_file("b")->bytes, b.size());
-  EXPECT_EQ(archive->find_file("missing"), nullptr);
+  EXPECT_FALSE(archive->find_file("missing").has_value());
   EXPECT_THROW(archive->open_reader("missing"), CheckError);
+  EXPECT_FALSE(archive->try_open_reader("missing").has_value());
   EXPECT_FALSE(archive->read_file("missing").has_value());
   EXPECT_EQ(archive->read_file("a"), a);
   EXPECT_EQ(archive->read_file("b"), b);
@@ -532,8 +534,8 @@ TEST_F(ReadPathBlockStreamTest, RefillIssuesWholeBatchesOnly) {
 }
 
 TEST_F(ReadPathBlockStreamTest, StoreExceptionSurfacesAtNextNotAtThePool) {
-  // A throwing store must fail the reader that asked, not poison the
-  // shared pool's wait_idle() for an unrelated concurrent scrub.
+  // A throwing store must fail the reader that asked, not an unrelated
+  // operation (a scrub's wave) waiting on the same pool.
   class ThrowingStore final : public BlockStore {
    public:
     void put(const BlockKey&, Bytes) override {}
@@ -550,11 +552,15 @@ TEST_F(ReadPathBlockStreamTest, StoreExceptionSurfacesAtNextNotAtThePool) {
 
   ThrowingStore store;
   auto engine = Engine::with_threads(2);
+  pipeline::ThreadPool::Group other;
+  std::atomic<int> ran{0};
   {
     BlockStream stream(store, engine->pool(), 1, 8, 64, no_repair);
+    engine->pool().submit(other, [&ran] { ran.fetch_add(1); });
     EXPECT_THROW(stream.next(), std::runtime_error);
   }
-  EXPECT_NO_THROW(engine->pool().wait_idle());
+  EXPECT_NO_THROW(engine->pool().wait(other));
+  EXPECT_EQ(ran.load(), 1);
 }
 
 // --- file-long read stream -------------------------------------------------
