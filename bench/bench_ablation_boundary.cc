@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
+#include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/parallel_repairer.h"
 #include "pipeline/thread_pool.h"
@@ -29,7 +30,7 @@ Outcome run_open(const aec::CodeParams& params, std::uint64_t n,
   blocks.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i)
     blocks.push_back(Bytes{static_cast<std::uint8_t>(i)});
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   pipeline::ThreadPool pool(1);
   pipeline::ParallelEncoder encoder(params, 1, &store, &pool);
   encoder.append_all(blocks);

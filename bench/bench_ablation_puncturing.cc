@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "core/codec/puncture.h"
+#include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/parallel_repairer.h"
 #include "pipeline/thread_pool.h"
@@ -22,7 +23,7 @@ std::uint64_t run_loss(const aec::CodeParams& params, std::uint64_t n,
   blocks.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i)
     blocks.push_back(Bytes{static_cast<std::uint8_t>(i * 31)});
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   pipeline::ThreadPool pool(1);
   pipeline::ParallelEncoder encoder(params, 1, &store, &pool);
   encoder.append_all(blocks);

@@ -24,6 +24,7 @@
 #include "common/xor_engine.h"
 #include "core/codec/tamper.h"
 #include "gf/gf256.h"
+#include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/parallel_repairer.h"
 #include "pipeline/thread_pool.h"
@@ -75,7 +76,7 @@ void BM_AeEncode(benchmark::State& state) {
                                        : CodeParams(alpha, 2, 5);
   Rng rng(2);
   const std::vector<Bytes> block{rng.random_block(block_size)};
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   pipeline::ThreadPool pool(1);
   pipeline::ParallelEncoder encoder(params, block_size, &store, &pool);
   for (auto _ : state) {
@@ -94,7 +95,7 @@ void BM_AeSingleFailureRepair(benchmark::State& state) {
   const CodeParams params = alpha == 1 ? CodeParams::single()
                                        : CodeParams(alpha, 2, 5);
   Rng rng(3);
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   pipeline::ThreadPool pool(1);
   const std::uint64_t n = 256;
   {
@@ -172,7 +173,7 @@ void BM_TamperScan(benchmark::State& state) {
   const std::size_t block_size = 1024;
   const CodeParams params(3, 2, 5);
   Rng rng(6);
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   const std::uint64_t n = 500;
   std::vector<Bytes> blocks;
   for (std::uint64_t i = 0; i < n; ++i)

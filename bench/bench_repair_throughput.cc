@@ -112,7 +112,7 @@ const ErasurePattern kPatterns[] = {
 
 /// Ground truth for a repaired store: every block still present is the
 /// pristine block, and exactly the report's residue is missing.
-bool matches_pristine(const InMemoryBlockStore& pristine,
+bool matches_pristine(const pipeline::ConcurrentBlockStore& pristine,
                       const BlockStore& store, const RepairReport& report) {
   std::uint64_t missing = 0;
   bool ok = true;
@@ -135,22 +135,21 @@ bool same_report(const RepairReport& a, const RepairReport& b) {
          a.edges_unrecovered == b.edges_unrecovered;
 }
 
-InMemoryBlockStore encode_pristine(const CodeParams& params,
-                                   std::size_t count,
-                                   std::size_t block_size) {
+/// Entangles `count` random blocks into the empty `pristine` store.
+void encode_pristine(const CodeParams& params, std::size_t count,
+                     std::size_t block_size, BlockStore& pristine) {
   Rng rng(2026);
   std::vector<Bytes> blocks;
   blocks.reserve(count);
   for (std::size_t i = 0; i < count; ++i)
     blocks.push_back(rng.random_block(block_size));
-  InMemoryBlockStore pristine;
   pipeline::ThreadPool pool(1);
   pipeline::ParallelEncoder encoder(params, block_size, &pristine, &pool);
   encoder.append_all(blocks);
-  return pristine;
 }
 
-void fill_from(const InMemoryBlockStore& pristine, BlockStore& store) {
+void fill_from(const pipeline::ConcurrentBlockStore& pristine,
+               BlockStore& store) {
   // Batched copy-in: the cheap path on sharded/file backends.
   constexpr std::size_t kBatch = 256;
   std::vector<std::pair<BlockKey, Bytes>> batch;
@@ -172,7 +171,8 @@ using StoreFactory = std::function<std::unique_ptr<BlockStore>()>;
 /// One backend × pattern: a fresh damaged copy of `pristine` per thread
 /// count, repaired and checked; the one-thread row is the baseline.
 void measure(const CodeParams& params, std::size_t count,
-             std::size_t block_size, const InMemoryBlockStore& pristine,
+             std::size_t block_size,
+             const pipeline::ConcurrentBlockStore& pristine,
              const ErasurePattern& pattern, const char* backend,
              const StoreFactory& make_store) {
   const Lattice lat(params, count, Lattice::Boundary::kOpen);
@@ -226,8 +226,8 @@ void measure(const CodeParams& params, std::size_t count,
 
 void run_memory(const CodeParams& params, std::size_t count,
                 std::size_t block_size) {
-  const InMemoryBlockStore pristine =
-      encode_pristine(params, count, block_size);
+  pipeline::ConcurrentBlockStore pristine;
+  encode_pristine(params, count, block_size, pristine);
   for (const ErasurePattern& pattern : kPatterns)
     measure(params, count, block_size, pristine, pattern, "mem-concurrent",
             [] { return std::make_unique<pipeline::ConcurrentBlockStore>(); });
@@ -235,8 +235,8 @@ void run_memory(const CodeParams& params, std::size_t count,
 
 void run_file_backed(const CodeParams& params, std::size_t count,
                      std::size_t block_size) {
-  const InMemoryBlockStore pristine =
-      encode_pristine(params, count, block_size);
+  pipeline::ConcurrentBlockStore pristine;
+  encode_pristine(params, count, block_size, pristine);
   const fs::path root = fs::temp_directory_path() /
                         ("aec_bench_repair_" + std::to_string(::getpid()));
   for (const ErasurePattern& pattern : kPatterns) {

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <numeric>
 
+#include "api/engine.h"
 #include "common/check.h"
 #include "core/codec/block_key.h"
-#include "core/codec/block_store.h"
 #include "core/codec/repair_planner.h"
 #include "core/lattice/lattice.h"
-#include "pipeline/parallel_encoder.h"
-#include "pipeline/parallel_repairer.h"
+#include "pipeline/concurrent_block_store.h"
 
 namespace aec {
 
@@ -36,6 +36,24 @@ PartIndex ae_key_part(const CodeParams& params, std::uint32_t n_data,
   const auto alpha = static_cast<std::uint32_t>(params.classes().size());
   const auto cls_ordinal = static_cast<std::uint32_t>(key.cls);
   return n_data + static_cast<PartIndex>(key.index - 1) * alpha + cls_ordinal;
+}
+
+/// The payloads of `parts` of an AE group held in `store`, each of which
+/// must be present.
+std::vector<Bytes> read_parts(const BlockStore& store,
+                              const CodeParams& params, std::uint32_t n_data,
+                              const PartIndexList& parts) {
+  std::vector<BlockKey> keys;
+  keys.reserve(parts.size());
+  for (const PartIndex part : parts)
+    keys.push_back(ae_part_key(params, n_data, part));
+  std::vector<Bytes> payloads;
+  payloads.reserve(keys.size());
+  for (std::optional<Bytes>& payload : store.get_batch(keys)) {
+    AEC_CHECK(payload.has_value());
+    payloads.push_back(std::move(*payload));
+  }
+  return payloads;
 }
 
 void check_erased_list(const PartIndexList& erased, std::uint32_t total) {
@@ -76,33 +94,15 @@ double AeCodec::storage_overhead_percent() const {
 
 std::vector<Bytes> AeCodec::encode(const std::vector<Bytes>& data) const {
   const std::size_t block_size = uniform_block_size(data);
-  // One worker: the group is one strand-scheduled batch on a private,
-  // unsynchronized store (the coordinator waits at the batch barrier).
-  InMemoryBlockStore store;
-  pipeline::ThreadPool pool(1);
-  pipeline::ParallelEncoder encoder(params_, block_size, &store, &pool);
-  const std::vector<EncodeResult> sealed = encoder.append_all(data);
-  std::vector<Bytes> parities;
-  parities.reserve(data.size() * params_.classes().size());
-  for (const EncodeResult& result : sealed)
-    for (const Edge& edge : result.parities) {
-      const Bytes* parity = store.find(BlockKey::parity(edge));
-      AEC_CHECK(parity != nullptr);
-      parities.push_back(*parity);
-    }
-  return parities;
-}
-
-bool AeCodec::can_repair(std::uint32_t n_data,
-                         const PartIndexList& erased) const {
-  AEC_CHECK_MSG(n_data >= 1, "AE group needs at least one data block");
-  check_erased_list(erased, group_total_parts(n_data));
-  const Lattice lattice(params_, n_data, Lattice::Boundary::kOpen);
-  AvailabilityMap avail(params_, n_data);
-  for (const PartIndex part : erased)
-    avail.set(ae_part_key(params_, n_data, part), false);
-  const RepairPlanner planner(&lattice);
-  return planner.plan(avail).residue.empty();
+  // The group is one batch of a one-thread session on a private store.
+  pipeline::ConcurrentBlockStore store;
+  Engine engine(1);
+  engine.open_session(std::make_shared<AeCodec>(params_), &store, block_size)
+      ->append(data);
+  const auto n_data = static_cast<std::uint32_t>(data.size());
+  PartIndexList parities(parity_parts(n_data));
+  std::iota(parities.begin(), parities.end(), n_data);
+  return read_parts(store, params_, n_data, parities);
 }
 
 std::optional<PartIndexList> AeCodec::repair_indices(
@@ -146,7 +146,7 @@ std::optional<std::vector<Bytes>> AeCodec::repair(
   const auto n_data = static_cast<std::uint32_t>(parts.size() / (alpha + 1));
   check_erased_list(erased, group_total_parts(n_data));
 
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   std::size_t block_size = 0;
   for (std::size_t part = 0; part < parts.size(); ++part) {
     if (!parts[part]) continue;
@@ -161,21 +161,15 @@ std::optional<std::vector<Bytes>> AeCodec::repair(
     AEC_CHECK_MSG(!parts[part], "repair: erased part " << part
                                                        << " holds a payload");
 
-  pipeline::ThreadPool pool(1);
-  pipeline::ParallelRepairer repairer(params_, n_data, block_size, &store,
-                                      &pool);
-  const RepairReport report = repairer.repair_all();
+  Engine engine(1);
+  const RepairReport report =
+      engine
+          .open_session(std::make_shared<AeCodec>(params_), &store,
+                        block_size, n_data)
+          ->repair_all();
   if (report.nodes_unrecovered + report.edges_unrecovered != 0)
     return std::nullopt;
-
-  std::vector<Bytes> rebuilt;
-  rebuilt.reserve(erased.size());
-  for (const PartIndex part : erased) {
-    const Bytes* payload = store.find(ae_part_key(params_, n_data, part));
-    AEC_CHECK(payload != nullptr);
-    rebuilt.push_back(*payload);
-  }
-  return rebuilt;
+  return read_parts(store, params_, n_data, erased);
 }
 
 // --- RsCodec ----------------------------------------------------------------
@@ -197,12 +191,6 @@ double RsCodec::storage_overhead_percent() const {
 std::vector<Bytes> RsCodec::encode(const std::vector<Bytes>& data) const {
   uniform_block_size(data);
   return rs_.encode(data);
-}
-
-bool RsCodec::can_repair(std::uint32_t n_data,
-                         const PartIndexList& erased) const {
-  check_erased_list(erased, group_total_parts(n_data));
-  return erased.size() <= rs_.m();  // MDS: any k of k+m suffice
 }
 
 std::optional<PartIndexList> RsCodec::repair_indices(
@@ -249,38 +237,34 @@ std::optional<std::vector<Bytes>> RsCodec::repair(
 
 // --- ReplicationCodec -------------------------------------------------------
 
-ReplicationCodec::ReplicationCodec(std::uint32_t copies) : rep_(copies) {}
+ReplicationCodec::ReplicationCodec(std::uint32_t copies) : copies_(copies) {
+  AEC_CHECK_MSG(copies_ >= 1, "replication needs at least one copy");
+}
 
 std::string ReplicationCodec::id() const {
-  return "REP(" + std::to_string(rep_.copies()) + ")";
+  return "REP(" + std::to_string(copies_) + ")";
 }
 
 std::uint32_t ReplicationCodec::parity_parts(std::uint32_t n_data) const {
   AEC_CHECK_MSG(n_data == 1, "replication groups hold one data block");
-  return rep_.copies() - 1;
+  return copies_ - 1;
 }
 
 double ReplicationCodec::storage_overhead_percent() const {
-  return rep_.storage_overhead_percent();
+  return 100.0 * (copies_ - 1);  // paper Table IV
 }
 
 std::vector<Bytes> ReplicationCodec::encode(
     const std::vector<Bytes>& data) const {
   uniform_block_size(data);
   AEC_CHECK_MSG(data.size() == 1, "replication groups hold one data block");
-  return std::vector<Bytes>(rep_.copies() - 1, data.front());
-}
-
-bool ReplicationCodec::can_repair(std::uint32_t n_data,
-                                  const PartIndexList& erased) const {
-  check_erased_list(erased, group_total_parts(n_data));
-  return erased.size() < rep_.copies();  // any surviving copy suffices
+  return std::vector<Bytes>(copies_ - 1, data.front());
 }
 
 std::optional<PartIndexList> ReplicationCodec::repair_indices(
     std::uint32_t n_data, const PartIndexList& erased) const {
   check_erased_list(erased, group_total_parts(n_data));
-  for (PartIndex part = 0; part < rep_.copies(); ++part)
+  for (PartIndex part = 0; part < copies_; ++part)
     if (!std::binary_search(erased.begin(), erased.end(), part))
       return PartIndexList{part};
   return std::nullopt;
@@ -289,14 +273,14 @@ std::optional<PartIndexList> ReplicationCodec::repair_indices(
 std::optional<std::vector<Bytes>> ReplicationCodec::repair(
     const std::vector<std::optional<Bytes>>& parts,
     const PartIndexList& erased) const {
-  AEC_CHECK_MSG(parts.size() == rep_.copies(),
-                "repair: replication group must hold " << rep_.copies()
+  AEC_CHECK_MSG(parts.size() == copies_,
+                "repair: replication group must hold " << copies_
                                                        << " parts");
-  check_erased_list(erased, rep_.copies());
+  check_erased_list(erased, copies_);
   for (const PartIndex part : erased)
     AEC_CHECK_MSG(!parts[part], "repair: erased part " << part
                                                        << " holds a payload");
-  for (PartIndex part = 0; part < rep_.copies(); ++part)
+  for (PartIndex part = 0; part < copies_; ++part)
     if (parts[part]) return std::vector<Bytes>(erased.size(), *parts[part]);
   return std::nullopt;
 }

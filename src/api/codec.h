@@ -32,7 +32,6 @@
 
 #include "common/bytes.h"
 #include "core/lattice/code_params.h"
-#include "replication/replication.h"
 #include "rs/reed_solomon.h"
 
 namespace aec {
@@ -70,16 +69,18 @@ class Codec {
   /// codecs accept any non-empty window. All blocks must share one size.
   virtual std::vector<Bytes> encode(const std::vector<Bytes>& data) const = 0;
 
-  /// True iff a group of n_data data blocks with the `erased` parts
-  /// missing can be fully reconstructed. `erased` must be sorted and
-  /// duplicate-free.
-  virtual bool can_repair(std::uint32_t n_data,
-                          const PartIndexList& erased) const = 0;
-
   /// The surviving parts a repair of `erased` reads (sorted), or nullopt
   /// when the group is irreparable. Not every surviving part is needed.
+  /// `erased` must be sorted and duplicate-free (CheckError otherwise).
   virtual std::optional<PartIndexList> repair_indices(
       std::uint32_t n_data, const PartIndexList& erased) const = 0;
+
+  /// True iff a group of n_data data blocks with the `erased` parts
+  /// missing can be fully reconstructed (same input checks as
+  /// repair_indices).
+  bool can_repair(std::uint32_t n_data, const PartIndexList& erased) const {
+    return repair_indices(n_data, erased).has_value();
+  }
 
   /// Reconstructs the erased parts of one group. `parts` holds the whole
   /// group (present payload or nullopt per part; its size fixes n_data).
@@ -108,8 +109,6 @@ class AeCodec final : public Codec {
   double storage_overhead_percent() const override;
   std::uint32_t single_failure_fanin() const override { return 2; }
   std::vector<Bytes> encode(const std::vector<Bytes>& data) const override;
-  bool can_repair(std::uint32_t n_data,
-                  const PartIndexList& erased) const override;
   std::optional<PartIndexList> repair_indices(
       std::uint32_t n_data, const PartIndexList& erased) const override;
   std::optional<std::vector<Bytes>> repair(
@@ -133,8 +132,6 @@ class RsCodec final : public Codec {
   double storage_overhead_percent() const override;
   std::uint32_t single_failure_fanin() const override { return rs_.k(); }
   std::vector<Bytes> encode(const std::vector<Bytes>& data) const override;
-  bool can_repair(std::uint32_t n_data,
-                  const PartIndexList& erased) const override;
   std::optional<PartIndexList> repair_indices(
       std::uint32_t n_data, const PartIndexList& erased) const override;
   std::optional<std::vector<Bytes>> repair(
@@ -145,12 +142,14 @@ class RsCodec final : public Codec {
   rs::ReedSolomon rs_;
 };
 
-/// n-way replication: one data part, n−1 copy parts.
+/// n-way replication (the paper's second comparator): one data part,
+/// n−1 copy parts.
 class ReplicationCodec final : public Codec {
  public:
+  /// n total copies (n-way), n ≥ 1.
   explicit ReplicationCodec(std::uint32_t copies);
 
-  std::uint32_t copies() const noexcept { return rep_.copies(); }
+  std::uint32_t copies() const noexcept { return copies_; }
 
   std::string id() const override;
   std::uint32_t group_data_parts() const override { return 1; }
@@ -158,8 +157,6 @@ class ReplicationCodec final : public Codec {
   double storage_overhead_percent() const override;
   std::uint32_t single_failure_fanin() const override { return 1; }
   std::vector<Bytes> encode(const std::vector<Bytes>& data) const override;
-  bool can_repair(std::uint32_t n_data,
-                  const PartIndexList& erased) const override;
   std::optional<PartIndexList> repair_indices(
       std::uint32_t n_data, const PartIndexList& erased) const override;
   std::optional<std::vector<Bytes>> repair(
@@ -167,7 +164,7 @@ class ReplicationCodec final : public Codec {
       const PartIndexList& erased) const override;
 
  private:
-  replication::Replication rep_;
+  std::uint32_t copies_;
 };
 
 /// Parsed "FAMILY(arg,arg,…)" spec. A literal "-" argument (AE(1,-,-))

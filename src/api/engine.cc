@@ -22,9 +22,7 @@ std::unique_ptr<CodecSession> Engine::open_session(
   AEC_CHECK_MSG(store != nullptr, "open_session: null store");
   AEC_CHECK_MSG(store->thread_safe(),
                 "open_session: the store must synchronize itself (pool "
-                "tasks read and write it); use a "
-                "pipeline::ConcurrentBlockStore, not an "
-                "InMemoryBlockStore");
+                "tasks read and write it)");
   std::unique_ptr<CodecSession> session;
   if (codec->group_data_parts() == 0) {
     // Streaming family — today that is exactly the AE lattice.

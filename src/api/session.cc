@@ -593,17 +593,28 @@ IntegrityReport StripedSession::verify_integrity() const {
   IntegrityReport report;
   const std::uint64_t count = size();
   const std::uint64_t stripe_count = (count + k_ - 1) / k_;
+  std::vector<BlockKey> keys;
   for (std::uint64_t g = 0; g < stripe_count; ++g) {
-    PartIndexList erased;
-    const std::vector<std::optional<Bytes>> parts =
-        collect_parts(g, count, erased);
-    if (!erased.empty()) continue;  // incomplete stripes are not verifiable
+    // One get_batch per stripe — the streaming read (see block_store.h),
+    // so the scan holds one stripe at a time and leaves a durable
+    // store's payload cache as it found it.
+    const std::uint64_t first = g * k_;
+    const std::uint32_t real = real_parts(g, count);
+    keys.clear();
+    for (std::uint32_t r = 0; r < real; ++r)
+      keys.push_back(BlockKey::data(static_cast<NodeIndex>(first + r) + 1));
+    for (std::uint32_t j = 0; j < m_; ++j) keys.push_back(parity_key(g, j));
+    std::vector<std::optional<Bytes>> parts = store_->get_batch(keys);
+    if (std::any_of(parts.begin(), parts.end(),
+                    [](const std::optional<Bytes>& p) { return !p; }))
+      continue;  // incomplete stripes are not verifiable
     std::vector<Bytes> data;
     data.reserve(k_);
-    for (std::uint32_t r = 0; r < k_; ++r) data.push_back(*parts[r]);
+    for (std::uint32_t r = 0; r < k_; ++r)  // zeros for the virtual tail
+      data.push_back(r < real ? std::move(*parts[r]) : Bytes(block_size_, 0));
     const std::vector<Bytes> parities = codec_->encode(data);
     for (std::uint32_t j = 0; j < m_; ++j)
-      if (parities[j] != *parts[k_ + j]) ++report.inconsistent_parities;
+      if (parities[j] != *parts[real + j]) ++report.inconsistent_parities;
   }
   return report;
 }

@@ -192,14 +192,6 @@ void ClusterStore::put(const BlockKey& key, Bytes value) {
   target(n).put(key, std::move(value));
 }
 
-const Bytes* ClusterStore::find(const BlockKey& key) const {
-  Node& n = node_for(key);
-  std::shared_lock lock(n.mu);
-  const Bytes* value = target(n).find(key);
-  if (value != nullptr) n.count_read(value->size());
-  return value;
-}
-
 bool ClusterStore::contains(const BlockKey& key) const {
   Node& n = node_for(key);
   std::shared_lock lock(n.mu);

@@ -90,7 +90,6 @@ class ClusterStore final : public BlockStore {
 
   // --- BlockStore -----------------------------------------------------------
   void put(const BlockKey& key, Bytes value) override;
-  const Bytes* find(const BlockKey& key) const override;
   bool contains(const BlockKey& key) const override;
   bool erase(const BlockKey& key) override;
   std::uint64_t size() const override;

@@ -1,11 +1,14 @@
 #include "core/codec/block_store.h"
 
+#include "common/check.h"
+
 namespace aec {
 
-std::optional<Bytes> BlockStore::get_copy(const BlockKey& key) const {
-  const Bytes* value = find(key);
-  if (value == nullptr) return std::nullopt;
-  return *value;
+const Bytes* BlockStore::find(const BlockKey& key) const {
+  AEC_CHECK_MSG(false, "BlockStore::find(" << to_string(key)
+                                           << ") is not a read: use "
+                                              "get_copy() or get_batch()");
+  return nullptr;
 }
 
 std::vector<std::optional<Bytes>> BlockStore::get_batch(
@@ -18,39 +21,6 @@ std::vector<std::optional<Bytes>> BlockStore::get_batch(
 
 void BlockStore::put_batch(std::vector<std::pair<BlockKey, Bytes>> items) {
   for (auto& [key, value] : items) put(key, std::move(value));
-}
-
-void InMemoryBlockStore::put(const BlockKey& key, Bytes value) {
-  blocks_[key] = std::move(value);
-  notify(key, true);
-}
-
-const Bytes* InMemoryBlockStore::find(const BlockKey& key) const {
-  auto it = blocks_.find(key);
-  return it == blocks_.end() ? nullptr : &it->second;
-}
-
-bool InMemoryBlockStore::contains(const BlockKey& key) const {
-  return blocks_.contains(key);
-}
-
-bool InMemoryBlockStore::erase(const BlockKey& key) {
-  if (blocks_.erase(key) == 0) return false;
-  notify(key, false);
-  return true;
-}
-
-std::uint64_t InMemoryBlockStore::size() const { return blocks_.size(); }
-
-void InMemoryBlockStore::for_each(
-    const std::function<void(const BlockKey&, const Bytes&)>& fn) const {
-  for (const auto& [key, value] : blocks_) fn(key, value);
-}
-
-bool InMemoryBlockStore::for_each_key(
-    const std::function<void(const BlockKey&)>& fn) const {
-  for (const auto& [key, value] : blocks_) fn(key);
-  return true;
 }
 
 }  // namespace aec

@@ -1,17 +1,16 @@
 // Block storage abstraction. The codec is storage-agnostic (paper §III-B
-// "Implementation Details": client-, middleware- or backend-based); this
-// header ships the unsynchronized in-memory implementation, which backs
-// one-worker pipelines outside sessions (AeCodec::encode/repair), tests
-// and simulations. The stores a session runs on synchronize themselves
-// (pipeline::ConcurrentBlockStore, FileBlockStore,
-// cluster::ClusterStore); they live in their own headers and are
-// constructed by name through the StoreRegistry.
+// "Implementation Details": client-, middleware- or backend-based), and
+// every store holds one contract: put, get_copy, get_batch, contains and
+// erase are each safe from any thread, and every read hands out a copy.
+// The implementations (pipeline::ConcurrentBlockStore, FileBlockStore,
+// cluster::ClusterStore, and the paper's applications under store/) live
+// in their own headers; the general-purpose ones are constructed by name
+// through the StoreRegistry.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,9 +38,15 @@ class BlockStore {
   /// Inserts or overwrites a block.
   virtual void put(const BlockKey& key, Bytes value) = 0;
 
-  /// Returns the stored payload, or nullptr when the block is missing.
-  /// The pointer stays valid until the next mutating call.
-  virtual const Bytes* find(const BlockKey& key) const = 0;
+  /// Copies the payload out under the store's own synchronization, or
+  /// nullopt when the block is missing — the point read, which is what
+  /// lets parallel repair workers read while other workers write.
+  virtual std::optional<Bytes> get_copy(const BlockKey& key) const = 0;
+
+  /// Not a read: no store implements it, and the base throws CheckError
+  /// (read through get_copy() or get_batch()). It stays declared only
+  /// because the benchmark's TimedStore decorator overrides it.
+  virtual const Bytes* find(const BlockKey& key) const;
 
   virtual bool contains(const BlockKey& key) const = 0;
 
@@ -50,12 +55,6 @@ class BlockStore {
   virtual bool erase(const BlockKey& key) = 0;
 
   virtual std::uint64_t size() const = 0;
-
-  /// Copies the payload out, or nullopt when missing. The default goes
-  /// through find(); thread-safe stores override it to copy under their
-  /// own synchronization, which is what lets parallel repair workers read
-  /// while other workers write.
-  virtual std::optional<Bytes> get_copy(const BlockKey& key) const;
 
   /// Batch read: one payload (or nullopt) per key, in key order.
   /// Same presence semantics as get_copy() per key; stores with internal
@@ -86,10 +85,9 @@ class BlockStore {
     (void)keys;
   }
 
-  /// True when every operation is safe to call concurrently (find()'s
-  /// pointer caveat aside). Engine::open_session accepts only stores
-  /// answering true; InMemoryBlockStore answers false and serves
-  /// one-worker pools, simulations and tests.
+  /// True when every operation is safe to call concurrently; every store
+  /// in the library answers true. Engine::open_session accepts only
+  /// stores answering true.
   virtual bool thread_safe() const noexcept { return false; }
 
   /// Drops any payload cache the store keeps (presence metadata stays).
@@ -138,26 +136,6 @@ class BlockStore {
 
  private:
   Observer* observer_ = nullptr;
-};
-
-/// Hash-map backed store.
-class InMemoryBlockStore final : public BlockStore {
- public:
-  void put(const BlockKey& key, Bytes value) override;
-  const Bytes* find(const BlockKey& key) const override;
-  bool contains(const BlockKey& key) const override;
-  bool erase(const BlockKey& key) override;
-  std::uint64_t size() const override;
-
-  /// Visits every stored (key, value) pair.
-  void for_each(
-      const std::function<void(const BlockKey&, const Bytes&)>& fn) const;
-
-  bool for_each_key(
-      const std::function<void(const BlockKey&)>& fn) const override;
-
- private:
-  std::unordered_map<BlockKey, Bytes, BlockKeyHash> blocks_;
 };
 
 }  // namespace aec

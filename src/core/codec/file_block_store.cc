@@ -274,14 +274,6 @@ const Bytes* FileBlockStore::resolve_locked(Shard& shard,
   return &it->second;
 }
 
-const Bytes* FileBlockStore::find(const BlockKey& key) const {
-  Shard& shard = shard_of(key);
-  std::lock_guard lock(shard.mu);
-  // Node-map mapped references survive rehash, so the pointer stays
-  // valid after unlock until this key mutates or the cache drops.
-  return resolve_locked(shard, key);
-}
-
 bool FileBlockStore::contains(const BlockKey& key) const {
   Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mu);

@@ -68,13 +68,11 @@ class FileBlockStore final : public BlockStore {
   ~FileBlockStore() override;
 
   void put(const BlockKey& key, Bytes value) override;
-  /// The pointer stays valid until *that key* is erased/overwritten or
-  /// the payload cache is dropped; with concurrent mutators prefer
-  /// get_copy()/get_batch().
-  const Bytes* find(const BlockKey& key) const override;
   bool contains(const BlockKey& key) const override;
   bool erase(const BlockKey& key) override;
   std::uint64_t size() const override;
+  /// Caching point read: a miss is read from its file and inserted into
+  /// the shard's payload cache.
   std::optional<Bytes> get_copy(const BlockKey& key) const override;
   /// Streaming batch read: cache hits are copied out, misses are read
   /// with raw file I/O and NOT inserted into the cache (see the

@@ -1,5 +1,9 @@
 #include "core/codec/tamper.h"
 
+#include <algorithm>
+#include <optional>
+#include <unordered_map>
+
 #include "common/check.h"
 #include "common/xor_engine.h"
 
@@ -7,19 +11,58 @@ namespace aec {
 
 namespace {
 
+/// Nodes one scan window covers.
+constexpr NodeIndex kScanWindowNodes = 64;
+
+/// Every payload the checks of nodes [first, last] read — their data
+/// blocks and input/output parities, each key once — fetched in one
+/// get_batch. That is the streaming read (see the caching contract in
+/// block_store.h), so a scan holds one window's blocks at a time and
+/// leaves a durable store's payload cache as it found it.
+class ScanWindow {
+ public:
+  ScanWindow(const BlockStore& store, const Lattice& lattice,
+             NodeIndex first, NodeIndex last) {
+    std::vector<BlockKey> keys;
+    const auto want = [&](const BlockKey& key) {
+      if (payloads_.try_emplace(key).second) keys.push_back(key);
+    };
+    for (NodeIndex i = first; i <= last; ++i) {
+      want(BlockKey::data(i));
+      for (StrandClass cls : lattice.params().classes()) {
+        want(BlockKey::parity(lattice.output_edge(i, cls)));
+        if (const auto in = lattice.input_edge(i, cls))
+          want(BlockKey::parity(*in));
+      }
+    }
+    std::vector<std::optional<Bytes>> got = store.get_batch(keys);
+    for (std::size_t k = 0; k < keys.size(); ++k)
+      payloads_[keys[k]] = std::move(got[k]);
+  }
+
+  /// The payload of a key of the window, or nullptr when missing.
+  const Bytes* payload(const BlockKey& key) const {
+    const std::optional<Bytes>& value = payloads_.at(key);
+    return value ? &*value : nullptr;
+  }
+
+ private:
+  std::unordered_map<BlockKey, std::optional<Bytes>, BlockKeyHash> payloads_;
+};
+
 /// Checks one (data, input parity, output parity) triple. Returns:
 /// +1 consistent, -1 inconsistent, 0 not verifiable (some block missing).
-int check_triple(const BlockStore& store, const Lattice& lattice,
+int check_triple(const ScanWindow& window, const Lattice& lattice,
                  NodeIndex i, StrandClass cls, std::size_t block_size) {
-  const Bytes* data = store.find(BlockKey::data(i));
+  const Bytes* data = window.payload(BlockKey::data(i));
   if (data == nullptr) return 0;
   const Bytes* out =
-      store.find(BlockKey::parity(lattice.output_edge(i, cls)));
+      window.payload(BlockKey::parity(lattice.output_edge(i, cls)));
   if (out == nullptr) return 0;
 
   Bytes expected;
   if (auto in = lattice.input_edge(i, cls)) {
-    const Bytes* in_value = store.find(BlockKey::parity(*in));
+    const Bytes* in_value = window.payload(BlockKey::parity(*in));
     if (in_value == nullptr) return 0;
     expected = xor_blocks(*data, *in_value);
   } else {
@@ -34,8 +77,9 @@ int check_triple(const BlockStore& store, const Lattice& lattice,
 
 bool verify_node(const BlockStore& store, const Lattice& lattice,
                  NodeIndex i, std::size_t block_size) {
+  const ScanWindow window(store, lattice, i, i);
   for (StrandClass cls : lattice.params().classes())
-    if (check_triple(store, lattice, i, cls, block_size) < 0) return false;
+    if (check_triple(window, lattice, i, cls, block_size) < 0) return false;
   return true;
 }
 
@@ -44,19 +88,24 @@ TamperScanResult scan_for_tampering(const BlockStore& store,
                                     std::size_t block_size) {
   TamperScanResult result;
   const auto n = static_cast<NodeIndex>(lattice.n_nodes());
-  for (NodeIndex i = 1; i <= n; ++i) {
-    int verifiable = 0;
-    int inconsistent = 0;
-    for (StrandClass cls : lattice.params().classes()) {
-      const int v = check_triple(store, lattice, i, cls, block_size);
-      if (v != 0) ++verifiable;
-      if (v < 0) {
-        ++inconsistent;
-        result.inconsistent_parities.push_back(lattice.output_edge(i, cls));
+  for (NodeIndex first = 1; first <= n; first += kScanWindowNodes) {
+    const NodeIndex last = std::min(n, first + kScanWindowNodes - 1);
+    const ScanWindow window(store, lattice, first, last);
+    for (NodeIndex i = first; i <= last; ++i) {
+      int verifiable = 0;
+      int inconsistent = 0;
+      for (StrandClass cls : lattice.params().classes()) {
+        const int v = check_triple(window, lattice, i, cls, block_size);
+        if (v != 0) ++verifiable;
+        if (v < 0) {
+          ++inconsistent;
+          result.inconsistent_parities.push_back(
+              lattice.output_edge(i, cls));
+        }
       }
+      if (verifiable > 0 && inconsistent == verifiable)
+        result.suspect_nodes.push_back(i);
     }
-    if (verifiable > 0 && inconsistent == verifiable)
-      result.suspect_nodes.push_back(i);
   }
   return result;
 }

@@ -54,12 +54,6 @@ void mul_slice(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
 void axpy_slice(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
                 Elem coeff) noexcept;
 
-/// Legacy name for axpy_slice.
-inline void mul_acc(std::uint8_t* dst, const std::uint8_t* src,
-                    std::size_t n, Elem coeff) noexcept {
-  axpy_slice(dst, src, n, coeff);
-}
-
 /// One GF buffer-kernel variant, exposed for the conformance suite and
 /// bench_codec_micro (production code uses the dispatched entry points).
 /// The kSse2 tier's variant actually requires SSSE3 (PSHUFB); it is

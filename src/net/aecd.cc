@@ -47,7 +47,7 @@ namespace {
       "  --port P               TCP port (default 0 = ephemeral)\n"
       "  --bind ADDR            bind address (default 127.0.0.1)\n"
       "  --threads N            engine worker threads, 1..1024 (default 1)\n"
-      "  --max-inflight N       admission limit (default 64)\n"
+      "  --max-inflight N       admission limit, at least 1 (default 64)\n"
       "  --idle-timeout-ms N    idle connection sweep (default 60000,"
       " 0 = off)\n"
       "  --port-file PATH       write the bound port to PATH\n"
@@ -116,7 +116,8 @@ int run(int argc, char** argv) {
     } else if (key == "--threads") {
       threads = static_cast<std::size_t>(parse_bounded(key, value, 1, 1024));
     } else if (key == "--max-inflight") {
-      config.max_inflight = static_cast<std::size_t>(parse_number(key, value));
+      config.max_inflight =
+          static_cast<std::size_t>(parse_bounded(key, value, 1, 999999999));
     } else if (key == "--idle-timeout-ms") {
       config.idle_timeout_ms = static_cast<int>(parse_number(key, value));
     } else if (key == "--port-file") {

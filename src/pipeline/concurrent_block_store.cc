@@ -2,8 +2,6 @@
 
 #include <unordered_map>
 
-#include "common/check.h"
-
 namespace aec::pipeline {
 
 struct ConcurrentBlockStore::Stripe {
@@ -11,28 +9,17 @@ struct ConcurrentBlockStore::Stripe {
   std::unordered_map<BlockKey, Bytes, BlockKeyHash> blocks;
 };
 
-namespace {
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t r = 1;
-  while (r < n) r <<= 1;
-  return r;
-}
-}  // namespace
-
-ConcurrentBlockStore::ConcurrentBlockStore(std::size_t stripes) {
-  AEC_CHECK_MSG(stripes >= 1, "store needs at least one stripe");
-  const std::size_t count = round_up_pow2(stripes);
-  stripes_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    stripes_.push_back(std::make_unique<Stripe>());
-  mask_ = count - 1;
+ConcurrentBlockStore::ConcurrentBlockStore() {
+  static_assert((kStripes & (kStripes - 1)) == 0,
+                "the stripe pick masks the hash");
+  for (auto& stripe : stripes_) stripe = std::make_unique<Stripe>();
 }
 
 ConcurrentBlockStore::~ConcurrentBlockStore() = default;
 
 ConcurrentBlockStore::Stripe& ConcurrentBlockStore::stripe_of(
     const BlockKey& key) const noexcept {
-  return *stripes_[mixed_block_key_hash(key) & mask_];
+  return *stripes_[mixed_block_key_hash(key) & (kStripes - 1)];
 }
 
 void ConcurrentBlockStore::put(const BlockKey& key, Bytes value) {
@@ -42,11 +29,13 @@ void ConcurrentBlockStore::put(const BlockKey& key, Bytes value) {
   notify(key, true);
 }
 
-const Bytes* ConcurrentBlockStore::find(const BlockKey& key) const {
+std::optional<Bytes> ConcurrentBlockStore::get_copy(
+    const BlockKey& key) const {
   Stripe& stripe = stripe_of(key);
   std::lock_guard lock(stripe.mu);
   const auto it = stripe.blocks.find(key);
-  return it == stripe.blocks.end() ? nullptr : &it->second;
+  if (it == stripe.blocks.end()) return std::nullopt;
+  return it->second;
 }
 
 bool ConcurrentBlockStore::contains(const BlockKey& key) const {
@@ -70,15 +59,6 @@ std::uint64_t ConcurrentBlockStore::size() const {
     total += stripe->blocks.size();
   }
   return total;
-}
-
-std::optional<Bytes> ConcurrentBlockStore::get_copy(
-    const BlockKey& key) const {
-  Stripe& stripe = stripe_of(key);
-  std::lock_guard lock(stripe.mu);
-  const auto it = stripe.blocks.find(key);
-  if (it == stripe.blocks.end()) return std::nullopt;
-  return it->second;
 }
 
 void ConcurrentBlockStore::for_each(

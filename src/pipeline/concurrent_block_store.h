@@ -1,13 +1,12 @@
-// Thread-safe in-memory BlockStore for the parallel pipeline — the "mem"
-// store family, and the staging overlay of a down cluster node.
+// The in-memory BlockStore — the "mem" store family, the staging
+// overlay of a down cluster node, and the scratch store of the one-shot
+// AeCodec::encode/repair.
 //
-// ConcurrentBlockStore shards keys across striped-lock buckets, so the
-// concurrent strand walks of one encode batch (paper §V-B) rarely
-// contend: two puts serialize only when their keys hash to the same
-// stripe. Because each stripe owns a node-based map, a pointer returned
-// by find() stays valid until *that key* is erased or overwritten — a
-// strictly stronger guarantee than the base interface ("until the next
-// mutating call"), which concurrent writers could not honour.
+// ConcurrentBlockStore shards keys across kStripes striped-lock buckets,
+// each in its own allocation, so the concurrent strand walks of one
+// encode batch (paper §V-B) rarely contend: two puts serialize only when
+// their keys hash to the same stripe. Every read copies the payload out
+// under its stripe's lock.
 #pragma once
 
 #include <array>
@@ -21,21 +20,14 @@ namespace aec::pipeline {
 
 class ConcurrentBlockStore final : public BlockStore {
  public:
-  static constexpr std::size_t kDefaultStripes = 16;
-
-  /// `stripes` is rounded up to a power of two (mask-based shard pick).
-  explicit ConcurrentBlockStore(std::size_t stripes = kDefaultStripes);
+  ConcurrentBlockStore();
   ~ConcurrentBlockStore() override;
 
   void put(const BlockKey& key, Bytes value) override;
-  const Bytes* find(const BlockKey& key) const override;
+  std::optional<Bytes> get_copy(const BlockKey& key) const override;
   bool contains(const BlockKey& key) const override;
   bool erase(const BlockKey& key) override;
   std::uint64_t size() const override;
-
-  /// Copies the payload out under the stripe lock — the fully
-  /// concurrent-safe read (find()'s pointer can outlive the lock).
-  std::optional<Bytes> get_copy(const BlockKey& key) const override;
   bool thread_safe() const noexcept override { return true; }
 
   /// Visits every stored pair, one stripe at a time. The callback must
@@ -47,14 +39,14 @@ class ConcurrentBlockStore final : public BlockStore {
   bool for_each_key(
       const std::function<void(const BlockKey&)>& fn) const override;
 
-  std::size_t stripe_count() const noexcept { return stripes_.size(); }
-
  private:
+  /// Lock stripes (a power of two: mask-based stripe pick).
+  static constexpr std::size_t kStripes = 16;
+
   struct Stripe;
   Stripe& stripe_of(const BlockKey& key) const noexcept;
 
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t mask_;
+  std::array<std::unique_ptr<Stripe>, kStripes> stripes_;
 };
 
 }  // namespace aec::pipeline

@@ -28,12 +28,10 @@
 //   · cache misses (fresh strands, crash recovery via drop_head_cache())
 //     are resolved by the coordinator *before* workers run, so workers
 //     never read the store — they only put().
-// With more than one worker the store must therefore have a thread-safe
-// put() (every store a session accepts does). A one-worker pool works on
-// any store: the coordinator touches the store only while no task is in
-// flight and waits at the batch barrier, so store access never overlaps.
-// Tasks run in submission order there, so a one-block batch stores its α
-// parities in class order, then the data block.
+// Workers put() concurrently, which every store allows (each locks
+// itself). A one-worker pool runs tasks in submission order, so a
+// one-block batch stores its α parities in class order, then the data
+// block.
 //
 // Error model: an exception in any task (e.g. a store write failure) is
 // rethrown on the coordinator at the batch barrier. Strand tasks that
@@ -77,8 +75,7 @@ class ParallelEncoder {
  public:
   /// Runs on the caller's worker `pool`, which must outlive the encoder
   /// and may be shared with other coordinators. `store` must outlive the
-  /// encoder and needs a thread-safe put() when the pool has more than
-  /// one worker. `resume_count` > 0 resumes an existing lattice (heads
+  /// encoder. `resume_count` > 0 resumes an existing lattice (heads
   /// re-fetched from the store between batches, on demand).
   ParallelEncoder(CodeParams params, std::size_t block_size,
                   BlockStore* store, ThreadPool* pool,

@@ -14,10 +14,8 @@
 //   · every step's inputs were chosen by the planner against wave-start
 //     availability, so a worker never reads a block another wave-w worker
 //     is writing;
-//   · workers read through BlockStore::get_copy() and write through
-//     put(), both of which thread-safe stores synchronize internally.
-//     With more than one worker the store must be one of those; a
-//     single-worker pool works on any store.
+//   · workers read through BlockStore::get_batch() and write through
+//     put_batch(), which every store synchronizes internally.
 //
 // Error model: an exception in any step (e.g. a store write failure) is
 // rethrown on the coordinator at the wave barrier; already-repaired
@@ -46,8 +44,7 @@ class ParallelRepairer {
  public:
   /// Views the first n_nodes positions of an open lattice stored in
   /// `store`, repairing on the caller's worker `pool`. Both must outlive
-  /// the repairer; the store must be thread-safe when the pool has more
-  /// than one worker.
+  /// the repairer.
   ParallelRepairer(CodeParams params, std::uint64_t n_nodes,
                    std::size_t block_size, BlockStore* store,
                    ThreadPool* pool);

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/codec/repair_planner.h"
 
 namespace aec::store {
 
@@ -25,50 +26,31 @@ const char* to_string(ArrayLayout layout) noexcept {
 
 namespace {
 
-/// Availability fixpoint of an AE(1) lattice whose node/edge availability
-/// is given by two bitmaps. Returns true iff every unavailable block is
-/// repairable (no data loss).
-bool chain_recovers(const Lattice& lat, std::vector<std::uint8_t>& node_ok,
-                    std::vector<std::uint8_t>& edge_ok) {
-  const auto n = static_cast<NodeIndex>(lat.n_nodes());
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (NodeIndex i = 1; i <= n; ++i) {
-      if (!node_ok[static_cast<std::size_t>(i)]) {
-        const auto in = lat.input_edge(i, StrandClass::kHorizontal);
-        const bool in_ok =
-            !in || edge_ok[static_cast<std::size_t>(in->tail)];
-        if (in_ok && edge_ok[static_cast<std::size_t>(i)]) {
-          node_ok[static_cast<std::size_t>(i)] = 1;
-          progress = true;
-        }
-      }
-      if (!edge_ok[static_cast<std::size_t>(i)]) {
-        // Option A: tail node + predecessor edge.
-        const auto in = lat.input_edge(i, StrandClass::kHorizontal);
-        const bool in_ok =
-            !in || edge_ok[static_cast<std::size_t>(in->tail)];
-        bool repaired =
-            in_ok && node_ok[static_cast<std::size_t>(i)] != 0;
-        // Option B: head node + successor edge.
-        if (!repaired) {
-          const NodeIndex j =
-              lat.edge_head(Edge{StrandClass::kHorizontal, i});
-          repaired = lat.is_valid_node(j) &&
-                     node_ok[static_cast<std::size_t>(j)] &&
-                     edge_ok[static_cast<std::size_t>(j)];
-        }
-        if (repaired) {
-          edge_ok[static_cast<std::size_t>(i)] = 1;
-          progress = true;
-        }
-      }
+/// True iff the down drives lose data of an AE(1) chain of `blocks` nodes
+/// and edges laid round-robin over the 2n drives: chain position 2(b−1)
+/// holds node b, 2(b−1)+1 holds edge b, and the position mod 2n picks the
+/// drive. With blocks = n that is the drive-granular layout (node i on
+/// drive 2(i−1), edge i on drive 2(i−1)+1). Data is lost iff the
+/// planner's fixpoint of the §III-A repair rules leaves a residue.
+bool chain_loses_data(const std::vector<std::uint8_t>& down, std::uint32_t n,
+                      std::uint32_t blocks, Lattice::Boundary boundary) {
+  const Lattice lat(CodeParams::single(), blocks, boundary);
+  AvailabilityMap avail(lat.params(), blocks);
+  std::vector<BlockKey> missing;  // plan order: by index, data first
+  for (std::uint32_t b = 1; b <= blocks; ++b) {
+    const auto node = static_cast<NodeIndex>(b);
+    const BlockKey keys[] = {
+        BlockKey::data(node),
+        BlockKey::parity(Edge{StrandClass::kHorizontal, node})};
+    for (std::uint32_t k = 0; k < 2; ++k) {
+      if (!down[(2 * (b - 1) + k) % (2 * n)]) continue;
+      avail.set(keys[k], false);
+      missing.push_back(keys[k]);
     }
   }
-  return std::find(node_ok.begin() + 1, node_ok.end(), 0) ==
-             node_ok.end() &&
-         std::find(edge_ok.begin() + 1, edge_ok.end(), 0) == edge_ok.end();
+  return !RepairPlanner(&lat)
+              .plan_missing(avail, std::move(missing))
+              .residue.empty();
 }
 
 }  // namespace
@@ -88,39 +70,15 @@ bool drives_cause_data_loss(ArrayLayout layout,
       return false;
     }
     case ArrayLayout::kFullPartitionOpen:
-    case ArrayLayout::kFullPartitionClosed: {
-      // Drive-granular chain: node i ↔ drive 2(i−1), edge i ↔ 2(i−1)+1.
-      const bool open = layout == ArrayLayout::kFullPartitionOpen;
-      const Lattice lat(CodeParams::single(), n,
-                        open ? Lattice::Boundary::kOpen
-                             : Lattice::Boundary::kClosed);
-      std::vector<std::uint8_t> node_ok(n + 1, 1);
-      std::vector<std::uint8_t> edge_ok(n + 1, 1);
-      for (std::uint32_t i = 1; i <= n; ++i) {
-        node_ok[i] = down[2 * (i - 1)] ? 0 : 1;
-        edge_ok[i] = down[2 * (i - 1) + 1] ? 0 : 1;
-      }
-      return !chain_recovers(lat, node_ok, edge_ok);
-    }
+      return chain_loses_data(down, n, n, Lattice::Boundary::kOpen);
+    case ArrayLayout::kFullPartitionClosed:
+      return chain_loses_data(down, n, n, Lattice::Boundary::kClosed);
     case ArrayLayout::kStripingOpen:
-    case ArrayLayout::kStripingClosed: {
-      // Block-granular chain of `striping_blocks` nodes + edges, both
-      // striped round-robin over all 2n drives (data blocks over even
-      // positions first — chain position 2b for node b+1, 2b+1 for edge
-      // b+1, position mod 2n selects the drive).
-      const bool open = layout == ArrayLayout::kStripingOpen;
-      const std::uint32_t blocks = striping_blocks;
-      const Lattice lat(CodeParams::single(), blocks,
-                        open ? Lattice::Boundary::kOpen
-                             : Lattice::Boundary::kClosed);
-      std::vector<std::uint8_t> node_ok(blocks + 1, 1);
-      std::vector<std::uint8_t> edge_ok(blocks + 1, 1);
-      for (std::uint32_t b = 1; b <= blocks; ++b) {
-        node_ok[b] = down[(2 * (b - 1)) % (2 * n)] ? 0 : 1;
-        edge_ok[b] = down[(2 * (b - 1) + 1) % (2 * n)] ? 0 : 1;
-      }
-      return !chain_recovers(lat, node_ok, edge_ok);
-    }
+      return chain_loses_data(down, n, striping_blocks,
+                              Lattice::Boundary::kOpen);
+    case ArrayLayout::kStripingClosed:
+      return chain_loses_data(down, n, striping_blocks,
+                              Lattice::Boundary::kClosed);
   }
   AEC_CHECK_MSG(false, "unreachable layout");
   return true;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "pipeline/parallel_repairer.h"
 
 namespace aec::store {
 
@@ -18,20 +18,23 @@ CooperativeNetwork::CooperativeNetwork(std::uint32_t node_count)
 }
 
 std::uint32_t CooperativeNetwork::node_count() const noexcept {
-  return static_cast<std::uint32_t>(nodes_.size());
+  return static_cast<std::uint32_t>(nodes_.size());  // fixed at construction
 }
 
 void CooperativeNetwork::set_online(StorageNodeId node, bool online) {
   AEC_CHECK_MSG(node < nodes_.size(), "no such node " << node);
+  std::lock_guard lock(mu_);
   nodes_[node].online = online;
 }
 
 bool CooperativeNetwork::is_online(StorageNodeId node) const {
   AEC_CHECK_MSG(node < nodes_.size(), "no such node " << node);
+  std::lock_guard lock(mu_);
   return nodes_[node].online;
 }
 
 std::vector<StorageNodeId> CooperativeNetwork::online_nodes() const {
+  std::lock_guard lock(mu_);
   std::vector<StorageNodeId> ids;
   for (StorageNodeId n = 0; n < nodes_.size(); ++n)
     if (nodes_[n].online) ids.push_back(n);
@@ -45,35 +48,42 @@ std::string CooperativeNetwork::flat_key(const BlockKey& key) {
 bool CooperativeNetwork::put(StorageNodeId node, const std::string& user,
                              const BlockKey& key, Bytes value) {
   AEC_CHECK_MSG(node < nodes_.size(), "no such node " << node);
+  std::lock_guard lock(mu_);
   if (!nodes_[node].online) return false;
   nodes_[node].blocks[{user, flat_key(key)}] = std::move(value);
   return true;
 }
 
-const Bytes* CooperativeNetwork::find(StorageNodeId node,
-                                      const std::string& user,
-                                      const BlockKey& key) const {
+std::optional<Bytes> CooperativeNetwork::get_copy(StorageNodeId node,
+                                                  const std::string& user,
+                                                  const BlockKey& key) const {
   AEC_CHECK_MSG(node < nodes_.size(), "no such node " << node);
-  if (!nodes_[node].online) return nullptr;
+  std::lock_guard lock(mu_);
+  if (!nodes_[node].online) return std::nullopt;
   const auto it = nodes_[node].blocks.find({user, flat_key(key)});
-  return it == nodes_[node].blocks.end() ? nullptr : &it->second;
+  if (it == nodes_[node].blocks.end()) return std::nullopt;
+  return it->second;
 }
 
 bool CooperativeNetwork::erase(StorageNodeId node, const std::string& user,
                                const BlockKey& key) {
   AEC_CHECK_MSG(node < nodes_.size(), "no such node " << node);
+  std::lock_guard lock(mu_);
   if (!nodes_[node].online) return false;
   return nodes_[node].blocks.erase({user, flat_key(key)}) > 0;
 }
 
 std::uint64_t CooperativeNetwork::blocks_stored(StorageNodeId node) const {
   AEC_CHECK_MSG(node < nodes_.size(), "no such node " << node);
+  std::lock_guard lock(mu_);
   return nodes_[node].blocks.size();
 }
 
 // ---------------------------------------------------------------------------
 // Broker::RoutingStore — data keys live locally, parity keys on the
 // network (re-homed to an online node when the default home is down).
+// One mutex guards the local blocks and the re-homing table; the network
+// locks itself (always taken second).
 
 class Broker::RoutingStore final : public BlockStore {
  public:
@@ -97,16 +107,17 @@ class Broker::RoutingStore final : public BlockStore {
 
   /// Current home: the override (after a re-homing repair) or the default.
   StorageNodeId home(const BlockKey& key) const {
-    const auto it = overrides_.find(key);
-    return it == overrides_.end() ? default_home(key) : it->second;
+    std::lock_guard lock(mu_);
+    return home_locked(key);
   }
 
   void put(const BlockKey& key, Bytes value) override {
+    std::lock_guard lock(mu_);
     if (key.is_data()) {
       local_[key] = std::move(value);
       return;
     }
-    StorageNodeId target = home(key);
+    StorageNodeId target = home_locked(key);
     if (!network_->is_online(target)) {
       // Re-home onto a live node; remember the move.
       const auto online = network_->online_nodes();
@@ -118,29 +129,43 @@ class Broker::RoutingStore final : public BlockStore {
     network_->put(target, user_, key, std::move(value));
   }
 
-  const Bytes* find(const BlockKey& key) const override {
+  std::optional<Bytes> get_copy(const BlockKey& key) const override {
+    std::lock_guard lock(mu_);
     if (key.is_data()) {
       const auto it = local_.find(key);
-      return it == local_.end() ? nullptr : &it->second;
+      if (it == local_.end()) return std::nullopt;
+      return it->second;
     }
-    return network_->find(home(key), user_, key);
+    return network_->get_copy(home_locked(key), user_, key);
   }
 
   bool contains(const BlockKey& key) const override {
-    return find(key) != nullptr;
+    return get_copy(key).has_value();
   }
 
   bool erase(const BlockKey& key) override {
+    std::lock_guard lock(mu_);
     if (key.is_data()) return local_.erase(key) > 0;
-    return network_->erase(home(key), user_, key);
+    return network_->erase(home_locked(key), user_, key);
   }
 
-  std::uint64_t size() const override { return local_.size(); }
+  std::uint64_t size() const override {
+    std::lock_guard lock(mu_);
+    return local_.size();
+  }
+
+  bool thread_safe() const noexcept override { return true; }
 
  private:
+  StorageNodeId home_locked(const BlockKey& key) const {
+    const auto it = overrides_.find(key);
+    return it == overrides_.end() ? default_home(key) : it->second;
+  }
+
   std::string user_;
   CooperativeNetwork* network_;
   std::uint64_t seed_;
+  mutable std::mutex mu_;  // guards local_ and overrides_
   std::unordered_map<BlockKey, Bytes, BlockKeyHash> local_;
   std::unordered_map<BlockKey, StorageNodeId, BlockKeyHash> overrides_;
 };
@@ -157,8 +182,8 @@ Broker::Broker(std::string user, CodeParams params, std::size_t block_size,
       placement_seed_(placement_seed) {
   AEC_CHECK_MSG(network_ != nullptr, "broker needs a network");
   store_ = std::make_unique<RoutingStore>(user_, network_, placement_seed_);
-  encoder_ = std::make_unique<pipeline::ParallelEncoder>(
-      params_, block_size_, store_.get(), &pool_);
+  session_ = engine_.open_session(std::make_shared<AeCodec>(params_),
+                                  store_.get(), block_size_);
 }
 
 Broker::~Broker() = default;
@@ -172,13 +197,15 @@ std::vector<NodeIndex> Broker::backup(BytesView content) {
     std::copy_n(content.begin() + static_cast<std::ptrdiff_t>(offset), len,
                 block.begin());
   }
+  const auto first = static_cast<NodeIndex>(session_->size()) + 1;
+  session_->append(blocks);
   std::vector<NodeIndex> written;
-  for (const EncodeResult& result : encoder_->append_all(blocks))
-    written.push_back(result.index);
+  for (NodeIndex i = first; i <= static_cast<NodeIndex>(session_->size()); ++i)
+    written.push_back(i);
   return written;
 }
 
-std::uint64_t Broker::blocks() const noexcept { return encoder_->size(); }
+std::uint64_t Broker::blocks() const noexcept { return session_->size(); }
 
 StorageNodeId Broker::parity_home(Edge e) const {
   return store_->home(BlockKey::parity(e));
@@ -190,14 +217,15 @@ void Broker::lose_local_data(NodeIndex i) {
 
 std::optional<Bytes> Broker::read_block(NodeIndex i, RepairTrace* trace) {
   AEC_CHECK_MSG(blocks() > 0, "nothing backed up yet");
-  if (const Bytes* local = store_->find(BlockKey::data(i))) {
+  if (auto local = store_->get_copy(BlockKey::data(i))) {
     if (trace) trace->steps.push_back("local read: d" + std::to_string(i));
-    return *local;
+    return local;
   }
 
   // Table III flow, generalized: gather the pp-tuple ids per strand,
-  // resolve their storage locations, fetch and XOR (the repairer performs
-  // steps 4–5; we record 1–3 for observability).
+  // resolve their storage locations, fetch and XOR (the session's
+  // repair-on-read performs steps 4–5; we record 1–3 for
+  // observability).
   const Lattice lat(params_, blocks(), Lattice::Boundary::kOpen);
   if (trace) {
     for (StrandClass cls : params_.classes()) {
@@ -219,9 +247,7 @@ std::optional<Bytes> Broker::read_block(NodeIndex i, RepairTrace* trace) {
       trace->steps.push_back(step.str());
     }
   }
-  pipeline::ParallelRepairer repairer(params_, blocks(), block_size_,
-                                      store_.get(), &pool_);
-  auto value = repairer.read_node(i);
+  auto value = session_->open_stream(i, 1, 1)->next();
   if (trace)
     trace->steps.push_back(value ? "repair: d" + std::to_string(i) +
                                        " regenerated with XOR"
@@ -238,9 +264,7 @@ Broker::MaintenanceReport Broker::regenerate_lattice() {
       if (!store_->contains(BlockKey::parity(lat.output_edge(i, cls))))
         ++report.parities_missing;
 
-  pipeline::ParallelRepairer repairer(params_, blocks(), block_size_,
-                                      store_.get(), &pool_);
-  const RepairReport repair = repairer.repair_all();
+  const RepairReport repair = session_->repair_all();
   report.parities_repaired = repair.edges_repaired_total;
   report.data_repaired = repair.nodes_repaired_total;
   report.unrecoverable =

@@ -6,33 +6,32 @@
 // remote nodes chosen by a deterministic key→node mapping, so multiple
 // per-user lattices coexist over one loosely connected cluster.
 //
-// The broker plugs a RoutingStore into the library's encoder and repairer
-// (pipeline::ParallelEncoder/ParallelRepairer on a one-worker pool, which
-// is safe on the unsynchronized store): data keys resolve to local
-// storage, parity keys to network nodes (with re-homing onto an online
-// node when the default home is down). Repair is therefore the standard
-// lattice repair, executed against remote blocks — exactly the Table III
-// step sequence.
+// The broker runs a one-thread Engine session over a RoutingStore: data
+// keys resolve to local storage, parity keys to network nodes (with
+// re-homing onto an online node when the default home is down). Repair
+// is therefore the standard lattice repair, executed against remote
+// blocks — exactly the Table III step sequence. The routing store and
+// the network lock themselves, like every store a session runs on.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "api/engine.h"
 #include "core/codec/block_store.h"
-#include "pipeline/parallel_encoder.h"
-#include "pipeline/thread_pool.h"
 
 namespace aec::store {
 
 using StorageNodeId = std::uint32_t;
 
 /// The lower tier: a loosely connected cluster of storage nodes sharing
-/// space for parity blocks. Blocks are namespaced by user.
+/// space for parity blocks. Blocks are namespaced by user. Every call is
+/// safe from any thread.
 class CooperativeNetwork {
  public:
   explicit CooperativeNetwork(std::uint32_t node_count);
@@ -45,9 +44,10 @@ class CooperativeNetwork {
   /// Returns false (and stores nothing) when the node is offline.
   bool put(StorageNodeId node, const std::string& user,
            const BlockKey& key, Bytes value);
-  /// nullptr when the node is offline or the block is absent.
-  const Bytes* find(StorageNodeId node, const std::string& user,
-                    const BlockKey& key) const;
+  /// A copy of the block; nullopt when the node is offline or the block
+  /// is absent.
+  std::optional<Bytes> get_copy(StorageNodeId node, const std::string& user,
+                                const BlockKey& key) const;
   bool erase(StorageNodeId node, const std::string& user,
              const BlockKey& key);
   /// Blocks currently stored at a node (all users).
@@ -59,6 +59,7 @@ class CooperativeNetwork {
     std::map<std::pair<std::string, std::string>, Bytes> blocks;
   };
   static std::string flat_key(const BlockKey& key);
+  mutable std::mutex mu_;  // guards nodes_
   std::vector<Node> nodes_;
 };
 
@@ -130,8 +131,8 @@ class Broker {
   CooperativeNetwork* network_;
   std::uint64_t placement_seed_;
   std::unique_ptr<RoutingStore> store_;
-  pipeline::ThreadPool pool_{1};
-  std::unique_ptr<pipeline::ParallelEncoder> encoder_;
+  Engine engine_{1};
+  std::unique_ptr<CodecSession> session_;  // over store_, on engine_
 };
 
 }  // namespace aec::store

@@ -1,48 +1,42 @@
 #include "store/raid_ae.h"
 
+#include <mutex>
 #include <unordered_map>
 
 #include "common/check.h"
-#include "pipeline/parallel_repairer.h"
 
 namespace aec::store {
 
 // A BlockStore over a set of drives: each block is pinned to the drive it
 // was written to; an offline drive hides (but does not delete) its
-// blocks. find() bumps a fetch counter so repair bandwidth is observable.
+// blocks. get_copy() bumps a fetch counter so repair bandwidth is
+// observable. One mutex guards the drives, the blocks and the counter.
 class RaidAeArray::ArrayStore final : public BlockStore {
  public:
   explicit ArrayStore(std::uint32_t drives) : online_(drives, 1) {}
 
   std::uint32_t drive_count() const {
+    std::lock_guard lock(mu_);
     return static_cast<std::uint32_t>(online_.size());
   }
-  void add_drive() { online_.push_back(1); }
+  void add_drive() {
+    std::lock_guard lock(mu_);
+    online_.push_back(1);
+  }
 
   void set_online(std::uint32_t drive, bool online) {
+    std::lock_guard lock(mu_);
     AEC_CHECK_MSG(drive < online_.size(), "no such drive " << drive);
     online_[drive] = online ? 1 : 0;
   }
   bool is_online(std::uint32_t drive) const {
+    std::lock_guard lock(mu_);
     AEC_CHECK_MSG(drive < online_.size(), "no such drive " << drive);
     return online_[drive] != 0;
   }
 
-  /// Next drive in round-robin arrival order, skipping offline drives.
-  std::uint32_t next_target() {
-    const auto drives = static_cast<std::uint32_t>(online_.size());
-    for (std::uint32_t probe = 0; probe < drives; ++probe) {
-      const std::uint32_t drive = (cursor_ + probe) % drives;
-      if (online_[drive]) {
-        cursor_ = (drive + 1) % drives;
-        return drive;
-      }
-    }
-    AEC_CHECK_MSG(false, "no online drives left");
-    return 0;
-  }
-
   std::uint32_t drive_of(const BlockKey& key) const {
+    std::lock_guard lock(mu_);
     const auto it = blocks_.find(key);
     AEC_CHECK_MSG(it != blocks_.end(),
                   "unknown block " << to_string(key));
@@ -50,36 +44,55 @@ class RaidAeArray::ArrayStore final : public BlockStore {
   }
 
   void put(const BlockKey& key, Bytes value) override {
+    std::lock_guard lock(mu_);
     // Rewrites keep the drive; new blocks go to the round-robin target.
     const auto it = blocks_.find(key);
     if (it != blocks_.end() && online_[it->second.drive]) {
       it->second.payload = std::move(value);
       return;
     }
-    blocks_[key] = Slot{next_target(), std::move(value)};
+    blocks_[key] = Slot{next_target_locked(), std::move(value)};
   }
 
-  const Bytes* find(const BlockKey& key) const override {
+  std::optional<Bytes> get_copy(const BlockKey& key) const override {
+    std::lock_guard lock(mu_);
     const auto it = blocks_.find(key);
-    if (it == blocks_.end() || !online_[it->second.drive]) return nullptr;
+    if (it == blocks_.end() || !online_[it->second.drive])
+      return std::nullopt;
     ++fetches_;
-    return &it->second.payload;
+    return it->second.payload;
   }
 
   bool contains(const BlockKey& key) const override {
+    std::lock_guard lock(mu_);
     const auto it = blocks_.find(key);
     return it != blocks_.end() && online_[it->second.drive] != 0;
   }
 
-  bool erase(const BlockKey& key) override { return blocks_.erase(key) > 0; }
+  bool erase(const BlockKey& key) override {
+    std::lock_guard lock(mu_);
+    return blocks_.erase(key) > 0;
+  }
 
-  std::uint64_t size() const override { return blocks_.size(); }
+  std::uint64_t size() const override {
+    std::lock_guard lock(mu_);
+    return blocks_.size();
+  }
 
-  std::uint64_t fetches() const { return fetches_; }
-  void reset_fetches() { fetches_ = 0; }
+  bool thread_safe() const noexcept override { return true; }
+
+  std::uint64_t fetches() const {
+    std::lock_guard lock(mu_);
+    return fetches_;
+  }
+  void reset_fetches() {
+    std::lock_guard lock(mu_);
+    fetches_ = 0;
+  }
 
   /// Keys pinned to a drive (online or not).
   std::vector<BlockKey> keys_on_drive(std::uint32_t drive) const {
+    std::lock_guard lock(mu_);
     std::vector<BlockKey> keys;
     for (const auto& [key, slot] : blocks_)
       if (slot.drive == drive) keys.push_back(key);
@@ -87,9 +100,13 @@ class RaidAeArray::ArrayStore final : public BlockStore {
   }
 
   /// Drops a block's pin so the next put() re-places it.
-  void unpin(const BlockKey& key) { blocks_.erase(key); }
+  void unpin(const BlockKey& key) {
+    std::lock_guard lock(mu_);
+    blocks_.erase(key);
+  }
 
   std::uint64_t parity_checksum() const {
+    std::lock_guard lock(mu_);
     std::uint64_t sum = 0;
     for (const auto& [key, slot] : blocks_) {
       if (!key.is_parity()) continue;
@@ -104,6 +121,22 @@ class RaidAeArray::ArrayStore final : public BlockStore {
     std::uint32_t drive = 0;
     Bytes payload;
   };
+
+  /// Next drive in round-robin arrival order, skipping offline drives.
+  std::uint32_t next_target_locked() {
+    const auto drives = static_cast<std::uint32_t>(online_.size());
+    for (std::uint32_t probe = 0; probe < drives; ++probe) {
+      const std::uint32_t drive = (cursor_ + probe) % drives;
+      if (online_[drive]) {
+        cursor_ = (drive + 1) % drives;
+        return drive;
+      }
+    }
+    AEC_CHECK_MSG(false, "no online drives left");
+    return 0;
+  }
+
+  mutable std::mutex mu_;
   std::vector<std::uint8_t> online_;
   std::unordered_map<BlockKey, Slot, BlockKeyHash> blocks_;
   std::uint32_t cursor_ = 0;
@@ -115,18 +148,18 @@ RaidAeArray::RaidAeArray(CodeParams params, std::uint32_t drives,
     : params_(std::move(params)), block_size_(block_size) {
   AEC_CHECK_MSG(drives >= 2, "an array needs at least two drives");
   store_ = std::make_unique<ArrayStore>(drives);
-  encoder_ = std::make_unique<pipeline::ParallelEncoder>(
-      params_, block_size_, store_.get(), &pool_);
+  session_ = engine_.open_session(std::make_shared<AeCodec>(params_),
+                                  store_.get(), block_size_);
 }
 
 RaidAeArray::~RaidAeArray() = default;
 
 NodeIndex RaidAeArray::write_block(BytesView data) {
-  // One block per batch: a one-worker pool runs the α parity tasks in
-  // class order, then the data task, so device writes keep arrival order.
-  return encoder_->append_all({Bytes(data.begin(), data.end())})
-      .front()
-      .index;
+  // One block per append: the one-thread session runs the α parity tasks
+  // in class order, then the data task, so device writes keep arrival
+  // order.
+  session_->append({Bytes(data.begin(), data.end())});
+  return static_cast<NodeIndex>(session_->size());
 }
 
 std::uint32_t RaidAeArray::drive_count() const noexcept {
@@ -134,7 +167,7 @@ std::uint32_t RaidAeArray::drive_count() const noexcept {
 }
 
 std::uint64_t RaidAeArray::blocks_written() const noexcept {
-  return encoder_->size();
+  return session_->size();
 }
 
 std::uint32_t RaidAeArray::write_penalty() const noexcept {
@@ -163,31 +196,44 @@ namespace {
 
 // Scratch layer over a base store: repairs performed during a degraded
 // read land here and evaporate with the overlay, leaving the array
-// untouched (the owning drive is only *temporarily* offline).
+// untouched (the owning drive is only *temporarily* offline). The
+// scratch map has its own mutex; the base locks itself.
 class OverlayStore final : public BlockStore {
  public:
   explicit OverlayStore(BlockStore* base) : base_(base) {}
 
   void put(const BlockKey& key, Bytes value) override {
+    std::lock_guard lock(mu_);
     scratch_[key] = std::move(value);
   }
-  const Bytes* find(const BlockKey& key) const override {
-    if (const auto it = scratch_.find(key); it != scratch_.end())
-      return &it->second;
-    return base_->find(key);
+  std::optional<Bytes> get_copy(const BlockKey& key) const override {
+    {
+      std::lock_guard lock(mu_);
+      if (const auto it = scratch_.find(key); it != scratch_.end())
+        return it->second;
+    }
+    return base_->get_copy(key);
   }
   bool contains(const BlockKey& key) const override {
-    return scratch_.contains(key) || base_->contains(key);
+    {
+      std::lock_guard lock(mu_);
+      if (scratch_.contains(key)) return true;
+    }
+    return base_->contains(key);
   }
   bool erase(const BlockKey& key) override {
+    std::lock_guard lock(mu_);
     return scratch_.erase(key) > 0;
   }
   std::uint64_t size() const override {
+    std::lock_guard lock(mu_);
     return base_->size() + scratch_.size();
   }
+  bool thread_safe() const noexcept override { return true; }
 
  private:
   BlockStore* base_;
+  mutable std::mutex mu_;  // guards scratch_
   std::unordered_map<BlockKey, Bytes, BlockKeyHash> scratch_;
 };
 
@@ -196,16 +242,19 @@ class OverlayStore final : public BlockStore {
 RaidAeArray::ReadResult RaidAeArray::degraded_read(NodeIndex i) {
   ReadResult result;
   store_->reset_fetches();
-  if (const Bytes* direct = store_->find(BlockKey::data(i))) {
-    result.value = *direct;
+  if (auto direct = store_->get_copy(BlockKey::data(i))) {
+    result.value = std::move(direct);
     result.blocks_fetched = store_->fetches();
     return result;
   }
   result.degraded = true;
+  // A session over the overlay repairs into its scratch layer only.
   OverlayStore overlay(store_.get());
-  pipeline::ParallelRepairer repairer(params_, blocks_written(), block_size_,
-                                      &overlay, &pool_);
-  result.value = repairer.read_node(i);
+  result.value = engine_
+                     .open_session(std::make_shared<AeCodec>(params_),
+                                   &overlay, block_size_, blocks_written())
+                     ->open_stream(i, 1, 1)
+                     ->next();
   result.blocks_fetched = store_->fetches();  // device reads only
   return result;
 }
@@ -218,9 +267,7 @@ RaidAeArray::RebuildReport RaidAeArray::rebuild_drive(std::uint32_t drive) {
   for (const BlockKey& key : victims) store_->unpin(key);
 
   store_->reset_fetches();
-  pipeline::ParallelRepairer repairer(params_, blocks_written(), block_size_,
-                                      store_.get(), &pool_);
-  const RepairReport repair = repairer.repair_all();
+  const RepairReport repair = session_->repair_all();
   report.blocks_rebuilt =
       repair.nodes_repaired_total + repair.edges_repaired_total;
   report.blocks_read = store_->fetches();

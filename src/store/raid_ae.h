@@ -7,9 +7,8 @@
 // reads route through the lattice's alternative paths; rebuilding a
 // failed drive costs 2 block reads per missing block instead of RS's k.
 //
-// Encoding and repair run on the library's pipeline classes over a
-// one-worker pool, which is safe on the array's unsynchronized store
-// (the coordinator waits at every barrier).
+// Encoding and repair run on a one-thread Engine session over the
+// array's store, which locks itself like every store a session runs on.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +16,8 @@
 #include <optional>
 #include <vector>
 
+#include "api/engine.h"
 #include "core/codec/block_store.h"
-#include "pipeline/parallel_encoder.h"
-#include "pipeline/thread_pool.h"
 
 namespace aec::store {
 
@@ -87,8 +85,8 @@ class RaidAeArray {
   CodeParams params_;
   std::size_t block_size_;
   std::unique_ptr<ArrayStore> store_;
-  pipeline::ThreadPool pool_{1};
-  std::unique_ptr<pipeline::ParallelEncoder> encoder_;
+  Engine engine_{1};
+  std::unique_ptr<CodecSession> session_;  // over store_, on engine_
 };
 
 }  // namespace aec::store

@@ -1,7 +1,7 @@
 // Shared helpers for the tests that drive the AE codec directly: random
 // content, encoding and repair through the library's one executor
 // (ParallelEncoder / ParallelRepairer; a one-worker pool is the serial
-// case and works on any store), and the ground-truth encoding oracle.
+// case), and the ground-truth encoding oracle.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "core/codec/block_store.h"
 #include "core/codec/tamper.h"
 #include "core/lattice/lattice.h"
+#include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/parallel_repairer.h"
 #include "pipeline/thread_pool.h"
@@ -34,7 +35,7 @@ inline std::vector<Bytes> random_blocks(std::size_t count,
 }
 
 /// Entangles `blocks` as one batch into `store` on a `threads`-worker
-/// pool (one worker by default, which any store supports).
+/// pool (one worker by default).
 inline std::vector<EncodeResult> encode_into(
     const CodeParams& params, std::size_t block_size,
     const std::vector<Bytes>& blocks, BlockStore& store,
@@ -75,8 +76,8 @@ inline void expect_encoding_of(const CodeParams& params,
 
 /// Every block of `expected` present and byte-identical in `actual`, and
 /// no extras.
-inline void expect_stores_identical(const InMemoryBlockStore& expected,
-                                    const BlockStore& actual) {
+inline void expect_stores_identical(
+    const pipeline::ConcurrentBlockStore& expected, const BlockStore& actual) {
   ASSERT_EQ(expected.size(), actual.size());
   expected.for_each([&](const BlockKey& key, const Bytes& value) {
     const auto copy = actual.get_copy(key);
@@ -85,13 +86,13 @@ inline void expect_stores_identical(const InMemoryBlockStore& expected,
   });
 }
 
-/// A lattice of `count` random blocks entangled into an unsynchronized
-/// in-memory store, repaired through a one-worker pool.
+/// A lattice of `count` random blocks entangled into an in-memory store,
+/// repaired through a one-worker pool.
 struct EncodedLattice {
   CodeParams params;
   std::size_t block_size;
   std::vector<Bytes> blocks;
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   pipeline::ThreadPool pool{1};
 
   EncodedLattice(CodeParams code, std::uint64_t count,

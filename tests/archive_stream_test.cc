@@ -449,8 +449,18 @@ TEST_F(ArchiveStreamTest, SessionOutlivesTemporaryEngine) {
 
 TEST_F(ArchiveStreamTest, SessionRejectsAStoreThatDoesNotLockItself) {
   // Pool tasks read and write a session's store at every thread count,
-  // so the unsynchronized InMemoryBlockStore is refused up front.
-  InMemoryBlockStore store;
+  // so a store keeping the interface's default thread_safe() == false is
+  // refused up front.
+  class UnlockedStore final : public BlockStore {
+   public:
+    void put(const BlockKey&, Bytes) override {}
+    std::optional<Bytes> get_copy(const BlockKey&) const override {
+      return std::nullopt;
+    }
+    bool contains(const BlockKey&) const override { return false; }
+    bool erase(const BlockKey&) override { return false; }
+    std::uint64_t size() const override { return 0; }
+  } store;
   for (const char* spec : {"AE(3,2,5)", "RS(4,2)"})
     EXPECT_THROW(Engine::serial()->open_session(make_codec(spec), &store, 64),
                  CheckError)

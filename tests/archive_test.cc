@@ -111,7 +111,7 @@ TEST_F(ArchiveTest, ScrubFlagsTampering) {
 
   // Forge a data block file directly on disk.
   FileBlockStore store(root_);
-  Bytes forged = *store.find(BlockKey::data(7));
+  Bytes forged = *store.get_copy(BlockKey::data(7));
   forged[5] ^= 0x01;
   store.put(BlockKey::data(7), forged);
 

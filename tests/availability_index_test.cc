@@ -35,7 +35,7 @@ TEST(AvailabilityIndexTest, TracksRandomizedMutationSequences) {
   const CodeParams params(3, 2, 5);
   constexpr std::size_t kBlockSize = 32;
   constexpr std::uint64_t kNodes = 60;
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   test::encode_into(params, kBlockSize,
                     test::random_blocks(kNodes, kBlockSize, 1), store);
   const Lattice lat(params, kNodes, Lattice::Boundary::kOpen);
@@ -73,7 +73,7 @@ TEST(AvailabilityIndexTest, SnapshotAndPlanMatchTheScanningPath) {
   const CodeParams params(3, 2, 5);
   constexpr std::size_t kBlockSize = 32;
   constexpr std::uint64_t kNodes = 200;
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   test::encode_into(params, kBlockSize,
                     test::random_blocks(kNodes, kBlockSize, 2), store);
   const Lattice lat(params, kNodes, Lattice::Boundary::kOpen);

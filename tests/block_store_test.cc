@@ -45,41 +45,5 @@ TEST(BlockKey, ToString) {
       "p(LH,3)");
 }
 
-TEST(InMemoryBlockStore, BasicLifecycle) {
-  InMemoryBlockStore store;
-  EXPECT_EQ(store.size(), 0u);
-  store.put(BlockKey::data(1), Bytes{1, 2});
-  store.put(BlockKey::data(2), Bytes{3});
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.contains(BlockKey::data(1)));
-  EXPECT_EQ(*store.find(BlockKey::data(1)), (Bytes{1, 2}));
-  EXPECT_EQ(store.find(BlockKey::data(9)), nullptr);
-  EXPECT_TRUE(store.erase(BlockKey::data(1)));
-  EXPECT_FALSE(store.erase(BlockKey::data(1)));
-  EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(InMemoryBlockStore, PutOverwrites) {
-  InMemoryBlockStore store;
-  store.put(BlockKey::data(1), Bytes{1});
-  store.put(BlockKey::data(1), Bytes{2});
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(*store.find(BlockKey::data(1)), Bytes{2});
-}
-
-TEST(InMemoryBlockStore, ForEachVisitsEverything) {
-  InMemoryBlockStore store;
-  store.put(BlockKey::data(1), Bytes{1});
-  store.put(BlockKey::parity(Edge{StrandClass::kRightHanded, 1}), Bytes{2});
-  std::size_t visited = 0;
-  std::size_t bytes = 0;
-  store.for_each([&](const BlockKey&, const Bytes& value) {
-    ++visited;
-    bytes += value.size();
-  });
-  EXPECT_EQ(visited, 2u);
-  EXPECT_EQ(bytes, 2u);
-}
-
 }  // namespace
 }  // namespace aec

@@ -25,7 +25,7 @@ TEST(Boundary, FirstBlockRepairsFromItsBootstrapParity) {
   ASSERT_TRUE(step.has_value());
   EXPECT_FALSE(repair_step_inputs(lat, *step).input.has_value());
   EXPECT_EQ(f.repair_all().rounds, 1u);
-  EXPECT_EQ(*f.store.find(BlockKey::data(1)), f.blocks[0]);
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(1)), f.blocks[0]);
 }
 
 TEST(Boundary, LastNodeLossWithItsParitiesIsFatalForAe1) {
@@ -46,7 +46,7 @@ TEST(Boundary, InteriorSurvivesTheSamePattern) {
   const RepairReport report = f.repair_all();
   EXPECT_EQ(report.nodes_unrecovered, 0u);
   EXPECT_EQ(report.edges_unrecovered, 0u);
-  EXPECT_EQ(*f.store.find(BlockKey::data(25)), f.blocks[24]);
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(25)), f.blocks[24]);
 }
 
 TEST(Boundary, AlphaThreeToleratesExtremityDoubleFailure) {
@@ -57,7 +57,7 @@ TEST(Boundary, AlphaThreeToleratesExtremityDoubleFailure) {
   f.store.erase(BlockKey::parity(Edge{StrandClass::kHorizontal, 50}));
   const RepairReport report = f.repair_all();
   EXPECT_EQ(report.nodes_unrecovered, 0u);
-  EXPECT_EQ(*f.store.find(BlockKey::data(50)), f.blocks[49]);
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(50)), f.blocks[49]);
 }
 
 TEST(Boundary, WholePrefixErasureRecovers) {
@@ -68,7 +68,7 @@ TEST(Boundary, WholePrefixErasureRecovers) {
   const RepairReport report = f.repair_all();
   EXPECT_EQ(report.nodes_unrecovered, 0u);
   for (NodeIndex i = 1; i <= 40; ++i)
-    EXPECT_EQ(*f.store.find(BlockKey::data(i)),
+    EXPECT_EQ(*f.store.get_copy(BlockKey::data(i)),
               f.blocks[static_cast<std::size_t>(i - 1)]);
 }
 
@@ -91,7 +91,7 @@ TEST(Boundary, TinyLattices) {
     Fixture f(params, 1);  // a single block
     f.store.erase(BlockKey::data(1));
     EXPECT_TRUE(f.read_node(1).has_value()) << params.name();
-    EXPECT_EQ(*f.store.find(BlockKey::data(1)), f.blocks[0]);
+    EXPECT_EQ(*f.store.get_copy(BlockKey::data(1)), f.blocks[0]);
   }
 }
 

@@ -50,7 +50,7 @@ TEST(LatticeRepair, RepairNodeViaEachStrand) {
   EXPECT_EQ(planned->step.via, StrandClass::kHorizontal);
   EXPECT_EQ(planned->round, 1u);
   f.repair_all();
-  EXPECT_EQ(*f.store.find(BlockKey::data(50)), f.truth(50));
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(50)), f.truth(50));
 
   // Knock out the H pair → next strand takes over; value identical.
   f.store.erase(BlockKey::data(50));
@@ -61,7 +61,7 @@ TEST(LatticeRepair, RepairNodeViaEachStrand) {
   EXPECT_EQ(planned->step.via, StrandClass::kRightHanded);
   EXPECT_EQ(planned->round, 1u);
   f.repair_all();
-  EXPECT_EQ(*f.store.find(BlockKey::data(50)), f.truth(50));
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(50)), f.truth(50));
 }
 
 TEST(LatticeRepair, RepairNodeFailsWhenAllStrandsBroken) {
@@ -80,13 +80,13 @@ TEST(LatticeRepair, RepairNodeFailsWhenAllStrandsBroken) {
   EXPECT_EQ(planned->round, 2u);
   const RepairReport report = f.repair_all();
   EXPECT_EQ(report.rounds, 2u);
-  EXPECT_EQ(*f.store.find(BlockKey::data(40)), f.truth(40));
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(40)), f.truth(40));
 }
 
 TEST(LatticeRepair, RepairEdgeBothOptions) {
   Fixture f(CodeParams(3, 2, 5), 100);
   const Edge e = f.lattice().output_edge(50, StrandClass::kHorizontal);
-  const Bytes original = *f.store.find(BlockKey::parity(e));
+  const Bytes original = *f.store.get_copy(BlockKey::parity(e));
 
   // Option A: tail data + input parity.
   f.store.erase(BlockKey::parity(e));
@@ -94,7 +94,7 @@ TEST(LatticeRepair, RepairEdgeBothOptions) {
   ASSERT_TRUE(planned.has_value());
   EXPECT_FALSE(planned->step.from_head);
   EXPECT_EQ(f.repair_all().edges_repaired_total, 1u);
-  EXPECT_EQ(*f.store.find(BlockKey::parity(e)), original);
+  EXPECT_EQ(*f.store.get_copy(BlockKey::parity(e)), original);
 
   // Option B: head data + next parity (tail data removed).
   f.store.erase(BlockKey::parity(e));
@@ -104,8 +104,8 @@ TEST(LatticeRepair, RepairEdgeBothOptions) {
   EXPECT_TRUE(planned->step.from_head);
   EXPECT_EQ(planned->round, 1u);
   f.repair_all();
-  EXPECT_EQ(*f.store.find(BlockKey::parity(e)), original);
-  EXPECT_EQ(*f.store.find(BlockKey::data(50)), f.truth(50));
+  EXPECT_EQ(*f.store.get_copy(BlockKey::parity(e)), original);
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(50)), f.truth(50));
 }
 
 TEST(LatticeRepair, SingleFailureAlwaysOneXor) {
@@ -118,7 +118,7 @@ TEST(LatticeRepair, SingleFailureAlwaysOneXor) {
     const RepairReport report = f.repair_all();
     EXPECT_EQ(report.rounds, 1u) << code.name();
     EXPECT_EQ(report.nodes_repaired_total, 1u);
-    EXPECT_EQ(*f.store.find(BlockKey::data(60)), f.truth(60));
+    EXPECT_EQ(*f.store.get_copy(BlockKey::data(60)), f.truth(60));
   }
 }
 
@@ -134,7 +134,7 @@ TEST(LatticeRepair, RepairAllRecoversScatteredDataLosses) {
   EXPECT_EQ(report.nodes_repaired_total, erased.size());
   EXPECT_EQ(report.nodes_unrecovered, 0u);
   for (NodeIndex i : erased)
-    EXPECT_EQ(*f.store.find(BlockKey::data(i)), f.truth(i));
+    EXPECT_EQ(*f.store.get_copy(BlockKey::data(i)), f.truth(i));
 }
 
 TEST(LatticeRepair, MultiRoundPropagation) {
@@ -166,8 +166,8 @@ TEST(LatticeRepair, ExtendedPrimitiveFormIIIsIrrecoverable) {
   EXPECT_EQ(report.nodes_unrecovered, 6u);
   EXPECT_EQ(report.edges_unrecovered, 5u);
   for (NodeIndex i : {21, 22, 29, 30}) {
-    const Bytes* value = f.store.find(BlockKey::data(i));
-    ASSERT_NE(value, nullptr) << i;
+    const auto value = f.store.get_copy(BlockKey::data(i));
+    ASSERT_TRUE(value.has_value()) << i;
     EXPECT_EQ(*value, f.truth(i));
   }
 }
@@ -194,8 +194,8 @@ TEST(LatticeRepair, SameLossToleratedWithAlpha2) {
   const RepairReport report = f.repair_all();
   EXPECT_EQ(report.nodes_unrecovered, 0u);
   EXPECT_EQ(report.edges_unrecovered, 0u);
-  EXPECT_EQ(*f.store.find(BlockKey::data(30)), f.truth(30));
-  EXPECT_EQ(*f.store.find(BlockKey::data(31)), f.truth(31));
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(30)), f.truth(30));
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(31)), f.truth(31));
 }
 
 TEST(LatticeRepair, ReadNodeDirect) {
@@ -212,7 +212,7 @@ TEST(LatticeRepair, ReadNodeWithLocalRepair) {
   ASSERT_TRUE(value.has_value());
   EXPECT_EQ(*value, f.truth(42));
   // The repair is persisted.
-  EXPECT_EQ(*f.store.find(BlockKey::data(42)), f.truth(42));
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(42)), f.truth(42));
 }
 
 TEST(LatticeRepair, ReadNodeThroughDamagedNeighbourhood) {
@@ -251,7 +251,7 @@ TEST(LatticeRepair, RepairedBytesAlwaysMatchGroundTruth) {
   }
   f.repair_all();
   for (NodeIndex i = 1; i <= 400; ++i) {
-    if (const Bytes* value = f.store.find(BlockKey::data(i))) {
+    if (const auto value = f.store.get_copy(BlockKey::data(i))) {
       ASSERT_EQ(*value, f.truth(i)) << "node " << i;
     }
   }

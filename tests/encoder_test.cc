@@ -29,7 +29,7 @@ std::vector<Bytes> random_blocks(std::size_t count, Rng& rng) {
 }
 
 TEST(Encoding, StoresDataAndAlphaParities) {
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   ThreadPool pool(1);
   ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, &pool);
   Rng rng(1);
@@ -40,7 +40,7 @@ TEST(Encoding, StoresDataAndAlphaParities) {
 }
 
 TEST(Encoding, RejectsWrongBlockSize) {
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   ThreadPool pool(1);
   ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, &pool);
   EXPECT_THROW(enc.append_all({Bytes(kBlockSize - 1, 0)}), CheckError);
@@ -49,19 +49,19 @@ TEST(Encoding, RejectsWrongBlockSize) {
 
 TEST(Encoding, FirstParityEqualsDataOnBootstrapStrand) {
   // p_{1,j} = d_1 XOR zero-block = d_1.
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   Rng rng(2);
   const Bytes d1 = rng.random_block(kBlockSize);
   const auto r =
       test::encode_into(CodeParams::single(), kBlockSize, {d1}, store).front();
-  const Bytes* p = store.find(BlockKey::parity(r.parities[0]));
-  ASSERT_NE(p, nullptr);
+  const auto p = store.get_copy(BlockKey::parity(r.parities[0]));
+  ASSERT_TRUE(p.has_value());
   EXPECT_EQ(*p, d1);
 }
 
 TEST(Encoding, ChainRecurrenceForSingleEntanglement) {
   // p_{i,i+1} = d_i XOR p_{i-1,i}: the running XOR of the whole prefix.
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   Rng rng(3);
   const auto blocks = random_blocks(10, rng);
   test::encode_into(CodeParams::single(), kBlockSize, blocks, store);
@@ -69,9 +69,9 @@ TEST(Encoding, ChainRecurrenceForSingleEntanglement) {
   Bytes prefix(kBlockSize, 0);
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     xor_into(prefix, blocks[i]);
-    const Bytes* p = store.find(BlockKey::parity(
+    const auto p = store.get_copy(BlockKey::parity(
         Edge{StrandClass::kHorizontal, static_cast<NodeIndex>(i + 1)}));
-    ASSERT_NE(p, nullptr);
+    ASSERT_TRUE(p.has_value());
     EXPECT_EQ(*p, prefix) << "prefix parity at " << i + 1;
   }
 }
@@ -98,7 +98,7 @@ class EncodingGrid : public ::testing::TestWithParam<ParamTuple> {
 TEST_P(EncodingGrid, EntanglementEquationHoldsEverywhere) {
   // For every parity: p_{i,j} = d_i XOR p_{h,i} (zero block at bootstrap).
   const CodeParams params = make_params();
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   ThreadPool pool(1);
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
   Rng rng(11);
@@ -109,12 +109,13 @@ TEST_P(EncodingGrid, EntanglementEquationHoldsEverywhere) {
 
   for (NodeIndex i = 1; i <= static_cast<NodeIndex>(n); ++i) {
     for (StrandClass cls : params.classes()) {
-      const Bytes* out = store.find(BlockKey::parity(lat.output_edge(i, cls)));
-      ASSERT_NE(out, nullptr);
+      const auto out =
+          store.get_copy(BlockKey::parity(lat.output_edge(i, cls)));
+      ASSERT_TRUE(out.has_value());
       Bytes expected = blocks[static_cast<std::size_t>(i - 1)];
       if (const auto in = lat.input_edge(i, cls)) {
-        const Bytes* in_value = store.find(BlockKey::parity(*in));
-        ASSERT_NE(in_value, nullptr);
+        const auto in_value = store.get_copy(BlockKey::parity(*in));
+        ASSERT_TRUE(in_value.has_value());
         xor_into(expected, *in_value);
       }
       ASSERT_EQ(*out, expected)
@@ -125,7 +126,7 @@ TEST_P(EncodingGrid, EntanglementEquationHoldsEverywhere) {
 
 TEST_P(EncodingGrid, HeadCacheBoundedByStrandCount) {
   const CodeParams params = make_params();
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   ThreadPool pool(1);
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
   Rng rng(13);
@@ -143,11 +144,11 @@ TEST_P(EncodingGrid, CrashRecoveryProducesIdenticalParities) {
   Rng rng(17);
   const auto blocks = random_blocks(120, rng);
 
-  InMemoryBlockStore store_a;
+  pipeline::ConcurrentBlockStore store_a;
   test::encode_into(params, kBlockSize, blocks, store_a);
   test::expect_encoding_of(params, kBlockSize, blocks, store_a);
 
-  InMemoryBlockStore store_b;
+  pipeline::ConcurrentBlockStore store_b;
   ThreadPool pool(1);
   ParallelEncoder enc_b(params, kBlockSize, &store_b, &pool);
   for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -160,7 +161,7 @@ TEST_P(EncodingGrid, CrashRecoveryProducesIdenticalParities) {
 
 TEST_P(EncodingGrid, TotalBlockCount) {
   const CodeParams params = make_params();
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   ThreadPool pool(1);
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
   Rng rng(19);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ae_test_util.h"
+#include "api/engine.h"
 #include "common/rng.h"
 #include "core/codec/file_block_store.h"
 #include "core/codec/store_registry.h"
@@ -41,9 +42,7 @@ TEST_F(FileBlockStoreTest, PutFindRoundTrip) {
   const BlockKey key = BlockKey::data(7);
   store.put(key, Bytes{1, 2, 3, 4});
   ASSERT_TRUE(store.contains(key));
-  const Bytes* found = store.find(key);
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(*found, (Bytes{1, 2, 3, 4}));
+  EXPECT_EQ(store.get_copy(key), (Bytes{1, 2, 3, 4}));
   EXPECT_EQ(store.size(), 1u);
 }
 
@@ -56,10 +55,9 @@ TEST_F(FileBlockStoreTest, PersistsAcrossReopen) {
   }
   FileBlockStore reopened(root_);
   EXPECT_EQ(reopened.size(), 2u);
-  const Bytes* parity = reopened.find(
-      BlockKey::parity(Edge{StrandClass::kRightHanded, 3}));
-  ASSERT_NE(parity, nullptr);
-  EXPECT_EQ(*parity, Bytes{8});
+  EXPECT_EQ(reopened.get_copy(
+                BlockKey::parity(Edge{StrandClass::kRightHanded, 3})),
+            Bytes{8});
 }
 
 TEST_F(FileBlockStoreTest, EraseRemovesFile) {
@@ -80,9 +78,9 @@ TEST_F(FileBlockStoreTest, DataAndParityNamespacesAreSeparate) {
   store.put(BlockKey::parity(Edge{StrandClass::kHorizontal, 5}), Bytes{2});
   store.put(BlockKey::parity(Edge{StrandClass::kRightHanded, 5}), Bytes{3});
   EXPECT_EQ(store.size(), 3u);
-  EXPECT_EQ(*store.find(BlockKey::data(5)), Bytes{1});
+  EXPECT_EQ(*store.get_copy(BlockKey::data(5)), Bytes{1});
   EXPECT_EQ(
-      *store.find(BlockKey::parity(Edge{StrandClass::kRightHanded, 5})),
+      *store.get_copy(BlockKey::parity(Edge{StrandClass::kRightHanded, 5})),
       Bytes{3});
 }
 
@@ -92,9 +90,9 @@ TEST_F(FileBlockStoreTest, ExternalDeletionSeenAfterRescan) {
   store.put(key, Bytes{1, 2});
   store.drop_payload_cache();
   fs::remove(store.path_of(key));  // sabotage behind the store's back
-  // The index is stale until rescan; find() detects the hole lazily.
+  // The index is stale until rescan; a read detects the hole lazily.
   EXPECT_TRUE(store.contains(key));
-  EXPECT_EQ(store.find(key), nullptr);
+  EXPECT_EQ(store.get_copy(key), std::nullopt);
   store.rescan();
   EXPECT_FALSE(store.contains(key));
 }
@@ -227,8 +225,34 @@ TEST_F(FileBlockStoreTest, WorksAsCodecBackend) {
   pipeline::ParallelRepairer repairer(params, 30, kBlockSize, &store, &pool);
   const RepairReport report = repairer.repair_all();
   EXPECT_EQ(report.nodes_unrecovered, 0u);
-  EXPECT_EQ(*store.find(BlockKey::data(10)), truth[9]);
-  EXPECT_EQ(*store.find(BlockKey::data(11)), truth[10]);
+  EXPECT_EQ(*store.get_copy(BlockKey::data(10)), truth[9]);
+  EXPECT_EQ(*store.get_copy(BlockKey::data(11)), truth[10]);
+}
+
+TEST_F(FileBlockStoreTest, IntegrityScanLeavesThePayloadCacheAlone) {
+  // A session's integrity scan reads through get_batch, the streaming
+  // read, so it inserts nothing into the payload cache: once every block
+  // file is gone, no read can still serve a block from memory.
+  constexpr std::size_t kBlockSize = 64;
+  for (const char* spec : {"AE(3,2,5)", "RS(4,2)"}) {
+    SCOPED_TRACE(spec);
+    const fs::path root = root_ / (spec[0] == 'A' ? "ae" : "rs");
+    FileBlockStore store(root, 4);
+    const auto session =
+        Engine::serial()->open_session(make_codec(spec), &store, kBlockSize);
+    session->append(test::random_blocks(150, kBlockSize, 3));
+    store.drop_payload_cache();
+    EXPECT_EQ(session->verify_integrity().inconsistent_parities, 0u);
+
+    std::vector<BlockKey> keys;
+    session->for_each_expected_key([&](const BlockKey& key) {
+      keys.push_back(key);
+      ASSERT_TRUE(fs::remove(store.path_of(key))) << to_string(key);
+    });
+    ASSERT_FALSE(keys.empty());
+    for (const std::optional<Bytes>& payload : store.get_batch(keys))
+      EXPECT_FALSE(payload.has_value());
+  }
 }
 
 TEST_F(FileBlockStoreTest, ResumedEncoderContinuesTheLattice) {
@@ -239,7 +263,7 @@ TEST_F(FileBlockStoreTest, ResumedEncoderContinuesTheLattice) {
   for (int i = 0; i < 20; ++i) blocks.push_back(rng.random_block(kBlockSize));
 
   // One continuous encoder vs a restart in the middle.
-  InMemoryBlockStore continuous;
+  pipeline::ConcurrentBlockStore continuous;
   test::encode_into(params, kBlockSize, blocks, continuous);
 
   FileBlockStore durable(root_);
@@ -260,11 +284,9 @@ TEST_F(FileBlockStoreTest, ResumedEncoderContinuesTheLattice) {
   for (NodeIndex i = 1; i <= 20; ++i) {
     for (StrandClass cls : params.classes()) {
       const BlockKey key = BlockKey::parity(lat.output_edge(i, cls));
-      const Bytes* a = continuous.find(key);
-      const Bytes* b = durable.find(key);
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      ASSERT_EQ(*a, *b) << to_string(key);
+      const auto a = continuous.get_copy(key);
+      ASSERT_TRUE(a.has_value()) << to_string(key);
+      ASSERT_EQ(durable.get_copy(key), a) << to_string(key);
     }
   }
 }

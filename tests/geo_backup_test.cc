@@ -29,11 +29,12 @@ TEST(CooperativeNetwork, OfflineNodeRefusesIo) {
   const BlockKey key = BlockKey::data(1);
   EXPECT_TRUE(net.put(0, "alice", key, Bytes{1, 2, 3}));
   net.set_online(0, false);
-  EXPECT_EQ(net.find(0, "alice", key), nullptr);
+  EXPECT_EQ(net.get_copy(0, "alice", key), std::nullopt);
   EXPECT_FALSE(net.put(0, "alice", key, Bytes{4}));
   net.set_online(0, true);
-  ASSERT_NE(net.find(0, "alice", key), nullptr);  // data survived offline
-  EXPECT_EQ(*net.find(0, "alice", key), (Bytes{1, 2, 3}));
+  // The data survived offline.
+  ASSERT_NE(net.get_copy(0, "alice", key), std::nullopt);
+  EXPECT_EQ(*net.get_copy(0, "alice", key), (Bytes{1, 2, 3}));
 }
 
 TEST(CooperativeNetwork, UsersAreNamespaced) {
@@ -41,8 +42,8 @@ TEST(CooperativeNetwork, UsersAreNamespaced) {
   const BlockKey key = BlockKey::data(7);
   net.put(0, "alice", key, Bytes{1});
   net.put(0, "bob", key, Bytes{2});
-  EXPECT_EQ(*net.find(0, "alice", key), Bytes{1});
-  EXPECT_EQ(*net.find(0, "bob", key), Bytes{2});
+  EXPECT_EQ(*net.get_copy(0, "alice", key), Bytes{1});
+  EXPECT_EQ(*net.get_copy(0, "bob", key), Bytes{2});
   EXPECT_EQ(net.blocks_stored(0), 2u);
 }
 

@@ -104,7 +104,7 @@ TEST(Gf256, MulAccMatchesScalarLoop) {
     Bytes expected = dst;
     for (std::size_t i = 0; i < src.size(); ++i)
       expected[i] = add(expected[i], mul(coeff, src[i]));
-    mul_acc(dst.data(), src.data(), dst.size(), coeff);
+    axpy_slice(dst.data(), src.data(), dst.size(), coeff);
     EXPECT_EQ(dst, expected) << "coeff " << int(coeff);
   }
 }

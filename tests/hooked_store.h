@@ -31,9 +31,6 @@ class HookedStore final : public BlockStore {
       throw std::runtime_error("injected store failure at " + to_string(key));
     inner_.put(key, std::move(value));
   }
-  const Bytes* find(const BlockKey& key) const override {
-    return inner_.find(key);
-  }
   bool contains(const BlockKey& key) const override {
     return inner_.contains(key);
   }

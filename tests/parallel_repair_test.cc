@@ -33,7 +33,7 @@ constexpr std::size_t kBlockSize = 24;
 
 std::vector<Bytes> encode_random(const CodeParams& params, std::uint64_t n,
                                  std::uint64_t seed,
-                                 InMemoryBlockStore& store) {
+                                 pipeline::ConcurrentBlockStore& store) {
   std::vector<Bytes> truth = test::random_blocks(n, kBlockSize, seed);
   test::encode_into(params, kBlockSize, truth, store);
   return truth;
@@ -71,7 +71,7 @@ void erase_random(const Lattice& lat, double rate, std::uint64_t seed,
   }
 }
 
-void copy_store(const InMemoryBlockStore& from, BlockStore& to) {
+void copy_store(const pipeline::ConcurrentBlockStore& from, BlockStore& to) {
   from.for_each([&](const BlockKey& key, const Bytes& value) {
     to.put(key, value);
   });
@@ -162,7 +162,7 @@ TEST_P(RepairPlannerProperty, WavesMatchReferenceRoundStructure) {
                           static_cast<std::uint32_t>(s),
                           static_cast<std::uint32_t>(p));
   const std::uint64_t n = 400;
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   encode_random(params, n, 11, store);
   const Lattice lat(params, n, Lattice::Boundary::kOpen);
   erase_random(lat, loss / 100.0, 77 + static_cast<std::uint64_t>(loss),
@@ -205,7 +205,7 @@ TEST(RepairPlanner, MaxRoundsCapMatchesExecutedReport) {
   // leave the inner blocks as (repairable) residue, identically in the
   // plan and in the executed report.
   const CodeParams params = CodeParams::single();
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   encode_random(params, 60, 3, store);
   const Lattice lat(params, 60, Lattice::Boundary::kOpen);
   for (NodeIndex i = 20; i <= 30; ++i)
@@ -228,7 +228,7 @@ TEST(RepairPlanner, MinimalPolicySkipsParitiesAwayFromMissingData) {
   // Data intact, one parity missing: full maintenance repairs it,
   // minimal maintenance leaves it alone (paper §V-C-2).
   const CodeParams params(3, 2, 5);
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   encode_random(params, 100, 5, store);
   const Lattice lat(params, 100, Lattice::Boundary::kOpen);
   store.erase(BlockKey::parity(Edge{StrandClass::kHorizontal, 40}));
@@ -262,12 +262,12 @@ TEST_P(ParallelRepairerEquivalence, MatchesPristineAndReferenceRounds) {
                           static_cast<std::uint32_t>(s),
                           static_cast<std::uint32_t>(p));
   const std::uint64_t n = 600;
-  InMemoryBlockStore pristine;
+  pipeline::ConcurrentBlockStore pristine;
   encode_random(params, n, 42, pristine);
   const Lattice lat(params, n, Lattice::Boundary::kOpen);
 
   // Same erasure pattern on both stores.
-  InMemoryBlockStore one_worker_store;
+  pipeline::ConcurrentBlockStore one_worker_store;
   pipeline::ConcurrentBlockStore store;
   copy_store(pristine, one_worker_store);
   copy_store(pristine, store);
@@ -338,7 +338,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ParallelRepairer, ReadNodeRepairsThroughDamagedNeighbourhood) {
   const CodeParams params(3, 2, 5);
   const std::uint64_t n = 200;
-  InMemoryBlockStore pristine;
+  pipeline::ConcurrentBlockStore pristine;
   const std::vector<Bytes> truth = encode_random(params, n, 9, pristine);
   const Lattice lat(params, n, Lattice::Boundary::kOpen);
 
@@ -359,7 +359,7 @@ TEST(ParallelRepairer, ReadNodeRepairsThroughDamagedNeighbourhood) {
 
 TEST(ParallelRepairer, ReadNodeIrrecoverableReturnsNullopt) {
   const CodeParams params = CodeParams::single();
-  InMemoryBlockStore pristine;
+  pipeline::ConcurrentBlockStore pristine;
   encode_random(params, 60, 2, pristine);
   pipeline::ConcurrentBlockStore store;
   copy_store(pristine, store);
@@ -375,7 +375,7 @@ TEST(ParallelRepairer, ReadNodeIrrecoverableReturnsNullopt) {
 
 TEST(ParallelRepairer, ReportCarriesThroughput) {
   const CodeParams params(3, 2, 5);
-  InMemoryBlockStore pristine;
+  pipeline::ConcurrentBlockStore pristine;
   encode_random(params, 300, 8, pristine);
   pipeline::ConcurrentBlockStore store;
   copy_store(pristine, store);

@@ -46,11 +46,11 @@ std::vector<Bytes> random_blocks(std::size_t count, std::uint64_t seed) {
 /// One-worker reference encoding of `blocks`, fed in ragged batches
 /// (1, 2, 3, … blocks) so a batch boundary falls mid-column; checked
 /// against the ground truth before it serves as a reference.
-InMemoryBlockStore one_worker_reference(const CodeParams& params,
-                                        const std::vector<Bytes>& blocks) {
-  InMemoryBlockStore store;
+std::unique_ptr<ConcurrentBlockStore> one_worker_reference(
+    const CodeParams& params, const std::vector<Bytes>& blocks) {
+  auto store = std::make_unique<ConcurrentBlockStore>();
   ThreadPool pool(1);
-  ParallelEncoder enc(params, kBlockSize, &store, &pool);
+  ParallelEncoder enc(params, kBlockSize, store.get(), &pool);
   std::size_t done = 0;
   for (std::size_t batch = 1; done < blocks.size(); ++batch) {
     const std::size_t end = std::min(done + batch, blocks.size());
@@ -58,7 +58,7 @@ InMemoryBlockStore one_worker_reference(const CodeParams& params,
                     blocks.begin() + static_cast<std::ptrdiff_t>(end)});
     done = end;
   }
-  expect_encoding_of(params, kBlockSize, blocks, store);
+  expect_encoding_of(params, kBlockSize, blocks, *store);
   return store;
 }
 
@@ -159,14 +159,13 @@ TEST(ConcurrentBlockStore, BasicStoreContract) {
   ConcurrentBlockStore store;
   const BlockKey key = BlockKey::data(7);
   EXPECT_FALSE(store.contains(key));
-  EXPECT_EQ(store.find(key), nullptr);
+  EXPECT_EQ(store.get_copy(key), std::nullopt);
   store.put(key, Bytes{1, 2, 3});
   EXPECT_TRUE(store.contains(key));
-  ASSERT_NE(store.find(key), nullptr);
-  EXPECT_EQ(*store.find(key), (Bytes{1, 2, 3}));
+  EXPECT_EQ(store.get_copy(key), (Bytes{1, 2, 3}));
   EXPECT_EQ(store.size(), 1u);
   store.put(key, Bytes{4});  // overwrite
-  EXPECT_EQ(*store.find(key), Bytes{4});
+  EXPECT_EQ(store.get_copy(key), Bytes{4});
   EXPECT_EQ(store.size(), 1u);
   EXPECT_TRUE(store.erase(key));
   EXPECT_FALSE(store.erase(key));
@@ -174,7 +173,7 @@ TEST(ConcurrentBlockStore, BasicStoreContract) {
 }
 
 TEST(ConcurrentBlockStore, GetCopyAndForEach) {
-  ConcurrentBlockStore store(4);
+  ConcurrentBlockStore store;
   for (NodeIndex i = 1; i <= 100; ++i)
     store.put(BlockKey::data(i), Bytes(8, static_cast<std::uint8_t>(i)));
   EXPECT_FALSE(store.get_copy(BlockKey::data(999)).has_value());
@@ -238,7 +237,7 @@ TEST_P(ParallelEncoderEquivalence, GroundTruthAtEveryWorkerCount) {
   ASSERT_EQ(results.size(), blocks.size());
   EXPECT_EQ(enc.size(), count);
   expect_encoding_of(params, kBlockSize, blocks, store);
-  expect_stores_identical(one_worker_reference(params, blocks), store);
+  expect_stores_identical(*one_worker_reference(params, blocks), store);
 }
 
 std::string case_name(
@@ -296,7 +295,7 @@ TEST(ParallelEncoder, ResultsNameEachBlockAndItsOutputEdges) {
 TEST(ParallelEncoder, SingleAppendInterleavesWithBatches) {
   const CodeParams params(3, 2, 5);
   const auto blocks = random_blocks(100, 23);
-  const InMemoryBlockStore expected = one_worker_reference(params, blocks);
+  const auto expected = one_worker_reference(params, blocks);
 
   ThreadPool pool(2);
   ConcurrentBlockStore store;
@@ -305,7 +304,7 @@ TEST(ParallelEncoder, SingleAppendInterleavesWithBatches) {
   enc.append_all({blocks[0]});
   enc.append_all({blocks.begin() + 1, blocks.begin() + 60});
   for (std::size_t i = 60; i < blocks.size(); ++i) enc.append_all({blocks[i]});
-  expect_stores_identical(expected, store);
+  expect_stores_identical(*expected, store);
 }
 
 TEST(ParallelEncoder, HeadCacheBoundedByStrandCount) {
@@ -323,7 +322,7 @@ TEST(ParallelEncoder, CrashResumeThroughDropHeadCache) {
   // next wave.
   const CodeParams params(3, 2, 5);
   const auto blocks = random_blocks(500, 57);
-  const InMemoryBlockStore expected = one_worker_reference(params, blocks);
+  const auto expected = one_worker_reference(params, blocks);
 
   ThreadPool pool(4);
   ConcurrentBlockStore store;
@@ -339,13 +338,13 @@ TEST(ParallelEncoder, CrashResumeThroughDropHeadCache) {
     EXPECT_EQ(enc.cached_heads(), 0u);
   }
   ASSERT_EQ(done, blocks.size());
-  expect_stores_identical(expected, store);
+  expect_stores_identical(*expected, store);
 }
 
 TEST(ParallelEncoder, ResumeCountContinuesAnExistingLattice) {
   const CodeParams params(3, 5, 5);
   const auto blocks = random_blocks(612, 71);
-  const InMemoryBlockStore expected = one_worker_reference(params, blocks);
+  const auto expected = one_worker_reference(params, blocks);
 
   ThreadPool pool(4);
   ConcurrentBlockStore store;
@@ -358,7 +357,7 @@ TEST(ParallelEncoder, ResumeCountContinuesAnExistingLattice) {
   ParallelEncoder second(params, kBlockSize, &store, &pool, 203);
   second.append_all({blocks.begin() + 203, blocks.end()});
   EXPECT_EQ(second.size(), blocks.size());
-  expect_stores_identical(expected, store);
+  expect_stores_identical(*expected, store);
 }
 
 TEST(ParallelEncoder, FailedBatchRetriesByteIdentically) {
@@ -438,17 +437,17 @@ TEST(ArchiveParallelIngest, MatchesSerialArchiveByteForByte) {
   expect_encoding_of(params, 64, expected, serial_store);
   const Lattice lattice(params, serial->blocks(), Lattice::Boundary::kOpen);
   for (NodeIndex i = 1; i <= static_cast<NodeIndex>(serial->blocks()); ++i) {
-    const Bytes* a = serial_store.find(BlockKey::data(i));
-    const Bytes* b = parallel_store.find(BlockKey::data(i));
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
+    const auto a = serial_store.get_copy(BlockKey::data(i));
+    const auto b = parallel_store.get_copy(BlockKey::data(i));
+    ASSERT_TRUE(a.has_value());
+    ASSERT_TRUE(b.has_value());
     ASSERT_EQ(*a, *b) << "d" << i;
     for (StrandClass cls : params.classes()) {
       const BlockKey key = BlockKey::parity(lattice.output_edge(i, cls));
-      const Bytes* pa = serial_store.find(key);
-      const Bytes* pb = parallel_store.find(key);
-      ASSERT_NE(pa, nullptr);
-      ASSERT_NE(pb, nullptr);
+      const auto pa = serial_store.get_copy(key);
+      const auto pb = parallel_store.get_copy(key);
+      ASSERT_TRUE(pa.has_value());
+      ASSERT_TRUE(pb.has_value());
       ASSERT_EQ(*pa, *pb) << to_string(key);
     }
   }

@@ -12,7 +12,7 @@ constexpr std::size_t kBlockSize = 16;
 
 TEST(Puncture, DropsExpectedCount) {
   const CodeParams params(3, 2, 5);
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   test::encode_into(params, kBlockSize, test::random_blocks(100, kBlockSize, 5),
                     store);
 
@@ -25,7 +25,7 @@ TEST(Puncture, DropsExpectedCount) {
 
 TEST(Puncture, DisabledSpecDropsNothing) {
   const CodeParams params(2, 2, 2);
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   test::encode_into(params, kBlockSize, test::random_blocks(50, kBlockSize, 6),
                     store);
   const PunctureSpec disabled{StrandClass::kHorizontal, 0, 0};
@@ -42,7 +42,7 @@ TEST(Puncture, PuncturedLatticeStillRepairsSingleFailures) {
            {{PunctureSpec{StrandClass::kLeftHanded, 2, 0}}});
   f.store.erase(BlockKey::data(60));
   const RepairReport report = f.repair_all();
-  EXPECT_EQ(*f.store.find(BlockKey::data(60)), f.truth(60));
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(60)), f.truth(60));
   EXPECT_EQ(report.nodes_unrecovered, 0u);
 }
 

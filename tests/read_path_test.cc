@@ -490,8 +490,8 @@ TEST_F(ReadPathBlockStreamTest, RefillIssuesWholeBatchesOnly) {
     void put(const BlockKey& key, Bytes value) override {
       inner_.put(key, std::move(value));
     }
-    const Bytes* find(const BlockKey& key) const override {
-      return inner_.find(key);
+    std::optional<Bytes> get_copy(const BlockKey& key) const override {
+      return inner_.get_copy(key);
     }
     bool contains(const BlockKey& key) const override {
       return inner_.contains(key);
@@ -539,7 +539,9 @@ TEST_F(ReadPathBlockStreamTest, StoreExceptionSurfacesAtNextNotAtThePool) {
   class ThrowingStore final : public BlockStore {
    public:
     void put(const BlockKey&, Bytes) override {}
-    const Bytes* find(const BlockKey&) const override { return nullptr; }
+    std::optional<Bytes> get_copy(const BlockKey&) const override {
+      return std::nullopt;
+    }
     bool contains(const BlockKey&) const override { return true; }
     bool erase(const BlockKey&) override { return false; }
     std::uint64_t size() const override { return 0; }

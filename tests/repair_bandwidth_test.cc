@@ -65,7 +65,7 @@ TEST_F(ClusterTrafficTest, PutAndReadsCountPayloadBytesOnTheRoutedNode) {
   EXPECT_EQ(t.bytes_written, 512u);
   EXPECT_EQ(t.blocks_read, 0u);
 
-  ASSERT_NE(store.find(key), nullptr);
+  ASSERT_TRUE(store.get_copy(key).has_value());
   ASSERT_TRUE(store.get_copy(key).has_value());
   t = store.node_traffic(home);
   EXPECT_EQ(t.blocks_read, 2u);
@@ -73,7 +73,7 @@ TEST_F(ClusterTrafficTest, PutAndReadsCountPayloadBytesOnTheRoutedNode) {
 
   // A miss ships nothing.
   const BlockKey absent = BlockKey::data(9999);
-  EXPECT_EQ(store.find(absent), nullptr);
+  EXPECT_EQ(store.get_copy(absent), std::nullopt);
   const NodeTraffic miss = store.node_traffic(store.node_of(absent));
   EXPECT_EQ(miss.bytes_read, store.node_of(absent) == home ? 1024u : 0u);
 
@@ -139,7 +139,7 @@ TEST_F(ClusterTrafficTest, StagedWritesAndStagedReadsCount) {
   EXPECT_EQ(t.blocks_written, 1u);
   EXPECT_EQ(t.bytes_written, 256u);
 
-  ASSERT_NE(store.find(key), nullptr);  // served from staging
+  ASSERT_TRUE(store.get_copy(key).has_value());  // served from staging
   t = store.node_traffic(home);
   EXPECT_EQ(t.blocks_read, 1u);
   EXPECT_EQ(t.bytes_read, 256u);

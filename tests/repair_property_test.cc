@@ -31,7 +31,7 @@ TEST_P(RepairSweep, RepairsAreCorrectAndCounted) {
   const CodeParams params(static_cast<std::uint32_t>(a),
                           static_cast<std::uint32_t>(s),
                           static_cast<std::uint32_t>(p));
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   Rng rng(static_cast<std::uint64_t>(a * 10007 + s * 101 + p * 13 +
                                      loss_percent));
   std::vector<Bytes> truth;
@@ -63,7 +63,7 @@ TEST_P(RepairSweep, RepairsAreCorrectAndCounted) {
   // Correctness of every repaired (and untouched) data block.
   std::uint64_t present = 0;
   for (NodeIndex i = 1; i <= static_cast<NodeIndex>(kNodes); ++i) {
-    if (const Bytes* value = store.find(BlockKey::data(i))) {
+    if (const auto value = store.get_copy(BlockKey::data(i))) {
       ++present;
       ASSERT_EQ(*value, truth[static_cast<std::size_t>(i - 1)])
           << "node " << i;

@@ -1,50 +1,53 @@
 #include <gtest/gtest.h>
 
+#include "api/codec.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "replication/replication.h"
 
-namespace aec::replication {
+namespace aec {
 namespace {
 
 TEST(Replication, EncodeMakesIdenticalCopies) {
   Rng rng(1);
   const Bytes block = rng.random_block(128);
-  const Replication rep(3);
-  const auto copies = rep.encode(block);
-  ASSERT_EQ(copies.size(), 3u);
+  const ReplicationCodec rep(3);
+  const auto copies = rep.encode({block});
+  ASSERT_EQ(copies.size(), 2u);  // the data part is the third copy
   for (const auto& c : copies) EXPECT_EQ(c, block);
 }
 
-TEST(Replication, DecodeUsesAnySurvivor) {
+TEST(Replication, RepairUsesAnySurvivor) {
   Rng rng(2);
   const Bytes block = rng.random_block(64);
-  const Replication rep(4);
-  std::vector<std::optional<Bytes>> copies(4);
-  copies[2] = block;
-  const auto decoded = rep.decode(copies);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, block);
+  const ReplicationCodec rep(4);
+  std::vector<std::optional<Bytes>> parts(4);
+  parts[2] = block;
+  const auto rebuilt = rep.repair(parts, {0, 1, 3});
+  ASSERT_TRUE(rebuilt.has_value());
+  ASSERT_EQ(rebuilt->size(), 3u);
+  for (const auto& part : *rebuilt) EXPECT_EQ(part, block);
 }
 
-TEST(Replication, DecodeFailsWhenAllLost) {
-  const Replication rep(2);
-  EXPECT_FALSE(rep.decode({std::nullopt, std::nullopt}).has_value());
+TEST(Replication, RepairFailsWhenAllLost) {
+  const ReplicationCodec rep(2);
+  EXPECT_FALSE(rep.repair({std::nullopt, std::nullopt}, {0, 1}).has_value());
 }
 
 TEST(Replication, OverheadMatchesPaperTable4) {
-  EXPECT_DOUBLE_EQ(Replication(2).storage_overhead_percent(), 100.0);
-  EXPECT_DOUBLE_EQ(Replication(3).storage_overhead_percent(), 200.0);
-  EXPECT_DOUBLE_EQ(Replication(4).storage_overhead_percent(), 300.0);
-  EXPECT_EQ(Replication(3).single_failure_fanin(), 1u);
+  EXPECT_DOUBLE_EQ(ReplicationCodec(2).storage_overhead_percent(), 100.0);
+  EXPECT_DOUBLE_EQ(ReplicationCodec(3).storage_overhead_percent(), 200.0);
+  EXPECT_DOUBLE_EQ(ReplicationCodec(4).storage_overhead_percent(), 300.0);
+  EXPECT_EQ(ReplicationCodec(3).single_failure_fanin(), 1u);
 }
 
 TEST(Replication, Validation) {
-  EXPECT_THROW(Replication(0), aec::CheckError);
-  const Replication rep(3);
-  EXPECT_THROW(rep.decode({std::nullopt}), aec::CheckError);
-  EXPECT_EQ(rep.name(), "3-way replication");
+  EXPECT_THROW(ReplicationCodec(0), CheckError);
+  const ReplicationCodec rep(3);
+  EXPECT_THROW(rep.repair({std::nullopt}, {0}), CheckError);
+  EXPECT_THROW(rep.encode({Bytes{1}, Bytes{2}}), CheckError);
+  EXPECT_EQ(rep.id(), "REP(3)");
+  EXPECT_EQ(rep.copies(), 3u);
 }
 
 }  // namespace
-}  // namespace aec::replication
+}  // namespace aec

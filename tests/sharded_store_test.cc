@@ -45,8 +45,8 @@ TEST_F(ShardedFileBlockStoreTest, PutFindEraseRoundTrip) {
   const BlockKey key = BlockKey::data(7);
   store.put(key, Bytes{1, 2, 3, 4});
   ASSERT_TRUE(store.contains(key));
-  const Bytes* found = store.find(key);
-  ASSERT_NE(found, nullptr);
+  const auto found = store.get_copy(key);
+  ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, (Bytes{1, 2, 3, 4}));
   EXPECT_EQ(store.size(), 1u);
   EXPECT_TRUE(store.erase(key));
@@ -158,7 +158,7 @@ TEST_F(ShardedFileBlockStoreTest, RescanSeesExternalChanges) {
   store.drop_payload_cache();
   fs::remove(store.path_of(key));  // sabotage behind the store's back
   EXPECT_TRUE(store.contains(key));  // index is stale…
-  EXPECT_EQ(store.find(key), nullptr);  // …but reads detect the hole
+  EXPECT_EQ(store.get_copy(key), std::nullopt);  // …but reads detect the hole
   store.rescan();
   EXPECT_FALSE(store.contains(key));
 }

@@ -11,7 +11,7 @@ constexpr std::size_t kBlockSize = 32;
 
 struct Fixture {
   CodeParams params;
-  InMemoryBlockStore store;
+  pipeline::ConcurrentBlockStore store;
   std::uint64_t n;
 
   explicit Fixture(CodeParams code, std::uint64_t count = 100)
@@ -38,7 +38,7 @@ TEST(Tamper, CleanLatticeVerifies) {
 TEST(Tamper, ModifiedDataBlockDetectedOnAllStrands) {
   Fixture f(CodeParams(3, 2, 5));
   const Lattice lat = f.lattice();
-  Bytes forged = *f.store.find(BlockKey::data(50));
+  Bytes forged = *f.store.get_copy(BlockKey::data(50));
   forged[3] ^= 0x40;
   f.store.put(BlockKey::data(50), forged);
 
@@ -59,7 +59,7 @@ TEST(Tamper, ModifiedParityFlagsEdgeButNotNode) {
   Fixture f(CodeParams(3, 2, 5));
   const Lattice lat = f.lattice();
   const Edge e = lat.output_edge(50, StrandClass::kRightHanded);
-  Bytes forged = *f.store.find(BlockKey::parity(e));
+  Bytes forged = *f.store.get_copy(BlockKey::parity(e));
   forged[0] ^= 0x01;
   f.store.put(BlockKey::parity(e), forged);
 
@@ -101,18 +101,18 @@ TEST(Tamper, AttackerRewritingWholeSuffixGoesUndetected) {
   Fixture f(CodeParams(2, 1, 2), 40);
   const Lattice lat = f.lattice();
 
-  Bytes forged = *f.store.find(BlockKey::data(20));
+  Bytes forged = *f.store.get_copy(BlockKey::data(20));
   forged[7] ^= 0xFF;
   f.store.put(BlockKey::data(20), forged);
 
   // Recompute every parity from scratch in index order (the attacker
   // controls the store).
   for (NodeIndex i = 1; i <= 40; ++i) {
-    const Bytes& data = *f.store.find(BlockKey::data(i));
+    const Bytes data = *f.store.get_copy(BlockKey::data(i));
     for (StrandClass cls : f.params.classes()) {
       Bytes parity = data;
       if (const auto in = lat.input_edge(i, cls))
-        parity = xor_blocks(data, *f.store.find(BlockKey::parity(*in)));
+        parity = xor_blocks(data, *f.store.get_copy(BlockKey::parity(*in)));
       f.store.put(BlockKey::parity(lat.output_edge(i, cls)), parity);
     }
   }
