@@ -16,9 +16,10 @@
 // "node-loss" loses every block strand placement puts on node 0 of 4 —
 // a quarter of the data blocks, each one XOR from two live parities, the
 // shape the stream's window repair runs in one wave per window. Every
-// phase starts from a cold payload cache, and its output is compared
-// byte-for-byte against the deterministic source blocks (a fast wrong
-// read is worthless); the run exits 1 on any mismatch.
+// phase starts from a store freshly opened on the root (no block in
+// memory), and its output is compared byte-for-byte against the
+// deterministic source blocks (a fast wrong read is worthless); the run
+// exits 1 on any mismatch.
 //
 //   bench_read_throughput [file_mib] [block_size] [--json]
 //   (default 32 4096; --json emits one JSON object per phase and
@@ -109,10 +110,10 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
 
   // The Archive wiring: a FileBlockStore read through a 1-thread
   // engine's session.
-  FileBlockStore store(root);
+  auto store = std::make_unique<FileBlockStore>(root);
   auto engine = Engine::with_threads(1);
-  auto session =
-      engine->open_session(make_codec("AE(3,2,5)"), &store, block_size);
+  const std::shared_ptr<const Codec> codec = make_codec("AE(3,2,5)");
+  auto session = engine->open_session(codec, store.get(), block_size);
 
   // Deterministic source blocks, kept for the per-phase byte check
   // (tail zero-padded exactly like ingest pads it).
@@ -159,8 +160,8 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
 
   // Best-of-3 per phase: the per-phase walls are tens of milliseconds,
   // so a single scheduler hiccup would swamp the mode comparison. Every
-  // repetition starts from the same state (damage re-injected, payload
-  // cache cold) and is byte-checked.
+  // repetition starts from the same state (damage re-injected, store
+  // reopened cold) and is byte-checked.
   constexpr int kReps = 3;
   bool all_ok = true;
   double reference_mb_s[kDamageShapes] = {};  // w=1 speedup baselines
@@ -171,12 +172,20 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
       // Re-inject the identical damage pattern (the previous
       // repetition's repairs healed it).
       for (const BlockKey& victim : victims[phase.damage])
-        store.erase(victim);
-      store.drop_payload_cache();  // every repetition starts cold
+        store->erase(victim);
+      // Every repetition starts cold: a store opened afresh on the root
+      // holds no block in memory.
+      session.reset();
+      store = std::make_unique<FileBlockStore>(root);
+      session =
+          engine->open_session(codec, store.get(), block_size, total_blocks);
 
+      // Each block is checked as it arrives and then dropped, as a reader
+      // that copies blocks out does: keeping every block of the run would
+      // time the page faults of that buffer, not the read.
       const auto start = Clock::now();
-      std::vector<std::optional<Bytes>> out;
-      out.reserve(total_blocks);
+      std::uint64_t delivered = 0;
+      bool rep_identical = true;
       // A streamed phase is one run; a windowed one, one run per window.
       const std::uint64_t run = phase.mode == Mode::kStreamed
                                     ? total_blocks
@@ -186,13 +195,15 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
             static_cast<NodeIndex>(first),
             std::min<std::uint64_t>(run, total_blocks - first + 1),
             phase.window);
-        while (!stream->exhausted()) out.push_back(stream->next());
+        while (!stream->exhausted()) {
+          const std::optional<Bytes> block = stream->next();
+          rep_identical = rep_identical && delivered < total_blocks &&
+                          block.has_value() && *block == expected[delivered];
+          ++delivered;
+        }
       }
       const double rep_wall = seconds_since(start);
-
-      bool rep_identical = out.size() == total_blocks;
-      for (std::uint64_t i = 0; rep_identical && i < total_blocks; ++i)
-        rep_identical = out[i].has_value() && *out[i] == expected[i];
+      rep_identical = rep_identical && delivered == total_blocks;
       identical = rep == 0 ? rep_identical : (identical && rep_identical);
       wall = rep == 0 ? rep_wall : std::min(wall, rep_wall);
     }

@@ -164,27 +164,34 @@ void fill_from(const pipeline::ConcurrentBlockStore& pristine,
   if (!batch.empty()) store.put_batch(std::move(batch));
 }
 
-/// Builds the empty store of one measurement (called once per thread
-/// count, after the previous measurement's store is gone).
+/// Builds the store of one measurement (called once per thread count,
+/// after the previous measurement's store is gone).
 using StoreFactory = std::function<std::unique_ptr<BlockStore>()>;
 
 /// One backend × pattern: a fresh damaged copy of `pristine` per thread
 /// count, repaired and checked; the one-thread row is the baseline.
+/// `make_store` builds an empty store; a durable backend also passes
+/// `reopen`, which opens the damaged store afresh on its root so the
+/// repair starts with no block in memory.
 void measure(const CodeParams& params, std::size_t count,
              std::size_t block_size,
              const pipeline::ConcurrentBlockStore& pristine,
              const ErasurePattern& pattern, const char* backend,
-             const StoreFactory& make_store) {
+             const StoreFactory& make_store,
+             const StoreFactory& reopen = {}) {
   const Lattice lat(params, count, Lattice::Boundary::kOpen);
   RepairReport baseline;
   double baseline_wall = 0.0;
   double repaired_mb = 0.0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}, std::size_t{8}}) {
-    const std::unique_ptr<BlockStore> store = make_store();
+    std::unique_ptr<BlockStore> store = make_store();
     fill_from(pristine, *store);
     const std::uint64_t erased = pattern.apply(lat, *store);
-    store->drop_payload_cache();
+    if (reopen) {
+      store.reset();  // drains any write-behind queue
+      store = reopen();
+    }
 
     pipeline::ThreadPool pool(threads);
     pipeline::ParallelRepairer repairer(params, count, block_size,
@@ -241,14 +248,18 @@ void run_file_backed(const CodeParams& params, std::size_t count,
                         ("aec_bench_repair_" + std::to_string(::getpid()));
   for (const ErasurePattern& pattern : kPatterns) {
     for (const bool sharded : {false, true}) {
+      const StoreFactory open = [&]() -> std::unique_ptr<BlockStore> {
+        if (sharded) return std::make_unique<FileBlockStore>(root, 8);
+        return std::make_unique<FileBlockStore>(root);
+      };
       // One configuration's files on disk at a time.
       measure(params, count, block_size, pristine, pattern,
               sharded ? "sharded-file(8)" : "file",
-              [&]() -> std::unique_ptr<BlockStore> {
+              [&] {
                 fs::remove_all(root);
-                if (sharded) return std::make_unique<FileBlockStore>(root, 8);
-                return std::make_unique<FileBlockStore>(root);
-              });
+                return open();
+              },
+              open);
     }
   }
   fs::remove_all(root);

@@ -285,7 +285,21 @@ std::optional<std::vector<Bytes>> ReplicationCodec::repair(
   return std::nullopt;
 }
 
-// --- spec parsing + registry ------------------------------------------------
+// --- spec parsing ----------------------------------------------------------
+
+namespace {
+
+/// Parsed "FAMILY(arg,arg,…)" spec. A literal "-" argument (AE(1,-,-))
+/// parses as kWildcardArg.
+struct CodecSpec {
+  static constexpr std::uint32_t kWildcardArg = 0xFFFFFFFFu;
+  std::string family;
+  std::vector<std::uint32_t> args;
+
+  bool concrete() const {
+    return std::find(args.begin(), args.end(), kWildcardArg) == args.end();
+  }
+};
 
 CodecSpec parse_codec_spec(const std::string& spec) {
   const std::size_t open = spec.find('(');
@@ -319,72 +333,30 @@ CodecSpec parse_codec_spec(const std::string& spec) {
   return out;
 }
 
-CodecRegistry::CodecRegistry() {
-  register_family("AE", [](const CodecSpec& spec) -> std::unique_ptr<Codec> {
-    // AE(1) and AE(1,-,-) are the single-entanglement chain.
-    if (spec.args == std::vector<std::uint32_t>{1} ||
-        (spec.args.size() == 3 && spec.args[0] == 1 &&
-         spec.args[1] == CodecSpec::kWildcardArg &&
-         spec.args[2] == CodecSpec::kWildcardArg))
-      return std::make_unique<AeCodec>(CodeParams::single());
-    AEC_CHECK_MSG(spec.args.size() == 3 &&
-                      spec.args[0] != CodecSpec::kWildcardArg &&
-                      spec.args[1] != CodecSpec::kWildcardArg &&
-                      spec.args[2] != CodecSpec::kWildcardArg,
-                  "AE wants AE(alpha,s,p), AE(1) or AE(1,-,-)");
-    return std::make_unique<AeCodec>(
-        CodeParams(spec.args[0], spec.args[1], spec.args[2]));
-  });
-  register_family("RS", [](const CodecSpec& spec) -> std::unique_ptr<Codec> {
-    AEC_CHECK_MSG(spec.args.size() == 2 &&
-                      spec.args[0] != CodecSpec::kWildcardArg &&
-                      spec.args[1] != CodecSpec::kWildcardArg,
-                  "RS wants RS(k,m)");
-    return std::make_unique<RsCodec>(spec.args[0], spec.args[1]);
-  });
-  register_family("REP", [](const CodecSpec& spec) -> std::unique_ptr<Codec> {
-    AEC_CHECK_MSG(spec.args.size() == 1 &&
-                      spec.args[0] != CodecSpec::kWildcardArg,
-                  "REP wants REP(n)");
-    return std::make_unique<ReplicationCodec>(spec.args[0]);
-  });
-}
-
-CodecRegistry& CodecRegistry::instance() {
-  static CodecRegistry registry;
-  return registry;
-}
-
-void CodecRegistry::register_family(const std::string& family,
-                                    Factory factory) {
-  AEC_CHECK_MSG(!family.empty(), "empty codec family name");
-  factories_[family] = std::move(factory);
-}
-
-bool CodecRegistry::has_family(const std::string& family) const {
-  return factories_.count(family) != 0;
-}
-
-std::vector<std::string> CodecRegistry::families() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
-
-std::unique_ptr<Codec> CodecRegistry::make(const std::string& spec) const {
-  const CodecSpec parsed = parse_codec_spec(spec);
-  const auto it = factories_.find(parsed.family);
-  AEC_CHECK_MSG(it != factories_.end(), "unknown codec family '"
-                                            << parsed.family << "' in '"
-                                            << spec << "'");
-  auto codec = it->second(parsed);
-  AEC_CHECK(codec != nullptr);
-  return codec;
-}
+}  // namespace
 
 std::unique_ptr<Codec> make_codec(const std::string& spec) {
-  return CodecRegistry::instance().make(spec);
+  const CodecSpec parsed = parse_codec_spec(spec);
+  const std::vector<std::uint32_t>& args = parsed.args;
+  if (parsed.family == "AE") {
+    // AE(1) and AE(1,-,-) are the single-entanglement chain.
+    if (args == std::vector<std::uint32_t>{1} ||
+        args == std::vector<std::uint32_t>{1, CodecSpec::kWildcardArg,
+                                           CodecSpec::kWildcardArg})
+      return std::make_unique<AeCodec>(CodeParams::single());
+    AEC_CHECK_MSG(args.size() == 3 && parsed.concrete(),
+                  "AE wants AE(alpha,s,p), AE(1) or AE(1,-,-)");
+    return std::make_unique<AeCodec>(CodeParams(args[0], args[1], args[2]));
+  }
+  if (parsed.family == "RS") {
+    AEC_CHECK_MSG(args.size() == 2 && parsed.concrete(), "RS wants RS(k,m)");
+    return std::make_unique<RsCodec>(args[0], args[1]);
+  }
+  AEC_CHECK_MSG(parsed.family == "REP", "unknown codec family '"
+                                            << parsed.family << "' in '"
+                                            << spec << "'");
+  AEC_CHECK_MSG(args.size() == 1 && parsed.concrete(), "REP wants REP(n)");
+  return std::make_unique<ReplicationCodec>(args[0]);
 }
 
 }  // namespace aec

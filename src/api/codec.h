@@ -17,14 +17,12 @@
 //   RS(k,m) — the m Cauchy parity rows in row order.
 //   REP(n)  — the n−1 extra copies.
 //
-// Codecs are looked up by spec string through the CodecRegistry
-// ("AE(3,2,5)", "RS(10,4)", "REP(3)"); id() round-trips through
-// make_codec().
+// make_codec() builds a codec from its spec string ("AE(3,2,5)",
+// "RS(10,4)", "REP(3)"); the three families are a closed set, and id()
+// round-trips through make_codec().
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -167,43 +165,10 @@ class ReplicationCodec final : public Codec {
   std::uint32_t copies_;
 };
 
-/// Parsed "FAMILY(arg,arg,…)" spec. A literal "-" argument (AE(1,-,-))
-/// parses as kWildcardArg.
-struct CodecSpec {
-  static constexpr std::uint32_t kWildcardArg = 0xFFFFFFFFu;
-  std::string family;
-  std::vector<std::uint32_t> args;
-};
-
-/// Splits a spec string; throws CheckError on syntax errors (missing
-/// parentheses, empty/non-numeric arguments, trailing junk).
-CodecSpec parse_codec_spec(const std::string& spec);
-
-/// String-keyed codec factory. The three built-in families (AE, RS, REP)
-/// are registered at startup; register_family() adds or replaces one.
-class CodecRegistry {
- public:
-  using Factory =
-      std::function<std::unique_ptr<Codec>(const CodecSpec& spec)>;
-
-  /// The process-wide registry.
-  static CodecRegistry& instance();
-
-  void register_family(const std::string& family, Factory factory);
-  bool has_family(const std::string& family) const;
-  std::vector<std::string> families() const;
-
-  /// Parses `spec` and builds the codec; throws CheckError on unknown
-  /// families or invalid parameters.
-  std::unique_ptr<Codec> make(const std::string& spec) const;
-
- private:
-  CodecRegistry();
-
-  std::map<std::string, Factory> factories_;
-};
-
-/// Shorthand for CodecRegistry::instance().make(spec).
+/// Builds the codec a spec names: AE(alpha,s,p), AE(1) or AE(1,-,-),
+/// RS(k,m) or REP(n). Throws CheckError on syntax errors (missing
+/// parentheses, empty/non-numeric arguments, trailing junk), unknown
+/// families and invalid parameters.
 std::unique_ptr<Codec> make_codec(const std::string& spec);
 
 }  // namespace aec

@@ -138,7 +138,6 @@ CodecSession::CodecSession() {
   registry.counter("read.prefetch.issued");
   registry.counter("read.prefetch.hit");
   registry.counter("read.prefetch.wasted");
-  registry.counter("read.prefetch.plan_inputs");
   registry.histogram("read.prefetch.lookahead_depth",
                      obs::Histogram::size_bounds());
   registry.histogram("read.prefetch.fetch_wait_us",
@@ -371,7 +370,9 @@ std::vector<std::optional<Bytes>> StripedSession::collect_parts(
 }
 
 void StripedSession::encode_stripe(std::uint64_t stripe,
-                                   std::uint64_t count) {
+                                   std::uint64_t count,
+                                   const std::vector<Bytes>& fresh,
+                                   std::uint64_t base) {
   const std::uint64_t first = stripe * k_;
   std::vector<Bytes> data;
   data.reserve(k_);
@@ -379,6 +380,10 @@ void StripedSession::encode_stripe(std::uint64_t stripe,
     const std::uint64_t index = first + r;
     if (index >= count) {
       data.emplace_back(block_size_, 0);  // virtual tail block
+      continue;
+    }
+    if (index >= base && index - base < fresh.size()) {
+      data.push_back(fresh[index - base]);
       continue;
     }
     auto block =
@@ -438,12 +443,16 @@ void StripedSession::append(const std::vector<Bytes>& blocks) {
     store_->put_batch(std::move(puts));
   }
 
-  // Stripes are independent: re-encode every touched stripe across the
-  // pool (reads go through get_copy, writes land in disjoint keys).
+  // Stripes are independent: encode every touched stripe across the
+  // pool from the blocks handed in (only a partial tail stripe's
+  // committed members are read back from the store); writes land in
+  // disjoint keys.
   const std::uint64_t last_stripe = (new_count - 1) / k_;
   pipeline::ThreadPool::Group batch;
   for (std::uint64_t g = first_stripe; g <= last_stripe; ++g)
-    pool_->submit(batch, [this, g, new_count] { encode_stripe(g, new_count); });
+    pool_->submit(batch, [this, g, new_count, &blocks, count] {
+      encode_stripe(g, new_count, blocks, count);
+    });
   try {
     pool_->wait(batch);  // batch barrier (rethrows the first task error)
   } catch (...) {
@@ -595,9 +604,7 @@ IntegrityReport StripedSession::verify_integrity() const {
   const std::uint64_t stripe_count = (count + k_ - 1) / k_;
   std::vector<BlockKey> keys;
   for (std::uint64_t g = 0; g < stripe_count; ++g) {
-    // One get_batch per stripe — the streaming read (see block_store.h),
-    // so the scan holds one stripe at a time and leaves a durable
-    // store's payload cache as it found it.
+    // One get_batch per stripe, so the scan holds one stripe at a time.
     const std::uint64_t first = g * k_;
     const std::uint32_t real = real_parts(g, count);
     keys.clear();

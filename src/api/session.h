@@ -180,10 +180,9 @@ class CodecSession {
   /// [1, size()] — the session's only read (see BlockStream): healthy
   /// blocks are prefetched up to `window` ahead of consumption through
   /// the engine pool, overlapping store I/O with copy-out and repair
-  /// work; a missing block is repaired through the codec with the repair
-  /// plan's inputs batch-prefetched (an AE session repairs every one-XOR
-  /// loss of the next `window` blocks of the run in one wave), and the
-  /// repairs are persisted. The stream yields nullopt for an
+  /// work; a missing block is repaired through the codec (an AE session
+  /// repairs every one-XOR loss of the next `window` blocks of the run
+  /// in one wave), and the repairs are persisted. The stream yields nullopt for an
   /// irrecoverable block. `window` = 0 uses kReadWindowBlocks; window 1
   /// repairs each lost block on its own.
   virtual std::unique_ptr<BlockStream> open_stream(
@@ -337,9 +336,13 @@ class StripedSession final : public CodecSession {
   /// class comment). No-op when no orphan blocks exist.
   void heal_tail_stripe();
 
-  /// Recomputes and stores the parities of one stripe from the data
-  /// blocks currently in the store (virtual tail = zero blocks).
-  void encode_stripe(std::uint64_t stripe, std::uint64_t count);
+  /// Recomputes and stores the parities of one stripe (virtual tail =
+  /// zero blocks). The data blocks at 0-based positions [base, base +
+  /// fresh.size()) are taken from `fresh`; the others are read from the
+  /// store.
+  void encode_stripe(std::uint64_t stripe, std::uint64_t count,
+                     const std::vector<Bytes>& fresh = {},
+                     std::uint64_t base = 0);
 
   struct StripeOutcome {
     std::uint64_t nodes_repaired = 0;

@@ -244,18 +244,6 @@ std::vector<std::optional<Bytes>> ClusterStore::get_batch(
   return payloads;
 }
 
-void ClusterStore::prefetch(const std::vector<BlockKey>& keys) const {
-  std::vector<std::vector<BlockKey>> by_node(nodes_.size());
-  for (const BlockKey& key : keys)
-    by_node[node_of(key)].push_back(key);
-  for (std::size_t k = 0; k < nodes_.size(); ++k) {
-    if (by_node[k].empty()) continue;
-    Node& n = *nodes_[k];
-    std::shared_lock lock(n.mu);
-    target(n).prefetch(by_node[k]);  // a no-op on the in-memory overlay
-  }
-}
-
 void ClusterStore::put_batch(std::vector<std::pair<BlockKey, Bytes>> items) {
   std::vector<std::vector<std::pair<BlockKey, Bytes>>> by_node(
       nodes_.size());
@@ -267,14 +255,6 @@ void ClusterStore::put_batch(std::vector<std::pair<BlockKey, Bytes>> items) {
     for (const auto& [key, value] : by_node[k]) n.count_write(value.size());
     std::shared_lock lock(n.mu);
     target(n).put_batch(std::move(by_node[k]));
-  }
-}
-
-void ClusterStore::drop_payload_cache() const {
-  for (const auto& node_ptr : nodes_) {
-    std::shared_lock lock(node_ptr->mu);
-    // The staging overlay IS its storage, so only child caches drop.
-    target(*node_ptr).drop_payload_cache();
   }
 }
 

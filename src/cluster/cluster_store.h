@@ -99,13 +99,7 @@ class ClusterStore final : public BlockStore {
   std::vector<std::optional<Bytes>> get_batch(
       const std::vector<BlockKey>& keys) const override;
   void put_batch(std::vector<std::pair<BlockKey, Bytes>> items) override;
-  /// Cache warm-up forwarded to each key's node (skipping down nodes,
-  /// whose staging overlay is already memory). Prefetch moves no payload
-  /// across the "wire", so it does NOT count as node traffic — the
-  /// consuming get_batch/get_copy does.
-  void prefetch(const std::vector<BlockKey>& keys) const override;
   bool thread_safe() const noexcept override { return children_safe_; }
-  void drop_payload_cache() const override;
   void flush() const override;
   bool for_each_key(
       const std::function<void(const BlockKey&)>& fn) const override;

@@ -2,10 +2,11 @@
 // "Implementation Details": client-, middleware- or backend-based), and
 // every store holds one contract: put, get_copy, get_batch, contains and
 // erase are each safe from any thread, and every read hands out a copy.
-// The implementations (pipeline::ConcurrentBlockStore, FileBlockStore,
-// cluster::ClusterStore, and the paper's applications under store/) live
-// in their own headers; the general-purpose ones are constructed by name
-// through the StoreRegistry.
+// What stays in memory is each store's own business: no caller warms or
+// drops a cache. The implementations (pipeline::ConcurrentBlockStore,
+// FileBlockStore, cluster::ClusterStore, and the paper's applications
+// under store/) live in their own headers; the general-purpose ones are
+// constructed by name through the StoreRegistry.
 #pragma once
 
 #include <cstdint>
@@ -61,13 +62,6 @@ class BlockStore {
   /// sharding override it to group the keys per shard and amortize
   /// lock/IO round trips. Duplicate keys are allowed and resolved
   /// independently.
-  ///
-  /// Caching contract: get_batch is a STREAMING read. Durable stores with
-  /// a payload cache serve hits from it but do not insert misses — a
-  /// windowed read of a huge file must not balloon the cache with blocks
-  /// that are consumed exactly once. Callers that want the payloads
-  /// resident for repeated access (e.g. repair inputs read by several
-  /// waves) warm the cache explicitly with prefetch().
   virtual std::vector<std::optional<Bytes>> get_batch(
       const std::vector<BlockKey>& keys) const;
 
@@ -75,12 +69,9 @@ class BlockStore {
   /// override it to take each shard lock once per batch.
   virtual void put_batch(std::vector<std::pair<BlockKey, Bytes>> items);
 
-  /// Bulk cache warm-up hint: loads the given blocks' payloads into the
-  /// store's cache so subsequent get_copy/get_batch calls are served
-  /// from memory (the read path issues these for a repair plan's inputs
-  /// before the waves execute them). Missing keys are silently skipped;
-  /// stores without a payload cache ignore the hint entirely. Wrapper
-  /// stores forward it to where the cache lives.
+  /// Not called by anything, and no library store overrides it: a no-op
+  /// kept declared only because the benchmark's TimedStore decorator
+  /// overrides it.
   virtual void prefetch(const std::vector<BlockKey>& keys) const {
     (void)keys;
   }
@@ -90,9 +81,9 @@ class BlockStore {
   /// stores answering true.
   virtual bool thread_safe() const noexcept { return false; }
 
-  /// Drops any payload cache the store keeps (presence metadata stays).
-  /// No-op for stores without one; memory-conscious streaming ingest
-  /// calls this between windows.
+  /// Not called by anything, and no library store overrides it: a no-op
+  /// kept declared only because the benchmark's TimedStore decorator
+  /// overrides it.
   virtual void drop_payload_cache() const {}
 
   /// Blocks until buffered mutations reach the store's backing medium so

@@ -7,6 +7,7 @@
 #include <optional>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
@@ -18,16 +19,37 @@ namespace aec {
 namespace fs = std::filesystem;
 
 struct FileBlockStore::Shard {
+  struct Write {
+    BlockKey key;
+    Bytes payload;
+  };
+
+  /// Whether `write` is the newest write of its key, the one reads serve
+  /// and the only one the flusher writes.
+  bool is_newest(const Write& write) const {
+    const auto it = newest.find(write.key);
+    return it != newest.end() && it->second == &write;
+  }
+
   mutable std::mutex mu;
   fs::path dir;
-  std::unordered_map<BlockKey, bool, BlockKeyHash> index;
-  mutable std::unordered_map<BlockKey, Bytes, BlockKeyHash> cache;
 
-  // Write-behind state, all guarded by mu. FIFO order per shard keeps
-  // same-key overwrites last-write-wins on disk.
-  std::deque<std::pair<BlockKey, Bytes>> wb_queue;
-  /// Key whose file write the flusher currently holds outside the lock;
-  /// erase() must wait it out before removing the file.
+  // Everything below is guarded by mu.
+  std::unordered_set<BlockKey, BlockKeyHash> index;
+  /// The shard's last writes, oldest first, at most kRingBlocksPerShard
+  /// after every put: ring[0, flushed) are flushed (on disk, or skipped
+  /// as no longer their key's newest), the rest is the write-behind
+  /// queue (always empty with synchronous writes). Entries are pushed at
+  /// the back and popped at the front only, so pointers to them stay
+  /// valid, and they never change once pushed.
+  std::deque<Write> ring;
+  std::size_t flushed = 0;
+  /// Each key's newest write in the ring. An erased key has none.
+  std::unordered_map<BlockKey, const Write*, BlockKeyHash> newest;
+
+  /// Key whose file write the flusher currently holds outside the lock
+  /// (always ring[flushed]); erase() must wait it out before removing
+  /// the file.
   std::optional<BlockKey> wb_in_flight;
   bool wb_stop = false;
   std::condition_variable wb_cv;
@@ -114,20 +136,24 @@ FileBlockStore::~FileBlockStore() {
 void FileBlockStore::flusher_main(Shard& shard) {
   std::unique_lock lock(shard.mu);
   for (;;) {
-    shard.wb_cv.wait(
-        lock, [&] { return shard.wb_stop || !shard.wb_queue.empty(); });
-    if (shard.wb_queue.empty()) return;  // only when wb_stop: full drain
-    auto [key, payload] = std::move(shard.wb_queue.front());
-    shard.wb_queue.pop_front();
-    shard.wb_in_flight = key;
-    lock.unlock();
-    const bool ok = write_block_file(path_of(key), payload);
-    if (ok)
-      wb_flushed_blocks_->add();
-    else
-      wb_failed_.store(true, std::memory_order_relaxed);
-    lock.lock();
-    shard.wb_in_flight.reset();
+    shard.wb_cv.wait(lock, [&] {
+      return shard.wb_stop || shard.flushed < shard.ring.size();
+    });
+    if (shard.flushed == shard.ring.size()) return;  // wb_stop, drained
+    // The entry stays in the ring (unflushed entries are never evicted)
+    // and never changes, so its payload is read outside the lock.
+    const Shard::Write& write = shard.ring[shard.flushed];
+    if (shard.is_newest(write)) {
+      shard.wb_in_flight = write.key;
+      lock.unlock();
+      if (write_block_file(path_of(write.key), write.payload))
+        wb_flushed_blocks_->add();
+      else
+        wb_failed_.store(true, std::memory_order_relaxed);
+      lock.lock();
+      shard.wb_in_flight.reset();
+    }
+    ++shard.flushed;
     wb_queue_blocks_->add(-1);
     shard.wb_cv.notify_all();
   }
@@ -135,9 +161,8 @@ void FileBlockStore::flusher_main(Shard& shard) {
 
 void FileBlockStore::drain_locked(Shard& shard,
                                   std::unique_lock<std::mutex>& lock) const {
-  shard.wb_cv.wait(lock, [&] {
-    return shard.wb_queue.empty() && !shard.wb_in_flight.has_value();
-  });
+  shard.wb_cv.wait(lock,
+                   [&] { return shard.flushed == shard.ring.size(); });
 }
 
 void FileBlockStore::check_wb_healthy() const {
@@ -180,7 +205,9 @@ void FileBlockStore::rescan() {
     // index would miss them.
     if (write_behind_) drain_locked(shard, lock);
     shard.index.clear();
-    shard.cache.clear();
+    shard.newest.clear();
+    shard.ring.clear();
+    shard.flushed = 0;
     const auto scan_dir = [&](const fs::path& dir, BlockKey::Kind kind,
                               StrandClass cls) {
       if (!fs::exists(dir)) return;
@@ -191,7 +218,7 @@ void FileBlockStore::rescan() {
         char* end = nullptr;
         const long long idx = std::strtoll(name.c_str(), &end, 10);
         if (end == nullptr || *end != '\0' || idx <= 0) continue;  // foreign
-        shard.index[BlockKey{kind, cls, idx}] = true;
+        shard.index.insert(BlockKey{kind, cls, idx});
       }
     };
     scan_dir(shard.dir / "d", BlockKey::Kind::kData,
@@ -210,7 +237,7 @@ bool FileBlockStore::for_each_key(
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard lock(shard.mu);
-    for (const auto& [key, present] : shard.index) fn(key);
+    for (const BlockKey& key : shard.index) fn(key);
   }
   return true;
 }
@@ -223,18 +250,31 @@ void FileBlockStore::put_locked(Shard& shard,
     // Backpressure: block the producer (lock released while waiting)
     // until the flusher drains below the per-shard bound.
     shard.wb_cv.wait(lock, [&] {
-      return shard.wb_queue.size() < kMaxQueuedBlocksPerShard;
+      return shard.ring.size() - shard.flushed < kRingBlocksPerShard;
     });
-    shard.wb_queue.emplace_back(key, value);  // copy; cache keeps the move
-    wb_queue_blocks_->add(1);
-    shard.wb_cv.notify_all();
   } else {
     const fs::path path = path_of(key);
     AEC_CHECK_MSG(write_block_file(path, value),
                   "cannot write " << path.string());
   }
-  shard.index[key] = true;
-  shard.cache[key] = std::move(value);
+  const Shard::Write& write =
+      shard.ring.emplace_back(Shard::Write{key, std::move(value)});
+  if (write_behind_) {
+    wb_queue_blocks_->add(1);
+    shard.wb_cv.notify_all();
+  } else {
+    ++shard.flushed;
+  }
+  shard.newest[key] = &write;
+  // Evict the oldest flushed writes; at most kRingBlocksPerShard are
+  // unflushed, so the ring is back at its bound.
+  while (shard.ring.size() > kRingBlocksPerShard && shard.flushed > 0) {
+    if (shard.is_newest(shard.ring.front()))
+      shard.newest.erase(shard.ring.front().key);
+    shard.ring.pop_front();
+    --shard.flushed;
+  }
+  shard.index.insert(key);
   notify(key, true);
 }
 
@@ -260,18 +300,17 @@ void FileBlockStore::put_batch(std::vector<std::pair<BlockKey, Bytes>> items) {
   }
 }
 
-const Bytes* FileBlockStore::resolve_locked(Shard& shard,
-                                            const BlockKey& key) const {
-  if (!shard.index.contains(key)) return nullptr;
-  if (const auto it = shard.cache.find(key); it != shard.cache.end()) {
-    cache_hits_->add();
-    return &it->second;
+std::optional<Bytes> FileBlockStore::read_locked(const Shard& shard,
+                                                 const BlockKey& key) const {
+  if (!shard.index.contains(key)) return std::nullopt;
+  if (const auto it = shard.newest.find(key); it != shard.newest.end()) {
+    ring_hits_->add();
+    return it->second->payload;
   }
-  cache_misses_->add();
-  auto payload = read_block_file(path_of(key));
-  if (!payload) return nullptr;  // deleted or truncated externally
-  const auto [it, inserted] = shard.cache.emplace(key, std::move(*payload));
-  return &it->second;
+  // Not in the ring, so flushed: the file is complete, or was deleted or
+  // truncated externally (nullopt).
+  file_reads_->add();
+  return read_block_file(path_of(key));
 }
 
 bool FileBlockStore::contains(const BlockKey& key) const {
@@ -283,20 +322,12 @@ bool FileBlockStore::contains(const BlockKey& key) const {
 bool FileBlockStore::erase(const BlockKey& key) {
   Shard& shard = shard_of(key);
   std::unique_lock lock(shard.mu);
-  if (write_behind_) {
-    // Purge queued writes of this key and wait out an in-flight one so
-    // the flusher cannot recreate the file after the remove below.
-    for (auto it = shard.wb_queue.begin(); it != shard.wb_queue.end();) {
-      if (it->first == key) {
-        it = shard.wb_queue.erase(it);
-        wb_queue_blocks_->add(-1);
-      } else {
-        ++it;
-      }
-    }
+  // Wait out an in-flight write of this key so the flusher cannot
+  // recreate the file after the remove below; with no newest write left,
+  // it skips the key's queued ones.
+  if (write_behind_)
     shard.wb_cv.wait(lock, [&] { return shard.wb_in_flight != key; });
-  }
-  shard.cache.erase(key);
+  shard.newest.erase(key);
   if (shard.index.erase(key) == 0) return false;
   std::error_code ec;
   fs::remove(path_of(key), ec);
@@ -314,11 +345,9 @@ std::uint64_t FileBlockStore::size() const {
 }
 
 std::optional<Bytes> FileBlockStore::get_copy(const BlockKey& key) const {
-  Shard& shard = shard_of(key);
+  const Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mu);
-  const Bytes* value = resolve_locked(shard, key);
-  if (value == nullptr) return std::nullopt;
-  return *value;
+  return read_locked(shard, key);
 }
 
 std::vector<std::optional<Bytes>> FileBlockStore::get_batch(
@@ -330,48 +359,12 @@ std::vector<std::optional<Bytes>> FileBlockStore::get_batch(
     buckets[shard_index(keys[j])].push_back(j);
   for (std::size_t k = 0; k < buckets.size(); ++k) {
     if (buckets[k].empty()) continue;
-    Shard& shard = *shards_[k];
-    std::lock_guard lock(shard.mu);
-    for (const std::size_t j : buckets[k]) {
-      const BlockKey& key = keys[j];
-      if (!shard.index.contains(key)) continue;
-      if (const auto it = shard.cache.find(key); it != shard.cache.end()) {
-        cache_hits_->add();
-        payloads[j] = it->second;
-        continue;
-      }
-      // Streaming read: raw file I/O, no cache insert (see the BlockStore
-      // caching contract).
-      cache_misses_->add();
-      payloads[j] = read_block_file(path_of(key));
-    }
-  }
-  return payloads;
-}
-
-void FileBlockStore::prefetch(const std::vector<BlockKey>& keys) const {
-  std::vector<std::vector<std::size_t>> buckets(shards_.size());
-  for (std::size_t j = 0; j < keys.size(); ++j)
-    buckets[shard_index(keys[j])].push_back(j);
-  for (std::size_t k = 0; k < buckets.size(); ++k) {
-    if (buckets[k].empty()) continue;
-    Shard& shard = *shards_[k];
+    const Shard& shard = *shards_[k];
     std::lock_guard lock(shard.mu);
     for (const std::size_t j : buckets[k])
-      resolve_locked(shard, keys[j]);  // caching path; misses load the cache
+      payloads[j] = read_locked(shard, keys[j]);
   }
-}
-
-void FileBlockStore::drop_payload_cache() const {
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::unique_lock lock(shard.mu);
-    // Unflushed blocks live only in the cache (files not written yet);
-    // drain before dropping so readers fall through to complete files.
-    if (write_behind_) drain_locked(shard, lock);
-    shard.cache.clear();
-  }
-  if (write_behind_) check_wb_healthy();
+  return payloads;
 }
 
 }  // namespace aec

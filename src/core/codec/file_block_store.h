@@ -7,31 +7,39 @@
 //                          <root>/shard<k>/p/<class>/<index>
 //
 // Both are the same machinery: N directory shards, each with its own
-// mutex, presence index and payload cache; the flat layout is one shard
-// whose directory is the root itself. In the sharded layout k = mixed
-// key hash mod N, so concurrent pipeline workers contend only when their
-// keys land on the same shard (the file-backed analogue of
+// mutex, presence index and ring of recent writes; the flat layout is one
+// shard whose directory is the root itself. In the sharded layout k =
+// mixed key hash mod N, so concurrent pipeline workers contend only when
+// their keys land on the same shard (the file-backed analogue of
 // pipeline::ConcurrentBlockStore's striped locking), and the batch
 // overrides take each shard lock once per batch instead of once per
 // block. The count is pinned in <root>/shards.txt at creation, so later
 // opens address the same files no matter what count they ask for (the
 // manifest-recorded spec normally matches anyway). The index is built
-// at open so contains() stays cheap; payloads are read lazily and cached
-// until the key mutates or drop_payload_cache() runs. Individual block
-// files can be deleted or corrupted externally and then repaired through
-// the lattice.
+// at open so contains() stays cheap. Individual block files can be
+// deleted or corrupted externally and then repaired through the lattice.
+//
+// Memory: the store alone decides which block bytes stay resident. Each
+// shard keeps its last kRingBlocksPerShard writes, in write order, and
+// nothing else: a read is a ring hit or a read of the block file, and no
+// read adds to the ring. A store therefore holds at most
+// kRingBlocksPerShard × shards blocks (1 MiB for `file`, 8 MiB for
+// sharded(8) at 4 KiB blocks) however much a scrub, rebuild or degraded
+// read touches, while a repair wave still finds in memory what the waves
+// just before it wrote (AE's one-XOR locality).
 //
 // Write-behind (the sharded default; `file` and sharded(N,sync) write
-// synchronously): put/put_batch update the shard's index and payload
-// cache immediately and enqueue the file write on a bounded per-shard
-// queue drained by that shard's flusher thread, so ingest callers pay a
-// memcpy instead of an open/write/close per block. Consistency is
-// preserved by the invariant "unflushed block ⊆ payload cache": readers
-// hit the cache before any file probe, and every operation that drops or
-// bypasses the cache (drop_payload_cache, rescan, erase, destruction)
-// first drains the queue. The destructor then ends with one syncfs over
-// the archive's filesystem, at a fraction of the cost of per-file
-// fdatasync; synchronous writes are never fsync'd.
+// synchronously): the ring's unflushed tail is the write queue, drained
+// in write order by the shard's flusher thread, so ingest callers pay a
+// memcpy instead of an open/write/close per block; a put waits while
+// kRingBlocksPerShard writes are unflushed. Only flushed writes are
+// evicted, so an unflushed block is always served from the ring. The
+// flusher writes an entry only while it is its key's newest (an
+// overwritten or erased write never reaches its file); erase waits out an
+// in-flight write of its key, and rescan and destruction drain first. The
+// destructor then ends with one syncfs over the archive's filesystem, at
+// a fraction of the cost of per-file fdatasync; synchronous writes are
+// never fsync'd.
 #pragma once
 
 #include <atomic>
@@ -50,10 +58,10 @@ class FileBlockStore final : public BlockStore {
   static constexpr std::size_t kDefaultShards = 16;
   /// Upper bound on the shard count, for a spec and for a pinned marker.
   static constexpr std::size_t kMaxShards = 4096;
-  /// Per-shard write-behind bound, in blocks. At 4 KiB blocks this caps
-  /// buffered-but-unflushed data at 1 MiB per shard; producers that
-  /// outrun the flusher block on put until it drains below the bound.
-  static constexpr std::size_t kMaxQueuedBlocksPerShard = 256;
+  /// Per-shard ring of recent writes, in blocks: at 4 KiB blocks 1 MiB
+  /// per shard. It is also the write-behind bound: producers that outrun
+  /// the flusher block on put while this many writes are unflushed.
+  static constexpr std::size_t kRingBlocksPerShard = 256;
 
   /// Opens (creating directories if needed) a flat-layout archive rooted
   /// at `root`, with synchronous writes.
@@ -71,21 +79,13 @@ class FileBlockStore final : public BlockStore {
   bool contains(const BlockKey& key) const override;
   bool erase(const BlockKey& key) override;
   std::uint64_t size() const override;
-  /// Caching point read: a miss is read from its file and inserted into
-  /// the shard's payload cache.
+  /// A ring hit, or else the block file; inserts nothing.
   std::optional<Bytes> get_copy(const BlockKey& key) const override;
-  /// Streaming batch read: cache hits are copied out, misses are read
-  /// with raw file I/O and NOT inserted into the cache (see the
-  /// BlockStore caching contract).
+  /// get_copy() per key, taking each shard lock once per batch.
   std::vector<std::optional<Bytes>> get_batch(
       const std::vector<BlockKey>& keys) const override;
   void put_batch(std::vector<std::pair<BlockKey, Bytes>> items) override;
-  /// Loads the given blocks into their shards' payload caches.
-  void prefetch(const std::vector<BlockKey>& keys) const override;
   bool thread_safe() const noexcept override { return true; }
-  /// Drops the payload caches (the index stays), draining queued writes
-  /// first.
-  void drop_payload_cache() const override;
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
   bool write_behind() const noexcept { return write_behind_; }
@@ -97,8 +97,10 @@ class FileBlockStore final : public BlockStore {
   void flush() const override;
 
   /// Re-scans every shard's directory tree (picks up external
-  /// additions/removals). The observer is not notified of the diff;
-  /// reseed any availability index afterwards.
+  /// additions/removals) after draining queued writes, and empties the
+  /// rings, so an externally deleted block is no longer served from
+  /// memory. The observer is not notified of the diff; reseed any
+  /// availability index afterwards.
   void rescan() override;
 
   /// Visits keys one shard at a time, under that shard's lock.
@@ -117,12 +119,13 @@ class FileBlockStore final : public BlockStore {
   void open_shards(const std::vector<std::filesystem::path>& dirs);
   std::size_t shard_index(const BlockKey& key) const noexcept;
   Shard& shard_of(const BlockKey& key) const noexcept;
-  /// Resolves one key inside `shard` (cache or disk); caller holds the
-  /// shard lock. Returns nullptr when missing or unreadable.
-  const Bytes* resolve_locked(Shard& shard, const BlockKey& key) const;
-  /// Applies one put inside `shard` — synchronous file write, or enqueue
-  /// (with backpressure wait on `lock`) in write-behind mode — and
-  /// updates the shard's index/cache.
+  /// Reads one key inside `shard` (ring, else its file); caller holds
+  /// the shard lock. Returns nullopt when missing or unreadable.
+  std::optional<Bytes> read_locked(const Shard& shard,
+                                   const BlockKey& key) const;
+  /// Applies one put inside `shard` — synchronous file write, or (with
+  /// backpressure wait on `lock`) a queued one in write-behind mode —
+  /// and records it in the shard's index and ring.
   void put_locked(Shard& shard, std::unique_lock<std::mutex>& lock,
                   const BlockKey& key, Bytes value);
   /// Waits (on `lock`) until `shard` has no queued or in-flight write.
@@ -140,11 +143,12 @@ class FileBlockStore final : public BlockStore {
   /// flusher thread.
   mutable std::atomic<bool> wb_failed_{false};
   /// Global-registry metrics (named store.sharded.* for both layouts).
-  /// Hit/miss tallies are per present-key payload resolution (cache vs
-  /// disk); batch histograms record request sizes in blocks.
-  obs::Counter* cache_hits_ =
+  /// The hit/miss tallies count present-key reads served from the ring
+  /// vs read from block files; batch histograms record request sizes in
+  /// blocks.
+  obs::Counter* ring_hits_ =
       obs::MetricsRegistry::global().counter("store.sharded.cache_hits");
-  obs::Counter* cache_misses_ =
+  obs::Counter* file_reads_ =
       obs::MetricsRegistry::global().counter("store.sharded.cache_misses");
   obs::Histogram* get_batch_blocks_ = obs::MetricsRegistry::global().histogram(
       "store.sharded.get_batch_blocks", obs::Histogram::size_bounds());

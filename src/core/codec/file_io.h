@@ -2,10 +2,8 @@
 // every FileBlockStore layout and mode.
 //
 // One open/fstat/read/close (or open/write/close) per block, no
-// stream/locale machinery. Single get_copy() calls put what they read
-// into the store's payload cache; the batched streaming reads
-// (get_batch) do not — which is where the windowed read path's
-// per-block savings come from on one-file-per-block layouts.
+// stream/locale machinery. Every read the store does not serve from its
+// ring of recent writes is one read_block_file; nothing read is kept.
 #pragma once
 
 #include <filesystem>

@@ -1,8 +1,8 @@
-// String-keyed block-store factory — the storage-side mirror of the
-// CodecRegistry. An archive records its backend as a spec string in the
-// manifest ("file", "sharded(8)", "mem") exactly as it records its codec,
-// so open() rebuilds the same layout it was created with, and aectool's
-// --store flag reaches every registered backend without new code.
+// String-keyed block-store factory. An archive records its backend as a
+// spec string in the manifest ("file", "sharded(8)", "mem") exactly as
+// it records its codec, so open() rebuilds the same layout it was
+// created with, and aectool's --store flag reaches every registered
+// backend without new code.
 //
 // Built-in families (every one thread-safe, so any of them can back a
 // session at any thread count):

@@ -16,9 +16,7 @@ constexpr NodeIndex kScanWindowNodes = 64;
 
 /// Every payload the checks of nodes [first, last] read — their data
 /// blocks and input/output parities, each key once — fetched in one
-/// get_batch. That is the streaming read (see the caching contract in
-/// block_store.h), so a scan holds one window's blocks at a time and
-/// leaves a durable store's payload cache as it found it.
+/// get_batch, so a scan holds one window's blocks at a time.
 class ScanWindow {
  public:
   ScanWindow(const BlockStore& store, const Lattice& lattice,

@@ -29,8 +29,7 @@ bool verify_node(const BlockStore& store, const Lattice& lattice,
                  NodeIndex i, std::size_t block_size);
 
 /// Full-lattice scan, reading through get_batch() in windows of nodes,
-/// so its memory does not grow with the lattice and it inserts nothing
-/// into a store's payload cache.
+/// so its memory does not grow with the lattice.
 TamperScanResult scan_for_tampering(const BlockStore& store,
                                     const Lattice& lattice,
                                     std::size_t block_size);

@@ -28,12 +28,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/cli.h"
 #include "net/client.h"
 #include "obs/trace.h"
 
@@ -203,16 +205,8 @@ int run_command(Client& client, const Args& args) {
       usage();
     }
     const std::string& sub = args.positional[0];
-    const std::string& node_text = option("--node");
-    const bool numeric =
-        !node_text.empty() && node_text.size() <= 4 &&
-        node_text.find_first_not_of("0123456789") == std::string::npos;
-    if (!numeric) {
-      std::fprintf(stderr, "error: --node wants a node id, got '%s'\n",
-                   node_text.c_str());
-      usage();
-    }
-    const auto node = static_cast<std::uint32_t>(std::stoul(node_text));
+    const auto node = static_cast<std::uint32_t>(
+        aec::cli::parse_unsigned("--node", option("--node"), 0, 9999, usage));
     if (sub == "fail") {
       client.node_fail(node);
       std::printf("node %u is down\n", node);
@@ -251,22 +245,8 @@ int run(Args args) {
                    args.command.c_str());
       usage();
     }
-    const std::string& text = port_it->second;
-    const bool numeric =
-        !text.empty() && text.size() <= 5 &&
-        text.find_first_not_of("0123456789") == std::string::npos;
-    if (!numeric) {
-      std::fprintf(stderr, "error: --port wants a number, got '%s'\n",
-                   text.c_str());
-      usage();
-    }
-    const unsigned long port = std::stoul(text);
-    if (port < 1 || port > 65535) {
-      std::fprintf(stderr, "error: --port must be in [1, 65535], got %s\n",
-                   text.c_str());
-      usage();
-    }
-    config.port = static_cast<std::uint16_t>(port);
+    config.port = static_cast<std::uint16_t>(
+        aec::cli::parse_unsigned("--port", port_it->second, 1, 65535, usage));
   }
   const auto host_it = args.options.find("--host");
   if (host_it != args.options.end()) config.host = host_it->second;
@@ -284,7 +264,9 @@ int run(Args args) {
     args.positional.erase(args.positional.begin());
     if (const auto it = args.options.find("--request-id");
         it != args.options.end())
-      request_id_filter = std::strtoull(it->second.c_str(), nullptr, 10);
+      request_id_filter = aec::cli::parse_unsigned(
+          "--request-id", it->second, 0,
+          std::numeric_limits<std::uint64_t>::max(), usage);
     config.trace = true;
     aec::obs::TraceRing::global().enable();
   }

@@ -32,6 +32,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/cli.h"
 #include "net/server.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -59,32 +60,6 @@ namespace {
   std::exit(2);
 }
 
-std::uint64_t parse_number(const std::string& key, const std::string& text) {
-  const bool numeric =
-      !text.empty() && text.size() <= 9 &&
-      text.find_first_not_of("0123456789") == std::string::npos;
-  if (!numeric) {
-    std::fprintf(stderr, "error: %s wants a number, got '%s'\n", key.c_str(),
-                 text.c_str());
-    usage();
-  }
-  return std::stoull(text);
-}
-
-/// parse_number() restricted to [lo, hi]: out-of-range values exit 2
-/// instead of wrapping when cast to the option's narrower type.
-std::uint64_t parse_bounded(const std::string& key, const std::string& text,
-                            std::uint64_t lo, std::uint64_t hi) {
-  const std::uint64_t value = parse_number(key, text);
-  if (value < lo || value > hi) {
-    std::fprintf(stderr, "error: %s must be in [%llu, %llu], got %s\n",
-                 key.c_str(), static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi), text.c_str());
-    usage();
-  }
-  return value;
-}
-
 int run(int argc, char** argv) {
   std::map<std::string, std::string> options;
   for (int i = 1; i < argc; ++i) {
@@ -106,24 +81,26 @@ int run(int argc, char** argv) {
   std::string port_file;
   std::string http_port_file;
   for (const auto& [key, value] : options) {
+    // Bounded, so a value never wraps when cast to the option's type.
+    const auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+      return aec::cli::parse_unsigned(key.c_str(), value, lo, hi, usage);
+    };
     if (key == "--root") {
       continue;
     } else if (key == "--port") {
-      config.port =
-          static_cast<std::uint16_t>(parse_bounded(key, value, 0, 65535));
+      config.port = static_cast<std::uint16_t>(number(0, 65535));
     } else if (key == "--bind") {
       config.bind_address = value;
     } else if (key == "--threads") {
-      threads = static_cast<std::size_t>(parse_bounded(key, value, 1, 1024));
+      threads = static_cast<std::size_t>(number(1, 1024));
     } else if (key == "--max-inflight") {
-      config.max_inflight =
-          static_cast<std::size_t>(parse_bounded(key, value, 1, 999999999));
+      config.max_inflight = static_cast<std::size_t>(number(1, 999999999));
     } else if (key == "--idle-timeout-ms") {
-      config.idle_timeout_ms = static_cast<int>(parse_number(key, value));
+      config.idle_timeout_ms = static_cast<int>(number(0, 999999999));
     } else if (key == "--port-file") {
       port_file = value;
     } else if (key == "--http-port") {
-      config.http_port = static_cast<int>(parse_bounded(key, value, 0, 65535));
+      config.http_port = static_cast<int>(number(0, 65535));
     } else if (key == "--http-port-file") {
       http_port_file = value;
     } else if (key == "--log-level") {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
@@ -116,40 +115,6 @@ void ParallelRepairer::execute_plan(const RepairPlan& plan) {
   for (const std::vector<RepairStep>& wave : plan.waves) execute_wave(wave);
 }
 
-void ParallelRepairer::prefetch_plan_inputs(const RepairPlan& plan) {
-  // Inputs a later wave reads from an earlier wave's output are cached
-  // by that output's own put(); only inputs that pre-exist the plan need
-  // warming from disk.
-  std::unordered_set<BlockKey, BlockKeyHash> produced;
-  std::unordered_set<BlockKey, BlockKeyHash> seen;
-  std::vector<BlockKey> wanted;
-  for (const std::vector<RepairStep>& wave : plan.waves) {
-    for (const RepairStep& step : wave) {
-      const RepairStepInputs in = repair_step_inputs(lattice_, step);
-      const auto want = [&](const BlockKey& key) {
-        if (!produced.contains(key) && seen.insert(key).second)
-          wanted.push_back(key);
-      };
-      if (in.input) want(*in.input);
-      want(in.other);
-    }
-    for (const RepairStep& step : wave) produced.insert(step.key);
-  }
-  if (wanted.empty()) return;
-  obs::MetricsRegistry::global()
-      .counter("read.prefetch.plan_inputs")
-      ->add(wanted.size());
-  // Sub-batches bound the peak request size, not the cache footprint
-  // (prefetch inserts into the cache either way).
-  constexpr std::size_t kBatch = 256;
-  for (std::size_t b = 0; b < wanted.size(); b += kBatch) {
-    const std::size_t stop = std::min(b + kBatch, wanted.size());
-    store_->prefetch(std::vector<BlockKey>(
-        wanted.begin() + static_cast<std::ptrdiff_t>(b),
-        wanted.begin() + static_cast<std::ptrdiff_t>(stop)));
-  }
-}
-
 RepairReport ParallelRepairer::repair_all(std::uint32_t max_rounds) {
   const RepairPlanner planner(&lattice_);
   return execute_repair_plan(
@@ -169,7 +134,6 @@ void ParallelRepairer::repair_window(const RepairPlanner& planner,
       wave.push_back(*step);
   }
   if (wave.empty()) return;
-  prefetch_plan_inputs(plan);
   execute_plan(plan);
 }
 
@@ -183,7 +147,6 @@ std::optional<Bytes> ParallelRepairer::read_node(NodeIndex i,
   // Empty when the window wave already repaired d_i.
   const auto plan = planner.plan_for_target(*store_, i);
   if (!plan) return std::nullopt;
-  prefetch_plan_inputs(*plan);
   execute_plan(*plan);
   auto repaired = store_->get_copy(BlockKey::data(i));
   AEC_CHECK_MSG(repaired.has_value(),

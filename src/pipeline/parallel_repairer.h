@@ -65,10 +65,10 @@ class ParallelRepairer {
 
   /// Returns the payload of d_i, repairing it through the shortest
   /// available path when missing (paper Fig 2): radius-scoped plan for
-  /// the target, the plan's pre-existing inputs prefetched into the
-  /// store's cache in a few large batches, then the waves executed
-  /// across the pool. Repairs are persisted to the store. Returns
-  /// nullopt when the block is irrecoverable.
+  /// the target, then the waves executed across the pool, each step
+  /// reading its inputs through the store's get_batch. Repairs are
+  /// persisted to the store. Returns nullopt when the block is
+  /// irrecoverable.
   ///
   /// `lookahead` > 1 is the streamed read's window repair: when d_i is
   /// missing, every missing data block of [i, i + lookahead) (clamped to
@@ -96,11 +96,6 @@ class ParallelRepairer {
   /// missing data block in [first, first + lookahead).
   void repair_window(const RepairPlanner& planner, NodeIndex first,
                      std::size_t lookahead);
-  /// Warms the store cache with every plan input that pre-exists the
-  /// plan (inputs produced by earlier waves are cached by their own
-  /// put()). Batched so repair-on-read issues a few large reads instead
-  /// of execute_wave discovering inputs one sub-batch at a time.
-  void prefetch_plan_inputs(const RepairPlan& plan);
 
   Lattice lattice_;  // owns the CodeParams copy (lattice_.params())
   std::size_t block_size_;

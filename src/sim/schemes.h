@@ -25,7 +25,7 @@ std::vector<std::unique_ptr<RedundancyScheme>> replication_schemes();
 /// The disaster-simulation counterpart of a byte codec (AE, RS or REP).
 std::unique_ptr<RedundancyScheme> make_scheme(const Codec& codec);
 
-/// Parses a codec spec through the CodecRegistry — "RS(10,4)",
+/// Parses a codec spec through make_codec() — "RS(10,4)",
 /// "AE(3,2,5)", "AE(1,-,-)", "REP(3)" — plus the paper's legacy
 /// replication names "3-way replication" / "replication(3)". Throws
 /// CheckError on syntax errors.

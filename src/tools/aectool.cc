@@ -14,7 +14,7 @@
 //   aectool trace   <scrub|get|put> --root DIR [--name NAME] [--threads N]
 //                   [-o OUT] [FILE]
 //
-// `--code` accepts any registered codec spec — AE(α,s,p) entanglement,
+// `--code` accepts any codec spec — AE(α,s,p) entanglement,
 // RS(k,m) Reed-Solomon stripes, REP(n) replication — and `--store` any
 // registered *durable* store backend ("file", "sharded(8)",
 // "cluster(4,strand,file)"; anything built on the library's ephemeral
@@ -37,16 +37,21 @@
 // Dimakis bytes-per-surviving-node view); `trace <op>` re-runs an
 // operation with the span ring enabled and dumps the spans as JSONL.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 
 #include "common/check.h"
+#include "common/cli.h"
 #include "common/cpu.h"
 #include "core/codec/store_registry.h"
 #include "obs/trace.h"
@@ -122,23 +127,17 @@ bool is_flag_option(const std::string& key) {
   return key == "--json" || key == "--metrics";
 }
 
-/// A count option in [1, max], `fallback` when absent. Digits only, so
-/// a sign or junk is refused instead of wrapping through std::stoull.
-std::size_t count_option(const Args& args, const char* key,
-                         std::size_t fallback, std::size_t max) {
+/// An unsigned option in [lo, hi], `fallback` when absent; a bad value
+/// exits 2 with the usage text (cli::parse_unsigned).
+std::uint64_t number_option(const Args& args, const char* key,
+                            std::uint64_t fallback, std::uint64_t lo,
+                            std::uint64_t hi) {
   const auto it = args.options.find(key);
   if (it == args.options.end()) return fallback;
-  const std::string& text = it->second;
-  const bool numeric =
-      !text.empty() && text.size() <= std::to_string(max).size() &&
-      text.find_first_not_of("0123456789") == std::string::npos;
-  AEC_CHECK_MSG(numeric, key << " wants a small number, got '" << text
-                             << "'");
-  const auto value = static_cast<std::size_t>(std::stoull(text));
-  AEC_CHECK_MSG(value >= 1 && value <= max,
-                key << " must be in [1, " << max << "], got " << text);
-  return value;
+  return cli::parse_unsigned(key, it->second, lo, hi, usage);
 }
+
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 Args parse(int argc, char** argv) {
   if (argc < 2) usage();
@@ -191,15 +190,23 @@ void print_traffic_delta(
   }
 }
 
-Bytes read_whole_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  AEC_CHECK_MSG(in.good(), "cannot open " << path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  Bytes content(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(content.data()), size);
-  AEC_CHECK_MSG(in.good(), "short read from " << path);
-  return content;
+/// Streams the file at `path` into the archive in bounded chunks, so
+/// memory stays at the ingest window whatever the file's size. A read
+/// error throws with the writer unclosed, which commits nothing.
+const FileEntry& put_file(Archive& archive, const std::string& name,
+                          const std::string& path) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> in(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  AEC_CHECK_MSG(in != nullptr,
+                "cannot open " << path << ": " << std::strerror(errno));
+  FileWriter writer = archive.begin_file(name);
+  Bytes chunk(std::size_t{1} << 20);
+  while (const std::size_t got =
+             std::fread(chunk.data(), 1, chunk.size(), in.get()))
+    writer.write(BytesView(chunk.data(), got));
+  AEC_CHECK_MSG(std::ferror(in.get()) == 0,
+                "cannot read " << path << ": " << std::strerror(errno));
+  return writer.close();
 }
 
 int run(const Args& args) {
@@ -237,7 +244,7 @@ int run(const Args& args) {
     // Capped at 1 MiB: the ingest window holds 256 blocks per worker, so
     // that already buffers 256 MiB per worker.
     const std::size_t block_size =
-        count_option(args, "--block-size", 4096, std::size_t{1} << 20);
+        number_option(args, "--block-size", 4096, 1, std::size_t{1} << 20);
     auto archive = Archive::create(root, spec, block_size, {}, store_spec);
     std::printf("initialized %s archive at %s (store %s, block size %zu)\n",
                 archive->codec().id().c_str(), root.c_str(),
@@ -248,7 +255,7 @@ int run(const Args& args) {
   // --threads N (default 1) sizes the engine's worker pool: parallel
   // entanglement/stripe encode on put, wave-parallel repair on
   // get/scrub. The remaining commands run serially.
-  const std::size_t threads = count_option(args, "--threads", 1, 1024);
+  const std::size_t threads = number_option(args, "--threads", 1, 1, 1024);
   auto archive = Archive::open(root, Engine::with_threads(threads));
 
   if (args.command == "put") {
@@ -256,8 +263,8 @@ int run(const Args& args) {
       std::fprintf(stderr, "error: put needs exactly one FILE\n");
       usage();
     }
-    const Bytes content = read_whole_file(args.positional[0]);
-    const FileEntry& entry = archive->add_file(option("--name"), content);
+    const FileEntry& entry =
+        put_file(*archive, option("--name"), args.positional[0]);
     std::printf("archived '%s': %llu bytes in %llu block(s) from d%lld%s\n",
                 entry.name.c_str(),
                 static_cast<unsigned long long>(entry.bytes),
@@ -433,10 +440,9 @@ int run(const Args& args) {
     return report.repair.nodes_unrecovered == 0 ? 0 : 1;
   }
   if (args.command == "damage") {
-    const double fraction = std::stod(option("--fraction"));
-    const auto seed_it = args.options.find("--seed");
-    const std::uint64_t seed =
-        seed_it == args.options.end() ? 1 : std::stoull(seed_it->second);
+    const double fraction =
+        cli::parse_real("--fraction", option("--fraction"), 0.0, 1.0, usage);
+    const std::uint64_t seed = number_option(args, "--seed", 1, 0, kMaxU64);
     const std::uint64_t destroyed = archive->inject_damage(fraction, seed);
     std::printf("destroyed %llu block file(s)\n",
                 static_cast<unsigned long long>(destroyed));
@@ -472,13 +478,8 @@ int run(const Args& args) {
                     cluster->node_domain(k).c_str());
       return 0;
     }
-    const std::string& node_text = option("--node");
-    const bool numeric =
-        !node_text.empty() && node_text.size() <= 4 &&
-        node_text.find_first_not_of("0123456789") == std::string::npos;
-    AEC_CHECK_MSG(numeric, "--node wants a node id, got '" << node_text
-                                                           << "'");
-    const auto node = static_cast<std::uint32_t>(std::stoul(node_text));
+    const auto node = static_cast<std::uint32_t>(
+        cli::parse_unsigned("--node", option("--node"), 0, 9999, usage));
     if (sub == "fail") {
       archive->fail_node(node);
       std::printf("node %u is down (%llu block(s) unavailable)\n", node,
@@ -524,6 +525,8 @@ int run(const Args& args) {
       usage();
     }
     const std::string& sub = args.positional[0];
+    const std::uint64_t request_id =
+        number_option(args, "--request-id", 0, 0, kMaxU64);
     obs::TraceRing& ring = obs::TraceRing::global();
     ring.enable();
     if (sub == "scrub") {
@@ -537,18 +540,13 @@ int run(const Args& args) {
     } else if (sub == "put") {
       AEC_CHECK_MSG(args.positional.size() == 2,
                     "trace put needs exactly one FILE");
-      const Bytes content = read_whole_file(args.positional[1]);
-      archive->add_file(option("--name"), content);
+      put_file(*archive, option("--name"), args.positional[1]);
     } else {
       std::fprintf(stderr, "error: unknown trace subcommand '%s'\n",
                    sub.c_str());
       usage();
     }
     ring.disable();
-    std::uint64_t request_id = 0;
-    if (const auto id_it = args.options.find("--request-id");
-        id_it != args.options.end())
-      request_id = std::stoull(id_it->second);
     const auto out_it = args.options.find("--out");
     if (out_it == args.options.end()) {
       ring.dump_jsonl(stdout, request_id);

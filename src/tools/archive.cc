@@ -234,10 +234,6 @@ void FileWriter::append(const std::vector<Bytes>& blocks) {
     failed_ = true;
     throw;
   }
-  // The payload cache would otherwise retain every block of the file;
-  // the index (and the blocks on disk) survive, so streaming ingest
-  // keeps only the current window plus the codec's heads in memory.
-  archive_->store_->drop_payload_cache();
 }
 
 void FileWriter::flush_windows() {
@@ -264,6 +260,9 @@ const FileEntry& FileWriter::close() {
   }
   if (!blocks.empty()) append(blocks);
   partial_.clear();
+  // Queued writes land before the manifest names the file, so a process
+  // that dies after the commit leaves the file's blocks in their files.
+  archive.store_->flush();
 
   FileEntry entry;
   entry.name = name_;

@@ -274,7 +274,7 @@ class FileReader {
 class Archive {
  public:
   /// Creates a fresh archive (root must not already hold a manifest).
-  /// `codec_spec` is resolved through the CodecRegistry ("AE(3,2,5)",
+  /// `codec_spec` is built by make_codec() ("AE(3,2,5)",
   /// "RS(10,4)", "REP(3)", …) and `store_spec` through the StoreRegistry
   /// ("file", "sharded(8)", "mem"; empty = "file"). A null `engine` means
   /// Engine::serial(). The engine is a per-process execution choice, not

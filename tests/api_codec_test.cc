@@ -1,4 +1,4 @@
-// Tests for the unified aec::Codec interface: registry parsing and a
+// Tests for the unified aec::Codec interface: spec parsing and a
 // single conformance suite run over every implementation (AE, RS, REP).
 #include <gtest/gtest.h>
 
@@ -11,16 +11,6 @@
 
 namespace aec {
 namespace {
-
-TEST(CodecRegistry, BuiltinFamiliesRegistered) {
-  const auto families = CodecRegistry::instance().families();
-  for (const char* family : {"AE", "RS", "REP"})
-    EXPECT_NE(std::find(families.begin(), families.end(), family),
-              families.end())
-        << family;
-  EXPECT_TRUE(CodecRegistry::instance().has_family("AE"));
-  EXPECT_FALSE(CodecRegistry::instance().has_family("XYZ"));
-}
 
 TEST(CodecRegistry, SpecsRoundTripThroughId) {
   for (const char* spec :
@@ -57,18 +47,6 @@ TEST(CodecRegistry, RejectsInvalidSpecs) {
            "XYZ(1,2)",    // unknown family
        })
     EXPECT_THROW(make_codec(spec), CheckError) << "spec: " << spec;
-}
-
-TEST(CodecRegistry, CustomFamilyRegistration) {
-  CodecRegistry::instance().register_family(
-      "MIRROR", [](const CodecSpec& spec) -> std::unique_ptr<Codec> {
-        AEC_CHECK_MSG(spec.args.size() == 1, "MIRROR wants MIRROR(n)");
-        return std::make_unique<ReplicationCodec>(spec.args[0]);
-      });
-  const auto codec = make_codec("MIRROR(2)");
-  ASSERT_NE(codec, nullptr);
-  EXPECT_EQ(codec->group_data_parts(), 1u);
-  EXPECT_EQ(codec->parity_parts(1), 1u);
 }
 
 TEST(CodecMetadata, PaperTable4Columns) {

@@ -88,13 +88,20 @@ TEST_F(FileBlockStoreTest, ExternalDeletionSeenAfterRescan) {
   FileBlockStore store(root_);
   const BlockKey key = BlockKey::data(2);
   store.put(key, Bytes{1, 2});
-  store.drop_payload_cache();
-  fs::remove(store.path_of(key));  // sabotage behind the store's back
+  // A second store on the root starts with an empty ring, so it reads
+  // the block's file.
+  FileBlockStore reader(root_);
+  fs::remove(reader.path_of(key));  // sabotage behind the store's back
   // The index is stale until rescan; a read detects the hole lazily.
-  EXPECT_TRUE(store.contains(key));
-  EXPECT_EQ(store.get_copy(key), std::nullopt);
+  EXPECT_TRUE(reader.contains(key));
+  EXPECT_EQ(reader.get_copy(key), std::nullopt);
+  reader.rescan();
+  EXPECT_FALSE(reader.contains(key));
+  // The writer's ring still holds the block; its rescan empties the ring.
+  EXPECT_EQ(store.get_copy(key), (Bytes{1, 2}));
   store.rescan();
   EXPECT_FALSE(store.contains(key));
+  EXPECT_EQ(store.get_copy(key), std::nullopt);
 }
 
 TEST_F(FileBlockStoreTest, BothLayoutsLiveAtLiteralPaths) {
@@ -192,9 +199,8 @@ TEST_F(FileBlockStoreTest, ConcurrentCallersShareOneStore) {
         store.put(key, payload(i));
         if (store.get_copy(key) != payload(i)) ++wrong;
         if (store.get_batch({key}).front() != payload(i)) ++wrong;
-        store.prefetch({key});
         if (k % 5 == 0 && !store.erase(key)) ++wrong;
-        if (k % 7 == 0) store.drop_payload_cache();
+        if (k % 7 == 0) store.flush();
         if (store.size() > kThreads * kKeysPerThread) ++wrong;
       }
     });
@@ -219,7 +225,7 @@ TEST_F(FileBlockStoreTest, WorksAsCodecBackend) {
   test::encode_into(params, kBlockSize, truth, store);
   store.erase(BlockKey::data(10));
   store.erase(BlockKey::data(11));
-  store.drop_payload_cache();
+  store.flush();
 
   pipeline::ThreadPool pool(1);
   pipeline::ParallelRepairer repairer(params, 30, kBlockSize, &store, &pool);
@@ -230,22 +236,26 @@ TEST_F(FileBlockStoreTest, WorksAsCodecBackend) {
 }
 
 TEST_F(FileBlockStoreTest, IntegrityScanLeavesThePayloadCacheAlone) {
-  // A session's integrity scan reads through get_batch, the streaming
-  // read, so it inserts nothing into the payload cache: once every block
-  // file is gone, no read can still serve a block from memory.
+  // A session's integrity scan reads through get_batch, and no read adds
+  // to the store's memory: once every block file is gone, no read can
+  // still serve a block from memory. The scan runs on a second store
+  // opened on the root, whose ring of recent writes starts empty.
   constexpr std::size_t kBlockSize = 64;
   for (const char* spec : {"AE(3,2,5)", "RS(4,2)"}) {
     SCOPED_TRACE(spec);
     const fs::path root = root_ / (spec[0] == 'A' ? "ae" : "rs");
-    FileBlockStore store(root, 4);
+    FileBlockStore writer(root, 4);
     const auto session =
-        Engine::serial()->open_session(make_codec(spec), &store, kBlockSize);
+        Engine::serial()->open_session(make_codec(spec), &writer, kBlockSize);
     session->append(test::random_blocks(150, kBlockSize, 3));
-    store.drop_payload_cache();
-    EXPECT_EQ(session->verify_integrity().inconsistent_parities, 0u);
+    writer.flush();
+    FileBlockStore store(root, 4);
+    const auto scan = Engine::serial()->open_session(
+        make_codec(spec), &store, kBlockSize, session->size());
+    EXPECT_EQ(scan->verify_integrity().inconsistent_parities, 0u);
 
     std::vector<BlockKey> keys;
-    session->for_each_expected_key([&](const BlockKey& key) {
+    scan->for_each_expected_key([&](const BlockKey& key) {
       keys.push_back(key);
       ASSERT_TRUE(fs::remove(store.path_of(key))) << to_string(key);
     });

@@ -226,10 +226,14 @@ class NetServerTest : public ::testing::Test {
   }
 
   /// Serves a 16 MiB "big" file and a small one, then parks a raw
-  /// connection's GET of "big" on its lane: the connection stops reading,
-  /// so that lane blocks on the write budget until the stall timeout.
-  /// The GET lands on the writer lane (idle server: the writer lane wins
-  /// ties). Returns the stalled connection and fills `small`.
+  /// connection's GET of "big" on the writer lane: the connection stops
+  /// reading, so that lane blocks on the write budget until the stall
+  /// timeout. The GET is pinned to the writer lane by a PING sent in the
+  /// same segment: the PING runs there, and a connection's later request
+  /// stays on the lane of its unfinished ones. (Least-loaded dispatch
+  /// would not pin it: a lane's load still counts a finished request
+  /// until the reactor runs its completion.) Returns the stalled
+  /// connection and fills `small`.
   std::unique_ptr<RawConn> stall_writer_lane(Bytes& small) {
     ServerConfig config;
     config.write_queue_limit = 256u << 10;
@@ -242,7 +246,11 @@ class NetServerTest : public ::testing::Test {
       writer.put_bytes("small", small);
     }
     auto stalled = std::make_unique<RawConn>(server_->port(), 4096);
-    stalled->send_frame(named_frame(Op::kGetFile, 1, "big"));
+    Bytes frames =
+        encode_frame(Frame{static_cast<std::uint16_t>(Op::kPing), 1, {}});
+    const Bytes get = encode_frame(named_frame(Op::kGetFile, 2, "big"));
+    frames.insert(frames.end(), get.begin(), get.end());
+    stalled->send_bytes(frames);
     // Time for the lane to fill the socket buffers and the write budget.
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     return stalled;

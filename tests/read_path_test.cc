@@ -737,22 +737,6 @@ TEST_F(ReadPathMetricsTest, WindowedReadCountsIssuedAndHitBlocks) {
             40u);
 }
 
-TEST_F(ReadPathMetricsTest, RepairOnReadPrefetchesPlanInputs) {
-  Rng rng(14);
-  const Bytes content = rng.random_block(kBlockSize * 50);
-  const fs::path root = test_dir("a");
-  Archive::create(root, "AE(3,2,5)", kBlockSize)->add_file("doc", content);
-  {
-    FileBlockStore store(root);
-    ASSERT_TRUE(store.erase(BlockKey::data(20)));
-    ASSERT_TRUE(store.erase(BlockKey::data(21)));
-  }
-  auto archive = Archive::open(root);
-  const std::uint64_t inputs0 = counter_value("read.prefetch.plan_inputs");
-  EXPECT_EQ(archive->read_file("doc"), content);
-  EXPECT_GT(counter_value("read.prefetch.plan_inputs"), inputs0);
-}
-
 // --- concurrent reader vs scrub ---------------------------------------------
 
 class ReadPathConcurrencyTest : public ::testing::Test {};

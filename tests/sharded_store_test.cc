@@ -152,10 +152,12 @@ TEST_F(ShardedFileBlockStoreTest, BatchOpsMatchSingleOps) {
 }
 
 TEST_F(ShardedFileBlockStoreTest, RescanSeesExternalChanges) {
-  FileBlockStore store(dir("s"), 2);
+  FileBlockStore writer(dir("s"), 2);
   const BlockKey key = BlockKey::data(5);
-  store.put(key, Bytes{1, 2});
-  store.drop_payload_cache();
+  writer.put(key, Bytes{1, 2});
+  writer.flush();
+  // A second store on the root starts with an empty ring.
+  FileBlockStore store(dir("s"), 2);
   fs::remove(store.path_of(key));  // sabotage behind the store's back
   EXPECT_TRUE(store.contains(key));  // index is stale…
   EXPECT_EQ(store.get_copy(key), std::nullopt);  // …but reads detect the hole
@@ -194,7 +196,7 @@ TEST_F(ShardedFileBlockStoreTest, WorksAsCodecBackend) {
   test::encode_into(params, kBlockSize, truth, store);
   store.erase(BlockKey::data(10));
   store.erase(BlockKey::data(11));
-  store.drop_payload_cache();
+  store.flush();
 
   pipeline::ThreadPool pool(1);
   pipeline::ParallelRepairer repairer(params, 30, kBlockSize, &store, &pool);
@@ -240,8 +242,8 @@ TEST_F(ShardedFileBlockStoreTest, RegistryBuildsEveryFamily) {
 
 TEST_F(ShardedFileBlockStoreTest, WriteBehindReadsYourWrites) {
   // Puts are visible to every read path immediately, before any flush:
-  // unflushed blocks live in the payload cache, which all reads consult
-  // before touching files.
+  // unflushed blocks live in the ring of recent writes, which all reads
+  // consult before touching files.
   FileBlockStore store(dir("s"), 2);
   ASSERT_TRUE(store.write_behind());
   for (NodeIndex i = 1; i <= 40; ++i)
@@ -297,17 +299,6 @@ TEST_F(ShardedFileBlockStoreTest, EraseCancelsQueuedWrites) {
   }
 }
 
-TEST_F(ShardedFileBlockStoreTest, DropPayloadCacheDrainsFirst) {
-  // Dropping the cache in write-behind mode must not lose unflushed
-  // blocks: the drain runs first, so post-drop reads resolve from
-  // complete files.
-  FileBlockStore store(dir("s"), 2);
-  store.put(BlockKey::data(3), Bytes{4, 5, 6});
-  store.drop_payload_cache();
-  EXPECT_TRUE(fs::exists(store.path_of(BlockKey::data(3))));
-  EXPECT_EQ(store.get_copy(BlockKey::data(3)), (Bytes{4, 5, 6}));
-}
-
 TEST_F(ShardedFileBlockStoreTest, SyncModeWritesInline) {
   FileBlockStore store(dir("s"), 2, /*write_behind=*/false);
   EXPECT_FALSE(store.write_behind());
@@ -322,6 +313,63 @@ TEST_F(ShardedFileBlockStoreTest, RegistryParsesWriteBehindMode) {
   auto sync = make_store("sharded(2,sync)", dir("sync"));
   EXPECT_FALSE(dynamic_cast<FileBlockStore*>(sync.get())->write_behind());
   EXPECT_THROW(make_store("sharded(2,later)", dir("t")), CheckError);
+}
+
+// --- memory -----------------------------------------------------------------
+
+TEST_F(ShardedFileBlockStoreTest, ReadsKeepNothingInMemory) {
+  // No read adds to the store's memory: a store opened on a populated
+  // root serves every read from the block files, so once they are gone
+  // no read returns a payload.
+  std::vector<BlockKey> keys;
+  for (NodeIndex i = 1; i <= 64; ++i) {
+    keys.push_back(BlockKey::data(i));
+    keys.push_back(BlockKey::parity(Edge{StrandClass::kRightHanded, i}));
+  }
+  {
+    FileBlockStore writer(dir("s"), 4);
+    for (const BlockKey& key : keys)
+      writer.put(key, Bytes(16, static_cast<std::uint8_t>(key.index)));
+  }  // drains the write-behind queue
+  FileBlockStore store(dir("s"), 4);
+  for (const BlockKey& key : keys)
+    ASSERT_EQ(store.get_copy(key),
+              Bytes(16, static_cast<std::uint8_t>(key.index)))
+        << to_string(key);
+  for (const std::optional<Bytes>& payload : store.get_batch(keys))
+    ASSERT_TRUE(payload.has_value());
+
+  for (const BlockKey& key : keys)
+    ASSERT_TRUE(fs::remove(store.path_of(key))) << to_string(key);
+  for (const BlockKey& key : keys)
+    EXPECT_EQ(store.get_copy(key), std::nullopt) << to_string(key);
+  for (const std::optional<Bytes>& payload : store.get_batch(keys))
+    EXPECT_FALSE(payload.has_value());
+}
+
+TEST_F(ShardedFileBlockStoreTest, RecentWritesAreBounded) {
+  // Each shard keeps only its last kRingBlocksPerShard writes: after four
+  // times that many per shard, flushed and with every block file
+  // removed, exactly the rings' worth still reads back.
+  constexpr std::size_t kShards = 2;
+  constexpr std::size_t kRing = FileBlockStore::kRingBlocksPerShard;
+  FileBlockStore store(dir("s"), kShards);
+  std::vector<BlockKey> keys;
+  for (std::size_t i = 1; i <= 4 * kRing * kShards; ++i) {
+    keys.push_back(BlockKey::data(static_cast<NodeIndex>(i)));
+    store.put(keys.back(), Bytes(64, static_cast<std::uint8_t>(i)));
+  }
+  store.flush();
+  for (const BlockKey& key : keys)
+    ASSERT_TRUE(fs::remove(store.path_of(key))) << to_string(key);
+
+  std::size_t served = 0;
+  for (const BlockKey& key : keys) served += store.get_copy(key).has_value();
+  EXPECT_LE(served, kRing * kShards);
+  // The survivors are the newest writes, and still read back intact.
+  EXPECT_EQ(served, kRing * kShards);
+  EXPECT_EQ(store.get_copy(keys.back()), Bytes(64, static_cast<std::uint8_t>(
+                                                       keys.size())));
 }
 
 // --- concurrency (runs under the TSan CI job) -------------------------------
@@ -379,7 +427,7 @@ TEST_F(ShardedFileBlockStoreTest, ConcurrentMixedAccessIsSafe) {
 TEST_F(ShardedFileBlockStoreTest, ConcurrentWriteBehindBarriersAreSafe) {
   // Producers racing the drain barriers: put_batch bursts (deep enough
   // to trip the per-shard backpressure bound on a 1-shard store) against
-  // concurrent flush/drop_payload_cache/erase callers.
+  // concurrent flush/erase callers.
   FileBlockStore store(dir("s"), 1);
   constexpr NodeIndex kKeys = 64;
   const auto payload_of = [](NodeIndex i) {
@@ -398,10 +446,7 @@ TEST_F(ShardedFileBlockStoreTest, ConcurrentWriteBehindBarriersAreSafe) {
     });
   }
   threads.emplace_back([&] {
-    for (int round = 0; round < 20; ++round) {
-      store.flush();
-      store.drop_payload_cache();
-    }
+    for (int round = 0; round < 20; ++round) store.flush();
   });
   threads.emplace_back([&] {
     for (int round = 0; round < 50; ++round) {
