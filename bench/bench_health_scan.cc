@@ -11,9 +11,12 @@
 // The claim under test is the one the monitor's design rests on: keeping
 // the Fig. 12 vulnerability census live must cost O(deltas), so a mostly
 // healthy archive pays almost nothing, while a scan-based census pays
-// O(lattice) on every refresh no matter how little changed. Both paths
-// are cross-checked for agreement before timing is reported (ok=false
-// poisons the row, and CI's JSON gate sees it).
+// O(lattice) on every refresh no matter how little changed. The monitor
+// holds one byte per lattice node (200 KB at the default 200000 nodes),
+// so a delta hashes nothing; the incremental rows time the index's
+// on_block plus the monitor's delta. Both paths are cross-checked for
+// agreement before timing is reported (ok=false poisons the row, and
+// CI's JSON gate sees it).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -408,9 +408,10 @@ void ClusterStore::heal_node(std::uint32_t node) {
                       << child_spec_
                       << "' cannot enumerate keys; availability cannot "
                          "be restored after an outage");
-    flush_staged(n);  // repairs staged during the outage become durable
-    // The old contents are reachable again.
+    // The old contents are reachable again; then the repairs staged
+    // during the outage become durable, each announced by its put.
     n.child->for_each_key([&](const BlockKey& key) { notify(key, true); });
+    flush_staged(n);
   }
   save_state();
 }
@@ -437,9 +438,9 @@ void ClusterStore::replace_node(std::uint32_t node) {
 }
 
 void ClusterStore::flush_staged(Node& n) {
-  n.staged->for_each([&](const BlockKey& key, const Bytes& value) {
-    n.child->put(key, value);  // child notifies "present" itself
-  });
+  // The staged payloads move into the child, which announces each key
+  // present once; the staging overlay itself sends nothing.
+  n.child->put_batch(n.staged->take_all());
   n.staged.reset();
 }
 

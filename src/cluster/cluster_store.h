@@ -20,12 +20,12 @@
 //                   and later waves can read them back, but nothing is
 //                   durable on the dead domain.
 //   heal_node(k)  — transient outage over: the child (old data intact)
-//                   is reachable again, staged repairs are flushed into
-//                   it, and every present key is re-announced.
+//                   is reachable again, every key it holds is
+//                   re-announced, and the staged repairs move into it.
 //   replace_node(k) — catastrophic loss: the node's directory is wiped
 //                   and a fresh child backend is built in its place
-//                   (the "replacement disk"); staged repairs are
-//                   flushed, everything else stays missing until a
+//                   (the "replacement disk"); staged repairs move into
+//                   it, everything else stays missing until a
 //                   rebuild pass re-materializes it
 //                   (Archive::rebuild_node drives that).
 //
@@ -192,8 +192,8 @@ class ClusterStore final : public BlockStore {
   /// whatever node locks it needs; the file itself is guarded by
   /// state_file_mu_.
   void save_state() const;
-  /// Flushes the staging overlay into the child and drops it. Caller
-  /// holds the node's exclusive lock.
+  /// Moves the staging overlay's blocks into the child in one batch and
+  /// drops the overlay. Caller holds the node's exclusive lock.
   void flush_staged(Node& n);
 
   std::filesystem::path root_;

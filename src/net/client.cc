@@ -251,8 +251,15 @@ PutResult Client::put_file(const std::string& name,
                                << std::strerror(errno));
   try {
     PutResult result =
-        put_stream(name, [in](std::uint8_t* buf, std::size_t cap) {
-          return std::fread(buf, 1, cap, in);
+        put_stream(name, [&](std::uint8_t* buf, std::size_t cap) {
+          const std::size_t n = std::fread(buf, 1, cap, in);
+          const int error = errno;
+          // A short read is the end of the file only when no error is
+          // set: PUT_END must never commit a file cut short by one.
+          AEC_CHECK_MSG(!std::ferror(in), "cannot read "
+                                              << path.string() << ": "
+                                              << std::strerror(error));
+          return n;
         });
     std::fclose(in);
     return result;

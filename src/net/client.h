@@ -13,7 +13,9 @@
 // the wire verbatim). Transport failures — connect/timeout/EOF/framing
 // — throw CheckError. After an exception from a *streaming* op the
 // connection's framing state is unspecified; drop the Client and
-// reconnect. Single-frame ops leave the connection reusable.
+// reconnect. A failed PUT leaves the connection's PUT open (nothing is
+// committed) until the connection closes, when the server abandons it.
+// Single-frame ops leave the connection reusable.
 //
 // Not thread-safe: one Client per thread (bench_net_load opens one per
 // worker).
@@ -106,6 +108,8 @@ class Client {
       std::function<std::size_t(std::uint8_t* buf, std::size_t cap)>;
   PutResult put_stream(const std::string& name, const ChunkProducer& produce);
   PutResult put_bytes(const std::string& name, BytesView content);
+  /// Streams the file at `path`; a read error throws CheckError (naming
+  /// the path and errno) before PUT_END, so nothing is committed.
   PutResult put_file(const std::string& name,
                      const std::filesystem::path& path);
 

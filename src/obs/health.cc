@@ -20,6 +20,7 @@ HealthMonitor::HealthMonitor(MetricsRegistry* registry, Logger* logger)
 void HealthMonitor::configure_lattice(const CodeParams& params,
                                       std::uint64_t n_nodes) {
   std::lock_guard lock(mu_);
+  const std::vector<BlockKey> missing = missing_keys_locked();
   params_ = params;
   n_nodes_ = n_nodes;
   if (n_nodes_ >= 1) {
@@ -27,22 +28,43 @@ void HealthMonitor::configure_lattice(const CodeParams& params,
   } else {
     lattice_.reset();
   }
+  class_bits_ = 0;
+  for (const StrandClass cls : params.classes()) class_bits_ |= parity_bit(cls);
   g_margin_counts_.clear();
   for (std::uint32_t k = 0; k < params.alpha(); ++k) {
     g_margin_counts_.push_back(registry_->gauge(
         "health.margin" + std::to_string(k) + ".blocks"));
   }
   margin_counts_.assign(params.alpha(), 0);
-  rebuild_locked();
+  rebuild_locked(missing);
   publish_locked();
 }
 
 void HealthMonitor::grow_to(std::uint64_t n_nodes) {
   std::lock_guard lock(mu_);
   if (!params_ || n_nodes <= n_nodes_) return;
+  const std::uint64_t old_n = n_nodes_;
   n_nodes_ = n_nodes;
   lattice_.emplace(*params_, n_nodes_, Lattice::Boundary::kOpen);
-  rebuild_locked();
+  census_.resize(n_nodes_ + 1, 0);
+  // Missing keys the lattice now covers move into the census.
+  for (auto it = outside_.begin(); it != outside_.end();) {
+    if (!in_census(*it)) {
+      ++it;
+      continue;
+    }
+    const BlockKey key = *it;
+    it = outside_.erase(it);
+    apply_delta_locked(key, true);
+  }
+  // An appended node's input parities may already be missing. Earlier
+  // nodes keep their margins: both of a node's parity sets have tails at
+  // or before it.
+  if (data_missing_ + parity_missing_ != 0) {
+    for (auto i = static_cast<NodeIndex>(old_n) + 1;
+         static_cast<std::uint64_t>(i) <= n_nodes_; ++i)
+      rescore(i);
+  }
   publish_locked();
 }
 
@@ -57,122 +79,120 @@ std::uint64_t HealthMonitor::n_nodes() const {
 }
 
 void HealthMonitor::on_availability_delta(const BlockKey& key, bool missing) {
+  c_deltas_->add();
   std::lock_guard lock(mu_);
   apply_delta_locked(key, missing);
   publish_locked();
 }
 
 void HealthMonitor::reset_from(const AvailabilityIndex& index) {
-  // Collect before taking mu_: missing_sorted takes the index's stripe
-  // locks and the established lock order is stripe → health.
-  std::vector<BlockKey> keys = index.missing_sorted();
+  // Collect before taking mu_: the walk takes the index's stripe locks
+  // and the established lock order is stripe → health.
+  std::vector<BlockKey> missing;
+  index.for_each_missing(
+      [&](const BlockKey& key) { missing.push_back(key); });
   std::lock_guard lock(mu_);
-  missing_.clear();
-  missing_.insert(keys.begin(), keys.end());
-  rebuild_locked();
+  rebuild_locked(missing);
   publish_locked();
 }
 
+bool HealthMonitor::in_census(const BlockKey& key) const noexcept {
+  return lattice_ && key.index >= 1 &&
+         static_cast<std::uint64_t>(key.index) <= n_nodes_ &&
+         (key.is_data() || (class_bits_ & parity_bit(key.cls)) != 0);
+}
+
 std::uint32_t HealthMonitor::margin_of(NodeIndex i) const {
+  const std::uint8_t own = census_[i];
   std::uint32_t margin = 0;
   for (const StrandClass cls : params_->classes()) {
     // Mirror of RepairPlanner::node_repairable's per-class test: the
-    // input parity (virtual zero at an open origin counts as present)
-    // and the output parity must both be available.
+    // output parity and the input parity (virtual zero at an open
+    // origin counts as present) must both be available. The input's
+    // tail precedes i, so its byte is in the census too.
+    const std::uint8_t bit = parity_bit(cls);
+    if ((own & bit) != 0) continue;
     const auto input = lattice_->input_edge(i, cls);
-    const bool input_ok =
-        !input || !missing_.contains(BlockKey::parity(*input));
-    const bool output_ok = !missing_.contains(
-        BlockKey::parity(lattice_->output_edge(i, cls)));
-    if (input_ok && output_ok) ++margin;
+    AEC_DCHECK(!input || input->tail < i);
+    if (!input || (census_[input->tail] & bit) == 0) ++margin;
   }
   return margin;
 }
 
-void HealthMonitor::set_tracked_margin(NodeIndex i,
-                                       std::optional<std::uint32_t> margin) {
-  const auto it = degraded_.find(i);
-  if (it != degraded_.end()) {
-    --margin_counts_[it->second];
-    degraded_.erase(it);
-  }
-  if (margin) {
-    degraded_.emplace(i, *margin);
-    ++margin_counts_[*margin];
-  }
-}
-
 void HealthMonitor::rescore(NodeIndex i) {
-  if (!lattice_ || !lattice_->is_valid_node(i)) return;
-  if (missing_.contains(BlockKey::data(i))) {
-    // Missing data is damage (counted separately), not a vulnerability
-    // candidate — it has no bytes left to protect.
-    set_tracked_margin(i, std::nullopt);
-    return;
+  std::uint8_t& byte = census_[i];
+  // Tracked margin + 1, or 0 when i is not degraded. Missing data is
+  // damage (counted separately), not a vulnerability candidate — it has
+  // no bytes left to protect.
+  std::uint32_t tracked = 0;
+  if ((byte & kDataMissing) == 0) {
+    const std::uint32_t margin = margin_of(i);
+    if (margin < params_->alpha()) tracked = margin + 1;
   }
-  const std::uint32_t margin = margin_of(i);
-  set_tracked_margin(i, margin < params_->alpha()
-                            ? std::optional<std::uint32_t>(margin)
-                            : std::nullopt);
+  const std::uint32_t was = (byte & kMarginMask) >> kMarginShift;
+  if (tracked == was) return;
+  if (was != 0) {
+    --margin_counts_[was - 1];
+    --degraded_;
+  }
+  if (tracked != 0) {
+    ++margin_counts_[tracked - 1];
+    ++degraded_;
+  }
+  byte = static_cast<std::uint8_t>((byte & ~kMarginMask) |
+                                   (tracked << kMarginShift));
 }
 
 void HealthMonitor::apply_delta_locked(const BlockKey& key, bool missing) {
-  if (missing)
-    missing_.insert(key);
-  else
-    missing_.erase(key);
-  c_deltas_->add();
-
-  if (!params_) {  // counts-only mode (non-lattice codecs)
-    auto& count = key.is_data() ? data_missing_ : parity_missing_;
-    missing ? ++count : --count;
+  auto& count = key.is_data() ? data_missing_ : parity_missing_;
+  if (!in_census(key)) {
+    const bool changed =
+        missing ? outside_.insert(key).second : outside_.erase(key) != 0;
+    // Counts-only mode (non-lattice codecs) counts every key; a lattice
+    // ignores the keys it does not cover yet.
+    if (changed && !params_) missing ? ++count : --count;
     return;
   }
-  if (!lattice_expects(*params_, n_nodes_, key)) return;  // orphan key
-
-  if (key.is_data()) {
-    missing ? ++data_missing_ : --data_missing_;
-    if (missing)
-      set_tracked_margin(key.index, std::nullopt);
-    else
-      rescore(key.index);
-  } else {
-    missing ? ++parity_missing_ : --parity_missing_;
+  std::uint8_t& byte = census_[key.index];
+  const std::uint8_t bit =
+      key.is_data() ? kDataMissing : parity_bit(key.cls);
+  if (((byte & bit) != 0) == missing) return;
+  byte ^= bit;
+  missing ? ++count : --count;
+  rescore(key.index);
+  if (key.is_parity()) {
     // A parity p_{i,j} is incident to exactly two data blocks: its tail
     // i (whose output it is) and its head j (whose input it is) — the
     // whole blast radius of this delta.
-    const Edge e = key.edge();
-    rescore(e.tail);
-    const NodeIndex head = lattice_->edge_head(e);
-    if (head != e.tail) rescore(head);
+    const NodeIndex head = lattice_->edge_head(key.edge());
+    if (lattice_->is_valid_node(head)) rescore(head);
   }
 }
 
-void HealthMonitor::rebuild_locked() {
-  degraded_.clear();
+std::vector<BlockKey> HealthMonitor::missing_keys_locked() const {
+  std::vector<BlockKey> keys(outside_.begin(), outside_.end());
+  for (std::size_t i = 1; i < census_.size(); ++i) {
+    const std::uint8_t byte = census_[i];
+    const auto index = static_cast<NodeIndex>(i);
+    if ((byte & kDataMissing) != 0) keys.push_back(BlockKey::data(index));
+    for (const StrandClass cls :
+         {StrandClass::kHorizontal, StrandClass::kRightHanded,
+          StrandClass::kLeftHanded}) {
+      if ((byte & parity_bit(cls)) != 0)
+        keys.push_back(BlockKey::parity(Edge{cls, index}));
+    }
+  }
+  return keys;
+}
+
+void HealthMonitor::rebuild_locked(const std::vector<BlockKey>& missing) {
+  census_.assign(lattice_ ? n_nodes_ + 1 : 0, 0);
+  outside_.clear();
   std::fill(margin_counts_.begin(), margin_counts_.end(), 0);
+  degraded_ = 0;
   data_missing_ = 0;
   parity_missing_ = 0;
-  if (!params_) {
-    for (const BlockKey& key : missing_) {
-      auto& count = key.is_data() ? data_missing_ : parity_missing_;
-      ++count;
-    }
-    return;
-  }
-  std::unordered_set<NodeIndex> affected;
-  for (const BlockKey& key : missing_) {
-    if (!lattice_expects(*params_, n_nodes_, key)) continue;
-    if (key.is_data()) {
-      ++data_missing_;
-    } else {
-      ++parity_missing_;
-      affected.insert(key.index);  // tail
-      const NodeIndex head = lattice_->edge_head(key.edge());
-      if (lattice_->is_valid_node(head)) affected.insert(head);
-    }
-  }
-  for (const NodeIndex i : affected) rescore(i);
+  for (const BlockKey& key : missing) apply_delta_locked(key, true);
 }
 
 void HealthMonitor::publish_locked() {
@@ -187,7 +207,7 @@ void HealthMonitor::publish_locked() {
   }
   g_data_missing_->set(static_cast<std::int64_t>(data_missing_));
   g_parity_missing_->set(static_cast<std::int64_t>(parity_missing_));
-  g_degraded_->set(static_cast<std::int64_t>(degraded_.size()));
+  g_degraded_->set(static_cast<std::int64_t>(degraded_));
   g_vulnerable_->set(static_cast<std::int64_t>(vulnerable));
   g_min_margin_->set(min_margin);
   for (std::size_t k = 0; k < g_margin_counts_.size(); ++k) {
@@ -216,7 +236,7 @@ HealthSummary HealthMonitor::summary() const {
   s.n_nodes = n_nodes_;
   s.data_missing = data_missing_;
   s.parity_missing = parity_missing_;
-  s.degraded_blocks = degraded_.size();
+  s.degraded_blocks = degraded_;
   s.vulnerable_blocks = margin_counts_.empty() ? 0 : margin_counts_[0];
   s.min_margin = s.alpha;
   s.margin_counts = margin_counts_;
@@ -232,16 +252,20 @@ HealthSummary HealthMonitor::summary() const {
 std::vector<BlockHealth> HealthMonitor::worst(std::size_t n) const {
   std::lock_guard lock(mu_);
   std::vector<BlockHealth> out;
-  out.reserve(degraded_.size());
-  for (const auto& [index, margin] : degraded_) {
-    out.push_back(BlockHealth{index, margin});
+  out.reserve(std::min<std::uint64_t>(n, degraded_));
+  // One index-order pass per margin value, each ending once it has met
+  // every node the counts say carries that margin.
+  for (std::uint32_t k = 0; k < margin_counts_.size() && out.size() < n;
+       ++k) {
+    const auto tag = static_cast<std::uint8_t>((k + 1) << kMarginShift);
+    std::uint64_t left = margin_counts_[k];
+    for (std::size_t i = 1; left != 0 && out.size() < n && i < census_.size();
+         ++i) {
+      if ((census_[i] & kMarginMask) != tag) continue;
+      out.push_back(BlockHealth{static_cast<NodeIndex>(i), k});
+      --left;
+    }
   }
-  std::sort(out.begin(), out.end(),
-            [](const BlockHealth& a, const BlockHealth& b) {
-              if (a.margin != b.margin) return a.margin < b.margin;
-              return a.index < b.index;
-            });
-  if (out.size() > n) out.resize(n);
   return out;
 }
 

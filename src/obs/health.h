@@ -24,9 +24,23 @@
 // the index from the delta callback (lock order: index stripe mutex →
 // health mutex, never the reverse).
 //
+// The census is one byte per lattice node i: a bit for d_i missing, a
+// bit per strand class for the parity whose tail is i, and i's tracked
+// margin (present and margin < α; α ≤ 3, so it fits). A delta flips one
+// bit and re-scores at most two nodes by reading at most 2α bytes, with
+// no hashing and no allocation under the mutex. Keys the array cannot
+// hold — an index outside [1, n], a class the code does not use, or any
+// key while unconfigured — wait in a small set until grow_to covers
+// them. The array is sized from the lattice, never from a key, and costs
+// one byte per data block: 256 MiB per TiB of 4 KiB blocks (a scrub's
+// AvailabilityMap takes 1 + α bytes per node). configure_lattice and
+// reset_from clear it in O(n) and re-score O(missing); grow_to re-scores
+// only the appended nodes, and only while something is missing.
+//
 // The ranked worst-N query is the feed for ROADMAP item 2's
 // vulnerability-ranked background scrubber: repair candidates ordered by
-// distance-to-unrecoverable.
+// distance-to-unrecoverable. It scans the array in index order, O(n)
+// bytes, once per margin value; summary() stays O(1).
 //
 // Non-lattice codecs (RS/REP) run the monitor unconfigured: damage
 // counts only, no margins.
@@ -36,7 +50,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -90,41 +103,53 @@ class HealthMonitor final : public AvailabilityIndex::Listener {
   /// Until called the monitor only counts missing blocks by kind.
   void configure_lattice(const CodeParams& params, std::uint64_t n_nodes);
 
-  /// Extends the lattice as the archive grows (ingest appends nodes).
-  /// Missing parities whose head lands on a new node re-score it —
-  /// O(damage), not O(new nodes). Shrinking is ignored.
+  /// Extends the lattice as the archive grows (ingest appends nodes):
+  /// O(new nodes), re-scoring them only while something is missing (a
+  /// missing parity's head may land on one). Shrinking is ignored.
   void grow_to(std::uint64_t n_nodes);
 
   bool lattice_configured() const;
   std::uint64_t n_nodes() const;
 
   /// AvailabilityIndex delta hook. Runs under the index's stripe lock:
-  /// updates the mirror, re-scores at most two blocks, publishes gauges.
+  /// flips one census bit, re-scores at most two blocks, publishes
+  /// gauges.
   void on_availability_delta(const BlockKey& key, bool missing) override;
 
-  /// Rebuilds all state from the index's current missing set —
-  /// O(damage). The index must be quiescent (Archive open/reindex call
-  /// this after reseeding).
+  /// Rebuilds all state from the index's current missing set — O(n) to
+  /// clear, O(damage) to re-score. The index must be quiescent (Archive
+  /// open/reindex call this after reseeding).
   void reset_from(const AvailabilityIndex& index);
 
   HealthSummary summary() const;
 
   /// The `n` most vulnerable present data blocks, ascending margin (ties
-  /// by index) — the scrubber's priority order.
+  /// by index) — the scrubber's priority order. Scans the census array.
   std::vector<BlockHealth> worst(std::size_t n) const;
 
   /// Every degraded block, same order as worst() (test oracle hook).
   std::vector<BlockHealth> degraded_all() const { return worst(SIZE_MAX); }
 
  private:
-  std::uint32_t margin_of(NodeIndex i) const;  // mu_ held, lattice set
-  void rescore(NodeIndex i);                   // mu_ held, lattice set
-  void set_tracked_margin(NodeIndex i,
-                          std::optional<std::uint32_t> margin);  // mu_ held
+  // Census byte of node i: kDataMissing, one parity_bit per strand class
+  // (the parity whose tail is i), and the tracked margin plus one in
+  // kMarginMask (0 = not degraded).
+  static constexpr std::uint8_t kDataMissing = 1u << 0;
+  static constexpr unsigned kMarginShift = 4;
+  static constexpr std::uint8_t kMarginMask = 3u << kMarginShift;
+  static constexpr std::uint8_t parity_bit(StrandClass cls) noexcept {
+    return static_cast<std::uint8_t>(2u << static_cast<unsigned>(cls));
+  }
+
+  /// True when `key` lives in the census array. mu_ held.
+  bool in_census(const BlockKey& key) const noexcept;
+  std::uint32_t margin_of(NodeIndex i) const;  // mu_ held, i in census
+  void rescore(NodeIndex i);                   // mu_ held, i in census
   void apply_delta_locked(const BlockKey& key, bool missing);
-  /// Recomputes counts + degraded set from the mirror (configure/grow/
-  /// reset paths). O(|missing_|).
-  void rebuild_locked();
+  /// Every missing key the monitor holds (census and overflow set).
+  std::vector<BlockKey> missing_keys_locked() const;
+  /// Clears the census to the current lattice and replays `missing`.
+  void rebuild_locked(const std::vector<BlockKey>& missing);
   void publish_locked();
 
   MetricsRegistry* registry_;
@@ -134,12 +159,15 @@ class HealthMonitor final : public AvailabilityIndex::Listener {
   std::optional<CodeParams> params_;
   std::uint64_t n_nodes_ = 0;
   std::optional<Lattice> lattice_;  // absent until configured with n ≥ 1
-  /// Mirror of the index's missing set, including keys outside the
-  /// current lattice (they become relevant when the archive grows).
-  std::unordered_set<BlockKey, BlockKeyHash> missing_;
-  /// Present data blocks with margin < α.
-  std::unordered_map<NodeIndex, std::uint32_t> degraded_;
+  /// Parity bits of the code's strand classes.
+  std::uint8_t class_bits_ = 0;
+  /// One byte per node, indexed by node (entry 0 unused); n + 1 entries
+  /// while a lattice is configured, empty otherwise.
+  std::vector<std::uint8_t> census_;
+  /// Missing keys the census cannot hold yet (see in_census).
+  std::unordered_set<BlockKey, BlockKeyHash> outside_;
   std::vector<std::uint64_t> margin_counts_;  // [0, α)
+  std::uint64_t degraded_ = 0;                // sum of margin_counts_
   std::uint64_t data_missing_ = 0;
   std::uint64_t parity_missing_ = 0;
   bool was_vulnerable_ = false;

@@ -69,6 +69,18 @@ void ConcurrentBlockStore::for_each(
   }
 }
 
+std::vector<std::pair<BlockKey, Bytes>> ConcurrentBlockStore::take_all() {
+  std::vector<std::pair<BlockKey, Bytes>> items;
+  items.reserve(size());
+  for (const auto& stripe : stripes_) {
+    std::lock_guard lock(stripe->mu);
+    for (auto& [key, value] : stripe->blocks)
+      items.emplace_back(key, std::move(value));
+    stripe->blocks.clear();
+  }
+  return items;
+}
+
 bool ConcurrentBlockStore::for_each_key(
     const std::function<void(const BlockKey&)>& fn) const {
   for (const auto& stripe : stripes_) {

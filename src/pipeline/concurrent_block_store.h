@@ -13,6 +13,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/codec/block_store.h"
 
@@ -35,6 +37,11 @@ class ConcurrentBlockStore final : public BlockStore {
   /// for an exact snapshot, quiesce writers first.
   void for_each(
       const std::function<void(const BlockKey&, const Bytes&)>& fn) const;
+
+  /// Moves every pair out, one stripe at a time, and leaves the store
+  /// empty. Sends no notification: the caller hands the blocks on to a
+  /// store that announces them. Quiesce writers first.
+  std::vector<std::pair<BlockKey, Bytes>> take_all();
 
   bool for_each_key(
       const std::function<void(const BlockKey&)>& fn) const override;

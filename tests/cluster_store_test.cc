@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -360,6 +361,68 @@ TEST_F(ClusterStoreTest, ReplaceNodeRequiresFailureAndWipes) {
   store.replace_node(0);
   EXPECT_FALSE(store.node_down(0));
   EXPECT_EQ(store.node_blocks(0), 0u);  // fresh backend, nothing staged
+}
+
+TEST_F(ClusterStoreTest, StagedRepairsMoveIntoTheChildOnReplaceAndHeal) {
+  // Repairs staged while a node is down move into its child: they come
+  // back byte-identical from the child's own files, and each is
+  // announced present once, by the child's put.
+  struct PresenceLog final : BlockStore::Observer {
+    std::mutex mu;
+    std::map<std::string, int> present;
+    void on_block(const BlockKey& key, bool is_present) override {
+      std::lock_guard lock(mu);
+      if (is_present) ++present[to_string(key)];
+    }
+  } log;
+  ClusterStore store(dir("c"), 4, PlacementPolicy::kRoundRobin, "file", 0);
+  store.set_observer(&log);
+  std::vector<BlockKey> old_keys;
+  std::vector<BlockKey> new_keys;  // never written before the outage
+  for (NodeIndex i = 1; i <= 96; ++i) {
+    const BlockKey key = BlockKey::data(i);
+    if (store.node_of(key) != 0) continue;
+    if (i <= 48) {
+      store.put(key, Bytes{static_cast<std::uint8_t>(i)});
+      old_keys.push_back(key);
+    } else {
+      new_keys.push_back(key);
+    }
+  }
+  ASSERT_FALSE(old_keys.empty());
+  ASSERT_FALSE(new_keys.empty());
+  const auto staged_payload = [](const BlockKey& key, std::uint8_t round) {
+    return Bytes(300, static_cast<std::uint8_t>(key.index * 3 + round));
+  };
+  const auto expect_moved = [&](const std::vector<BlockKey>& keys,
+                                std::uint8_t round) {
+    for (const BlockKey& key : keys) {
+      EXPECT_EQ(log.present[to_string(key)], 1) << to_string(key);
+      EXPECT_EQ(store.get_copy(key), staged_payload(key, round))
+          << to_string(key);
+      EXPECT_TRUE(fs::exists(store.node_root(0) / "d" /
+                             std::to_string(key.index)));
+    }
+  };
+
+  // Replacement: the new child holds exactly the staged repairs.
+  store.fail_node(0);
+  for (const BlockKey& key : old_keys) store.put(key, staged_payload(key, 0));
+  log.present.clear();
+  store.replace_node(0);
+  EXPECT_EQ(log.present.size(), old_keys.size());  // nothing else announced
+  expect_moved(old_keys, 0);
+  EXPECT_EQ(store.node_blocks(0), old_keys.size());
+
+  // Heal: the child's old contents come back, and the blocks written
+  // during the outage move in beside them.
+  store.fail_node(0);
+  for (const BlockKey& key : new_keys) store.put(key, staged_payload(key, 1));
+  log.present.clear();
+  store.heal_node(0);
+  expect_moved(new_keys, 1);
+  expect_moved(old_keys, 0);  // re-announced once, untouched
+  EXPECT_EQ(store.node_blocks(0), old_keys.size() + new_keys.size());
 }
 
 TEST_F(ClusterStoreTest, ConcurrentRoutedOpsWithShardedChildren) {

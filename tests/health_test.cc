@@ -199,6 +199,47 @@ TEST(HealthMonitorTest, GrowExtendsLatticeOverBufferedOrphans) {
   EXPECT_EQ(mon.n_nodes(), 15u);
 }
 
+TEST(HealthMonitorTest, KeysOutsideTheCensusWaitUntilTheLatticeCoversThem) {
+  // AE(2,2,5) uses the H and RH classes only. Index 0, an LH parity and
+  // keys past the tail have no byte in the census: they leave it
+  // untouched until grow_to covers them.
+  const CodeParams params(2, 2, 5);
+  MetricsRegistry reg;
+  HealthMonitor mon(&reg, &quiet_logger());
+  AvailabilityIndex index;
+  index.set_delta_listener(&mon);
+  mon.configure_lattice(params, 100);
+
+  const BlockKey d150 = BlockKey::data(150);
+  const BlockKey h150 = BlockKey::parity(Edge{StrandClass::kHorizontal, 150});
+  const BlockKey lh = BlockKey::parity(Edge{StrandClass::kLeftHanded, 40});
+  for (const BlockKey& key : {BlockKey::data(0), lh, d150, h150})
+    index.on_block(key, /*present=*/false);
+  HealthSummary s = mon.summary();
+  EXPECT_EQ(s.data_missing, 0u);
+  EXPECT_EQ(s.parity_missing, 0u);
+  EXPECT_EQ(s.degraded_blocks, 0u);
+  EXPECT_TRUE(mon.degraded_all().empty());
+
+  mon.grow_to(200);
+  s = mon.summary();
+  EXPECT_EQ(s.data_missing, 1u);    // d150
+  EXPECT_EQ(s.parity_missing, 1u);  // p(H,150); the LH parity never counts
+  const auto expected = compute_degraded_full(params, 200, index);
+  EXPECT_FALSE(expected.empty());  // p(H,150)'s head lost a path
+  EXPECT_EQ(mon.degraded_all(), expected);
+  EXPECT_EQ(s.degraded_blocks, expected.size());
+
+  for (const BlockKey& key : {BlockKey::data(0), lh, d150, h150})
+    index.on_block(key, /*present=*/true);
+  s = mon.summary();
+  EXPECT_EQ(s.data_missing, 0u);
+  EXPECT_EQ(s.parity_missing, 0u);
+  EXPECT_EQ(s.degraded_blocks, 0u);
+  EXPECT_TRUE(mon.degraded_all().empty());
+  EXPECT_EQ(s.min_margin, params.alpha());
+}
+
 TEST(HealthMonitorTest, ResetFromRebuildsAfterOutOfBandDamage) {
   const CodeParams params(3, 2, 5);
   constexpr std::uint64_t kNodes = 60;

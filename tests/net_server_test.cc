@@ -438,6 +438,42 @@ TEST_F(NetServerTest, FailedPutChunkDropsTheWriter) {
   EXPECT_EQ(files[0].name, "kept");
 }
 
+TEST_F(NetServerTest, PutFileReadErrorCommitsNothing) {
+  // A directory opens but cannot be read (EISDIR): put_file must throw
+  // before PUT_END instead of taking the failed read for the end of the
+  // file. Once that client is gone the server abandons its PUT, so the
+  // name was never committed and a new connection can PUT it.
+  const fs::path unreadable = root_ / "not_a_file";
+  fs::create_directories(unreadable);
+  {
+    Client failed(client_config());
+    try {
+      failed.put_file("d", unreadable);
+      FAIL() << "expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(unreadable.string()),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  Client client(client_config());
+  for (const auto& entry : client.list())
+    EXPECT_NE(entry.name, "d") << "a failed read committed a file";
+  const Bytes payload = random_bytes(5000, 17);
+  for (int attempt = 0;; ++attempt) {
+    try {
+      client.put_bytes("d", payload);
+      break;
+    } catch (const RemoteError& e) {
+      // The server may not have seen the failed client's close yet.
+      ASSERT_EQ(e.code(), ErrorCode::kBusy);
+      ASSERT_LT(attempt, 100) << "writer slot never released";
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_EQ(client.get_bytes("d"), payload);
+}
+
 TEST_F(NetServerTest, GetRepairsDamagedBlocks) {
   const Bytes payload = random_bytes(64 * 1024, 3);
   {

@@ -21,6 +21,7 @@
 #include "hooked_store.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/codec/availability_index.h"
 #include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/thread_pool.h"
@@ -186,6 +187,42 @@ TEST(ConcurrentBlockStore, GetCopyAndForEach) {
     EXPECT_EQ(value, Bytes(8, static_cast<std::uint8_t>(key.index)));
   });
   EXPECT_EQ(visited, 100u);
+}
+
+TEST(ConcurrentBlockStore, TakeAllMovesEveryPairOutWithoutNotifying) {
+  struct CountingObserver final : BlockStore::Observer {
+    std::atomic<int> calls{0};
+    void on_block(const BlockKey&, bool) override { calls.fetch_add(1); }
+  } observer;
+  ConcurrentBlockStore store;
+  store.set_observer(&observer);
+  for (NodeIndex i = 1; i <= 100; ++i) {
+    store.put(BlockKey::data(i), Bytes(8, static_cast<std::uint8_t>(i)));
+    store.put(BlockKey::parity(Edge{StrandClass::kRightHanded, i}),
+              Bytes(4, static_cast<std::uint8_t>(i + 1)));
+  }
+  ASSERT_EQ(observer.calls.load(), 200);
+
+  auto items = store.take_all();
+  EXPECT_EQ(observer.calls.load(), 200);  // the move announces nothing
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_FALSE(store.contains(BlockKey::data(1)));
+  ASSERT_EQ(items.size(), 200u);
+  std::sort(items.begin(), items.end(), [](const auto& a, const auto& b) {
+    return block_key_order_less(a.first, b.first);
+  });
+  for (std::size_t j = 0; j < items.size(); ++j) {
+    const auto i = static_cast<NodeIndex>(j / 2 + 1);
+    if (j % 2 == 0) {
+      EXPECT_EQ(items[j].first, BlockKey::data(i));
+      EXPECT_EQ(items[j].second, Bytes(8, static_cast<std::uint8_t>(i)));
+    } else {
+      EXPECT_EQ(items[j].first,
+                BlockKey::parity(Edge{StrandClass::kRightHanded, i}));
+      EXPECT_EQ(items[j].second, Bytes(4, static_cast<std::uint8_t>(i + 1)));
+    }
+  }
+  EXPECT_TRUE(store.take_all().empty());
 }
 
 TEST(ConcurrentBlockStore, ConcurrentPutsFromManyThreadsAllLand) {
