@@ -1,7 +1,7 @@
 // Health telemetry maintenance cost: incremental delta replay
-// (HealthMonitor::on_availability_delta, O(damage)) versus brute-force
-// full-lattice rescans (compute_degraded_full, O(lattice)) at 1%, 5%
-// and 20% random damage on AE(3,2,5).
+// (HealthMonitor::on_block, the store-observer hook, O(damage)) versus
+// brute-force full-lattice rescans (compute_degraded_full, O(lattice))
+// at 1%, 5% and 20% random damage on AE(3,2,5).
 //
 //   bench_health_scan [n_nodes] [--json]
 //   (default 200000; --json emits one JSON object per phase — the
@@ -12,11 +12,13 @@
 // the Fig. 12 vulnerability census live must cost O(deltas), so a mostly
 // healthy archive pays almost nothing, while a scan-based census pays
 // O(lattice) on every refresh no matter how little changed. The monitor
-// holds one byte per lattice node (200 KB at the default 200000 nodes),
-// so a delta hashes nothing; the incremental rows time the index's
-// on_block plus the monitor's delta. Both paths are cross-checked for
-// agreement before timing is reported (ok=false poisons the row, and
-// CI's JSON gate sees it).
+// is the archive's only record of what is missing, and it holds one byte
+// per lattice node (200 KB at the default 200000 nodes) — the missing
+// set and the margins together — so a delta hashes nothing; the
+// incremental rows time the monitor's on_block alone, exactly as a store
+// calls it. Both paths are cross-checked for agreement before timing is
+// reported (ok=false poisons the row, and CI's JSON gate sees it); the
+// full rescans read the bench's own damage list, never the monitor.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/codec/availability_index.h"
 #include "obs/health.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -119,11 +120,9 @@ int run(std::uint64_t n_nodes, bool json) {
     // summary() call).
     obs::MetricsRegistry registry;
     obs::HealthMonitor monitor(&registry, &quiet);
-    AvailabilityIndex index;
-    index.set_delta_listener(&monitor);
     monitor.configure_lattice(params, n_nodes);
     const auto inc_start = Clock::now();
-    for (const BlockKey& key : damage) index.on_block(key, false);
+    for (const BlockKey& key : damage) monitor.on_block(key, false);
     const obs::HealthSummary summary = monitor.summary();
     const double inc_ms = ms_since(inc_start);
 
@@ -132,7 +131,7 @@ int run(std::uint64_t n_nodes, bool json) {
     const auto full_start = Clock::now();
     std::vector<obs::BlockHealth> full;
     for (std::uint64_t s = 0; s < kScans; ++s)
-      full = obs::compute_degraded_full(params, n_nodes, index);
+      full = obs::compute_degraded_full(params, n_nodes, damage);
     const double full_ms = ms_since(full_start);
 
     std::uint64_t full_vulnerable = 0;

@@ -6,7 +6,7 @@
 // This is the cluster layer's version of the paper's repair claims: a
 // node holds ~1/N of every strand, so (a) rebuild cost scales with the
 // node's share of the archive, not the archive (O(damage) planning from
-// the availability index), and (b) strand placement turns nearly all of
+// the health census), and (b) strand placement turns nearly all of
 // the node's data blocks into round-1 single-failure repairs, while the
 // naive rr layout (a data block colocated with its output parities)
 // needs extra rounds. The reported MB/s is re-materialized payload over

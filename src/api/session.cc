@@ -168,15 +168,8 @@ std::shared_ptr<pipeline::ParallelRepairer> AeSession::repairer() {
   if (!repairer_ || repairer_->lattice().n_nodes() < n) {
     repairer_ = std::make_shared<pipeline::ParallelRepairer>(
         codec_->params(), n, block_size_, store_, pool_);
-    repairer_->set_availability_index(avail_index_);
   }
   return repairer_;
-}
-
-void AeSession::attach_availability_index(const AvailabilityIndex* index) {
-  std::lock_guard lock(repairer_mu_);
-  avail_index_ = index;
-  if (repairer_) repairer_->set_availability_index(index);
 }
 
 bool AeSession::is_expected_key(const BlockKey& key) const {
@@ -199,9 +192,10 @@ std::unique_ptr<BlockStream> AeSession::open_stream(NodeIndex first,
       });
 }
 
-RepairReport AeSession::repair_all() {
+RepairReport AeSession::repair_all(
+    std::optional<std::vector<BlockKey>> missing) {
   if (size() == 0) return {};
-  return repairer()->repair_all();
+  return repairer()->repair_all(0, std::move(missing));
 }
 
 void AeSession::for_each_expected_key(
@@ -527,20 +521,20 @@ std::unique_ptr<BlockStream> StripedSession::open_stream(
       });
 }
 
-RepairReport StripedSession::repair_all() {
+RepairReport StripedSession::repair_all(
+    std::optional<std::vector<BlockKey>> missing) {
   RepairReport report;
   const std::uint64_t count = size();
   if (count == 0) return report;
   const auto start = std::chrono::steady_clock::now();
 
-  // With an availability index attached only the damaged stripes are
-  // visited — O(damage); otherwise every stripe is probed. repair_stripe
-  // is a no-op on intact stripes, so both walks repair identically.
+  // Given the missing keys only the damaged stripes are visited —
+  // O(damage); otherwise every stripe is probed. repair_stripe is a no-op
+  // on intact stripes, so both walks repair identically.
   std::vector<std::uint64_t> targets;
-  if (avail_index_ != nullptr) {
-    avail_index_->for_each_missing([&](const BlockKey& key) {
+  if (missing) {
+    for (const BlockKey& key : *missing)
       if (is_expected_key(key)) targets.push_back(stripe_of_key(key));
-    });
     std::sort(targets.begin(), targets.end());
     targets.erase(std::unique(targets.begin(), targets.end()),
                   targets.end());
@@ -578,11 +572,6 @@ bool StripedSession::is_expected_key(const BlockKey& key) const {
     return static_cast<std::uint64_t>(key.index) <= size();
   return key.cls == StrandClass::kHorizontal &&
          static_cast<std::uint64_t>(key.index) <= stripes() * m_;
-}
-
-void StripedSession::attach_availability_index(
-    const AvailabilityIndex* index) {
-  avail_index_ = index;
 }
 
 void StripedSession::for_each_expected_key(

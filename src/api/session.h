@@ -15,11 +15,11 @@
 // their repair-on-read persists what it repairs. size() is safe from any
 // thread and advances only once an append is wholly in the store, so a
 // stream opened within [1, size()] never meets half-written blocks.
-// repair_all(), verify_integrity() and attach_availability_index() run
-// exclusively — with no append and no open stream (Archive enforces this
-// for its sessions). Every barrier is a per-operation completion group
-// on the shared pool, so a reader's repair wave and a writer's batch
-// never wait for each other's tasks.
+// repair_all() and verify_integrity() run exclusively — with no append
+// and no open stream (Archive enforces this for its sessions). Every
+// barrier is a per-operation completion group on the shared pool, so a
+// reader's repair wave and a writer's batch never wait for each other's
+// tasks.
 //
 // Key layout (shared with FileBlockStore's on-disk naming, both layouts):
 //   data block i        — BlockKey::data(i), i in [1, size()]
@@ -40,7 +40,6 @@
 
 #include "api/codec.h"
 #include "common/bytes.h"
-#include "core/codec/availability_index.h"
 #include "core/codec/block_key.h"
 #include "core/codec/block_store.h"
 #include "core/codec/repair_planner.h"
@@ -192,8 +191,14 @@ class CodecSession {
   static constexpr std::size_t kReadWindowBlocks = 64;
 
   /// Repairs everything recoverable; reports the paper's round/residue
-  /// accounting (striped codecs always finish in one round).
-  virtual RepairReport repair_all() = 0;
+  /// accounting (striped codecs always finish in one round). Given
+  /// `missing` — every missing key in block order, as the health census
+  /// walks them (obs::HealthMonitor::missing_keys) — the pass visits only
+  /// the damage, O(damage); without it, it probes the store for every
+  /// expected key. Keys the session does not expect are ignored, and the
+  /// repairs are the same either way.
+  virtual RepairReport repair_all(
+      std::optional<std::vector<BlockKey>> missing = std::nullopt) = 0;
 
   /// Visits every key an intact session of the current size stores, in
   /// a deterministic order (damage injection / census walks). Streaming
@@ -204,13 +209,6 @@ class CodecSession {
   /// True when an intact session of the current size would store `key` —
   /// the membership test matching for_each_expected_key, in O(1).
   virtual bool is_expected_key(const BlockKey& key) const = 0;
-
-  /// Attaches an incrementally maintained availability index (see
-  /// availability_index.h); repair passes then plan from its missing set
-  /// — O(damage) — instead of scanning the store. Null detaches. The
-  /// caller owns keeping the index consistent with every store mutation
-  /// (Archive wires it as the store's observer and seeds it at open).
-  virtual void attach_availability_index(const AvailabilityIndex* index) = 0;
 
   /// Re-derives redundancy from the present blocks and flags mismatches.
   virtual IntegrityReport verify_integrity() const = 0;
@@ -239,11 +237,11 @@ class AeSession final : public CodecSession {
   std::unique_ptr<BlockStream> open_stream(NodeIndex first,
                                            std::uint64_t count,
                                            std::size_t window = 0) override;
-  RepairReport repair_all() override;
+  RepairReport repair_all(
+      std::optional<std::vector<BlockKey>> missing = std::nullopt) override;
   void for_each_expected_key(
       const std::function<void(const BlockKey&)>& fn) const override;
   bool is_expected_key(const BlockKey& key) const override;
-  void attach_availability_index(const AvailabilityIndex* index) override;
   IntegrityReport verify_integrity() const override;
 
  private:
@@ -258,8 +256,7 @@ class AeSession final : public CodecSession {
   std::size_t block_size_;
   pipeline::ThreadPool* pool_;
   pipeline::ParallelEncoder encoder_;
-  std::mutex repairer_mu_;  // guards avail_index_ and repairer_
-  const AvailabilityIndex* avail_index_ = nullptr;
+  std::mutex repairer_mu_;  // guards repairer_
   std::shared_ptr<pipeline::ParallelRepairer> repairer_;
 };
 
@@ -297,11 +294,11 @@ class StripedSession final : public CodecSession {
   std::unique_ptr<BlockStream> open_stream(NodeIndex first,
                                            std::uint64_t count,
                                            std::size_t window = 0) override;
-  RepairReport repair_all() override;
+  RepairReport repair_all(
+      std::optional<std::vector<BlockKey>> missing = std::nullopt) override;
   void for_each_expected_key(
       const std::function<void(const BlockKey&)>& fn) const override;
   bool is_expected_key(const BlockKey& key) const override;
-  void attach_availability_index(const AvailabilityIndex* index) override;
   IntegrityReport verify_integrity() const override;
 
   std::uint64_t stripes() const noexcept { return (size() + k_ - 1) / k_; }
@@ -370,7 +367,6 @@ class StripedSession final : public CodecSession {
   BlockStore* store_;
   std::size_t block_size_;
   pipeline::ThreadPool* pool_;
-  const AvailabilityIndex* avail_index_ = nullptr;
   std::uint32_t k_;  // data parts per stripe
   std::uint32_t m_;  // parity parts per stripe
   /// Written by the appending writer only, once an append is stored.

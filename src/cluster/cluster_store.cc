@@ -376,10 +376,10 @@ void ClusterStore::fail_node(std::uint32_t node) {
   {
     std::unique_lock lock(n.mu);
     AEC_CHECK_MSG(!n.staged, "node " << node << " is already down");
-    // A child that cannot enumerate its keys would leave an attached
-    // availability index silently stale — refuse, BEFORE any state
-    // changes, rather than misreport (every built-in backend supports
-    // enumeration; the no-op probe is an in-memory index walk).
+    // A child that cannot enumerate its keys would leave an observing
+    // census silently stale — refuse, BEFORE any state changes, rather
+    // than misreport (every built-in backend supports enumeration; the
+    // no-op probe is an in-memory index walk).
     AEC_CHECK_MSG(n.child->for_each_key([](const BlockKey&) {}),
                   "fail_node: child store '"
                       << child_spec_
@@ -387,8 +387,8 @@ void ClusterStore::fail_node(std::uint32_t node) {
                          "be tracked across a node failure");
     n.staged = std::make_unique<pipeline::ConcurrentBlockStore>();
     n.staged->set_observer(observer());
-    // Announce the whole failure domain as missing: an attached
-    // AvailabilityIndex now plans node loss like any other damage.
+    // Announce the whole failure domain as missing: an observing health
+    // census now plans node loss like any other damage.
     n.child->for_each_key([&](const BlockKey& key) { notify(key, false); });
   }
   save_state();
@@ -431,7 +431,7 @@ void ClusterStore::replace_node(std::uint32_t node) {
     n.child = make_store(child_spec_, n.dir);
     n.child->set_observer(observer());
     flush_staged(n);
-    // Every key not staged stays missing (per the availability index)
+    // Every key not staged stays missing (per the health census)
     // until a rebuild pass re-materializes it.
   }
   save_state();

@@ -11,7 +11,7 @@
 //   fail_node(k)  — the node's child becomes unreachable: every routed
 //                   read answers a miss, and the cluster announces each
 //                   key the node held to the mutation observer as
-//                   missing — an attached AvailabilityIndex therefore
+//                   missing — an archive's health census therefore
 //                   covers node loss with the existing O(damage) repair
 //                   planning, no special-casing anywhere. Writes routed
 //                   to a down node land in a volatile in-memory staging

@@ -6,6 +6,7 @@
 // testable, never UB.
 #pragma once
 
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,9 +14,20 @@
 namespace aec {
 
 /// Thrown when a library precondition or internal invariant is violated.
+/// what() is the full diagnostic ("CHECK failed: <expr> at <file>:<line>
+/// — <message>"), for logs; message() is the check's message alone, for
+/// the user.
 class CheckError : public std::logic_error {
  public:
-  explicit CheckError(const std::string& what) : std::logic_error(what) {}
+  /// `message_pos` is where the caller's message starts within `what`.
+  explicit CheckError(const std::string& what, std::size_t message_pos = 0)
+      : std::logic_error(what), message_pos_(message_pos) {}
+
+  /// The caller's message, or the whole what() for a check that gave none.
+  const char* message() const noexcept { return what() + message_pos_; }
+
+ private:
+  std::size_t message_pos_;
 };
 
 namespace detail {
@@ -23,8 +35,11 @@ namespace detail {
                                       int line, const std::string& msg) {
   std::ostringstream os;
   os << "CHECK failed: " << expr << " at " << file << ":" << line;
-  if (!msg.empty()) os << " — " << msg;
-  throw CheckError(os.str());
+  if (msg.empty()) throw CheckError(os.str());
+  os << " — ";
+  const auto message_pos = static_cast<std::size_t>(os.tellp());
+  os << msg;
+  throw CheckError(os.str(), message_pos);
 }
 }  // namespace detail
 

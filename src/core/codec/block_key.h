@@ -41,10 +41,10 @@ struct BlockKeyHash {
 };
 
 /// BlockKeyHash run through a murmur finalizer — the shard/stripe picker
-/// used by every striped structure (ConcurrentBlockStore, the sharded
-/// FileBlockStore layout, AvailabilityIndex). BlockKeyHash keeps the
-/// index in the high bits; the re-mix makes adjacent lattice indices
-/// land on different shards.
+/// of both striped stores (ConcurrentBlockStore and the sharded
+/// FileBlockStore layout). BlockKeyHash keeps the index in the high
+/// bits; the re-mix makes adjacent lattice indices land on different
+/// shards.
 inline std::size_t mixed_block_key_hash(const BlockKey& k) noexcept {
   std::size_t h = BlockKeyHash{}(k);
   h ^= h >> 33;

@@ -27,7 +27,9 @@ class BlockStore {
   /// erase() reports (key, false). Thread-safe stores fire it under their
   /// internal key lock, so notifications for one key arrive in mutation
   /// order; the observer must itself be safe to call from every thread
-  /// that mutates the store and must not reenter the store.
+  /// that mutates the store and must not reenter the store. The archive's
+  /// observer is its health census (obs::HealthMonitor), its one record
+  /// of which blocks are missing.
   class Observer {
    public:
     virtual ~Observer() = default;
@@ -97,7 +99,7 @@ class BlockStore {
   /// enumerate its keys. The callback must not mutate the store;
   /// thread-safe stores may hold internal locks while it runs. This is
   /// what lets the cluster layer announce a whole failure domain's worth
-  /// of keys to the availability index at fail/heal time.
+  /// of keys to the observer (the health census) at fail/heal time.
   virtual bool for_each_key(
       const std::function<void(const BlockKey&)>& fn) const {
     (void)fn;
@@ -106,7 +108,7 @@ class BlockStore {
 
   /// Re-reads authoritative presence state (durable stores re-scan their
   /// directory tree, picking up external additions/removals). The
-  /// observer is NOT notified of the diff; reseed any availability index
+  /// observer is NOT notified of the diff; reseed the observer's census
   /// afterwards (Archive::reindex does both). No-op for stores whose
   /// in-memory state is authoritative.
   virtual void rescan() {}

@@ -99,8 +99,8 @@ class FileBlockStore final : public BlockStore {
   /// Re-scans every shard's directory tree (picks up external
   /// additions/removals) after draining queued writes, and empties the
   /// rings, so an externally deleted block is no longer served from
-  /// memory. The observer is not notified of the diff; reseed any
-  /// availability index afterwards.
+  /// memory. The observer is not notified of the diff; reseed its census
+  /// afterwards.
   void rescan() override;
 
   /// Visits keys one shard at a time, under that shard's lock.

@@ -6,15 +6,14 @@
 #include <unordered_set>
 
 #include "common/check.h"
-#include "core/codec/availability_index.h"
 
 namespace aec {
 
 namespace {
 
-/// Availability-index entries outside the lattice's key set — striped-
-/// tail orphans, foreign key spaces — must not reach an AvailabilityMap,
-/// whose storage is lattice-sized.
+/// Missing keys outside the lattice's key set — orphans past the tail,
+/// foreign key spaces — must not reach an AvailabilityMap, whose storage
+/// is lattice-sized.
 bool in_lattice(const Lattice& lat, const BlockKey& key) {
   return lattice_expects(lat.params(), lat.n_nodes(), key);
 }
@@ -175,24 +174,6 @@ RepairPlanner::RepairPlanner(const Lattice* lattice) : lattice_(lattice) {
   AEC_CHECK_MSG(lattice_ != nullptr, "planner needs a lattice");
 }
 
-AvailabilityMap RepairPlanner::snapshot(
-    const AvailabilityIndex& index) const {
-  AvailabilityMap avail(lattice_->params(), lattice_->n_nodes());
-  index.for_each_missing([&](const BlockKey& key) {
-    if (in_lattice(*lattice_, key)) avail.set(key, false);
-  });
-  return avail;
-}
-
-std::vector<BlockKey> RepairPlanner::missing_in_lattice(
-    const AvailabilityIndex& index) const {
-  std::vector<BlockKey> missing = index.missing_sorted();
-  std::erase_if(missing, [&](const BlockKey& key) {
-    return !in_lattice(*lattice_, key);
-  });
-  return missing;
-}
-
 AvailabilityMap RepairPlanner::snapshot(const BlockStore& store) const {
   AvailabilityMap avail(lattice_->params(), lattice_->n_nodes());
   const auto n = static_cast<NodeIndex>(lattice_->n_nodes());
@@ -299,20 +280,21 @@ std::optional<RepairPlan> RepairPlanner::plan_for_target(
 
 RepairReport execute_repair_plan(
     const RepairPlanner& planner, const BlockStore& store,
-    const AvailabilityIndex* index, std::uint32_t max_rounds,
+    std::optional<std::vector<BlockKey>> missing, std::uint32_t max_rounds,
     const std::function<void(const std::vector<RepairStep>&)>& run_wave) {
   const auto start = std::chrono::steady_clock::now();
   RepairPlan plan;
-  if (index != nullptr) {
-    // O(damage): the index already knows the missing set, and its stable
-    // sort matches the scanning walk's order, so the waves are identical.
-    // One index walk — map and missing list derive from the same read,
-    // so a concurrent mutation cannot make them disagree.
-    std::vector<BlockKey> missing = planner.missing_in_lattice(*index);
+  if (missing) {
+    // O(damage): the caller already knows the missing set, in the
+    // scanning walk's order, so the waves are identical. Map and list
+    // derive from the same keys, so they cannot disagree.
+    std::erase_if(*missing, [&](const BlockKey& key) {
+      return !in_lattice(planner.lattice(), key);
+    });
     AvailabilityMap avail(planner.lattice().params(),
                           planner.lattice().n_nodes());
-    for (const BlockKey& key : missing) avail.set(key, false);
-    plan = planner.plan_missing(avail, std::move(missing),
+    for (const BlockKey& key : *missing) avail.set(key, false);
+    plan = planner.plan_missing(avail, std::move(*missing),
                                 RepairPolicy::kFull, max_rounds);
   } else {
     AvailabilityMap avail = planner.snapshot(store);

@@ -35,8 +35,6 @@
 
 namespace aec {
 
-class AvailabilityIndex;
-
 /// Which parities a repair pass regenerates (paper §V-C-2).
 enum class RepairPolicy {
   kFull,     ///< repair every recoverable block
@@ -146,18 +144,6 @@ class RepairPlanner {
   /// contains() probe per lattice block — O(lattice).
   AvailabilityMap snapshot(const BlockStore& store) const;
 
-  /// Snapshot from an incrementally maintained AvailabilityIndex:
-  /// everything presumed present, then the index's missing set applied —
-  /// O(damage), no store probes. Index entries outside this lattice
-  /// (orphans, other key spaces) are ignored.
-  AvailabilityMap snapshot(const AvailabilityIndex& index) const;
-
-  /// The index's missing keys restricted to this lattice, in the stable
-  /// block order plan() uses — the ready-made `missing` argument for
-  /// plan_missing().
-  std::vector<BlockKey> missing_in_lattice(
-      const AvailabilityIndex& index) const;
-
   // --- availability-only repairability predicates ---------------------------
 
   /// d_i is one XOR away: some strand has both incident parities (an
@@ -172,11 +158,11 @@ class RepairPlanner {
                   std::uint32_t max_rounds = 0) const;
 
   /// plan() with the missing set handed in instead of collected by a full
-  /// lattice walk — O(|missing| · rounds), the hot path when an
-  /// AvailabilityIndex already knows the damage. `missing` must list
-  /// exactly the blocks `avail` marks absent, in the stable block order
-  /// (ascending index; data before parity; strand-class order) that makes
-  /// the waves identical to plan()'s.
+  /// lattice walk — O(|missing| · rounds), the hot path when the health
+  /// census already knows the damage. `missing` must list exactly the
+  /// blocks `avail` marks absent, in the stable block order (ascending
+  /// index; data before parity; strand-class order) that makes the waves
+  /// identical to plan()'s.
   RepairPlan plan_missing(AvailabilityMap& avail,
                           std::vector<BlockKey> missing,
                           RepairPolicy policy = RepairPolicy::kFull,
@@ -205,14 +191,15 @@ class RepairPlanner {
 };
 
 /// The repair_all flow: snapshot → plan (kFull) → run every wave
-/// through `run_wave` → report stamped with wall time. With an
-/// AvailabilityIndex attached (`index` non-null) the snapshot and missing
-/// set come from the index — O(damage) — instead of a full store scan;
-/// the plans (and therefore the executed bytes, waves and residue) are
-/// identical either way.
+/// through `run_wave` → report stamped with wall time. Given `missing`
+/// (every missing key in plan()'s block order, as
+/// obs::HealthMonitor::missing_keys walks them; keys outside the lattice
+/// are dropped) the snapshot comes from that list — O(damage) — instead
+/// of one contains() probe per lattice block; the plans (and therefore
+/// the executed bytes, waves and residue) are identical either way.
 RepairReport execute_repair_plan(
     const RepairPlanner& planner, const BlockStore& store,
-    const AvailabilityIndex* index, std::uint32_t max_rounds,
+    std::optional<std::vector<BlockKey>> missing, std::uint32_t max_rounds,
     const std::function<void(const std::vector<RepairStep>&)>& run_wave);
 
 /// The two blocks a planned step XORs. `input` is nullopt at an

@@ -292,6 +292,9 @@ int main(int argc, char** argv) {
   } catch (const aec::net::RemoteError& e) {
     std::fprintf(stderr, "remote error: %s\n", e.what());
     return 1;
+  } catch (const aec::CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.message());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -183,6 +183,9 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);
+  } catch (const aec::CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.message());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -86,7 +86,8 @@ enum class ErrorCode : std::uint16_t {
   kBadFrame = 1,      // framing violation (the connection is dropped)
   kUnknownOp = 2,     // opcode the server does not implement
   kBadPayload = 3,    // payload did not decode for the opcode
-  kCheckFailed = 4,   // a library CheckError; message is its text
+  kCheckFailed = 4,   // a library CheckError: its message() only; the
+                      // expression and source line go to the log
   kNotFound = 5,      // no such file / irrecoverable content
   kBusy = 6,          // admission limit reached, retry later
   kBadState = 7,      // op illegal in this session state (e.g. PUT_CHUNK

@@ -915,7 +915,10 @@ void Server::handle_request(const ExecItem& item) {
   } catch (const ProtocolError& e) {
     reply = error_frame(id, ErrorCode::kBadPayload, e.what());
   } catch (const CheckError& e) {
-    reply = error_frame(id, ErrorCode::kCheckFailed, e.what());
+    // The client gets the check's message; the full diagnostic (the
+    // expression and its source line) stays in the daemon's log.
+    obs::Logger::global().warn("net", e.what(), id);
+    reply = error_frame(id, ErrorCode::kCheckFailed, e.message());
   } catch (const std::exception& e) {
     reply = error_frame(id, ErrorCode::kIo, e.what());
   }

@@ -1,6 +1,7 @@
 #include "obs/health.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/check.h"
 #include "core/codec/repair_planner.h"
@@ -17,17 +18,26 @@ HealthMonitor::HealthMonitor(MetricsRegistry* registry, Logger* logger)
       g_min_margin_(registry->gauge("health.min_margin")),
       c_deltas_(registry->counter("health.deltas")) {}
 
+namespace {
+
+constexpr StrandClass kClassOrder[] = {StrandClass::kHorizontal,
+                                       StrandClass::kRightHanded,
+                                       StrandClass::kLeftHanded};
+
+/// The repair planner's block order: ascending index, data before
+/// parity, parities in strand-class order.
+bool block_order_less(const BlockKey& a, const BlockKey& b) noexcept {
+  if (a.index != b.index) return a.index < b.index;
+  if (a.kind != b.kind) return a.is_data();
+  return static_cast<std::uint8_t>(a.cls) < static_cast<std::uint8_t>(b.cls);
+}
+
+}  // namespace
+
 void HealthMonitor::configure_lattice(const CodeParams& params,
                                       std::uint64_t n_nodes) {
   std::lock_guard lock(mu_);
-  const std::vector<BlockKey> missing = missing_keys_locked();
   params_ = params;
-  n_nodes_ = n_nodes;
-  if (n_nodes_ >= 1) {
-    lattice_.emplace(params, n_nodes_, Lattice::Boundary::kOpen);
-  } else {
-    lattice_.reset();
-  }
   class_bits_ = 0;
   for (const StrandClass cls : params.classes()) class_bits_ |= parity_bit(cls);
   g_margin_counts_.clear();
@@ -36,18 +46,26 @@ void HealthMonitor::configure_lattice(const CodeParams& params,
         "health.margin" + std::to_string(k) + ".blocks"));
   }
   margin_counts_.assign(params.alpha(), 0);
-  rebuild_locked(missing);
+  resize_locked(n_nodes);
+  clear_locked();
   publish_locked();
+}
+
+void HealthMonitor::resize_locked(std::uint64_t n_nodes) {
+  n_nodes_ = n_nodes;
+  if (n_nodes_ >= 1)
+    lattice_.emplace(*params_, n_nodes_, Lattice::Boundary::kOpen);
+  else
+    lattice_.reset();
+  census_.resize(n_nodes_ + 1, 0);
 }
 
 void HealthMonitor::grow_to(std::uint64_t n_nodes) {
   std::lock_guard lock(mu_);
   if (!params_ || n_nodes <= n_nodes_) return;
   const std::uint64_t old_n = n_nodes_;
-  n_nodes_ = n_nodes;
-  lattice_.emplace(*params_, n_nodes_, Lattice::Boundary::kOpen);
-  census_.resize(n_nodes_ + 1, 0);
-  // Missing keys the lattice now covers move into the census.
+  resize_locked(n_nodes);
+  // Missing keys the census now covers move into it.
   for (auto it = outside_.begin(); it != outside_.end();) {
     if (!in_census(*it)) {
       ++it;
@@ -78,28 +96,80 @@ std::uint64_t HealthMonitor::n_nodes() const {
   return n_nodes_;
 }
 
-void HealthMonitor::on_availability_delta(const BlockKey& key, bool missing) {
-  c_deltas_->add();
+void HealthMonitor::on_block(const BlockKey& key, bool present) {
+  // A key's notifications arrive in mutation order under the store's key
+  // lock, so a put after that key's erase sees the ceiling that erase
+  // raised, a higher one, or a reset made while nothing (this key
+  // included) was missing: above it, this key is not missing.
+  if (present && key.index > missing_ceiling_[key.is_data() ? 0 : 1].load())
+    return;
+  bool delta = false;
+  {
+    std::lock_guard lock(mu_);
+    delta = apply_delta_locked(key, !present);
+    if (delta) publish_locked();
+  }
+  if (delta) c_deltas_->add();
+}
+
+void HealthMonitor::clear() {
   std::lock_guard lock(mu_);
-  apply_delta_locked(key, missing);
+  clear_locked();
   publish_locked();
 }
 
-void HealthMonitor::reset_from(const AvailabilityIndex& index) {
-  // Collect before taking mu_: the walk takes the index's stripe locks
-  // and the established lock order is stripe → health.
-  std::vector<BlockKey> missing;
-  index.for_each_missing(
-      [&](const BlockKey& key) { missing.push_back(key); });
+bool HealthMonitor::is_missing(const BlockKey& key) const {
   std::lock_guard lock(mu_);
-  rebuild_locked(missing);
-  publish_locked();
+  if (!in_census(key)) return outside_.contains(key);
+  const std::uint8_t bit =
+      key.is_data() ? kDataMissing : parity_bit(key.cls);
+  return (census_[key.index] & bit) != 0;
+}
+
+std::uint64_t HealthMonitor::missing_count() const {
+  std::lock_guard lock(mu_);
+  return missing_total_locked();
+}
+
+std::uint64_t HealthMonitor::missing_total_locked() const noexcept {
+  // Without a lattice the counts are the overflow's own.
+  return (params_ ? data_missing_ + parity_missing_ : 0) + outside_.size();
+}
+
+std::vector<BlockKey> HealthMonitor::missing_keys() const {
+  std::vector<BlockKey> keys;
+  std::vector<BlockKey> extra;
+  {
+    std::lock_guard lock(mu_);
+    // Without a lattice the counts are the overflow's, the census empty.
+    if (params_ && data_missing_ + parity_missing_ != 0) {
+      keys.reserve(data_missing_ + parity_missing_);
+      for (std::size_t i = 1; i < census_.size(); ++i) {
+        const std::uint8_t byte = census_[i];
+        if ((byte & (kDataMissing | class_bits_)) == 0) continue;
+        const auto index = static_cast<NodeIndex>(i);
+        if ((byte & kDataMissing) != 0) keys.push_back(BlockKey::data(index));
+        for (const StrandClass cls : kClassOrder) {
+          if ((byte & parity_bit(cls)) != 0)
+            keys.push_back(BlockKey::parity(Edge{cls, index}));
+        }
+      }
+    }
+    extra.assign(outside_.begin(), outside_.end());
+  }
+  if (extra.empty()) return keys;
+  std::sort(extra.begin(), extra.end(), block_order_less);
+  std::vector<BlockKey> merged;
+  merged.reserve(keys.size() + extra.size());
+  std::merge(keys.begin(), keys.end(), extra.begin(), extra.end(),
+             std::back_inserter(merged), block_order_less);
+  return merged;
 }
 
 bool HealthMonitor::in_census(const BlockKey& key) const noexcept {
-  return lattice_ && key.index >= 1 &&
-         static_cast<std::uint64_t>(key.index) <= n_nodes_ &&
-         (key.is_data() || (class_bits_ & parity_bit(key.cls)) != 0);
+  if (key.index < 1 || static_cast<std::uint64_t>(key.index) > n_nodes_)
+    return false;
+  return key.is_data() || (class_bits_ & parity_bit(key.cls)) != 0;
 }
 
 std::uint32_t HealthMonitor::margin_of(NodeIndex i) const {
@@ -143,20 +213,24 @@ void HealthMonitor::rescore(NodeIndex i) {
                                    (tracked << kMarginShift));
 }
 
-void HealthMonitor::apply_delta_locked(const BlockKey& key, bool missing) {
+bool HealthMonitor::apply_delta_locked(const BlockKey& key, bool missing) {
+  if (missing) {
+    auto& ceiling = missing_ceiling_[key.is_data() ? 0 : 1];
+    if (key.index > ceiling.load()) ceiling.store(key.index);
+  }
   auto& count = key.is_data() ? data_missing_ : parity_missing_;
   if (!in_census(key)) {
     const bool changed =
         missing ? outside_.insert(key).second : outside_.erase(key) != 0;
-    // Counts-only mode (non-lattice codecs) counts every key; a lattice
-    // ignores the keys it does not cover yet.
+    // Without a lattice every key counts; a lattice census ignores the
+    // keys it does not cover yet.
     if (changed && !params_) missing ? ++count : --count;
-    return;
+    return changed;
   }
   std::uint8_t& byte = census_[key.index];
   const std::uint8_t bit =
       key.is_data() ? kDataMissing : parity_bit(key.cls);
-  if (((byte & bit) != 0) == missing) return;
+  if (((byte & bit) != 0) == missing) return false;
   byte ^= bit;
   missing ? ++count : --count;
   rescore(key.index);
@@ -167,35 +241,22 @@ void HealthMonitor::apply_delta_locked(const BlockKey& key, bool missing) {
     const NodeIndex head = lattice_->edge_head(key.edge());
     if (lattice_->is_valid_node(head)) rescore(head);
   }
+  return true;
 }
 
-std::vector<BlockKey> HealthMonitor::missing_keys_locked() const {
-  std::vector<BlockKey> keys(outside_.begin(), outside_.end());
-  for (std::size_t i = 1; i < census_.size(); ++i) {
-    const std::uint8_t byte = census_[i];
-    const auto index = static_cast<NodeIndex>(i);
-    if ((byte & kDataMissing) != 0) keys.push_back(BlockKey::data(index));
-    for (const StrandClass cls :
-         {StrandClass::kHorizontal, StrandClass::kRightHanded,
-          StrandClass::kLeftHanded}) {
-      if ((byte & parity_bit(cls)) != 0)
-        keys.push_back(BlockKey::parity(Edge{cls, index}));
-    }
-  }
-  return keys;
-}
-
-void HealthMonitor::rebuild_locked(const std::vector<BlockKey>& missing) {
-  census_.assign(lattice_ ? n_nodes_ + 1 : 0, 0);
+void HealthMonitor::clear_locked() {
+  std::fill(census_.begin(), census_.end(), 0);
   outside_.clear();
   std::fill(margin_counts_.begin(), margin_counts_.end(), 0);
   degraded_ = 0;
   data_missing_ = 0;
   parity_missing_ = 0;
-  for (const BlockKey& key : missing) apply_delta_locked(key, true);
 }
 
 void HealthMonitor::publish_locked() {
+  if (missing_total_locked() == 0) {
+    for (auto& ceiling : missing_ceiling_) ceiling.store(kNoCeiling);
+  }
   const std::uint64_t vulnerable =
       margin_counts_.empty() ? 0 : margin_counts_[0];
   std::uint32_t min_margin = params_ ? params_->alpha() : 0;
@@ -233,7 +294,7 @@ HealthSummary HealthMonitor::summary() const {
   HealthSummary s;
   s.lattice_mode = params_.has_value();
   s.alpha = params_ ? params_->alpha() : 0;
-  s.n_nodes = n_nodes_;
+  s.n_nodes = params_ ? n_nodes_ : 0;
   s.data_missing = data_missing_;
   s.parity_missing = parity_missing_;
   s.degraded_blocks = degraded_;
@@ -296,16 +357,15 @@ std::string HealthSummary::to_json() const {
   return out;
 }
 
-std::vector<BlockHealth> compute_degraded_full(const CodeParams& params,
-                                               std::uint64_t n_nodes,
-                                               const AvailabilityIndex& index) {
+std::vector<BlockHealth> compute_degraded_full(
+    const CodeParams& params, std::uint64_t n_nodes,
+    const std::vector<BlockKey>& missing) {
   std::vector<BlockHealth> out;
   if (n_nodes == 0) return out;
   const Lattice lattice(params, n_nodes, Lattice::Boundary::kOpen);
   AvailabilityMap avail(params, n_nodes);
-  index.for_each_missing([&](const BlockKey& key) {
+  for (const BlockKey& key : missing)
     if (lattice_expects(params, n_nodes, key)) avail.set(key, false);
-  });
   for (NodeIndex i = 1; static_cast<std::uint64_t>(i) <= n_nodes; ++i) {
     if (!avail.data_ok(i)) continue;
     std::uint32_t margin = 0;

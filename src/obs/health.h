@@ -1,6 +1,13 @@
-// Live archive health: the paper's Fig. 12 vulnerable-data metric as a
-// continuously maintained, queryable signal instead of an offline
+// Live archive health: the archive's one record of which blocks are
+// missing, and the paper's Fig. 12 vulnerable-data metric kept on it as
+// a continuously maintained, queryable signal instead of an offline
 // simulation output.
+//
+// The monitor is the store's mutation observer (BlockStore::Observer):
+// every put and erase notification lands here, and a notification that
+// flips a key's state is a *delta*. Repair planning (scrub, node
+// rebuild), the availability census (aectool stat) and the clean-close
+// sidecar all read the missing set from here.
 //
 // A present data block's *margin* is the number of strand classes whose
 // two incident parities (input — or the virtual zero bootstrap near an
@@ -16,45 +23,49 @@
 //   health.vulnerable_blocks                      present, margin == 0
 //   health.min_margin                             α when nothing degraded
 //   health.margin<k>.blocks                       degraded count at margin k
-//
-// Maintenance is incremental, O(damage) — the same discipline as the
-// AvailabilityIndex that feeds it: a parity delta re-scores only the two
-// data blocks incident to that edge; a data delta re-scores only itself.
-// The monitor mirrors the missing set internally so it never reenters
-// the index from the delta callback (lock order: index stripe mutex →
-// health mutex, never the reverse).
+//   health.deltas                                 every delta, counted
 //
 // The census is one byte per lattice node i: a bit for d_i missing, a
 // bit per strand class for the parity whose tail is i, and i's tracked
 // margin (present and margin < α; α ≤ 3, so it fits). A delta flips one
-// bit and re-scores at most two nodes by reading at most 2α bytes, with
-// no hashing and no allocation under the mutex. Keys the array cannot
-// hold — an index outside [1, n], a class the code does not use, or any
-// key while unconfigured — wait in a small set until grow_to covers
-// them. The array is sized from the lattice, never from a key, and costs
-// one byte per data block: 256 MiB per TiB of 4 KiB blocks (a scrub's
-// AvailabilityMap takes 1 + α bytes per node). configure_lattice and
-// reset_from clear it in O(n) and re-score O(missing); grow_to re-scores
-// only the appended nodes, and only while something is missing.
+// bit and re-scores at most two nodes by reading at most 2α bytes: a
+// parity delta re-scores the two data blocks incident to that edge, a
+// data delta only itself. No hashing and no allocation under the mutex.
+// Keys the array cannot hold — an index past the tail, a class the code
+// does not use, or any key while no lattice is configured (striped
+// codecs: RS, REP) — wait in an overflow set, which grow_to moves into
+// the array once it covers them.
 //
-// The ranked worst-N query is the feed for ROADMAP item 2's
-// vulnerability-ranked background scrubber: repair candidates ordered by
+// Memory: one byte per data block, 256 MiB per TiB of 4 KiB blocks (a
+// scrub's AvailabilityMap takes 1 + α bytes per node); striped codecs
+// keep only their missing keys. configure_lattice and clear reset it in
+// O(n); grow_to re-scores only the appended nodes, and only while
+// something is missing.
+//
+// Traffic: ingest announces only keys that were never missing (α + 1
+// per AE data block), each past every key missing so far. Such a
+// notification returns after one atomic load of the largest index a key
+// of its kind (data, parity) has had while missing, reset once nothing
+// is missing: no lock, with damage standing or not. Every delta, and a
+// put at or below that index, takes the mutex.
+//
+// The ranked worst-N query is the feed for ROADMAP item 6's
+// vulnerability-ranked repair service: repair candidates ordered by
 // distance-to-unrecoverable. It scans the array in index order, O(n)
 // bytes, once per margin value; summary() stays O(1).
-//
-// Non-lattice codecs (RS/REP) run the monitor unconfigured: damage
-// counts only, no margins.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "core/codec/availability_index.h"
 #include "core/codec/block_key.h"
+#include "core/codec/block_store.h"
 #include "core/lattice/lattice.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -74,12 +85,12 @@ struct BlockHealth {
 struct HealthSummary {
   bool lattice_mode = false;  // margins meaningful (AE codec configured)
   std::uint32_t alpha = 0;
-  std::uint64_t n_nodes = 0;
+  std::uint64_t n_nodes = 0;  // lattice nodes; 0 without margins
   std::uint64_t data_missing = 0;
   std::uint64_t parity_missing = 0;
   std::uint64_t degraded_blocks = 0;
   std::uint64_t vulnerable_blocks = 0;
-  /// α (or 0 unconfigured) when nothing is degraded.
+  /// α (or 0 without margins) when nothing is degraded.
   std::uint32_t min_margin = 0;
   /// Degraded-block count per margin value in [0, α).
   std::vector<std::uint64_t> margin_counts;
@@ -93,33 +104,47 @@ struct HealthSummary {
   std::string to_json() const;
 };
 
-class HealthMonitor final : public AvailabilityIndex::Listener {
+class HealthMonitor final : public BlockStore::Observer {
  public:
   explicit HealthMonitor(
       MetricsRegistry* registry = &MetricsRegistry::global(),
       Logger* logger = &Logger::global());
 
-  /// Enables margin tracking for an AE lattice of `n_nodes` data blocks.
-  /// Until called the monitor only counts missing blocks by kind.
+  /// Census with margins for an AE lattice of `n_nodes` data blocks.
+  /// Until then every key waits in the overflow set and counts (damage
+  /// counts only, as striped codecs keep them). It starts from an empty
+  /// census, as clear() does.
   void configure_lattice(const CodeParams& params, std::uint64_t n_nodes);
 
-  /// Extends the lattice as the archive grows (ingest appends nodes):
-  /// O(new nodes), re-scoring them only while something is missing (a
-  /// missing parity's head may land on one). Shrinking is ignored.
+  /// Extends the census as the archive grows (ingest appends data
+  /// blocks): O(new nodes), re-scoring appended nodes only while
+  /// something is missing (a missing parity's head may land on one).
+  /// Shrinking, and growing without a lattice, are ignored.
   void grow_to(std::uint64_t n_nodes);
 
   bool lattice_configured() const;
+  /// Data blocks the census covers.
   std::uint64_t n_nodes() const;
 
-  /// AvailabilityIndex delta hook. Runs under the index's stripe lock:
-  /// flips one census bit, re-scores at most two blocks, publishes
-  /// gauges.
-  void on_availability_delta(const BlockKey& key, bool missing) override;
+  /// Store-observer hook (put → present, erase → missing), safe from
+  /// every thread. A delta flips one census bit, re-scores at most two
+  /// blocks and publishes the gauges; a put of a key past every key of
+  /// its kind missing so far takes no lock.
+  void on_block(const BlockKey& key, bool present) override;
 
-  /// Rebuilds all state from the index's current missing set — O(n) to
-  /// clear, O(damage) to re-score. The index must be quiescent (Archive
-  /// open/reindex call this after reseeding).
-  void reset_from(const AvailabilityIndex& index);
+  /// Forgets every missing key (everything presumed present) and keeps
+  /// the configuration, without counting deltas — O(n). Reseed with
+  /// on_block(key, false) afterwards (Archive::reindex).
+  void clear();
+
+  bool is_missing(const BlockKey& key) const;
+  /// Every missing key, overflow included.
+  std::uint64_t missing_count() const;
+  /// Every missing key in the repair planner's block order: ascending
+  /// index, data before parity, parities in strand-class order (H, RH,
+  /// LH). One pass over the census, skipped while it holds nothing, plus
+  /// the sorted overflow merged in.
+  std::vector<BlockKey> missing_keys() const;
 
   HealthSummary summary() const;
 
@@ -143,33 +168,44 @@ class HealthMonitor final : public AvailabilityIndex::Listener {
 
   /// True when `key` lives in the census array. mu_ held.
   bool in_census(const BlockKey& key) const noexcept;
+  /// Covers `n_nodes` data blocks: lattice and array size. mu_ held.
+  void resize_locked(std::uint64_t n_nodes);
   std::uint32_t margin_of(NodeIndex i) const;  // mu_ held, i in census
   void rescore(NodeIndex i);                   // mu_ held, i in census
-  void apply_delta_locked(const BlockKey& key, bool missing);
-  /// Every missing key the monitor holds (census and overflow set).
-  std::vector<BlockKey> missing_keys_locked() const;
-  /// Clears the census to the current lattice and replays `missing`.
-  void rebuild_locked(const std::vector<BlockKey>& missing);
+  /// Applies one notification; true when it was a delta. mu_ held.
+  bool apply_delta_locked(const BlockKey& key, bool missing);
+  /// Empties the census (keeping its geometry) and the overflow set.
+  void clear_locked();
+  /// Every missing key, census and overflow. mu_ held.
+  std::uint64_t missing_total_locked() const noexcept;
   void publish_locked();
 
   MetricsRegistry* registry_;
   Logger* logger_;
 
   mutable std::mutex mu_;
-  std::optional<CodeParams> params_;
-  std::uint64_t n_nodes_ = 0;
-  std::optional<Lattice> lattice_;  // absent until configured with n ≥ 1
+  std::optional<CodeParams> params_;  // set: margins tracked
+  std::uint64_t n_nodes_ = 0;         // census keys: index [1, n_nodes_]
+  std::optional<Lattice> lattice_;    // lattice with n ≥ 1
   /// Parity bits of the code's strand classes.
   std::uint8_t class_bits_ = 0;
-  /// One byte per node, indexed by node (entry 0 unused); n + 1 entries
-  /// while a lattice is configured, empty otherwise.
+  /// One byte per node (entry 0 unused), n_nodes_ + 1 entries with a
+  /// lattice, empty without one.
   std::vector<std::uint8_t> census_;
   /// Missing keys the census cannot hold yet (see in_census).
   std::unordered_set<BlockKey, BlockKeyHash> outside_;
   std::vector<std::uint64_t> margin_counts_;  // [0, α)
   std::uint64_t degraded_ = 0;                // sum of margin_counts_
+  /// Missing census keys by kind (every key without a lattice).
   std::uint64_t data_missing_ = 0;
   std::uint64_t parity_missing_ = 0;
+  /// Per kind (data, parity): the largest index a key of that kind has
+  /// had while missing since nothing was last missing, kNoCeiling while
+  /// nothing is. A put above it cannot be a delta — on_block's lock-free
+  /// test. Raised and reset under mu_.
+  static constexpr NodeIndex kNoCeiling =
+      std::numeric_limits<NodeIndex>::min();
+  std::atomic<NodeIndex> missing_ceiling_[2] = {kNoCeiling, kNoCeiling};
   bool was_vulnerable_ = false;
 
   Gauge* g_data_missing_;
@@ -183,10 +219,12 @@ class HealthMonitor final : public AvailabilityIndex::Listener {
 
 /// Brute-force full-lattice recomputation of the degraded set (every
 /// present data node scored from scratch) — the randomized-test oracle
-/// and bench_health_scan's full-rescan baseline. Output order matches
-/// HealthMonitor::worst.
-std::vector<BlockHealth> compute_degraded_full(const CodeParams& params,
-                                               std::uint64_t n_nodes,
-                                               const AvailabilityIndex& index);
+/// and bench_health_scan's full-rescan baseline. `missing` lists the
+/// missing keys, taken from the store or a set the caller keeps, never
+/// from the monitor under test; duplicates and keys outside the lattice
+/// are ignored. Output order matches HealthMonitor::worst.
+std::vector<BlockHealth> compute_degraded_full(
+    const CodeParams& params, std::uint64_t n_nodes,
+    const std::vector<BlockKey>& missing);
 
 }  // namespace aec::obs

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/xor_engine.h"
-#include "core/codec/availability_index.h"
 #include "obs/trace.h"
 
 namespace aec::pipeline {
@@ -115,10 +114,11 @@ void ParallelRepairer::execute_plan(const RepairPlan& plan) {
   for (const std::vector<RepairStep>& wave : plan.waves) execute_wave(wave);
 }
 
-RepairReport ParallelRepairer::repair_all(std::uint32_t max_rounds) {
+RepairReport ParallelRepairer::repair_all(
+    std::uint32_t max_rounds, std::optional<std::vector<BlockKey>> missing) {
   const RepairPlanner planner(&lattice_);
   return execute_repair_plan(
-      planner, *store_, avail_index_, max_rounds,
+      planner, *store_, std::move(missing), max_rounds,
       [this](const std::vector<RepairStep>& wave) { execute_wave(wave); });
 }
 

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/bytes.h"
 #include "core/codec/repair_planner.h"
@@ -52,16 +53,13 @@ class ParallelRepairer {
   /// Synchronous round-based repair of everything recoverable: plans
   /// with the shared RepairPlanner, then executes each wave across the
   /// worker pool. max_rounds caps the planned rounds (0 = unlimited).
-  RepairReport repair_all(std::uint32_t max_rounds = 0 /* unlimited */);
-
-  /// Attaches an incrementally maintained availability index (nullptr
-  /// detaches): repair_all then plans from the index's missing set —
-  /// O(damage) — instead of scanning the store. The caller owns keeping
-  /// the index in sync with every store mutation (Archive wires it as the
-  /// store's observer); the planned waves are identical either way.
-  void set_availability_index(const AvailabilityIndex* index) noexcept {
-    avail_index_ = index;
-  }
+  /// Given `missing` (every missing key in block order, as the health
+  /// census walks them) the plan starts from that list — O(damage) —
+  /// instead of probing the store for every lattice block; the planned
+  /// waves are identical either way (see execute_repair_plan).
+  RepairReport repair_all(
+      std::uint32_t max_rounds = 0 /* unlimited */,
+      std::optional<std::vector<BlockKey>> missing = std::nullopt);
 
   /// Returns the payload of d_i, repairing it through the shortest
   /// available path when missing (paper Fig 2): radius-scoped plan for
@@ -100,7 +98,6 @@ class ParallelRepairer {
   Lattice lattice_;  // owns the CodeParams copy (lattice_.params())
   std::size_t block_size_;
   BlockStore* store_;
-  const AvailabilityIndex* avail_index_ = nullptr;
   ThreadPool* pool_;
   /// Global-registry metrics, resolved once at construction; observed
   /// at wave granularity (one clock pair + a few fetch_adds per wave).

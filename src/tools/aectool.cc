@@ -568,6 +568,9 @@ int run(const Args& args) {
 int main(int argc, char** argv) {
   try {
     return run(parse(argc, argv));
+  } catch (const aec::CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.message());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -234,15 +234,16 @@ void FileWriter::append(const std::vector<Bytes>& blocks) {
     failed_ = true;
     throw;
   }
+  // The census covers every appended block, and margins of earlier
+  // blocks can change when a missing parity's head edge lands on newly
+  // appended nodes — O(damage) catch-up.
+  archive_->health_.grow_to(archive_->session_->size());
 }
 
 void FileWriter::flush_windows() {
   const std::size_t window_blocks =
       archive_->engine().ingest_window_blocks();
   while (ready_.size() >= window_blocks) append(take_ready(window_blocks));
-  // Margins of earlier blocks can change when a missing parity's head
-  // edge lands on newly appended nodes — O(damage) catch-up.
-  archive_->health_.grow_to(archive_->session_->size());
 }
 
 const FileEntry& FileWriter::close() {
@@ -275,7 +276,6 @@ const FileEntry& FileWriter::close() {
   }
   archive.writer_open_ = false;
   archive_ = nullptr;
-  archive.health_.grow_to(archive.session_->size());
   archive.save_manifest();
   // Only the writer's thread appends to files_, so this element stays put
   // until it commits the next file.
@@ -364,27 +364,20 @@ Archive::Archive(fs::path root, std::shared_ptr<const Codec> codec,
   store_ = make_store(store_spec_, root_);
   cluster_ = dynamic_cast<cluster::ClusterStore*>(store_.get());
   // Observe before the session touches the store, so every mutation
-  // (including resume-time tail healing) flows into the index — and hook
-  // the health monitor onto the index first, so those same deltas stream
-  // into the vulnerability scores.
-  avail_index_.set_delta_listener(&health_);
-  store_->set_observer(&avail_index_);
+  // (including resume-time tail healing) reaches the census.
+  store_->set_observer(&health_);
   session_ = engine_->open_session(codec_, store_.get(), block_size_,
                                    resume_count);
-  // …then reseed from authoritative store contents: damage inflicted
-  // while the archive was closed predates the observer. A fresh
-  // clean-close sidecar replays the missing set directly; otherwise one
-  // O(lattice) census at open buys O(damage) scrubs afterwards.
-  avail_index_.clear();
-  opened_from_sidecar_ = load_availability_sidecar();
-  if (!opened_from_sidecar_) seed_availability_index();
-  session_->attach_availability_index(&avail_index_);
-  // Margin tracking needs the lattice geometry — AE archives only; other
-  // codecs keep damage counts. reset_from is authoritative: clear() above
-  // does not notify the listener, so replay the final missing set.
+  // An AE census scores margins over its lattice; striped codecs keep
+  // their missing keys and damage counts only. Then reseed it from
+  // authoritative store contents: damage inflicted while the archive was
+  // closed predates the observer. A fresh clean-close sidecar replays
+  // the missing set directly; otherwise one O(lattice) walk at open buys
+  // O(damage) scrubs afterwards.
   if (const auto* ae = dynamic_cast<const AeCodec*>(codec_.get()))
     health_.configure_lattice(ae->params(), session_->size());
-  health_.reset_from(avail_index_);
+  opened_from_sidecar_ = load_availability_sidecar();
+  if (!opened_from_sidecar_) seed_census();
 }
 
 Archive::~Archive() {
@@ -396,9 +389,9 @@ Archive::~Archive() {
   }
 }
 
-void Archive::seed_availability_index() {
+void Archive::seed_census() {
   session_->for_each_expected_key([&](const BlockKey& key) {
-    if (!store_->contains(key)) avail_index_.on_block(key, false);
+    if (!store_->contains(key)) health_.on_block(key, false);
   });
 }
 
@@ -540,7 +533,7 @@ ScrubReport Archive::scrub() {
   std::lock_guard exclusive(read_gate_);
   ScrubReport report;
   if (blocks() == 0) return report;
-  report.repair = session_->repair_all();
+  report.repair = session_->repair_all(health_.missing_keys());
   const IntegrityReport integrity = session_->verify_integrity();
   report.inconsistent_parities = integrity.inconsistent_parities;
   report.suspect_nodes = integrity.suspect_nodes;
@@ -551,13 +544,13 @@ ScrubReport Archive::scrub() {
 }
 
 std::uint64_t Archive::missing_blocks() const {
-  // O(damage): the index's missing set, restricted to the keys this
-  // archive actually expects (erased orphans don't count).
-  std::uint64_t missing = 0;
-  avail_index_.for_each_missing([&](const BlockKey& key) {
-    if (session_->is_expected_key(key)) ++missing;
-  });
-  return missing;
+  // The census's missing keys this archive actually expects (erased
+  // orphans past the tail don't count).
+  const std::vector<BlockKey> keys = health_.missing_keys();
+  return static_cast<std::uint64_t>(
+      std::count_if(keys.begin(), keys.end(), [&](const BlockKey& key) {
+        return session_->is_expected_key(key);
+      }));
 }
 
 std::vector<AvailabilityClassSummary> Archive::availability_summary() const {
@@ -569,12 +562,11 @@ std::vector<AvailabilityClassSummary> Archive::availability_summary() const {
     return key.is_data() ? 0 : 1 + static_cast<std::size_t>(key.cls);
   };
   // Expected counts are a metadata walk (no store I/O); missing counts
-  // come straight from the index.
+  // come straight from the census.
   session_->for_each_expected_key(
       [&](const BlockKey& key) { ++expected[bucket_of(key)]; });
-  avail_index_.for_each_missing([&](const BlockKey& key) {
+  for (const BlockKey& key : health_.missing_keys())
     if (session_->is_expected_key(key)) ++missing[bucket_of(key)];
-  });
 
   std::vector<AvailabilityClassSummary> rows;
   static constexpr std::array<const char*, 4> kLabels = {
@@ -643,7 +635,6 @@ std::string Archive::stat_json(bool include_metrics) const {
   // Live vulnerability telemetry (the paper's Fig. 12 metric): rollup
   // gauges plus the worst-margin blocks ranked by distance-to-
   // unrecoverable — the order a scrubber should visit them in.
-  health_.grow_to(session_->size());
   std::string health_json = health_.summary().to_json();
   health_json.pop_back();  // reopen the object to splice the ranking in
   health_json += ",\"worst\":[";
@@ -782,14 +773,14 @@ bool Archive::load_availability_sidecar() {
     return false;
   for (const BlockKey& key : keys)
     if (!session_->is_expected_key(key)) return false;
-  for (const BlockKey& key : keys) avail_index_.on_block(key, false);
+  for (const BlockKey& key : keys) health_.on_block(key, false);
   return true;
 }
 
 void Archive::save_availability_sidecar() const {
   if (!fs::exists(root_)) return;
   std::vector<BlockKey> keys;
-  for (const BlockKey& key : avail_index_.missing_sorted())
+  for (const BlockKey& key : health_.missing_keys())
     if (session_->is_expected_key(key)) keys.push_back(key);
   util::TaggedWriter out("aec-availability v1");
   out.row("blocks", session_->size());
@@ -808,11 +799,8 @@ void Archive::save_availability_sidecar() const {
 std::uint64_t Archive::reindex() {
   std::lock_guard exclusive(read_gate_);
   store_->rescan();
-  avail_index_.clear();
-  seed_availability_index();
-  // clear() bypasses the delta listener by design; rebuild the health
-  // state from the reseeded index.
-  health_.reset_from(avail_index_);
+  health_.clear();
+  seed_census();
   return missing_blocks();
 }
 
@@ -843,14 +831,14 @@ RepairReport Archive::rebuild_node(std::uint32_t node) {
                                          "it if its data is intact)");
   cluster_->replace_node(node);
   // Enumerate the lost node's expected keys via the placement map. The
-  // index already tracks in-process failures; this defensive sweep also
-  // catches staleness the index cannot see (an externally wiped node).
+  // census already tracks in-process failures; this defensive sweep also
+  // catches staleness the census cannot see (an externally wiped node).
   // Metadata-only: contains() is a map probe, no I/O.
   session_->for_each_expected_key([&](const BlockKey& key) {
     if (cluster_->node_of(key) == node && !store_->contains(key))
-      avail_index_.on_block(key, false);
+      health_.on_block(key, false);
   });
-  return session_->repair_all();
+  return session_->repair_all(health_.missing_keys());
 }
 
 }  // namespace aec::tools

@@ -10,22 +10,24 @@
 // path; the stored bytes are identical at every thread count and on
 // every backend).
 //
-// An AvailabilityIndex rides along as the store's mutation observer:
+// The health census (obs::HealthMonitor) rides along as the store's
+// mutation observer and is the archive's one record of what is missing:
 // damage censuses (missing_blocks, aectool stat) and repair planning
-// (scrub) cost O(damage) instead of a full store scan — the index is
-// seeded at open and every put/erase keeps it current. A clean close
-// persists the index as a manifest sidecar (<root>/availability.txt);
-// the next open loads it instead of walking the whole lattice when its
-// freshness guards (data-block count + stored-block count) still match,
-// and falls back to the full seeding walk otherwise. The sidecar is
-// deleted as soon as it is consumed, so a crash never leaves a stale
-// one behind. Damage inflicted OUT OF BAND while the archive is open
-// (block files deleted externally) is invisible to the index either
-// way — reindex() (aectool reindex) rescans the store and reseeds.
+// (scrub, rebuild_node, which hand its missing keys to repair_all) cost
+// O(damage) instead of a full store scan — the census is seeded at open
+// and every put/erase keeps it current. A clean close persists the
+// missing set as a manifest sidecar (<root>/availability.txt); the next
+// open loads it instead of walking the whole lattice when its freshness
+// guards (data-block count + stored-block count) still match, and falls
+// back to the full seeding walk otherwise. The sidecar is deleted as
+// soon as it is consumed, so a crash never leaves a stale one behind.
+// Damage inflicted OUT OF BAND while the archive is open (block files
+// deleted externally) is invisible to the census either way — reindex()
+// (aectool reindex) rescans the store and reseeds.
 //
 // When the manifest's store spec is a cluster(...), the archive is
 // multi-node: fail_node/heal_node inject whole-failure-domain outages
-// (the cluster announces the damage to the index, so scrub plans node
+// (the cluster announces the damage to the census, so scrub plans node
 // loss exactly like scattered block loss), and rebuild_node() wipes the
 // failed node, builds a replacement backend, and re-materializes every
 // block the placement map assigns to it through the normal repair
@@ -88,7 +90,6 @@
 #include "api/engine.h"
 #include "api/session.h"
 #include "cluster/cluster_store.h"
-#include "core/codec/availability_index.h"
 #include "core/codec/block_store.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -112,8 +113,8 @@ struct ScrubReport {
 };
 
 /// One row of the availability census (aectool stat): how many blocks of
-/// one kind/class an intact archive would hold, and how many the index
-/// reports missing right now.
+/// one kind/class an intact archive would hold, and how many the health
+/// census reports missing right now.
 struct AvailabilityClassSummary {
   std::string label;  // "data", "parity H", …
   std::uint64_t expected = 0;
@@ -306,13 +307,9 @@ class Archive {
   std::vector<FileEntry> files() const;
   /// The manifest-recorded store backend spec ("file", "sharded(8)", …).
   const std::string& store_spec() const noexcept { return store_spec_; }
-  /// The live availability index (kept current by store mutations).
-  const AvailabilityIndex& availability_index() const noexcept {
-    return avail_index_;
-  }
-  /// Live vulnerability telemetry (AE archives score per-block repair
-  /// margins; other codecs get damage counts only). Fed incrementally by
-  /// the availability index's delta stream.
+  /// The live health census: what is missing, and for AE archives the
+  /// per-block repair margins (other codecs get damage counts only). Fed
+  /// by the store's mutation notifications.
   const obs::HealthMonitor& health() const noexcept { return health_; }
   obs::HealthMonitor& health() noexcept { return health_; }
 
@@ -344,11 +341,12 @@ class Archive {
   /// name index.
   std::optional<FileEntry> find_file(const std::string& name) const;
 
-  /// Global repair + integrity scan (exclusive). Availability comes from
-  /// the incremental index — O(damage), no store scan.
+  /// Global repair + integrity scan (exclusive). The repair plans from
+  /// the census's missing keys — O(damage), no store scan.
   ScrubReport scrub();
 
-  /// Missing blocks right now, from the index — O(damage).
+  /// Missing blocks right now, from the census's missing keys — no store
+  /// probes.
   std::uint64_t missing_blocks() const;
 
   /// Availability census per block kind/class (data, then one row per
@@ -374,15 +372,15 @@ class Archive {
   bool opened_from_sidecar() const noexcept { return opened_from_sidecar_; }
 
   /// Re-reads authoritative store presence (directory rescan) and
-  /// reseeds the availability index from it — the recovery path for
-  /// out-of-band damage the index cannot observe (exclusive). Returns
+  /// reseeds the health census from it — the recovery path for
+  /// out-of-band damage the census cannot observe (exclusive). Returns
   /// the missing count afterwards.
   std::uint64_t reindex();
 
   // --- multi-node archives (cluster store backends) -------------------------
 
   /// The cluster backend, or nullptr when the archive's store is not a
-  /// cluster(...). (The index observes the cluster, so fault injection
+  /// cluster(...). (The census observes the cluster, so fault injection
   /// through this pointer keeps censuses and repair planning accurate.)
   cluster::ClusterStore* cluster() const noexcept { return cluster_; }
 
@@ -414,8 +412,8 @@ class Archive {
   bool load_availability_sidecar();
   /// Persists the current missing set (clean-close path; best effort).
   void save_availability_sidecar() const;
-  /// Full O(lattice) index reseed from store presence.
-  void seed_availability_index();
+  /// Full O(lattice) census reseed from store presence.
+  void seed_census();
 
   std::filesystem::path root_;
   std::shared_ptr<const Codec> codec_;
@@ -433,13 +431,10 @@ class Archive {
   std::unordered_map<std::string, std::size_t> file_index_;
   /// Open FileReaders against exclusive operations.
   ReadGate read_gate_;
-  /// Per-block vulnerability scores, fed by avail_index_'s delta stream.
-  /// Declared before the index so it outlives the index's notifications
-  /// (mutable: stat_json lazily catches margins up to archive growth).
-  mutable obs::HealthMonitor health_;
-  /// Mutation-fed missing-block set; observer of store_. Declared before
-  /// the store so it outlives the store's notifications.
-  AvailabilityIndex avail_index_;
+  /// Mutation-fed missing set and vulnerability scores; observer of
+  /// store_. Declared before the store so it outlives the store's
+  /// notifications.
+  obs::HealthMonitor health_;
   /// Registry-built backend ("file", "sharded(N)", "mem"); it locks
   /// itself, so the session runs on it directly.
   std::unique_ptr<BlockStore> store_;

@@ -1,9 +1,9 @@
-// Availability-index sidecar: a clean close persists the missing set,
+// Availability sidecar: a clean close persists the missing set,
 // the next open consumes it instead of walking the lattice, and every
 // staleness path (external mutation while closed, garbage content,
 // crash without a sidecar) falls back to the full seeding walk. Plus
-// the reindex() recovery path for out-of-band damage the index cannot
-// observe while the archive is open.
+// the reindex() recovery path for out-of-band damage the health census
+// cannot observe while the archive is open.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -65,7 +65,7 @@ TEST_F(ArchiveSidecarTest, CleanCloseRoundTripsMissingSet) {
   auto archive = Archive::open(root());
   EXPECT_TRUE(archive->opened_from_sidecar());
   EXPECT_EQ(archive->missing_blocks(), missing_before);
-  // A scrub heals everything; the index (and next close's sidecar)
+  // A scrub heals everything; the census (and next close's sidecar)
   // follow along.
   archive->scrub();
   EXPECT_EQ(archive->missing_blocks(), 0u);
@@ -126,7 +126,7 @@ TEST_F(ArchiveSidecarTest, ReindexRecoversFromOutOfBandDamage) {
   create_archive(0.0);
   auto archive = Archive::open(root());
   ASSERT_EQ(archive->missing_blocks(), 0u);
-  // Delete a block file behind the open archive's back: the index (and
+  // Delete a block file behind the open archive's back: the census (and
   // a scrub planned from it) cannot see the damage — the documented
   // limitation…
   ASSERT_TRUE(fs::exists(root() / "d" / "7"));

@@ -1,6 +1,6 @@
 // Cluster layer: shared placement policies (identical maps in the sim
 // and the real store), ClusterStore routing/persistence, whole-node
-// fault injection feeding the availability index, and the node-rebuild
+// fault injection feeding the health census, and the node-rebuild
 // acceptance path (AE(3,2,5) on cluster(4,strand,file) survives one
 // full node failure with byte-identical post-rebuild contents). The
 // concurrent suites run under the TSan CI job.
@@ -18,8 +18,8 @@
 #include "cluster/placement.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/codec/availability_index.h"
 #include "core/codec/store_registry.h"
+#include "obs/health.h"
 #include "sim/ae_system.h"
 #include "sim/placement.h"
 #include "tools/archive.h"
@@ -310,8 +310,10 @@ TEST_F(ClusterStoreTest, RejectsBadTopology) {
 
 TEST_F(ClusterStoreTest, FailNodeAnswersMissesAndFeedsObserver) {
   ClusterStore store(dir("c"), 4, PlacementPolicy::kStrand, "file", 0);
-  AvailabilityIndex index;
-  store.set_observer(&index);
+  obs::MetricsRegistry registry;
+  obs::HealthMonitor census(&registry);
+  census.configure_lattice(CodeParams(3, 2, 5), 24);
+  store.set_observer(&census);
   std::vector<BlockKey> on_node1;
   for (NodeIndex i = 1; i <= 24; ++i) {
     const BlockKey key = BlockKey::data(i);
@@ -319,15 +321,15 @@ TEST_F(ClusterStoreTest, FailNodeAnswersMissesAndFeedsObserver) {
     if (store.node_of(key) == 1) on_node1.push_back(key);
   }
   ASSERT_FALSE(on_node1.empty());
-  EXPECT_EQ(index.missing_count(), 0u);
+  EXPECT_EQ(census.missing_count(), 0u);
 
   store.fail_node(1);
   // Every key the node held answers a miss and is announced missing.
-  EXPECT_EQ(index.missing_count(), on_node1.size());
+  EXPECT_EQ(census.missing_count(), on_node1.size());
   for (const BlockKey& key : on_node1) {
     EXPECT_FALSE(store.contains(key));
     EXPECT_FALSE(store.get_copy(key).has_value());
-    EXPECT_TRUE(index.is_missing(key));
+    EXPECT_TRUE(census.is_missing(key));
   }
   EXPECT_EQ(store.node_blocks(1), 0u);
   EXPECT_THROW(store.fail_node(1), CheckError);  // already down
@@ -337,12 +339,12 @@ TEST_F(ClusterStoreTest, FailNodeAnswersMissesAndFeedsObserver) {
   const BlockKey staged_key = on_node1.front();
   store.put(staged_key, Bytes{0xAB});
   EXPECT_TRUE(store.contains(staged_key));
-  EXPECT_FALSE(index.is_missing(staged_key));
+  EXPECT_FALSE(census.is_missing(staged_key));
   EXPECT_EQ(store.node_blocks(1), 1u);
 
   // Heal: old contents reachable again, staged repair flushed durably.
   store.heal_node(1);
-  EXPECT_EQ(index.missing_count(), 0u);
+  EXPECT_EQ(census.missing_count(), 0u);
   for (const BlockKey& key : on_node1) EXPECT_TRUE(store.contains(key));
   const auto healed = store.get_copy(staged_key);
   ASSERT_TRUE(healed.has_value());
@@ -477,7 +479,7 @@ TEST_F(ClusterArchiveTest, SurvivesFullNodeFailureWithByteIdentity) {
   const std::uint64_t node_share = archive->cluster()->node_blocks(2);
   ASSERT_GT(node_share, 0u);
 
-  // One full node failure: the availability index sees exactly the
+  // One full node failure: the health census sees exactly the
   // node's share of the archive go dark.
   archive->fail_node(2);
   EXPECT_EQ(archive->missing_blocks(), node_share);
@@ -546,7 +548,7 @@ TEST_F(ClusterArchiveTest, FailurePersistsAcrossReopen) {
     node_share = archive->cluster()->node_blocks(3);
     archive->fail_node(3);
   }
-  // A fresh process sees the node down and the index seeded accordingly
+  // A fresh process sees the node down and the census seeded accordingly
   // (sidecar or full walk — either must agree).
   auto archive = Archive::open(root);
   ASSERT_NE(archive->cluster(), nullptr);

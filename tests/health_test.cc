@@ -3,22 +3,34 @@
 // sequence (the O(damage) fast path can never drift from the oracle),
 // vulnerability (margin 0) must coincide with the repair planner's
 // node_repairable predicate, and the counts-only mode must keep a
-// correct damage census for non-lattice codecs. The HealthMonitor
-// suites also run under the TSan CI job (deltas arrive from the
-// index's stripe locks on many threads).
+// correct damage census for non-lattice codecs. As the store's observer
+// the monitor is also the archive's one record of what is missing
+// (HealthCensusTest): its missing set must equal a full-store rescan,
+// walk in the planner's block order, and feed plans identical to the
+// scanning path's. Every oracle here reads the store or a set the test
+// keeps itself, never the census under test. The HealthMonitor and
+// HealthCensus suites also run under the TSan CI job (notifications
+// arrive from many threads, some on the lock-free path).
 #include "obs/health.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
+#include <thread>
+#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "core/codec/availability_index.h"
+#include "ae_test_util.h"
+#include "common/rng.h"
 #include "core/codec/repair_planner.h"
 #include "core/lattice/lattice.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "pipeline/concurrent_block_store.h"
 #include "pipeline/thread_pool.h"
 
 namespace aec::obs {
@@ -32,9 +44,9 @@ Logger& quiet_logger() {
   return logger;
 }
 
-/// Every key an open AE lattice of n nodes stores, plus a few orphans
-/// past the tail (the index may hold them; the monitor must ignore
-/// them until the lattice grows over them).
+/// Every key an open AE lattice of n nodes stores, in block order, plus
+/// a few orphans past the tail (the monitor holds them in its overflow
+/// set until the lattice grows over them).
 std::vector<BlockKey> key_universe(const CodeParams& params,
                                    std::uint64_t n_nodes,
                                    std::uint64_t orphan_overhang = 0) {
@@ -48,14 +60,42 @@ std::vector<BlockKey> key_universe(const CodeParams& params,
   return keys;
 }
 
+/// The planner's block order, kept by the test: ascending index, data
+/// before parity, parities in strand-class order.
+bool block_order_less(const BlockKey& a, const BlockKey& b) {
+  return std::tie(a.index, a.kind, a.cls) < std::tie(b.index, b.kind, b.cls);
+}
+
+/// Feeds a monitor like a store would and keeps the test's own copy of
+/// the missing set — the oracle's input.
+class Tracked {
+ public:
+  explicit Tracked(HealthMonitor& mon) : mon_(mon) {}
+
+  void on_block(const BlockKey& key, bool present) {
+    mon_.on_block(key, present);
+    if (present)
+      missing_.erase(key);
+    else
+      missing_.insert(key);
+  }
+  std::vector<BlockKey> missing() const {
+    return {missing_.begin(), missing_.end()};
+  }
+
+ private:
+  HealthMonitor& mon_;
+  std::unordered_set<BlockKey, BlockKeyHash> missing_;
+};
+
 TEST(HealthMonitorTest, CountsOnlyModeWithoutLattice) {
   MetricsRegistry reg;
   HealthMonitor mon(&reg, &quiet_logger());
   EXPECT_FALSE(mon.lattice_configured());
 
-  mon.on_availability_delta(BlockKey::data(3), true);
-  mon.on_availability_delta(
-      BlockKey::parity(Edge{StrandClass::kHorizontal, 2}), true);
+  mon.on_block(BlockKey::data(3), /*present=*/false);
+  mon.on_block(BlockKey::parity(Edge{StrandClass::kHorizontal, 2}),
+               /*present=*/false);
   HealthSummary s = mon.summary();
   EXPECT_FALSE(s.lattice_mode);
   EXPECT_EQ(s.alpha, 0u);
@@ -65,9 +105,9 @@ TEST(HealthMonitorTest, CountsOnlyModeWithoutLattice) {
   EXPECT_TRUE(mon.worst(10).empty());
   EXPECT_TRUE(s.degraded());
 
-  mon.on_availability_delta(BlockKey::data(3), false);
-  mon.on_availability_delta(
-      BlockKey::parity(Edge{StrandClass::kHorizontal, 2}), false);
+  mon.on_block(BlockKey::data(3), /*present=*/true);
+  mon.on_block(BlockKey::parity(Edge{StrandClass::kHorizontal, 2}),
+               /*present=*/true);
   s = mon.summary();
   EXPECT_EQ(s.data_missing, 0u);
   EXPECT_EQ(s.parity_missing, 0u);
@@ -83,7 +123,7 @@ TEST(HealthMonitorTest, ParityLossDegradesBothIncidentBlocks) {
   mon.configure_lattice(params, 50);
 
   const Edge edge{StrandClass::kHorizontal, 20};
-  mon.on_availability_delta(BlockKey::parity(edge), true);
+  mon.on_block(BlockKey::parity(edge), /*present=*/false);
 
   const Lattice lattice(params, 50, Lattice::Boundary::kOpen);
   const NodeIndex head = lattice.edge_head(edge);
@@ -102,7 +142,7 @@ TEST(HealthMonitorTest, ParityLossDegradesBothIncidentBlocks) {
   EXPECT_EQ(reg.gauge("health.min_margin")->value(),
             static_cast<std::int64_t>(params.alpha() - 1));
 
-  mon.on_availability_delta(BlockKey::parity(edge), false);
+  mon.on_block(BlockKey::parity(edge), /*present=*/true);
   EXPECT_TRUE(mon.worst(10).empty());
   EXPECT_EQ(mon.summary().min_margin, params.alpha());
 }
@@ -112,8 +152,7 @@ TEST(HealthMonitorTest, IncrementalMatchesFullRecomputeUnderRandomChurn) {
   constexpr std::uint64_t kNodes = 120;
   MetricsRegistry reg;
   HealthMonitor mon(&reg, &quiet_logger());
-  AvailabilityIndex index;
-  index.set_delta_listener(&mon);
+  Tracked tracked(mon);
   mon.configure_lattice(params, kNodes);
 
   const std::vector<BlockKey> keys =
@@ -121,13 +160,14 @@ TEST(HealthMonitorTest, IncrementalMatchesFullRecomputeUnderRandomChurn) {
   std::mt19937_64 rng(0xAEC0DE);
   for (int step = 1; step <= 600; ++step) {
     const BlockKey& key = keys[rng() % keys.size()];
-    // Biased toward damage so the degraded set actually grows; the
-    // index only forwards real transitions.
-    index.on_block(key, /*present=*/(rng() % 3) == 0);
+    // Biased toward damage so the degraded set actually grows; repeats
+    // of a key's current state are no deltas.
+    tracked.on_block(key, /*present=*/(rng() % 3) == 0);
     if (step % 50 != 0) continue;
-    const auto expected = compute_degraded_full(params, kNodes, index);
+    const auto expected =
+        compute_degraded_full(params, kNodes, tracked.missing());
     EXPECT_EQ(mon.degraded_all(), expected) << "after step " << step;
-    // Census invariants against the oracle's view of the same index.
+    // Census invariants against the oracle's view of the same damage.
     const HealthSummary s = mon.summary();
     std::uint64_t vulnerable = 0;
     for (const BlockHealth& b : expected)
@@ -142,18 +182,18 @@ TEST(HealthMonitorTest, VulnerableIffPlannerSaysUnrepairable) {
   constexpr std::uint64_t kNodes = 80;
   MetricsRegistry reg;
   HealthMonitor mon(&reg, &quiet_logger());
-  AvailabilityIndex index;
-  index.set_delta_listener(&mon);
+  Tracked tracked(mon);
   mon.configure_lattice(params, kNodes);
 
   const std::vector<BlockKey> keys = key_universe(params, kNodes);
   std::mt19937_64 rng(7);
   for (std::size_t i = 0; i < keys.size() / 4; ++i)
-    index.on_block(keys[rng() % keys.size()], /*present=*/false);
+    tracked.on_block(keys[rng() % keys.size()], /*present=*/false);
 
   const Lattice lattice(params, kNodes, Lattice::Boundary::kOpen);
   const RepairPlanner planner(&lattice);
-  const AvailabilityMap avail = planner.snapshot(index);
+  AvailabilityMap avail(params, kNodes);
+  for (const BlockKey& key : tracked.missing()) avail.set(key, false);
 
   std::unordered_map<NodeIndex, std::uint32_t> margins;
   for (const BlockHealth& b : mon.degraded_all()) margins[b.index] = b.margin;
@@ -172,21 +212,21 @@ TEST(HealthMonitorTest, GrowExtendsLatticeOverBufferedOrphans) {
   const CodeParams params(3, 2, 5);
   MetricsRegistry reg;
   HealthMonitor mon(&reg, &quiet_logger());
-  AvailabilityIndex index;
-  index.set_delta_listener(&mon);
+  Tracked tracked(mon);
   mon.configure_lattice(params, 10);
 
   // Damage whose blast radius crosses the current tail: the H output
   // edge of node 10 heads at 10+s=12, outside the 10-node lattice, and
   // data 14 doesn't exist yet at all.
-  index.on_block(BlockKey::parity(Edge{StrandClass::kHorizontal, 10}),
-                 false);
-  index.on_block(BlockKey::data(14), false);
-  EXPECT_EQ(mon.degraded_all(), compute_degraded_full(params, 10, index));
+  tracked.on_block(BlockKey::parity(Edge{StrandClass::kHorizontal, 10}),
+                   false);
+  tracked.on_block(BlockKey::data(14), false);
+  EXPECT_EQ(mon.degraded_all(),
+            compute_degraded_full(params, 10, tracked.missing()));
 
   mon.grow_to(15);
   EXPECT_EQ(mon.n_nodes(), 15u);
-  const auto expected = compute_degraded_full(params, 15, index);
+  const auto expected = compute_degraded_full(params, 15, tracked.missing());
   EXPECT_EQ(mon.degraded_all(), expected);
   // Node 12 is now in range and lost its H input parity.
   bool found_12 = false;
@@ -206,15 +246,14 @@ TEST(HealthMonitorTest, KeysOutsideTheCensusWaitUntilTheLatticeCoversThem) {
   const CodeParams params(2, 2, 5);
   MetricsRegistry reg;
   HealthMonitor mon(&reg, &quiet_logger());
-  AvailabilityIndex index;
-  index.set_delta_listener(&mon);
+  Tracked tracked(mon);
   mon.configure_lattice(params, 100);
 
   const BlockKey d150 = BlockKey::data(150);
   const BlockKey h150 = BlockKey::parity(Edge{StrandClass::kHorizontal, 150});
   const BlockKey lh = BlockKey::parity(Edge{StrandClass::kLeftHanded, 40});
   for (const BlockKey& key : {BlockKey::data(0), lh, d150, h150})
-    index.on_block(key, /*present=*/false);
+    tracked.on_block(key, /*present=*/false);
   HealthSummary s = mon.summary();
   EXPECT_EQ(s.data_missing, 0u);
   EXPECT_EQ(s.parity_missing, 0u);
@@ -225,13 +264,13 @@ TEST(HealthMonitorTest, KeysOutsideTheCensusWaitUntilTheLatticeCoversThem) {
   s = mon.summary();
   EXPECT_EQ(s.data_missing, 1u);    // d150
   EXPECT_EQ(s.parity_missing, 1u);  // p(H,150); the LH parity never counts
-  const auto expected = compute_degraded_full(params, 200, index);
+  const auto expected = compute_degraded_full(params, 200, tracked.missing());
   EXPECT_FALSE(expected.empty());  // p(H,150)'s head lost a path
   EXPECT_EQ(mon.degraded_all(), expected);
   EXPECT_EQ(s.degraded_blocks, expected.size());
 
   for (const BlockKey& key : {BlockKey::data(0), lh, d150, h150})
-    index.on_block(key, /*present=*/true);
+    tracked.on_block(key, /*present=*/true);
   s = mon.summary();
   EXPECT_EQ(s.data_missing, 0u);
   EXPECT_EQ(s.parity_missing, 0u);
@@ -240,27 +279,34 @@ TEST(HealthMonitorTest, KeysOutsideTheCensusWaitUntilTheLatticeCoversThem) {
   EXPECT_EQ(s.min_margin, params.alpha());
 }
 
-TEST(HealthMonitorTest, ResetFromRebuildsAfterOutOfBandDamage) {
+TEST(HealthMonitorTest, ClearThenReseedRebuildsAfterOutOfBandDamage) {
   const CodeParams params(3, 2, 5);
   constexpr std::uint64_t kNodes = 60;
   MetricsRegistry reg;
   HealthMonitor mon(&reg, &quiet_logger());
   mon.configure_lattice(params, kNodes);
-
-  // Damage accumulated while the monitor was NOT listening (sidecar
-  // load, reindex): reset_from must reproduce it wholesale.
-  AvailabilityIndex index;
   const std::vector<BlockKey> keys = key_universe(params, kNodes);
+  // A stale view the store no longer matches…
+  for (std::size_t k = 0; k < keys.size(); k += 9)
+    mon.on_block(keys[k], /*present=*/false);
+
+  // …and damage that happened while the monitor was NOT listening
+  // (archive closed, blocks deleted behind an open store): clear() plus
+  // a reseed (sidecar load, reindex) must reproduce it wholesale.
+  std::unordered_set<BlockKey, BlockKeyHash> damage;
   std::mt19937_64 rng(11);
   for (std::size_t i = 0; i < keys.size() / 5; ++i)
-    index.on_block(keys[rng() % keys.size()], /*present=*/false);
+    damage.insert(keys[rng() % keys.size()]);
+  mon.clear();
+  for (const BlockKey& key : damage) mon.on_block(key, /*present=*/false);
+  EXPECT_EQ(mon.degraded_all(),
+            compute_degraded_full(
+                params, kNodes,
+                std::vector<BlockKey>(damage.begin(), damage.end())));
 
-  mon.reset_from(index);
-  EXPECT_EQ(mon.degraded_all(), compute_degraded_full(params, kNodes, index));
-
-  // A second reset from a healed index clears everything stale.
-  AvailabilityIndex healed;
-  mon.reset_from(healed);
+  // A second clear with nothing to reseed (a healed store) drops every
+  // stale entry.
+  mon.clear();
   EXPECT_TRUE(mon.degraded_all().empty());
   EXPECT_EQ(mon.summary().data_missing, 0u);
   EXPECT_EQ(mon.summary().parity_missing, 0u);
@@ -270,17 +316,15 @@ TEST(HealthMonitorTest, WorstRanksAscendingMarginThenIndex) {
   const CodeParams params(3, 2, 5);
   MetricsRegistry reg;
   HealthMonitor mon(&reg, &quiet_logger());
-  AvailabilityIndex index;
-  index.set_delta_listener(&mon);
   mon.configure_lattice(params, 40);
 
   // Strip node 20 of all three strand classes' parities → margin 0;
   // its neighbours lose one path each.
   const Lattice lattice(params, 40, Lattice::Boundary::kOpen);
   for (const StrandClass cls : params.classes()) {
-    index.on_block(BlockKey::parity(lattice.output_edge(20, cls)), false);
+    mon.on_block(BlockKey::parity(lattice.output_edge(20, cls)), false);
     if (const auto input = lattice.input_edge(20, cls))
-      index.on_block(BlockKey::parity(*input), false);
+      mon.on_block(BlockKey::parity(*input), false);
   }
   const auto all = mon.degraded_all();
   ASSERT_FALSE(all.empty());
@@ -304,16 +348,14 @@ TEST(HealthMonitorTest, WorstRanksAscendingMarginThenIndex) {
 }
 
 TEST(HealthMonitorTest, ConcurrentDeltasConvergeToFullRecompute) {
-  // Deltas arrive under the index's stripe locks from many threads
-  // (parallel scrub repairs, sharded-store puts). Each task owns a
-  // disjoint key slice and ends it in a deterministic state, so after
-  // quiescing the monitor must agree with the oracle exactly.
+  // Notifications arrive from many threads at once (parallel scrub
+  // repairs, sharded-store puts). Each task owns a disjoint key slice
+  // and ends it in a deterministic state, so after quiescing the monitor
+  // must agree with the oracle exactly.
   const CodeParams params(3, 2, 5);
   constexpr std::uint64_t kNodes = 100;
   MetricsRegistry reg;
   HealthMonitor mon(&reg, &quiet_logger());
-  AvailabilityIndex index;
-  index.set_delta_listener(&mon);
   mon.configure_lattice(params, kNodes);
 
   const std::vector<BlockKey> keys = key_universe(params, kNodes);
@@ -327,23 +369,206 @@ TEST(HealthMonitorTest, ConcurrentDeltasConvergeToFullRecompute) {
         for (std::size_t k = t; k < keys.size(); k += kTasks) {
           // Churn, then settle: final state is a pure function of k.
           for (int round = 0; round < 4; ++round)
-            index.on_block(keys[k], /*present=*/(rng() % 2) == 0);
-          index.on_block(keys[k], /*present=*/k % 7 != 0);
+            mon.on_block(keys[k], /*present=*/(rng() % 2) == 0);
+          mon.on_block(keys[k], /*present=*/k % 7 != 0);
         }
       });
     }
     pool.wait(group);
   }
-  EXPECT_EQ(mon.degraded_all(), compute_degraded_full(params, kNodes, index));
+  std::vector<BlockKey> settled;
+  for (std::size_t k = 0; k < keys.size(); k += 7) settled.push_back(keys[k]);
+  EXPECT_EQ(mon.degraded_all(), compute_degraded_full(params, kNodes, settled));
   const HealthSummary s = mon.summary();
   std::uint64_t data_missing = 0;
   std::uint64_t parity_missing = 0;
-  for (std::size_t k = 0; k < keys.size(); k += 1) {
-    if (k % 7 != 0) continue;
-    keys[k].is_data() ? ++data_missing : ++parity_missing;
-  }
+  for (const BlockKey& key : settled)
+    key.is_data() ? ++data_missing : ++parity_missing;
   EXPECT_EQ(s.data_missing, data_missing);
   EXPECT_EQ(s.parity_missing, parity_missing);
+}
+
+// --- the census as the store's record of what is missing ------------------
+
+TEST(HealthCensusTest, TracksRandomizedMutationSequences) {
+  const CodeParams params(3, 2, 5);
+  constexpr std::size_t kBlockSize = 32;
+  constexpr std::uint64_t kNodes = 60;
+  pipeline::ConcurrentBlockStore store;
+  test::encode_into(params, kBlockSize,
+                    test::random_blocks(kNodes, kBlockSize, 1), store);
+  const std::vector<BlockKey> universe = key_universe(params, kNodes);
+
+  MetricsRegistry reg;
+  HealthMonitor census(&reg, &quiet_logger());
+  census.configure_lattice(params, kNodes);
+  store.set_observer(&census);
+
+  Rng rng(99);
+  for (int step = 0; step < 600; ++step) {
+    const BlockKey key = universe[static_cast<std::size_t>(
+        rng.uniform(universe.size()))];
+    if (rng.bernoulli(0.5))
+      store.erase(key);
+    else
+      store.put(key, Bytes(kBlockSize, static_cast<std::uint8_t>(step)));
+
+    if (step % 50 != 49) continue;
+    // Checkpoint: the incrementally maintained missing set must equal a
+    // brute-force rescan of the whole store, walked in block order.
+    std::vector<BlockKey> brute;
+    for (const BlockKey& probe : universe) {
+      const bool missing = !store.contains(probe);
+      if (missing) brute.push_back(probe);
+      EXPECT_EQ(census.is_missing(probe), missing) << to_string(probe);
+    }
+    EXPECT_EQ(census.missing_count(), brute.size());
+    const std::vector<BlockKey> walked = census.missing_keys();
+    EXPECT_TRUE(
+        std::is_sorted(walked.begin(), walked.end(), block_order_less));
+    EXPECT_EQ(walked, brute);
+  }
+}
+
+TEST(HealthCensusTest, CensusFedPlanMatchesTheScanningPath) {
+  const CodeParams params(3, 2, 5);
+  constexpr std::size_t kBlockSize = 32;
+  constexpr std::uint64_t kNodes = 200;
+  pipeline::ConcurrentBlockStore store;
+  test::encode_into(params, kBlockSize,
+                    test::random_blocks(kNodes, kBlockSize, 2), store);
+  const Lattice lat(params, kNodes, Lattice::Boundary::kOpen);
+  const std::vector<BlockKey> universe = key_universe(params, kNodes);
+
+  MetricsRegistry reg;
+  HealthMonitor census(&reg, &quiet_logger());
+  census.configure_lattice(params, kNodes);
+  store.set_observer(&census);
+  // Damage through the store API (the census follows along), plus one
+  // orphan entry outside the lattice that the census-fed path must
+  // ignore.
+  Rng rng(7);
+  for (const BlockKey& key : universe)
+    if (rng.bernoulli(0.2)) store.erase(key);
+  const BlockKey orphan = BlockKey::data(static_cast<NodeIndex>(kNodes) + 50);
+  census.on_block(orphan, /*present=*/false);
+  std::vector<BlockKey> census_missing = census.missing_keys();
+  ASSERT_EQ(census_missing.back(), orphan);
+
+  const RepairPlanner planner(&lat);
+  AvailabilityMap scan_avail = planner.snapshot(store);
+  std::erase_if(census_missing, [&](const BlockKey& key) {
+    return !lattice_expects(params, kNodes, key);
+  });
+  AvailabilityMap census_avail(params, kNodes);
+  for (const BlockKey& key : census_missing) census_avail.set(key, false);
+  for (const BlockKey& key : universe)
+    ASSERT_EQ(scan_avail.ok(key), census_avail.ok(key)) << to_string(key);
+
+  const RepairPlan scan_plan = planner.plan(scan_avail);
+  RepairPlan census_plan =
+      planner.plan_missing(census_avail, std::move(census_missing));
+
+  // Identical wave structure, step for step (key, strand, side), and
+  // identical residue.
+  ASSERT_EQ(census_plan.rounds(), scan_plan.rounds());
+  for (std::size_t w = 0; w < scan_plan.waves.size(); ++w) {
+    ASSERT_EQ(census_plan.waves[w].size(), scan_plan.waves[w].size())
+        << "wave " << w;
+    for (std::size_t j = 0; j < scan_plan.waves[w].size(); ++j) {
+      EXPECT_EQ(census_plan.waves[w][j].key, scan_plan.waves[w][j].key);
+      EXPECT_EQ(census_plan.waves[w][j].via, scan_plan.waves[w][j].via);
+      EXPECT_EQ(census_plan.waves[w][j].from_head,
+                scan_plan.waves[w][j].from_head);
+    }
+  }
+  EXPECT_EQ(census_plan.residue, scan_plan.residue);
+  EXPECT_EQ(census_plan.nodes_planned, scan_plan.nodes_planned);
+  EXPECT_EQ(census_plan.edges_planned, scan_plan.edges_planned);
+
+  // The repair flow itself: handed the census's keys, orphan included,
+  // execute_repair_plan runs the scanning path's waves.
+  std::vector<std::vector<RepairStep>> scan_waves;
+  std::vector<std::vector<RepairStep>> census_waves;
+  const RepairReport scan_report = execute_repair_plan(
+      planner, store, std::nullopt, 0,
+      [&](const std::vector<RepairStep>& wave) { scan_waves.push_back(wave); });
+  const RepairReport census_report = execute_repair_plan(
+      planner, store, census.missing_keys(), 0,
+      [&](const std::vector<RepairStep>& wave) {
+        census_waves.push_back(wave);
+      });
+  ASSERT_EQ(census_waves.size(), scan_waves.size());
+  for (std::size_t w = 0; w < scan_waves.size(); ++w) {
+    ASSERT_EQ(census_waves[w].size(), scan_waves[w].size()) << "wave " << w;
+    for (std::size_t j = 0; j < scan_waves[w].size(); ++j)
+      EXPECT_EQ(census_waves[w][j].key, scan_waves[w][j].key);
+  }
+  EXPECT_EQ(census_report.nodes_unrecovered, scan_report.nodes_unrecovered);
+  EXPECT_EQ(census_report.edges_unrecovered, scan_report.edges_unrecovered);
+}
+
+TEST(HealthCensusTest, LockFreePutsBesideEraseAndGrow) {
+  // Writers re-put keys that are never missing (lock-free above the
+  // missing ceiling, a locked no-op at or below it) while one thread erases
+  // and re-puts other keys — some past the census's tail, in the
+  // overflow set — and another grows the census over them. After the
+  // threads join, the census must equal a rescan of the store.
+  const CodeParams params(3, 2, 5);
+  constexpr std::uint64_t kStart = 100;
+  constexpr std::uint64_t kNodes = 200;
+  const std::vector<BlockKey> universe = key_universe(params, kNodes);
+  pipeline::ConcurrentBlockStore store;
+  for (const BlockKey& key : universe) store.put(key, Bytes{1});
+
+  MetricsRegistry reg;
+  HealthMonitor census(&reg, &quiet_logger());
+  census.configure_lattice(params, kStart);
+  store.set_observer(&census);
+
+  constexpr std::size_t kSlices = 4;  // slices 0..2 write, slice 3 churns
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t + 1 < kSlices; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round)
+        for (std::size_t k = t; k < universe.size(); k += kSlices)
+          store.put(universe[k], Bytes{2});
+    });
+  }
+  threads.emplace_back([&] {
+    std::mt19937_64 rng(5);
+    for (int round = 0; round < 6; ++round)
+      for (std::size_t k = kSlices - 1; k < universe.size(); k += kSlices) {
+        if (rng() % 2 == 0)
+          store.erase(universe[k]);
+        else
+          store.put(universe[k], Bytes{3});
+      }
+    // Settle: every fifth key of the slice ends missing.
+    for (std::size_t k = kSlices - 1; k < universe.size(); k += kSlices) {
+      if (k % 5 == 0)
+        store.erase(universe[k]);
+      else
+        store.put(universe[k], Bytes{4});
+    }
+  });
+  threads.emplace_back([&] {
+    for (std::uint64_t n = kStart + 10; n <= kNodes; n += 10)
+      census.grow_to(n);
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  ASSERT_EQ(census.n_nodes(), kNodes);
+  std::vector<BlockKey> brute;
+  for (const BlockKey& key : universe)
+    if (!store.contains(key)) brute.push_back(key);
+  ASSERT_FALSE(brute.empty());
+  EXPECT_EQ(census.missing_keys(), brute);
+  EXPECT_EQ(census.missing_count(), brute.size());
+  EXPECT_EQ(census.degraded_all(),
+            compute_degraded_full(params, kNodes, brute));
+  const HealthSummary s = census.summary();
+  EXPECT_EQ(s.data_missing + s.parity_missing, brute.size());
 }
 
 }  // namespace

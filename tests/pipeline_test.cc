@@ -16,12 +16,12 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "ae_test_util.h"
 #include "hooked_store.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "core/codec/availability_index.h"
 #include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/thread_pool.h"
@@ -209,7 +209,8 @@ TEST(ConcurrentBlockStore, TakeAllMovesEveryPairOutWithoutNotifying) {
   EXPECT_FALSE(store.contains(BlockKey::data(1)));
   ASSERT_EQ(items.size(), 200u);
   std::sort(items.begin(), items.end(), [](const auto& a, const auto& b) {
-    return block_key_order_less(a.first, b.first);
+    return std::tie(a.first.index, a.first.kind) <
+           std::tie(b.first.index, b.first.kind);
   });
   for (std::size_t j = 0; j < items.size(); ++j) {
     const auto i = static_cast<NodeIndex>(j / 2 + 1);

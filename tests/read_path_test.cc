@@ -758,7 +758,7 @@ TEST_F(ReadPathConcurrencyTest, FileReaderStreamsWhileScrubRepairs) {
   }
   {
     // Damage confined to file b, injected while the archive is closed so
-    // the reopen seeds an accurate availability index.
+    // the reopen seeds an accurate health census.
     FileBlockStore store(root, 4);
     for (std::uint64_t i = 0; i < b_blocks; i += 17)
       ASSERT_TRUE(
