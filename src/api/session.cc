@@ -108,8 +108,16 @@ std::optional<Bytes> BlockStream::next() {
     if (batch->done) {
       hit_blocks_->add();
     } else {
+      // run_one fetches the stream's oldest batch no worker has started:
+      // this one, or a later one while a worker has this one. Wait only
+      // when workers hold every unfinished batch.
       const auto t0 = std::chrono::steady_clock::now();
-      batch->cv.wait(lock, [&] { return batch->done; });
+      while (!batch->done) {
+        lock.unlock();
+        const bool ran = pool_.run_one(prefetch_);
+        lock.lock();
+        if (!ran) batch->cv.wait(lock, [&] { return batch->done; });
+      }
       fetch_wait_us_->observe(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - t0)

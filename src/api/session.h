@@ -72,14 +72,22 @@ struct IntegrityReport {
 /// repairs are persisted. Window 1 fetches and repairs one block at a
 /// time: the per-block reference.
 ///
+/// The reader fetches its own next batch when no worker has started it:
+/// a next() that finds its batch unfinished takes the stream's oldest
+/// batch still queued off the pool (ThreadPool::run_one) and fetches it
+/// on its own thread, so a read never sleeps behind other operations'
+/// encode or repair tasks; it waits only while a worker is fetching the
+/// batch it needs. Each batch is fetched exactly once, by a worker or
+/// by the reader. Encode batches and repair waves stay on the workers.
+///
 /// Refill is whole batches only (the run's tail excepted): the window is
 /// topped up once a full batch fits, never block by block, so a run
 /// longer than its window keeps batch-sized pool tasks instead of
 /// trickling out one-block ones as the consumer advances.
 ///
 /// Concurrency/error model: each in-flight batch owns its own
-/// mutex/cv/result slots inside a shared_ptr; pool tasks touch only that
-/// batch and the store, never the stream, so destroying the stream
+/// mutex/cv/result slots inside a shared_ptr; batch tasks touch only
+/// that batch and the store, never the stream, so destroying the stream
 /// mid-run is safe (the stream's completion group still waits for
 /// in-flight batches so the store cannot be torn down under a task). A
 /// store exception is captured in its batch and rethrown from the next()
@@ -105,9 +113,9 @@ class BlockStream {
   BlockStream& operator=(const BlockStream&) = delete;
 
   /// The next block of the run (nullopt = irrecoverable). Tops the
-  /// window up before blocking on the front batch; rethrows a store
-  /// exception captured by that batch's task. Must not be called past
-  /// the end of the run.
+  /// window up, then fetches or waits for the front batch (see the
+  /// class comment); rethrows a store exception captured by that
+  /// batch's fetch. Must not be called past the end of the run.
   std::optional<Bytes> next();
 
   std::uint64_t size() const noexcept { return size_; }
@@ -138,7 +146,11 @@ class BlockStream {
   /// issued/hit/wasted are in blocks (hit = batch already complete when
   /// next() asked for it, wasted = fetched but never consumed);
   /// lookahead_depth samples issued-minus-consumed at each next();
-  /// fetch_wait_us samples only the next() calls that actually blocked.
+  /// fetch_wait_us samples only the next() calls that found their batch
+  /// unfinished: the time until it was, whether the reader fetched
+  /// batches itself meanwhile or waited on a worker. So a batch the
+  /// reader fetched itself counts like one it waited for: issued, one
+  /// fetch_wait_us sample, and hits for its other blocks.
   obs::Counter* issued_blocks_ =
       obs::MetricsRegistry::global().counter("read.prefetch.issued");
   obs::Counter* hit_blocks_ =

@@ -81,10 +81,13 @@ Client::~Client() {
 }
 
 void Client::send_frame(const Frame& frame) {
-  const Bytes buffer = encode_frame(frame);
+  send_wire(encode_frame(frame));
+}
+
+void Client::send_wire(BytesView wire) {
   std::size_t off = 0;
-  while (off < buffer.size()) {
-    const ssize_t n = ::send(fd_, buffer.data() + off, buffer.size() - off,
+  while (off < wire.size()) {
+    const ssize_t n = ::send(fd_, wire.data() + off, wire.size() - off,
                              MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -100,14 +103,15 @@ Frame Client::recv_frame() {
     if (auto frame = parser_.next()) return std::move(*frame);
     AEC_CHECK_MSG(!parser_.error(),
                   "framing error from server: " << parser_.error_text());
-    std::uint8_t buf[64 * 1024];
-    const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+    // Straight into the frame's payload once its header is in.
+    const std::span<std::uint8_t> into = parser_.prepare(kMaxRecvBytes);
+    const ssize_t n = ::recv(fd_, into.data(), into.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       AEC_CHECK_MSG(false, "recv: " << std::strerror(errno));
     }
     AEC_CHECK_MSG(n != 0, "server closed the connection");
-    parser_.feed(BytesView(buf, static_cast<std::size_t>(n)));
+    parser_.commit(static_cast<std::size_t>(n));
   }
 }
 
@@ -202,16 +206,20 @@ PutResult Client::put_stream(const std::string& name,
     roundtrip(Op::kPutBegin, w.take());  // fail fast (busy/duplicate/…)
   }
   std::deque<std::uint64_t> pending;  // acked in FIFO order by the server
-  Bytes chunk(config_.put_chunk_bytes);
+  // Each chunk is produced behind room left for its header and sent as
+  // is: one copy per PUT byte, into the kernel.
+  const std::size_t header = header_size(active_trace_id_);
+  const std::size_t cap = config_.put_chunk_bytes;
+  Bytes wire(header + cap);
   for (;;) {
-    const std::size_t n = produce(chunk.data(), chunk.size());
+    const std::size_t n = produce(wire.data() + header, cap);
     if (n == 0) break;
+    AEC_CHECK_MSG(n <= cap, "chunk producer wrote " << n << " bytes into "
+                                                    << cap);
     const std::uint64_t id = next_request_id_++;
-    Frame frame{static_cast<std::uint16_t>(Op::kPutChunk), id, {}};
-    frame.trace_id = active_trace_id_;
-    frame.payload.assign(chunk.begin(),
-                         chunk.begin() + static_cast<std::ptrdiff_t>(n));
-    send_frame(frame);
+    write_header(wire.data(), static_cast<std::uint16_t>(Op::kPutChunk), id,
+                 active_trace_id_, n);
+    send_wire(BytesView(wire.data(), header + n));
     pending.push_back(id);
     while (pending.size() >= kPutPipelineWindow) {
       recv_reply(pending.front());

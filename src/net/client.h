@@ -103,7 +103,9 @@ class Client {
   std::vector<RemoteFileEntry> list();
 
   /// Streaming ingest: `produce` fills `buf` with up to `cap` bytes and
-  /// returns how many it wrote; 0 = EOF.
+  /// returns how many it wrote; 0 = EOF. `buf` sits right behind the
+  /// PUT_CHUNK frame's header, so the chunk goes to the socket from
+  /// there.
   using ChunkProducer =
       std::function<std::size_t(std::uint8_t* buf, std::size_t cap)>;
   PutResult put_stream(const std::string& name, const ChunkProducer& produce);
@@ -153,6 +155,8 @@ class Client {
 
   std::uint64_t new_trace_id() noexcept;
   void send_frame(const Frame& frame);
+  /// Sends already-encoded frame bytes (CheckError on failure).
+  void send_wire(BytesView wire);
   /// Blocks for the next frame (CheckError on EOF/timeout/framing).
   Frame recv_frame();
   /// recv_frame + request-id match + kError → RemoteError.

@@ -1,6 +1,9 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "common/check.h"
 
 namespace aec::net {
 
@@ -9,6 +12,11 @@ namespace {
 void put_le(Bytes& out, std::uint64_t v, std::size_t bytes) {
   for (std::size_t i = 0; i < bytes; ++i)
     out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+void store_le(std::uint8_t* p, std::uint64_t v, std::size_t bytes) noexcept {
+  for (std::size_t i = 0; i < bytes; ++i)
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 std::uint64_t get_le(const std::uint8_t* p, std::size_t bytes) noexcept {
@@ -77,18 +85,26 @@ const char* to_string(ErrorCode code) noexcept {
   return "unknown";
 }
 
-void encode_header(std::uint16_t op, std::uint64_t request_id,
-                   std::uint64_t trace_id, std::size_t payload_len,
-                   Bytes& out) {
+void write_header(std::uint8_t* out, std::uint16_t op,
+                  std::uint64_t request_id, std::uint64_t trace_id,
+                  std::size_t payload_len) noexcept {
   // Untraced frames keep the AEC1 header: byte-identical to pre-trace
   // writers, parseable by pre-trace readers.
   const bool v2 = trace_id != 0;
-  put_le(out, v2 ? kMagicV2 : kMagic, 4);
-  put_le(out, payload_len, 4);
-  put_le(out, op, 2);
-  put_le(out, 0, 2);  // flags, reserved
-  put_le(out, request_id, 8);
-  if (v2) put_le(out, trace_id, 8);
+  store_le(out, v2 ? kMagicV2 : kMagic, 4);
+  store_le(out + 4, payload_len, 4);
+  store_le(out + 8, op, 2);
+  store_le(out + 10, 0, 2);  // flags, reserved
+  store_le(out + 12, request_id, 8);
+  if (v2) store_le(out + 20, trace_id, 8);
+}
+
+void encode_header(std::uint16_t op, std::uint64_t request_id,
+                   std::uint64_t trace_id, std::size_t payload_len,
+                   Bytes& out) {
+  const std::size_t at = out.size();
+  out.resize(at + header_size(trace_id));
+  write_header(out.data() + at, op, request_id, trace_id, payload_len);
 }
 
 void encode_frame(const Frame& frame, Bytes& out) {
@@ -106,49 +122,96 @@ Bytes encode_frame(const Frame& frame) {
 }
 
 FrameParser::FrameParser(std::size_t max_payload)
-    : max_payload_(max_payload) {}
+    : max_payload_(max_payload), stage_(kStageBytes) {}
 
-void FrameParser::feed(BytesView bytes) {
-  if (error_) return;  // poisoned: drop everything
-  // Compact the consumed prefix before it dominates the buffer.
-  if (pos_ > 0 && pos_ >= buffer_.size() / 2) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
+std::span<std::uint8_t> FrameParser::prepare(std::size_t max) {
+  if (error_) return {};
+  if (frame_header_ != 0 && filled_ < frame_.payload.size()) {
+    // Mid-payload: the receive lands in the frame itself.
+    prepared_ = std::min(max, frame_.payload.size() - filled_);
+    return {frame_.payload.data() + filled_, prepared_};
   }
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+  if (stage_pos_ > 0) {  // drop the parsed prefix
+    std::memmove(stage_.data(), stage_.data() + stage_pos_,
+                 stage_end_ - stage_pos_);
+    stage_end_ -= stage_pos_;
+    stage_pos_ = 0;
+  }
+  prepared_ = std::min(max, kStageBytes);
+  // A complete frame not yet taken by next() keeps the staged bytes
+  // behind it unparsed, so the stage grows instead of refusing them.
+  if (stage_.size() < stage_end_ + prepared_)
+    stage_.resize(stage_end_ + prepared_);
+  return {stage_.data() + stage_end_, prepared_};
 }
 
-std::optional<Frame> FrameParser::next() {
-  if (error_) return std::nullopt;
-  if (buffered() < kHeaderSize) return std::nullopt;
-  const std::uint8_t* h = buffer_.data() + pos_;
+void FrameParser::commit(std::size_t n) {
+  AEC_CHECK_MSG(n <= prepared_, "commit(" << n << ") past the prepared "
+                                          << prepared_ << " bytes");
+  prepared_ = 0;
+  buffered_ += n;
+  if (frame_header_ != 0 && filled_ < frame_.payload.size()) {
+    filled_ += n;
+    return;
+  }
+  stage_end_ += n;
+  open_staged_frame();
+}
+
+void FrameParser::feed(BytesView bytes) {
+  while (!bytes.empty()) {
+    const std::span<std::uint8_t> into = prepare(bytes.size());
+    if (into.empty()) return;  // poisoned: drop everything
+    std::memcpy(into.data(), bytes.data(), into.size());
+    commit(into.size());
+    bytes = bytes.subspan(into.size());
+  }
+}
+
+void FrameParser::open_staged_frame() {
+  if (error_ || frame_header_ != 0) return;
+  const std::size_t staged = stage_end_ - stage_pos_;
+  if (staged < 8) return;  // magic + payload_len decide validity
+  const std::uint8_t* h = stage_.data() + stage_pos_;
   const auto magic = static_cast<std::uint32_t>(get_le(h, 4));
   if (magic != kMagic && magic != kMagicV2) {
     error_ = true;
     error_text_ = "bad frame magic";
-    return std::nullopt;
+    return;
   }
-  const std::size_t header_size =
-      magic == kMagicV2 ? kHeaderSizeV2 : kHeaderSize;
   const auto payload_len = static_cast<std::size_t>(get_le(h + 4, 4));
   if (payload_len > max_payload_) {
     error_ = true;
     error_text_ = "frame payload exceeds limit (" +
                   std::to_string(payload_len) + " > " +
                   std::to_string(max_payload_) + ")";
-    return std::nullopt;
+    return;
   }
-  if (buffered() < header_size + payload_len) return std::nullopt;
+  const std::size_t header = magic == kMagicV2 ? kHeaderSizeV2 : kHeaderSize;
+  if (staged < header) return;
 
-  Frame frame;
-  frame.op = static_cast<std::uint16_t>(get_le(h + 8, 2));
+  frame_ = Frame{};
+  frame_.op = static_cast<std::uint16_t>(get_le(h + 8, 2));
   // h + 10: flags — reserved, ignored on read.
-  frame.request_id = get_le(h + 12, 8);
-  if (magic == kMagicV2) frame.trace_id = get_le(h + 20, 8);
-  const std::uint8_t* body = h + header_size;
-  frame.payload.assign(body, body + payload_len);
-  pos_ += header_size + payload_len;
+  frame_.request_id = get_le(h + 12, 8);
+  if (magic == kMagicV2) frame_.trace_id = get_le(h + 20, 8);
+  frame_.payload.resize(payload_len);
+  filled_ = std::min(payload_len, staged - header);
+  if (filled_ > 0) std::memcpy(frame_.payload.data(), h + header, filled_);
+  frame_header_ = header;
+  stage_pos_ += header + filled_;
+  if (stage_pos_ == stage_end_) stage_pos_ = stage_end_ = 0;
+}
+
+std::optional<Frame> FrameParser::next() {
+  if (frame_header_ == 0 || filled_ < frame_.payload.size())
+    return std::nullopt;
+  frame_bytes_ = frame_header_ + frame_.payload.size();
+  buffered_ -= frame_bytes_;
+  frame_header_ = 0;
+  filled_ = 0;
+  std::optional<Frame> frame(std::move(frame_));
+  open_staged_frame();
   return frame;
 }
 

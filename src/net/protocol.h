@@ -35,14 +35,23 @@
 // UB.
 //
 // FrameParser is the incremental deframing state machine both ends run
-// over their read buffers: feed() bytes as they arrive, next() yields
-// complete frames. A bad magic or an over-limit payload_len poisons the
-// parser (error() == true) — after that the stream cannot be trusted
+// over their sockets, and it receives in place: prepare() names where
+// the next recv() lands, commit() records what arrived, next() yields
+// complete frames. Once a header passes its checks the frame's payload
+// is allocated at its announced length, and every later receive lands
+// in it directly — kernel → payload, one copy per wire byte. So a
+// connection allocates its payload eagerly, bounded by `max_payload`
+// (8 MiB by default) per connection, before those bytes arrive. Only
+// the bytes that arrive in the same receive as their header pass
+// through the parser's small staging buffer. A bad magic or an
+// over-limit payload_len poisons the parser (error() == true) before
+// any payload is allocated — after that the stream cannot be trusted
 // and the connection must be dropped.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -54,8 +63,10 @@ constexpr std::uint32_t kMagic = 0x31434541;    // "AEC1" little-endian
 constexpr std::uint32_t kMagicV2 = 0x32434541;  // "AEC2" little-endian
 constexpr std::size_t kHeaderSize = 20;
 constexpr std::size_t kHeaderSizeV2 = 28;  // + u64 trace_id
-/// Default payload_len bound (per frame). PUT chunks and GET stream
-/// chunks are sized well below this by both built-in ends.
+/// Default payload_len bound (per frame), and so the most payload a
+/// connection's parser allocates ahead of its bytes arriving. PUT
+/// chunks and GET stream chunks are sized well below this by both
+/// built-in ends.
 constexpr std::size_t kDefaultMaxPayload = 8u << 20;
 
 enum class Op : std::uint16_t {
@@ -117,6 +128,14 @@ constexpr std::size_t header_size(std::uint64_t trace_id) noexcept {
   return trace_id != 0 ? kHeaderSizeV2 : kHeaderSize;
 }
 
+/// Writes a frame header announcing `payload_len` payload bytes to
+/// out[0, header_size(trace_id)); the sender puts exactly that many
+/// payload bytes right behind it (the client's PUT_CHUNKs are produced
+/// behind room left for their header this way).
+void write_header(std::uint8_t* out, std::uint16_t op,
+                  std::uint64_t request_id, std::uint64_t trace_id,
+                  std::size_t payload_len) noexcept;
+
 /// Appends only a frame header announcing `payload_len` payload bytes;
 /// the caller appends exactly that many right behind it (the server
 /// writes GET_DATA payloads in place this way).
@@ -128,30 +147,72 @@ void encode_header(std::uint16_t op, std::uint64_t request_id,
 void encode_frame(const Frame& frame, Bytes& out);
 Bytes encode_frame(const Frame& frame);
 
-/// Incremental deframer over an arbitrary byte-chunk arrival order.
+/// Most bytes either built-in end lets one receive land in a payload.
+constexpr std::size_t kMaxRecvBytes = 1u << 20;
+
+/// Incremental deframer over an arbitrary byte-chunk arrival order that
+/// receives in place (see the file comment). Each receive is
+///
+///   const auto into = parser.prepare(max);
+///   n = recv(fd, into.data(), into.size());
+///   parser.commit(n);
+///   while (auto frame = parser.next()) ...
 class FrameParser {
  public:
+  /// Staging room for the receives made between payloads: several small
+  /// frames can arrive in one receive, and the payload bytes that come
+  /// with a header are copied out of it once.
+  static constexpr std::size_t kStageBytes = 4096;
+
   explicit FrameParser(std::size_t max_payload = kDefaultMaxPayload);
 
-  /// Appends raw bytes from the stream.
+  /// Where the next receive lands, at most `max` bytes: the rest of the
+  /// payload being received, else the staging buffer. Empty only for
+  /// `max` 0 or once the parser is poisoned.
+  std::span<std::uint8_t> prepare(std::size_t max);
+
+  /// The first `n` bytes of the last prepare() span hold stream bytes.
+  void commit(std::size_t n);
+
+  /// Copies `bytes` in through prepare()/commit() (in-memory streams).
   void feed(BytesView bytes);
 
   /// One complete frame, or nullopt when more bytes are needed or the
-  /// parser is poisoned.
+  /// parser is poisoned. Frames that arrived before a violation are
+  /// still returned.
   std::optional<Frame> next();
+
+  /// Wire bytes of the frame next() last returned: its real header
+  /// (AEC1 20, AEC2 28 — whatever its trace id) plus its payload.
+  std::size_t frame_bytes() const noexcept { return frame_bytes_; }
 
   /// True once the stream violated framing (bad magic / oversized
   /// payload). The parser stays poisoned; drop the connection.
   bool error() const noexcept { return error_; }
   const std::string& error_text() const noexcept { return error_text_; }
 
-  std::size_t buffered() const noexcept { return buffer_.size() - pos_; }
+  /// Bytes committed but not yet returned as part of a frame.
+  std::size_t buffered() const noexcept { return buffered_; }
   std::size_t max_payload() const noexcept { return max_payload_; }
 
  private:
+  /// Opens the next frame from the staged bytes while none is open:
+  /// checks its header, allocates its payload and moves the staged part
+  /// of it in.
+  void open_staged_frame();
+
   std::size_t max_payload_;
-  Bytes buffer_;
-  std::size_t pos_ = 0;  // consumed prefix, compacted lazily
+  /// Received, unparsed bytes are stage_[stage_pos_, stage_end_). It
+  /// grows past kStageBytes only while a complete frame waits for next().
+  Bytes stage_;
+  std::size_t stage_pos_ = 0;
+  std::size_t stage_end_ = 0;
+  Frame frame_;                   // the frame being received
+  std::size_t frame_header_ = 0;  // its header size; 0 = none open
+  std::size_t filled_ = 0;        // payload bytes received so far
+  std::size_t prepared_ = 0;      // size of the last prepare() span
+  std::size_t frame_bytes_ = 0;
+  std::size_t buffered_ = 0;
   bool error_ = false;
   std::string error_text_;
 };

@@ -244,9 +244,14 @@ void Server::on_conn_event(std::uint64_t conn_id, std::uint32_t events) {
 
 void Server::on_readable(Connection& conn) {
   const std::uint64_t conn_id = conn.id;
-  std::uint8_t buf[64 * 1024];
+  std::uint8_t discard[4096];
   for (;;) {
-    const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
+    // Straight into the request frame's payload once its header is in;
+    // a poisoned parser's connection drains into `discard` until the
+    // error reply has flushed.
+    std::span<std::uint8_t> into = conn.parser.prepare(kMaxRecvBytes);
+    if (into.empty()) into = discard;
+    const ssize_t n = ::recv(conn.fd, into.data(), into.size(), 0);
     if (n == 0) {
       close_conn(conn_id);
       return;
@@ -259,14 +264,11 @@ void Server::on_readable(Connection& conn) {
     }
     conn.last_activity = Clock::now();
     if (conn.close_after_flush) continue;  // drain-and-discard
-    conn.parser.feed(BytesView(buf, static_cast<std::size_t>(n)));
+    conn.parser.commit(static_cast<std::size_t>(n));
 
-    // Bytes in = what the parser consumed per frame: the AEC1 or AEC2
-    // header plus the payload.
-    std::size_t buffered = conn.parser.buffered();
     while (auto frame = conn.parser.next()) {
-      req_bytes_in_->add(buffered - conn.parser.buffered());
-      buffered = conn.parser.buffered();
+      // The AEC1 or AEC2 header the frame really carried, plus payload.
+      req_bytes_in_->add(conn.parser.frame_bytes());
       req_count_->add();
       if (!is_request_op(frame->op)) {
         req_rejected_->add();

@@ -1,5 +1,6 @@
 #include "pipeline/thread_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -71,6 +72,22 @@ void ThreadPool::wait(Group& group) {
   }
 }
 
+bool ThreadPool::run_one(Group& group) {
+  Task task;
+  {
+    std::lock_guard lock(mu_);
+    const auto it =
+        std::find_if(queue_.begin(), queue_.end(),
+                     [&](const Task& t) { return t.group == &group; });
+    if (it == queue_.end()) return false;
+    task = std::move(*it);
+    queue_.erase(it);
+  }
+  not_full_.notify_one();
+  run_task(std::move(task));
+  return true;
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     Task task;
@@ -82,20 +99,24 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
     }
     not_full_.notify_one();
-    std::exception_ptr error;
-    try {
-      task.fn();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    task.fn = nullptr;  // captures die before the group can be released
-    std::lock_guard lock(mu_);
-    Group& group = *task.group;
-    if (error && !group.error_) group.error_ = std::move(error);
-    // Notified under the lock: a waiter that wakes may destroy the group
-    // as soon as it reacquires mu_.
-    if (--group.pending_ == 0) group.done_.notify_all();
+    run_task(std::move(task));
   }
+}
+
+void ThreadPool::run_task(Task task) {
+  std::exception_ptr error;
+  try {
+    task.fn();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  task.fn = nullptr;  // captures die before the group can be released
+  std::lock_guard lock(mu_);
+  Group& group = *task.group;
+  if (error && !group.error_) group.error_ = std::move(error);
+  // Notified under the lock: a waiter that wakes may destroy the group
+  // as soon as it reacquires mu_.
+  if (--group.pending_ == 0) group.done_.notify_all();
 }
 
 }  // namespace aec::pipeline

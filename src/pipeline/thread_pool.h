@@ -73,8 +73,16 @@ class ThreadPool {
 
   /// Blocks until every task submitted into `group` has finished, then
   /// rethrows the first exception one of them threw since the group's
-  /// last wait(). Other groups' tasks are neither waited for nor seen.
+  /// last wait(). Other groups' tasks are neither waited for nor seen,
+  /// and none runs on the waiting thread.
   void wait(Group& group);
+
+  /// Takes the oldest task of `group` that no worker has started off the
+  /// queue and runs it on the calling thread, exactly as a worker would
+  /// (its exception goes to the group). False when none is queued. A
+  /// consumer that would otherwise sleep on its own queued work runs it
+  /// instead (BlockStream's reader fetches its next batch this way).
+  bool run_one(Group& group);
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
   std::size_t queue_capacity() const noexcept { return capacity_; }
@@ -86,6 +94,8 @@ class ThreadPool {
   };
 
   void worker_loop();
+  /// Runs a dequeued task and settles it with its group.
+  void run_task(Task task);
 
   mutable std::mutex mu_;
   std::condition_variable not_full_;   // producers: queue has room

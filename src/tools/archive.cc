@@ -830,14 +830,11 @@ RepairReport Archive::rebuild_node(std::uint32_t node) {
                                       << " is up; fail it first (or heal "
                                          "it if its data is intact)");
   cluster_->replace_node(node);
-  // Enumerate the lost node's expected keys via the placement map. The
-  // census already tracks in-process failures; this defensive sweep also
-  // catches staleness the census cannot see (an externally wiped node).
-  // Metadata-only: contains() is a map probe, no I/O.
-  session_->for_each_expected_key([&](const BlockKey& key) {
-    if (cluster_->node_of(key) == node && !store_->contains(key))
-      health_.on_block(key, false);
-  });
+  // The census already holds every key the node lost: fail_node
+  // announced each key in the child's index missing (stale entries for
+  // block files deleted behind the archive included), and a node that
+  // was down at open was seeded missing from the sidecar or the seeding
+  // walk.
   return session_->repair_all(health_.missing_keys());
 }
 

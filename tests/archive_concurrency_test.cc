@@ -8,6 +8,7 @@
 // tests a handle on the live archive's blocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -206,11 +208,29 @@ TEST_F(ArchiveConcurrencyTest, ExclusiveOpsWaitForOpenReaders) {
 }
 
 TEST_F(ArchiveConcurrencyTest, ReaderLeaseMovesWithTheReader) {
+  const auto store = test::register_hooked_family("concurrencylease");
   Rng rng(44);
   const Bytes content = rng.random_block(64 * 20);
   auto archive = Archive::create(root_, "RS(4,2)", 64,
-                                 Engine::with_threads(2), "mem");
+                                 Engine::with_threads(2), "concurrencylease");
   archive->add_file("doc", content);
+  archive->add_file("late", content);  // read by the opening thread
+  const NodeIndex late_first = archive->find_file("late")->first_block;
+  // Store reads in the order they run, each under the gate: the scrub's
+  // integrity scan ('s', the batches holding parities) exclusively, the
+  // read of "late" ('l', its data blocks) on its lease. A flag set once
+  // scrub() returns could not order them: the read may finish in the
+  // moment between the scrub releasing the gate and that store.
+  std::mutex mu;
+  std::vector<char> order;
+  (*store)->before_batch = [&](const std::vector<BlockKey>& keys) {
+    const bool scrub =
+        std::any_of(keys.begin(), keys.end(),
+                    [](const BlockKey& k) { return !k.is_data(); });
+    if (!scrub && keys.front().index < late_first) return;  // "doc"
+    std::lock_guard lock(mu);
+    order.push_back(scrub ? 's' : 'l');
+  };
   // Opened here, then read and dropped on another thread.
   FileReader reader = archive->open_reader("doc");
   std::thread holder([moved = std::move(reader)]() mutable {
@@ -227,10 +247,17 @@ TEST_F(ArchiveConcurrencyTest, ReaderLeaseMovesWithTheReader) {
   EXPECT_FALSE(scrubbed.load()) << "scrub ran beside the moved reader";
   // The opening thread gets no lease past the waiting scrub: this read
   // starts only after the holder drops the reader and the scrub is done.
-  EXPECT_EQ(archive->read_file("doc"), content);
-  EXPECT_TRUE(scrubbed.load());
+  EXPECT_EQ(archive->read_file("late"), content);
   holder.join();
   exclusive.join();
+  EXPECT_TRUE(scrubbed.load());
+  (*store)->before_batch = nullptr;
+  const auto first_late = std::find(order.begin(), order.end(), 'l');
+  ASSERT_NE(first_late, order.end());
+  EXPECT_NE(std::find(order.begin(), first_late, 's'), first_late)
+      << "the read of late ran before the scrub";
+  EXPECT_EQ(std::find(first_late, order.end(), 's'), order.end())
+      << "the read of late ran beside the scrub";
 }
 
 }  // namespace

@@ -562,6 +562,84 @@ TEST_F(ClusterArchiveTest, FailurePersistsAcrossReopen) {
   EXPECT_EQ(*read_back, content);
 }
 
+/// Rebuilds `node` and checks the archive came back whole: every block
+/// byte-identical to `before`, and a scrub afterwards finds nothing
+/// missing.
+void expect_rebuild_restores_every_block(
+    Archive& archive, std::uint32_t node,
+    const std::map<std::string, std::uint64_t>& before) {
+  const RepairReport rebuild = archive.rebuild_node(node);
+  EXPECT_EQ(rebuild.nodes_unrecovered + rebuild.edges_unrecovered, 0u);
+  EXPECT_GT(rebuild.blocks_repaired_total(), 0u);
+  EXPECT_EQ(archive.cluster()->fingerprint(), before);
+  const ScrubReport scrub = archive.scrub();
+  EXPECT_EQ(scrub.repair.blocks_repaired_total(), 0u);
+  EXPECT_EQ(scrub.repair.nodes_unrecovered + scrub.repair.edges_unrecovered,
+            0u);
+  EXPECT_EQ(scrub.inconsistent_parities, 0u);
+  EXPECT_EQ(archive.missing_blocks(), 0u);
+}
+
+TEST_F(ClusterArchiveTest, RebuildAfterReopenWithTheNodeDown) {
+  // The node is already down in cluster.txt when the archive reopens;
+  // the census learns its loss from the sidecar or from the seeding
+  // walk, and either way the rebuild restores every block.
+  for (const bool sidecar : {true, false}) {
+    SCOPED_TRACE(sidecar ? "sidecar" : "seeding walk");
+    const fs::path root = dir(sidecar ? "sidecar" : "walk");
+    Rng rng(31);
+    const Bytes content = rng.random_block(50 * 128 + 9);
+    std::map<std::string, std::uint64_t> before;
+    {
+      auto archive = Archive::create(root, "AE(3,2,5)", 128, {},
+                                     "cluster(4,strand,file)");
+      archive->add_file("doc", content);
+      before = archive->cluster()->fingerprint();
+      archive->fail_node(2);
+    }
+    if (!sidecar) {
+      ASSERT_TRUE(fs::remove(root / "availability.txt"));
+    }
+    auto archive = Archive::open(root);
+    EXPECT_EQ(archive->opened_from_sidecar(), sidecar);
+    ASSERT_TRUE(archive->cluster()->node_down(2));
+    expect_rebuild_restores_every_block(*archive, 2, before);
+    const auto read_back = archive->read_file("doc");
+    ASSERT_TRUE(read_back.has_value());
+    EXPECT_EQ(*read_back, content);
+  }
+}
+
+TEST_F(ClusterArchiveTest, RebuildAfterBlockFilesDeletedBehindTheArchive) {
+  // A file-backed node loses its block files behind the open archive;
+  // the node's store still lists them, so fail_node announces them
+  // missing and the rebuild restores every block.
+  const fs::path root = dir("arch");
+  Rng rng(32);
+  const Bytes content = rng.random_block(50 * 128 + 9);
+  auto archive =
+      Archive::create(root, "AE(3,2,5)", 128, {}, "cluster(4,strand,file)");
+  archive->add_file("doc", content);
+  const auto before = archive->cluster()->fingerprint();
+  std::vector<fs::path> block_files;
+  for (const auto& entry :
+       fs::recursive_directory_iterator(archive->cluster()->node_root(1)))
+    if (entry.is_regular_file() &&
+        (entry.path().parent_path().filename() == "d" ||
+         entry.path().parent_path().parent_path().filename() == "p"))
+      block_files.push_back(entry.path());
+  ASSERT_EQ(block_files.size(), archive->cluster()->node_blocks(1));
+  for (const fs::path& file : block_files) ASSERT_TRUE(fs::remove(file));
+  EXPECT_EQ(archive->missing_blocks(), 0u);  // out of band: unseen so far
+
+  archive->fail_node(1);
+  EXPECT_EQ(archive->missing_blocks(), block_files.size());
+  expect_rebuild_restores_every_block(*archive, 1, before);
+  const auto read_back = archive->read_file("doc");
+  ASSERT_TRUE(read_back.has_value());
+  EXPECT_EQ(*read_back, content);
+}
+
 TEST_F(ClusterArchiveTest, NodeOpsRejectNonClusterArchives) {
   auto archive = Archive::create(dir("plain"), "AE(3,2,5)", 128, {}, "file");
   EXPECT_EQ(archive->cluster(), nullptr);

@@ -1,7 +1,8 @@
-// A thread-safe in-memory store with two test hooks: fail one chosen
+// A thread-safe in-memory store with three test hooks: fail one chosen
 // put() — the failure-path oracle for the encoder, the archive's
 // FileWriter and the daemon's PUT handling — and run a callback before
-// each get_copy(), to hold one read at a chosen point of a race.
+// each get_copy() or get_batch(), to hold one read at a chosen point of
+// a race or to see the order in which reads ran.
 #pragma once
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/codec/store_registry.h"
 #include "pipeline/concurrent_block_store.h"
@@ -25,6 +27,8 @@ class HookedStore final : public BlockStore {
   std::atomic<std::int64_t> fail_countdown{0};
   /// Runs before each get_copy(); set it while no read is in flight.
   std::function<void(const BlockKey&)> before_get;
+  /// Runs before each get_batch(); set it while no read is in flight.
+  std::function<void(const std::vector<BlockKey>&)> before_batch;
 
   void put(const BlockKey& key, Bytes value) override {
     if (fail_countdown.fetch_sub(1) == 1)
@@ -42,6 +46,7 @@ class HookedStore final : public BlockStore {
   }
   std::vector<std::optional<Bytes>> get_batch(
       const std::vector<BlockKey>& keys) const override {
+    if (before_batch) before_batch(keys);
     return inner_.get_batch(keys);
   }
   bool thread_safe() const noexcept override { return true; }

@@ -1,4 +1,5 @@
 // Wire-format robustness: framing round-trips under arbitrary chunking,
+// in-place receives (prepare/commit) deliver every frame byte-equal,
 // malformed/oversized input poisons the parser instead of crashing, and
 // payload decode failures are typed exceptions.
 #include "net/protocol.h"
@@ -6,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <random>
 
 namespace aec::net {
@@ -218,6 +220,156 @@ TEST(Protocol, MixedV1V2StreamParsesPerFrame) {
     ASSERT_FALSE(parser.error());
   }
   EXPECT_EQ(next, sent.size());
+}
+
+// --- in-place receive (prepare / commit) ------------------------------------
+
+/// The wire bytes of `frame` under an AEC2 header even when its trace id
+/// is 0 — a legal frame no built-in writer emits.
+Bytes encode_v2(const Frame& frame) {
+  Frame traced = frame;
+  traced.trace_id = 1;
+  Bytes wire = encode_frame(traced);
+  const std::uint64_t trace = frame.trace_id;
+  for (std::size_t i = 0; i < 8; ++i)
+    wire[20 + i] = static_cast<std::uint8_t>(trace >> (8 * i));
+  return wire;
+}
+
+TEST(Protocol, InPlaceReceivesDeliverEveryFrameByteEqual) {
+  // Frames of 0 B up to max_payload under AEC1 and AEC2 headers, sent
+  // back to back and delivered through prepare()/commit() with random
+  // receive sizes of 1 B to 64 KiB: every frame comes out byte-equal,
+  // with its real wire size, however the receives cut the stream —
+  // including several frames arriving in one receive.
+  constexpr std::size_t kMax = 96 * 1024;
+  std::mt19937_64 rng(0xAEC3);
+  struct Sent {
+    Frame frame;
+    std::size_t wire_bytes;
+  };
+  std::vector<Sent> sent;
+  Bytes wire;
+  for (int i = 0; i < 160; ++i) {
+    Frame frame;
+    frame.op = static_cast<std::uint16_t>(rng() % 0x120);
+    frame.request_id = rng();
+    std::size_t len = 0;
+    switch (rng() % 5) {
+      case 0: len = 0; break;
+      case 1: len = rng() % 32; break;  // runs of tiny frames
+      case 2: len = kMax; break;
+      default: len = rng() % (kMax + 1); break;
+    }
+    frame.payload.resize(len);
+    for (auto& b : frame.payload) b = static_cast<std::uint8_t>(rng());
+    Bytes bytes;
+    switch (rng() % 3) {
+      case 0:  // AEC1
+        bytes = encode_frame(frame);
+        break;
+      case 1:  // AEC2 with a trace id
+        frame.trace_id = rng() | 1;
+        bytes = encode_frame(frame);
+        break;
+      default:  // AEC2 whose trace id is 0
+        bytes = encode_v2(frame);
+        break;
+    }
+    wire.insert(wire.end(), bytes.begin(), bytes.end());
+    sent.push_back({std::move(frame), bytes.size()});
+  }
+
+  FrameParser parser(kMax);
+  std::size_t pos = 0;
+  std::size_t next = 0;
+  std::size_t multi_frame_receives = 0;
+  while (pos < wire.size()) {
+    const std::size_t want =
+        rng() % 2 == 0 ? 1 + rng() % 64 : 1 + rng() % (64 * 1024);
+    const std::span<std::uint8_t> into = parser.prepare(want);
+    ASSERT_FALSE(into.empty());
+    ASSERT_LE(into.size(), want);
+    const std::size_t n = std::min(into.size(), wire.size() - pos);
+    std::memcpy(into.data(), wire.data() + pos, n);
+    parser.commit(n);
+    pos += n;
+    std::size_t frames = 0;
+    while (auto frame = parser.next()) {
+      ASSERT_LT(next, sent.size());
+      const Sent& expect = sent[next++];
+      EXPECT_EQ(frame->op, expect.frame.op);
+      EXPECT_EQ(frame->request_id, expect.frame.request_id);
+      EXPECT_EQ(frame->trace_id, expect.frame.trace_id);
+      ASSERT_EQ(frame->payload, expect.frame.payload) << "frame " << next - 1;
+      EXPECT_EQ(parser.frame_bytes(), expect.wire_bytes);
+      ++frames;
+    }
+    if (frames > 1) ++multi_frame_receives;
+    ASSERT_FALSE(parser.error()) << parser.error_text();
+  }
+  EXPECT_EQ(next, sent.size());
+  EXPECT_EQ(parser.buffered(), 0u);
+  EXPECT_GT(multi_frame_receives, 0u);
+}
+
+TEST(Protocol, PayloadIsReceivedInPlaceOnceTheHeaderIsIn) {
+  // After the header, the next receive is offered the frame's whole
+  // payload (more than the staging buffer holds): the bytes land in
+  // the frame itself.
+  Frame frame{static_cast<std::uint16_t>(Op::kPutChunk), 5,
+              Bytes(100'000, 0x3C)};
+  const Bytes wire = encode_frame(frame);
+  FrameParser parser;
+  std::span<std::uint8_t> into = parser.prepare(kHeaderSize);
+  ASSERT_EQ(into.size(), kHeaderSize);
+  std::memcpy(into.data(), wire.data(), kHeaderSize);
+  parser.commit(kHeaderSize);
+  EXPECT_FALSE(parser.next().has_value());
+
+  into = parser.prepare(1u << 20);
+  ASSERT_EQ(into.size(), frame.payload.size());
+  std::memcpy(into.data(), wire.data() + kHeaderSize, into.size());
+  parser.commit(into.size());
+  const auto decoded = parser.next();
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->payload, frame.payload);
+  EXPECT_EQ(parser.frame_bytes(), wire.size());
+}
+
+TEST(Protocol, ViolationPoisonsBeforeAnyPayloadIsAllocated) {
+  // The magic and the announced length are checked as soon as their 8
+  // bytes arrive: the parser is poisoned with no payload to receive
+  // into (prepare() is empty from then on), and a frame that arrived
+  // before the violation is still delivered.
+  constexpr std::size_t kMax = 1024;
+  const Bytes good = encode_frame(Frame{2, 7, Bytes(10, 1)});
+
+  Bytes oversized = encode_frame(Frame{1, 1, {}});
+  for (std::size_t i = 0; i < 4; ++i)  // payload_len = kMax + 1
+    oversized[4 + i] = static_cast<std::uint8_t>((kMax + 1) >> (8 * i));
+  Bytes bad_magic = encode_frame(Frame{1, 1, Bytes(100, 2)});
+  bad_magic[0] ^= 0xFF;
+
+  for (const Bytes* violation : {&oversized, &bad_magic}) {
+    FrameParser parser(kMax);
+    Bytes wire = good;
+    wire.insert(wire.end(), violation->begin(), violation->begin() + 8);
+    std::span<std::uint8_t> into = parser.prepare(wire.size());
+    ASSERT_EQ(into.size(), wire.size());
+    std::memcpy(into.data(), wire.data(), wire.size());
+    parser.commit(wire.size());
+
+    const auto first = parser.next();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->payload, Bytes(10, 1));
+    EXPECT_FALSE(parser.next().has_value());
+    EXPECT_TRUE(parser.error());
+    EXPECT_TRUE(parser.prepare(64 * 1024).empty());
+    // Poisoned for good: later bytes are refused.
+    parser.feed(good);
+    EXPECT_FALSE(parser.next().has_value());
+  }
 }
 
 }  // namespace

@@ -107,11 +107,11 @@ class RawConn {
     for (;;) {
       if (auto frame = parser_.next()) return frame;
       AEC_CHECK_MSG(!parser_.error(), "client-side framing error");
-      std::uint8_t buf[4096];
-      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+      const std::span<std::uint8_t> into = parser_.prepare(64 * 1024);
+      const ssize_t n = ::recv(fd_, into.data(), into.size(), 0);
       AEC_CHECK_MSG(n >= 0, "recv: " << std::strerror(errno));
       if (n == 0) return std::nullopt;
-      parser_.feed(BytesView(buf, static_cast<std::size_t>(n)));
+      parser_.commit(static_cast<std::size_t>(n));
     }
   }
 
@@ -648,6 +648,51 @@ TEST_F(NetServerTest, BytesInCountsTheWireHeader) {
     client.ping();
     EXPECT_EQ(bytes_in->value() - before, traced ? 28u : 20u)
         << "traced " << traced;
+  }
+}
+
+TEST_F(NetServerTest, BytesInCountsEachFramesRealHeaderAndPayload) {
+  // Each frame counts the header it really carried plus its payload, as
+  // the parser saw them: an AEC2 frame whose trace id is 0 still counts
+  // 28 header bytes, and a payload larger than the parser's staging
+  // buffer counts whole.
+  const obs::Counter* bytes_in =
+      obs::MetricsRegistry::global().counter("net.req.bytes_in");
+  RawConn conn(server_->port());
+  const auto v2_zero_trace = [](Frame frame) {
+    frame.trace_id = 1;
+    Bytes wire = encode_frame(frame);
+    std::fill(wire.begin() + 20, wire.begin() + 28, 0);
+    return wire;
+  };
+  const auto ping = static_cast<std::uint16_t>(Op::kPing);
+  const auto chunk = static_cast<std::uint16_t>(Op::kPutChunk);
+  struct Case {
+    Bytes wire;
+    std::size_t expect;
+  };
+  Frame traced{ping, 3, Bytes(5, 9)};
+  traced.trace_id = 0xABCDEF;
+  const std::vector<Case> cases = {
+      {encode_frame(Frame{ping, 1, {}}), 20},
+      {v2_zero_trace(Frame{ping, 2, {}}), 28},
+      {encode_frame(traced), 28 + 5},
+      {v2_zero_trace(Frame{ping, 4, Bytes(7, 1)}), 28 + 7},
+      {encode_frame(Frame{chunk, 5, Bytes(10'000, 2)}), 20 + 10'000},
+      {v2_zero_trace(Frame{chunk, 6, Bytes(70'000, 3)}), 28 + 70'000},
+  };
+  std::uint64_t id = 1;
+  for (const Case& c : cases) {
+    ASSERT_EQ(c.wire.size(), c.expect);
+    const std::uint64_t before = bytes_in->value();
+    conn.send_bytes(c.wire);
+    // Any reply (a payload on PING and a chunk without PUT_BEGIN are
+    // errors) comes after the frame was counted.
+    const auto reply = conn.recv_frame();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->request_id, id++);
+    EXPECT_EQ(bytes_in->value() - before, c.expect)
+        << "frame of " << c.wire.size() << " wire bytes";
   }
 }
 

@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "ae_test_util.h"
 #include "hooked_store.h"
@@ -152,6 +153,58 @@ TEST(ThreadPool, GroupDestructorWaitsForItsTasks) {
       });
   }
   EXPECT_EQ(counter.load(), 64);
+}
+
+TEST(ThreadPool, RunOneRunsTheGroupsOldestQueuedTaskOnTheCaller) {
+  // The only worker is held by group `hold`: run_one takes `mine`'s
+  // queued tasks in submission order onto the calling thread, skipping
+  // the other group's, settles their errors with `mine`, and reports
+  // false once none of them is queued.
+  ThreadPool pool(1);
+  ThreadPool::Group hold;
+  ThreadPool::Group other;
+  ThreadPool::Group mine;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false;
+  bool released = false;
+  pool.submit(hold, [&] {
+    std::unique_lock lock(mu);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  });
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
+  std::atomic<int> other_ran{0};
+  std::vector<int> order;
+  std::vector<std::thread::id> runners;
+  pool.submit(other, [&other_ran] { other_ran.fetch_add(1); });
+  for (int i = 0; i < 3; ++i)
+    pool.submit(mine, [&, i] {
+      order.push_back(i);
+      runners.push_back(std::this_thread::get_id());
+      if (i == 1) throw CheckError("task 1 failed");
+    });
+  EXPECT_TRUE(pool.run_one(mine));
+  EXPECT_TRUE(pool.run_one(mine));
+  EXPECT_TRUE(pool.run_one(mine));
+  EXPECT_FALSE(pool.run_one(mine));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(runners, std::vector<std::thread::id>(
+                         3, std::this_thread::get_id()));
+  EXPECT_THROW(pool.wait(mine), CheckError);  // returns: nothing pending
+  EXPECT_EQ(other_ran.load(), 0);
+  {
+    std::lock_guard lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  pool.wait(hold);
+  pool.wait(other);
+  EXPECT_EQ(other_ran.load(), 1);
 }
 
 // --- ConcurrentBlockStore ---------------------------------------------------

@@ -14,12 +14,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <future>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -435,6 +439,63 @@ class ReadPathBlockStreamTest : public ::testing::Test {
   /// A repair fallback that repairs nothing.
   static std::optional<Bytes> no_repair(NodeIndex) { return std::nullopt; }
 
+  /// Records every get_batch() made through it: its size, each key it
+  /// fetched and the thread that fetched it.
+  class CountingStore final : public BlockStore {
+   public:
+    explicit CountingStore(BlockStore& inner) : inner_(inner) {}
+    void put(const BlockKey& key, Bytes value) override {
+      inner_.put(key, std::move(value));
+    }
+    std::optional<Bytes> get_copy(const BlockKey& key) const override {
+      return inner_.get_copy(key);
+    }
+    bool contains(const BlockKey& key) const override {
+      return inner_.contains(key);
+    }
+    bool erase(const BlockKey& key) override { return inner_.erase(key); }
+    std::uint64_t size() const override { return inner_.size(); }
+    bool thread_safe() const noexcept override { return true; }
+    std::vector<std::optional<Bytes>> get_batch(
+        const std::vector<BlockKey>& keys) const override {
+      {
+        std::lock_guard lock(mu_);
+        batch_sizes_.push_back(keys.size());
+        for (const BlockKey& key : keys) {
+          ++fetches_[key];
+          fetchers_.insert(std::this_thread::get_id());
+        }
+      }
+      return inner_.get_batch(keys);
+    }
+    std::vector<std::size_t> batch_sizes() const {
+      std::lock_guard lock(mu_);
+      return batch_sizes_;
+    }
+    /// How often each key was fetched.
+    std::unordered_map<BlockKey, int, BlockKeyHash> fetches() const {
+      std::lock_guard lock(mu_);
+      return fetches_;
+    }
+    std::set<std::thread::id> fetchers() const {
+      std::lock_guard lock(mu_);
+      return fetchers_;
+    }
+    void reset() {
+      std::lock_guard lock(mu_);
+      batch_sizes_.clear();
+      fetches_.clear();
+      fetchers_.clear();
+    }
+
+   private:
+    BlockStore& inner_;
+    mutable std::mutex mu_;
+    mutable std::vector<std::size_t> batch_sizes_;
+    mutable std::unordered_map<BlockKey, int, BlockKeyHash> fetches_;
+    mutable std::set<std::thread::id> fetchers_;
+  };
+
   pipeline::ThreadPool pool_{1};
 };
 
@@ -481,43 +542,9 @@ TEST_F(ReadPathBlockStreamTest, AbandonedStreamCountsUnconsumedAsWasted) {
 }
 
 TEST_F(ReadPathBlockStreamTest, RefillIssuesWholeBatchesOnly) {
-  // Records every get_batch() the stream makes (from the pool's worker).
-  // Topping the window up block by block would issue 16 keys, 16 keys,
-  // then one-key batches as each consumed block frees one slot.
-  class CountingStore final : public BlockStore {
-   public:
-    explicit CountingStore(BlockStore& inner) : inner_(inner) {}
-    void put(const BlockKey& key, Bytes value) override {
-      inner_.put(key, std::move(value));
-    }
-    std::optional<Bytes> get_copy(const BlockKey& key) const override {
-      return inner_.get_copy(key);
-    }
-    bool contains(const BlockKey& key) const override {
-      return inner_.contains(key);
-    }
-    bool erase(const BlockKey& key) override { return inner_.erase(key); }
-    std::uint64_t size() const override { return inner_.size(); }
-    bool thread_safe() const noexcept override { return true; }
-    std::vector<std::optional<Bytes>> get_batch(
-        const std::vector<BlockKey>& keys) const override {
-      {
-        std::lock_guard lock(mu_);
-        batch_sizes_.push_back(keys.size());
-      }
-      return inner_.get_batch(keys);
-    }
-    std::vector<std::size_t> batch_sizes() const {
-      std::lock_guard lock(mu_);
-      return batch_sizes_;
-    }
-
-   private:
-    BlockStore& inner_;
-    mutable std::mutex mu_;
-    mutable std::vector<std::size_t> batch_sizes_;
-  };
-
+  // Records every get_batch() the stream makes. Topping the window up
+  // block by block would issue 16 keys, 16 keys, then one-key batches as
+  // each consumed block frees one slot.
   pipeline::ConcurrentBlockStore inner;
   const std::vector<Bytes> blocks = seed(inner, 72);
   CountingStore store(inner);
@@ -563,6 +590,92 @@ TEST_F(ReadPathBlockStreamTest, StoreExceptionSurfacesAtNextNotAtThePool) {
   }
   EXPECT_NO_THROW(engine->pool().wait(other));
   EXPECT_EQ(ran.load(), 1);
+}
+
+TEST_F(ReadPathBlockStreamTest,
+       ReaderFetchesItsOwnBatchesWhileTheWorkerIsParked) {
+  // A one-worker engine whose worker is held by another operation's
+  // task: the stream's batches sit queued, and the reader fetches every
+  // one itself on its own thread instead of sleeping on the pool. A
+  // reader that only waited would never finish, so the read runs under a
+  // timeout.
+  constexpr std::size_t kBlocks = 100;
+  pipeline::ConcurrentBlockStore inner;
+  CountingStore store(inner);
+  auto engine = Engine::with_threads(1);
+  auto session =
+      engine->open_session(make_codec("AE(3,2,5)"), &store, kBlockSize);
+  Rng rng(16);
+  std::vector<Bytes> blocks;
+  for (std::size_t i = 0; i < kBlocks; ++i)
+    blocks.push_back(rng.random_block(kBlockSize));
+  session->append(blocks);
+  store.reset();
+
+  std::latch parked(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pipeline::ThreadPool::Group other;
+  engine->pool().submit(other, [&parked, released] {
+    parked.count_down();
+    released.wait();
+  });
+  parked.wait();
+
+  std::thread::id consumer;
+  auto reading = std::async(std::launch::async, [&] {
+    consumer = std::this_thread::get_id();
+    return read_run(*session, 1, kBlocks);
+  });
+  const bool finished =
+      reading.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release.set_value();  // lets a reader stuck on the pool finish, too
+  engine->pool().wait(other);
+  ASSERT_TRUE(finished) << "the reader slept on a batch queued behind a "
+                           "parked worker";
+
+  const std::vector<std::optional<Bytes>> out = reading.get();
+  ASSERT_EQ(out.size(), kBlocks);
+  for (std::size_t i = 0; i < kBlocks; ++i)
+    EXPECT_EQ(out[i], blocks[i]) << "block " << i + 1;
+  EXPECT_EQ(store.fetchers(), std::set<std::thread::id>{consumer});
+  const auto fetches = store.fetches();
+  EXPECT_EQ(fetches.size(), kBlocks);
+  for (const auto& [key, times] : fetches)
+    EXPECT_EQ(times, 1) << to_string(key);
+}
+
+TEST_F(ReadPathBlockStreamTest, NoBatchIsFetchedTwiceWhileWorkersRace) {
+  // Two workers kept half busy by another operation's tasks: some
+  // batches are fetched by a worker, some by the reader, and each
+  // exactly once.
+  constexpr std::size_t kBlocks = 400;
+  pipeline::ConcurrentBlockStore inner;
+  CountingStore store(inner);
+  const std::vector<Bytes> blocks = seed(inner, kBlocks);
+  auto engine = Engine::with_threads(2);
+  std::atomic<bool> stop{false};
+  pipeline::ThreadPool::Group busy;
+  std::thread noise([&] {
+    while (!stop.load()) {
+      engine->pool().submit(busy, [] {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      });
+      engine->pool().wait(busy);
+    }
+  });
+  for (int round = 0; round < 5; ++round) {
+    store.reset();
+    BlockStream stream(store, engine->pool(), 1, kBlocks, 64, no_repair);
+    for (std::size_t i = 0; i < kBlocks; ++i)  // EXPECT: `noise` must join
+      EXPECT_EQ(stream.next(), blocks[i]) << "block " << i + 1;
+    const auto fetches = store.fetches();
+    EXPECT_EQ(fetches.size(), kBlocks);
+    for (const auto& [key, times] : fetches)
+      EXPECT_EQ(times, 1) << to_string(key);
+  }
+  stop.store(true);
+  noise.join();
 }
 
 // --- file-long read stream -------------------------------------------------
