@@ -21,6 +21,12 @@
 //   cross-PR perf-tracking format; all latencies in µs; every row
 //   records hw_cores, the machine's hardware threads)
 //
+// Every row states its latency sample count (`samples`), and reports a
+// percentile only when at least ten samples lie beyond it: the p50 from
+// one sample on, the p95 from 200 and the p99 from 1000. Below that a
+// "p99" is merely the slowest request (get_closed at 8 connections has
+// 24 samples, so it reports its p50 alone).
+//
 // GETs run on the daemon's read lanes (one per engine worker) beside its
 // writer lane, all sharing the engine's one pool, so closed-loop GET
 // throughput is the daemon's real serving capacity for concurrent
@@ -34,8 +40,10 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
@@ -62,22 +70,25 @@ std::uint64_t us_since(Clock::time_point start) {
           .count());
 }
 
+/// The percentiles a sample set supports (see the header comment); an
+/// unsupported one is nullopt.
 struct Percentiles {
-  std::uint64_t p50 = 0, p95 = 0, p99 = 0;
+  std::size_t samples = 0;
+  std::optional<std::uint64_t> p50, p95, p99;
 };
 
 Percentiles percentiles(std::vector<std::uint64_t> samples) {
   Percentiles p;
-  if (samples.empty()) return p;
+  p.samples = samples.size();
   std::sort(samples.begin(), samples.end());
-  const auto at = [&](double q) {
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(samples.size() - 1));
-    return samples[idx];
+  // The pct-th percentile, when at least ten samples lie above it.
+  const auto at = [&](std::size_t pct) -> std::optional<std::uint64_t> {
+    if (samples.size() * (100 - pct) < 1000) return std::nullopt;
+    return samples[pct * (samples.size() - 1) / 100];
   };
-  p.p50 = at(0.50);
-  p.p95 = at(0.95);
-  p.p99 = at(0.99);
+  if (!samples.empty()) p.p50 = samples[(samples.size() - 1) / 2];
+  p.p95 = at(95);
+  p.p99 = at(99);
   return p;
 }
 
@@ -92,26 +103,32 @@ struct PhaseRow {
 
 void print_row(const PhaseRow& row, std::uint64_t file_mib,
                std::size_t connections, bool json) {
+  const std::pair<const char*, std::optional<std::uint64_t>> lat[] = {
+      {"p50", row.lat.p50}, {"p95", row.lat.p95}, {"p99", row.lat.p99}};
   if (json) {
     std::printf(
         "{\"schema_version\":1,\"bench\":\"net_load\",\"phase\":\"%s\","
         "\"file_mib\":%llu,\"connections\":%zu,\"wall_s\":%.3f,"
-        "\"mb_per_s\":%.1f,\"req_per_s\":%.0f,\"p50_us\":%llu,"
-        "\"p95_us\":%llu,\"p99_us\":%llu,\"hw_cores\":%u,\"ok\":%s}\n",
+        "\"mb_per_s\":%.1f,\"req_per_s\":%.0f,\"samples\":%zu",
         row.phase.c_str(), static_cast<unsigned long long>(file_mib),
         connections, row.wall_s, row.mb_per_s, row.req_per_s,
-        static_cast<unsigned long long>(row.lat.p50),
-        static_cast<unsigned long long>(row.lat.p95),
-        static_cast<unsigned long long>(row.lat.p99),
-        std::thread::hardware_concurrency(), row.ok ? "true" : "false");
+        row.lat.samples);
+    for (const auto& [name, value] : lat)
+      if (value)
+        std::printf(",\"%s_us\":%llu", name,
+                    static_cast<unsigned long long>(*value));
+    std::printf(",\"hw_cores\":%u,\"ok\":%s}\n",
+                std::thread::hardware_concurrency(),
+                row.ok ? "true" : "false");
   } else {
-    std::printf("%-12s %8.3f s %10.1f MB/s %10.0f req/s   "
-                "p50/p95/p99 %llu/%llu/%llu µs%s\n",
+    std::printf("%-12s %8.3f s %10.1f MB/s %10.0f req/s   %6zu samples",
                 row.phase.c_str(), row.wall_s, row.mb_per_s, row.req_per_s,
-                static_cast<unsigned long long>(row.lat.p50),
-                static_cast<unsigned long long>(row.lat.p95),
-                static_cast<unsigned long long>(row.lat.p99),
-                row.ok ? "" : "  [FAILED]");
+                row.lat.samples);
+    for (const auto& [name, value] : lat)
+      if (value)
+        std::printf("  %s %llu µs", name,
+                    static_cast<unsigned long long>(*value));
+    std::printf("%s\n", row.ok ? "" : "  [FAILED]");
   }
 }
 

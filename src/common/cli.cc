@@ -50,4 +50,12 @@ double parse_real(const char* key, const std::string& text, double lo,
   return value;
 }
 
+int scrub_exit_status(std::uint64_t unrecovered,
+                      std::uint64_t inconsistent_parities,
+                      std::uint64_t suspect_blocks) {
+  return unrecovered == 0 && inconsistent_parities == 0 && suspect_blocks == 0
+             ? 0
+             : 1;
+}
+
 }  // namespace aec::cli

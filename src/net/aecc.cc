@@ -15,7 +15,8 @@
 // chunks, get streams it back down (repairing through the codec on the
 // server as needed), and the control-plane commands mirror their local
 // counterparts. Server-side failures arrive as typed errors with the
-// original CheckError text and exit 1; usage errors exit 2.
+// original CheckError text and exit 1, as does a scrub that leaves a
+// block unrecovered or finds an inconsistent parity; usage errors exit 2.
 //
 // `trace <cmd>` re-runs a command with wire-level trace propagation on:
 // every frame of the operation carries one fresh trace id (the AEC2
@@ -55,7 +56,9 @@ using aec::net::ClientConfig;
       "  ls                           list archived files\n"
       "  stat    [--metrics]          remote stat JSON\n"
       "  metrics                      metrics snapshot JSON\n"
-      "  scrub                        repair + integrity scan\n"
+      "  scrub                        repair + integrity scan; exits 1\n"
+      "                               if a block stays unrecovered or the\n"
+      "                               scan finds an inconsistent parity\n"
       "  node fail    --node K        take a cluster node down\n"
       "  node heal    --node K        bring it back\n"
       "  node rebuild --node K        replace + re-materialize it\n"
@@ -196,7 +199,10 @@ int run_command(Client& client, const Args& args) {
     std::printf("integrity   : %llu inconsistent parities\n",
                 static_cast<unsigned long long>(
                     result.inconsistent_parities));
-    return result.unrecovered == 0 ? 0 : 1;
+    // The reply carries no suspect count; a suspect block always comes
+    // with an inconsistent parity.
+    return aec::cli::scrub_exit_status(result.unrecovered,
+                                       result.inconsistent_parities, 0);
   }
   if (args.command == "node") {
     if (args.positional.size() != 1) {

@@ -131,14 +131,15 @@ constexpr std::size_t header_size(std::uint64_t trace_id) noexcept {
 /// Writes a frame header announcing `payload_len` payload bytes to
 /// out[0, header_size(trace_id)); the sender puts exactly that many
 /// payload bytes right behind it (the client's PUT_CHUNKs are produced
-/// behind room left for their header this way).
+/// behind room left for their header this way, and aecd sends a
+/// GET_DATA header and its payload's views in one gathered send).
 void write_header(std::uint8_t* out, std::uint16_t op,
                   std::uint64_t request_id, std::uint64_t trace_id,
                   std::size_t payload_len) noexcept;
 
 /// Appends only a frame header announcing `payload_len` payload bytes;
-/// the caller appends exactly that many right behind it (the server
-/// writes GET_DATA payloads in place this way).
+/// the caller appends exactly that many right behind it (encode_frame
+/// does).
 void encode_header(std::uint16_t op, std::uint64_t request_id,
                    std::uint64_t trace_id, std::size_t payload_len,
                    Bytes& out);

@@ -5,10 +5,13 @@
 #include <arpa/inet.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -47,6 +50,55 @@ std::string http_response(int status, const char* reason,
 
 /// Bound on buffered request-header bytes before the peer is dropped.
 constexpr std::size_t kHttpMaxRequest = 16u << 10;
+
+struct SendResult {
+  std::size_t sent = 0;  // leading bytes of the parts the socket took
+  bool fatal = false;    // the socket failed (not merely full)
+};
+
+/// Sends the parts, in order, with gathered non-blocking sendmsg calls
+/// (IOV_MAX parts per call) until they are all out or the socket is
+/// full.
+SendResult send_gathered(int fd, std::span<const BytesView> parts) {
+  SendResult result;
+  std::array<iovec, IOV_MAX> iov;  // only the first `count` are read
+  std::size_t part = 0;  // first part not yet wholly sent
+  std::size_t off = 0;   // bytes of parts[part] already sent
+  for (;;) {
+    std::size_t count = 0;
+    std::size_t offered = 0;
+    for (std::size_t k = part; k < parts.size() && count < iov.size(); ++k) {
+      const std::size_t skip = k == part ? off : 0;
+      if (parts[k].size() == skip) continue;
+      // iovec's base is non-const for readv's sake; sendmsg only reads.
+      iov[count++] = {const_cast<std::uint8_t*>(parts[k].data()) + skip,
+                      parts[k].size() - skip};
+      offered += parts[k].size() - skip;
+    }
+    if (count == 0) return result;  // all sent
+    msghdr msg{};
+    msg.msg_iov = iov.data();
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      result.fatal = errno != EAGAIN && errno != EWOULDBLOCK;
+      return result;
+    }
+    result.sent += static_cast<std::size_t>(n);
+    for (std::size_t left = static_cast<std::size_t>(n); left > 0;) {
+      const std::size_t step = std::min(left, parts[part].size() - off);
+      left -= step;
+      off += step;
+      if (off == parts[part].size()) {
+        ++part;
+        off = 0;
+      }
+    }
+    // A short send means the socket is full: the rest waits for EPOLLOUT.
+    if (static_cast<std::size_t>(n) < offered) return result;
+  }
+}
 
 }  // namespace
 
@@ -144,7 +196,7 @@ void Server::run() {
   // that started, then tear the connections down.
   for (auto& [id, conn] : conns_) {
     std::lock_guard lock(conn->gate->mu);
-    conn->gate->closed = true;
+    conn->gate->fd = -1;
     conn->gate->cv.notify_all();
   }
   for (std::size_t k = 0; k < lanes_.size(); ++k)
@@ -192,7 +244,7 @@ void Server::check_drain() {
   if (!draining_) return;
   if (inflight_total_ > 0) return;
   for (const auto& [id, conn] : conns_)
-    if (!conn->write_queue.empty()) return;
+    if (queued_bytes(*conn) > 0) return;
   loop_.stop();
 }
 
@@ -218,6 +270,7 @@ void Server::on_accept() {
     conn->fd = fd;
     conn->id = next_conn_id_++;
     conn->gate = std::make_shared<WriteGate>();
+    conn->gate->fd = fd;
     conn->last_activity = Clock::now();
     const std::uint64_t id = conn->id;
     loop_.add(fd, EPOLLIN,
@@ -318,76 +371,78 @@ void Server::on_readable(Connection& conn) {
 }
 
 bool Server::flush(Connection& conn) {
+  WriteGate& gate = *conn.gate;
   std::size_t written = 0;
   bool fatal = false;
-  while (!conn.write_queue.empty()) {
-    const Bytes& front = conn.write_queue.front();
-    const ssize_t n =
-        ::send(conn.fd, front.data() + conn.write_offset,
-               front.size() - conn.write_offset, MSG_NOSIGNAL);
-    if (n > 0) {
-      written += static_cast<std::size_t>(n);
-      conn.write_offset += static_cast<std::size_t>(n);
-      if (conn.write_offset == front.size()) {
-        conn.write_queue.pop_front();
-        conn.write_offset = 0;
+  bool drained = false;
+  {
+    // Under the gate mutex: a lane sends only while nothing is queued,
+    // and never while this writes.
+    std::lock_guard lock(gate.mu);
+    while (!gate.queue.empty()) {
+      const Bytes& front = gate.queue.front();
+      const ssize_t n = ::send(conn.fd, front.data() + gate.offset,
+                               front.size() - gate.offset, MSG_NOSIGNAL);
+      if (n > 0) {
+        written += static_cast<std::size_t>(n);
+        gate.offset += static_cast<std::size_t>(n);
+        if (gate.offset == front.size()) {
+          gate.queue.pop_front();
+          gate.offset = 0;
+        }
+        continue;
       }
-      continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      if (n < 0 && errno == EINTR) continue;
+      fatal = true;
+      break;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    fatal = true;
-    break;
+    gate.queued -= written;
+    drained = gate.queue.empty();
+    if (written > 0) gate.cv.notify_all();
   }
-  if (written > 0) {
-    req_bytes_out_->add(written);
-    std::lock_guard lock(conn.gate->mu);
-    conn.gate->queued -= written;
-    conn.gate->cv.notify_all();
-  }
+  if (written > 0) req_bytes_out_->add(written);
   const std::uint64_t conn_id = conn.id;
   if (fatal) {
     close_conn(conn_id);
     return false;
   }
-  if (conn.write_queue.empty() && conn.close_after_flush) {
+  if (drained && conn.close_after_flush) {
     close_conn(conn_id);
     return false;
   }
-  update_interest(conn);
+  update_interest(conn, !drained);
   if (draining_) check_drain();
   return true;
 }
 
-void Server::update_interest(Connection& conn) {
-  const bool want = !conn.write_queue.empty();
-  if (want == conn.want_write) return;
-  conn.want_write = want;
-  loop_.modify(conn.fd, EPOLLIN | (want ? EPOLLOUT : 0u));
+void Server::update_interest(Connection& conn, bool want_write) {
+  if (want_write == conn.want_write) return;
+  conn.want_write = want_write;
+  loop_.modify(conn.fd, EPOLLIN | (want_write ? EPOLLOUT : 0u));
 }
 
-bool Server::enqueue_out(Connection& conn, Bytes buffer, bool reserved) {
-  if (!reserved) {
-    std::lock_guard lock(conn.gate->mu);
-    conn.gate->queued += buffer.size();
-  }
-  conn.write_queue.push_back(std::move(buffer));
-  conn.last_activity = Clock::now();
-  // Opportunistic immediate write; arms EPOLLOUT otherwise. May close
-  // the connection (fatal send error, close_after_flush drained).
-  return flush(conn);
+std::size_t Server::queued_bytes(const Connection& conn) {
+  std::lock_guard lock(conn.gate->mu);
+  return conn.gate->queued;
 }
 
 bool Server::send_error_from_loop(Connection& conn, std::uint64_t request_id,
                                   ErrorCode code,
                                   const std::string& message) {
   Bytes buffer = encode_frame(error_frame(request_id, code, message));
-  std::size_t queued;
+  bool over_budget = false;
   {
     std::lock_guard lock(conn.gate->mu);
-    queued = conn.gate->queued;
+    if (conn.gate->queued + buffer.size() > config_.write_queue_limit) {
+      over_budget = true;
+    } else {
+      // Behind whatever the lane left queued; flush() writes it.
+      conn.gate->queued += buffer.size();
+      conn.gate->queue.push_back(std::move(buffer));
+    }
   }
-  if (queued + buffer.size() > config_.write_queue_limit) {
+  if (over_budget) {
     // A lane blocks on the gate when it exceeds the budget; the
     // loop cannot. A client that streams rejected frames while never
     // reading replies would otherwise grow the queue without bound —
@@ -395,7 +450,10 @@ bool Server::send_error_from_loop(Connection& conn, std::uint64_t request_id,
     close_conn(conn.id);
     return false;
   }
-  return enqueue_out(conn, std::move(buffer), /*reserved=*/false);
+  conn.last_activity = Clock::now();
+  // Writes at once if the socket takes it; arms EPOLLOUT otherwise. May
+  // close the connection (fatal send error, close_after_flush drained).
+  return flush(conn);
 }
 
 void Server::close_conn(std::uint64_t conn_id) {
@@ -403,8 +461,12 @@ void Server::close_conn(std::uint64_t conn_id) {
   if (it == conns_.end()) return;
   Connection& conn = *it->second;
   {
+    // Before ::close: a lane never writes to a closed or reused fd.
     std::lock_guard lock(conn.gate->mu);
-    conn.gate->closed = true;
+    conn.gate->fd = -1;
+    conn.gate->queue.clear();
+    conn.gate->offset = 0;
+    conn.gate->queued = 0;
     conn.gate->cv.notify_all();
   }
   loop_.remove(conn.fd);
@@ -428,8 +490,8 @@ void Server::sweep_idle() {
       Clock::now() - std::chrono::milliseconds(config_.idle_timeout_ms);
   std::vector<std::uint64_t> victims;
   for (const auto& [id, conn] : conns_)
-    if (conn->inflight == 0 && conn->write_queue.empty() &&
-        conn->last_activity < cutoff)
+    if (conn->inflight == 0 && conn->last_activity < cutoff &&
+        queued_bytes(*conn) == 0)
       victims.push_back(id);
   for (const std::uint64_t id : victims) close_conn(id);
   victims.clear();
@@ -675,6 +737,8 @@ void Server::on_request_done(std::uint64_t conn_id, std::size_t lane) {
   if (it != conns_.end()) {
     Connection& conn = *it->second;
     --conn.inflight;
+    // The lane wrote the replies itself, out of the reactor's sight.
+    conn.last_activity = Clock::now();
     release_parked(conn);
   }
   if (draining_) check_drain();
@@ -735,36 +799,64 @@ Frame Server::error_frame(std::uint64_t request_id, ErrorCode code,
   return Frame{static_cast<std::uint16_t>(Op::kError), request_id, w.take()};
 }
 
-bool Server::exec_send_encoded(const ExecItem& item, Bytes buffer) {
-  {
-    std::unique_lock lock(item.gate->mu);
-    const bool ok = item.gate->cv.wait_for(
-        lock, std::chrono::milliseconds(config_.write_stall_timeout_ms),
-        [&] {
-          return item.gate->closed ||
-                 item.gate->queued + buffer.size() <=
-                     config_.write_queue_limit;
-        });
-    if (item.gate->closed) return false;
-    if (!ok) {
-      // The client stopped reading; it may not park its lane.
-      lock.unlock();
-      obs::Logger::global().warn(
-          "net", "dropping stalled connection: write budget blocked past "
-                 "write_stall_timeout_ms",
-          item.frame.request_id);
-      const std::uint64_t conn_id = item.conn_id;
-      loop_.post([this, conn_id] { close_conn(conn_id); });
-      return false;
-    }
-    item.gate->queued += buffer.size();
-  }
+bool Server::exec_send(const ExecItem& item,
+                       std::span<const BytesView> parts) {
+  std::size_t total = 0;
+  for (const BytesView part : parts) total += part.size();
+  WriteGate& gate = *item.gate;
   const std::uint64_t conn_id = item.conn_id;
-  loop_.post([this, conn_id, buf = std::move(buffer)]() mutable {
-    const auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;  // raced with close; gate closed too
-    enqueue_out(*it->second, std::move(buf), /*reserved=*/true);
-  });
+  std::unique_lock lock(gate.mu);
+  const bool ok = gate.cv.wait_for(
+      lock, std::chrono::milliseconds(config_.write_stall_timeout_ms), [&] {
+        return gate.fd < 0 ||
+               gate.queued + total <= config_.write_queue_limit;
+      });
+  if (gate.fd < 0) return false;
+  if (!ok) {
+    // The client stopped reading; it may not park its lane.
+    lock.unlock();
+    obs::Logger::global().warn(
+        "net", "dropping stalled connection: write budget blocked past "
+               "write_stall_timeout_ms",
+        item.frame.request_id);
+    loop_.post([this, conn_id] { close_conn(conn_id); });
+    return false;
+  }
+  // Only while the reactor holds nothing for this connection may the
+  // frame go out from here, and the mutex stays held until sendmsg
+  // returns: no other write lands between earlier bytes and these.
+  SendResult result;
+  if (gate.queued == 0) result = send_gathered(gate.fd, parts);
+  if (result.fatal) {
+    lock.unlock();
+    req_bytes_out_->add(result.sent);
+    loop_.post([this, conn_id] { close_conn(conn_id); });
+    return false;
+  }
+  const bool remainder = result.sent < total;
+  if (remainder) {
+    // What the socket did not take (all of it while the reactor holds
+    // earlier bytes) is copied for the reactor, charged to the budget;
+    // the connection's later replies queue behind it.
+    Bytes rest;
+    rest.reserve(total - result.sent);
+    std::size_t skip = result.sent;
+    for (const BytesView part : parts) {
+      const std::size_t from = std::min(skip, part.size());
+      skip -= from;
+      rest.insert(rest.end(), part.begin() + static_cast<std::ptrdiff_t>(from),
+                  part.end());
+    }
+    gate.queued += rest.size();
+    gate.queue.push_back(std::move(rest));
+  }
+  lock.unlock();
+  if (result.sent > 0) req_bytes_out_->add(result.sent);
+  if (remainder)
+    loop_.post([this, conn_id] {
+      const auto it = conns_.find(conn_id);
+      if (it != conns_.end()) flush(*it->second);  // or arms EPOLLOUT
+    });
   return true;
 }
 
@@ -947,27 +1039,29 @@ void Server::handle_get(const ExecItem& item, PayloadReader& req) {
     return;
   }
   tools::FileReader& reader = *opened;
+  std::array<std::uint8_t, kHeaderSizeV2> header{};
+  std::vector<BytesView> parts;  // the header, then the payload's views
   for (;;) {
-    // Size the frame up front, then let the reader copy the payload
-    // straight from the decoded blocks into place behind the header:
-    // one copy per served byte.
-    const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
-        config_.get_chunk_bytes,
-        reader.size_bytes() - reader.bytes_delivered()));
-    Bytes buffer;
-    buffer.reserve(header_size(trace) + n);
-    encode_header(static_cast<std::uint16_t>(Op::kGetData), id, trace, n,
-                  buffer);
-    const std::optional<std::size_t> got = reader.read_into(buffer, n);
-    if (!got) {
+    // Views of the decoded blocks, valid until the next read: the frame
+    // goes out from them, so no byte is copied unless the socket
+    // refuses part of it.
+    const std::optional<std::span<const BytesView>> views =
+        reader.read_views(config_.get_chunk_bytes);
+    if (!views) {
       Frame err = error_frame(id, ErrorCode::kNotFound,
                               "irrecoverable content in file: " + name);
       err.trace_id = trace;
       exec_send(item, err);
       return;
     }
-    if (*got == 0) break;  // EOF
-    if (!exec_send_encoded(item, std::move(buffer))) return;  // client gone
+    if (views->empty()) break;  // EOF
+    std::size_t n = 0;
+    for (const BytesView view : *views) n += view.size();
+    write_header(header.data(), static_cast<std::uint16_t>(Op::kGetData), id,
+                 trace, n);
+    parts.assign(1, BytesView(header.data(), header_size(trace)));
+    parts.insert(parts.end(), views->begin(), views->end());
+    if (!exec_send(item, parts)) return;  // client gone
   }
   PayloadWriter w;
   w.u64(reader.bytes_delivered());

@@ -3,10 +3,24 @@
 // Archive over the framed protocol (protocol.h).
 //
 // Threading model
-//   · The reactor thread (run()) owns every socket, read/write buffer
-//     and framing state machine. It never touches the archive or the
-//     disk: complete request frames are dispatched to a lane's queue,
-//     and everything it does per byte is O(1) buffer work.
+//   · The reactor thread (run()) owns every socket's reads and framing
+//     state machine, its epoll interest, and closing it. It never
+//     touches the archive or the disk: complete request frames are
+//     dispatched to a lane's queue, and everything it does per byte is
+//     O(1) buffer work.
+//   · Replies leave from the lane that produced them. A lane sends a
+//     frame itself when nothing is queued for its connection: under the
+//     connection's WriteGate mutex, after the write-budget wait, it finds
+//     `queued` == 0 and makes one gathered non-blocking sendmsg of the
+//     frame's header and payload parts (a GET_DATA frame's payload is
+//     views of the decoded blocks, so a frame the socket takes whole is
+//     copied by nothing in user space). Whatever the socket does not
+//     take is copied into the gate's queue, and the reactor writes it on
+//     EPOLLOUT; the connection's later replies, the reactor's own error
+//     replies included, queue behind it, so frames never interleave and
+//     leave in order. Every write to a socket happens under its gate
+//     mutex, and close_conn clears the gate's fd under it before
+//     ::close, so no lane writes to a closed or reused fd.
 //   · The lanes are the only threads that call into the Archive. Each
 //     drains its own queue in FIFO order, and each operation fans out
 //     across the shared Engine worker pool, waiting only on its own
@@ -34,8 +48,9 @@
 //     across all connections; excess requests get an immediate
 //     ErrorCode::kBusy reply and never reach a lane.
 //   · Per-connection write budget: a connection may have at most
-//     `write_queue_limit` response bytes queued. The lane serving it
-//     blocks before producing more output for that connection (bounded
+//     `write_queue_limit` response bytes queued (written by neither a
+//     lane's send nor the reactor yet). The lane serving it blocks
+//     before sending more output for that connection (bounded
 //     by `write_stall_timeout_ms`, after which the connection is
 //     dropped — a client that stops reading cannot park its lane
 //     forever, and other clients' GETs meanwhile run on other lanes).
@@ -70,6 +85,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -133,13 +149,18 @@ class Server {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Loop↔lane backpressure state for one connection, shared so the
-  /// lane serving it can block on a write budget the loop replenishes.
+  /// One connection's write side, shared by the lane serving it and the
+  /// reactor (threading model): every write to the socket happens under
+  /// `mu`, and the lane blocks on a write budget the reactor replenishes.
   struct WriteGate {
     std::mutex mu;
     std::condition_variable cv;
-    std::size_t queued = 0;  // response bytes enqueued, not yet written
-    bool closed = false;
+    int fd = -1;  // the socket; -1 once closed (set before ::close)
+    /// Reply bytes the socket did not take at once, in wire order; only
+    /// the reactor writes them.
+    std::deque<Bytes> queue;
+    std::size_t offset = 0;  // bytes of queue.front() already written
+    std::size_t queued = 0;  // bytes in `queue` not yet written
   };
 
   struct ExecItem {
@@ -156,8 +177,6 @@ class Server {
     int fd = -1;
     std::uint64_t id = 0;
     FrameParser parser;
-    std::deque<Bytes> write_queue;
-    std::size_t write_offset = 0;  // into write_queue.front()
     std::shared_ptr<WriteGate> gate;
     Clock::time_point last_activity{};
     std::size_t inflight = 0;  // admitted: parked, queued or executing
@@ -200,17 +219,16 @@ class Server {
   void on_accept();
   void on_conn_event(std::uint64_t conn_id, std::uint32_t events);
   void on_readable(Connection& conn);
-  /// Flushes the write queue; false when the connection was closed.
+  /// Writes the gate's queue; false when the connection was closed —
+  /// callers on the loop thread must not touch `conn` afterwards.
   bool flush(Connection& conn);
-  void update_interest(Connection& conn);
-  /// Enqueues an encoded buffer. `reserved` marks bytes a lane
-  /// already charged against the gate. Returns the flush result: false
-  /// when the connection was closed — callers on the loop thread must
-  /// not touch `conn` afterwards.
-  bool enqueue_out(Connection& conn, Bytes buffer, bool reserved);
-  /// Loop-originated error reply, subject to the same write budget as
-  /// lane responses; false when the connection was closed (budget
-  /// exceeded or fatal send error) — `conn` is gone on false.
+  void update_interest(Connection& conn, bool want_write);
+  /// Reply bytes queued for the connection and not yet written.
+  static std::size_t queued_bytes(const Connection& conn);
+  /// Loop-originated error reply, queued behind the connection's other
+  /// replies and subject to the same write budget; false when the
+  /// connection was closed (budget exceeded or fatal send error) —
+  /// `conn` is gone on false.
   bool send_error_from_loop(Connection& conn, std::uint64_t request_id,
                             ErrorCode code, const std::string& message);
   void close_conn(std::uint64_t conn_id);
@@ -244,14 +262,18 @@ class Server {
   void lane_push(std::size_t lane, ExecItem item);
   void lane_loop(std::size_t lane);
   void handle_request(const ExecItem& item);
-  /// Gate-aware send of one encoded frame; false when the connection is
-  /// gone or stalled out (streaming ops abort on false).
-  bool exec_send_encoded(const ExecItem& item, Bytes buffer);
+  /// The one send path: one frame, whose wire bytes are `parts` in
+  /// order, sent from the lane (threading model) within the write
+  /// budget. False when the connection is gone, failed or stalled out
+  /// (streaming ops abort on false).
+  bool exec_send(const ExecItem& item, std::span<const BytesView> parts);
   bool exec_send(const ExecItem& item, const Frame& frame) {
-    return exec_send_encoded(item, encode_frame(frame));
+    const Bytes wire = encode_frame(frame);
+    const BytesView part(wire);
+    return exec_send(item, std::span<const BytesView>(&part, 1));
   }
-  /// Streams a file as GET_DATA frames whose payloads the FileReader
-  /// writes in place behind each header, then GET_END.
+  /// Streams a file as GET_DATA frames, each its header and the
+  /// FileReader's views of the decoded blocks, then GET_END.
   void handle_get(const ExecItem& item, PayloadReader& req);
 
   static Frame error_frame(std::uint64_t request_id, ErrorCode code,

@@ -21,7 +21,9 @@
 // "mem" is rejected here); both are recorded in the manifest, so every
 // later command rebuilds the same layout. `damage` deletes random block
 // files (testing aid); `scrub` repairs everything recoverable and runs
-// the integrity scan; `stat` prints the availability census from the
+// the integrity scan, and exits 1 if a block stays unrecovered or the
+// scan finds corruption (an inconsistent parity or a suspect block —
+// reported, not yet repaired); `stat` prints the availability census from the
 // incremental index; `reindex` rescans the store and reseeds the index
 // (recovery from out-of-band damage the index cannot observe). The
 // `node` subcommands drive multi-node cluster archives: fail/heal
@@ -79,6 +81,9 @@ using namespace aec::tools;
       "  stat    [--json] [--metrics]        archive + availability"
       " summary\n"
       "  scrub   [--threads N] [--metrics]   repair + integrity scan\n"
+      "          (exits 1 if a block stays unrecovered, or the scan finds"
+      " an\n"
+      "          inconsistent parity or a suspect block)\n"
       "  damage  --fraction F [--seed S]     delete random blocks\n"
       "  reindex                             rescan store + reseed index\n"
       "  node fail    --node K               take a cluster node down\n"
@@ -437,7 +442,9 @@ int run(const Args& args) {
       std::printf("metrics:\n");
       archive->metrics().print(stdout);
     }
-    return report.repair.nodes_unrecovered == 0 ? 0 : 1;
+    return cli::scrub_exit_status(
+        report.repair.nodes_unrecovered, report.inconsistent_parities,
+        report.suspect_nodes.size());
   }
   if (args.command == "damage") {
     const double fraction =

@@ -305,33 +305,54 @@ bool FileReader::next_block() {
     failed_ = true;  // irrecoverable
     return false;
   }
-  block_ = std::move(*block);
+  held_.push_back(std::move(*block));
   block_pos_ = 0;
   return true;
 }
 
-std::optional<std::size_t> FileReader::read_into(Bytes& out,
-                                                 std::size_t max_bytes) {
+std::optional<std::span<const BytesView>> FileReader::read_views(
+    std::size_t max_bytes) {
   AEC_CHECK_MSG(stream_ != nullptr, "read on a moved-from FileReader");
   if (failed_) return std::nullopt;
+  // The last call's views are spent: keep only the block being drained.
+  if (held_.size() > 1) held_.erase(held_.begin(), held_.end() - 1);
+  views_.clear();
   const auto want = static_cast<std::size_t>(
       std::min<std::uint64_t>(max_bytes, bytes_ - delivered_));
-  std::size_t appended = 0;
-  while (appended < want) {
-    if (block_pos_ == block_.size() && !next_block()) return std::nullopt;
-    const std::size_t n =
-        std::min(want - appended, block_.size() - block_pos_);
-    const std::uint8_t* src = block_.data() + block_pos_;
-    out.insert(out.end(), src, src + n);
+  std::size_t got = 0;
+  while (got < want) {
+    if ((held_.empty() || block_pos_ == held_.back().size()) && !next_block())
+      return std::nullopt;
+    const Bytes& block = held_.back();
+    const std::size_t n = std::min(want - got, block.size() - block_pos_);
+    views_.emplace_back(block.data() + block_pos_, n);
     block_pos_ += n;
-    appended += n;
+    got += n;
   }
-  delivered_ += appended;
+  delivered_ += got;
   // The zero-padded tail past the last byte is trimmed, but a block
   // holding no file byte at all (an empty file's) is still read.
   if (delivered_ == bytes_)
     while (!stream_->exhausted())
       if (!next_block()) return std::nullopt;
+  return std::span<const BytesView>(views_);
+}
+
+std::optional<std::size_t> FileReader::read_into(Bytes& out,
+                                                 std::size_t max_bytes) {
+  // One window of views at a time, so a whole-file read holds one
+  // window of blocks besides `out`, not the file twice.
+  std::size_t appended = 0;
+  do {
+    const std::optional<std::span<const BytesView>> views =
+        read_views(std::min(max_bytes - appended, chunk_bytes_));
+    if (!views) return std::nullopt;
+    if (views->empty()) break;  // EOF
+    for (const BytesView view : *views) {
+      out.insert(out.end(), view.begin(), view.end());
+      appended += view.size();
+    }
+  } while (appended < max_bytes);
   return appended;
 }
 

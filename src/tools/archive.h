@@ -220,6 +220,12 @@ class FileWriter {
 /// (window × block_size) instead of materializing fully. A reader holds a
 /// lease on the archive's ReadGate for its lifetime, wherever it moves,
 /// so exclusive operations wait for it.
+///
+/// read_views is the one walk over the decoded blocks: it hands out the
+/// file's bytes as views of them, and read_into and next_chunk (and so
+/// Archive::read_file) copy from those views. aecd sends a GET_DATA
+/// frame's payload straight from the views, so nothing in user space
+/// copies a served byte after the store read.
 class FileReader {
  public:
   FileReader(FileReader&& other) noexcept = default;
@@ -227,19 +233,28 @@ class FileReader {
   FileReader(const FileReader&) = delete;
   FileReader& operator=(const FileReader&) = delete;
 
+  /// The file's next min(max_bytes, bytes left) bytes, as views of the
+  /// decoded blocks in file order — no copy. The views stay valid until
+  /// the next read call on this reader (read_views, read_into or
+  /// next_chunk), which releases the blocks they point into, and at
+  /// most max_bytes / block_size + 2 blocks are held meanwhile. Blocks
+  /// may straddle calls; the zero-padded tail is trimmed. No views means
+  /// EOF (for max_bytes > 0); nullopt means an irrecoverable block
+  /// (sticky — the reader stays failed). Repairs performed along the
+  /// way are persisted, as on every session read.
+  std::optional<std::span<const BytesView>> read_views(std::size_t max_bytes);
+
   /// Appends the file's next min(max_bytes, bytes left) bytes to `out`
-  /// — one copy, straight from the decoded blocks — and returns how
-  /// many it appended. Blocks may straddle calls; the zero-padded tail
-  /// is trimmed. 0 means EOF (for max_bytes > 0); nullopt means an
-  /// irrecoverable block (sticky — the reader stays failed, and bytes
-  /// appended by the failing call are unspecified). Repairs performed
-  /// along the way are persisted, as on every session read.
+  /// — a copy of read_views, one lookahead window per call of it — and
+  /// returns how many it appended. 0 means EOF (for max_bytes > 0);
+  /// nullopt means an irrecoverable block, as for read_views (bytes
+  /// appended by the failing call are unspecified).
   std::optional<std::size_t> read_into(Bytes& out, std::size_t max_bytes);
 
   /// Next lookahead window's worth of file content, valid until the
   /// next call (read_into into an internal buffer, under one
   /// "read.window" trace span). An empty view means EOF; nullopt means
-  /// an irrecoverable block, as for read_into.
+  /// an irrecoverable block, as for read_views.
   std::optional<BytesView> next_chunk();
 
   const std::string& name() const noexcept { return name_; }
@@ -252,7 +267,7 @@ class FileReader {
   friend class Archive;
   FileReader(Archive* archive, const FileEntry& entry, std::size_t window);
 
-  /// Pulls the stream's next block into block_; false (and failed) when
+  /// Pulls the stream's next block onto held_; false (and failed) when
   /// it is irrecoverable.
   bool next_block();
 
@@ -265,8 +280,12 @@ class FileReader {
   /// Every block of the file (≥ 1 even for empty files); null once
   /// moved-from.
   std::unique_ptr<BlockStream> stream_;
-  Bytes block_;                  // the block being drained
-  std::size_t block_pos_ = 0;    // bytes of block_ already handed out
+  /// The blocks the last read_views' views point into, in file order;
+  /// the back one is being drained. A move keeps each block's bytes in
+  /// place, so the views survive held_ growing.
+  std::vector<Bytes> held_;
+  std::size_t block_pos_ = 0;    // bytes of held_.back() already handed out
+  std::vector<BytesView> views_;  // the last read_views' result
   std::uint64_t delivered_ = 0;  // bytes handed out so far
   bool failed_ = false;
   Bytes buffer_;  // next_chunk()'s window

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "common/check.h"
+#include "common/cli.h"
 #include "common/rng.h"
 #include "core/codec/file_block_store.h"
 #include "tools/archive.h"
@@ -120,6 +122,40 @@ TEST_F(ArchiveTest, ScrubFlagsTampering) {
   ASSERT_EQ(report.suspect_nodes.size(), 1u);
   EXPECT_EQ(report.suspect_nodes[0], 7);
   EXPECT_GT(report.inconsistent_parities, 0u);
+}
+
+TEST_F(ArchiveTest, ScrubExitsNonZeroOnCorruption) {
+  // One byte of d/14 flipped on disk in a `file` AE(3,2,5) archive: the
+  // scrub reports the corruption without repairing it, so `aectool scrub`
+  // (and `aecc scrub`, from the same counts) must not exit 0.
+  Rng rng(6);
+  Archive::create(root_, "AE(3,2,5)", 1024)
+      ->add_file("doc", rng.random_block(200000));
+  const auto status = [](const ScrubReport& report) {
+    return cli::scrub_exit_status(report.repair.nodes_unrecovered,
+                                  report.inconsistent_parities,
+                                  report.suspect_nodes.size());
+  };
+  EXPECT_EQ(status(Archive::open(root_)->scrub()), 0);
+  {
+    std::fstream block(root_ / "d" / "14",
+                       std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(block.is_open());
+    block.seekg(100);
+    const char byte = static_cast<char>(block.get() ^ 0x5A);
+    block.seekp(100);
+    block.put(byte);
+  }
+  const ScrubReport report = Archive::open(root_)->scrub();
+  EXPECT_EQ(report.repair.nodes_unrecovered, 0u);
+  EXPECT_EQ(report.inconsistent_parities, 3u);
+  EXPECT_EQ(report.suspect_nodes, std::vector<NodeIndex>{14});
+  EXPECT_EQ(status(report), 1);
+  // Each finding alone fails the scrub.
+  EXPECT_EQ(cli::scrub_exit_status(1, 0, 0), 1);
+  EXPECT_EQ(cli::scrub_exit_status(0, 1, 0), 1);
+  EXPECT_EQ(cli::scrub_exit_status(0, 0, 1), 1);
+  EXPECT_EQ(cli::scrub_exit_status(0, 0, 0), 0);
 }
 
 }  // namespace

@@ -10,19 +10,24 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <random>
+#include <stop_token>
 #include <string_view>
 #include <thread>
 
 #include "common/check.h"
+#include "common/cli.h"
 #include "hooked_store.h"
 #include "net/client.h"
 #include "obs/metrics.h"
@@ -72,6 +77,12 @@ class RawConn {
   void close() {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
+  }
+
+  /// A receive that waits longer than `ms` fails (recv_frame throws).
+  void set_recv_timeout(int ms) {
+    const timeval tv{ms / 1000, (ms % 1000) * 1000};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   }
 
   void send_bytes(BytesView bytes) {
@@ -413,6 +424,230 @@ TEST_F(NetServerTest, WriterOpsWaitBehindTheirConnectionsReadLaneGet) {
   EXPECT_EQ(conn.recv_file(5), payload);
 }
 
+/// Polls until `done()` holds or `seconds` pass; returns `done()`.
+template <typename Done>
+bool wait_until(Done done, int seconds = 20) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  while (!done() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return done();
+}
+
+TEST_F(NetServerTest, GetToASlowReaderLeavesThroughTheReactorByteExact) {
+  // The client reads nothing until the lane has finished the GET: the
+  // lane's first frame fills the socket, and the rest of the file waits
+  // in the reactor's queue (the 16 MiB budget holds it all). Then every
+  // byte arrives in order, GET_END last, and net.req.bytes_out counts
+  // exactly the bytes the client read.
+  serve_new_archive("mem", 64u << 10, ServerConfig{});
+  const Bytes content = random_bytes(8u << 20, 21);
+  archive_->add_file("big", content);  // no reply bytes before out0
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const obs::Counter* bytes_out = reg.counter("net.req.bytes_out");
+  const obs::Histogram* gets = reg.histogram(
+      "net.req.latency_us.get_file", obs::Histogram::latency_bounds_us());
+  const std::uint64_t out0 = bytes_out->value();
+  const std::uint64_t gets0 = gets->count();
+
+  RawConn conn(server_->port(), 4096);
+  conn.send_frame(named_frame(Op::kGetFile, 1, "big"));
+  // The lane records the GET's latency once it has sent or queued it all.
+  ASSERT_TRUE(wait_until([&] { return gets->count() > gets0; }))
+      << "the lane did not finish the GET ahead of its reader";
+
+  Bytes got;
+  std::uint64_t wire = 0;
+  for (;;) {
+    const auto frame = conn.recv_frame();
+    ASSERT_TRUE(frame.has_value()) << "connection closed mid-GET";
+    ASSERT_EQ(frame->request_id, 1u);
+    wire += header_size(frame->trace_id) + frame->payload.size();
+    if (frame->op == static_cast<std::uint16_t>(Op::kGetData)) {
+      got.insert(got.end(), frame->payload.begin(), frame->payload.end());
+      continue;
+    }
+    ASSERT_EQ(frame->op, static_cast<std::uint16_t>(Op::kGetEnd));
+    PayloadReader r(frame->payload);
+    EXPECT_EQ(r.u64(), content.size());
+    break;
+  }
+  EXPECT_EQ(got, content);
+  EXPECT_FALSE(conn.readable_within(100)) << "bytes after GET_END";
+  // The reactor counts its last write just after making it.
+  wait_until([&] { return bytes_out->value() - out0 >= wire; }, 5);
+  EXPECT_EQ(bytes_out->value() - out0, wire);
+}
+
+TEST_F(NetServerTest, BusyRepliesBesideAStreamingGetParseAsWholeFrames) {
+  // One admission slot, held by a GET of 1 MiB frames that a reader
+  // thread drains. The write budget has room for one frame beside the
+  // replies, so the lane sends most frames itself and the socket often
+  // takes only part of one. PINGs pipelined behind the GET get the
+  // reactor's kBusy replies (or, once the GET is done, a lane's kReply),
+  // and every one must land between frames, never inside one. Spinning
+  // threads oversubscribe the cores meanwhile, so the lane is now and
+  // then preempted mid-send: a send that let go of the gate mutex would
+  // then let a busy reply into the middle of a frame. Five rounds must
+  // end whole; a round the server cuts short by dropping the connection
+  // proves nothing and is run again (the reactor drops a connection whose
+  // error reply does not fit the budget, which queued GET frames share).
+  ServerConfig config;
+  config.max_inflight = 1;
+  config.get_chunk_bytes = 1u << 20;
+  config.write_queue_limit = (1u << 20) + (512u << 10);
+  serve_new_archive("mem", 64u << 10, config);
+  const Bytes content = random_bytes(16u << 20, 22);
+  archive_->add_file("big", content);
+
+  const auto ping = static_cast<std::uint16_t>(Op::kPing);
+  const std::uint16_t sentinel = 0x7777;  // an unknown opcode
+  const auto reset = [](const CheckError& e) {
+    const std::string_view what = e.what();
+    return what.find("reset by peer") != std::string_view::npos ||
+           what.find("Broken pipe") != std::string_view::npos;
+  };
+  // One GET on a fresh connection; false when the server dropped it.
+  const auto round = [&] {
+    RawConn conn(server_->port(), 64 << 10);
+    conn.set_recv_timeout(30'000);
+    std::atomic<std::size_t> progress{0};  // GET payload bytes received
+    std::atomic<bool> got_end{false};
+    std::atomic<bool> reader_stopped{false};
+    bool dropped = false;
+    Bytes got;
+    std::uint64_t end_bytes = 0;
+    std::size_t busy = 0;
+    std::string failure;
+    std::thread reader([&] {
+      for (;;) {
+        std::optional<Frame> frame;
+        try {
+          frame = conn.recv_frame();
+        } catch (const CheckError& e) {
+          if (reset(e))
+            dropped = true;
+          else
+            failure = e.what();  // a frame split by another fails to parse
+          break;
+        }
+        if (!frame) {
+          dropped = true;
+          break;
+        }
+        if (frame->request_id == 1 &&
+            frame->op == static_cast<std::uint16_t>(Op::kGetData)) {
+          got.insert(got.end(), frame->payload.begin(), frame->payload.end());
+          progress += frame->payload.size();
+        } else if (frame->request_id == 1 &&
+                   frame->op == static_cast<std::uint16_t>(Op::kGetEnd)) {
+          PayloadReader r(frame->payload);
+          end_bytes = r.u64();
+          got_end = true;
+        } else if (frame->op == static_cast<std::uint16_t>(Op::kError)) {
+          PayloadReader r(frame->payload);
+          const auto code = static_cast<ErrorCode>(r.u16());
+          r.str();
+          if (code == ErrorCode::kUnknownOp) break;  // the sentinel: done
+          if (code != ErrorCode::kBusy) {
+            failure = "refused with code " +
+                      std::to_string(static_cast<int>(code));
+            break;
+          }
+          ++busy;
+        } else if (frame->op != static_cast<std::uint16_t>(Op::kReply)) {
+          failure = "request " + std::to_string(frame->request_id) +
+                    " answered with op " + std::to_string(frame->op);
+          break;
+        }
+      }
+      reader_stopped = true;
+    });
+    std::string send_failure;
+    {
+      std::vector<std::jthread> spinners;
+      for (unsigned k = 0; k < 2 * std::thread::hardware_concurrency(); ++k)
+        spinners.emplace_back([](std::stop_token stop) {
+          while (!stop.stop_requested()) {
+          }
+        });
+      try {
+        conn.send_frame(named_frame(Op::kGetFile, 1, "big"));
+        // Ten PINGs per 64 KiB of the GET received, until it ends.
+        std::uint64_t id = 2;
+        for (std::size_t batches = 0; !got_end && !reader_stopped;) {
+          if (progress < batches * (64u << 10)) {
+            std::this_thread::yield();
+            continue;
+          }
+          Bytes batch;
+          for (int k = 0; k < 10; ++k)
+            encode_frame(Frame{ping, id++, {}}, batch);
+          conn.send_bytes(batch);
+          ++batches;
+        }
+        // The reactor answers the sentinel after every busy reply before it.
+        conn.send_frame(Frame{sentinel, id, {}});
+      } catch (const CheckError& e) {
+        // The reader stops at the closed socket too.
+        if (!reset(e)) send_failure = e.what();
+      }
+    }
+    reader.join();
+    EXPECT_EQ(send_failure, "");
+    EXPECT_EQ(failure, "");
+    if (dropped && failure.empty()) return false;
+    EXPECT_TRUE(got_end);
+    EXPECT_EQ(end_bytes, content.size());
+    EXPECT_EQ(got, content);
+    EXPECT_GT(busy, 0u);
+    return true;
+  };
+  int whole = 0;
+  for (int attempt = 0; attempt < 20 && whole < 5; ++attempt) {
+    SCOPED_TRACE(::testing::Message() << "attempt " << attempt);
+    if (round()) ++whole;
+  }
+  EXPECT_EQ(whole, 5);
+}
+
+TEST_F(NetServerTest, HangUpMidGetFreesTheLaneAndSparesTheNextConnection) {
+  // A client that hangs up while its GET streams (the lane waiting on
+  // the write budget) frees the lane at once, and a connection opened
+  // right after it (often on the same fd number) gets only its own
+  // replies — no lane writes to the closed or reused fd.
+  ServerConfig config;
+  config.write_queue_limit = 512u << 10;
+  config.write_stall_timeout_ms = 30'000;
+  serve_new_archive("mem", 64u << 10, config);
+  const Bytes big = random_bytes(8u << 20, 23);
+  const Bytes small = random_bytes(100 * 1024 + 3, 24);
+  archive_->add_file("big", big);
+  archive_->add_file("small", small);
+  const auto start = std::chrono::steady_clock::now();
+  for (int round = 0; round < 5; ++round) {
+    {
+      RawConn quitter(server_->port(), 4096);
+      quitter.send_frame(named_frame(Op::kGetFile, 1, "big"));
+      const auto first = quitter.recv_frame();
+      ASSERT_TRUE(first.has_value());
+      ASSERT_EQ(first->op, static_cast<std::uint16_t>(Op::kGetData));
+    }  // hangs up mid-GET
+    RawConn next(server_->port());
+    next.send_frame(Frame{static_cast<std::uint16_t>(Op::kPing), 7, {}});
+    next.send_frame(named_frame(Op::kGetFile, 8, "small"));
+    next.recv_reply(7);
+    EXPECT_EQ(next.recv_file(8), small) << "round " << round;
+    EXPECT_FALSE(next.readable_within(100)) << "round " << round;
+  }
+  // A scrub waits for every open FileReader: it finishes long before
+  // the 30 s stall timeout only if each abandoned GET let go of its own.
+  Client client(client_config());
+  EXPECT_EQ(client.scrub().unrecovered, 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
+}
+
 TEST_F(NetServerTest, FailedPutChunkDropsTheWriter) {
   // A store failure inside a PUT_CHUNK's window poisons the file: the
   // server drops the connection's writer, so PUT_END answers kBadState
@@ -494,6 +729,41 @@ TEST_F(NetServerTest, ScrubOverWire) {
   client.put_bytes("scrubme", random_bytes(32 * 1024, 4));
   const ScrubResult clean = client.scrub();
   EXPECT_EQ(clean.unrecovered, 0u);
+}
+
+TEST_F(NetServerTest, ScrubOverWireReportsCorruption) {
+  // One byte of d/14 flipped while the daemon was down: the scrub reply
+  // carries the inconsistent parities that make `aecc scrub` exit 1.
+  {
+    Client client(client_config());
+    client.put_bytes("doc", random_bytes(200000, 25));
+  }
+  server_->shutdown();
+  server_thread_.join();
+  server_.reset();
+  archive_.reset();
+  {
+    std::fstream block(root_ / "d" / "14",
+                       std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(block.is_open());
+    block.seekg(100);
+    const char byte = static_cast<char>(block.get() ^ 0x5A);
+    block.seekp(100);
+    block.put(byte);
+  }
+  archive_ = tools::Archive::open(root_, Engine::with_threads(2));
+  ServerConfig config;
+  config.idle_timeout_ms = 0;
+  server_ = std::make_unique<Server>(archive_.get(), config);
+  server_thread_ = std::thread([this] { server_->run(); });
+
+  Client client(client_config());
+  const ScrubResult result = client.scrub();
+  EXPECT_EQ(result.unrecovered, 0u);
+  EXPECT_EQ(result.inconsistent_parities, 3u);
+  EXPECT_EQ(cli::scrub_exit_status(result.unrecovered,
+                                   result.inconsistent_parities, 0),
+            1);
 }
 
 TEST_F(NetServerTest, UnknownFileIsTypedNotFound) {

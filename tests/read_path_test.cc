@@ -820,6 +820,148 @@ TEST_F(ReadPathStreamTest, LostBlocksRepairOneWavePerWindow) {
   }
 }
 
+// --- views of the decoded blocks -------------------------------------------
+
+class ReadPathViewsTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kViewBlock = 4096;
+
+  /// Every byte read_views hands out, `max_bytes` per call, checking
+  /// each call's size and view count; nullopt once a call fails.
+  static std::optional<Bytes> read_all_views(FileReader& reader,
+                                             std::size_t max_bytes) {
+    Bytes out;
+    for (;;) {
+      const std::uint64_t left =
+          reader.size_bytes() - reader.bytes_delivered();
+      const auto views = reader.read_views(max_bytes);
+      if (!views) return std::nullopt;
+      std::size_t n = 0;
+      for (const BytesView view : *views) {
+        EXPECT_FALSE(view.empty());
+        out.insert(out.end(), view.begin(), view.end());
+        n += view.size();
+      }
+      EXPECT_EQ(n, std::min<std::uint64_t>(max_bytes, left));
+      EXPECT_LE(views->size(), max_bytes / kViewBlock + 2);
+      if (views->empty()) return out;  // EOF
+    }
+  }
+
+  /// The same walk through read_into, `max_bytes` per call.
+  static std::optional<Bytes> read_all_into(FileReader& reader,
+                                            std::size_t max_bytes) {
+    Bytes out;
+    for (;;) {
+      const std::uint64_t left =
+          reader.size_bytes() - reader.bytes_delivered();
+      const auto n = reader.read_into(out, max_bytes);
+      if (!n) return std::nullopt;
+      EXPECT_EQ(*n, std::min<std::uint64_t>(max_bytes, left));
+      if (*n == 0) return out;  // EOF
+    }
+  }
+};
+
+TEST_F(ReadPathViewsTest, ViewsAndReadIntoMatchTheFileAtEverySize) {
+  // Sizes around one block and one well past the 256 KiB window; reads
+  // below the block size (as aecd's get_chunk_bytes may be), of one
+  // block and of one window.
+  auto archive = Archive::create(test_dir("a"), "AE(3,2,5)", kViewBlock,
+                                 Engine::with_threads(2), "mem");
+  Rng rng(30);
+  const std::vector<std::size_t> file_sizes = {0,    1,    4095,
+                                               4096, 4097, (1u << 20) + 3};
+  std::vector<Bytes> contents;
+  for (const std::size_t size : file_sizes) {
+    contents.push_back(rng.random_block(size));
+    archive->add_file(std::to_string(size), contents.back());
+  }
+  for (std::size_t k = 0; k < file_sizes.size(); ++k) {
+    const std::string name = std::to_string(file_sizes[k]);
+    for (const std::size_t max_bytes :
+         {std::size_t{1}, std::size_t{100}, kViewBlock,
+          std::size_t{256} << 10}) {
+      SCOPED_TRACE(::testing::Message() << "file of " << name
+                                        << " bytes, reads of " << max_bytes);
+      std::optional<Bytes> viewed;
+      {
+        FileReader reader = archive->open_reader(name);
+        viewed = read_all_views(reader, max_bytes);
+        EXPECT_FALSE(reader.failed());
+      }
+      ASSERT_TRUE(viewed.has_value());
+      EXPECT_EQ(*viewed, contents[k]);
+      FileReader reader = archive->open_reader(name);
+      const std::optional<Bytes> copied = read_all_into(reader, max_bytes);
+      ASSERT_TRUE(copied.has_value());
+      EXPECT_EQ(*copied, *viewed);
+      EXPECT_FALSE(reader.failed());
+    }
+  }
+}
+
+TEST_F(ReadPathViewsTest, ViewsRepairErasedBlocksOnRead) {
+  // Each read, by views and by copy, below the block size and by whole
+  // windows, starts from the same three lost data blocks and repairs
+  // them on the way.
+  Rng rng(31);
+  const Bytes content = rng.random_block(kViewBlock * 100 + 7);
+  const fs::path root = test_dir("a");
+  Archive::create(root, "AE(3,2,5)", kViewBlock)->add_file("doc", content);
+  for (const std::size_t max_bytes :
+       {std::size_t{1000}, std::size_t{256} << 10}) {
+    for (const bool views : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << (views ? "views" : "read_into")
+                                        << ", reads of " << max_bytes);
+      {
+        FileBlockStore store(root);
+        for (const NodeIndex i : {NodeIndex{3}, NodeIndex{4}, NodeIndex{50}})
+          ASSERT_TRUE(store.erase(BlockKey::data(i)));
+      }
+      auto archive = Archive::open(root, Engine::with_threads(2));
+      FileReader reader = archive->open_reader("doc");
+      const std::optional<Bytes> got = views
+                                           ? read_all_views(reader, max_bytes)
+                                           : read_all_into(reader, max_bytes);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(*got, content);
+      EXPECT_EQ(archive->missing_blocks(), 0u);  // repairs persisted
+    }
+  }
+}
+
+TEST_F(ReadPathViewsTest, IrrecoverableBlockFailsTheViewsAndStaysFailed) {
+  Rng rng(32);
+  const Bytes content = rng.random_block(kViewBlock * 6);
+  const fs::path root = test_dir("a");
+  Archive::create(root, "AE(3,2,5)", kViewBlock)->add_file("doc", content);
+  {
+    FileBlockStore store(root);
+    ASSERT_TRUE(store.erase(BlockKey::data(3)));
+    std::vector<BlockKey> parities;
+    store.for_each_key([&](const BlockKey& key) {
+      if (!key.is_data()) parities.push_back(key);
+    });
+    for (const BlockKey& key : parities) store.erase(key);
+  }
+  auto archive = Archive::open(root);
+  FileReader reader = archive->open_reader("doc");
+  // Blocks 1–2 come back as views; block 3 is irrecoverable.
+  const auto first = reader.read_views(kViewBlock * 2);
+  ASSERT_TRUE(first.has_value());
+  Bytes got;
+  for (const BytesView view : *first)
+    got.insert(got.end(), view.begin(), view.end());
+  EXPECT_EQ(got, Bytes(content.begin(), content.begin() + kViewBlock * 2));
+  EXPECT_FALSE(reader.read_views(kViewBlock).has_value());
+  EXPECT_TRUE(reader.failed());
+  EXPECT_FALSE(reader.read_views(kViewBlock).has_value());
+  Bytes out;
+  EXPECT_FALSE(reader.read_into(out, kViewBlock).has_value());
+  EXPECT_FALSE(reader.next_chunk().has_value());
+}
+
 // --- metrics ----------------------------------------------------------------
 
 class ReadPathMetricsTest : public ::testing::Test {};
