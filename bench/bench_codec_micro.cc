@@ -6,7 +6,8 @@
 //
 //   bench_codec_micro --json
 //     skips google-benchmark and instead emits one JSON row per
-//     (kernel variant × op) — xor / gf_mul / gf_axpy throughput with a
+//     (kernel variant × op) — xor (dst ^= src), xor3 (dst = a ^ b into
+//     a third buffer) / gf_mul / gf_axpy throughput with a
 //     byte-identity check against the scalar reference. The 16 KiB rows
 //     are L1-resident (compute-bound: the kernel speedup shows); the
 //     1 MiB rows are memory-bound context. The cross-PR perf-tracking
@@ -68,6 +69,24 @@ void BM_XorInto(benchmark::State& state) {
                           static_cast<std::int64_t>(size));
 }
 BENCHMARK(BM_XorInto)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+
+// dst = a ^ b into a third buffer: how the encoder writes each parity
+// and the repairer each repair output.
+void BM_Xor3(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  Rng rng(1);
+  Bytes dst(size);
+  const Bytes a = rng.random_block(size);
+  const Bytes b = rng.random_block(size);
+  for (auto _ : state) {
+    xor3(dst, a, b);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_Xor3)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
 void BM_AeEncode(benchmark::State& state) {
   const auto alpha = static_cast<std::uint32_t>(state.range(0));
@@ -234,7 +253,7 @@ double best_seconds(int reps, Fn&& fn) {
 }
 
 struct KernelRow {
-  const char* op;      // "xor" | "gf_mul" | "gf_axpy"
+  const char* op;      // "xor" | "xor3" | "gf_mul" | "gf_axpy"
   const char* kernel;  // variant name
   std::size_t buf_bytes;
   double mb_per_s;
@@ -280,6 +299,19 @@ int run_kernel_json() {
     for (const auto& k : xor_kernels)
       rows.push_back(measure_kernel(
           "xor", k.name, size, k.xor_into, xor_kernels.front().xor_into));
+    // xor3 reads `a` and the row's source and writes the destination
+    // over: three streams per byte, where xor reads two and writes one
+    // of them back.
+    const Bytes a = Rng(61 + size).random_block(size);
+    for (const auto& k : xor_kernels)
+      rows.push_back(measure_kernel(
+          "xor3", k.name, size,
+          [&](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
+            k.xor3(d, a.data(), s, n);
+          },
+          [&](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
+            xor_kernels.front().xor3(d, a.data(), s, n);
+          }));
     for (const auto& k : gf_kernels) {
       rows.push_back(measure_kernel(
           "gf_mul", k.name, size,

@@ -45,9 +45,9 @@ bool stores_match(const pipeline::ConcurrentBlockStore& expected,
                   const pipeline::ConcurrentBlockStore& actual) {
   if (expected.size() != actual.size()) return false;
   bool ok = true;
-  expected.for_each([&](const BlockKey& key, const Bytes& value) {
-    const auto copy = actual.get_copy(key);
-    if (!copy || *copy != value) ok = false;
+  expected.for_each([&](const BlockKey& key, BytesView value) {
+    const Block copy = actual.get_block(key);
+    if (!(copy == value)) ok = false;
   });
   return ok;
 }

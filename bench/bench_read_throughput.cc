@@ -196,9 +196,9 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
             std::min<std::uint64_t>(run, total_blocks - first + 1),
             phase.window);
         while (!stream->exhausted()) {
-          const std::optional<Bytes> block = stream->next();
+          const Block block = stream->next();
           rep_identical = rep_identical && delivered < total_blocks &&
-                          block.has_value() && *block == expected[delivered];
+                          block == expected[delivered];
           ++delivered;
         }
       }

@@ -10,8 +10,11 @@
 //     (per-shard mutexes + batched wave I/O), which is where sharding
 //     shows up at > 1 thread.
 //
-// Prints repaired MB/s, the round count, and the speedup over the
-// backend's own one-thread row (the serial case). Before reporting, every
+// Prints repaired MB/s, the round count, the speedup over the backend's
+// own one-thread row (the serial case), and a work count that holds on
+// a noisy host: minflt_per_mib, the process's minor page faults (getrusage)
+// during the timed repair, per MiB repaired — the first touches of fresh
+// block memory that ROADMAP item 1 measures. Before reporting, every
 // repaired store is checked against the pristine lattice — each block
 // present is the original, exactly the reported residue is missing — and
 // every multi-thread run must report the same rounds and counts as the
@@ -23,6 +26,7 @@
 //   (default 20000 4096; --json emits one JSON object per measurement
 //   and suppresses the tables — the cross-PR perf-tracking format; its
 //   `speedup` is likewise relative to the backend's t=1 row)
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -54,16 +58,25 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// The process's minor page faults so far (every thread).
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
 void print_json(const std::string& params, const char* pattern,
                 const char* backend, std::size_t threads, double mb_per_s,
-                double speedup, std::uint32_t rounds, bool identical) {
+                double speedup, std::uint32_t rounds, double minflt_per_mib,
+                bool identical) {
   std::printf(
       "{\"schema_version\":1,\"bench\":\"repair_throughput\",\"params\":\"%s\","
       "\"pattern\":\"%s\",\"backend\":\"%s\",\"threads\":%zu,"
       "\"mb_per_s\":%.1f,\"speedup\":%.3f,\"rounds\":%u,"
-      "\"hw_cores\":%u,\"identical\":%s}\n",
+      "\"minflt_per_mib\":%.1f,\"hw_cores\":%u,\"identical\":%s}\n",
       params.c_str(), pattern, backend, threads, mb_per_s, speedup, rounds,
-      std::thread::hardware_concurrency(), identical ? "true" : "false");
+      minflt_per_mib, std::thread::hardware_concurrency(),
+      identical ? "true" : "false");
 }
 
 struct ErasurePattern {
@@ -116,11 +129,11 @@ bool matches_pristine(const pipeline::ConcurrentBlockStore& pristine,
                       const BlockStore& store, const RepairReport& report) {
   std::uint64_t missing = 0;
   bool ok = true;
-  pristine.for_each([&](const BlockKey& key, const Bytes& value) {
-    const auto copy = store.get_copy(key);
+  pristine.for_each([&](const BlockKey& key, BytesView value) {
+    const Block copy = store.get_block(key);
     if (!copy)
       ++missing;
-    else if (*copy != value)
+    else if (!(copy == value))
       ok = false;
   });
   return ok && store.size() == pristine.size() - missing &&
@@ -152,16 +165,16 @@ void fill_from(const pipeline::ConcurrentBlockStore& pristine,
                BlockStore& store) {
   // Batched copy-in: the cheap path on sharded/file backends.
   constexpr std::size_t kBatch = 256;
-  std::vector<std::pair<BlockKey, Bytes>> batch;
+  std::vector<std::pair<BlockKey, Block>> batch;
   batch.reserve(kBatch);
-  pristine.for_each([&](const BlockKey& key, const Bytes& value) {
-    batch.emplace_back(key, value);
+  pristine.for_each([&](const BlockKey& key, BytesView value) {
+    batch.emplace_back(key, Block::copy_of(value));
     if (batch.size() >= kBatch) {
-      store.put_batch(std::move(batch));
+      store.put_blocks(std::move(batch));
       batch.clear();
     }
   });
-  if (!batch.empty()) store.put_batch(std::move(batch));
+  if (!batch.empty()) store.put_blocks(std::move(batch));
 }
 
 /// Builds the store of one measurement (called once per thread count,
@@ -196,9 +209,15 @@ void measure(const CodeParams& params, std::size_t count,
     pipeline::ThreadPool pool(threads);
     pipeline::ParallelRepairer repairer(params, count, block_size,
                                         store.get(), &pool);
+    const long faults_before = minor_faults();
     const auto start = Clock::now();
     const RepairReport report = repairer.repair_all();
     const double wall = seconds_since(start);
+    const long faults = minor_faults() - faults_before;
+    const double minflt_per_mib =
+        static_cast<double>(faults) /
+        (static_cast<double>(report.blocks_repaired_total() * block_size) /
+         (1024.0 * 1024.0));
     const bool correct = matches_pristine(pristine, *store, report) &&
                          (threads == 1 || same_report(report, baseline));
     if (threads == 1) {
@@ -221,11 +240,13 @@ void measure(const CodeParams& params, std::size_t count,
     if (g_json) {
       print_json(params.name(), pattern.name, backend, threads,
                  repaired_mb / wall, baseline_wall / wall, report.rounds,
-                 correct);
+                 minflt_per_mib, correct);
     } else {
-      std::printf("  %-22s ×%zu thread%s %8.1f MB/s   %5.2fx  %s\n", backend,
-                  threads, threads == 1 ? " " : "s", repaired_mb / wall,
-                  baseline_wall / wall, correct ? "correct" : "MISMATCH!");
+      std::printf(
+          "  %-22s ×%zu thread%s %8.1f MB/s   %5.2fx  %7.1f minflt/MiB  %s\n",
+          backend, threads, threads == 1 ? " " : "s", repaired_mb / wall,
+          baseline_wall / wall, minflt_per_mib,
+          correct ? "correct" : "MISMATCH!");
     }
     if (!correct) std::exit(1);
   }

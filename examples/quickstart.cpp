@@ -56,7 +56,7 @@ int main() {
   //    available path (the H pair is broken, so another strand serves).
   const auto d42 = session->open_stream(42, 1, 1)->next();
   std::printf("read d42      : %s\n",
-              d42 && *d42 == originals[41] ? "repaired, bytes match"
+              d42 == originals[41] ? "repaired, bytes match"
                                            : "FAILED");
 
   // 5. Global repair: synchronous rounds until fixpoint.

@@ -41,7 +41,7 @@ struct BlockStream::Batch {
   std::condition_variable cv;
   bool done = false;
   std::exception_ptr error;
-  std::vector<std::optional<Bytes>> results;
+  std::vector<Block> results;
 };
 
 BlockStream::BlockStream(const BlockStore& store, pipeline::ThreadPool& pool,
@@ -80,10 +80,10 @@ void BlockStream::fill_window() {
     // The task captures only the batch (shared) and the store; errors
     // stay inside the batch, for the next() that consumes it.
     pool_.submit(prefetch_, [store = &store_, batch, keys = std::move(keys)] {
-      std::vector<std::optional<Bytes>> results;
+      std::vector<Block> results;
       std::exception_ptr error;
       try {
-        results = store->get_batch(keys);
+        results = store->get_blocks(keys);
       } catch (...) {
         error = std::current_exception();
       }
@@ -98,7 +98,7 @@ void BlockStream::fill_window() {
   }
 }
 
-std::optional<Bytes> BlockStream::next() {
+Block BlockStream::next() {
   AEC_CHECK_MSG(consumed_ < size_, "stream read past end of run");
   fill_window();
   lookahead_depth_->observe(issued_ - consumed_);
@@ -125,7 +125,7 @@ std::optional<Bytes> BlockStream::next() {
     }
     if (batch->error) std::rethrow_exception(batch->error);
   }
-  std::optional<Bytes> payload = std::move(batch->results[front_pos_]);
+  Block payload = std::move(batch->results[front_pos_]);
   const NodeIndex i = first_ + static_cast<NodeIndex>(consumed_);
   ++front_pos_;
   ++consumed_;
@@ -525,7 +525,7 @@ std::unique_ptr<BlockStream> StripedSession::open_stream(
       *store_, *pool_, first, count,
       window > 0 ? window : kReadWindowBlocks, [this](NodeIndex i) {
         repair_for_read(static_cast<std::uint64_t>(i - 1) / k_);
-        return store_->get_copy(BlockKey::data(i));
+        return store_->get_block(BlockKey::data(i));
       });
 }
 

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "api/codec.h"
+#include "common/block.h"
 #include "common/bytes.h"
 #include "core/codec/block_key.h"
 #include "core/codec/block_store.h"
@@ -62,11 +63,13 @@ struct IntegrityReport {
 };
 
 /// Ordered read of data blocks [first, first + count) — the one way a
-/// session reads (opened by CodecSession::open_stream). Healthy blocks
-/// are prefetched up to `window` ahead of the consumer as whole
-/// get_batch() calls on the engine pool, so store I/O (one file
-/// open/read per block on file/sharded/cluster backends) overlaps with
-/// the consumer's copy-out and repair work — the pipelined decoding idea
+/// session reads (opened by CodecSession::open_stream). It yields
+/// Blocks: references to what the store holds, so an in-memory store's
+/// bytes reach the consumer uncopied. Healthy blocks are prefetched up
+/// to `window` ahead of the consumer as whole get_blocks() calls on the
+/// engine pool, so store I/O (one file open/read per block on
+/// file/sharded/cluster backends) overlaps with the consumer's send and
+/// repair work — the pipelined decoding idea
 /// of RapidRAID (PAPERS.md) applied to plain reads. A block the prefetch
 /// found missing falls back to the session's repair-on-read, whose
 /// repairs are persisted. Window 1 fetches and repairs one block at a
@@ -96,10 +99,10 @@ struct IntegrityReport {
 /// stream, and a stream has one consumer thread.
 class BlockStream {
  public:
-  /// Repair-on-read fallback for data block i (nullopt = irrecoverable).
-  using Recover = std::function<std::optional<Bytes>(NodeIndex)>;
+  /// Repair-on-read fallback for data block i (null = irrecoverable).
+  using Recover = std::function<Block(NodeIndex)>;
 
-  /// Blocks per get_batch() dispatch, clamped to the window.
+  /// Blocks per get_blocks() dispatch, clamped to the window.
   static constexpr std::size_t kBatchBlocks = 16;
 
   /// Prefetch tasks on `pool` read the (thread-safe) store while the
@@ -112,11 +115,11 @@ class BlockStream {
   BlockStream(const BlockStream&) = delete;
   BlockStream& operator=(const BlockStream&) = delete;
 
-  /// The next block of the run (nullopt = irrecoverable). Tops the
-  /// window up, then fetches or waits for the front batch (see the
-  /// class comment); rethrows a store exception captured by that
-  /// batch's fetch. Must not be called past the end of the run.
-  std::optional<Bytes> next();
+  /// The next block of the run (null = irrecoverable). Tops the window
+  /// up, then fetches or waits for the front batch (see the class
+  /// comment); rethrows a store exception captured by that batch's
+  /// fetch. Must not be called past the end of the run.
+  Block next();
 
   std::uint64_t size() const noexcept { return size_; }
   std::uint64_t consumed() const noexcept { return consumed_; }
@@ -193,9 +196,9 @@ class CodecSession {
   /// the engine pool, overlapping store I/O with copy-out and repair
   /// work; a missing block is repaired through the codec (an AE session
   /// repairs every one-XOR loss of the next `window` blocks of the run
-  /// in one wave), and the repairs are persisted. The stream yields nullopt for an
-  /// irrecoverable block. `window` = 0 uses kReadWindowBlocks; window 1
-  /// repairs each lost block on its own.
+  /// in one wave), and the repairs are persisted. The stream yields a
+  /// null Block for an irrecoverable block. `window` = 0 uses
+  /// kReadWindowBlocks; window 1 repairs each lost block on its own.
   virtual std::unique_ptr<BlockStream> open_stream(
       NodeIndex first, std::uint64_t count, std::size_t window = 0) = 0;
 

@@ -185,11 +185,11 @@ void ClusterStore::save_state() const {
 
 // --- routed BlockStore operations -------------------------------------------
 
-void ClusterStore::put(const BlockKey& key, Bytes value) {
+void ClusterStore::put_block(const BlockKey& key, Block value) {
   Node& n = node_for(key);
   n.count_write(value.size());
   std::shared_lock lock(n.mu);
-  target(n).put(key, std::move(value));
+  target(n).put_block(key, std::move(value));
 }
 
 bool ClusterStore::contains(const BlockKey& key) const {
@@ -213,17 +213,9 @@ std::uint64_t ClusterStore::size() const {
   return total;
 }
 
-std::optional<Bytes> ClusterStore::get_copy(const BlockKey& key) const {
-  Node& n = node_for(key);
-  std::shared_lock lock(n.mu);
-  std::optional<Bytes> result = target(n).get_copy(key);
-  if (result) n.count_read(result->size());
-  return result;
-}
-
-std::vector<std::optional<Bytes>> ClusterStore::get_batch(
+std::vector<Block> ClusterStore::get_blocks(
     const std::vector<BlockKey>& keys) const {
-  std::vector<std::optional<Bytes>> payloads(keys.size());
+  std::vector<Block> payloads(keys.size());
   // Group the request positions per node, then take each node once.
   std::vector<std::vector<std::size_t>> by_node(nodes_.size());
   for (std::size_t i = 0; i < keys.size(); ++i)
@@ -235,17 +227,17 @@ std::vector<std::optional<Bytes>> ClusterStore::get_batch(
     sub.reserve(by_node[k].size());
     for (const std::size_t i : by_node[k]) sub.push_back(keys[i]);
     std::shared_lock lock(n.mu);
-    std::vector<std::optional<Bytes>> got = target(n).get_batch(sub);
+    std::vector<Block> got = target(n).get_blocks(sub);
     for (std::size_t j = 0; j < by_node[k].size(); ++j) {
-      if (got[j]) n.count_read(got[j]->size());
+      if (got[j]) n.count_read(got[j].size());
       payloads[by_node[k][j]] = std::move(got[j]);
     }
   }
   return payloads;
 }
 
-void ClusterStore::put_batch(std::vector<std::pair<BlockKey, Bytes>> items) {
-  std::vector<std::vector<std::pair<BlockKey, Bytes>>> by_node(
+void ClusterStore::put_blocks(std::vector<std::pair<BlockKey, Block>> items) {
+  std::vector<std::vector<std::pair<BlockKey, Block>>> by_node(
       nodes_.size());
   for (auto& item : items)
     by_node[node_of(item.first)].push_back(std::move(item));
@@ -254,7 +246,7 @@ void ClusterStore::put_batch(std::vector<std::pair<BlockKey, Bytes>> items) {
     Node& n = *nodes_[k];
     for (const auto& [key, value] : by_node[k]) n.count_write(value.size());
     std::shared_lock lock(n.mu);
-    target(n).put_batch(std::move(by_node[k]));
+    target(n).put_blocks(std::move(by_node[k]));
   }
 }
 
@@ -357,10 +349,9 @@ std::map<std::string, std::uint64_t> ClusterStore::fingerprint(
                 "fingerprint: child store '"
                     << child_spec_ << "' cannot enumerate keys");
   std::map<std::string, std::uint64_t> prints;
-  for (const BlockKey& key : keys) {
-    const std::optional<Bytes> payload = get_copy(key);
-    if (payload) prints[aec::to_string(key)] = fnv1a64(*payload);
-  }
+  for (const BlockKey& key : keys)
+    if (const Block payload = get_block(key))
+      prints[aec::to_string(key)] = fnv1a64(payload);
   return prints;
 }
 
@@ -438,9 +429,9 @@ void ClusterStore::replace_node(std::uint32_t node) {
 }
 
 void ClusterStore::flush_staged(Node& n) {
-  // The staged payloads move into the child, which announces each key
+  // The staged Blocks move into the child, which announces each key
   // present once; the staging overlay itself sends nothing.
-  n.child->put_batch(n.staged->take_all());
+  n.child->put_blocks(n.staged->take_all());
   n.staged.reset();
 }
 

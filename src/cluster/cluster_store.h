@@ -73,7 +73,7 @@ struct NodeTraffic {
   std::uint64_t bytes_written = 0;
 };
 
-class ClusterStore final : public BlockStore {
+class ClusterStore final : public BlockNativeStore {
  public:
   static constexpr std::uint32_t kMinNodes = 2;
   static constexpr std::uint32_t kMaxNodes = 256;
@@ -89,16 +89,17 @@ class ClusterStore final : public BlockStore {
   ~ClusterStore() override;
 
   // --- BlockStore -----------------------------------------------------------
-  void put(const BlockKey& key, Bytes value) override;
+  /// Routed Blocks pass through by reference. Batch ops group keys per
+  /// node so a thread-safe child takes its locks once per wave, not once
+  /// per block.
+  void put_block(const BlockKey& key, Block value) override;
+  void put_blocks(std::vector<std::pair<BlockKey, Block>> items) override;
+  std::vector<Block> get_blocks(
+      const std::vector<BlockKey>& keys) const override;
+
   bool contains(const BlockKey& key) const override;
   bool erase(const BlockKey& key) override;
   std::uint64_t size() const override;
-  std::optional<Bytes> get_copy(const BlockKey& key) const override;
-  /// Batch ops group keys per node so a thread-safe child takes its
-  /// locks once per wave, not once per block.
-  std::vector<std::optional<Bytes>> get_batch(
-      const std::vector<BlockKey>& keys) const override;
-  void put_batch(std::vector<std::pair<BlockKey, Bytes>> items) override;
   bool thread_safe() const noexcept override { return children_safe_; }
   void flush() const override;
   bool for_each_key(
@@ -192,8 +193,9 @@ class ClusterStore final : public BlockStore {
   /// whatever node locks it needs; the file itself is guarded by
   /// state_file_mu_.
   void save_state() const;
-  /// Moves the staging overlay's blocks into the child in one batch and
-  /// drops the overlay. Caller holds the node's exclusive lock.
+  /// Moves the staging overlay's Blocks into the child in one
+  /// put_blocks and drops the overlay. Caller holds the node's exclusive
+  /// lock.
   void flush_staged(Node& n);
 
   std::filesystem::path root_;

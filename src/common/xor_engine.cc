@@ -38,6 +38,12 @@ void xor_scalar(std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) d[i] ^= s[i];
 }
 
+AEC_NO_VECTORIZE
+void xor3_scalar(std::uint8_t* d, const std::uint8_t* a, const std::uint8_t* b,
+                 std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) d[i] = a[i] ^ b[i];
+}
+
 #else
 
 void xor_scalar(std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
@@ -74,6 +80,20 @@ void xor_scalar(std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
   for (; i < n; ++i) d[i] ^= s[i];  // byte tail
 }
 
+void xor3_scalar(std::uint8_t* d, const std::uint8_t* a, const std::uint8_t* b,
+                 std::size_t n) {
+  // Both sources are loaded before dst is stored, so dst may alias either.
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + i, 8);
+    std::memcpy(&y, b + i, 8);
+    x ^= y;
+    std::memcpy(d + i, &x, 8);
+  }
+  for (; i < n; ++i) d[i] = a[i] ^ b[i];  // byte tail
+}
+
 #endif  // AEC_X86
 
 AEC_NO_VECTORIZE
@@ -91,11 +111,28 @@ bool all_zero_scalar(const std::uint8_t* p, std::size_t n) {
 
 // --- SSE2 / AVX2 ------------------------------------------------------------
 //
-// Unaligned loads/stores throughout: block payloads live in plain
-// std::vector storage. Each variant handles its own sub-width tail by
-// falling through to the scalar loop.
+// Unaligned loads/stores throughout: block payloads live in std::vector
+// storage or behind a Block's 8-byte header. Each variant handles its own
+// sub-width tail by falling through to the scalar loop.
+//
+// The three-operand kernels write a fresh buffer, usually one no cache
+// holds (a new Block on recycled or just-faulted heap memory), so each
+// store would wait for its line to be fetched for ownership one after
+// another. They prefetch the destination kDstPrefetchBytes ahead of the
+// stores, which keeps those fetches in flight together: on a 4-core
+// host, xor_of into recycled, uncached 4 KiB blocks ran 1.6–1.8× faster
+// with it (AVX2, 1 and 3 threads).
 
 #ifdef AEC_X86
+
+constexpr std::size_t kDstPrefetchBytes = 1024;
+
+/// Prefetches dst's lines in [from, to) that lie inside [0, n).
+__attribute__((target("sse2"))) inline void prefetch_dst(
+    const std::uint8_t* d, std::size_t from, std::size_t to, std::size_t n) {
+  for (std::size_t p = from; p < to && p < n; p += 64)
+    _mm_prefetch(reinterpret_cast<const char*>(d + p), _MM_HINT_T0);
+}
 
 __attribute__((target("sse2"))) void xor_sse2(std::uint8_t* d,
                                               const std::uint8_t* s,
@@ -136,6 +173,51 @@ __attribute__((target("sse2"))) void xor_sse2(std::uint8_t* d,
                      _mm_xor_si128(a, b));
   }
   xor_scalar(d + i, s + i, n - i);
+}
+
+__attribute__((target("sse2"))) void xor3_sse2(std::uint8_t* d,
+                                               const std::uint8_t* a,
+                                               const std::uint8_t* b,
+                                               std::size_t n) {
+  // Each step loads both sources before it stores, so dst may alias
+  // either one.
+  std::size_t i = 0;
+  prefetch_dst(d, 0, kDstPrefetchBytes, n);
+  for (; i + 64 <= n; i += 64) {
+    prefetch_dst(d, i + kDstPrefetchBytes, i + kDstPrefetchBytes + 64, n);
+    const __m128i a0 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(a + i));
+    const __m128i a1 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(a + i + 16));
+    const __m128i a2 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(a + i + 32));
+    const __m128i a3 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(a + i + 48));
+    const __m128i b0 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(b + i));
+    const __m128i b1 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(b + i + 16));
+    const __m128i b2 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(b + i + 32));
+    const __m128i b3 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(b + i + 48));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i),
+                     _mm_xor_si128(a0, b0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i + 16),
+                     _mm_xor_si128(a1, b1));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i + 32),
+                     _mm_xor_si128(a2, b2));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i + 48),
+                     _mm_xor_si128(a3, b3));
+  }
+  for (; i + 16 <= n; i += 16) {
+    const __m128i x =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
+    const __m128i y =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i), _mm_xor_si128(x, y));
+  }
+  xor3_scalar(d + i, a + i, b + i, n - i);
 }
 
 __attribute__((target("sse2"))) bool all_zero_sse2(const std::uint8_t* p,
@@ -191,6 +273,50 @@ __attribute__((target("avx2"))) void xor_avx2(std::uint8_t* d,
   xor_scalar(d + i, s + i, n - i);
 }
 
+__attribute__((target("avx2"))) void xor3_avx2(std::uint8_t* d,
+                                               const std::uint8_t* a,
+                                               const std::uint8_t* b,
+                                               std::size_t n) {
+  std::size_t i = 0;
+  prefetch_dst(d, 0, kDstPrefetchBytes, n);
+  for (; i + 128 <= n; i += 128) {
+    prefetch_dst(d, i + kDstPrefetchBytes, i + kDstPrefetchBytes + 128, n);
+    const __m256i a0 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(a + i));
+    const __m256i a1 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(a + i + 32));
+    const __m256i a2 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(a + i + 64));
+    const __m256i a3 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(a + i + 96));
+    const __m256i b0 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(b + i));
+    const __m256i b1 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(b + i + 32));
+    const __m256i b2 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(b + i + 64));
+    const __m256i b3 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(b + i + 96));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i),
+                        _mm256_xor_si256(a0, b0));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i + 32),
+                        _mm256_xor_si256(a1, b1));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i + 64),
+                        _mm256_xor_si256(a2, b2));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i + 96),
+                        _mm256_xor_si256(a3, b3));
+  }
+  for (; i + 32 <= n; i += 32) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+    const __m256i y =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i),
+                        _mm256_xor_si256(x, y));
+  }
+  xor3_scalar(d + i, a + i, b + i, n - i);
+}
+
 __attribute__((target("avx2"))) bool all_zero_avx2(const std::uint8_t* p,
                                                    std::size_t n) {
   std::size_t i = 0;
@@ -210,7 +336,7 @@ const XorKernel& dispatched_kernel() {
     for (const XorKernel& k : available_xor_kernels())
       if (k.tier == tier) return k;
     return XorKernel{KernelTier::kScalar, "scalar", &xor_scalar,
-                     &all_zero_scalar};
+                     &xor3_scalar, &all_zero_scalar};
   }();
   return kernel;
 }
@@ -219,12 +345,15 @@ const XorKernel& dispatched_kernel() {
 
 std::vector<XorKernel> available_xor_kernels() {
   std::vector<XorKernel> kernels{
-      {KernelTier::kScalar, "scalar", &xor_scalar, &all_zero_scalar}};
+      {KernelTier::kScalar, "scalar", &xor_scalar, &xor3_scalar,
+       &all_zero_scalar}};
 #ifdef AEC_X86
   if (cpu_supports(KernelTier::kSse2))
-    kernels.push_back({KernelTier::kSse2, "sse2", &xor_sse2, &all_zero_sse2});
+    kernels.push_back(
+        {KernelTier::kSse2, "sse2", &xor_sse2, &xor3_sse2, &all_zero_sse2});
   if (cpu_supports(KernelTier::kAvx2))
-    kernels.push_back({KernelTier::kAvx2, "avx2", &xor_avx2, &all_zero_avx2});
+    kernels.push_back(
+        {KernelTier::kAvx2, "avx2", &xor_avx2, &xor3_avx2, &all_zero_avx2});
 #endif
   return kernels;
 }
@@ -236,13 +365,18 @@ void xor_into(std::span<std::uint8_t> dst, BytesView src) {
   dispatched_kernel().xor_into(dst.data(), src.data(), dst.size());
 }
 
-Bytes xor_blocks(BytesView a, BytesView b) {
-  AEC_CHECK_MSG(a.size() == b.size(),
-                "xor_blocks: size mismatch " << a.size() << " vs "
-                                             << b.size());
-  Bytes out(a.begin(), a.end());
-  xor_into(out, b);
-  return out;
+void xor3(std::span<std::uint8_t> dst, BytesView a, BytesView b) {
+  AEC_CHECK_MSG(dst.size() == a.size() && a.size() == b.size(),
+                "xor3: size mismatch " << dst.size() << " vs " << a.size()
+                                       << " vs " << b.size());
+  dispatched_kernel().xor3(dst.data(), a.data(), b.data(), dst.size());
+}
+
+Block xor_of(BytesView a, BytesView b) {
+  AEC_CHECK_MSG(a.size() == b.size(), "xor_of: size mismatch "
+                                          << a.size() << " vs " << b.size());
+  return Block::build(a.size(),
+                      [&](std::span<std::uint8_t> out) { xor3(out, a, b); });
 }
 
 bool all_zero(BytesView b) noexcept {

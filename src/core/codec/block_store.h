@@ -1,12 +1,30 @@
 // Block storage abstraction. The codec is storage-agnostic (paper §III-B
 // "Implementation Details": client-, middleware- or backend-based), and
-// every store holds one contract: put, get_copy, get_batch, contains and
-// erase are each safe from any thread, and every read hands out a copy.
-// What stays in memory is each store's own business: no caller warms or
-// drops a cache. The implementations (pipeline::ConcurrentBlockStore,
-// FileBlockStore, cluster::ClusterStore, and the paper's applications
-// under store/) live in their own headers; the general-purpose ones are
-// constructed by name through the StoreRegistry.
+// every store holds one contract: its Block methods. put_block and
+// put_blocks store a shared, immutable Block (common/block.h);
+// get_blocks answers with references to the Blocks the store holds (a
+// file-backed store reads a missing-from-memory block into a fresh one);
+// contains and erase complete it. Each is safe from any thread, and a
+// Block read stays valid whatever the store does next. What stays in
+// memory is each store's own business: no caller warms or drops a cache.
+//
+// The Bytes methods (put, put_batch, get_copy, get_batch) are edge
+// adapters for callers that hold std::vector payloads. They stay virtual
+// because the benchmark's TimedStore decorator (perfbench/timed_store.h)
+// overrides them, as it does find, thread_safe, prefetch and
+// drop_payload_cache. Every library store derives from BlockNativeStore:
+// it implements the Block methods, and BlockNativeStore turns each Bytes
+// method into a one-line adapter over them. A store that implements only
+// the Bytes methods (that decorator, the paper's applications under
+// store/) inherits Block methods that forward batch for batch:
+// put_blocks is one put_batch, get_blocks one get_batch whose payloads
+// are adopted. put and get_copy stay pure in BlockStore, so no store can
+// inherit a cycle of defaults.
+//
+// The implementations (pipeline::ConcurrentBlockStore, FileBlockStore,
+// cluster::ClusterStore, and the paper's applications under store/) live
+// in their own headers; the general-purpose ones are constructed by name
+// through the StoreRegistry.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/block.h"
 #include "common/bytes.h"
 #include "core/codec/block_key.h"
 
@@ -23,7 +42,7 @@ namespace aec {
 /// Abstract key→block store.
 class BlockStore {
  public:
-  /// Presence-mutation observer: put() reports (key, true), a successful
+  /// Presence-mutation observer: a write reports (key, true), a successful
   /// erase() reports (key, false). Thread-safe stores fire it under their
   /// internal key lock, so notifications for one key arrive in mutation
   /// order; the observer must itself be safe to call from every thread
@@ -38,18 +57,26 @@ class BlockStore {
 
   virtual ~BlockStore() = default;
 
-  /// Inserts or overwrites a block.
-  virtual void put(const BlockKey& key, Bytes value) = 0;
+  // --- the contract: Blocks ------------------------------------------------
 
-  /// Copies the payload out under the store's own synchronization, or
-  /// nullopt when the block is missing — the point read, which is what
-  /// lets parallel repair workers read while other workers write.
-  virtual std::optional<Bytes> get_copy(const BlockKey& key) const = 0;
+  /// Inserts or overwrites a block; the store keeps a reference to
+  /// `value` (no copy). Default: put() of a copy.
+  virtual void put_block(const BlockKey& key, Block value);
 
-  /// Not a read: no store implements it, and the base throws CheckError
-  /// (read through get_copy() or get_batch()). It stays declared only
-  /// because the benchmark's TimedStore decorator overrides it.
-  virtual const Bytes* find(const BlockKey& key) const;
+  /// Batch write, equivalent to put_block() per item in order. Sharded
+  /// stores take each shard lock once per batch. Default: one
+  /// put_batch() of copies.
+  virtual void put_blocks(std::vector<std::pair<BlockKey, Block>> items);
+
+  /// Batch read: one Block per key, in key order — a reference to what
+  /// the store holds, or null when the block is missing. Duplicate keys
+  /// are allowed and resolved independently. Sharded stores group the
+  /// keys per shard. Default: one get_batch(), its payloads adopted.
+  virtual std::vector<Block> get_blocks(
+      const std::vector<BlockKey>& keys) const;
+
+  /// get_blocks() of one key.
+  Block get_block(const BlockKey& key) const;
 
   virtual bool contains(const BlockKey& key) const = 0;
 
@@ -59,17 +86,30 @@ class BlockStore {
 
   virtual std::uint64_t size() const = 0;
 
-  /// Batch read: one payload (or nullopt) per key, in key order.
-  /// Same presence semantics as get_copy() per key; stores with internal
-  /// sharding override it to group the keys per shard and amortize
-  /// lock/IO round trips. Duplicate keys are allowed and resolved
-  /// independently.
+  // --- Bytes edge adapters -------------------------------------------------
+
+  /// Inserts or overwrites a block.
+  virtual void put(const BlockKey& key, Bytes value) = 0;
+
+  /// A copy of the payload, or nullopt when the block is missing.
+  virtual std::optional<Bytes> get_copy(const BlockKey& key) const = 0;
+
+  /// Batch read of copies: one payload (or nullopt) per key, in key
+  /// order, duplicates resolved independently. Default: get_copy() per
+  /// key.
   virtual std::vector<std::optional<Bytes>> get_batch(
       const std::vector<BlockKey>& keys) const;
 
-  /// Batch write, equivalent to put() per item in order. Sharded stores
-  /// override it to take each shard lock once per batch.
+  /// Batch write, equivalent to put() per item in order. Default: put()
+  /// per item.
   virtual void put_batch(std::vector<std::pair<BlockKey, Bytes>> items);
+
+  // --- declared for the benchmark's decorator ------------------------------
+
+  /// Not a read: no store implements it, and the base throws CheckError
+  /// (read through get_blocks()). It stays declared only because the
+  /// benchmark's TimedStore decorator overrides it.
+  virtual const Bytes* find(const BlockKey& key) const;
 
   /// Not called by anything, and no library store overrides it: a no-op
   /// kept declared only because the benchmark's TimedStore decorator
@@ -87,6 +127,8 @@ class BlockStore {
   /// kept declared only because the benchmark's TimedStore decorator
   /// overrides it.
   virtual void drop_payload_cache() const {}
+
+  // --- the rest ------------------------------------------------------------
 
   /// Blocks until buffered mutations reach the store's backing medium so
   /// an independent open of the same root sees them (write-behind stores
@@ -121,14 +163,33 @@ class BlockStore {
   virtual Observer* observer() const { return observer_; }
 
  protected:
-  /// Implementations call this from put()/erase() (under their key lock,
-  /// when they have one).
+  /// Implementations call this from their writes and erase() (under their
+  /// key lock, when they have one).
   void notify(const BlockKey& key, bool present) const {
     if (observer_ != nullptr) observer_->on_block(key, present);
   }
 
  private:
   Observer* observer_ = nullptr;
+};
+
+/// A store whose Block methods are its own: it implements put_block,
+/// put_blocks and get_blocks, and each Bytes method adapts them — a
+/// write adopts the caller's vector (no copy), a read copies the Block
+/// out (null → nullopt). So the store keeps one read path and one write
+/// path.
+class BlockNativeStore : public BlockStore {
+ public:
+  void put_block(const BlockKey& key, Block value) override = 0;
+  void put_blocks(std::vector<std::pair<BlockKey, Block>> items) override = 0;
+  std::vector<Block> get_blocks(
+      const std::vector<BlockKey>& keys) const override = 0;
+
+  void put(const BlockKey& key, Bytes value) final;
+  void put_batch(std::vector<std::pair<BlockKey, Bytes>> items) final;
+  std::optional<Bytes> get_copy(const BlockKey& key) const final;
+  std::vector<std::optional<Bytes>> get_batch(
+      const std::vector<BlockKey>& keys) const final;
 };
 
 }  // namespace aec

@@ -21,7 +21,7 @@ namespace fs = std::filesystem;
 struct FileBlockStore::Shard {
   struct Write {
     BlockKey key;
-    Bytes payload;
+    Block payload;
   };
 
   /// Whether `write` is the newest write of its key, the one reads serve
@@ -244,7 +244,7 @@ bool FileBlockStore::for_each_key(
 
 void FileBlockStore::put_locked(Shard& shard,
                                 std::unique_lock<std::mutex>& lock,
-                                const BlockKey& key, Bytes value) {
+                                const BlockKey& key, Block value) {
   if (write_behind_) {
     check_wb_healthy();
     // Backpressure: block the producer (lock released while waiting)
@@ -278,13 +278,14 @@ void FileBlockStore::put_locked(Shard& shard,
   notify(key, true);
 }
 
-void FileBlockStore::put(const BlockKey& key, Bytes value) {
+void FileBlockStore::put_block(const BlockKey& key, Block value) {
   Shard& shard = shard_of(key);
   std::unique_lock lock(shard.mu);
   put_locked(shard, lock, key, std::move(value));
 }
 
-void FileBlockStore::put_batch(std::vector<std::pair<BlockKey, Bytes>> items) {
+void FileBlockStore::put_blocks(
+    std::vector<std::pair<BlockKey, Block>> items) {
   if (!items.empty()) put_batch_blocks_->observe(items.size());
   // One lock acquisition per touched shard: bucket item offsets by shard
   // first, then drain shard by shard.
@@ -300,15 +301,15 @@ void FileBlockStore::put_batch(std::vector<std::pair<BlockKey, Bytes>> items) {
   }
 }
 
-std::optional<Bytes> FileBlockStore::read_locked(const Shard& shard,
-                                                 const BlockKey& key) const {
-  if (!shard.index.contains(key)) return std::nullopt;
+Block FileBlockStore::read_locked(const Shard& shard,
+                                  const BlockKey& key) const {
+  if (!shard.index.contains(key)) return Block();
   if (const auto it = shard.newest.find(key); it != shard.newest.end()) {
     ring_hits_->add();
     return it->second->payload;
   }
   // Not in the ring, so flushed: the file is complete, or was deleted or
-  // truncated externally (nullopt).
+  // truncated externally (null).
   file_reads_->add();
   return read_block_file(path_of(key));
 }
@@ -344,16 +345,10 @@ std::uint64_t FileBlockStore::size() const {
   return total;
 }
 
-std::optional<Bytes> FileBlockStore::get_copy(const BlockKey& key) const {
-  const Shard& shard = shard_of(key);
-  std::lock_guard lock(shard.mu);
-  return read_locked(shard, key);
-}
-
-std::vector<std::optional<Bytes>> FileBlockStore::get_batch(
+std::vector<Block> FileBlockStore::get_blocks(
     const std::vector<BlockKey>& keys) const {
   if (!keys.empty()) get_batch_blocks_->observe(keys.size());
-  std::vector<std::optional<Bytes>> payloads(keys.size());
+  std::vector<Block> payloads(keys.size());
   std::vector<std::vector<std::size_t>> buckets(shards_.size());
   for (std::size_t j = 0; j < keys.size(); ++j)
     buckets[shard_index(keys[j])].push_back(j);

@@ -21,17 +21,20 @@
 //
 // Memory: the store alone decides which block bytes stay resident. Each
 // shard keeps its last kRingBlocksPerShard writes, in write order, and
-// nothing else: a read is a ring hit or a read of the block file, and no
-// read adds to the ring. A store therefore holds at most
-// kRingBlocksPerShard × shards blocks (1 MiB for `file`, 8 MiB for
-// sharded(8) at 4 KiB blocks) however much a scrub, rebuild or degraded
-// read touches, while a repair wave still finds in memory what the waves
-// just before it wrote (AE's one-XOR locality).
+// nothing else: a read is a ring hit, which shares the written Block, or
+// a read of the block file into a fresh Block, and no read adds to the
+// ring. A Block handed out keeps its bytes after the ring evicts it. A
+// store therefore holds at most kRingBlocksPerShard × shards blocks
+// (1 MiB for `file`, 8 MiB for sharded(8) at 4 KiB blocks) however much
+// a scrub, rebuild or degraded read touches, while a repair wave still
+// finds in memory what the waves just before it wrote (AE's one-XOR
+// locality).
 //
 // Write-behind (the sharded default; `file` and sharded(N,sync) write
 // synchronously): the ring's unflushed tail is the write queue, drained
-// in write order by the shard's flusher thread, so ingest callers pay a
-// memcpy instead of an open/write/close per block; a put waits while
+// in write order by the shard's flusher thread (which writes each file
+// from the ring's Block), so ingest callers pay no file I/O; a put waits
+// while
 // kRingBlocksPerShard writes are unflushed. Only flushed writes are
 // evicted, so an unflushed block is always served from the ring. The
 // flusher writes an entry only while it is its key's newest (an
@@ -53,7 +56,7 @@
 
 namespace aec {
 
-class FileBlockStore final : public BlockStore {
+class FileBlockStore final : public BlockNativeStore {
  public:
   static constexpr std::size_t kDefaultShards = 16;
   /// Upper bound on the shard count, for a spec and for a pinned marker.
@@ -75,16 +78,17 @@ class FileBlockStore final : public BlockStore {
                  bool write_behind = true);
   ~FileBlockStore() override;
 
-  void put(const BlockKey& key, Bytes value) override;
+  void put_block(const BlockKey& key, Block value) override;
+  /// Takes each shard lock once per batch.
+  void put_blocks(std::vector<std::pair<BlockKey, Block>> items) override;
+  /// Per key a ring hit (shared) or else the block file (read into a
+  /// fresh Block); inserts nothing. Takes each shard lock once per batch.
+  std::vector<Block> get_blocks(
+      const std::vector<BlockKey>& keys) const override;
+
   bool contains(const BlockKey& key) const override;
   bool erase(const BlockKey& key) override;
   std::uint64_t size() const override;
-  /// A ring hit, or else the block file; inserts nothing.
-  std::optional<Bytes> get_copy(const BlockKey& key) const override;
-  /// get_copy() per key, taking each shard lock once per batch.
-  std::vector<std::optional<Bytes>> get_batch(
-      const std::vector<BlockKey>& keys) const override;
-  void put_batch(std::vector<std::pair<BlockKey, Bytes>> items) override;
   bool thread_safe() const noexcept override { return true; }
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
@@ -120,14 +124,13 @@ class FileBlockStore final : public BlockStore {
   std::size_t shard_index(const BlockKey& key) const noexcept;
   Shard& shard_of(const BlockKey& key) const noexcept;
   /// Reads one key inside `shard` (ring, else its file); caller holds
-  /// the shard lock. Returns nullopt when missing or unreadable.
-  std::optional<Bytes> read_locked(const Shard& shard,
-                                   const BlockKey& key) const;
+  /// the shard lock. Returns null when missing or unreadable.
+  Block read_locked(const Shard& shard, const BlockKey& key) const;
   /// Applies one put inside `shard` — synchronous file write, or (with
   /// backpressure wait on `lock`) a queued one in write-behind mode —
   /// and records it in the shard's index and ring.
   void put_locked(Shard& shard, std::unique_lock<std::mutex>& lock,
-                  const BlockKey& key, Bytes value);
+                  const BlockKey& key, Block value);
   /// Waits (on `lock`) until `shard` has no queued or in-flight write.
   void drain_locked(Shard& shard, std::unique_lock<std::mutex>& lock) const;
   /// Per-shard flusher thread body (write-behind mode only).

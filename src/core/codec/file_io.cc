@@ -5,33 +5,36 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <span>
 
 namespace aec {
 
-std::optional<Bytes> read_block_file(const std::filesystem::path& path) {
+Block read_block_file(const std::filesystem::path& path) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return std::nullopt;
+  if (fd < 0) return Block();
 
   struct stat st {};
   if (::fstat(fd, &st) != 0 || st.st_size < 0) {
     ::close(fd);
-    return std::nullopt;
+    return Block();
   }
 
-  Bytes out(static_cast<std::size_t>(st.st_size));
-  std::size_t got = 0;
-  while (got < out.size()) {
-    ssize_t n = ::read(fd, out.data() + got, out.size() - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return std::nullopt;
-    }
-    if (n == 0) break;  // truncated under us: treat as absent
-    got += static_cast<std::size_t>(n);
-  }
+  bool complete = true;
+  Block out = Block::build(
+      static_cast<std::size_t>(st.st_size), [&](std::span<std::uint8_t> into) {
+        std::size_t got = 0;
+        while (got < into.size()) {
+          ssize_t n = ::read(fd, into.data() + got, into.size() - got);
+          if (n < 0 && errno == EINTR) continue;
+          if (n <= 0) {  // an error, or truncated under us: absent
+            complete = false;
+            return;
+          }
+          got += static_cast<std::size_t>(n);
+        }
+      });
   ::close(fd);
-  if (got != out.size()) return std::nullopt;
+  if (!complete) return Block();
   return out;
 }
 

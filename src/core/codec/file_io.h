@@ -3,20 +3,23 @@
 //
 // One open/fstat/read/close (or open/write/close) per block, no
 // stream/locale machinery. Every read the store does not serve from its
-// ring of recent writes is one read_block_file; nothing read is kept.
+// ring of recent writes is one read_block_file, whose read() lands in a
+// fresh Block — the one copy a file-backed read makes; nothing read is
+// kept.
 #pragma once
 
 #include <filesystem>
-#include <optional>
 
+#include "common/block.h"
 #include "common/bytes.h"
 
 namespace aec {
 
-/// Reads a whole block file with raw POSIX I/O. Returns nullopt when the
-/// file is missing or unreadable (deleted/truncated externally): the
-/// store treats such a block as absent.
-std::optional<Bytes> read_block_file(const std::filesystem::path& path);
+/// Reads a whole block file with raw POSIX I/O into a fresh Block.
+/// Returns a null Block when the file is missing or unreadable
+/// (deleted/truncated externally): the store treats such a block as
+/// absent.
+Block read_block_file(const std::filesystem::path& path);
 
 /// Writes (create-or-truncate) a whole block file with raw POSIX I/O.
 /// A new file gets mode 0666 & ~umask, as fopen/ofstream would. No

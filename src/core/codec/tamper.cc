@@ -14,9 +14,9 @@ namespace {
 /// Nodes one scan window covers.
 constexpr NodeIndex kScanWindowNodes = 64;
 
-/// Every payload the checks of nodes [first, last] read — their data
+/// Every block the checks of nodes [first, last] read — their data
 /// blocks and input/output parities, each key once — fetched in one
-/// get_batch, so a scan holds one window's blocks at a time.
+/// get_blocks, so a scan holds one window's blocks at a time.
 class ScanWindow {
  public:
   ScanWindow(const BlockStore& store, const Lattice& lattice,
@@ -33,42 +33,39 @@ class ScanWindow {
           want(BlockKey::parity(*in));
       }
     }
-    std::vector<std::optional<Bytes>> got = store.get_batch(keys);
+    std::vector<Block> got = store.get_blocks(keys);
     for (std::size_t k = 0; k < keys.size(); ++k)
       payloads_[keys[k]] = std::move(got[k]);
   }
 
-  /// The payload of a key of the window, or nullptr when missing.
-  const Bytes* payload(const BlockKey& key) const {
-    const std::optional<Bytes>& value = payloads_.at(key);
-    return value ? &*value : nullptr;
-  }
+  /// The block of a key of the window, null when missing.
+  const Block& payload(const BlockKey& key) const { return payloads_.at(key); }
 
  private:
-  std::unordered_map<BlockKey, std::optional<Bytes>, BlockKeyHash> payloads_;
+  std::unordered_map<BlockKey, Block, BlockKeyHash> payloads_;
 };
 
 /// Checks one (data, input parity, output parity) triple. Returns:
 /// +1 consistent, -1 inconsistent, 0 not verifiable (some block missing).
 int check_triple(const ScanWindow& window, const Lattice& lattice,
                  NodeIndex i, StrandClass cls, std::size_t block_size) {
-  const Bytes* data = window.payload(BlockKey::data(i));
-  if (data == nullptr) return 0;
-  const Bytes* out =
+  const Block& data = window.payload(BlockKey::data(i));
+  if (!data) return 0;
+  const Block& out =
       window.payload(BlockKey::parity(lattice.output_edge(i, cls)));
-  if (out == nullptr) return 0;
+  if (!out) return 0;
 
-  Bytes expected;
+  Block expected;
   if (auto in = lattice.input_edge(i, cls)) {
-    const Bytes* in_value = window.payload(BlockKey::parity(*in));
-    if (in_value == nullptr) return 0;
-    expected = xor_blocks(*data, *in_value);
+    const Block& in_value = window.payload(BlockKey::parity(*in));
+    if (!in_value) return 0;
+    expected = xor_of(data, in_value);
   } else {
-    expected = *data;  // bootstrap input is the zero block
+    expected = data;  // bootstrap input is the zero block
   }
-  AEC_CHECK_MSG(expected.size() == block_size && out->size() == block_size,
+  AEC_CHECK_MSG(expected.size() == block_size && out.size() == block_size,
                 "tamper check: inconsistent block sizes");
-  return expected == *out ? 1 : -1;
+  return expected == out ? 1 : -1;
 }
 
 }  // namespace

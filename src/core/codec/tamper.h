@@ -28,7 +28,7 @@ struct TamperScanResult {
 bool verify_node(const BlockStore& store, const Lattice& lattice,
                  NodeIndex i, std::size_t block_size);
 
-/// Full-lattice scan, reading through get_batch() in windows of nodes,
+/// Full-lattice scan, reading through get_blocks() in windows of nodes,
 /// so its memory does not grow with the lattice.
 TamperScanResult scan_for_tampering(const BlockStore& store,
                                     const Lattice& lattice,

@@ -373,6 +373,7 @@ void Server::on_readable(Connection& conn) {
 bool Server::flush(Connection& conn) {
   WriteGate& gate = *conn.gate;
   std::size_t written = 0;
+  std::size_t errors_written = 0;  // of `written`, error-reply bytes
   bool fatal = false;
   bool drained = false;
   {
@@ -380,13 +381,15 @@ bool Server::flush(Connection& conn) {
     // and never while this writes.
     std::lock_guard lock(gate.mu);
     while (!gate.queue.empty()) {
-      const Bytes& front = gate.queue.front();
-      const ssize_t n = ::send(conn.fd, front.data() + gate.offset,
-                               front.size() - gate.offset, MSG_NOSIGNAL);
+      const WriteGate::Pending& front = gate.queue.front();
+      const ssize_t n =
+          ::send(conn.fd, front.bytes.data() + gate.offset,
+                 front.bytes.size() - gate.offset, MSG_NOSIGNAL);
       if (n > 0) {
         written += static_cast<std::size_t>(n);
+        if (front.error_reply) errors_written += static_cast<std::size_t>(n);
         gate.offset += static_cast<std::size_t>(n);
-        if (gate.offset == front.size()) {
+        if (gate.offset == front.bytes.size()) {
           gate.queue.pop_front();
           gate.offset = 0;
         }
@@ -398,6 +401,7 @@ bool Server::flush(Connection& conn) {
       break;
     }
     gate.queued -= written;
+    gate.error_queued -= errors_written;
     drained = gate.queue.empty();
     if (written > 0) gate.cv.notify_all();
   }
@@ -433,13 +437,18 @@ bool Server::send_error_from_loop(Connection& conn, std::uint64_t request_id,
   Bytes buffer = encode_frame(error_frame(request_id, code, message));
   bool over_budget = false;
   {
-    std::lock_guard lock(conn.gate->mu);
-    if (conn.gate->queued + buffer.size() > config_.write_queue_limit) {
+    WriteGate& gate = *conn.gate;
+    std::lock_guard lock(gate.mu);
+    // Only the reactor's own unsent replies count here: the GET frames
+    // a lane left queued are bounded by the lane's own budget wait, and
+    // counting them would drop a reader whose GET fills the budget.
+    if (gate.error_queued + buffer.size() > config_.write_queue_limit) {
       over_budget = true;
     } else {
       // Behind whatever the lane left queued; flush() writes it.
-      conn.gate->queued += buffer.size();
-      conn.gate->queue.push_back(std::move(buffer));
+      gate.queued += buffer.size();
+      gate.error_queued += buffer.size();
+      gate.queue.push_back({std::move(buffer), true});
     }
   }
   if (over_budget) {
@@ -467,6 +476,7 @@ void Server::close_conn(std::uint64_t conn_id) {
     conn.gate->queue.clear();
     conn.gate->offset = 0;
     conn.gate->queued = 0;
+    conn.gate->error_queued = 0;
     conn.gate->cv.notify_all();
   }
   loop_.remove(conn.fd);
@@ -848,7 +858,7 @@ bool Server::exec_send(const ExecItem& item,
                   part.end());
     }
     gate.queued += rest.size();
-    gate.queue.push_back(std::move(rest));
+    gate.queue.push_back({std::move(rest)});
   }
   lock.unlock();
   if (result.sent > 0) req_bytes_out_->add(result.sent);

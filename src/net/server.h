@@ -54,6 +54,13 @@
 //     by `write_stall_timeout_ms`, after which the connection is
 //     dropped — a client that stops reading cannot park its lane
 //     forever, and other clients' GETs meanwhile run on other lanes).
+//     The reactor cannot block, so it drops a connection instead once
+//     its own unsent error replies would pass `write_queue_limit` (a
+//     client that floods rejected frames and reads nothing); the
+//     connection's queued GET data does not count against that guard.
+//     So one connection holds at most twice `write_queue_limit` queued
+//     bytes: lane output up to the limit, and the reactor's error
+//     replies up to the limit again.
 //   · Idle timeout: connections with no socket activity and no queued
 //     work for `idle_timeout_ms` are closed by the periodic sweep.
 //
@@ -112,7 +119,9 @@ struct ServerConfig {
   /// connections; excess gets ErrorCode::kBusy.
   std::size_t max_inflight = 64;
   /// Response bytes a single connection may have queued before the
-  /// lane serving it blocks producing more for it.
+  /// lane serving it blocks producing more for it. The reactor's own
+  /// error replies may queue up to this much again before it drops the
+  /// connection, so a connection holds at most twice this.
   std::size_t write_queue_limit = 16u << 20;
   /// GET_FILE stream chunk size (one kGetData frame's payload).
   std::size_t get_chunk_bytes = 256u << 10;
@@ -158,9 +167,16 @@ class Server {
     int fd = -1;  // the socket; -1 once closed (set before ::close)
     /// Reply bytes the socket did not take at once, in wire order; only
     /// the reactor writes them.
-    std::deque<Bytes> queue;
+    struct Pending {
+      Bytes bytes;
+      bool error_reply = false;  // the reactor's own (kBusy, kUnknownOp…)
+    };
+    std::deque<Pending> queue;
     std::size_t offset = 0;  // bytes of queue.front() already written
     std::size_t queued = 0;  // bytes in `queue` not yet written
+    /// The part of `queued` in the reactor's own error replies: the
+    /// bytes send_error_from_loop counts against write_queue_limit.
+    std::size_t error_queued = 0;
   };
 
   struct ExecItem {
@@ -226,7 +242,8 @@ class Server {
   /// Reply bytes queued for the connection and not yet written.
   static std::size_t queued_bytes(const Connection& conn);
   /// Loop-originated error reply, queued behind the connection's other
-  /// replies and subject to the same write budget; false when the
+  /// replies. The connection's unsent error replies may not pass the
+  /// write budget (its queued GET data does not count); false when the
   /// connection was closed (budget exceeded or fatal send error) —
   /// `conn` is gone on false.
   bool send_error_from_loop(Connection& conn, std::uint64_t request_id,

@@ -6,7 +6,7 @@ namespace aec::pipeline {
 
 struct ConcurrentBlockStore::Stripe {
   mutable std::mutex mu;
-  std::unordered_map<BlockKey, Bytes, BlockKeyHash> blocks;
+  std::unordered_map<BlockKey, Block, BlockKeyHash> blocks;
 };
 
 ConcurrentBlockStore::ConcurrentBlockStore() {
@@ -22,20 +22,28 @@ ConcurrentBlockStore::Stripe& ConcurrentBlockStore::stripe_of(
   return *stripes_[mixed_block_key_hash(key) & (kStripes - 1)];
 }
 
-void ConcurrentBlockStore::put(const BlockKey& key, Bytes value) {
+void ConcurrentBlockStore::put_block(const BlockKey& key, Block value) {
   Stripe& stripe = stripe_of(key);
   std::lock_guard lock(stripe.mu);
   stripe.blocks[key] = std::move(value);
   notify(key, true);
 }
 
-std::optional<Bytes> ConcurrentBlockStore::get_copy(
-    const BlockKey& key) const {
-  Stripe& stripe = stripe_of(key);
-  std::lock_guard lock(stripe.mu);
-  const auto it = stripe.blocks.find(key);
-  if (it == stripe.blocks.end()) return std::nullopt;
-  return it->second;
+void ConcurrentBlockStore::put_blocks(
+    std::vector<std::pair<BlockKey, Block>> items) {
+  for (auto& [key, value] : items) put_block(key, std::move(value));
+}
+
+std::vector<Block> ConcurrentBlockStore::get_blocks(
+    const std::vector<BlockKey>& keys) const {
+  std::vector<Block> blocks(keys.size());
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    Stripe& stripe = stripe_of(keys[j]);
+    std::lock_guard lock(stripe.mu);
+    const auto it = stripe.blocks.find(keys[j]);
+    if (it != stripe.blocks.end()) blocks[j] = it->second;
+  }
+  return blocks;
 }
 
 bool ConcurrentBlockStore::contains(const BlockKey& key) const {
@@ -62,15 +70,15 @@ std::uint64_t ConcurrentBlockStore::size() const {
 }
 
 void ConcurrentBlockStore::for_each(
-    const std::function<void(const BlockKey&, const Bytes&)>& fn) const {
+    const std::function<void(const BlockKey&, BytesView)>& fn) const {
   for (const auto& stripe : stripes_) {
     std::lock_guard lock(stripe->mu);
     for (const auto& [key, value] : stripe->blocks) fn(key, value);
   }
 }
 
-std::vector<std::pair<BlockKey, Bytes>> ConcurrentBlockStore::take_all() {
-  std::vector<std::pair<BlockKey, Bytes>> items;
+std::vector<std::pair<BlockKey, Block>> ConcurrentBlockStore::take_all() {
+  std::vector<std::pair<BlockKey, Block>> items;
   items.reserve(size());
   for (const auto& stripe : stripes_) {
     std::lock_guard lock(stripe->mu);

@@ -5,8 +5,10 @@
 // ConcurrentBlockStore shards keys across kStripes striped-lock buckets,
 // each in its own allocation, so the concurrent strand walks of one
 // encode batch (paper §V-B) rarely contend: two puts serialize only when
-// their keys hash to the same stripe. Every read copies the payload out
-// under its stripe's lock.
+// their keys hash to the same stripe. It holds Blocks: a write keeps a
+// reference to the caller's Block, and a read hands out a reference
+// under its stripe's lock — no payload byte is copied either way. The
+// Bytes methods adapt those.
 #pragma once
 
 #include <array>
@@ -20,13 +22,16 @@
 
 namespace aec::pipeline {
 
-class ConcurrentBlockStore final : public BlockStore {
+class ConcurrentBlockStore final : public BlockNativeStore {
  public:
   ConcurrentBlockStore();
   ~ConcurrentBlockStore() override;
 
-  void put(const BlockKey& key, Bytes value) override;
-  std::optional<Bytes> get_copy(const BlockKey& key) const override;
+  void put_block(const BlockKey& key, Block value) override;
+  void put_blocks(std::vector<std::pair<BlockKey, Block>> items) override;
+  std::vector<Block> get_blocks(
+      const std::vector<BlockKey>& keys) const override;
+
   bool contains(const BlockKey& key) const override;
   bool erase(const BlockKey& key) override;
   std::uint64_t size() const override;
@@ -36,12 +41,12 @@ class ConcurrentBlockStore final : public BlockStore {
   /// not reenter the store. Concurrent writers may slip between stripes;
   /// for an exact snapshot, quiesce writers first.
   void for_each(
-      const std::function<void(const BlockKey&, const Bytes&)>& fn) const;
+      const std::function<void(const BlockKey&, BytesView)>& fn) const;
 
   /// Moves every pair out, one stripe at a time, and leaves the store
   /// empty. Sends no notification: the caller hands the blocks on to a
   /// store that announces them. Quiesce writers first.
-  std::vector<std::pair<BlockKey, Bytes>> take_all();
+  std::vector<std::pair<BlockKey, Block>> take_all();
 
   bool for_each_key(
       const std::function<void(const BlockKey&)>& fn) const override;

@@ -47,18 +47,31 @@ ParallelEncoder::ParallelEncoder(CodeParams params, std::size_t block_size,
     heads_[static_cast<std::size_t>(cls)].resize(params_.strands_of(cls));
 }
 
-void ParallelEncoder::resolve_head(const Lattice& lat, NodeIndex i,
-                                   StrandClass cls) {
-  Bytes& slot = head_slot(cls, lat.strand_id(i, cls));
-  if (!slot.empty()) return;
-  if (auto in = lat.input_edge(i, cls)) {
-    std::optional<Bytes> stored = store_->get_copy(BlockKey::parity(*in));
-    AEC_CHECK_MSG(stored.has_value(),
-                  "encoder head recovery: parity " << to_string(
-                      BlockKey::parity(*in)) << " missing from store");
-    slot = std::move(*stored);
-  } else {
-    slot.assign(block_size_, 0);  // strand bootstrap
+void ParallelEncoder::resolve_heads(const Lattice& lat, NodeIndex first,
+                                    const StrandBuckets (&buckets)[3]) {
+  std::vector<Block*> recovering;
+  std::vector<BlockKey> keys;
+  for (StrandClass cls : params_.classes()) {
+    const auto c = static_cast<std::size_t>(cls);
+    for (std::uint32_t id = 0; id < buckets[c].size(); ++id) {
+      Block& slot = head_slot(cls, id);
+      if (buckets[c][id].empty() || slot) continue;
+      if (auto in = lat.input_edge(first + buckets[c][id].front(), cls)) {
+        recovering.push_back(&slot);
+        keys.push_back(BlockKey::parity(*in));
+      } else {
+        if (!zero_) zero_ = Block::zeros(block_size_);
+        slot = zero_;  // strand bootstrap
+      }
+    }
+  }
+  if (keys.empty()) return;
+  std::vector<Block> stored = store_->get_blocks(keys);
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    AEC_CHECK_MSG(stored[k], "encoder head recovery: parity "
+                                 << to_string(keys[k])
+                                 << " missing from store");
+    *recovering[k] = std::move(stored[k]);
   }
 }
 
@@ -79,24 +92,22 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
   const Lattice lat(params_, static_cast<std::uint64_t>(last),
                     Lattice::Boundary::kOpen);
 
-  // Coordinator fills missing head slots (the first window node of a
-  // strand names the recovery edge) and pre-shapes the results so worker
-  // writes land in disjoint, pre-allocated slots.
-  // Meanwhile bucket the window per strand instance: buckets[cls][id]
-  // lists block offsets in node order — one bucket, one task, one owner.
-  std::vector<std::vector<std::uint32_t>> buckets[3];
+  // Coordinator pre-shapes the results so worker writes land in
+  // disjoint, pre-allocated slots, and buckets the window per strand
+  // instance: buckets[cls][id] lists block offsets in node order — one
+  // bucket, one task, one owner. Then it fills the missing head slots.
+  StrandBuckets buckets[3];
   for (StrandClass cls : params_.classes())
     buckets[static_cast<std::size_t>(cls)].resize(params_.strands_of(cls));
   for (NodeIndex i = first; i <= last; ++i) {
     const auto j = static_cast<std::size_t>(i - first);
     results[j].index = i;
     results[j].parities.resize(params_.classes().size());
-    for (StrandClass cls : params_.classes()) {
-      resolve_head(lat, i, cls);
+    for (StrandClass cls : params_.classes())
       buckets[static_cast<std::size_t>(cls)][lat.strand_id(i, cls)]
           .push_back(static_cast<std::uint32_t>(j));
-    }
   }
+  resolve_heads(lat, first, buckets);
 
   // One task per strand instance: walk the strand's XOR chain across the
   // whole window (§V-B partial writes — helical parities of later
@@ -110,30 +121,32 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
       if (bucket.empty()) continue;
       pool_->submit(batch, [this, &lat, &blocks, &results, &bucket, cls,
                             slot, first] {
-        // Parity puts flushed in bounded batches: fewer store lock
-        // round trips, at most kPutBatch head copies buffered.
+        // Parity writes flushed in bounded batches: fewer store lock
+        // round trips. Each parity is written once, into a fresh Block
+        // that the store and the head slot share.
         constexpr std::size_t kPutBatch = 64;
-        std::vector<std::pair<BlockKey, Bytes>> puts;
+        std::vector<std::pair<BlockKey, Block>> puts;
         puts.reserve(std::min<std::size_t>(bucket.size(), kPutBatch));
-        Bytes& head =
+        Block& head =
             head_slot(cls, lat.strand_id(first + bucket.front(), cls));
         for (const std::uint32_t j : bucket) {
           const NodeIndex i = first + j;
-          xor_into(head, blocks[j]);
+          head = xor_of(head, blocks[j]);
           const Edge out = lat.output_edge(i, cls);
           puts.emplace_back(BlockKey::parity(out), head);
           results[j].parities[slot] = out;
           if (puts.size() >= kPutBatch) {
-            store_->put_batch(std::move(puts));
+            store_->put_blocks(std::move(puts));
             puts.clear();
           }
         }
-        if (!puts.empty()) store_->put_batch(std::move(puts));
+        if (!puts.empty()) store_->put_blocks(std::move(puts));
       });
     }
   }
 
   // Data blocks have no ordering constraints at all: chunk them evenly.
+  // Each is copied once into a Block on the worker that stores it.
   const std::size_t chunk_count =
       std::min(pool_->thread_count(), blocks.size());
   const std::size_t chunk = (blocks.size() + chunk_count - 1) / chunk_count;
@@ -141,14 +154,14 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
     const std::size_t end = std::min(begin + chunk, blocks.size());
     pool_->submit(batch, [this, &blocks, first, begin, end] {
       constexpr std::size_t kPutBatch = 64;
-      std::vector<std::pair<BlockKey, Bytes>> puts;
+      std::vector<std::pair<BlockKey, Block>> puts;
       for (std::size_t b = begin; b < end; b += kPutBatch) {
         const std::size_t stop = std::min(b + kPutBatch, end);
         puts.clear();
         for (std::size_t j = b; j < stop; ++j)
           puts.emplace_back(BlockKey::data(first + static_cast<NodeIndex>(j)),
-                            blocks[j]);
-        store_->put_batch(std::move(puts));
+                            Block::copy_of(blocks[j]));
+        store_->put_blocks(std::move(puts));
         puts.clear();  // moved-from: restore a known-empty state
       }
     });
@@ -181,14 +194,14 @@ Lattice ParallelEncoder::lattice() const {
 std::size_t ParallelEncoder::cached_heads() const noexcept {
   std::size_t cached = 0;
   for (const auto& class_heads : heads_)
-    for (const Bytes& slot : class_heads)
-      if (!slot.empty()) ++cached;
+    for (const Block& slot : class_heads)
+      if (slot) ++cached;
   return cached;
 }
 
 void ParallelEncoder::drop_head_cache() {
   for (auto& class_heads : heads_)
-    for (Bytes& slot : class_heads) slot.clear();
+    for (Block& slot : class_heads) slot = Block();
 }
 
 }  // namespace aec::pipeline

@@ -4,10 +4,14 @@
 //
 // Entangling d_i computes, for each of its α strands, p_{i,j} = d_i XOR
 // p_{h,i}, where p_{h,i} is the strand head — the most recent parity of
-// that strand instance (the zero block at strand bootstrap). The encoder
-// keeps exactly s + (α−1)·p head blocks in memory (paper §IV-A);
-// everything else lives in the BlockStore, and after a crash the heads
-// are re-fetched from it.
+// that strand instance (the zero block at strand bootstrap). Each parity
+// is written once, by the three-operand XOR kernel, into a fresh Block
+// that the store keeps and the head slot shares: the encoder holds
+// exactly s + (α−1)·p head references (paper §IV-A) and copies no
+// parity. Everything else lives in the BlockStore, and after a crash the
+// heads are re-fetched from it. Each data block is copied once into a
+// Block, on the pool worker that stores it, so every block a store keeps
+// is allocated on a pool worker (common/block.h says why).
 //
 // The paper's full writes seal a column's s buckets as one wave: the
 // validity condition p ≥ s makes the α·s strand instances a column
@@ -26,9 +30,9 @@
 //     the paper's §IV-A memory floor); a task exclusively owns the slots
 //     of the strand it walks;
 //   · cache misses (fresh strands, crash recovery via drop_head_cache())
-//     are resolved by the coordinator *before* workers run, so workers
-//     never read the store — they only put().
-// Workers put() concurrently, which every store allows (each locks
+//     are resolved by the coordinator *before* workers run, in one
+//     get_blocks, so workers never read the store — they only write.
+// Workers write concurrently, which every store allows (each locks
 // itself). A one-worker pool runs tasks in submission order, so a
 // one-block batch stores its α parities in class order, then the data
 // block.
@@ -52,6 +56,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/block.h"
 #include "common/bytes.h"
 #include "core/codec/block_store.h"
 #include "core/lattice/lattice.h"
@@ -106,16 +111,20 @@ class ParallelEncoder {
   void drop_head_cache();
 
  private:
-  /// Head slot of a strand instance; empty Bytes ⇔ not cached
-  /// (block_size is always positive, so empty is unambiguous).
-  Bytes& head_slot(StrandClass cls, std::uint32_t strand_id) noexcept {
+  /// Head slot of a strand instance; a null Block ⇔ not cached.
+  Block& head_slot(StrandClass cls, std::uint32_t strand_id) noexcept {
     return heads_[static_cast<std::size_t>(cls)][strand_id];
   }
 
-  /// Coordinator-side cache fill for node i's strand on `cls`: store
-  /// fetch on crash recovery, zero block on strand bootstrap. Runs
-  /// while no worker is in flight.
-  void resolve_head(const Lattice& lat, NodeIndex i, StrandClass cls);
+  /// Coordinator-side cache fill of every empty head slot a batch
+  /// walks. `buckets[cls][id]` lists the window offsets (from `first`)
+  /// of strand instance (cls, id) in node order, so its front names the
+  /// strand's recovery edge: one get_blocks fetches them all (crash
+  /// recovery), and strands at bootstrap share the zero block. Runs while
+  /// no worker is in flight.
+  using StrandBuckets = std::vector<std::vector<std::uint32_t>>;
+  void resolve_heads(const Lattice& lat, NodeIndex first,
+                     const StrandBuckets (&buckets)[3]);
 
   CodeParams params_;
   std::size_t block_size_;
@@ -123,7 +132,9 @@ class ParallelEncoder {
   /// Written by the appending coordinator only, once a batch is stored.
   std::atomic<std::uint64_t> count_;
   /// heads_[class][strand_id]; sized s / p / p (unused classes empty).
-  std::vector<Bytes> heads_[3];
+  std::vector<Block> heads_[3];
+  /// The strand-bootstrap head every fresh strand shares, built once.
+  Block zero_;
   ThreadPool* pool_;
   /// Global-registry metrics, resolved once at construction; observed
   /// at batch granularity (append_all), never per block.

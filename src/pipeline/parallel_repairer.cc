@@ -74,13 +74,13 @@ void ParallelRepairer::execute_steps(const std::vector<RepairStep>& wave,
                                      std::size_t begin, std::size_t end) {
   // Bounded sub-batches through the store's batch API: one read and one
   // write round trip per kBatch steps (a sharded store takes each shard
-  // lock once per batch) instead of two get_copy + one put per step.
+  // lock once per batch) instead of two reads + one write per step.
   // Safe within a wave: the planner chose every input against wave-start
   // availability, so no batch reads a block another wave-task writes.
   constexpr std::size_t kBatch = 64;
   std::vector<BlockKey> keys;
   std::vector<RepairStepInputs> inputs;
-  std::vector<std::pair<BlockKey, Bytes>> repaired;
+  std::vector<std::pair<BlockKey, Block>> repaired;
   for (std::size_t b = begin; b < end; b += kBatch) {
     const std::size_t stop = std::min(b + kBatch, end);
     keys.clear();
@@ -91,21 +91,27 @@ void ParallelRepairer::execute_steps(const std::vector<RepairStep>& wave,
       if (inputs.back().input) keys.push_back(*inputs.back().input);
       keys.push_back(inputs.back().other);
     }
-    std::vector<std::optional<Bytes>> payloads = store_->get_batch(keys);
+    std::vector<Block> payloads = store_->get_blocks(keys);
     std::size_t p = 0;
-    const auto take = [&](const BlockKey& key) -> Bytes {
-      AEC_CHECK_MSG(payloads[p].has_value(), "repair step input "
-                                                 << to_string(key)
-                                                 << " missing from store");
-      return std::move(*payloads[p++]);
+    const auto take = [&](const BlockKey& key) -> Block {
+      AEC_CHECK_MSG(payloads[p], "repair step input "
+                                     << to_string(key)
+                                     << " missing from store");
+      AEC_CHECK_MSG(payloads[p].size() == block_size_,
+                    "repair step input " << to_string(key) << " holds "
+                                         << payloads[p].size()
+                                         << " bytes, want " << block_size_);
+      return std::move(payloads[p++]);
     };
     for (std::size_t j = b; j < stop; ++j) {
       const RepairStepInputs& in = inputs[j - b];
-      Bytes acc = in.input ? take(*in.input) : Bytes(block_size_, 0);
-      xor_into(acc, take(in.other));
-      repaired.emplace_back(wave[j].key, std::move(acc));
+      const Block input = in.input ? take(*in.input) : Block();
+      Block other = take(in.other);
+      // Zero input: the output is `other` itself, shared.
+      repaired.emplace_back(wave[j].key,
+                            input ? xor_of(input, other) : std::move(other));
     }
-    store_->put_batch(std::move(repaired));
+    store_->put_blocks(std::move(repaired));
     repaired.clear();  // moved-from: restore a known-empty state
   }
 }
@@ -137,19 +143,18 @@ void ParallelRepairer::repair_window(const RepairPlanner& planner,
   execute_plan(plan);
 }
 
-std::optional<Bytes> ParallelRepairer::read_node(NodeIndex i,
-                                                 std::size_t lookahead) {
+Block ParallelRepairer::read_node(NodeIndex i, std::size_t lookahead) {
   AEC_CHECK_MSG(lattice_.is_valid_node(i), "invalid node " << i);
-  if (auto direct = store_->get_copy(BlockKey::data(i))) return direct;
+  if (Block direct = store_->get_block(BlockKey::data(i))) return direct;
 
   const RepairPlanner planner(&lattice_);
   if (lookahead > 1) repair_window(planner, i, lookahead);
   // Empty when the window wave already repaired d_i.
   const auto plan = planner.plan_for_target(*store_, i);
-  if (!plan) return std::nullopt;
+  if (!plan) return Block();
   execute_plan(*plan);
-  auto repaired = store_->get_copy(BlockKey::data(i));
-  AEC_CHECK_MSG(repaired.has_value(),
+  Block repaired = store_->get_block(BlockKey::data(i));
+  AEC_CHECK_MSG(repaired,
                 "read_node: plan for d" << i << " did not materialize it");
   return repaired;
 }

@@ -14,8 +14,11 @@
 //   · every step's inputs were chosen by the planner against wave-start
 //     availability, so a worker never reads a block another wave-w worker
 //     is writing;
-//   · workers read through BlockStore::get_batch() and write through
-//     put_batch(), which every store synchronizes internally.
+//   · workers read through BlockStore::get_blocks() and write through
+//     put_blocks(), which every store synchronizes internally. Inputs
+//     are references to the Blocks the store holds; each output is a
+//     fresh Block written once by the three-operand XOR kernel (a step
+//     whose input is the zero block stores its other operand, shared).
 //
 // Error model: an exception in any step (e.g. a store write failure) is
 // rethrown on the coordinator at the wave barrier; already-repaired
@@ -34,7 +37,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/bytes.h"
+#include "common/block.h"
 #include "core/codec/repair_planner.h"
 #include "obs/metrics.h"
 #include "pipeline/thread_pool.h"
@@ -61,11 +64,11 @@ class ParallelRepairer {
       std::uint32_t max_rounds = 0 /* unlimited */,
       std::optional<std::vector<BlockKey>> missing = std::nullopt);
 
-  /// Returns the payload of d_i, repairing it through the shortest
+  /// Returns the Block of d_i, repairing it through the shortest
   /// available path when missing (paper Fig 2): radius-scoped plan for
   /// the target, then the waves executed across the pool, each step
-  /// reading its inputs through the store's get_batch. Repairs are
-  /// persisted to the store. Returns nullopt when the block is
+  /// reading its inputs through the store's get_blocks. Repairs are
+  /// persisted to the store. Returns a null Block when d_i is
   /// irrecoverable.
   ///
   /// `lookahead` > 1 is the streamed read's window repair: when d_i is
@@ -75,7 +78,7 @@ class ParallelRepairer {
   /// wave start and writes its own data block. d_i is then served as
   /// above, so a d_i that needs more than one XOR still gets its radius
   /// plan. lookahead = 1 is the plain per-block read.
-  std::optional<Bytes> read_node(NodeIndex i, std::size_t lookahead = 1);
+  Block read_node(NodeIndex i, std::size_t lookahead = 1);
 
   const Lattice& lattice() const noexcept { return lattice_; }
   std::size_t block_size() const noexcept { return block_size_; }
@@ -86,7 +89,7 @@ class ParallelRepairer {
   /// wave's own completion group).
   void execute_wave(const std::vector<RepairStep>& wave);
   /// Worker body: steps [begin, end) of a wave, batched through the
-  /// store's get_batch/put_batch.
+  /// store's get_blocks/put_blocks.
   void execute_steps(const std::vector<RepairStep>& wave, std::size_t begin,
                      std::size_t end);
   void execute_plan(const RepairPlan& plan);

@@ -247,12 +247,13 @@ std::optional<Bytes> Broker::read_block(NodeIndex i, RepairTrace* trace) {
       trace->steps.push_back(step.str());
     }
   }
-  auto value = session_->open_stream(i, 1, 1)->next();
+  const Block value = session_->open_stream(i, 1, 1)->next();
   if (trace)
     trace->steps.push_back(value ? "repair: d" + std::to_string(i) +
                                        " regenerated with XOR"
                                  : "repair failed: insufficient tuples");
-  return value;
+  if (!value) return std::nullopt;
+  return value.to_bytes();  // the Broker's Bytes edge
 }
 
 Broker::MaintenanceReport Broker::regenerate_lattice() {

@@ -250,11 +250,13 @@ RaidAeArray::ReadResult RaidAeArray::degraded_read(NodeIndex i) {
   result.degraded = true;
   // A session over the overlay repairs into its scratch layer only.
   OverlayStore overlay(store_.get());
-  result.value = engine_
-                     .open_session(std::make_shared<AeCodec>(params_),
-                                   &overlay, block_size_, blocks_written())
-                     ->open_stream(i, 1, 1)
-                     ->next();
+  const Block repaired =
+      engine_
+          .open_session(std::make_shared<AeCodec>(params_), &overlay,
+                        block_size_, blocks_written())
+          ->open_stream(i, 1, 1)
+          ->next();
+  if (repaired) result.value = repaired.to_bytes();  // the array's Bytes edge
   result.blocks_fetched = store_->fetches();  // device reads only
   return result;
 }

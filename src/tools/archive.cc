@@ -300,12 +300,12 @@ FileReader::FileReader(Archive* archive, const FileEntry& entry,
 }
 
 bool FileReader::next_block() {
-  std::optional<Bytes> block = stream_->next();
+  Block block = stream_->next();
   if (!block) {
     failed_ = true;  // irrecoverable
     return false;
   }
-  held_.push_back(std::move(*block));
+  held_.push_back(std::move(block));
   block_pos_ = 0;
   return true;
 }
@@ -323,7 +323,7 @@ std::optional<std::span<const BytesView>> FileReader::read_views(
   while (got < want) {
     if ((held_.empty() || block_pos_ == held_.back().size()) && !next_block())
       return std::nullopt;
-    const Bytes& block = held_.back();
+    const Block& block = held_.back();
     const std::size_t n = std::min(want - got, block.size() - block_pos_);
     views_.emplace_back(block.data() + block_pos_, n);
     block_pos_ += n;

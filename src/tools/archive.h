@@ -223,9 +223,11 @@ class FileWriter {
 ///
 /// read_views is the one walk over the decoded blocks: it hands out the
 /// file's bytes as views of them, and read_into and next_chunk (and so
-/// Archive::read_file) copy from those views. aecd sends a GET_DATA
-/// frame's payload straight from the views, so nothing in user space
-/// copies a served byte after the store read.
+/// Archive::read_file) copy from those views. The blocks are the
+/// stream's Blocks, shared with the store: aecd sends a GET_DATA frame's
+/// payload straight from the views, so a GET from an in-memory archive
+/// copies nothing in user space, and one from a file archive copies once,
+/// in the read() into the Block.
 class FileReader {
  public:
   FileReader(FileReader&& other) noexcept = default;
@@ -281,9 +283,10 @@ class FileReader {
   /// moved-from.
   std::unique_ptr<BlockStream> stream_;
   /// The blocks the last read_views' views point into, in file order;
-  /// the back one is being drained. A move keeps each block's bytes in
-  /// place, so the views survive held_ growing.
-  std::vector<Bytes> held_;
+  /// the back one is being drained. They are the stream's Blocks, shared
+  /// with the store, whose bytes never move, so the views survive held_
+  /// growing and the store overwriting or erasing the keys.
+  std::vector<Block> held_;
   std::size_t block_pos_ = 0;    // bytes of held_.back() already handed out
   std::vector<BytesView> views_;  // the last read_views' result
   std::uint64_t delivered_ = 0;  // bytes handed out so far

@@ -79,10 +79,10 @@ inline void expect_encoding_of(const CodeParams& params,
 inline void expect_stores_identical(
     const pipeline::ConcurrentBlockStore& expected, const BlockStore& actual) {
   ASSERT_EQ(expected.size(), actual.size());
-  expected.for_each([&](const BlockKey& key, const Bytes& value) {
+  expected.for_each([&](const BlockKey& key, BytesView value) {
     const auto copy = actual.get_copy(key);
     ASSERT_TRUE(copy.has_value()) << to_string(key);
-    ASSERT_EQ(*copy, value) << to_string(key);
+    ASSERT_EQ(*copy, Bytes(value.begin(), value.end())) << to_string(key);
   });
 }
 
@@ -118,9 +118,7 @@ struct EncodedLattice {
   RepairReport repair_all(std::uint32_t max_rounds = 0) {
     return repairer().repair_all(max_rounds);
   }
-  std::optional<Bytes> read_node(NodeIndex i) {
-    return repairer().read_node(i);
-  }
+  Block read_node(NodeIndex i) { return repairer().read_node(i); }
 };
 
 }  // namespace aec::test

@@ -90,7 +90,7 @@ TEST(Boundary, TinyLattices) {
                       CodeParams(3, 2, 5)}) {
     Fixture f(params, 1);  // a single block
     f.store.erase(BlockKey::data(1));
-    EXPECT_TRUE(f.read_node(1).has_value()) << params.name();
+    EXPECT_TRUE(f.read_node(1)) << params.name();
     EXPECT_EQ(*f.store.get_copy(BlockKey::data(1)), f.blocks[0]);
   }
 }

@@ -18,10 +18,10 @@ TEST(XorEngine, XorIntoBasic) {
   EXPECT_EQ(a, (Bytes{0xFF, 0x00, 0xFF, 0xFF}));
 }
 
-TEST(XorEngine, XorBlocksDoesNotMutateInputs) {
+TEST(XorEngine, XorOfDoesNotMutateInputs) {
   const Bytes a{1, 2, 3};
   const Bytes b{4, 5, 6};
-  const Bytes c = xor_blocks(a, b);
+  const Block c = xor_of(a, b);
   EXPECT_EQ(c, (Bytes{5, 7, 5}));
   EXPECT_EQ(a, (Bytes{1, 2, 3}));
   EXPECT_EQ(b, (Bytes{4, 5, 6}));
@@ -31,7 +31,7 @@ TEST(XorEngine, SelfInverse) {
   Rng rng(42);
   const Bytes a = rng.random_block(1031);  // odd size: exercises tail loop
   const Bytes b = rng.random_block(1031);
-  Bytes c = xor_blocks(a, b);
+  Bytes c = xor_of(a, b).to_bytes();
   xor_into(c, b);
   EXPECT_EQ(c, a);
 }
@@ -41,7 +41,7 @@ TEST(XorEngine, AllSizesUpTo64) {
   for (std::size_t size = 0; size <= 64; ++size) {
     const Bytes a = rng.random_block(size);
     const Bytes b = rng.random_block(size);
-    Bytes c = xor_blocks(a, b);
+    const Bytes c = xor_of(a, b).to_bytes();
     for (std::size_t i = 0; i < size; ++i)
       ASSERT_EQ(c[i], a[i] ^ b[i]) << "size=" << size << " i=" << i;
   }
@@ -51,7 +51,7 @@ TEST(XorEngine, SizeMismatchThrows) {
   Bytes a{1, 2, 3};
   const Bytes b{1, 2};
   EXPECT_THROW(xor_into(a, b), CheckError);
-  EXPECT_THROW(xor_blocks(a, b), CheckError);
+  EXPECT_THROW(xor_of(a, b), CheckError);
 }
 
 TEST(XorEngine, AllZero) {

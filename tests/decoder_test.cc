@@ -201,16 +201,16 @@ TEST(LatticeRepair, SameLossToleratedWithAlpha2) {
 TEST(LatticeRepair, ReadNodeDirect) {
   Fixture f(CodeParams(3, 2, 5), 100);
   const auto value = f.read_node(42);
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(*value, f.truth(42));
+  ASSERT_TRUE(value);
+  EXPECT_EQ(value, f.truth(42));
 }
 
 TEST(LatticeRepair, ReadNodeWithLocalRepair) {
   Fixture f(CodeParams(3, 2, 5), 100);
   f.store.erase(BlockKey::data(42));
   const auto value = f.read_node(42);
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(*value, f.truth(42));
+  ASSERT_TRUE(value);
+  EXPECT_EQ(value, f.truth(42));
   // The repair is persisted.
   EXPECT_EQ(*f.store.get_copy(BlockKey::data(42)), f.truth(42));
 }
@@ -224,8 +224,8 @@ TEST(LatticeRepair, ReadNodeThroughDamagedNeighbourhood) {
   for (const Edge& e : lat.incident_edges(100))
     f.store.erase(BlockKey::parity(e));
   const auto value = f.read_node(100);
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(*value, f.truth(100));
+  ASSERT_TRUE(value);
+  EXPECT_EQ(value, f.truth(100));
 }
 
 TEST(LatticeRepair, ReadNodeIrrecoverableReturnsNullopt) {
@@ -233,8 +233,8 @@ TEST(LatticeRepair, ReadNodeIrrecoverableReturnsNullopt) {
   f.store.erase(BlockKey::data(30));
   f.store.erase(BlockKey::data(31));
   f.store.erase(BlockKey::parity(Edge{StrandClass::kHorizontal, 30}));
-  EXPECT_FALSE(f.read_node(30).has_value());
-  EXPECT_FALSE(f.read_node(31).has_value());
+  EXPECT_FALSE(f.read_node(30));
+  EXPECT_FALSE(f.read_node(31));
 }
 
 TEST(LatticeRepair, RepairedBytesAlwaysMatchGroundTruth) {

@@ -9,6 +9,7 @@
 
 #include <cstring>
 
+#include "common/check.h"
 #include "common/cpu.h"
 #include "common/rng.h"
 #include "common/xor_engine.h"
@@ -119,6 +120,86 @@ TEST(XorKernelConformance, AllZeroFindsEveryBytePosition) {
       }
     }
   }
+}
+
+// The three-operand kernel, dst = a ^ b: every variant against the
+// scalar reference (itself checked byte by byte), with dst, a and b at
+// independent unaligned offsets, and with dst equal to a or to b.
+TEST(Xor3KernelConformance, VariantsMatchScalarReference) {
+  const auto kernels = available_xor_kernels();
+  Rng rng(20);
+  for (const std::size_t n : awkward_sizes()) {
+    const Bytes a_buf = rng.random_block(n + 8);
+    const Bytes b_buf = rng.random_block(n + 8);
+    const Bytes dst_buf = rng.random_block(n + 8);
+    for (const std::size_t off : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{3}, std::size_t{7}}) {
+      const std::size_t a_off = (off + 2) % 8;
+      const std::size_t b_off = (off + 5) % 8;
+      Bytes expected(dst_buf);
+      kernels.front().xor3(expected.data() + off, a_buf.data() + a_off,
+                           b_buf.data() + b_off, n);
+      for (std::size_t i = 0; i < n + 8; ++i) {
+        const bool inside = i >= off && i < off + n;
+        const std::uint8_t want =
+            inside ? static_cast<std::uint8_t>(a_buf[i - off + a_off] ^
+                                               b_buf[i - off + b_off])
+                   : dst_buf[i];
+        ASSERT_EQ(expected[i], want) << "scalar n=" << n << " i=" << i;
+      }
+      for (std::size_t k = 1; k < kernels.size(); ++k) {
+        Bytes got(dst_buf);
+        kernels[k].xor3(got.data() + off, a_buf.data() + a_off,
+                        b_buf.data() + b_off, n);
+        ASSERT_EQ(got, expected)
+            << kernels[k].name << " n=" << n << " offset=" << off;
+      }
+    }
+  }
+}
+
+TEST(Xor3KernelConformance, DstMayBeEitherSource) {
+  Rng rng(21);
+  for (const auto& kernel : available_xor_kernels()) {
+    for (const std::size_t n : awkward_sizes()) {
+      const Bytes a = rng.random_block(n);
+      const Bytes b = rng.random_block(n);
+      Bytes want(n);
+      for (std::size_t i = 0; i < n; ++i)
+        want[i] = static_cast<std::uint8_t>(a[i] ^ b[i]);
+      Bytes x = a;  // dst == a
+      kernel.xor3(x.data(), x.data(), b.data(), n);
+      ASSERT_EQ(x, want) << kernel.name << " dst==a n=" << n;
+      Bytes y = b;  // dst == b
+      kernel.xor3(y.data(), a.data(), y.data(), n);
+      ASSERT_EQ(y, want) << kernel.name << " dst==b n=" << n;
+      Bytes z = a;  // dst == a == b
+      kernel.xor3(z.data(), z.data(), z.data(), n);
+      ASSERT_TRUE(kernel.all_zero(z.data(), z.size()))
+          << kernel.name << " dst==a==b n=" << n;
+    }
+  }
+}
+
+TEST(Xor3KernelConformance, DispatchedEntryPointsMatchTheReference) {
+  // xor3 and xor_of run whichever tier dispatch picked (the
+  // AEC_KERNEL CI legs pin each one).
+  const XorKernel reference = available_xor_kernels().front();
+  Rng rng(22);
+  for (const std::size_t n : awkward_sizes()) {
+    const Bytes a = rng.random_block(n);
+    const Bytes b = rng.random_block(n);
+    Bytes want(n);
+    reference.xor3(want.data(), a.data(), b.data(), n);
+    Bytes got(n, 0xEE);
+    xor3(got, a, b);
+    ASSERT_EQ(got, want) << "xor3 n=" << n;
+    ASSERT_EQ(xor_of(a, b), want) << "xor_of n=" << n;
+  }
+  Bytes short_dst(3);
+  Bytes dst(4);
+  EXPECT_THROW(xor3(short_dst, Bytes(4), Bytes(4)), CheckError);
+  EXPECT_THROW(xor3(dst, Bytes(4), Bytes(3)), CheckError);
 }
 
 TEST(GfKernelConformance, VariantsMatchScalarReference) {

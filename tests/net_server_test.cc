@@ -488,10 +488,10 @@ TEST_F(NetServerTest, BusyRepliesBesideAStreamingGetParseAsWholeFrames) {
   // and every one must land between frames, never inside one. Spinning
   // threads oversubscribe the cores meanwhile, so the lane is now and
   // then preempted mid-send: a send that let go of the gate mutex would
-  // then let a busy reply into the middle of a frame. Five rounds must
-  // end whole; a round the server cuts short by dropping the connection
-  // proves nothing and is run again (the reactor drops a connection whose
-  // error reply does not fit the budget, which queued GET frames share).
+  // then let a busy reply into the middle of a frame. All five rounds
+  // must end whole: the reactor's drop guard counts only its own unsent
+  // error replies, never the GET frames queued beside them, so no round
+  // is cut short.
   ServerConfig config;
   config.max_inflight = 1;
   config.get_chunk_bytes = 1u << 20;
@@ -603,12 +603,89 @@ TEST_F(NetServerTest, BusyRepliesBesideAStreamingGetParseAsWholeFrames) {
     EXPECT_GT(busy, 0u);
     return true;
   };
-  int whole = 0;
-  for (int attempt = 0; attempt < 20 && whole < 5; ++attempt) {
-    SCOPED_TRACE(::testing::Message() << "attempt " << attempt);
-    if (round()) ++whole;
+  for (int r = 0; r < 5; ++r) {
+    SCOPED_TRACE(::testing::Message() << "round " << r);
+    EXPECT_TRUE(round()) << "the server dropped the connection mid-GET";
   }
-  EXPECT_EQ(whole, 5);
+}
+
+TEST_F(NetServerTest, BusyReplyBesideAGetThatFillsTheBudgetKeepsTheReader) {
+  // The client reads nothing until its GET's frames fill the write
+  // budget (the lane then waits on it), and then pipelines one PING past
+  // max_inflight. The reactor's kBusy reply queues behind those frames,
+  // and the client then reads the whole file and the reply. GET_DATA
+  // frames of 32 payload bytes are smaller than that reply, so once the
+  // lane waits the budget is within one reply of full: a drop guard that
+  // counted the queued GET frames would reset this reader mid-GET.
+  ServerConfig config;
+  config.max_inflight = 1;
+  config.get_chunk_bytes = 32;
+  config.write_queue_limit = 16u << 10;
+  config.write_stall_timeout_ms = 30'000;
+  serve_new_archive("mem", 1024, config);
+  const Bytes content = random_bytes(2u << 20, 25);
+  archive_->add_file("big", content);
+
+  RawConn conn(server_->port(), 4096);
+  conn.set_recv_timeout(30'000);
+  conn.send_frame(named_frame(Op::kGetFile, 1, "big"));
+  // Time for the lane to fill the socket buffers and the write budget.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  conn.send_frame(Frame{static_cast<std::uint16_t>(Op::kPing), 2, {}});
+
+  Bytes got;
+  bool got_end = false;
+  int busy = 0;
+  while (!got_end || busy == 0) {
+    const auto frame = conn.recv_frame();
+    ASSERT_TRUE(frame.has_value())
+        << "connection closed after " << got.size() << " bytes";
+    if (frame->request_id == 2) {
+      ASSERT_EQ(frame->op, static_cast<std::uint16_t>(Op::kError));
+      PayloadReader r(frame->payload);
+      EXPECT_EQ(static_cast<ErrorCode>(r.u16()), ErrorCode::kBusy);
+      ++busy;
+      continue;
+    }
+    ASSERT_EQ(frame->request_id, 1u);
+    if (frame->op == static_cast<std::uint16_t>(Op::kGetData)) {
+      got.insert(got.end(), frame->payload.begin(), frame->payload.end());
+      continue;
+    }
+    ASSERT_EQ(frame->op, static_cast<std::uint16_t>(Op::kGetEnd));
+    PayloadReader r(frame->payload);
+    EXPECT_EQ(r.u64(), content.size());
+    got_end = true;
+  }
+  EXPECT_EQ(got, content);
+  EXPECT_EQ(busy, 1);
+  EXPECT_FALSE(conn.readable_within(100)) << "bytes after the replies";
+}
+
+TEST_F(NetServerTest, UnreadBusyRepliesBesideAFullBudgetGetAreStillDropped) {
+  // A client whose GET fills the write budget and which then floods
+  // PINGs past max_inflight while reading nothing: its kBusy replies
+  // queue behind the GET's frames, and once those unsent replies alone
+  // pass the budget the reactor drops the connection.
+  ServerConfig config;
+  config.max_inflight = 1;
+  config.get_chunk_bytes = 32;
+  config.write_queue_limit = 16u << 10;
+  config.write_stall_timeout_ms = 30'000;
+  serve_new_archive("mem", 1024, config);
+  archive_->add_file("big", random_bytes(2u << 20, 26));
+
+  RawConn conn(server_->port(), 4096);
+  conn.send_frame(named_frame(Op::kGetFile, 1, "big"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool dropped = false;
+  for (std::uint64_t id = 2;
+       !dropped && std::chrono::steady_clock::now() < deadline; ++id)
+    dropped = !conn.try_send_frame(
+        Frame{static_cast<std::uint16_t>(Op::kPing), id, {}});
+  EXPECT_TRUE(dropped) << "server kept absorbing unread busy replies";
 }
 
 TEST_F(NetServerTest, HangUpMidGetFreesTheLaneAndSparesTheNextConnection) {

@@ -72,8 +72,8 @@ void erase_random(const Lattice& lat, double rate, std::uint64_t seed,
 }
 
 void copy_store(const pipeline::ConcurrentBlockStore& from, BlockStore& to) {
-  from.for_each([&](const BlockKey& key, const Bytes& value) {
-    to.put(key, value);
+  from.for_each([&](const BlockKey& key, BytesView value) {
+    to.put(key, Bytes(value.begin(), value.end()));
   });
 }
 
@@ -309,11 +309,11 @@ TEST_P(ParallelRepairerEquivalence, MatchesPristineAndReferenceRounds) {
   const std::unordered_set<BlockKey, BlockKeyHash> residue(
       ref.residue.begin(), ref.residue.end());
   ASSERT_EQ(store.size(), pristine.size() - residue.size());
-  pristine.for_each([&](const BlockKey& key, const Bytes& value) {
+  pristine.for_each([&](const BlockKey& key, BytesView value) {
     const auto copy = store.get_copy(key);
     ASSERT_EQ(copy.has_value(), !residue.contains(key)) << to_string(key);
     if (copy) {
-      ASSERT_EQ(*copy, value) << to_string(key);
+      ASSERT_EQ(*copy, Bytes(value.begin(), value.end())) << to_string(key);
     }
   });
 
@@ -352,8 +352,8 @@ TEST(ParallelRepairer, ReadNodeRepairsThroughDamagedNeighbourhood) {
     pipeline::ThreadPool pool(threads);
     pipeline::ParallelRepairer repairer(params, n, kBlockSize, &store, &pool);
     const auto value = repairer.read_node(100);
-    ASSERT_TRUE(value.has_value()) << threads << " threads";
-    EXPECT_EQ(*value, truth[99]);
+    ASSERT_TRUE(value) << threads << " threads";
+    EXPECT_EQ(value, truth[99]);
   }
 }
 
@@ -369,8 +369,8 @@ TEST(ParallelRepairer, ReadNodeIrrecoverableReturnsNullopt) {
 
   pipeline::ThreadPool pool(4);
   pipeline::ParallelRepairer repairer(params, 60, kBlockSize, &store, &pool);
-  EXPECT_FALSE(repairer.read_node(30).has_value());
-  EXPECT_FALSE(repairer.read_node(31).has_value());
+  EXPECT_FALSE(repairer.read_node(30));
+  EXPECT_FALSE(repairer.read_node(31));
 }
 
 TEST(ParallelRepairer, ReportCarriesThroughput) {

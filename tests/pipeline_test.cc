@@ -235,9 +235,10 @@ TEST(ConcurrentBlockStore, GetCopyAndForEach) {
   ASSERT_TRUE(copy.has_value());
   EXPECT_EQ(*copy, Bytes(8, 42));
   std::size_t visited = 0;
-  store.for_each([&](const BlockKey& key, const Bytes& value) {
+  store.for_each([&](const BlockKey& key, BytesView value) {
     ++visited;
-    EXPECT_EQ(value, Bytes(8, static_cast<std::uint8_t>(key.index)));
+    EXPECT_EQ(Bytes(value.begin(), value.end()),
+              Bytes(8, static_cast<std::uint8_t>(key.index)));
   });
   EXPECT_EQ(visited, 100u);
 }

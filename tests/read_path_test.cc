@@ -76,13 +76,11 @@ bool on_node0(const BlockKey& key) {
 }
 
 /// Every block of a stream over data blocks [first, first + count).
-std::vector<std::optional<Bytes>> read_run(CodecSession& session,
-                                           NodeIndex first,
-                                           std::uint64_t count,
-                                           std::size_t window = 0) {
+std::vector<Block> read_run(CodecSession& session, NodeIndex first,
+                            std::uint64_t count, std::size_t window = 0) {
   const std::unique_ptr<BlockStream> stream =
       session.open_stream(first, count, window);
-  std::vector<std::optional<Bytes>> out;
+  std::vector<Block> out;
   while (!stream->exhausted()) out.push_back(stream->next());
   return out;
 }
@@ -171,10 +169,10 @@ class ReadPathConformanceTest : public ::testing::TestWithParam<ReadSpecCase> {
       EXPECT_EQ(via_window[i], via_blocks[i]) << "block " << node;
       // …and with ground truth (nullopt exactly on the lost set).
       if (lost) {
-        EXPECT_FALSE(via_window[i].has_value()) << "block " << node;
+        EXPECT_FALSE(via_window[i]) << "block " << node;
       } else {
-        ASSERT_TRUE(via_window[i].has_value()) << "block " << node;
-        EXPECT_EQ(*via_window[i], blocks_[i]) << "block " << node;
+        ASSERT_TRUE(via_window[i]) << "block " << node;
+        EXPECT_EQ(via_window[i], blocks_[i]) << "block " << node;
       }
     }
 
@@ -273,8 +271,8 @@ TEST_F(ReadPathWindowTest, WindowOfOneAndWindowBeyondFile) {
     const auto out = read_run(*session, 1, count, window);
     ASSERT_EQ(out.size(), count) << "window " << window;
     for (std::uint64_t i = 0; i < count; ++i) {
-      ASSERT_TRUE(out[i].has_value()) << "window " << window;
-      EXPECT_EQ(*out[i], blocks[i]) << "window " << window;
+      ASSERT_TRUE(out[i]) << "window " << window;
+      EXPECT_EQ(out[i], blocks[i]) << "window " << window;
     }
   }
 
@@ -282,7 +280,7 @@ TEST_F(ReadPathWindowTest, WindowOfOneAndWindowBeyondFile) {
   EXPECT_TRUE(session->open_stream(5, 0)->exhausted());
   const auto mid = read_run(*session, 7, 5);
   ASSERT_EQ(mid.size(), 5u);
-  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(*mid[i], blocks[6 + i]);
+  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(mid[i], blocks[6 + i]);
 }
 
 TEST_F(ReadPathWindowTest, FileReaderChunksFollowWindowWithPartialTail) {
@@ -437,7 +435,7 @@ class ReadPathBlockStreamTest : public ::testing::Test {
   }
 
   /// A repair fallback that repairs nothing.
-  static std::optional<Bytes> no_repair(NodeIndex) { return std::nullopt; }
+  static Block no_repair(NodeIndex) { return Block(); }
 
   /// Records every get_batch() made through it: its size, each key it
   /// fetched and the thread that fetched it.
@@ -509,15 +507,15 @@ TEST_F(ReadPathBlockStreamTest, DeliversInOrderAndRecoversOnlyMissingBlocks) {
   std::vector<NodeIndex> recovered;
   BlockStream stream(store, pool_, 1, 20, 6, [&](NodeIndex i) {
     recovered.push_back(i);
-    return i == 7 ? std::optional<Bytes>(blocks[6]) : std::nullopt;
+    return i == 7 ? Block::copy_of(blocks[6]) : Block();
   });
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const auto payload = stream.next();
     if (i == 7) {
-      EXPECT_FALSE(payload.has_value()) << "block " << i + 1;
+      EXPECT_FALSE(payload) << "block " << i + 1;
     } else {
-      ASSERT_TRUE(payload.has_value()) << "block " << i + 1;
-      EXPECT_EQ(*payload, blocks[i]);
+      ASSERT_TRUE(payload) << "block " << i + 1;
+      EXPECT_EQ(payload, blocks[i]);
     }
   }
   EXPECT_EQ(recovered, (std::vector<NodeIndex>{7, 8}));
@@ -533,7 +531,7 @@ TEST_F(ReadPathBlockStreamTest, AbandonedStreamCountsUnconsumedAsWasted) {
   const std::uint64_t wasted0 = counter_value("read.prefetch.wasted");
   {
     BlockStream stream(store, pool_, 1, 20, 8, no_repair);
-    for (int i = 0; i < 5; ++i) ASSERT_TRUE(stream.next().has_value());
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(stream.next());
   }
   const std::uint64_t issued = counter_value("read.prefetch.issued") - issued0;
   const std::uint64_t wasted = counter_value("read.prefetch.wasted") - wasted0;
@@ -634,7 +632,7 @@ TEST_F(ReadPathBlockStreamTest,
   ASSERT_TRUE(finished) << "the reader slept on a batch queued behind a "
                            "parked worker";
 
-  const std::vector<std::optional<Bytes>> out = reading.get();
+  const std::vector<Block> out = reading.get();
   ASSERT_EQ(out.size(), kBlocks);
   for (std::size_t i = 0; i < kBlocks; ++i)
     EXPECT_EQ(out[i], blocks[i]) << "block " << i + 1;

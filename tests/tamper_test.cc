@@ -112,7 +112,8 @@ TEST(Tamper, AttackerRewritingWholeSuffixGoesUndetected) {
     for (StrandClass cls : f.params.classes()) {
       Bytes parity = data;
       if (const auto in = lat.input_edge(i, cls))
-        parity = xor_blocks(data, *f.store.get_copy(BlockKey::parity(*in)));
+        parity =
+            xor_of(data, *f.store.get_copy(BlockKey::parity(*in))).to_bytes();
       f.store.put(BlockKey::parity(lat.output_edge(i, cls)), parity);
     }
   }

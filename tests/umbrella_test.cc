@@ -13,7 +13,7 @@ TEST(Umbrella, CoreTypesReachable) {
   aec::Rng rng(1);
   session->append({rng.random_block(64)});
   store.erase(aec::BlockKey::data(1));
-  EXPECT_TRUE(session->open_stream(1, 1, 1)->next().has_value());
+  EXPECT_TRUE(session->open_stream(1, 1, 1)->next());
   EXPECT_EQ(aec::MinimalErasureSearch::me2_closed_form(params), 11u);
   EXPECT_EQ(aec::experimental::MultiPitchLattice({1, 2}).me2_size(), 5u);
 }
