@@ -1,7 +1,9 @@
 // Node rebuild throughput on multi-node cluster archives: fail one
 // whole failure domain, replace it, and measure how fast the repair
-// planner re-materializes the node — vs. node count and placement
-// policy.
+// planner re-materializes the node — vs. node count, placement policy
+// and child store: file-backed children (FileBlockStore, one file per
+// block) and in-memory ones (ConcurrentBlockStore, the `mem` family),
+// whose rows show the rebuild without the device.
 //
 // This is the cluster layer's version of the paper's repair claims: a
 // node holds ~1/N of every strand, so (a) rebuild cost scales with the
@@ -23,8 +25,8 @@
 //
 //   bench_node_rebuild [blocks] [block_size] [--json]
 //   (default 2000 4096; --json emits one JSON object per phase —
-//   the cross-PR perf-tracking format; every row records hw_cores, the
-//   machine's hardware threads)
+//   the cross-PR perf-tracking format; every row names its child store
+//   and records hw_cores, the machine's hardware threads)
 #include <unistd.h>
 
 #include <chrono>
@@ -53,6 +55,67 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// Builds a `store_spec` archive at `root` holding `content`, fails and
+/// rebuilds node 1, prints the row and returns its self-check.
+bool run_phase(const fs::path& root, std::uint32_t nodes, const char* policy,
+               const char* child, const Bytes& content,
+               std::size_t block_size, bool json) {
+  const std::string store_spec = "cluster(" + std::to_string(nodes) + "," +
+                                 policy + "," + child + ")";
+  auto archive =
+      Archive::create(root, "AE(3,2,5)", block_size, {}, store_spec);
+  archive->add_file("doc", content);
+
+  constexpr std::uint32_t kVictim = 1;
+  const auto before = archive->cluster()->fingerprint(kVictim);
+
+  const auto start = Clock::now();
+  archive->fail_node(kVictim);
+  const RepairReport report = archive->rebuild_node(kVictim);
+  const double wall = seconds_since(start);
+
+  // Byte-verify the re-materialized node against the pre-failure
+  // fingerprint: every rebuilt block must carry its original bytes;
+  // anything absent must be accounted for by the report's residue.
+  const auto after = archive->cluster()->fingerprint(kVictim);
+  std::uint64_t wrong_bytes = 0;
+  std::uint64_t lost = 0;
+  for (const auto& [key, hash] : before) {
+    const auto it = after.find(key);
+    if (it == after.end())
+      ++lost;
+    else if (it->second != hash)
+      ++wrong_bytes;
+  }
+  const std::uint64_t residue =
+      report.nodes_unrecovered + report.edges_unrecovered;
+  const bool ok = wrong_bytes == 0 && after.size() + lost == before.size() &&
+                  lost <= residue;  // residue may also count other nodes' keys
+
+  const double rebuilt_mb = static_cast<double>(after.size()) *
+                            static_cast<double>(block_size) /
+                            (1024.0 * 1024.0);
+  const auto blocks = content.size() / block_size;
+  if (json) {
+    std::printf(
+        "{\"schema_version\":1,\"bench\":\"node_rebuild\",\"nodes\":%u,"
+        "\"policy\":\"%s\",\"child\":\"%s\","
+        "\"blocks\":%zu,\"block_size\":%zu,\"node_blocks\":%zu,"
+        "\"rebuild_mb_per_s\":%.1f,\"rounds\":%u,\"wall_s\":%.4f,"
+        "\"lost\":%llu,\"hw_cores\":%u,\"ok\":%s}\n",
+        nodes, policy, child, blocks, block_size, before.size(),
+        rebuilt_mb / wall, report.rounds, wall,
+        static_cast<unsigned long long>(lost),
+        std::thread::hardware_concurrency(), ok ? "true" : "false");
+  } else {
+    std::printf("%-8u %-8s %-6s %12zu %10.1f %8u %10.4f %6llu%s\n", nodes,
+                policy, child, before.size(), rebuilt_mb / wall,
+                report.rounds, wall, static_cast<unsigned long long>(lost),
+                ok ? "" : "  [BYTE MISMATCH]");
+  }
+  return ok;
+}
+
 int run(std::uint64_t blocks, std::size_t block_size, bool json) {
   const fs::path base =
       fs::temp_directory_path() /
@@ -61,82 +124,33 @@ int run(std::uint64_t blocks, std::size_t block_size, bool json) {
 
   if (!json) {
     std::printf(
-        "node rebuild — AE(3,2,5), %llu data blocks, %zu B blocks, "
-        "file-backed children\n",
+        "node rebuild — AE(3,2,5), %llu data blocks, %zu B blocks\n",
         static_cast<unsigned long long>(blocks), block_size);
-    std::printf("%-8s %-8s %12s %10s %8s %10s %6s\n", "nodes", "policy",
-                "node blocks", "MB/s", "rounds", "wall s", "lost");
+    std::printf("%-8s %-8s %-6s %12s %10s %8s %10s %6s\n", "nodes",
+                "policy", "child", "node blocks", "MB/s", "rounds", "wall s",
+                "lost");
+  }
+
+  Rng rng(4242);
+  Bytes content;
+  content.reserve(blocks * block_size);
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    const Bytes block = rng.random_block(block_size);
+    content.insert(content.end(), block.begin(), block.end());
   }
 
   bool all_ok = true;
   int phase_index = 0;
   for (const std::uint32_t nodes : {2u, 4u, 8u}) {
     for (const char* policy : {"rr", "strand", "random"}) {
-      const fs::path root =
-          base / ("phase_" + std::to_string(phase_index++));
-      const std::string store_spec = "cluster(" + std::to_string(nodes) +
-                                     "," + policy + ",file)";
-      auto archive =
-          Archive::create(root, "AE(3,2,5)", block_size, {}, store_spec);
-      Rng rng(4242);
-      Bytes content;
-      content.reserve(blocks * block_size);
-      for (std::uint64_t b = 0; b < blocks; ++b) {
-        const Bytes block = rng.random_block(block_size);
-        content.insert(content.end(), block.begin(), block.end());
+      for (const char* child : {"file", "mem"}) {
+        const fs::path root =
+            base / ("phase_" + std::to_string(phase_index++));
+        all_ok = run_phase(root, nodes, policy, child, content, block_size,
+                           json) &&
+                 all_ok;
+        fs::remove_all(root);
       }
-      archive->add_file("doc", content);
-
-      constexpr std::uint32_t kVictim = 1;
-      const auto before = archive->cluster()->fingerprint(kVictim);
-
-      const auto start = Clock::now();
-      archive->fail_node(kVictim);
-      const RepairReport report = archive->rebuild_node(kVictim);
-      const double wall = seconds_since(start);
-
-      // Byte-verify the re-materialized node against the pre-failure
-      // fingerprint: every rebuilt block must carry its original bytes;
-      // anything absent must be accounted for by the report's residue.
-      const auto after = archive->cluster()->fingerprint(kVictim);
-      std::uint64_t wrong_bytes = 0;
-      std::uint64_t lost = 0;
-      for (const auto& [key, hash] : before) {
-        const auto it = after.find(key);
-        if (it == after.end())
-          ++lost;
-        else if (it->second != hash)
-          ++wrong_bytes;
-      }
-      const std::uint64_t residue =
-          report.nodes_unrecovered + report.edges_unrecovered;
-      const bool ok =
-          wrong_bytes == 0 && after.size() + lost == before.size() &&
-          lost <= residue;  // residue may also count other nodes' keys
-      all_ok = all_ok && ok;
-
-      const double rebuilt_mb = static_cast<double>(after.size()) *
-                                static_cast<double>(block_size) /
-                                (1024.0 * 1024.0);
-      if (json) {
-        std::printf(
-            "{\"schema_version\":1,\"bench\":\"node_rebuild\",\"nodes\":%u,"
-            "\"policy\":\"%s\","
-            "\"blocks\":%llu,\"block_size\":%zu,\"node_blocks\":%zu,"
-            "\"rebuild_mb_per_s\":%.1f,\"rounds\":%u,\"wall_s\":%.3f,"
-            "\"lost\":%llu,\"hw_cores\":%u,\"ok\":%s}\n",
-            nodes, policy, static_cast<unsigned long long>(blocks),
-            block_size, before.size(), rebuilt_mb / wall, report.rounds,
-            wall, static_cast<unsigned long long>(lost),
-            std::thread::hardware_concurrency(), ok ? "true" : "false");
-      } else {
-        std::printf("%-8u %-8s %12zu %10.1f %8u %10.3f %6llu%s\n", nodes,
-                    policy, before.size(), rebuilt_mb / wall, report.rounds,
-                    wall, static_cast<unsigned long long>(lost),
-                    ok ? "" : "  [BYTE MISMATCH]");
-      }
-      archive.reset();
-      fs::remove_all(root);
     }
   }
   fs::remove_all(base);

@@ -40,11 +40,11 @@ struct BlockKeyHash {
   }
 };
 
-/// BlockKeyHash run through a murmur finalizer — the shard/stripe picker
-/// of both striped stores (ConcurrentBlockStore and the sharded
-/// FileBlockStore layout). BlockKeyHash keeps the index in the high
-/// bits; the re-mix makes adjacent lattice indices land on different
-/// shards.
+/// BlockKeyHash run through a murmur finalizer — the shard picker of
+/// the sharded FileBlockStore layout (a block's shard directory is this
+/// hash mod the shard count, pinned on disk). BlockKeyHash keeps the
+/// index in the high bits; the re-mix makes adjacent lattice indices
+/// land on different shards.
 inline std::size_t mixed_block_key_hash(const BlockKey& k) noexcept {
   std::size_t h = BlockKeyHash{}(k);
   h ^= h >> 33;

@@ -1,31 +1,124 @@
 #include "pipeline/concurrent_block_store.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
+#include <compare>
+
+#include "common/check.h"
 
 namespace aec::pipeline {
 
+namespace {
+
+/// A page's directory key: one key kind (kind, class) and the index bits
+/// above the stripe and slot bits. The shift is arithmetic, so negative
+/// indices have pages too.
+struct PageKey {
+  std::int64_t number;
+  BlockKey::Kind kind;
+  StrandClass cls;
+
+  friend auto operator<=>(const PageKey&, const PageKey&) = default;
+};
+
+}  // namespace
+
 struct ConcurrentBlockStore::Stripe {
-  mutable std::mutex mu;
-  std::unordered_map<BlockKey, Block, BlockKeyHash> blocks;
+  static constexpr int kStripeBits = std::countr_zero(kStripes);
+  static constexpr int kSlotBits = std::countr_zero(kPageSlots);
+
+  struct Page {
+    std::array<Block, kPageSlots> slots;
+    std::size_t used = 0;  // non-null slots
+  };
+  struct Entry {
+    PageKey key;
+    std::unique_ptr<Page> page;
+  };
+
+  explicit Stripe(std::size_t n) : number(n) {}
+
+  std::vector<Entry>::iterator lower_bound(const PageKey& key) {
+    return std::lower_bound(
+        pages.begin(), pages.end(), key,
+        [](const Entry& e, const PageKey& k) { return e.key < k; });
+  }
+
+  /// The page under `key`, or null.
+  Page* find(const PageKey& key) {
+    const auto it = lower_bound(key);
+    return it != pages.end() && it->key == key ? it->page.get() : nullptr;
+  }
+
+  Page& find_or_add(const PageKey& key) {
+    auto it = lower_bound(key);
+    if (it == pages.end() || it->key != key)
+      it = pages.insert(it, Entry{key, std::make_unique<Page>()});
+    return *it->page;
+  }
+
+  /// The key that slot `slot` of the page under `key` holds.
+  BlockKey key_at(const PageKey& key, std::size_t slot) const noexcept {
+    const std::uint64_t bits =
+        (static_cast<std::uint64_t>(key.number) << (kStripeBits + kSlotBits)) |
+        (slot << kStripeBits) | number;
+    return BlockKey{key.kind, key.cls, static_cast<NodeIndex>(bits)};
+  }
+
+  /// Calls fn(key, block) for every stored block, page by page.
+  template <class Fn>
+  void each(Fn&& fn) {
+    for (Entry& entry : pages)
+      for (std::size_t s = 0; s < kPageSlots; ++s)
+        if (Block& block = entry.page->slots[s]; block)
+          fn(key_at(entry.key, s), block);
+  }
+
+  const std::size_t number;
+  std::mutex mu;
+  std::vector<Entry> pages;  // sorted by key; no page is empty
+  std::uint64_t blocks = 0;
+};
+
+/// Where a key lives: its stripe, its page's key and its slot there.
+struct ConcurrentBlockStore::Position {
+  Stripe& stripe;
+  PageKey page;
+  std::size_t slot;
 };
 
 ConcurrentBlockStore::ConcurrentBlockStore() {
-  static_assert((kStripes & (kStripes - 1)) == 0,
-                "the stripe pick masks the hash");
-  for (auto& stripe : stripes_) stripe = std::make_unique<Stripe>();
+  static_assert(std::has_single_bit(kStripes) &&
+                    std::has_single_bit(kPageSlots),
+                "positions are index bits");
+  for (std::size_t s = 0; s < kStripes; ++s)
+    stripes_[s] = std::make_unique<Stripe>(s);
 }
 
 ConcurrentBlockStore::~ConcurrentBlockStore() = default;
 
-ConcurrentBlockStore::Stripe& ConcurrentBlockStore::stripe_of(
+ConcurrentBlockStore::Position ConcurrentBlockStore::position_of(
     const BlockKey& key) const noexcept {
-  return *stripes_[mixed_block_key_hash(key) & (kStripes - 1)];
+  const auto bits = static_cast<std::uint64_t>(key.index);
+  return Position{
+      *stripes_[bits & (kStripes - 1)],
+      PageKey{key.index >> (Stripe::kStripeBits + Stripe::kSlotBits),
+              key.kind, key.cls},
+      static_cast<std::size_t>(bits >> Stripe::kStripeBits) &
+          (kPageSlots - 1)};
 }
 
 void ConcurrentBlockStore::put_block(const BlockKey& key, Block value) {
-  Stripe& stripe = stripe_of(key);
-  std::lock_guard lock(stripe.mu);
-  stripe.blocks[key] = std::move(value);
+  AEC_CHECK_MSG(value, "put_block: a null Block for " << to_string(key));
+  const Position at = position_of(key);
+  std::lock_guard lock(at.stripe.mu);
+  Stripe::Page& page = at.stripe.find_or_add(at.page);
+  Block& slot = page.slots[at.slot];
+  if (!slot) {
+    ++page.used;
+    ++at.stripe.blocks;
+  }
+  slot = std::move(value);  // releases an overwritten Block
   notify(key, true);
 }
 
@@ -38,24 +131,31 @@ std::vector<Block> ConcurrentBlockStore::get_blocks(
     const std::vector<BlockKey>& keys) const {
   std::vector<Block> blocks(keys.size());
   for (std::size_t j = 0; j < keys.size(); ++j) {
-    Stripe& stripe = stripe_of(keys[j]);
-    std::lock_guard lock(stripe.mu);
-    const auto it = stripe.blocks.find(keys[j]);
-    if (it != stripe.blocks.end()) blocks[j] = it->second;
+    const Position at = position_of(keys[j]);
+    std::lock_guard lock(at.stripe.mu);
+    if (const Stripe::Page* page = at.stripe.find(at.page))
+      blocks[j] = page->slots[at.slot];
   }
   return blocks;
 }
 
 bool ConcurrentBlockStore::contains(const BlockKey& key) const {
-  Stripe& stripe = stripe_of(key);
-  std::lock_guard lock(stripe.mu);
-  return stripe.blocks.contains(key);
+  const Position at = position_of(key);
+  std::lock_guard lock(at.stripe.mu);
+  const Stripe::Page* page = at.stripe.find(at.page);
+  return page != nullptr && page->slots[at.slot];
 }
 
 bool ConcurrentBlockStore::erase(const BlockKey& key) {
-  Stripe& stripe = stripe_of(key);
-  std::lock_guard lock(stripe.mu);
-  if (stripe.blocks.erase(key) == 0) return false;
+  const Position at = position_of(key);
+  std::lock_guard lock(at.stripe.mu);
+  const auto it = at.stripe.lower_bound(at.page);
+  if (it == at.stripe.pages.end() || it->key != at.page ||
+      !it->page->slots[at.slot])
+    return false;
+  it->page->slots[at.slot] = Block();
+  --at.stripe.blocks;
+  if (--it->page->used == 0) at.stripe.pages.erase(it);
   notify(key, false);
   return true;
 }
@@ -64,7 +164,7 @@ std::uint64_t ConcurrentBlockStore::size() const {
   std::uint64_t total = 0;
   for (const auto& stripe : stripes_) {
     std::lock_guard lock(stripe->mu);
-    total += stripe->blocks.size();
+    total += stripe->blocks;
   }
   return total;
 }
@@ -73,7 +173,9 @@ void ConcurrentBlockStore::for_each(
     const std::function<void(const BlockKey&, BytesView)>& fn) const {
   for (const auto& stripe : stripes_) {
     std::lock_guard lock(stripe->mu);
-    for (const auto& [key, value] : stripe->blocks) fn(key, value);
+    stripe->each([&](const BlockKey& key, const Block& block) {
+      fn(key, block);
+    });
   }
 }
 
@@ -82,9 +184,11 @@ std::vector<std::pair<BlockKey, Block>> ConcurrentBlockStore::take_all() {
   items.reserve(size());
   for (const auto& stripe : stripes_) {
     std::lock_guard lock(stripe->mu);
-    for (auto& [key, value] : stripe->blocks)
-      items.emplace_back(key, std::move(value));
-    stripe->blocks.clear();
+    stripe->each([&](const BlockKey& key, Block& block) {
+      items.emplace_back(key, std::move(block));
+    });
+    stripe->pages.clear();
+    stripe->blocks = 0;
   }
   return items;
 }
@@ -93,7 +197,7 @@ bool ConcurrentBlockStore::for_each_key(
     const std::function<void(const BlockKey&)>& fn) const {
   for (const auto& stripe : stripes_) {
     std::lock_guard lock(stripe->mu);
-    for (const auto& [key, value] : stripe->blocks) fn(key);
+    stripe->each([&](const BlockKey& key, const Block&) { fn(key); });
   }
   return true;
 }

@@ -2,13 +2,22 @@
 // overlay of a down cluster node, and the scratch store of the one-shot
 // AeCodec::encode/repair.
 //
-// ConcurrentBlockStore shards keys across kStripes striped-lock buckets,
-// each in its own allocation, so the concurrent strand walks of one
-// encode batch (paper §V-B) rarely contend: two puts serialize only when
-// their keys hash to the same stripe. It holds Blocks: a write keeps a
-// reference to the caller's Block, and a read hands out a reference
-// under its stripe's lock — no payload byte is copied either way. The
-// Bytes methods adapt those.
+// ConcurrentBlockStore finds a block by its lattice position: the paper
+// numbers every block (d_i, and the α parities whose tail is i), so a
+// key's index addresses a slot. Index i takes lock stripe i mod
+// kStripes, so adjacent indices take different locks and the concurrent
+// strand walks of one encode batch (paper §V-B) rarely contend. Each
+// stripe keeps its Blocks in slot pages: a page holds the slots of one
+// key kind (data, or one parity class) for kPageSlots consecutive
+// indices of its stripe, and a small sorted directory per stripe finds
+// a page by (page number, kind, class). Every int64 index (0, negative
+// or huge) goes through that one path; no map node is allocated per
+// block, and a page is freed when its last block is erased or taken.
+//
+// It holds Blocks: a write keeps a reference to the caller's Block, and
+// a read hands out a reference under its stripe's lock — no payload
+// byte is copied either way. An overwritten or erased Block is released
+// under the lock too. The Bytes methods adapt those.
 #pragma once
 
 #include <array>
@@ -27,6 +36,8 @@ class ConcurrentBlockStore final : public BlockNativeStore {
   ConcurrentBlockStore();
   ~ConcurrentBlockStore() override;
 
+  /// Throws CheckError on a null `value`: an empty slot is a missing
+  /// block.
   void put_block(const BlockKey& key, Block value) override;
   void put_blocks(std::vector<std::pair<BlockKey, Block>> items) override;
   std::vector<Block> get_blocks(
@@ -52,11 +63,14 @@ class ConcurrentBlockStore final : public BlockNativeStore {
       const std::function<void(const BlockKey&)>& fn) const override;
 
  private:
-  /// Lock stripes (a power of two: mask-based stripe pick).
+  /// Lock stripes; a power of two, so the stripe is the index's low bits.
   static constexpr std::size_t kStripes = 16;
+  /// Slots per page: consecutive indices of one stripe (a power of two).
+  static constexpr std::size_t kPageSlots = 256;
 
   struct Stripe;
-  Stripe& stripe_of(const BlockKey& key) const noexcept;
+  struct Position;
+  Position position_of(const BlockKey& key) const noexcept;
 
   std::array<std::unique_ptr<Stripe>, kStripes> stripes_;
 };

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -302,6 +303,233 @@ TEST(ConcurrentBlockStore, ConcurrentPutsFromManyThreadsAllLand) {
     ASSERT_TRUE(copy.has_value()) << i;
     EXPECT_EQ(*copy, Bytes(16, static_cast<std::uint8_t>(i % 251)));
   }
+}
+
+// The store finds a block by its index: stripe = the low 4 bits, slot =
+// the next 8, page = the rest (an arithmetic shift). These keys share
+// stripes, pages and slots in every way that could alias: 0, −4096,
+// 4096 and INT64_MIN all take slot 0 of stripe 0 in four pages; −1 and
+// INT64_MAX take the last slot of stripe 15; every index carries data
+// and all three parity classes; and a data key's class is part of its
+// identity, as BlockKey's operator== has it.
+std::vector<BlockKey> identity_keys() {
+  std::vector<BlockKey> keys;
+  for (const NodeIndex i :
+       {NodeIndex{0}, NodeIndex{-1}, NodeIndex{-4096}, NodeIndex{4096},
+        (NodeIndex{1} << 40) + 3, std::numeric_limits<NodeIndex>::min(),
+        std::numeric_limits<NodeIndex>::max()}) {
+    keys.push_back(BlockKey::data(i));
+    for (const StrandClass cls :
+         {StrandClass::kHorizontal, StrandClass::kRightHanded,
+          StrandClass::kLeftHanded})
+      keys.push_back(BlockKey::parity(Edge{cls, i}));
+  }
+  keys.push_back(BlockKey{BlockKey::Kind::kData, StrandClass::kLeftHanded, 0});
+  return keys;
+}
+
+/// Keys next to identity_keys() in every direction (the same page, the
+/// same slot of another page, another class), none of them stored.
+std::vector<BlockKey> neighbour_keys() {
+  const NodeIndex far = (NodeIndex{1} << 40) + 3;
+  return {BlockKey::data(1),           BlockKey::data(16),
+          BlockKey::data(-4097),       BlockKey::data(-8192),
+          BlockKey::data(far + 16),    BlockKey::data(far + 4096),
+          BlockKey::data(far - 4096),  BlockKey::data(8192),
+          BlockKey{BlockKey::Kind::kData, StrandClass::kRightHanded, 0},
+          BlockKey::parity(Edge{StrandClass::kLeftHanded, -4097})};
+}
+
+Bytes identity_payload(std::size_t j) {
+  return Bytes(5, static_cast<std::uint8_t>(j + 1));
+}
+
+std::vector<BlockKey> sorted_keys(std::vector<BlockKey> keys) {
+  std::sort(keys.begin(), keys.end(),
+            [](const BlockKey& a, const BlockKey& b) {
+              return std::tie(a.index, a.kind, a.cls) <
+                     std::tie(b.index, b.kind, b.cls);
+            });
+  return keys;
+}
+
+TEST(ConcurrentBlockStore, EveryIndexAndKindIsItsOwnKey) {
+  ConcurrentBlockStore store;
+  const auto keys = identity_keys();
+  for (std::size_t j = 0; j < keys.size(); ++j)
+    store.put_block(keys[j], Block::copy_of(identity_payload(j)));
+  ASSERT_EQ(store.size(), keys.size());
+
+  const auto blocks = store.get_blocks(keys);
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    EXPECT_EQ(blocks[j], identity_payload(j)) << to_string(keys[j]);
+    EXPECT_TRUE(store.contains(keys[j])) << to_string(keys[j]);
+  }
+  for (const BlockKey& key : neighbour_keys()) {
+    EXPECT_FALSE(store.contains(key)) << to_string(key);
+    EXPECT_FALSE(store.get_block(key)) << to_string(key);
+    EXPECT_FALSE(store.erase(key)) << to_string(key);
+  }
+  EXPECT_EQ(store.size(), keys.size());
+
+  // Enumeration hands back each stored key, with its own payload.
+  std::vector<BlockKey> visited;
+  store.for_each([&](const BlockKey& key, BytesView value) {
+    const auto j = static_cast<std::size_t>(
+        std::find(keys.begin(), keys.end(), key) - keys.begin());
+    ASSERT_LT(j, keys.size()) << to_string(key);
+    EXPECT_EQ(Bytes(value.begin(), value.end()), identity_payload(j));
+    visited.push_back(key);
+  });
+  EXPECT_EQ(sorted_keys(visited), sorted_keys(keys));
+  visited.clear();
+  EXPECT_TRUE(store.for_each_key(
+      [&](const BlockKey& key) { visited.push_back(key); }));
+  EXPECT_EQ(sorted_keys(visited), sorted_keys(keys));
+
+  // Erasing one key leaves every other one in place.
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    ASSERT_TRUE(store.erase(keys[j])) << to_string(keys[j]);
+    EXPECT_FALSE(store.erase(keys[j])) << to_string(keys[j]);
+    EXPECT_FALSE(store.contains(keys[j])) << to_string(keys[j]);
+    EXPECT_EQ(store.size(), keys.size() - j - 1);
+    const auto rest = store.get_blocks(keys);
+    for (std::size_t k = 0; k < keys.size(); ++k)
+      EXPECT_EQ(rest[k],
+                k <= j ? Block() : Block::copy_of(identity_payload(k)))
+          << "after erasing " << to_string(keys[j]) << ": "
+          << to_string(keys[k]);
+  }
+
+  // take_all moves out exactly what was stored.
+  for (std::size_t j = 0; j < keys.size(); ++j)
+    store.put_block(keys[j], Block::copy_of(identity_payload(j)));
+  auto items = store.take_all();
+  EXPECT_EQ(store.size(), 0u);
+  ASSERT_EQ(items.size(), keys.size());
+  visited.clear();
+  for (const auto& [key, block] : items) {
+    const auto j = static_cast<std::size_t>(
+        std::find(keys.begin(), keys.end(), key) - keys.begin());
+    ASSERT_LT(j, keys.size()) << to_string(key);
+    EXPECT_EQ(block, identity_payload(j)) << to_string(key);
+    visited.push_back(key);
+  }
+  EXPECT_EQ(sorted_keys(visited), sorted_keys(keys));
+  for (const BlockKey& key : keys) EXPECT_FALSE(store.contains(key));
+}
+
+TEST(ConcurrentBlockStore, SizeStaysExactAcrossOverwriteEmptyPageAndTake) {
+  struct CountingObserver final : BlockStore::Observer {
+    int present = 0;
+    int absent = 0;
+    void on_block(const BlockKey&, bool p) override {
+      ++(p ? present : absent);
+    }
+  } observer;
+  ConcurrentBlockStore store;
+  store.set_observer(&observer);
+  const BlockKey alone = BlockKey::data(-4096);  // the only key of its page
+  const BlockKey other = BlockKey::parity(Edge{StrandClass::kHorizontal, 5});
+  store.put_block(alone, Block::copy_of(Bytes{1}));
+  store.put_block(other, Block::copy_of(Bytes{9}));
+  EXPECT_EQ(store.size(), 2u);
+
+  store.put_block(alone, Block::copy_of(Bytes{2}));  // overwrite
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.get_block(alone), Bytes{2});
+
+  ASSERT_TRUE(store.erase(alone));  // its page goes with it
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_FALSE(store.contains(alone));
+  EXPECT_FALSE(store.get_block(alone));
+  store.put_block(alone, Block::copy_of(Bytes{3}));  // and comes back
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.get_block(alone), Bytes{3});
+  EXPECT_EQ(store.get_block(other), Bytes{9});
+  EXPECT_EQ(observer.present, 4);
+  EXPECT_EQ(observer.absent, 1);
+
+  EXPECT_EQ(store.take_all().size(), 2u);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_TRUE(store.take_all().empty());
+  store.put_block(alone, Block::copy_of(Bytes{4}));
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.get_block(alone), Bytes{4});
+  EXPECT_EQ(observer.present, 5);  // take_all announced nothing
+  EXPECT_EQ(observer.absent, 1);
+}
+
+TEST(ConcurrentBlockStore, NullBlockIsRejected) {
+  ConcurrentBlockStore store;
+  EXPECT_THROW(store.put_block(BlockKey::data(3), Block()), CheckError);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_FALSE(store.contains(BlockKey::data(3)));
+}
+
+TEST(ConcurrentBlockStore, HeldReadsStayWholeWhilePagesAreFreedAndRefilled) {
+  // Two writers each fill one page of stripe 5 (pages 0 and −1), then
+  // erase every key of it, so the page is freed, and fill it again with
+  // the next round's bytes. Two readers hold what get_blocks hands them
+  // across those rounds: every held Block keeps its whole payload, each
+  // byte its round's.
+  constexpr std::size_t kSlots = 256;
+  constexpr int kRounds = 60;
+  constexpr std::size_t kSize = 64;
+  auto page_keys = [](NodeIndex page) {
+    std::vector<BlockKey> keys;
+    for (std::size_t slot = 0; slot < kSlots; ++slot)
+      keys.push_back(BlockKey::data(page * 4096 +
+                                    static_cast<NodeIndex>(slot) * 16 + 5));
+    return keys;
+  };
+  const std::vector<std::vector<BlockKey>> pages = {page_keys(0),
+                                                    page_keys(-1)};
+  std::vector<BlockKey> all = pages[0];
+  all.insert(all.end(), pages[1].begin(), pages[1].end());
+
+  ConcurrentBlockStore store;
+  std::atomic<int> writers_left{2};
+  std::vector<std::thread> threads;
+  for (const auto& keys : pages) {
+    threads.emplace_back([&store, &writers_left, &keys] {
+      for (int round = 1; round <= kRounds; ++round) {
+        for (const BlockKey& key : keys)
+          store.put_block(key, Block::build(kSize, [&](auto out) {
+            std::fill(out.begin(), out.end(),
+                      static_cast<std::uint8_t>(round));
+          }));
+        for (const BlockKey& key : keys) EXPECT_TRUE(store.erase(key));
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  auto whole = [](const Block& block) {
+    return block.size() == kSize &&
+           std::all_of(block.begin(), block.end(),
+                       [&](std::uint8_t b) { return b == block.data()[0]; }) &&
+           block.data()[0] >= 1 && block.data()[0] <= kRounds;
+  };
+  std::vector<std::vector<Block>> held(2);
+  for (auto& mine : held) {
+    threads.emplace_back([&store, &writers_left, &all, &mine, &whole] {
+      while (writers_left.load() > 0) {
+        for (Block& block : store.get_blocks(all))
+          if (block) mine.push_back(std::move(block));
+        // bound the holding: keep the oldest reads, check the rest now
+        if (mine.size() > 4096) {
+          for (std::size_t j = 2048; j < mine.size(); ++j)
+            ASSERT_TRUE(whole(mine[j]));
+          mine.resize(2048);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(store.size(), 0u);
+  for (const auto& mine : held)
+    for (const Block& block : mine) ASSERT_TRUE(whole(block));
 }
 
 // --- ParallelEncoder: ground truth, worker counts and batch splits ----------
