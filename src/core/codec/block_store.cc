@@ -5,14 +5,17 @@
 namespace aec {
 
 void BlockStore::put_block(const BlockKey& key, Block value) {
+  AEC_CHECK_MSG(value, "put_block: a null Block for " << to_string(key));
   put(key, value.to_bytes());
 }
 
 void BlockStore::put_blocks(std::vector<std::pair<BlockKey, Block>> items) {
   std::vector<std::pair<BlockKey, Bytes>> copies;
   copies.reserve(items.size());
-  for (const auto& [key, value] : items)
+  for (const auto& [key, value] : items) {
+    AEC_CHECK_MSG(value, "put_block: a null Block for " << to_string(key));
     copies.emplace_back(key, value.to_bytes());
+  }
   put_batch(std::move(copies));
 }
 

@@ -60,10 +60,13 @@ class BlockStore {
   // --- the contract: Blocks ------------------------------------------------
 
   /// Inserts or overwrites a block; the store keeps a reference to
-  /// `value` (no copy). Default: put() of a copy.
+  /// `value` (no copy). A null `value` throws CheckError: a missing
+  /// block is one never put or erased, never a stored null. Default:
+  /// put() of a copy.
   virtual void put_block(const BlockKey& key, Block value);
 
-  /// Batch write, equivalent to put_block() per item in order. Sharded
+  /// Batch write, equivalent to put_block() per item in order (so a
+  /// null item throws; items before it may have been stored). Sharded
   /// stores take each shard lock once per batch. Default: one
   /// put_batch() of copies.
   virtual void put_blocks(std::vector<std::pair<BlockKey, Block>> items);

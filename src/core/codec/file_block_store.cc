@@ -245,6 +245,7 @@ bool FileBlockStore::for_each_key(
 void FileBlockStore::put_locked(Shard& shard,
                                 std::unique_lock<std::mutex>& lock,
                                 const BlockKey& key, Block value) {
+  AEC_CHECK_MSG(value, "put_block: a null Block for " << to_string(key));
   if (write_behind_) {
     check_wb_healthy();
     // Backpressure: block the producer (lock released while waiting)

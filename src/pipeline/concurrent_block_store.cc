@@ -27,34 +27,73 @@ struct ConcurrentBlockStore::Stripe {
   static constexpr int kStripeBits = std::countr_zero(kStripes);
   static constexpr int kSlotBits = std::countr_zero(kPageSlots);
 
+  /// One key kind's blocks for kPageSlots consecutive indices of the
+  /// stripe. Bit s of `present` says whether slot s holds a block, and
+  /// `blocks` holds those blocks packed in slot order, so slot s's block
+  /// is blocks[rank(s)]: a page costs one Block per block it holds, not
+  /// one per slot, however sparse a node's share of the indices is.
   struct Page {
-    std::array<Block, kPageSlots> slots;
-    std::size_t used = 0;  // non-null slots
-  };
-  struct Entry {
     PageKey key;
-    std::unique_ptr<Page> page;
+    std::uint64_t present = 0;
+    std::vector<Block> blocks;
+
+    bool has(std::size_t slot) const noexcept {
+      return (present >> slot) & 1;
+    }
+    std::size_t rank(std::size_t slot) const noexcept {
+      return static_cast<std::size_t>(
+          std::popcount(present & ((std::uint64_t{1} << slot) - 1)));
+    }
   };
 
   explicit Stripe(std::size_t n) : number(n) {}
 
-  std::vector<Entry>::iterator lower_bound(const PageKey& key) {
+  std::vector<Page>::iterator lower_bound(const PageKey& key) {
     return std::lower_bound(
         pages.begin(), pages.end(), key,
-        [](const Entry& e, const PageKey& k) { return e.key < k; });
+        [](const Page& p, const PageKey& k) { return p.key < k; });
   }
 
   /// The page under `key`, or null.
-  Page* find(const PageKey& key) {
+  const Page* find(const PageKey& key) {
     const auto it = lower_bound(key);
-    return it != pages.end() && it->key == key ? it->page.get() : nullptr;
+    return it != pages.end() && it->key == key ? &*it : nullptr;
   }
 
-  Page& find_or_add(const PageKey& key) {
+  /// Stores `value` in `slot` of the page under `key`, adding the page
+  /// when it has none; returns whether the slot was empty.
+  bool put(const PageKey& key, std::size_t slot, Block value) {
+    const std::uint64_t bit = std::uint64_t{1} << slot;
     auto it = lower_bound(key);
-    if (it == pages.end() || it->key != key)
-      it = pages.insert(it, Entry{key, std::make_unique<Page>()});
-    return *it->page;
+    if (it == pages.end() || it->key != key) {
+      Page page{key, bit, {}};
+      page.blocks.push_back(std::move(value));
+      pages.insert(it, std::move(page));
+      return true;
+    }
+    const auto at = it->blocks.begin() + it->rank(slot);
+    if (it->has(slot)) {
+      *at = std::move(value);  // releases the overwritten Block
+      return false;
+    }
+    it->blocks.insert(at, std::move(value));
+    it->present |= bit;
+    return true;
+  }
+
+  /// Drops the block in `slot` of the page under `key`, and the page
+  /// with its last block; returns whether there was one.
+  bool erase(const PageKey& key, std::size_t slot) {
+    const std::uint64_t bit = std::uint64_t{1} << slot;
+    const auto it = lower_bound(key);
+    if (it == pages.end() || it->key != key || !it->has(slot)) return false;
+    if (it->present == bit) {
+      pages.erase(it);
+    } else {
+      it->blocks.erase(it->blocks.begin() + it->rank(slot));
+      it->present &= ~bit;
+    }
+    return true;
   }
 
   /// The key that slot `slot` of the page under `key` holds.
@@ -68,15 +107,17 @@ struct ConcurrentBlockStore::Stripe {
   /// Calls fn(key, block) for every stored block, page by page.
   template <class Fn>
   void each(Fn&& fn) {
-    for (Entry& entry : pages)
-      for (std::size_t s = 0; s < kPageSlots; ++s)
-        if (Block& block = entry.page->slots[s]; block)
-          fn(key_at(entry.key, s), block);
+    for (Page& page : pages) {
+      std::size_t j = 0;
+      for (std::uint64_t bits = page.present; bits != 0; bits &= bits - 1)
+        fn(key_at(page.key, static_cast<std::size_t>(std::countr_zero(bits))),
+           page.blocks[j++]);
+    }
   }
 
   const std::size_t number;
   std::mutex mu;
-  std::vector<Entry> pages;  // sorted by key; no page is empty
+  std::vector<Page> pages;  // sorted by key; no page is empty
   std::uint64_t blocks = 0;
 };
 
@@ -91,6 +132,7 @@ ConcurrentBlockStore::ConcurrentBlockStore() {
   static_assert(std::has_single_bit(kStripes) &&
                     std::has_single_bit(kPageSlots),
                 "positions are index bits");
+  static_assert(kPageSlots <= 64, "a page's occupancy is one word");
   for (std::size_t s = 0; s < kStripes; ++s)
     stripes_[s] = std::make_unique<Stripe>(s);
 }
@@ -112,13 +154,7 @@ void ConcurrentBlockStore::put_block(const BlockKey& key, Block value) {
   AEC_CHECK_MSG(value, "put_block: a null Block for " << to_string(key));
   const Position at = position_of(key);
   std::lock_guard lock(at.stripe.mu);
-  Stripe::Page& page = at.stripe.find_or_add(at.page);
-  Block& slot = page.slots[at.slot];
-  if (!slot) {
-    ++page.used;
-    ++at.stripe.blocks;
-  }
-  slot = std::move(value);  // releases an overwritten Block
+  if (at.stripe.put(at.page, at.slot, std::move(value))) ++at.stripe.blocks;
   notify(key, true);
 }
 
@@ -133,8 +169,9 @@ std::vector<Block> ConcurrentBlockStore::get_blocks(
   for (std::size_t j = 0; j < keys.size(); ++j) {
     const Position at = position_of(keys[j]);
     std::lock_guard lock(at.stripe.mu);
-    if (const Stripe::Page* page = at.stripe.find(at.page))
-      blocks[j] = page->slots[at.slot];
+    const Stripe::Page* page = at.stripe.find(at.page);
+    if (page != nullptr && page->has(at.slot))
+      blocks[j] = page->blocks[page->rank(at.slot)];
   }
   return blocks;
 }
@@ -143,19 +180,14 @@ bool ConcurrentBlockStore::contains(const BlockKey& key) const {
   const Position at = position_of(key);
   std::lock_guard lock(at.stripe.mu);
   const Stripe::Page* page = at.stripe.find(at.page);
-  return page != nullptr && page->slots[at.slot];
+  return page != nullptr && page->has(at.slot);
 }
 
 bool ConcurrentBlockStore::erase(const BlockKey& key) {
   const Position at = position_of(key);
   std::lock_guard lock(at.stripe.mu);
-  const auto it = at.stripe.lower_bound(at.page);
-  if (it == at.stripe.pages.end() || it->key != at.page ||
-      !it->page->slots[at.slot])
-    return false;
-  it->page->slots[at.slot] = Block();
+  if (!at.stripe.erase(at.page, at.slot)) return false;
   --at.stripe.blocks;
-  if (--it->page->used == 0) at.stripe.pages.erase(it);
   notify(key, false);
   return true;
 }

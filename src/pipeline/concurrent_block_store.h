@@ -7,12 +7,15 @@
 // key's index addresses a slot. Index i takes lock stripe i mod
 // kStripes, so adjacent indices take different locks and the concurrent
 // strand walks of one encode batch (paper §V-B) rarely contend. Each
-// stripe keeps its Blocks in slot pages: a page holds the slots of one
-// key kind (data, or one parity class) for kPageSlots consecutive
-// indices of its stripe, and a small sorted directory per stripe finds
-// a page by (page number, kind, class). Every int64 index (0, negative
-// or huge) goes through that one path; no map node is allocated per
-// block, and a page is freed when its last block is erased or taken.
+// stripe keeps its Blocks in slot pages: a page covers one key kind
+// (data, or one parity class) for kPageSlots consecutive indices of its
+// stripe, and a small sorted directory per stripe finds a page by (page
+// number, kind, class). A page packs the Blocks it holds behind a
+// one-word occupancy bitmap, so a node that holds a sparse share of the
+// indices (random placement on many nodes) pays for its blocks, not for
+// the slots between them. Every int64 index (0, negative or huge) goes
+// through that one path; no map node is allocated per block, and a page
+// is freed when its last block is erased or taken.
 //
 // It holds Blocks: a write keeps a reference to the caller's Block, and
 // a read hands out a reference under its stripe's lock — no payload
@@ -36,8 +39,6 @@ class ConcurrentBlockStore final : public BlockNativeStore {
   ConcurrentBlockStore();
   ~ConcurrentBlockStore() override;
 
-  /// Throws CheckError on a null `value`: an empty slot is a missing
-  /// block.
   void put_block(const BlockKey& key, Block value) override;
   void put_blocks(std::vector<std::pair<BlockKey, Block>> items) override;
   std::vector<Block> get_blocks(
@@ -62,12 +63,13 @@ class ConcurrentBlockStore final : public BlockNativeStore {
   bool for_each_key(
       const std::function<void(const BlockKey&)>& fn) const override;
 
- private:
   /// Lock stripes; a power of two, so the stripe is the index's low bits.
   static constexpr std::size_t kStripes = 16;
-  /// Slots per page: consecutive indices of one stripe (a power of two).
-  static constexpr std::size_t kPageSlots = 256;
+  /// Slots per page: consecutive indices of one stripe (a power of two,
+  /// at most 64: a page's occupancy is one word).
+  static constexpr std::size_t kPageSlots = 64;
 
+ private:
   struct Stripe;
   struct Position;
   Position position_of(const BlockKey& key) const noexcept;

@@ -213,6 +213,21 @@ TEST_P(BlockStoreContractTest, ABlockReadBeforeAnOverwriteOrEraseKeepsIt) {
   EXPECT_EQ(third, filled(128, 0x33));
 }
 
+TEST_P(BlockStoreContractTest, ANullBlockIsRejected) {
+  // A missing block is one never put or erased: no store keeps a null
+  // that contains() would call present and get_blocks() missing.
+  EXPECT_THROW(store_->put_block(BlockKey::data(3), Block()), CheckError);
+  std::vector<std::pair<BlockKey, Block>> batch;
+  batch.emplace_back(BlockKey::data(4), Block());
+  EXPECT_THROW(store_->put_blocks(std::move(batch)), CheckError);
+  store_->flush();
+  EXPECT_EQ(store_->size(), 0u);
+  for (const BlockKey& key : {BlockKey::data(3), BlockKey::data(4)}) {
+    EXPECT_FALSE(store_->contains(key)) << to_string(key);
+    EXPECT_FALSE(store_->get_block(key)) << to_string(key);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Families, BlockStoreContractTest,
                          ::testing::Values("mem", "file", "sharded(4)",
                                            "sharded(4,sync)",
@@ -394,6 +409,14 @@ TEST(BytesOnlyDecoratorTest, EachBlockBatchArrivesAsOneBytesBatch) {
   store.put_block(BlockKey::data(11), Block::zeros(32));
   EXPECT_EQ(store.puts.load(), 1u);
   EXPECT_EQ(store.get_copy(BlockKey::data(11)), filled(32, 0));
+  // The Block defaults reject a null before anything reaches put().
+  EXPECT_THROW(store.put_block(BlockKey::data(12), Block()), CheckError);
+  std::vector<std::pair<BlockKey, Block>> nulls;
+  nulls.emplace_back(BlockKey::data(13), Block());
+  EXPECT_THROW(store.put_blocks(std::move(nulls)), CheckError);
+  EXPECT_EQ(store.puts.load(), 1u);
+  EXPECT_EQ(store.put_batches.load(), 1u);
+  EXPECT_FALSE(store.contains(BlockKey::data(12)));
 }
 
 TEST(BytesOnlyDecoratorTest, AnArchiveRunsByteIdenticallyThroughIt) {

@@ -14,7 +14,9 @@
 #include <condition_variable>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <mutex>
+#include <random>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -305,17 +307,21 @@ TEST(ConcurrentBlockStore, ConcurrentPutsFromManyThreadsAllLand) {
   }
 }
 
-// The store finds a block by its index: stripe = the low 4 bits, slot =
-// the next 8, page = the rest (an arithmetic shift). These keys share
-// stripes, pages and slots in every way that could alias: 0, −4096,
-// 4096 and INT64_MIN all take slot 0 of stripe 0 in four pages; −1 and
-// INT64_MAX take the last slot of stripe 15; every index carries data
-// and all three parity classes; and a data key's class is part of its
-// identity, as BlockKey's operator== has it.
+// The store finds a block by its index: stripe = the low bits
+// (kStripes), slot = the next ones (kPageSlots), page = the rest (an
+// arithmetic shift), so one page spans kSpan indices.
+constexpr NodeIndex kStripes = ConcurrentBlockStore::kStripes;
+constexpr NodeIndex kSpan = kStripes * ConcurrentBlockStore::kPageSlots;
+
+// These keys share stripes, pages and slots in every way that could
+// alias: 0, −kSpan, kSpan and INT64_MIN all take slot 0 of stripe 0 in
+// four pages; −1 and INT64_MAX take the last slot of the last stripe;
+// every index carries data and all three parity classes; and a data
+// key's class is part of its identity, as BlockKey's operator== has it.
 std::vector<BlockKey> identity_keys() {
   std::vector<BlockKey> keys;
   for (const NodeIndex i :
-       {NodeIndex{0}, NodeIndex{-1}, NodeIndex{-4096}, NodeIndex{4096},
+       {NodeIndex{0}, NodeIndex{-1}, -kSpan, kSpan,
         (NodeIndex{1} << 40) + 3, std::numeric_limits<NodeIndex>::min(),
         std::numeric_limits<NodeIndex>::max()}) {
     keys.push_back(BlockKey::data(i));
@@ -332,12 +338,12 @@ std::vector<BlockKey> identity_keys() {
 /// same slot of another page, another class), none of them stored.
 std::vector<BlockKey> neighbour_keys() {
   const NodeIndex far = (NodeIndex{1} << 40) + 3;
-  return {BlockKey::data(1),           BlockKey::data(16),
-          BlockKey::data(-4097),       BlockKey::data(-8192),
-          BlockKey::data(far + 16),    BlockKey::data(far + 4096),
-          BlockKey::data(far - 4096),  BlockKey::data(8192),
+  return {BlockKey::data(1),                BlockKey::data(kStripes),
+          BlockKey::data(-kSpan - 1),       BlockKey::data(-2 * kSpan),
+          BlockKey::data(far + kStripes),   BlockKey::data(far + kSpan),
+          BlockKey::data(far - kSpan),      BlockKey::data(2 * kSpan),
           BlockKey{BlockKey::Kind::kData, StrandClass::kRightHanded, 0},
-          BlockKey::parity(Edge{StrandClass::kLeftHanded, -4097})};
+          BlockKey::parity(Edge{StrandClass::kLeftHanded, -kSpan - 1})};
 }
 
 Bytes identity_payload(std::size_t j) {
@@ -429,7 +435,7 @@ TEST(ConcurrentBlockStore, SizeStaysExactAcrossOverwriteEmptyPageAndTake) {
   } observer;
   ConcurrentBlockStore store;
   store.set_observer(&observer);
-  const BlockKey alone = BlockKey::data(-4096);  // the only key of its page
+  const BlockKey alone = BlockKey::data(-kSpan);  // the only key of its page
   const BlockKey other = BlockKey::parity(Edge{StrandClass::kHorizontal, 5});
   store.put_block(alone, Block::copy_of(Bytes{1}));
   store.put_block(other, Block::copy_of(Bytes{9}));
@@ -460,11 +466,54 @@ TEST(ConcurrentBlockStore, SizeStaysExactAcrossOverwriteEmptyPageAndTake) {
   EXPECT_EQ(observer.absent, 1);
 }
 
-TEST(ConcurrentBlockStore, NullBlockIsRejected) {
+TEST(ConcurrentBlockStore, PackedSlotsAgreeWithAMapUnderRandomWrites) {
+  // A page packs its Blocks in slot order, so a put into an empty slot
+  // or an erase moves its neighbours. Random puts, overwrites and erases
+  // over every slot of three pages of one stripe (two pages of data,
+  // one of H parities) and a sparse page of another stripe, checked
+  // after each step against a map.
+  std::vector<BlockKey> keys;
+  for (NodeIndex slot = 0; slot < kSpan / kStripes; ++slot) {
+    keys.push_back(BlockKey::data(slot * kStripes + 3));
+    keys.push_back(BlockKey::data(-kSpan + slot * kStripes + 3));
+    keys.push_back(
+        BlockKey::parity(Edge{StrandClass::kHorizontal, slot * kStripes + 3}));
+  }
+  keys.push_back(BlockKey::data(7));
+  keys.push_back(BlockKey::data(kSpan - kStripes + 7));
   ConcurrentBlockStore store;
-  EXPECT_THROW(store.put_block(BlockKey::data(3), Block()), CheckError);
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_FALSE(store.contains(BlockKey::data(3)));
+  std::map<std::size_t, std::uint8_t> model;  // key position → payload
+  std::mt19937_64 rng(17);
+  for (int step = 0; step < 6000; ++step) {
+    const std::size_t j = rng() % keys.size();
+    const auto value = static_cast<std::uint8_t>(step);
+    if (rng() % 3 != 0) {
+      store.put_block(keys[j], Block::copy_of(Bytes(3, value)));
+      model[j] = value;
+    } else {
+      ASSERT_EQ(store.erase(keys[j]), model.erase(j) == 1) << step;
+    }
+    ASSERT_EQ(store.size(), model.size()) << step;
+    if (step % 50 != 0) continue;
+    const auto blocks = store.get_blocks(keys);
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      const auto it = model.find(k);
+      ASSERT_EQ(blocks[k], it == model.end() ? Block()
+                                             : Block::copy_of(Bytes(
+                                                   3, it->second)))
+          << step << " " << to_string(keys[k]);
+      ASSERT_EQ(store.contains(keys[k]), it != model.end());
+    }
+  }
+  std::vector<BlockKey> visited;
+  store.for_each([&](const BlockKey& key, BytesView value) {
+    const auto j = static_cast<std::size_t>(
+        std::find(keys.begin(), keys.end(), key) - keys.begin());
+    ASSERT_TRUE(model.contains(j)) << to_string(key);
+    EXPECT_EQ(Bytes(value.begin(), value.end()), Bytes(3, model[j]));
+    visited.push_back(key);
+  });
+  EXPECT_EQ(visited.size(), model.size());
 }
 
 TEST(ConcurrentBlockStore, HeldReadsStayWholeWhilePagesAreFreedAndRefilled) {
@@ -473,14 +522,12 @@ TEST(ConcurrentBlockStore, HeldReadsStayWholeWhilePagesAreFreedAndRefilled) {
   // the next round's bytes. Two readers hold what get_blocks hands them
   // across those rounds: every held Block keeps its whole payload, each
   // byte its round's.
-  constexpr std::size_t kSlots = 256;
   constexpr int kRounds = 60;
   constexpr std::size_t kSize = 64;
   auto page_keys = [](NodeIndex page) {
     std::vector<BlockKey> keys;
-    for (std::size_t slot = 0; slot < kSlots; ++slot)
-      keys.push_back(BlockKey::data(page * 4096 +
-                                    static_cast<NodeIndex>(slot) * 16 + 5));
+    for (NodeIndex slot = 0; slot < kSpan / kStripes; ++slot)
+      keys.push_back(BlockKey::data(page * kSpan + slot * kStripes + 5));
     return keys;
   };
   const std::vector<std::vector<BlockKey>> pages = {page_keys(0),
