@@ -47,15 +47,6 @@ void TaggedWriter::write_atomic(const fs::path& path) const {
   write_text_atomic(path, out_.str());
 }
 
-bool TaggedWriter::try_write_atomic(const fs::path& path) const noexcept {
-  try {
-    write_text_atomic(path, out_.str());
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
 void write_text_atomic(const fs::path& path, const std::string& text) {
   const fs::path tmp = path.string() + ".tmp";
   {

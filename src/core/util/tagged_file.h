@@ -1,7 +1,7 @@
 // Shared reader/writer for the library's line-oriented tagged text
-// formats — the one implementation behind manifest.txt, cluster.txt,
-// availability.txt and shards.txt, which each used to hand-roll the same
-// getline/istringstream/tag loop with slightly different bugs.
+// formats — the one implementation behind manifest.txt, cluster.txt and
+// shards.txt, which each used to hand-roll the same getline/
+// istringstream/tag loop with slightly different bugs.
 //
 // A tagged file is:
 //   <header line>
@@ -13,14 +13,12 @@
 // malformed rows (an extraction that failed) throw CheckError with the
 // offending line, content after a caller-declared end marker throws, and
 // the header is read exactly once. Policy stays with the caller — which
-// tags exist, whether an end marker is required, whether a defect is
-// fatal (manifest, cluster.txt) or soft (availability sidecar falls back
-// to the seeding walk by catching CheckError).
+// tags exist, whether an end marker is required; both readers (manifest,
+// cluster.txt) let every defect fail the open.
 //
 // TaggedWriter buffers rows in memory and commits with write_atomic()
 // (tmp file + rename, the crash-consistency idiom every call site
-// already used — shards.txt gains it by switching). try_write_atomic()
-// is the noexcept best-effort variant for clean-close paths.
+// already used — shards.txt gains it by switching).
 #pragma once
 
 #include <filesystem>
@@ -107,9 +105,6 @@ class TaggedWriter {
   /// Writes to `<path>.tmp` then renames over `path`. CheckError on any
   /// I/O failure.
   void write_atomic(const std::filesystem::path& path) const;
-  /// Best-effort variant (clean-close sidecars): false on failure, never
-  /// throws.
-  bool try_write_atomic(const std::filesystem::path& path) const noexcept;
 
  private:
   std::ostringstream out_;

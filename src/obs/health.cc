@@ -275,13 +275,15 @@ void HealthMonitor::publish_locked() {
     g_margin_counts_[k]->set(static_cast<std::int64_t>(margin_counts_[k]));
   }
 
+  // The transition is logged, not the count: a bulk announcement (a
+  // node failure, the seeding walk) crosses it at its first one or two
+  // blocks. The gauge and /healthz carry the count.
   const bool vulnerable_now = vulnerable > 0;
   if (vulnerable_now != was_vulnerable_) {
     if (vulnerable_now) {
       logger_->warn("health",
-                    std::to_string(vulnerable) +
-                        " data block(s) at margin 0: one more failure is "
-                        "unrecoverable");
+                    "data blocks at margin 0: one more failure is "
+                    "unrecoverable (count in health.vulnerable_blocks)");
     } else {
       logger_->info("health", "no vulnerable data blocks remain");
     }

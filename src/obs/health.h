@@ -6,8 +6,9 @@
 // The monitor is the store's mutation observer (BlockStore::Observer):
 // every put and erase notification lands here, and a notification that
 // flips a key's state is a *delta*. Repair planning (scrub, node
-// rebuild), the availability census (aectool stat) and the clean-close
-// sidecar all read the missing set from here.
+// rebuild) and the availability census (aectool stat) both read the
+// missing set from here. The archive seeds it at every open by walking
+// its expected keys against the store's index.
 //
 // A present data block's *margin* is the number of strand classes whose
 // two incident parities (input — or the virtual zero bootstrap near an

@@ -24,8 +24,9 @@
 // the integrity scan, and exits 1 if a block stays unrecovered or the
 // scan finds corruption (an inconsistent parity or a suspect block —
 // reported, not yet repaired); `stat` prints the availability census from the
-// incremental index; `reindex` rescans the store and reseeds the index
-// (recovery from out-of-band damage the index cannot observe). The
+// incremental index, which every open seeds from the store; `reindex`
+// rescans the store and reseeds the index (recovery from damage made out
+// of band while a process holds the archive open). The
 // `node` subcommands drive multi-node cluster archives: fail/heal
 // inject whole-failure-domain outages, rebuild re-materializes a failed
 // node onto a replacement backend, stat prints the per-node census.

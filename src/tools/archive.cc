@@ -390,24 +390,13 @@ Archive::Archive(fs::path root, std::shared_ptr<const Codec> codec,
   session_ = engine_->open_session(codec_, store_.get(), block_size_,
                                    resume_count);
   // An AE census scores margins over its lattice; striped codecs keep
-  // their missing keys and damage counts only. Then reseed it from
+  // their missing keys and damage counts only. Then seed it from
   // authoritative store contents: damage inflicted while the archive was
-  // closed predates the observer. A fresh clean-close sidecar replays
-  // the missing set directly; otherwise one O(lattice) walk at open buys
-  // O(damage) scrubs afterwards.
+  // closed predates the observer. One walk at open, against the index
+  // the store built as it opened, buys O(damage) scrubs afterwards.
   if (const auto* ae = dynamic_cast<const AeCodec*>(codec_.get()))
     health_.configure_lattice(ae->params(), session_->size());
-  opened_from_sidecar_ = load_availability_sidecar();
-  if (!opened_from_sidecar_) seed_census();
-}
-
-Archive::~Archive() {
-  try {
-    save_availability_sidecar();
-  } catch (...) {
-    // Best effort: no sidecar just means the next open pays the full
-    // seeding walk.
-  }
+  seed_census();
 }
 
 void Archive::seed_census() {
@@ -458,6 +447,10 @@ std::unique_ptr<Archive> Archive::open(fs::path root,
                 "no archive manifest at " << (root / "manifest.txt").string());
   ParsedManifest manifest = parse_manifest(in);
   std::shared_ptr<const Codec> codec = make_codec(manifest.codec_spec);
+  // Older builds cache the missing set here at a clean close and trust
+  // it at open; drop it so none of them replays a stale census later.
+  std::error_code ignored;
+  fs::remove(root / "availability.txt", ignored);
   return std::unique_ptr<Archive>(new Archive(
       std::move(root), std::move(codec), std::move(manifest.store_spec),
       manifest.block_size, manifest.blocks, std::move(manifest.files),
@@ -685,138 +678,6 @@ std::uint64_t Archive::inject_damage(double fraction, std::uint64_t seed) {
   return destroyed;
 }
 
-// --- availability sidecar ---------------------------------------------------
-//
-//   aec-availability v1
-//   blocks <data blocks>        \ freshness guards: both must match the
-//   present <stored blocks>     / reopened archive or the sidecar is stale
-//   missing <count>
-//   m d <i> | m p <H|RH|LH> <i>
-//   end
-//
-// The sidecar is consumed (deleted) the moment it is read, and written
-// again only on clean close — so it can never outlive the state it
-// describes by more than one session, and a crash falls back to the
-// full seeding walk.
-
-namespace {
-
-constexpr const char* kSidecarName = "availability.txt";
-
-std::optional<StrandClass> parse_strand_class(const std::string& s) {
-  if (s == "H") return StrandClass::kHorizontal;
-  if (s == "RH") return StrandClass::kRightHanded;
-  if (s == "LH") return StrandClass::kLeftHanded;
-  return std::nullopt;
-}
-
-}  // namespace
-
-bool Archive::load_availability_sidecar() {
-  const fs::path path = root_ / kSidecarName;
-  std::ifstream in(path);
-  if (!in.good()) return false;
-  // Consume-on-read: whatever happens below, this sidecar is spent.
-  const auto discard = [&] {
-    in.close();
-    std::error_code ec;
-    fs::remove(path, ec);
-  };
-
-  std::uint64_t blocks = 0;
-  std::uint64_t present = 0;
-  std::uint64_t missing = 0;
-  bool saw_end = false;
-  std::vector<BlockKey> keys;
-  bool ok = true;
-  // Soft error policy: a sidecar is an optimization, never authority —
-  // any structural defect the shared reader throws for (malformed line,
-  // content after end) just means "stale, fall back to the seeding
-  // walk", not a failed open.
-  try {
-    util::TaggedReader reader(in, "availability sidecar");
-    if (reader.header() != "aec-availability v1") {
-      discard();
-      return false;
-    }
-    util::TaggedRow row;
-    while (ok && reader.next(row)) {
-      if (row.tag() == "blocks") {
-        row >> blocks;
-      } else if (row.tag() == "present") {
-        row >> present;
-      } else if (row.tag() == "missing") {
-        row >> missing;
-      } else if (row.tag() == "m") {
-        std::string kind;
-        row >> kind;
-        BlockKey key;
-        if (kind == "d") {
-          row >> key.index;
-        } else if (kind == "p") {
-          std::string cls;
-          row >> cls >> key.index;
-          const auto parsed = parse_strand_class(cls);
-          if (!parsed) {
-            ok = false;
-            continue;
-          }
-          key = BlockKey{BlockKey::Kind::kParity, *parsed, key.index};
-        } else {
-          ok = false;
-          continue;
-        }
-        keys.push_back(key);
-      } else if (row.tag() == "end") {
-        reader.mark_end();
-      } else {
-        ok = false;
-      }
-      if (!row.ok()) ok = false;
-    }
-    saw_end = reader.saw_end();
-  } catch (const CheckError&) {
-    ok = false;
-  }
-  discard();
-
-  // Freshness guards: the data-block count ties the sidecar to this
-  // manifest generation; the stored-block count catches any external
-  // mutation while the archive was closed that changes how many blocks
-  // exist (a directory scan the child stores already did at open, so
-  // the comparison is free). An exactly offsetting add+remove pair is
-  // indistinguishable by count — a content check would cost as much as
-  // the seeding walk the sidecar exists to skip — so after manual
-  // surgery on block files run reindex(), same as for open-time
-  // out-of-band damage.
-  if (!ok || !saw_end || keys.size() != missing ||
-      blocks != session_->size() || present != store_->size())
-    return false;
-  for (const BlockKey& key : keys)
-    if (!session_->is_expected_key(key)) return false;
-  for (const BlockKey& key : keys) health_.on_block(key, false);
-  return true;
-}
-
-void Archive::save_availability_sidecar() const {
-  if (!fs::exists(root_)) return;
-  std::vector<BlockKey> keys;
-  for (const BlockKey& key : health_.missing_keys())
-    if (session_->is_expected_key(key)) keys.push_back(key);
-  util::TaggedWriter out("aec-availability v1");
-  out.row("blocks", session_->size());
-  out.row("present", store_->size());
-  out.row("missing", keys.size());
-  for (const BlockKey& key : keys) {
-    if (key.is_data())
-      out.row("m", "d", key.index);
-    else
-      out.row("m", "p", to_string(key.cls), key.index);
-  }
-  out.row("end");
-  out.try_write_atomic(root_ / kSidecarName);  // best effort
-}
-
 std::uint64_t Archive::reindex() {
   std::lock_guard exclusive(read_gate_);
   store_->rescan();
@@ -854,8 +715,7 @@ RepairReport Archive::rebuild_node(std::uint32_t node) {
   // The census already holds every key the node lost: fail_node
   // announced each key in the child's index missing (stale entries for
   // block files deleted behind the archive included), and a node that
-  // was down at open was seeded missing from the sidecar or the seeding
-  // walk.
+  // was down at open was seeded missing by the seeding walk.
   return session_->repair_all(health_.missing_keys());
 }
 

@@ -15,15 +15,13 @@
 // damage censuses (missing_blocks, aectool stat) and repair planning
 // (scrub, rebuild_node, which hand its missing keys to repair_all) cost
 // O(damage) instead of a full store scan — the census is seeded at open
-// and every put/erase keeps it current. A clean close persists the
-// missing set as a manifest sidecar (<root>/availability.txt); the next
-// open loads it instead of walking the whole lattice when its freshness
-// guards (data-block count + stored-block count) still match, and falls
-// back to the full seeding walk otherwise. The sidecar is deleted as
-// soon as it is consumed, so a crash never leaves a stale one behind.
-// Damage inflicted OUT OF BAND while the archive is open (block files
-// deleted externally) is invisible to the census either way — reindex()
-// (aectool reindex) rescans the store and reseeds.
+// and every put/erase keeps it current. Every open seeds it the same
+// way: one walk of the expected keys against the index the store built
+// as it opened, so damage made while the archive was closed (a block
+// file deleted, another copied in) is seen. Damage inflicted OUT OF
+// BAND while the archive is open (block files deleted externally) is
+// invisible to the census — reindex() (aectool reindex) rescans the
+// store and reseeds.
 //
 // When the manifest's store spec is a cluster(...), the archive is
 // multi-node: fail_node/heal_node inject whole-failure-domain outages
@@ -316,8 +314,6 @@ class Archive {
   static std::unique_ptr<Archive> open(std::filesystem::path root,
                                        std::shared_ptr<Engine> engine = {});
 
-  ~Archive();
-
   const Codec& codec() const noexcept { return *codec_; }
   /// AE archives only: the entanglement parameters.
   const CodeParams& params() const;
@@ -389,10 +385,6 @@ class Archive {
   /// demos/tests; exclusive). Returns how many blocks were destroyed.
   std::uint64_t inject_damage(double fraction, std::uint64_t seed);
 
-  /// True when the open skipped the O(lattice) seeding walk because a
-  /// fresh availability sidecar was consumed.
-  bool opened_from_sidecar() const noexcept { return opened_from_sidecar_; }
-
   /// Re-reads authoritative store presence (directory rescan) and
   /// reseeds the health census from it — the recovery path for
   /// out-of-band damage the census cannot observe (exclusive). Returns
@@ -429,11 +421,6 @@ class Archive {
 
   void save_manifest() const;
 
-  /// Loads + deletes the availability sidecar; true when it was fresh
-  /// and the missing set was applied (seeding walk can be skipped).
-  bool load_availability_sidecar();
-  /// Persists the current missing set (clean-close path; best effort).
-  void save_availability_sidecar() const;
   /// Full O(lattice) census reseed from store presence.
   void seed_census();
 
@@ -465,7 +452,6 @@ class Archive {
   std::unique_ptr<CodecSession> session_;
   /// Downcast of store_ when the backend is a cluster (else null).
   cluster::ClusterStore* cluster_ = nullptr;
-  bool opened_from_sidecar_ = false;
   bool writer_open_ = false;
 };
 

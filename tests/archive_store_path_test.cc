@@ -245,22 +245,14 @@ TEST_F(ArchiveStorePathTest, CensusIsGroundTruthForEveryCodec) {
         SCOPED_TRACE("after a second file");
         expect_census_is_ground_truth(*archive, root);
       }
-      // Damage for the sidecar to carry across the reopen.
+      // Damage for the seeding walk to find at the reopen.
       EXPECT_GT(archive->inject_damage(0.04, 17), 0u);
       {
         SCOPED_TRACE("after more damage");
         expect_census_is_ground_truth(*archive, root);
       }
     }
-    {
-      auto archive = Archive::open(root, Engine::with_threads(2));
-      EXPECT_TRUE(archive->opened_from_sidecar());
-      SCOPED_TRACE("reopened from the sidecar");
-      expect_census_is_ground_truth(*archive, root);
-    }
-    fs::remove(root / "availability.txt");
     auto archive = Archive::open(root, Engine::with_threads(2));
-    EXPECT_FALSE(archive->opened_from_sidecar());
     SCOPED_TRACE("reopened through the seeding walk");
     expect_census_is_ground_truth(*archive, root);
   }

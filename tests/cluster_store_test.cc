@@ -548,8 +548,7 @@ TEST_F(ClusterArchiveTest, FailurePersistsAcrossReopen) {
     node_share = archive->cluster()->node_blocks(3);
     archive->fail_node(3);
   }
-  // A fresh process sees the node down and the census seeded accordingly
-  // (sidecar or full walk — either must agree).
+  // A fresh process sees the node down and the census seeded accordingly.
   auto archive = Archive::open(root);
   ASSERT_NE(archive->cluster(), nullptr);
   EXPECT_TRUE(archive->cluster()->node_down(3));
@@ -582,32 +581,25 @@ void expect_rebuild_restores_every_block(
 
 TEST_F(ClusterArchiveTest, RebuildAfterReopenWithTheNodeDown) {
   // The node is already down in cluster.txt when the archive reopens;
-  // the census learns its loss from the sidecar or from the seeding
-  // walk, and either way the rebuild restores every block.
-  for (const bool sidecar : {true, false}) {
-    SCOPED_TRACE(sidecar ? "sidecar" : "seeding walk");
-    const fs::path root = dir(sidecar ? "sidecar" : "walk");
-    Rng rng(31);
-    const Bytes content = rng.random_block(50 * 128 + 9);
-    std::map<std::string, std::uint64_t> before;
-    {
-      auto archive = Archive::create(root, "AE(3,2,5)", 128, {},
-                                     "cluster(4,strand,file)");
-      archive->add_file("doc", content);
-      before = archive->cluster()->fingerprint();
-      archive->fail_node(2);
-    }
-    if (!sidecar) {
-      ASSERT_TRUE(fs::remove(root / "availability.txt"));
-    }
-    auto archive = Archive::open(root);
-    EXPECT_EQ(archive->opened_from_sidecar(), sidecar);
-    ASSERT_TRUE(archive->cluster()->node_down(2));
-    expect_rebuild_restores_every_block(*archive, 2, before);
-    const auto read_back = archive->read_file("doc");
-    ASSERT_TRUE(read_back.has_value());
-    EXPECT_EQ(*read_back, content);
+  // the census learns its loss from the seeding walk, and the rebuild
+  // restores every block.
+  const fs::path root = dir("arch");
+  Rng rng(31);
+  const Bytes content = rng.random_block(50 * 128 + 9);
+  std::map<std::string, std::uint64_t> before;
+  {
+    auto archive = Archive::create(root, "AE(3,2,5)", 128, {},
+                                   "cluster(4,strand,file)");
+    archive->add_file("doc", content);
+    before = archive->cluster()->fingerprint();
+    archive->fail_node(2);
   }
+  auto archive = Archive::open(root);
+  ASSERT_TRUE(archive->cluster()->node_down(2));
+  expect_rebuild_restores_every_block(*archive, 2, before);
+  const auto read_back = archive->read_file("doc");
+  ASSERT_TRUE(read_back.has_value());
+  EXPECT_EQ(*read_back, content);
 }
 
 TEST_F(ClusterArchiveTest, RebuildAfterBlockFilesDeletedBehindTheArchive) {

@@ -292,7 +292,8 @@ TEST(HealthMonitorTest, ClearThenReseedRebuildsAfterOutOfBandDamage) {
 
   // …and damage that happened while the monitor was NOT listening
   // (archive closed, blocks deleted behind an open store): clear() plus
-  // a reseed (sidecar load, reindex) must reproduce it wholesale.
+  // a reseed (the seeding walk at open, reindex) must reproduce it
+  // wholesale.
   std::unordered_set<BlockKey, BlockKeyHash> damage;
   std::mt19937_64 rng(11);
   for (std::size_t i = 0; i < keys.size() / 5; ++i)
@@ -345,6 +346,51 @@ TEST(HealthMonitorTest, WorstRanksAscendingMarginThenIndex) {
   EXPECT_EQ(mon.summary().vulnerable_blocks, 1u);
   EXPECT_EQ(reg.gauge("health.vulnerable_blocks")->value(), 1);
   EXPECT_EQ(reg.gauge("health.margin0.blocks")->value(), 1);
+}
+
+TEST(HealthMonitorTest, MarginZeroWarningCarriesNoCount) {
+  // A bulk announcement (a node failure, the seeding walk) arrives one
+  // key at a time, so the census turns vulnerable at its first one or
+  // two blocks. The warning logs the transition once, with no count to
+  // understate the damage; the gauge carries the count.
+  const CodeParams params(3, 2, 5);
+  std::FILE* sink = std::tmpfile();
+  ASSERT_NE(sink, nullptr);
+  Logger logger(sink);
+  logger.set_rate_limit_ms(0);
+  MetricsRegistry reg;
+  HealthMonitor mon(&reg, &logger);
+  mon.configure_lattice(params, 60);
+  std::vector<BlockKey> batch;  // every parity whose tail is in [20, 30)
+  for (NodeIndex i = 20; i < 30; ++i)
+    for (const StrandClass cls : params.classes())
+      batch.push_back(BlockKey::parity(Edge{cls, i}));
+  for (const BlockKey& key : batch) mon.on_block(key, /*present=*/false);
+  const std::uint64_t vulnerable = mon.summary().vulnerable_blocks;
+  EXPECT_GE(vulnerable, 10u);
+  EXPECT_EQ(reg.gauge("health.vulnerable_blocks")->value(),
+            static_cast<std::int64_t>(vulnerable));
+  for (const BlockKey& key : batch) mon.on_block(key, /*present=*/true);
+  EXPECT_EQ(mon.summary().vulnerable_blocks, 0u);
+
+  std::fflush(sink);
+  std::rewind(sink);
+  std::vector<std::string> lines;
+  for (char buf[512]; std::fgets(buf, sizeof buf, sink) != nullptr;)
+    lines.emplace_back(buf);
+  std::fclose(sink);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"level\":\"warn\""), std::string::npos);
+  const std::size_t msg = lines[0].find("\"msg\":\"");
+  ASSERT_NE(msg, std::string::npos);
+  std::string text = lines[0].substr(msg, lines[0].find('"', msg + 7) - msg);
+  const std::size_t margin = text.find("margin 0");
+  ASSERT_NE(margin, std::string::npos) << text;
+  text.erase(margin, 8);
+  EXPECT_EQ(text.find_first_of("0123456789"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("\"level\":\"info\""), std::string::npos);
+  EXPECT_NE(lines[1].find("no vulnerable data blocks remain"),
+            std::string::npos);
 }
 
 TEST(HealthMonitorTest, ConcurrentDeltasConvergeToFullRecompute) {
