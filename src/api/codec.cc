@@ -110,7 +110,7 @@ std::optional<PartIndexList> AeCodec::repair_indices(
   AEC_CHECK_MSG(n_data >= 1, "AE group needs at least one data block");
   check_erased_list(erased, group_total_parts(n_data));
   const Lattice lattice(params_, n_data, Lattice::Boundary::kOpen);
-  AvailabilityMap avail(params_, n_data);
+  Availability avail(params_, n_data);
   for (const PartIndex part : erased)
     avail.set(ae_part_key(params_, n_data, part), false);
   const RepairPlanner planner(&lattice);

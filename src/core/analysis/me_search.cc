@@ -257,9 +257,9 @@ bool verify_minimal_erasure(const CodeParams& params,
 
   // Blocks the fixpoint repairs once `erased` is missing.
   auto repaired = [&](const ErasurePattern& erased) {
-    AvailabilityMap avail(params, n_nodes);
+    Availability avail(params, n_nodes);
     const auto mark_missing = [&](const BlockKey& key) {
-      if (lattice_expects(params, n_nodes, key)) avail.set(key, false);
+      if (avail.covers(key)) avail.set(key, false);
     };
     for (NodeIndex node : erased.nodes) mark_missing(BlockKey::data(node));
     for (const Edge& e : erased.edges) mark_missing(BlockKey::parity(e));

@@ -55,9 +55,8 @@ inline std::size_t mixed_block_key_hash(const BlockKey& k) noexcept {
 
 /// True when an (open) lattice of `n_nodes` nodes under `params` stores
 /// `key`: data or parity at an in-range index, parity class among the
-/// code's classes. The single membership predicate shared by the repair
-/// planner's index filtering and the sessions' is_expected_key — one
-/// rule, so the O(damage) and scanning paths cannot drift apart.
+/// code's classes. The sessions' is_expected_key; Availability::covers
+/// answers the same for a built map (AvailabilityTest holds them equal).
 inline bool lattice_expects(const CodeParams& params, std::uint64_t n_nodes,
                             const BlockKey& key) noexcept {
   if (key.index < 1 || static_cast<std::uint64_t>(key.index) > n_nodes)

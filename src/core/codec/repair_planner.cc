@@ -11,13 +11,6 @@ namespace aec {
 
 namespace {
 
-/// Missing keys outside the lattice's key set — orphans past the tail,
-/// foreign key spaces — must not reach an AvailabilityMap, whose storage
-/// is lattice-sized.
-bool in_lattice(const Lattice& lat, const BlockKey& key) {
-  return lattice_expects(lat.params(), lat.n_nodes(), key);
-}
-
 // Lazy availability view over a live store: presence is probed on first
 // touch and memoized, plan-time repairs shadow the store. Gives the
 // radius-scoped queries (plan_for_target, plan_node_repair) a cost
@@ -41,16 +34,14 @@ class LazyAvailability {
 };
 
 // The repair rules (paper §III-A), written once against any availability
-// view (AvailabilityMap for global plans, LazyAvailability for scoped
+// view (Availability for global plans, LazyAvailability for scoped
 // queries).
 
 template <class Avail>
 std::optional<RepairStep> node_step_impl(const Lattice& lat, NodeIndex i,
                                          const Avail& avail) {
   for (StrandClass cls : lat.params().classes()) {
-    const auto in = lat.input_edge(i, cls);
-    const bool in_ok = !in || avail.parity_ok(*in);  // bootstrap is ok
-    if (in_ok && avail.parity_ok(lat.output_edge(i, cls)))
+    if (strand_intact(lat, i, cls, avail))
       return RepairStep{.key = BlockKey::data(i), .via = cls};
   }
   return std::nullopt;
@@ -138,15 +129,6 @@ RepairPlan plan_waves(const Lattice& lat, Avail& avail,
 
 }  // namespace
 
-AvailabilityMap::AvailabilityMap(const CodeParams& params,
-                                 std::uint64_t n_nodes)
-    : n_(n_nodes) {
-  AEC_CHECK_MSG(n_ >= 1, "availability map needs at least one node");
-  data_.assign(n_ + 1, 1);
-  for (StrandClass cls : params.classes())
-    parity_[static_cast<std::size_t>(cls)].assign(n_ + 1, 1);
-}
-
 RepairReport report_from_plan(const RepairPlan& plan) {
   RepairReport report;
   report.rounds = plan.rounds();
@@ -174,8 +156,8 @@ RepairPlanner::RepairPlanner(const Lattice* lattice) : lattice_(lattice) {
   AEC_CHECK_MSG(lattice_ != nullptr, "planner needs a lattice");
 }
 
-AvailabilityMap RepairPlanner::snapshot(const BlockStore& store) const {
-  AvailabilityMap avail(lattice_->params(), lattice_->n_nodes());
+Availability RepairPlanner::snapshot(const BlockStore& store) const {
+  Availability avail(lattice_->params(), lattice_->n_nodes());
   const auto n = static_cast<NodeIndex>(lattice_->n_nodes());
   for (NodeIndex i = 1; i <= n; ++i) {
     const BlockKey dk = BlockKey::data(i);
@@ -189,33 +171,17 @@ AvailabilityMap RepairPlanner::snapshot(const BlockStore& store) const {
 }
 
 bool RepairPlanner::node_repairable(NodeIndex i,
-                                    const AvailabilityMap& avail) const {
+                                    const Availability& avail) const {
   return node_step_impl(*lattice_, i, avail).has_value();
 }
 
-RepairPlan RepairPlanner::plan(AvailabilityMap& avail, RepairPolicy policy,
+RepairPlan RepairPlanner::plan(Availability& avail, RepairPolicy policy,
                                std::uint32_t max_rounds) const {
-  // Missing set in stable block order (data first, then parities per
-  // node) so the step order inside a wave is deterministic.
-  std::vector<BlockKey> missing;
-  const auto n = static_cast<NodeIndex>(lattice_->n_nodes());
-  for (NodeIndex i = 1; i <= n; ++i) {
-    const BlockKey dk = BlockKey::data(i);
-    if (!avail.ok(dk)) missing.push_back(dk);
-    for (StrandClass cls : lattice_->params().classes()) {
-      const BlockKey pk = BlockKey::parity(lattice_->output_edge(i, cls));
-      if (!avail.ok(pk)) missing.push_back(pk);
-    }
-  }
-  return plan_waves(*lattice_, avail, std::move(missing), policy,
-                    max_rounds, 0);
-}
-
-RepairPlan RepairPlanner::plan_missing(AvailabilityMap& avail,
-                                       std::vector<BlockKey> missing,
-                                       RepairPolicy policy,
-                                       std::uint32_t max_rounds) const {
-  return plan_waves(*lattice_, avail, std::move(missing), policy,
+  AEC_CHECK_MSG(avail.n_nodes() == lattice_->n_nodes(),
+                "plan: availability covers " << avail.n_nodes()
+                                             << " nodes, lattice has "
+                                             << lattice_->n_nodes());
+  return plan_waves(*lattice_, avail, avail.missing_keys(), policy,
                     max_rounds, 0);
 }
 
@@ -283,23 +249,13 @@ RepairReport execute_repair_plan(
     std::optional<std::vector<BlockKey>> missing, std::uint32_t max_rounds,
     const std::function<void(const std::vector<RepairStep>&)>& run_wave) {
   const auto start = std::chrono::steady_clock::now();
-  RepairPlan plan;
-  if (missing) {
-    // O(damage): the caller already knows the missing set, in the
-    // scanning walk's order, so the waves are identical. Map and list
-    // derive from the same keys, so they cannot disagree.
-    std::erase_if(*missing, [&](const BlockKey& key) {
-      return !in_lattice(planner.lattice(), key);
-    });
-    AvailabilityMap avail(planner.lattice().params(),
-                          planner.lattice().n_nodes());
-    for (const BlockKey& key : *missing) avail.set(key, false);
-    plan = planner.plan_missing(avail, std::move(*missing),
-                                RepairPolicy::kFull, max_rounds);
-  } else {
-    AvailabilityMap avail = planner.snapshot(store);
-    plan = planner.plan(avail, RepairPolicy::kFull, max_rounds);
-  }
+  Availability avail = missing ? Availability(planner.lattice().params(),
+                                             planner.lattice().n_nodes())
+                               : planner.snapshot(store);
+  if (missing)
+    for (const BlockKey& key : *missing)
+      if (avail.covers(key)) avail.set(key, false);
+  const RepairPlan plan = planner.plan(avail, RepairPolicy::kFull, max_rounds);
   for (const std::vector<RepairStep>& wave : plan.waves) run_wave(wave);
   RepairReport report = report_from_plan(plan);
   report.wall_seconds =

@@ -5,16 +5,17 @@
 // *rounds*: multi-failure recovery proceeds in synchronous rounds, and
 // within one round every repair depends only on blocks available at round
 // start — so a round is an embarrassingly parallel wave. The planner makes
-// that structure explicit: given an availability snapshot of the lattice,
-// it computes dependency-ordered repair waves (wave w contains exactly the
-// blocks whose inputs are intact or repaired in waves < w) plus the
-// residue that no wave can reach.
+// that structure explicit: given the lattice's Availability, it computes
+// dependency-ordered repair waves (wave w contains exactly the blocks
+// whose inputs are intact or repaired in waves < w) plus the residue that
+// no wave can reach.
 //
 // Planning is a pure availability computation — no payload bytes. That is
-// what lets the byte codec (ParallelRepairer; open lattices), the
-// minimal-erasure analysis and the disaster simulation (sim::AeScheme;
-// closed lattices) share one implementation: simulated round counts and
-// real repair rounds cannot drift apart. Each planned step also records
+// what lets the byte codec (ParallelRepairer, AeCodec; open lattices),
+// the minimal-erasure analysis, the entangled mirror and the disaster
+// simulation (sim::AeScheme; closed lattices) share one implementation,
+// each over an Availability of its own lattice: simulated round counts
+// and real repair rounds cannot drift apart. Each planned step also records
 // *how* to reconstruct the block (which strand for a node, which side for
 // a parity), chosen against wave-start availability, so the executor —
 // at any worker count — never consults availability again and never
@@ -23,12 +24,12 @@
 // path chosen.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
 
+#include "core/codec/availability.h"
 #include "core/codec/block_key.h"
 #include "core/codec/block_store.h"
 #include "core/lattice/lattice.h"
@@ -39,38 +40,6 @@ namespace aec {
 enum class RepairPolicy {
   kFull,     ///< repair every recoverable block
   kMinimal,  ///< parities only while adjacent to a missing data block
-};
-
-/// Block presence flags for one lattice: data 1..n plus the α parity
-/// classes (a parity is identified by its tail, always in [1, n]).
-class AvailabilityMap {
- public:
-  /// Starts with every block present.
-  AvailabilityMap(const CodeParams& params, std::uint64_t n_nodes);
-
-  std::uint64_t n_nodes() const noexcept { return n_; }
-
-  bool data_ok(NodeIndex i) const noexcept {
-    return data_[static_cast<std::size_t>(i)] != 0;
-  }
-  bool parity_ok(Edge e) const noexcept {
-    return parity_[static_cast<std::size_t>(e.cls)]
-                  [static_cast<std::size_t>(e.tail)] != 0;
-  }
-  bool ok(const BlockKey& key) const noexcept {
-    return key.is_data() ? data_ok(key.index) : parity_ok(key.edge());
-  }
-
-  void set(const BlockKey& key, bool present) noexcept {
-    auto& flags = key.is_data() ? data_ : parity_[static_cast<std::size_t>(
-                                              key.cls)];
-    flags[static_cast<std::size_t>(key.index)] = present ? 1 : 0;
-  }
-
- private:
-  std::uint64_t n_;
-  std::vector<std::uint8_t> data_;                      // [0, n], 1-based
-  std::array<std::vector<std::uint8_t>, 3> parity_;     // per class
 };
 
 /// One planned reconstruction: a single XOR of two blocks, both available
@@ -132,6 +101,18 @@ struct RepairReport {
 /// stamps wall_seconds after executing.
 RepairReport report_from_plan(const RepairPlan& plan);
 
+/// Strand `cls` offers d_i a one-XOR repair: its output parity and its
+/// input parity (the virtual zero block at an open origin counts as
+/// present) are both available. d_i is repairable when some class is
+/// intact; the health census's margin counts the intact classes.
+template <class Avail>
+bool strand_intact(const Lattice& lattice, NodeIndex i, StrandClass cls,
+                   const Avail& avail) {
+  if (!avail.parity_ok(lattice.output_edge(i, cls))) return false;
+  const auto input = lattice.input_edge(i, cls);
+  return !input || avail.parity_ok(*input);
+}
+
 class RepairPlanner {
  public:
   /// Plans over `lattice` (not owned; must outlive the planner). Works on
@@ -140,33 +121,23 @@ class RepairPlanner {
 
   const Lattice& lattice() const noexcept { return *lattice_; }
 
-  /// Availability snapshot of a byte store holding this lattice: one
-  /// contains() probe per lattice block — O(lattice).
-  AvailabilityMap snapshot(const BlockStore& store) const;
+  /// Availability of a byte store holding this lattice: one contains()
+  /// probe per lattice block — O(lattice).
+  Availability snapshot(const BlockStore& store) const;
 
   // --- availability-only repairability predicates ---------------------------
 
-  /// d_i is one XOR away: some strand has both incident parities (an
-  /// open-lattice bootstrap input counts as present).
-  bool node_repairable(NodeIndex i, const AvailabilityMap& avail) const;
+  /// d_i is one XOR away: some strand is intact (strand_intact).
+  bool node_repairable(NodeIndex i, const Availability& avail) const;
 
-  /// Computes the full wave schedule from `avail`, which is advanced to
-  /// the resulting fixpoint state (useful for post-repair censuses).
-  /// max_rounds = 0 means unlimited.
-  RepairPlan plan(AvailabilityMap& avail,
+  /// Computes the full wave schedule from `avail`, which must cover this
+  /// lattice. Walks its missing keys in block order, so the step order
+  /// inside a wave is deterministic, and advances it to the resulting
+  /// fixpoint state (useful for post-repair censuses). max_rounds = 0
+  /// means unlimited.
+  RepairPlan plan(Availability& avail,
                   RepairPolicy policy = RepairPolicy::kFull,
                   std::uint32_t max_rounds = 0) const;
-
-  /// plan() with the missing set handed in instead of collected by a full
-  /// lattice walk — O(|missing| · rounds), the hot path when the health
-  /// census already knows the damage. `missing` must list exactly the
-  /// blocks `avail` marks absent, in the stable block order (ascending
-  /// index; data before parity; strand-class order) that makes the waves
-  /// identical to plan()'s.
-  RepairPlan plan_missing(AvailabilityMap& avail,
-                          std::vector<BlockKey> missing,
-                          RepairPolicy policy = RepairPolicy::kFull,
-                          std::uint32_t max_rounds = 0) const;
 
   /// Radius-scoped query for the read path (paper Fig 2): plans over an
   /// expanding BFS neighbourhood of `target`, growing the radius only
@@ -190,13 +161,12 @@ class RepairPlanner {
   const Lattice* lattice_;
 };
 
-/// The repair_all flow: snapshot → plan (kFull) → run every wave
-/// through `run_wave` → report stamped with wall time. Given `missing`
-/// (every missing key in plan()'s block order, as
-/// obs::HealthMonitor::missing_keys walks them; keys outside the lattice
-/// are dropped) the snapshot comes from that list — O(damage) — instead
-/// of one contains() probe per lattice block; the plans (and therefore
-/// the executed bytes, waves and residue) are identical either way.
+/// The repair_all flow: fill an Availability → plan (kFull) → run every
+/// wave through `run_wave` → report stamped with wall time. The map is
+/// filled from `missing` when given (obs::HealthMonitor::missing_keys;
+/// keys the lattice does not store are dropped), else by snapshot(), one
+/// contains() probe per lattice block. The two maps are equal, so the
+/// plans (and the executed bytes, waves and residue) are identical.
 RepairReport execute_repair_plan(
     const RepairPlanner& planner, const BlockStore& store,
     std::optional<std::vector<BlockKey>> missing, std::uint32_t max_rounds,

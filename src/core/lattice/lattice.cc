@@ -150,11 +150,6 @@ std::optional<Edge> Lattice::input_edge(NodeIndex i, StrandClass cls) const {
   return Edge{cls, wrap(h)};
 }
 
-Edge Lattice::output_edge(NodeIndex i, StrandClass cls) const {
-  AEC_DCHECK(is_valid_node(i));
-  return Edge{cls, i};
-}
-
 NodeIndex Lattice::next_on_strand(NodeIndex i, StrandClass cls) const {
   return wrap(output_index_raw(i, cls));
 }

@@ -25,6 +25,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/check.h"
 #include "core/lattice/code_params.h"
 
 namespace aec {
@@ -108,7 +109,10 @@ class Lattice {
   std::optional<Edge> input_edge(NodeIndex i, StrandClass cls) const;
 
   /// The output edge of node i on `cls` (always exists).
-  Edge output_edge(NodeIndex i, StrandClass cls) const;
+  Edge output_edge(NodeIndex i, StrandClass cls) const {
+    AEC_DCHECK(is_valid_node(i));
+    return Edge{cls, i};
+  }
 
   /// Next node on the same strand (edge_head of the output edge).
   NodeIndex next_on_strand(NodeIndex i, StrandClass cls) const;

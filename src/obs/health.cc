@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 
-#include "common/check.h"
 #include "core/codec/repair_planner.h"
 
 namespace aec::obs {
@@ -18,56 +17,37 @@ HealthMonitor::HealthMonitor(MetricsRegistry* registry, Logger* logger)
       g_min_margin_(registry->gauge("health.min_margin")),
       c_deltas_(registry->counter("health.deltas")) {}
 
-namespace {
-
-constexpr StrandClass kClassOrder[] = {StrandClass::kHorizontal,
-                                       StrandClass::kRightHanded,
-                                       StrandClass::kLeftHanded};
-
-/// The repair planner's block order: ascending index, data before
-/// parity, parities in strand-class order.
-bool block_order_less(const BlockKey& a, const BlockKey& b) noexcept {
-  if (a.index != b.index) return a.index < b.index;
-  if (a.kind != b.kind) return a.is_data();
-  return static_cast<std::uint8_t>(a.cls) < static_cast<std::uint8_t>(b.cls);
-}
-
-}  // namespace
-
 void HealthMonitor::configure_lattice(const CodeParams& params,
                                       std::uint64_t n_nodes) {
   std::lock_guard lock(mu_);
   params_ = params;
-  class_bits_ = 0;
-  for (const StrandClass cls : params.classes()) class_bits_ |= parity_bit(cls);
   g_margin_counts_.clear();
   for (std::uint32_t k = 0; k < params.alpha(); ++k) {
     g_margin_counts_.push_back(registry_->gauge(
         "health.margin" + std::to_string(k) + ".blocks"));
   }
   margin_counts_.assign(params.alpha(), 0);
-  resize_locked(n_nodes);
-  clear_locked();
+  set_lattice_locked(n_nodes);
+  reset_locked(n_nodes);
   publish_locked();
 }
 
-void HealthMonitor::resize_locked(std::uint64_t n_nodes) {
-  n_nodes_ = n_nodes;
-  if (n_nodes_ >= 1)
-    lattice_.emplace(*params_, n_nodes_, Lattice::Boundary::kOpen);
+void HealthMonitor::set_lattice_locked(std::uint64_t n_nodes) {
+  if (n_nodes >= 1)
+    lattice_.emplace(*params_, n_nodes, Lattice::Boundary::kOpen);
   else
     lattice_.reset();
-  census_.resize(n_nodes_ + 1, 0);
 }
 
 void HealthMonitor::grow_to(std::uint64_t n_nodes) {
   std::lock_guard lock(mu_);
-  if (!params_ || n_nodes <= n_nodes_) return;
-  const std::uint64_t old_n = n_nodes_;
-  resize_locked(n_nodes);
+  if (!params_ || n_nodes <= census_.n_nodes()) return;
+  const std::uint64_t old_n = census_.n_nodes();
+  census_.grow_to(n_nodes);
+  set_lattice_locked(n_nodes);
   // Missing keys the census now covers move into it.
   for (auto it = outside_.begin(); it != outside_.end();) {
-    if (!in_census(*it)) {
+    if (!census_.covers(*it)) {
       ++it;
       continue;
     }
@@ -80,7 +60,7 @@ void HealthMonitor::grow_to(std::uint64_t n_nodes) {
   // or before it.
   if (data_missing_ + parity_missing_ != 0) {
     for (auto i = static_cast<NodeIndex>(old_n) + 1;
-         static_cast<std::uint64_t>(i) <= n_nodes_; ++i)
+         static_cast<std::uint64_t>(i) <= n_nodes; ++i)
       rescore(i);
   }
   publish_locked();
@@ -93,7 +73,7 @@ bool HealthMonitor::lattice_configured() const {
 
 std::uint64_t HealthMonitor::n_nodes() const {
   std::lock_guard lock(mu_);
-  return n_nodes_;
+  return census_.n_nodes();
 }
 
 void HealthMonitor::on_block(const BlockKey& key, bool present) {
@@ -112,18 +92,23 @@ void HealthMonitor::on_block(const BlockKey& key, bool present) {
   if (delta) c_deltas_->add();
 }
 
-void HealthMonitor::clear() {
-  std::lock_guard lock(mu_);
-  clear_locked();
-  publish_locked();
+void HealthMonitor::seed(const std::vector<BlockKey>& missing) {
+  std::uint64_t deltas = 0;
+  {
+    std::lock_guard lock(mu_);
+    reset_locked(census_.n_nodes());
+    for (const BlockKey& key : missing)
+      if (apply_delta_locked(key, /*missing=*/true)) ++deltas;
+    // The seeded state is the baseline, so publishing it logs nothing.
+    was_vulnerable_ = !margin_counts_.empty() && margin_counts_[0] != 0;
+    publish_locked();
+  }
+  c_deltas_->add(deltas);
 }
 
 bool HealthMonitor::is_missing(const BlockKey& key) const {
   std::lock_guard lock(mu_);
-  if (!in_census(key)) return outside_.contains(key);
-  const std::uint8_t bit =
-      key.is_data() ? kDataMissing : parity_bit(key.cls);
-  return (census_[key.index] & bit) != 0;
+  return census_.covers(key) ? !census_.ok(key) : outside_.contains(key);
 }
 
 std::uint64_t HealthMonitor::missing_count() const {
@@ -142,19 +127,8 @@ std::vector<BlockKey> HealthMonitor::missing_keys() const {
   {
     std::lock_guard lock(mu_);
     // Without a lattice the counts are the overflow's, the census empty.
-    if (params_ && data_missing_ + parity_missing_ != 0) {
-      keys.reserve(data_missing_ + parity_missing_);
-      for (std::size_t i = 1; i < census_.size(); ++i) {
-        const std::uint8_t byte = census_[i];
-        if ((byte & (kDataMissing | class_bits_)) == 0) continue;
-        const auto index = static_cast<NodeIndex>(i);
-        if ((byte & kDataMissing) != 0) keys.push_back(BlockKey::data(index));
-        for (const StrandClass cls : kClassOrder) {
-          if ((byte & parity_bit(cls)) != 0)
-            keys.push_back(BlockKey::parity(Edge{cls, index}));
-        }
-      }
-    }
+    if (params_ && data_missing_ + parity_missing_ != 0)
+      keys = census_.missing_keys();
     extra.assign(outside_.begin(), outside_.end());
   }
   if (extra.empty()) return keys;
@@ -166,40 +140,20 @@ std::vector<BlockKey> HealthMonitor::missing_keys() const {
   return merged;
 }
 
-bool HealthMonitor::in_census(const BlockKey& key) const noexcept {
-  if (key.index < 1 || static_cast<std::uint64_t>(key.index) > n_nodes_)
-    return false;
-  return key.is_data() || (class_bits_ & parity_bit(key.cls)) != 0;
-}
-
-std::uint32_t HealthMonitor::margin_of(NodeIndex i) const {
-  const std::uint8_t own = census_[i];
-  std::uint32_t margin = 0;
-  for (const StrandClass cls : params_->classes()) {
-    // Mirror of RepairPlanner::node_repairable's per-class test: the
-    // output parity and the input parity (virtual zero at an open
-    // origin counts as present) must both be available. The input's
-    // tail precedes i, so its byte is in the census too.
-    const std::uint8_t bit = parity_bit(cls);
-    if ((own & bit) != 0) continue;
-    const auto input = lattice_->input_edge(i, cls);
-    AEC_DCHECK(!input || input->tail < i);
-    if (!input || (census_[input->tail] & bit) == 0) ++margin;
-  }
-  return margin;
-}
-
 void HealthMonitor::rescore(NodeIndex i) {
-  std::uint8_t& byte = census_[i];
   // Tracked margin + 1, or 0 when i is not degraded. Missing data is
   // damage (counted separately), not a vulnerability candidate — it has
-  // no bytes left to protect.
+  // no bytes left to protect. The margin counts the intact strands by
+  // the planner's rule; an input parity's tail precedes i, so its byte
+  // is in the census too.
   std::uint32_t tracked = 0;
-  if ((byte & kDataMissing) == 0) {
-    const std::uint32_t margin = margin_of(i);
+  if (census_.data_ok(i)) {
+    std::uint32_t margin = 0;
+    for (const StrandClass cls : params_->classes())
+      if (strand_intact(*lattice_, i, cls, census_)) ++margin;
     if (margin < params_->alpha()) tracked = margin + 1;
   }
-  const std::uint32_t was = (byte & kMarginMask) >> kMarginShift;
+  const std::uint32_t was = census_.owner_bits(i);
   if (tracked == was) return;
   if (was != 0) {
     --margin_counts_[was - 1];
@@ -209,8 +163,7 @@ void HealthMonitor::rescore(NodeIndex i) {
     ++margin_counts_[tracked - 1];
     ++degraded_;
   }
-  byte = static_cast<std::uint8_t>((byte & ~kMarginMask) |
-                                   (tracked << kMarginShift));
+  census_.set_owner_bits(i, static_cast<std::uint8_t>(tracked));
 }
 
 bool HealthMonitor::apply_delta_locked(const BlockKey& key, bool missing) {
@@ -219,7 +172,7 @@ bool HealthMonitor::apply_delta_locked(const BlockKey& key, bool missing) {
     if (key.index > ceiling.load()) ceiling.store(key.index);
   }
   auto& count = key.is_data() ? data_missing_ : parity_missing_;
-  if (!in_census(key)) {
+  if (!census_.covers(key)) {
     const bool changed =
         missing ? outside_.insert(key).second : outside_.erase(key) != 0;
     // Without a lattice every key counts; a lattice census ignores the
@@ -227,11 +180,7 @@ bool HealthMonitor::apply_delta_locked(const BlockKey& key, bool missing) {
     if (changed && !params_) missing ? ++count : --count;
     return changed;
   }
-  std::uint8_t& byte = census_[key.index];
-  const std::uint8_t bit =
-      key.is_data() ? kDataMissing : parity_bit(key.cls);
-  if (((byte & bit) != 0) == missing) return false;
-  byte ^= bit;
+  if (!census_.set(key, !missing)) return false;
   missing ? ++count : --count;
   rescore(key.index);
   if (key.is_parity()) {
@@ -244,8 +193,8 @@ bool HealthMonitor::apply_delta_locked(const BlockKey& key, bool missing) {
   return true;
 }
 
-void HealthMonitor::clear_locked() {
-  std::fill(census_.begin(), census_.end(), 0);
+void HealthMonitor::reset_locked(std::uint64_t n_nodes) {
+  if (params_) census_ = Availability(*params_, n_nodes);
   outside_.clear();
   std::fill(margin_counts_.begin(), margin_counts_.end(), 0);
   degraded_ = 0;
@@ -276,8 +225,8 @@ void HealthMonitor::publish_locked() {
   }
 
   // The transition is logged, not the count: a bulk announcement (a
-  // node failure, the seeding walk) crosses it at its first one or two
-  // blocks. The gauge and /healthz carry the count.
+  // node failure) crosses it at its first one or two blocks. The gauge
+  // and /healthz carry the count.
   const bool vulnerable_now = vulnerable > 0;
   if (vulnerable_now != was_vulnerable_) {
     if (vulnerable_now) {
@@ -296,7 +245,7 @@ HealthSummary HealthMonitor::summary() const {
   HealthSummary s;
   s.lattice_mode = params_.has_value();
   s.alpha = params_ ? params_->alpha() : 0;
-  s.n_nodes = params_ ? n_nodes_ : 0;
+  s.n_nodes = params_ ? census_.n_nodes() : 0;
   s.data_missing = data_missing_;
   s.parity_missing = parity_missing_;
   s.degraded_blocks = degraded_;
@@ -320,12 +269,12 @@ std::vector<BlockHealth> HealthMonitor::worst(std::size_t n) const {
   // every node the counts say carries that margin.
   for (std::uint32_t k = 0; k < margin_counts_.size() && out.size() < n;
        ++k) {
-    const auto tag = static_cast<std::uint8_t>((k + 1) << kMarginShift);
     std::uint64_t left = margin_counts_[k];
-    for (std::size_t i = 1; left != 0 && out.size() < n && i < census_.size();
+    for (NodeIndex i = 1; left != 0 && out.size() < n &&
+                          static_cast<std::uint64_t>(i) <= census_.n_nodes();
          ++i) {
-      if ((census_[i] & kMarginMask) != tag) continue;
-      out.push_back(BlockHealth{static_cast<NodeIndex>(i), k});
+      if (census_.owner_bits(i) != k + 1) continue;
+      out.push_back(BlockHealth{i, k});
       --left;
     }
   }
@@ -365,9 +314,9 @@ std::vector<BlockHealth> compute_degraded_full(
   std::vector<BlockHealth> out;
   if (n_nodes == 0) return out;
   const Lattice lattice(params, n_nodes, Lattice::Boundary::kOpen);
-  AvailabilityMap avail(params, n_nodes);
+  Availability avail(params, n_nodes);
   for (const BlockKey& key : missing)
-    if (lattice_expects(params, n_nodes, key)) avail.set(key, false);
+    if (avail.covers(key)) avail.set(key, false);
   for (NodeIndex i = 1; static_cast<std::uint64_t>(i) <= n_nodes; ++i) {
     if (!avail.data_ok(i)) continue;
     std::uint32_t margin = 0;

@@ -7,13 +7,13 @@
 // every put and erase notification lands here, and a notification that
 // flips a key's state is a *delta*. Repair planning (scrub, node
 // rebuild) and the availability census (aectool stat) both read the
-// missing set from here. The archive seeds it at every open by walking
-// its expected keys against the store's index.
+// missing set from here. The archive seeds it at every open, in one
+// seed() call, by walking its expected keys against the store's index.
 //
 // A present data block's *margin* is the number of strand classes whose
 // two incident parities (input — or the virtual zero bootstrap near an
-// open origin — and output) are both available: exactly the per-class
-// test inside RepairPlanner::node_repairable. A block with margin 0 is
+// open origin — and output) are both available: the planner's own
+// per-strand rule, strand_intact. A block with margin 0 is
 // *vulnerable* — losing it now would be unrecoverable by any single-XOR
 // step (Fig. 12's "vulnerable data"); margin α means all α repair paths
 // survive. The monitor keeps per-block margins for every *degraded*
@@ -26,22 +26,24 @@
 //   health.margin<k>.blocks                       degraded count at margin k
 //   health.deltas                                 every delta, counted
 //
-// The census is one byte per lattice node i: a bit for d_i missing, a
-// bit per strand class for the parity whose tail is i, and i's tracked
-// margin (present and margin < α; α ≤ 3, so it fits). A delta flips one
-// bit and re-scores at most two nodes by reading at most 2α bytes: a
-// parity delta re-scores the two data blocks incident to that edge, a
-// data delta only itself. No hashing and no allocation under the mutex.
-// Keys the array cannot hold — an index past the tail, a class the code
+// The census is an aec::Availability, the repair planner's type: one
+// byte per lattice node i, a bit for d_i missing and a bit per strand
+// class for the parity whose tail is i. i's tracked margin + 1 (0 unless
+// i is present with margin < α ≤ 3) sits in the byte's owner bits, so
+// the census stays at one byte per lattice node. A delta flips one bit
+// and re-scores at most two nodes by reading at most 2α bytes: a parity
+// delta re-scores the two data blocks incident to that edge, a data
+// delta only itself. No hashing and no allocation under the mutex. Keys
+// the census does not cover — an index past the tail, a class the code
 // does not use, or any key while no lattice is configured (striped
 // codecs: RS, REP) — wait in an overflow set, which grow_to moves into
-// the array once it covers them.
+// the census once it covers them.
 //
 // Memory: one byte per data block, 256 MiB per TiB of 4 KiB blocks (a
-// scrub's AvailabilityMap takes 1 + α bytes per node); striped codecs
-// keep only their missing keys. configure_lattice and clear reset it in
-// O(n); grow_to re-scores only the appended nodes, and only while
-// something is missing.
+// scrub plans on one more such map); striped codecs keep only their
+// missing keys. configure_lattice and seed reset it in O(n); grow_to
+// re-scores only the appended nodes, and only while something is
+// missing.
 //
 // Traffic: ingest announces only keys that were never missing (α + 1
 // per AE data block), each past every key missing so far. Such a
@@ -65,6 +67,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/codec/availability.h"
 #include "core/codec/block_key.h"
 #include "core/codec/block_store.h"
 #include "core/lattice/lattice.h"
@@ -114,7 +117,7 @@ class HealthMonitor final : public BlockStore::Observer {
   /// Census with margins for an AE lattice of `n_nodes` data blocks.
   /// Until then every key waits in the overflow set and counts (damage
   /// counts only, as striped codecs keep them). It starts from an empty
-  /// census, as clear() does.
+  /// census, as seed({}) does.
   void configure_lattice(const CodeParams& params, std::uint64_t n_nodes);
 
   /// Extends the census as the archive grows (ingest appends data
@@ -133,10 +136,11 @@ class HealthMonitor final : public BlockStore::Observer {
   /// its kind missing so far takes no lock.
   void on_block(const BlockKey& key, bool present) override;
 
-  /// Forgets every missing key (everything presumed present) and keeps
-  /// the configuration, without counting deltas — O(n). Reseed with
-  /// on_block(key, false) afterwards (Archive::reindex).
-  void clear();
+  /// Replaces the census with `missing` (every other key present),
+  /// keeping the configuration: O(n + |missing|), at open and reindex.
+  /// Each key it marks counts as a delta; the gauges publish once, and
+  /// no vulnerability transition is logged (a seed is no change).
+  void seed(const std::vector<BlockKey>& missing);
 
   bool is_missing(const BlockKey& key) const;
   /// Every missing key, overflow included.
@@ -157,26 +161,14 @@ class HealthMonitor final : public BlockStore::Observer {
   std::vector<BlockHealth> degraded_all() const { return worst(SIZE_MAX); }
 
  private:
-  // Census byte of node i: kDataMissing, one parity_bit per strand class
-  // (the parity whose tail is i), and the tracked margin plus one in
-  // kMarginMask (0 = not degraded).
-  static constexpr std::uint8_t kDataMissing = 1u << 0;
-  static constexpr unsigned kMarginShift = 4;
-  static constexpr std::uint8_t kMarginMask = 3u << kMarginShift;
-  static constexpr std::uint8_t parity_bit(StrandClass cls) noexcept {
-    return static_cast<std::uint8_t>(2u << static_cast<unsigned>(cls));
-  }
-
-  /// True when `key` lives in the census array. mu_ held.
-  bool in_census(const BlockKey& key) const noexcept;
-  /// Covers `n_nodes` data blocks: lattice and array size. mu_ held.
-  void resize_locked(std::uint64_t n_nodes);
-  std::uint32_t margin_of(NodeIndex i) const;  // mu_ held, i in census
-  void rescore(NodeIndex i);                   // mu_ held, i in census
+  /// The lattice of n ≥ 1 nodes the margins are scored on. mu_ held.
+  void set_lattice_locked(std::uint64_t n_nodes);
+  void rescore(NodeIndex i);  // mu_ held, i in census
   /// Applies one notification; true when it was a delta. mu_ held.
   bool apply_delta_locked(const BlockKey& key, bool missing);
-  /// Empties the census (keeping its geometry) and the overflow set.
-  void clear_locked();
+  /// Empties the overflow set, the margins and the counts, and sizes
+  /// the census (every key present) to `n_nodes`. mu_ held.
+  void reset_locked(std::uint64_t n_nodes);
   /// Every missing key, census and overflow. mu_ held.
   std::uint64_t missing_total_locked() const noexcept;
   void publish_locked();
@@ -186,14 +178,11 @@ class HealthMonitor final : public BlockStore::Observer {
 
   mutable std::mutex mu_;
   std::optional<CodeParams> params_;  // set: margins tracked
-  std::uint64_t n_nodes_ = 0;         // census keys: index [1, n_nodes_]
   std::optional<Lattice> lattice_;    // lattice with n ≥ 1
-  /// Parity bits of the code's strand classes.
-  std::uint8_t class_bits_ = 0;
-  /// One byte per node (entry 0 unused), n_nodes_ + 1 entries with a
-  /// lattice, empty without one.
-  std::vector<std::uint8_t> census_;
-  /// Missing keys the census cannot hold yet (see in_census).
+  /// Missing bits per node, the tracked margin + 1 in its owner bits.
+  /// Covers nothing without a lattice.
+  Availability census_;
+  /// Missing keys the census does not cover yet.
   std::unordered_set<BlockKey, BlockKeyHash> outside_;
   std::vector<std::uint64_t> margin_counts_;  // [0, α)
   std::uint64_t degraded_ = 0;                // sum of margin_counts_
@@ -219,8 +208,8 @@ class HealthMonitor final : public BlockStore::Observer {
 };
 
 /// Brute-force full-lattice recomputation of the degraded set (every
-/// present data node scored from scratch) — the randomized-test oracle
-/// and bench_health_scan's full-rescan baseline. `missing` lists the
+/// present data node scored from scratch by a loop of its own) — the
+/// randomized-test oracle and bench_health_scan's full-rescan baseline. `missing` lists the
 /// missing keys, taken from the store or a set the caller keeps, never
 /// from the monitor under test; duplicates and keys outside the lattice
 /// are ignored. Output order matches HealthMonitor::worst.

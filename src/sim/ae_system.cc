@@ -55,7 +55,7 @@ DisasterResult AeScheme::run_disaster(std::uint64_t n_data,
   const std::vector<std::uint8_t> failed =
       draw_failed_locations(config.n_locations, config.failed_fraction, rng);
 
-  AvailabilityMap avail(params_, n);
+  Availability avail(params_, n);
   const auto& classes = params_.classes();
   for (std::uint64_t b = 0; b < n; ++b) {
     if (failed[data_loc[b]]) {

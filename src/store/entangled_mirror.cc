@@ -35,22 +35,20 @@ namespace {
 bool chain_loses_data(const std::vector<std::uint8_t>& down, std::uint32_t n,
                       std::uint32_t blocks, Lattice::Boundary boundary) {
   const Lattice lat(CodeParams::single(), blocks, boundary);
-  AvailabilityMap avail(lat.params(), blocks);
-  std::vector<BlockKey> missing;  // plan order: by index, data first
-  for (std::uint32_t b = 1; b <= blocks; ++b) {
-    const auto node = static_cast<NodeIndex>(b);
-    const BlockKey keys[] = {
-        BlockKey::data(node),
-        BlockKey::parity(Edge{StrandClass::kHorizontal, node})};
-    for (std::uint32_t k = 0; k < 2; ++k) {
-      if (!down[(2 * (b - 1) + k) % (2 * n)]) continue;
-      avail.set(keys[k], false);
-      missing.push_back(keys[k]);
+  Availability avail(lat.params(), blocks);
+  for (std::uint32_t d = 0; d < 2 * n; ++d) {
+    if (!down[d]) continue;
+    // Drive d holds chain positions d, d + 2n, …: every n-th node (d
+    // even) or edge (d odd) from b = d/2 + 1.
+    for (std::uint32_t b = d / 2 + 1; b <= blocks; b += n) {
+      const auto node = static_cast<NodeIndex>(b);
+      avail.set(d % 2 == 0 ? BlockKey::data(node)
+                           : BlockKey::parity(
+                                 Edge{StrandClass::kHorizontal, node}),
+                false);
     }
   }
-  return !RepairPlanner(&lat)
-              .plan_missing(avail, std::move(missing))
-              .residue.empty();
+  return !RepairPlanner(&lat).plan(avail).residue.empty();
 }
 
 }  // namespace

@@ -400,9 +400,11 @@ Archive::Archive(fs::path root, std::shared_ptr<const Codec> codec,
 }
 
 void Archive::seed_census() {
+  std::vector<BlockKey> missing;
   session_->for_each_expected_key([&](const BlockKey& key) {
-    if (!store_->contains(key)) health_.on_block(key, false);
+    if (!store_->contains(key)) missing.push_back(key);
   });
+  health_.seed(missing);
 }
 
 std::unique_ptr<Archive> Archive::create(fs::path root,
@@ -681,7 +683,6 @@ std::uint64_t Archive::inject_damage(double fraction, std::uint64_t seed) {
 std::uint64_t Archive::reindex() {
   std::lock_guard exclusive(read_gate_);
   store_->rescan();
-  health_.clear();
   seed_census();
   return missing_blocks();
 }

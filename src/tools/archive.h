@@ -421,7 +421,8 @@ class Archive {
 
   void save_manifest() const;
 
-  /// Full O(lattice) census reseed from store presence.
+  /// Full O(lattice) census reseed from store presence, in one
+  /// HealthMonitor::seed call.
   void seed_census();
 
   std::filesystem::path root_;

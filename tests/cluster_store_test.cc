@@ -6,8 +6,10 @@
 // concurrent suites run under the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -20,6 +22,7 @@
 #include "common/rng.h"
 #include "core/codec/store_registry.h"
 #include "obs/health.h"
+#include "obs/log.h"
 #include "sim/ae_system.h"
 #include "sim/placement.h"
 #include "tools/archive.h"
@@ -600,6 +603,66 @@ TEST_F(ClusterArchiveTest, RebuildAfterReopenWithTheNodeDown) {
   const auto read_back = archive->read_file("doc");
   ASSERT_TRUE(read_back.has_value());
   EXPECT_EQ(*read_back, content);
+}
+
+/// The `health` lines Logger::global() writes while `body` runs, every
+/// line unsuppressed; the global logger's sink and rate limit are
+/// restored afterwards.
+std::vector<std::string> global_health_lines(const std::function<void()>& body) {
+  std::FILE* sink = std::tmpfile();
+  EXPECT_NE(sink, nullptr);
+  obs::Logger& logger = obs::Logger::global();
+  struct Restore {
+    obs::Logger& logger;
+    ~Restore() {
+      logger.set_sink(stderr);
+      logger.set_rate_limit_ms(1000);
+    }
+  } restore{logger};
+  logger.set_sink(sink);
+  logger.set_rate_limit_ms(0);
+  body();
+  std::fflush(sink);
+  std::rewind(sink);
+  std::vector<std::string> lines;
+  for (char buf[512]; std::fgets(buf, sizeof buf, sink) != nullptr;)
+    if (std::string(buf).find("\"component\":\"health\"") !=
+        std::string::npos)
+      lines.emplace_back(buf);
+  std::fclose(sink);
+  return lines;
+}
+
+TEST_F(ClusterArchiveTest, ReopenLogsNoHealthTransitionOnlyChangesDo) {
+  // Every open seeds a fresh census, so one that found margin-0 blocks
+  // would otherwise warn on each read-only command of a degraded
+  // archive. A failure and the heal after it are changes: each logs once.
+  const fs::path root = dir("arch");
+  Rng rng(8);
+  const Bytes content = rng.random_block(256 * 128);
+  std::vector<std::string> lines = global_health_lines([&] {
+    auto archive = Archive::create(root, "AE(3,2,5)", 128, {},
+                                   "cluster(4,strand,file)");
+    archive->add_file("doc", content);
+    archive->fail_node(1);
+    EXPECT_GT(archive->health().summary().vulnerable_blocks, 0u);
+  });
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"level\":\"warn\""), std::string::npos);
+
+  std::unique_ptr<Archive> archive;
+  lines = global_health_lines([&] {
+    archive = Archive::open(root);
+    EXPECT_GT(archive->health().summary().vulnerable_blocks, 0u);
+    archive->reindex();
+  });
+  EXPECT_TRUE(lines.empty()) << lines.front();
+
+  lines = global_health_lines([&] { archive->heal_node(1); });
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("no vulnerable data blocks remain"),
+            std::string::npos);
+  EXPECT_EQ(archive->health().summary().vulnerable_blocks, 0u);
 }
 
 TEST_F(ClusterArchiveTest, RebuildAfterBlockFilesDeletedBehindTheArchive) {

@@ -31,7 +31,7 @@ std::optional<PlannedStep> planned_step(const Fixture& f,
                                         const BlockKey& key) {
   const Lattice lat = f.lattice();
   const RepairPlanner planner(&lat);
-  AvailabilityMap avail = planner.snapshot(f.store);
+  Availability avail = planner.snapshot(f.store);
   const RepairPlan plan = planner.plan(avail);
   for (std::size_t w = 0; w < plan.waves.size(); ++w)
     for (const RepairStep& step : plan.waves[w])

@@ -192,7 +192,7 @@ TEST(HealthMonitorTest, VulnerableIffPlannerSaysUnrepairable) {
 
   const Lattice lattice(params, kNodes, Lattice::Boundary::kOpen);
   const RepairPlanner planner(&lattice);
-  AvailabilityMap avail(params, kNodes);
+  Availability avail(params, kNodes);
   for (const BlockKey& key : tracked.missing()) avail.set(key, false);
 
   std::unordered_map<NodeIndex, std::uint32_t> margins;
@@ -291,23 +291,21 @@ TEST(HealthMonitorTest, ClearThenReseedRebuildsAfterOutOfBandDamage) {
     mon.on_block(keys[k], /*present=*/false);
 
   // …and damage that happened while the monitor was NOT listening
-  // (archive closed, blocks deleted behind an open store): clear() plus
-  // a reseed (the seeding walk at open, reindex) must reproduce it
-  // wholesale.
+  // (archive closed, blocks deleted behind an open store): a reseed (the
+  // seeding walk at open, reindex) must reproduce it wholesale.
   std::unordered_set<BlockKey, BlockKeyHash> damage;
   std::mt19937_64 rng(11);
   for (std::size_t i = 0; i < keys.size() / 5; ++i)
     damage.insert(keys[rng() % keys.size()]);
-  mon.clear();
-  for (const BlockKey& key : damage) mon.on_block(key, /*present=*/false);
+  mon.seed(std::vector<BlockKey>(damage.begin(), damage.end()));
   EXPECT_EQ(mon.degraded_all(),
             compute_degraded_full(
                 params, kNodes,
                 std::vector<BlockKey>(damage.begin(), damage.end())));
 
-  // A second clear with nothing to reseed (a healed store) drops every
+  // A second seed with nothing missing (a healed store) drops every
   // stale entry.
-  mon.clear();
+  mon.seed({});
   EXPECT_TRUE(mon.degraded_all().empty());
   EXPECT_EQ(mon.summary().data_missing, 0u);
   EXPECT_EQ(mon.summary().parity_missing, 0u);
@@ -349,10 +347,10 @@ TEST(HealthMonitorTest, WorstRanksAscendingMarginThenIndex) {
 }
 
 TEST(HealthMonitorTest, MarginZeroWarningCarriesNoCount) {
-  // A bulk announcement (a node failure, the seeding walk) arrives one
-  // key at a time, so the census turns vulnerable at its first one or
-  // two blocks. The warning logs the transition once, with no count to
-  // understate the damage; the gauge carries the count.
+  // A bulk announcement (a node failure) arrives one key at a time, so
+  // the census turns vulnerable at its first one or two blocks. The
+  // warning logs the transition once, with no count to understate the
+  // damage; the gauge carries the count.
   const CodeParams params(3, 2, 5);
   std::FILE* sink = std::tmpfile();
   ASSERT_NE(sink, nullptr);
@@ -391,6 +389,46 @@ TEST(HealthMonitorTest, MarginZeroWarningCarriesNoCount) {
   EXPECT_NE(lines[1].find("\"level\":\"info\""), std::string::npos);
   EXPECT_NE(lines[1].find("no vulnerable data blocks remain"),
             std::string::npos);
+}
+
+TEST(HealthMonitorTest, SeedPublishesOnceAndLogsNoTransition) {
+  // Seeding reports what was already true at open: the gauges and the
+  // delta count follow it, the log does not. Changes after it log.
+  const CodeParams params(3, 2, 5);
+  std::FILE* sink = std::tmpfile();
+  ASSERT_NE(sink, nullptr);
+  Logger logger(sink);
+  logger.set_rate_limit_ms(0);
+  MetricsRegistry reg;
+  HealthMonitor mon(&reg, &logger);
+  mon.configure_lattice(params, 60);
+  std::vector<BlockKey> batch;  // every parity whose tail is in [20, 30)
+  for (NodeIndex i = 20; i < 30; ++i)
+    for (const StrandClass cls : params.classes())
+      batch.push_back(BlockKey::parity(Edge{cls, i}));
+
+  mon.seed(batch);
+  const std::uint64_t vulnerable = mon.summary().vulnerable_blocks;
+  EXPECT_GE(vulnerable, 10u);
+  EXPECT_EQ(reg.gauge("health.vulnerable_blocks")->value(),
+            static_cast<std::int64_t>(vulnerable));
+  EXPECT_EQ(reg.gauge("health.parity_missing")->value(),
+            static_cast<std::int64_t>(batch.size()));
+  EXPECT_EQ(reg.counter("health.deltas")->value(), batch.size());
+  EXPECT_EQ(mon.degraded_all(), compute_degraded_full(params, 60, batch));
+  EXPECT_EQ(logger.lines_written(), 0u);
+
+  // A reseed to the same state, and one to a clean state, log nothing.
+  mon.seed(batch);
+  mon.seed({});
+  EXPECT_EQ(mon.summary().vulnerable_blocks, 0u);
+  EXPECT_EQ(logger.lines_written(), 0u);
+
+  // Deltas after a seed log each transition once.
+  for (const BlockKey& key : batch) mon.on_block(key, /*present=*/false);
+  for (const BlockKey& key : batch) mon.on_block(key, /*present=*/true);
+  EXPECT_EQ(logger.lines_written(), 2u);
+  std::fclose(sink);
 }
 
 TEST(HealthMonitorTest, ConcurrentDeltasConvergeToFullRecompute) {
@@ -502,18 +540,17 @@ TEST(HealthCensusTest, CensusFedPlanMatchesTheScanningPath) {
   ASSERT_EQ(census_missing.back(), orphan);
 
   const RepairPlanner planner(&lat);
-  AvailabilityMap scan_avail = planner.snapshot(store);
+  Availability scan_avail = planner.snapshot(store);
   std::erase_if(census_missing, [&](const BlockKey& key) {
     return !lattice_expects(params, kNodes, key);
   });
-  AvailabilityMap census_avail(params, kNodes);
+  Availability census_avail(params, kNodes);
   for (const BlockKey& key : census_missing) census_avail.set(key, false);
   for (const BlockKey& key : universe)
     ASSERT_EQ(scan_avail.ok(key), census_avail.ok(key)) << to_string(key);
 
   const RepairPlan scan_plan = planner.plan(scan_avail);
-  RepairPlan census_plan =
-      planner.plan_missing(census_avail, std::move(census_missing));
+  RepairPlan census_plan = planner.plan(census_avail);
 
   // Identical wave structure, step for step (key, strand, side), and
   // identical residue.

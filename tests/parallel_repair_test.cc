@@ -169,7 +169,7 @@ TEST_P(RepairPlannerProperty, WavesMatchReferenceRoundStructure) {
                store);
 
   const RepairPlanner planner(&lat);
-  AvailabilityMap avail = planner.snapshot(store);
+  Availability avail = planner.snapshot(store);
   const RepairPlan plan = planner.plan(avail);
   const ReferenceRounds ref = reference_rounds(lat, store);
 
@@ -212,7 +212,7 @@ TEST(RepairPlanner, MaxRoundsCapMatchesExecutedReport) {
     store.erase(BlockKey::parity(Edge{StrandClass::kHorizontal, i}));
 
   const RepairPlanner planner(&lat);
-  AvailabilityMap avail = planner.snapshot(store);
+  Availability avail = planner.snapshot(store);
   const RepairPlan plan = planner.plan(avail, RepairPolicy::kFull, 2);
   EXPECT_EQ(plan.rounds(), 2u);
   EXPECT_EQ(plan.edges_planned, 4u);  // two per side per round
@@ -234,8 +234,8 @@ TEST(RepairPlanner, MinimalPolicySkipsParitiesAwayFromMissingData) {
   store.erase(BlockKey::parity(Edge{StrandClass::kHorizontal, 40}));
 
   const RepairPlanner planner(&lat);
-  AvailabilityMap full = planner.snapshot(store);
-  AvailabilityMap minimal = full;
+  Availability full = planner.snapshot(store);
+  Availability minimal = full;
   EXPECT_EQ(planner.plan(full, RepairPolicy::kFull).edges_planned, 1u);
   const RepairPlan plan = planner.plan(minimal, RepairPolicy::kMinimal);
   EXPECT_EQ(plan.edges_planned, 0u);

@@ -47,17 +47,35 @@ using tools::FileWriter;
 
 constexpr std::size_t kBlockSize = 64;
 
+/// The directories test_dir made for the running test.
+std::vector<fs::path>& test_dirs() {
+  static std::vector<fs::path> dirs;
+  return dirs;
+}
+
 fs::path test_dir(const std::string& name) {
+  // A parameterized test is named "Test/Param": one directory, not two.
+  std::string test =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(test.begin(), test.end(), '/', '_');
   const fs::path base =
-      fs::temp_directory_path() /
-      ("aec_read_path_" +
-       std::string(
-           ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
-       "_" + name);
+      fs::temp_directory_path() / ("aec_read_path_" + test + "_" + name);
   fs::remove_all(base);
   fs::create_directories(base);
+  test_dirs().push_back(base);
   return base;
 }
+
+/// Base of every fixture here: removes the test's directories when it
+/// ends, after the stores and archives its body opened on them are gone.
+template <class Base>
+class RemovesTestDirs : public Base {
+ protected:
+  void TearDown() override {
+    for (const fs::path& dir : test_dirs()) fs::remove_all(dir);
+    test_dirs().clear();
+  }
+};
 
 std::uint64_t counter_value(const char* name) {
   return obs::MetricsRegistry::global().counter(name)->value();
@@ -116,7 +134,8 @@ std::string case_name(const ::testing::TestParamInfo<ReadSpecCase>& info) {
   return name;
 }
 
-class ReadPathConformanceTest : public ::testing::TestWithParam<ReadSpecCase> {
+class ReadPathConformanceTest
+    : public RemovesTestDirs<::testing::TestWithParam<ReadSpecCase>> {
  protected:
   struct Instance {
     FileBlockStore store;
@@ -251,7 +270,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- window boundary cases --------------------------------------------------
 
-class ReadPathWindowTest : public ::testing::Test {};
+class ReadPathWindowTest : public RemovesTestDirs<::testing::Test> {};
 
 TEST_F(ReadPathWindowTest, WindowOfOneAndWindowBeyondFile) {
   Rng rng(7);
@@ -314,7 +333,7 @@ TEST_F(ReadPathWindowTest, FileReaderChunksFollowWindowWithPartialTail) {
 
 // --- archive streaming reader + name index ----------------------------------
 
-class ReadPathArchiveTest : public ::testing::Test {};
+class ReadPathArchiveTest : public RemovesTestDirs<::testing::Test> {};
 
 TEST_F(ReadPathArchiveTest, FileReaderMatchesReadFileUnderDamage) {
   Rng rng(9);
@@ -421,7 +440,7 @@ TEST_F(ReadPathArchiveTest, NameIndexFindsEveryFileAndRejectsDuplicates) {
 
 // --- BlockStream unit behaviour ---------------------------------------------
 
-class ReadPathBlockStreamTest : public ::testing::Test {
+class ReadPathBlockStreamTest : public RemovesTestDirs<::testing::Test> {
  protected:
   /// Stores data blocks 1..count in `store` and returns their payloads.
   static std::vector<Bytes> seed(BlockStore& store, std::size_t count) {
@@ -678,7 +697,7 @@ TEST_F(ReadPathBlockStreamTest, NoBatchIsFetchedTwiceWhileWorkersRace) {
 
 // --- file-long read stream -------------------------------------------------
 
-class ReadPathStreamTest : public ::testing::Test {};
+class ReadPathStreamTest : public RemovesTestDirs<::testing::Test> {};
 
 TEST_F(ReadPathStreamTest, FileReaderLooksAheadAcrossChunks) {
   Rng rng(16);
@@ -820,7 +839,7 @@ TEST_F(ReadPathStreamTest, LostBlocksRepairOneWavePerWindow) {
 
 // --- views of the decoded blocks -------------------------------------------
 
-class ReadPathViewsTest : public ::testing::Test {
+class ReadPathViewsTest : public RemovesTestDirs<::testing::Test> {
  protected:
   static constexpr std::size_t kViewBlock = 4096;
 
@@ -962,7 +981,7 @@ TEST_F(ReadPathViewsTest, IrrecoverableBlockFailsTheViewsAndStaysFailed) {
 
 // --- metrics ----------------------------------------------------------------
 
-class ReadPathMetricsTest : public ::testing::Test {};
+class ReadPathMetricsTest : public RemovesTestDirs<::testing::Test> {};
 
 TEST_F(ReadPathMetricsTest, WindowedReadCountsIssuedAndHitBlocks) {
   Rng rng(13);
@@ -992,7 +1011,7 @@ TEST_F(ReadPathMetricsTest, WindowedReadCountsIssuedAndHitBlocks) {
 
 // --- concurrent reader vs scrub ---------------------------------------------
 
-class ReadPathConcurrencyTest : public ::testing::Test {};
+class ReadPathConcurrencyTest : public RemovesTestDirs<::testing::Test> {};
 
 TEST_F(ReadPathConcurrencyTest, FileReaderStreamsWhileScrubRepairs) {
   Rng rng(15);
