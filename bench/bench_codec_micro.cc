@@ -6,9 +6,9 @@
 //
 //   bench_codec_micro --json
 //     skips google-benchmark and instead emits one JSON row per
-//     (kernel variant × op) — xor (dst ^= src), xor3 (dst = a ^ b into
-//     a third buffer) / gf_mul / gf_axpy throughput with a
-//     byte-identity check against the scalar reference. The 16 KiB rows
+//     (kernel variant × op) — xor3 (dst = a ^ b into a third buffer,
+//     the library's one XOR kernel) / gf_mul / gf_axpy throughput with
+//     a byte-identity check against the scalar reference. The 16 KiB rows
 //     are L1-resident (compute-bound: the kernel speedup shows); the
 //     1 MiB rows are memory-bound context. The cross-PR perf-tracking
 //     format (every row records hw_cores, the machine's hardware
@@ -253,7 +253,7 @@ double best_seconds(int reps, Fn&& fn) {
 }
 
 struct KernelRow {
-  const char* op;      // "xor" | "xor3" | "gf_mul" | "gf_axpy"
+  const char* op;      // "xor3" | "gf_mul" | "gf_axpy"
   const char* kernel;  // variant name
   std::size_t buf_bytes;
   double mb_per_s;
@@ -296,12 +296,8 @@ int run_kernel_json() {
   const auto xor_kernels = available_xor_kernels();
   const auto gf_kernels = gf::available_gf_kernels();
   for (const std::size_t size : kSizes) {
-    for (const auto& k : xor_kernels)
-      rows.push_back(measure_kernel(
-          "xor", k.name, size, k.xor_into, xor_kernels.front().xor_into));
     // xor3 reads `a` and the row's source and writes the destination
-    // over: three streams per byte, where xor reads two and writes one
-    // of them back.
+    // over: three streams per byte.
     const Bytes a = Rng(61 + size).random_block(size);
     for (const auto& k : xor_kernels)
       rows.push_back(measure_kernel(

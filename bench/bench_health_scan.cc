@@ -16,9 +16,14 @@
 // per lattice node (200 KB at the default 200000 nodes) — the missing
 // set and the margins together — so a delta hashes nothing; the
 // incremental rows time the monitor's on_block alone, exactly as a store
-// calls it. Both paths are cross-checked for agreement before timing is
-// reported (ok=false poisons the row, and CI's JSON gate sees it); the
-// full rescans read the bench's own damage list, never the monitor.
+// calls it. One pass of 8,000–160,000 deltas takes 0.5–10 ms, too short
+// for one timing to resolve a 10% change, so an incremental row times
+// kIncrementalReps passes, each on a fresh monitor over the same damage
+// list, and reports their median wall time (`reps`). Both paths are
+// cross-checked for agreement before timing is reported (ok=false
+// poisons the row, and CI's JSON gate sees it); the full rescans read
+// the bench's own damage list, never the monitor.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -54,13 +59,17 @@ std::vector<BlockKey> key_universe(const CodeParams& params,
   return keys;
 }
 
+/// Timed passes per incremental row; the row reports their median.
+constexpr int kIncrementalReps = 9;
+
 struct PhaseRow {
   const char* mode;  // "incremental" | "full_rescan"
   double damage_pct;
   std::uint64_t n_nodes;
-  std::uint64_t deltas;      // events replayed (incremental) / 0
+  std::uint64_t deltas;      // events replayed per pass (incremental) / 0
   std::uint64_t scans;       // rescans timed (full) / 0
-  double wall_ms;            // total for the phase
+  int reps;                  // passes timed (incremental) / 0
+  double wall_ms;            // incremental: median pass; full: all scans
   double per_refresh_ms;     // one up-to-date census
   std::uint64_t degraded;
   std::uint64_t vulnerable;
@@ -69,16 +78,19 @@ struct PhaseRow {
 
 void print_row(const PhaseRow& row, bool json) {
   if (json) {
+    char reps[32] = "";
+    if (row.reps > 0)
+      std::snprintf(reps, sizeof reps, "\"reps\":%d,", row.reps);
     std::printf(
         "{\"schema_version\":1,\"bench\":\"health_scan\",\"mode\":\"%s\","
         "\"damage_pct\":%.0f,\"n_nodes\":%llu,\"deltas\":%llu,"
-        "\"scans\":%llu,\"wall_ms\":%.3f,\"per_refresh_ms\":%.4f,"
+        "\"scans\":%llu,%s\"wall_ms\":%.3f,\"per_refresh_ms\":%.4f,"
         "\"degraded\":%llu,\"vulnerable\":%llu,\"hw_cores\":%u,"
         "\"ok\":%s}\n",
         row.mode, row.damage_pct,
         static_cast<unsigned long long>(row.n_nodes),
         static_cast<unsigned long long>(row.deltas),
-        static_cast<unsigned long long>(row.scans), row.wall_ms,
+        static_cast<unsigned long long>(row.scans), reps, row.wall_ms,
         row.per_refresh_ms, static_cast<unsigned long long>(row.degraded),
         static_cast<unsigned long long>(row.vulnerable),
         std::thread::hardware_concurrency(), row.ok ? "true" : "false");
@@ -117,14 +129,24 @@ int run(std::uint64_t n_nodes, bool json) {
 
     // Incremental: every delta lands in the monitor as it happens; the
     // census is continuously up to date, so per_refresh is ~free (one
-    // summary() call).
-    obs::MetricsRegistry registry;
-    obs::HealthMonitor monitor(&registry, &quiet);
-    monitor.configure_lattice(params, n_nodes);
-    const auto inc_start = Clock::now();
-    for (const BlockKey& key : damage) monitor.on_block(key, false);
-    const obs::HealthSummary summary = monitor.summary();
-    const double inc_ms = ms_since(inc_start);
+    // summary() call). Each pass starts from a fresh, healthy monitor;
+    // the last one's census is cross-checked below.
+    std::vector<double> pass_ms;
+    obs::HealthSummary summary;
+    std::vector<obs::BlockHealth> census;
+    for (int rep = 0; rep < kIncrementalReps; ++rep) {
+      obs::MetricsRegistry registry;
+      obs::HealthMonitor monitor(&registry, &quiet);
+      monitor.configure_lattice(params, n_nodes);
+      const auto inc_start = Clock::now();
+      for (const BlockKey& key : damage) monitor.on_block(key, false);
+      summary = monitor.summary();
+      pass_ms.push_back(ms_since(inc_start));
+      if (rep + 1 == kIncrementalReps) census = monitor.degraded_all();
+    }
+    std::nth_element(pass_ms.begin(), pass_ms.begin() + kIncrementalReps / 2,
+                     pass_ms.end());
+    const double inc_ms = pass_ms[kIncrementalReps / 2];
 
     // Full rescan: what a scan-based census pays for EVERY refresh.
     constexpr std::uint64_t kScans = 5;
@@ -137,14 +159,15 @@ int run(std::uint64_t n_nodes, bool json) {
     std::uint64_t full_vulnerable = 0;
     for (const obs::BlockHealth& b : full)
       if (b.margin == 0) ++full_vulnerable;
-    const bool ok = monitor.degraded_all() == full &&
+    const bool ok = census == full &&
                     summary.vulnerable_blocks == full_vulnerable;
 
     print_row({"incremental", fraction * 100, n_nodes, damage.size(), 0,
-               inc_ms, inc_ms / static_cast<double>(damage.size()),
+               kIncrementalReps, inc_ms,
+               inc_ms / static_cast<double>(damage.size()),
                summary.degraded_blocks, summary.vulnerable_blocks, ok},
               json);
-    print_row({"full_rescan", fraction * 100, n_nodes, 0, kScans, full_ms,
+    print_row({"full_rescan", fraction * 100, n_nodes, 0, kScans, 0, full_ms,
                full_ms / static_cast<double>(kScans), full.size(),
                full_vulnerable, ok},
               json);

@@ -203,7 +203,7 @@ std::unique_ptr<BlockStream> AeSession::open_stream(NodeIndex first,
 RepairReport AeSession::repair_all(
     std::optional<std::vector<BlockKey>> missing) {
   if (size() == 0) return {};
-  return repairer()->repair_all(0, std::move(missing));
+  return repairer()->repair_all(std::move(missing));
 }
 
 void AeSession::for_each_expected_key(

@@ -400,7 +400,9 @@ void ClusterStore::heal_node(std::uint32_t node) {
                       << "' cannot enumerate keys; availability cannot "
                          "be restored after an outage");
     // The old contents are reachable again; then the repairs staged
-    // during the outage become durable, each announced by its put.
+    // during the outage move into the child, each announced by its put
+    // (a write-behind child lands them later; Archive::heal_node
+    // flushes).
     n.child->for_each_key([&](const BlockKey& key) { notify(key, true); });
     flush_staged(n);
   }

@@ -16,9 +16,11 @@ namespace {
 // --- scalar -----------------------------------------------------------------
 //
 // The reference every SIMD variant is conformance-tested against, and
-// what AEC_KERNEL=scalar selects. Vectorization is disabled so "scalar"
-// really means no SIMD — otherwise GCC would quietly lower the word loop
-// to SSE2 and the kernel tiers would measure as noise apart.
+// what AEC_KERNEL=scalar selects. On x86 vectorization is disabled so
+// "scalar" really means no SIMD — otherwise GCC would quietly lower the
+// loop to SSE2 and the kernel tiers would measure as noise apart.
+
+#ifdef AEC_X86
 
 #if defined(__GNUC__) && !defined(__clang__)
 #define AEC_NO_VECTORIZE __attribute__((optimize("no-tree-vectorize")))
@@ -26,63 +28,25 @@ namespace {
 #define AEC_NO_VECTORIZE
 #endif
 
-#ifdef AEC_X86
-
-AEC_NO_VECTORIZE
-void xor_scalar(std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
-  // On x86 the scalar kernel is the honest byte-at-a-time reference —
-  // the SIMD tiers carry production speed (dispatch never picks scalar
-  // unless AEC_KERNEL forces it), and a word-wide "scalar" already sits
-  // at the 2-load+1-store port limit, which would make kernel-tier
-  // comparisons meaningless.
-  for (std::size_t i = 0; i < n; ++i) d[i] ^= s[i];
-}
-
 AEC_NO_VECTORIZE
 void xor3_scalar(std::uint8_t* d, const std::uint8_t* a, const std::uint8_t* b,
                  std::size_t n) {
+  // On x86 the scalar kernel is the honest byte-at-a-time reference —
+  // the SIMD tiers carry production speed (dispatch never picks scalar
+  // unless AEC_KERNEL forces it), and a word-wide "scalar" already sits
+  // at the load/store port limit, which would make kernel-tier
+  // comparisons meaningless.
   for (std::size_t i = 0; i < n; ++i) d[i] = a[i] ^ b[i];
 }
 
 #else
 
-void xor_scalar(std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
-  // Non-x86: scalar is the only variant, so keep the word loop (memcpy
-  // avoids alignment UB and lowers to plain 64-bit loads/stores) and let
-  // the auto-vectorizer do what it wants.
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    std::uint64_t a0, a1, a2, a3, b0, b1, b2, b3;
-    std::memcpy(&a0, d + i, 8);
-    std::memcpy(&a1, d + i + 8, 8);
-    std::memcpy(&a2, d + i + 16, 8);
-    std::memcpy(&a3, d + i + 24, 8);
-    std::memcpy(&b0, s + i, 8);
-    std::memcpy(&b1, s + i + 8, 8);
-    std::memcpy(&b2, s + i + 16, 8);
-    std::memcpy(&b3, s + i + 24, 8);
-    a0 ^= b0;
-    a1 ^= b1;
-    a2 ^= b2;
-    a3 ^= b3;
-    std::memcpy(d + i, &a0, 8);
-    std::memcpy(d + i + 8, &a1, 8);
-    std::memcpy(d + i + 16, &a2, 8);
-    std::memcpy(d + i + 24, &a3, 8);
-  }
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t a, b;
-    std::memcpy(&a, d + i, 8);
-    std::memcpy(&b, s + i, 8);
-    a ^= b;
-    std::memcpy(d + i, &a, 8);
-  }
-  for (; i < n; ++i) d[i] ^= s[i];  // byte tail
-}
-
 void xor3_scalar(std::uint8_t* d, const std::uint8_t* a, const std::uint8_t* b,
                  std::size_t n) {
-  // Both sources are loaded before dst is stored, so dst may alias either.
+  // Non-x86: scalar is the only variant, so keep the word loop (memcpy
+  // avoids alignment UB and lowers to plain 64-bit loads/stores) and let
+  // the auto-vectorizer do what it wants. Both sources are loaded before
+  // dst is stored, so dst may alias either.
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     std::uint64_t x, y;
@@ -96,29 +60,16 @@ void xor3_scalar(std::uint8_t* d, const std::uint8_t* a, const std::uint8_t* b,
 
 #endif  // AEC_X86
 
-AEC_NO_VECTORIZE
-bool all_zero_scalar(const std::uint8_t* p, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p + i, 8);
-    if (w != 0) return false;
-  }
-  for (; i < n; ++i)
-    if (p[i] != 0) return false;
-  return true;
-}
-
 // --- SSE2 / AVX2 ------------------------------------------------------------
 //
 // Unaligned loads/stores throughout: block payloads live in std::vector
 // storage or behind a Block's 8-byte header. Each variant handles its own
 // sub-width tail by falling through to the scalar loop.
 //
-// The three-operand kernels write a fresh buffer, usually one no cache
-// holds (a new Block on recycled or just-faulted heap memory), so each
-// store would wait for its line to be fetched for ownership one after
-// another. They prefetch the destination kDstPrefetchBytes ahead of the
+// The kernels usually write a fresh buffer, one no cache holds (a new
+// Block on recycled or just-faulted heap memory), so each store would
+// wait for its line to be fetched for ownership one after another.
+// They prefetch the destination kDstPrefetchBytes ahead of the
 // stores, which keeps those fetches in flight together: on a 4-core
 // host, xor_of into recycled, uncached 4 KiB blocks ran 1.6–1.8× faster
 // with it (AVX2, 1 and 3 threads).
@@ -132,47 +83,6 @@ __attribute__((target("sse2"))) inline void prefetch_dst(
     const std::uint8_t* d, std::size_t from, std::size_t to, std::size_t n) {
   for (std::size_t p = from; p < to && p < n; p += 64)
     _mm_prefetch(reinterpret_cast<const char*>(d + p), _MM_HINT_T0);
-}
-
-__attribute__((target("sse2"))) void xor_sse2(std::uint8_t* d,
-                                              const std::uint8_t* s,
-                                              std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m128i a0 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(d + i));
-    const __m128i a1 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(d + i + 16));
-    const __m128i a2 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(d + i + 32));
-    const __m128i a3 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(d + i + 48));
-    const __m128i b0 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(s + i));
-    const __m128i b1 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(s + i + 16));
-    const __m128i b2 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(s + i + 32));
-    const __m128i b3 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(s + i + 48));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i),
-                     _mm_xor_si128(a0, b0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i + 16),
-                     _mm_xor_si128(a1, b1));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i + 32),
-                     _mm_xor_si128(a2, b2));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i + 48),
-                     _mm_xor_si128(a3, b3));
-  }
-  for (; i + 16 <= n; i += 16) {
-    const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + i));
-    const __m128i b =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i),
-                     _mm_xor_si128(a, b));
-  }
-  xor_scalar(d + i, s + i, n - i);
 }
 
 __attribute__((target("sse2"))) void xor3_sse2(std::uint8_t* d,
@@ -220,59 +130,6 @@ __attribute__((target("sse2"))) void xor3_sse2(std::uint8_t* d,
   xor3_scalar(d + i, a + i, b + i, n - i);
 }
 
-__attribute__((target("sse2"))) bool all_zero_sse2(const std::uint8_t* p,
-                                                   std::size_t n) {
-  std::size_t i = 0;
-  const __m128i zero = _mm_setzero_si128();
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    if (_mm_movemask_epi8(_mm_cmpeq_epi8(v, zero)) != 0xFFFF) return false;
-  }
-  return all_zero_scalar(p + i, n - i);
-}
-
-__attribute__((target("avx2"))) void xor_avx2(std::uint8_t* d,
-                                              const std::uint8_t* s,
-                                              std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 128 <= n; i += 128) {
-    const __m256i a0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(d + i));
-    const __m256i a1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(d + i + 32));
-    const __m256i a2 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(d + i + 64));
-    const __m256i a3 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(d + i + 96));
-    const __m256i b0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(s + i));
-    const __m256i b1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(s + i + 32));
-    const __m256i b2 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(s + i + 64));
-    const __m256i b3 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(s + i + 96));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i),
-                        _mm256_xor_si256(a0, b0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i + 32),
-                        _mm256_xor_si256(a1, b1));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i + 64),
-                        _mm256_xor_si256(a2, b2));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i + 96),
-                        _mm256_xor_si256(a3, b3));
-  }
-  for (; i + 32 <= n; i += 32) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i),
-                        _mm256_xor_si256(a, b));
-  }
-  xor_scalar(d + i, s + i, n - i);
-}
-
 __attribute__((target("avx2"))) void xor3_avx2(std::uint8_t* d,
                                                const std::uint8_t* a,
                                                const std::uint8_t* b,
@@ -317,17 +174,6 @@ __attribute__((target("avx2"))) void xor3_avx2(std::uint8_t* d,
   xor3_scalar(d + i, a + i, b + i, n - i);
 }
 
-__attribute__((target("avx2"))) bool all_zero_avx2(const std::uint8_t* p,
-                                                   std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-    if (!_mm256_testz_si256(v, v)) return false;
-  }
-  return all_zero_scalar(p + i, n - i);
-}
-
 #endif  // AEC_X86
 
 const XorKernel& dispatched_kernel() {
@@ -335,8 +181,7 @@ const XorKernel& dispatched_kernel() {
     const KernelTier tier = selected_kernel_tier();
     for (const XorKernel& k : available_xor_kernels())
       if (k.tier == tier) return k;
-    return XorKernel{KernelTier::kScalar, "scalar", &xor_scalar,
-                     &xor3_scalar, &all_zero_scalar};
+    return XorKernel{KernelTier::kScalar, "scalar", &xor3_scalar};
   }();
   return kernel;
 }
@@ -345,15 +190,12 @@ const XorKernel& dispatched_kernel() {
 
 std::vector<XorKernel> available_xor_kernels() {
   std::vector<XorKernel> kernels{
-      {KernelTier::kScalar, "scalar", &xor_scalar, &xor3_scalar,
-       &all_zero_scalar}};
+      {KernelTier::kScalar, "scalar", &xor3_scalar}};
 #ifdef AEC_X86
   if (cpu_supports(KernelTier::kSse2))
-    kernels.push_back(
-        {KernelTier::kSse2, "sse2", &xor_sse2, &xor3_sse2, &all_zero_sse2});
+    kernels.push_back({KernelTier::kSse2, "sse2", &xor3_sse2});
   if (cpu_supports(KernelTier::kAvx2))
-    kernels.push_back(
-        {KernelTier::kAvx2, "avx2", &xor_avx2, &xor3_avx2, &all_zero_avx2});
+    kernels.push_back({KernelTier::kAvx2, "avx2", &xor3_avx2});
 #endif
   return kernels;
 }
@@ -362,7 +204,7 @@ void xor_into(std::span<std::uint8_t> dst, BytesView src) {
   AEC_CHECK_MSG(dst.size() == src.size(),
                 "xor_into: size mismatch " << dst.size() << " vs "
                                            << src.size());
-  dispatched_kernel().xor_into(dst.data(), src.data(), dst.size());
+  dispatched_kernel().xor3(dst.data(), dst.data(), src.data(), dst.size());
 }
 
 void xor3(std::span<std::uint8_t> dst, BytesView a, BytesView b) {
@@ -377,10 +219,6 @@ Block xor_of(BytesView a, BytesView b) {
                                           << a.size() << " vs " << b.size());
   return Block::build(a.size(),
                       [&](std::span<std::uint8_t> out) { xor3(out, a, b); });
-}
-
-bool all_zero(BytesView b) noexcept {
-  return dispatched_kernel().all_zero(b.data(), b.size());
 }
 
 }  // namespace aec

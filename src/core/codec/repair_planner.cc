@@ -73,12 +73,13 @@ bool edge_adjacent_to_missing_data_impl(const Lattice& lat, Edge e,
   return lat.is_valid_node(j) && !avail.data_ok(j);
 }
 
-/// Shared wave loop over a shrinking missing set. `missing` is consumed;
-/// `stop_target` (valid node) truncates after the wave repairing it.
+/// Shared wave loop over a shrinking missing set, run to its fixpoint.
+/// `missing` is consumed; `stop_target` (valid node) truncates after the
+/// wave repairing it.
 template <class Avail>
 RepairPlan plan_waves(const Lattice& lat, Avail& avail,
                       std::vector<BlockKey> missing, RepairPolicy policy,
-                      std::uint32_t max_rounds, NodeIndex stop_target) {
+                      NodeIndex stop_target) {
   RepairPlan plan;
 
   // `later` is a persistent buffer swapped with `missing` each round —
@@ -87,7 +88,6 @@ RepairPlan plan_waves(const Lattice& lat, Avail& avail,
   std::vector<BlockKey> later;
   later.reserve(missing.size());
   while (!missing.empty()) {
-    if (max_rounds != 0 && plan.rounds() >= max_rounds) break;
     // Decide against availability at wave start: steps are chosen before
     // any of this wave's blocks is marked available.
     std::vector<RepairStep> wave;
@@ -175,14 +175,13 @@ bool RepairPlanner::node_repairable(NodeIndex i,
   return node_step_impl(*lattice_, i, avail).has_value();
 }
 
-RepairPlan RepairPlanner::plan(Availability& avail, RepairPolicy policy,
-                               std::uint32_t max_rounds) const {
+RepairPlan RepairPlanner::plan(Availability& avail,
+                               RepairPolicy policy) const {
   AEC_CHECK_MSG(avail.n_nodes() == lattice_->n_nodes(),
                 "plan: availability covers " << avail.n_nodes()
                                              << " nodes, lattice has "
                                              << lattice_->n_nodes());
-  return plan_waves(*lattice_, avail, avail.missing_keys(), policy,
-                    max_rounds, 0);
+  return plan_waves(*lattice_, avail, avail.missing_keys(), policy, 0);
 }
 
 std::optional<RepairStep> RepairPlanner::plan_node_repair(
@@ -237,7 +236,7 @@ std::optional<RepairPlan> RepairPlanner::plan_for_target(
     for (const BlockKey& key : scope)
       if (!avail.ok(key)) missing.push_back(key);
     RepairPlan plan = plan_waves(*lattice_, avail, std::move(missing),
-                                 RepairPolicy::kFull, 0, target);
+                                 RepairPolicy::kFull, target);
     if (avail.data_ok(target)) return plan;
     if (scope.size() >= all_blocks) break;  // whole lattice in scope
   }
@@ -246,7 +245,7 @@ std::optional<RepairPlan> RepairPlanner::plan_for_target(
 
 RepairReport execute_repair_plan(
     const RepairPlanner& planner, const BlockStore& store,
-    std::optional<std::vector<BlockKey>> missing, std::uint32_t max_rounds,
+    std::optional<std::vector<BlockKey>> missing,
     const std::function<void(const std::vector<RepairStep>&)>& run_wave) {
   const auto start = std::chrono::steady_clock::now();
   Availability avail = missing ? Availability(planner.lattice().params(),
@@ -255,7 +254,7 @@ RepairReport execute_repair_plan(
   if (missing)
     for (const BlockKey& key : *missing)
       if (avail.covers(key)) avail.set(key, false);
-  const RepairPlan plan = planner.plan(avail, RepairPolicy::kFull, max_rounds);
+  const RepairPlan plan = planner.plan(avail);
   for (const std::vector<RepairStep>& wave : plan.waves) run_wave(wave);
   RepairReport report = report_from_plan(plan);
   report.wall_seconds =

@@ -8,7 +8,9 @@
 // that structure explicit: given the lattice's Availability, it computes
 // dependency-ordered repair waves (wave w contains exactly the blocks
 // whose inputs are intact or repaired in waves < w) plus the residue that
-// no wave can reach.
+// no wave can reach. A plan always runs to that fixpoint (only the read
+// path's target query stops early, at the wave that repairs its target),
+// so the residue is exactly what is irrecoverable.
 //
 // Planning is a pure availability computation — no payload bytes. That is
 // what lets the byte codec (ParallelRepairer, AeCodec; open lattices),
@@ -60,8 +62,7 @@ struct RepairPlan {
   /// every step reads only blocks available before the wave — steps are
   /// mutually independent and may run concurrently.
   std::vector<std::vector<RepairStep>> waves;
-  /// Missing blocks no wave reaches: irrecoverable at the fixpoint, or
-  /// unprocessed when a max_rounds cap stopped planning early.
+  /// Missing blocks no wave reaches: irrecoverable at the fixpoint.
   std::vector<BlockKey> residue;
   std::uint64_t nodes_planned = 0;
   std::uint64_t edges_planned = 0;
@@ -131,13 +132,12 @@ class RepairPlanner {
   bool node_repairable(NodeIndex i, const Availability& avail) const;
 
   /// Computes the full wave schedule from `avail`, which must cover this
-  /// lattice. Walks its missing keys in block order, so the step order
-  /// inside a wave is deterministic, and advances it to the resulting
-  /// fixpoint state (useful for post-repair censuses). max_rounds = 0
-  /// means unlimited.
+  /// lattice, up to the fixpoint: every round that repairs something.
+  /// Walks its missing keys in block order, so the step order inside a
+  /// wave is deterministic, and advances `avail` to the fixpoint state
+  /// (useful for post-repair censuses).
   RepairPlan plan(Availability& avail,
-                  RepairPolicy policy = RepairPolicy::kFull,
-                  std::uint32_t max_rounds = 0) const;
+                  RepairPolicy policy = RepairPolicy::kFull) const;
 
   /// Radius-scoped query for the read path (paper Fig 2): plans over an
   /// expanding BFS neighbourhood of `target`, growing the radius only
@@ -169,7 +169,7 @@ class RepairPlanner {
 /// plans (and the executed bytes, waves and residue) are identical.
 RepairReport execute_repair_plan(
     const RepairPlanner& planner, const BlockStore& store,
-    std::optional<std::vector<BlockKey>> missing, std::uint32_t max_rounds,
+    std::optional<std::vector<BlockKey>> missing,
     const std::function<void(const std::vector<RepairStep>&)>& run_wave);
 
 /// The two blocks a planned step XORs. `input` is nullopt at an

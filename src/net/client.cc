@@ -22,12 +22,15 @@ namespace {
 /// stay below the server's default admission limit with headroom for
 /// other clients.
 constexpr std::size_t kPutPipelineWindow = 8;
+/// PUT_CHUNK payload size for the streaming helpers, well below the
+/// server's per-frame bound (kDefaultMaxPayload).
+constexpr std::size_t kPutChunkBytes = 1u << 20;
 
 }  // namespace
 
 Client::OpScope::OpScope(Client& client, const char* what)
     : client_(client), span_("net.client.request") {
-  if (client_.trace_) {
+  if (client_.config_.trace) {
     client_.active_trace_id_ = client_.new_trace_id();
     client_.last_trace_id_ = client_.active_trace_id_;
     span_.set_request_id(client_.active_trace_id_);
@@ -48,9 +51,7 @@ std::uint64_t Client::new_trace_id() noexcept {
 }
 
 Client::Client(ClientConfig config)
-    : config_(std::move(config)),
-      parser_(config_.max_payload),
-      trace_(config_.trace) {
+    : config_(std::move(config)) {
   fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   AEC_CHECK_MSG(fd_ >= 0, "socket: " << std::strerror(errno));
 
@@ -209,7 +210,7 @@ PutResult Client::put_stream(const std::string& name,
   // Each chunk is produced behind room left for its header and sent as
   // is: one copy per PUT byte, into the kernel.
   const std::size_t header = header_size(active_trace_id_);
-  const std::size_t cap = config_.put_chunk_bytes;
+  const std::size_t cap = kPutChunkBytes;
   Bytes wire(header + cap);
   for (;;) {
     const std::size_t n = produce(wire.data() + header, cap);

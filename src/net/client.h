@@ -40,9 +40,6 @@ struct ClientConfig {
   /// Per socket send/recv timeout (SO_SNDTIMEO/SO_RCVTIMEO); 0 = block
   /// forever.
   int timeout_ms = 30'000;
-  std::size_t max_payload = kDefaultMaxPayload;
-  /// PUT_CHUNK payload size for the streaming helpers.
-  std::size_t put_chunk_bytes = 1u << 20;
   /// Stamp every frame of each logical op with a fresh trace id (frames
   /// switch to the AEC2 header) so daemon-side "net.request" spans adopt
   /// the same correlation id as the client's "net.client.request" span.
@@ -128,9 +125,8 @@ class Client {
   void node_heal(std::uint32_t node);
   RebuildResult node_rebuild(std::uint32_t node);
 
-  /// Toggles wire-level trace propagation (see ClientConfig::trace).
-  void set_trace(bool on) noexcept { trace_ = on; }
-  bool trace() const noexcept { return trace_; }
+  /// Whether ops propagate trace ids on the wire (ClientConfig::trace).
+  bool trace() const noexcept { return config_.trace; }
   /// Trace id of the most recent traced logical op (0 before the first)
   /// — what "aecc trace --request-id" filters dumps on.
   std::uint64_t last_trace_id() const noexcept { return last_trace_id_; }
@@ -168,7 +164,6 @@ class Client {
   int fd_ = -1;
   FrameParser parser_;
   std::uint64_t next_request_id_ = 1;
-  bool trace_ = false;
   std::uint64_t trace_count_ = 0;
   std::uint64_t active_trace_id_ = 0;  // nonzero inside a traced op
   std::uint64_t last_trace_id_ = 0;

@@ -51,6 +51,14 @@ std::string http_response(int status, const char* reason,
 /// Bound on buffered request-header bytes before the peer is dropped.
 constexpr std::size_t kHttpMaxRequest = 16u << 10;
 
+/// Connections held open at once; the reactor closes each one it
+/// accepts beyond this.
+constexpr std::size_t kMaxConnections = 256;
+
+/// How long a shutdown lets in-flight requests finish and their replies
+/// flush before the loop stops.
+constexpr std::chrono::milliseconds kDrainTimeout{10'000};
+
 struct SendResult {
   std::size_t sent = 0;  // leading bytes of the parts the socket took
   bool fatal = false;    // the socket failed (not merely full)
@@ -224,8 +232,7 @@ void Server::shutdown() {
   loop_.post([this] {
     if (draining_) return;
     draining_ = true;
-    drain_deadline_ =
-        Clock::now() + std::chrono::milliseconds(config_.drain_timeout_ms);
+    drain_deadline_ = Clock::now() + kDrainTimeout;
     if (listen_fd_ >= 0) {
       loop_.remove(listen_fd_);
       ::close(listen_fd_);
@@ -259,14 +266,14 @@ void Server::on_accept() {
       if (errno == EINTR) continue;
       return;  // transient accept failure; the listener stays armed
     }
-    if (conns_.size() >= config_.max_connections) {
+    if (conns_.size() >= kMaxConnections) {
       ::close(fd);
       continue;
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
-    auto conn = std::make_unique<Connection>(config_.max_payload);
+    auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
     conn->gate = std::make_shared<WriteGate>();

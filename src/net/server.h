@@ -67,7 +67,7 @@
 // Shutdown: shutdown() (thread-safe, also wired to SIGTERM by aecd)
 // stops accepting, rejects new requests with kShuttingDown, lets
 // in-flight requests finish and their responses flush, then stops the
-// loop — bounded by `drain_timeout_ms`.
+// loop — bounded by kDrainTimeout (10 s).
 //
 // Observability: net.conn.{accepted,closed,active}, net.req.{count,
 // rejected,bytes_in,bytes_out}, per-opcode latency histograms
@@ -112,9 +112,6 @@ namespace aec::net {
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = kernel-chosen ephemeral port
-  std::size_t max_connections = 256;
-  /// Per-frame payload bound enforced by the deframer.
-  std::size_t max_payload = kDefaultMaxPayload;
   /// Admission limit: requests queued or executing across all
   /// connections; excess gets ErrorCode::kBusy.
   std::size_t max_inflight = 64;
@@ -127,7 +124,6 @@ struct ServerConfig {
   std::size_t get_chunk_bytes = 256u << 10;
   int idle_timeout_ms = 60'000;       // 0 = never sweep
   int write_stall_timeout_ms = 10'000;
-  int drain_timeout_ms = 10'000;
   /// Observability HTTP listener (GET /metrics | /healthz | /trace).
   /// -1 = disabled, 0 = kernel-chosen ephemeral port.
   int http_port = -1;
@@ -192,7 +188,7 @@ class Server {
   struct Connection {
     int fd = -1;
     std::uint64_t id = 0;
-    FrameParser parser;
+    FrameParser parser;  // bounds each payload at kDefaultMaxPayload
     std::shared_ptr<WriteGate> gate;
     Clock::time_point last_activity{};
     std::size_t inflight = 0;  // admitted: parked, queued or executing
@@ -202,8 +198,6 @@ class Server {
     std::deque<ExecItem> parked;
     bool want_write = false;
     bool close_after_flush = false;
-
-    explicit Connection(std::size_t max_payload) : parser(max_payload) {}
   };
 
   /// One archive-calling thread and its FIFO queue. lanes_[kWriterLane]

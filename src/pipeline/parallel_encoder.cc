@@ -75,14 +75,12 @@ void ParallelEncoder::resolve_heads(const Lattice& lat, NodeIndex first,
   }
 }
 
-std::vector<EncodeResult> ParallelEncoder::append_all(
-    const std::vector<Bytes>& blocks) {
+void ParallelEncoder::append_all(const std::vector<Bytes>& blocks) {
   for (const Bytes& b : blocks)
     AEC_CHECK_MSG(b.size() == block_size_,
                   "append_all: block size " << b.size() << " != configured "
                                             << block_size_);
-  std::vector<EncodeResult> results(blocks.size());
-  if (blocks.empty()) return results;
+  if (blocks.empty()) return;
   obs::TraceSpan span("encode.batch");  // a0 = blocks, a1 = bytes
   span.set_args(blocks.size(), blocks.size() * block_size_);
   const auto batch_start = std::chrono::steady_clock::now();
@@ -92,21 +90,16 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
   const Lattice lat(params_, static_cast<std::uint64_t>(last),
                     Lattice::Boundary::kOpen);
 
-  // Coordinator pre-shapes the results so worker writes land in
-  // disjoint, pre-allocated slots, and buckets the window per strand
-  // instance: buckets[cls][id] lists block offsets in node order — one
-  // bucket, one task, one owner. Then it fills the missing head slots.
+  // Coordinator buckets the window per strand instance: buckets[cls][id]
+  // lists block offsets in node order — one bucket, one task, one owner.
+  // Then it fills the missing head slots.
   StrandBuckets buckets[3];
   for (StrandClass cls : params_.classes())
     buckets[static_cast<std::size_t>(cls)].resize(params_.strands_of(cls));
-  for (NodeIndex i = first; i <= last; ++i) {
-    const auto j = static_cast<std::size_t>(i - first);
-    results[j].index = i;
-    results[j].parities.resize(params_.classes().size());
+  for (NodeIndex i = first; i <= last; ++i)
     for (StrandClass cls : params_.classes())
       buckets[static_cast<std::size_t>(cls)][lat.strand_id(i, cls)]
-          .push_back(static_cast<std::uint32_t>(j));
-  }
+          .push_back(static_cast<std::uint32_t>(i - first));
   resolve_heads(lat, first, buckets);
 
   // One task per strand instance: walk the strand's XOR chain across the
@@ -114,13 +107,10 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
   // columns computed early; the per-strand order is all that matters).
   ThreadPool::Group batch;
   for (StrandClass cls : params_.classes()) {
-    // classes() is the [H, RH, LH] prefix, so a parity's slot in
-    // EncodeResult::parities is the class value itself.
-    const auto slot = static_cast<std::size_t>(cls);
-    for (const std::vector<std::uint32_t>& bucket : buckets[slot]) {
+    for (const std::vector<std::uint32_t>& bucket :
+         buckets[static_cast<std::size_t>(cls)]) {
       if (bucket.empty()) continue;
-      pool_->submit(batch, [this, &lat, &blocks, &results, &bucket, cls,
-                            slot, first] {
+      pool_->submit(batch, [this, &lat, &blocks, &bucket, cls, first] {
         // Parity writes flushed in bounded batches: fewer store lock
         // round trips. Each parity is written once, into a fresh Block
         // that the store and the head slot share.
@@ -132,9 +122,7 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
         for (const std::uint32_t j : bucket) {
           const NodeIndex i = first + j;
           head = xor_of(head, blocks[j]);
-          const Edge out = lat.output_edge(i, cls);
-          puts.emplace_back(BlockKey::parity(out), head);
-          results[j].parities[slot] = out;
+          puts.emplace_back(BlockKey::parity(lat.output_edge(i, cls)), head);
           if (puts.size() >= kPutBatch) {
             store_->put_blocks(std::move(puts));
             puts.clear();
@@ -182,7 +170,6 @@ std::vector<EncodeResult> ParallelEncoder::append_all(
   batch_blocks_metric_->observe(blocks.size());
   blocks_metric_->add(blocks.size());
   batches_metric_->add();
-  return results;
 }
 
 Lattice ParallelEncoder::lattice() const {

@@ -63,17 +63,6 @@
 #include "obs/metrics.h"
 #include "pipeline/thread_pool.h"
 
-namespace aec {
-
-/// Outcome of entangling one data block: its lattice position plus the α
-/// parities created ("sealed bucket" contents, paper §V-B).
-struct EncodeResult {
-  NodeIndex index = 0;
-  std::vector<Edge> parities;
-};
-
-}  // namespace aec
-
 namespace aec::pipeline {
 
 class ParallelEncoder {
@@ -86,12 +75,12 @@ class ParallelEncoder {
                   BlockStore* store, ThreadPool* pool,
                   std::uint64_t resume_count = 0);
 
-  /// Entangles `blocks` in order: stores each data block and its α
-  /// parities, advances the strand heads. Results come back in input
-  /// order, parities in class order. Throws CheckError on a block size
+  /// Entangles `blocks` in order: stores each data block, as node
+  /// size() + 1 onwards, and its α parities, on its output edges, and
+  /// advances the strand heads. Throws CheckError on a block size
   /// mismatch, and rethrows a task's error with the head cache dropped
   /// (see the error model above).
-  std::vector<EncodeResult> append_all(const std::vector<Bytes>& blocks);
+  void append_all(const std::vector<Bytes>& blocks);
 
   const CodeParams& params() const noexcept { return params_; }
   std::size_t block_size() const noexcept { return block_size_; }

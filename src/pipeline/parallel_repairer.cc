@@ -121,10 +121,10 @@ void ParallelRepairer::execute_plan(const RepairPlan& plan) {
 }
 
 RepairReport ParallelRepairer::repair_all(
-    std::uint32_t max_rounds, std::optional<std::vector<BlockKey>> missing) {
+    std::optional<std::vector<BlockKey>> missing) {
   const RepairPlanner planner(&lattice_);
   return execute_repair_plan(
-      planner, *store_, std::move(missing), max_rounds,
+      planner, *store_, std::move(missing),
       [this](const std::vector<RepairStep>& wave) { execute_wave(wave); });
 }
 

@@ -55,13 +55,12 @@ class ParallelRepairer {
 
   /// Synchronous round-based repair of everything recoverable: plans
   /// with the shared RepairPlanner, then executes each wave across the
-  /// worker pool. max_rounds caps the planned rounds (0 = unlimited).
-  /// Given `missing` (every missing key in block order, as the health
-  /// census walks them) the plan starts from that list — O(damage) —
-  /// instead of probing the store for every lattice block; the planned
-  /// waves are identical either way (see execute_repair_plan).
+  /// worker pool. Given `missing` (every missing key in block order, as
+  /// the health census walks them) the plan starts from that list —
+  /// O(damage) — instead of probing the store for every lattice block;
+  /// the planned waves are identical either way (see
+  /// execute_repair_plan).
   RepairReport repair_all(
-      std::uint32_t max_rounds = 0 /* unlimited */,
       std::optional<std::vector<BlockKey>> missing = std::nullopt);
 
   /// Returns the Block of d_i, repairing it through the shortest

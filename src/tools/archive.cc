@@ -701,6 +701,9 @@ void Archive::heal_node(std::uint32_t node) {
                 "heal_node: store '" << store_spec_ << "' is not a cluster");
   std::lock_guard exclusive(read_gate_);
   cluster_->heal_node(node);
+  // Like scrub: the staged repairs the heal moved into the node may
+  // still sit in a write-behind queue; land them before reporting.
+  store_->flush();
 }
 
 RepairReport Archive::rebuild_node(std::uint32_t node) {
@@ -717,7 +720,11 @@ RepairReport Archive::rebuild_node(std::uint32_t node) {
   // announced each key in the child's index missing (stale entries for
   // block files deleted behind the archive included), and a node that
   // was down at open was seeded missing by the seeding walk.
-  return session_->repair_all(health_.missing_keys());
+  RepairReport report = session_->repair_all(health_.missing_keys());
+  // Like scrub: land the rebuilt blocks on the backing medium before
+  // reporting.
+  store_->flush();
+  return report;
 }
 
 }  // namespace aec::tools

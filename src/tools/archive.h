@@ -399,7 +399,8 @@ class Archive {
   cluster::ClusterStore* cluster() const noexcept { return cluster_; }
 
   /// Fault injection on a cluster archive (CheckError otherwise);
-  /// exclusive, like rebuild_node.
+  /// exclusive, like rebuild_node. heal_node returns once the repairs
+  /// staged during the outage are on the node's backing medium.
   void fail_node(std::uint32_t node);
   void heal_node(std::uint32_t node);
 
@@ -407,7 +408,8 @@ class Archive {
   /// every block the placement map assigns to it by driving the repair
   /// planner (RapidRAID-style per-node rebuild: cost scales with the
   /// node's share of the lattice, not the archive). The node must be
-  /// down. Returns the repair report of the rebuild pass.
+  /// down. Returns, with every rebuilt block on the backing medium (as
+  /// scrub does), the repair report of the rebuild pass.
   RepairReport rebuild_node(std::uint32_t node);
 
  private:

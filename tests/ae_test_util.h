@@ -36,13 +36,12 @@ inline std::vector<Bytes> random_blocks(std::size_t count,
 
 /// Entangles `blocks` as one batch into `store` on a `threads`-worker
 /// pool (one worker by default).
-inline std::vector<EncodeResult> encode_into(
-    const CodeParams& params, std::size_t block_size,
-    const std::vector<Bytes>& blocks, BlockStore& store,
-    std::size_t threads = 1) {
+inline void encode_into(const CodeParams& params, std::size_t block_size,
+                        const std::vector<Bytes>& blocks, BlockStore& store,
+                        std::size_t threads = 1) {
   pipeline::ThreadPool pool(threads);
   pipeline::ParallelEncoder encoder(params, block_size, &store, &pool);
-  return encoder.append_all(blocks);
+  encoder.append_all(blocks);
 }
 
 /// Ground-truth check of an encoding, needing no second encoder: every
@@ -115,9 +114,7 @@ struct EncodedLattice {
   pipeline::ParallelRepairer repairer() {
     return pipeline::ParallelRepairer(params, n(), block_size, &store, &pool);
   }
-  RepairReport repair_all(std::uint32_t max_rounds = 0) {
-    return repairer().repair_all(max_rounds);
-  }
+  RepairReport repair_all() { return repairer().repair_all(); }
   Block read_node(NodeIndex i) { return repairer().read_node(i); }
 };
 

@@ -20,6 +20,7 @@
 #include "cluster/placement.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/codec/file_block_store.h"
 #include "core/codec/store_registry.h"
 #include "obs/health.h"
 #include "obs/log.h"
@@ -665,6 +666,18 @@ TEST_F(ClusterArchiveTest, ReopenLogsNoHealthTransitionOnlyChangesDo) {
   EXPECT_EQ(archive->health().summary().vulnerable_blocks, 0u);
 }
 
+/// Every block file under a file-backed node's root (flat or sharded
+/// layout: .../d/<index> and .../p/<class>/<index>).
+std::vector<fs::path> block_files_under(const fs::path& node_root) {
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::recursive_directory_iterator(node_root))
+    if (entry.is_regular_file() &&
+        (entry.path().parent_path().filename() == "d" ||
+         entry.path().parent_path().parent_path().filename() == "p"))
+      files.push_back(entry.path());
+  return files;
+}
+
 TEST_F(ClusterArchiveTest, RebuildAfterBlockFilesDeletedBehindTheArchive) {
   // A file-backed node loses its block files behind the open archive;
   // the node's store still lists them, so fail_node announces them
@@ -676,13 +689,8 @@ TEST_F(ClusterArchiveTest, RebuildAfterBlockFilesDeletedBehindTheArchive) {
       Archive::create(root, "AE(3,2,5)", 128, {}, "cluster(4,strand,file)");
   archive->add_file("doc", content);
   const auto before = archive->cluster()->fingerprint();
-  std::vector<fs::path> block_files;
-  for (const auto& entry :
-       fs::recursive_directory_iterator(archive->cluster()->node_root(1)))
-    if (entry.is_regular_file() &&
-        (entry.path().parent_path().filename() == "d" ||
-         entry.path().parent_path().parent_path().filename() == "p"))
-      block_files.push_back(entry.path());
+  const std::vector<fs::path> block_files =
+      block_files_under(archive->cluster()->node_root(1));
   ASSERT_EQ(block_files.size(), archive->cluster()->node_blocks(1));
   for (const fs::path& file : block_files) ASSERT_TRUE(fs::remove(file));
   EXPECT_EQ(archive->missing_blocks(), 0u);  // out of band: unseen so far
@@ -690,6 +698,64 @@ TEST_F(ClusterArchiveTest, RebuildAfterBlockFilesDeletedBehindTheArchive) {
   archive->fail_node(1);
   EXPECT_EQ(archive->missing_blocks(), block_files.size());
   expect_rebuild_restores_every_block(*archive, 1, before);
+  const auto read_back = archive->read_file("doc");
+  ASSERT_TRUE(read_back.has_value());
+  EXPECT_EQ(*read_back, content);
+}
+
+/// The blocks a fresh open of a node's sharded(2) child finds on disk
+/// (the open scans the block files; queued writes are not on it).
+std::uint64_t blocks_on_disk(const fs::path& node_root) {
+  return FileBlockStore(node_root, 2, /*write_behind=*/false).size();
+}
+
+TEST_F(ClusterArchiveTest, RebuildLandsEveryBlockBeforeItReturns) {
+  // Write-behind children: rebuild_node returns with every rebuilt
+  // block in the node's files, as scrub does with its repairs, not in
+  // the flushers' queues.
+  const fs::path root = dir("arch");
+  Rng rng(43);
+  const Bytes content = rng.random_block(400 * 128 + 5);
+  auto archive = Archive::create(root, "AE(3,2,5)", 128, {},
+                                 "cluster(4,strand,sharded(2))");
+  archive->add_file("doc", content);
+  const std::uint64_t node_share = archive->cluster()->node_blocks(2);
+  ASSERT_GT(node_share, 0u);
+
+  archive->fail_node(2);
+  const RepairReport rebuild = archive->rebuild_node(2);
+  EXPECT_EQ(rebuild.blocks_repaired_total(), node_share);
+  EXPECT_EQ(archive->cluster()->node_blocks(2), node_share);
+  EXPECT_EQ(blocks_on_disk(archive->cluster()->node_root(2)), node_share);
+}
+
+TEST_F(ClusterArchiveTest, HealLandsTheStagedRepairsBeforeItReturns) {
+  // Write-behind children: the repairs staged during an outage, which
+  // heal_node moves into the node, are in its files when heal_node
+  // returns. Half the node's block files are deleted during the outage,
+  // so only those repairs can bring them back.
+  const fs::path root = dir("arch");
+  Rng rng(44);
+  const Bytes content = rng.random_block(400 * 128 + 5);
+  auto archive = Archive::create(root, "AE(3,2,5)", 128, {},
+                                 "cluster(4,strand,sharded(2))");
+  archive->add_file("doc", content);
+  const std::uint64_t node_share = archive->cluster()->node_blocks(3);
+  ASSERT_GT(node_share, 0u);
+
+  archive->fail_node(3);
+  const std::vector<fs::path> files =
+      block_files_under(archive->cluster()->node_root(3));
+  ASSERT_EQ(files.size(), node_share);
+  for (std::size_t f = 0; f < files.size(); f += 2)
+    ASSERT_TRUE(fs::remove(files[f]));
+  ASSERT_LT(blocks_on_disk(archive->cluster()->node_root(3)), node_share);
+  const ScrubReport scrub = archive->scrub();  // repairs staged in memory
+  EXPECT_EQ(scrub.repair.blocks_repaired_total(), node_share);
+
+  archive->heal_node(3);
+  EXPECT_EQ(archive->cluster()->node_blocks(3), node_share);
+  EXPECT_EQ(blocks_on_disk(archive->cluster()->node_root(3)), node_share);
   const auto read_back = archive->read_file("doc");
   ASSERT_TRUE(read_back.has_value());
   EXPECT_EQ(*read_back, content);

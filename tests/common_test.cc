@@ -54,12 +54,6 @@ TEST(XorEngine, SizeMismatchThrows) {
   EXPECT_THROW(xor_of(a, b), CheckError);
 }
 
-TEST(XorEngine, AllZero) {
-  EXPECT_TRUE(all_zero(Bytes{}));
-  EXPECT_TRUE(all_zero(Bytes{0, 0, 0}));
-  EXPECT_FALSE(all_zero(Bytes{0, 1, 0}));
-}
-
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(12345);
   Rng b(12345);

@@ -33,9 +33,7 @@ TEST(Encoding, StoresDataAndAlphaParities) {
   ThreadPool pool(1);
   ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, &pool);
   Rng rng(1);
-  const auto result = enc.append_all({rng.random_block(kBlockSize)}).front();
-  EXPECT_EQ(result.index, 1);
-  EXPECT_EQ(result.parities.size(), 3u);
+  enc.append_all({rng.random_block(kBlockSize)});
   EXPECT_EQ(store.size(), 4u);  // 1 data + 3 parities
 }
 
@@ -52,9 +50,10 @@ TEST(Encoding, FirstParityEqualsDataOnBootstrapStrand) {
   pipeline::ConcurrentBlockStore store;
   Rng rng(2);
   const Bytes d1 = rng.random_block(kBlockSize);
-  const auto r =
-      test::encode_into(CodeParams::single(), kBlockSize, {d1}, store).front();
-  const auto p = store.get_copy(BlockKey::parity(r.parities[0]));
+  test::encode_into(CodeParams::single(), kBlockSize, {d1}, store);
+  const Lattice lattice(CodeParams::single(), 1, Lattice::Boundary::kOpen);
+  const auto p = store.get_copy(BlockKey::parity(
+      lattice.output_edge(1, StrandClass::kHorizontal)));
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(*p, d1);
 }

@@ -574,10 +574,10 @@ TEST(HealthCensusTest, CensusFedPlanMatchesTheScanningPath) {
   std::vector<std::vector<RepairStep>> scan_waves;
   std::vector<std::vector<RepairStep>> census_waves;
   const RepairReport scan_report = execute_repair_plan(
-      planner, store, std::nullopt, 0,
+      planner, store, std::nullopt,
       [&](const std::vector<RepairStep>& wave) { scan_waves.push_back(wave); });
   const RepairReport census_report = execute_repair_plan(
-      planner, store, census.missing_keys(), 0,
+      planner, store, census.missing_keys(),
       [&](const std::vector<RepairStep>& wave) {
         census_waves.push_back(wave);
       });

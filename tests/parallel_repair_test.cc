@@ -41,11 +41,10 @@ std::vector<Bytes> encode_random(const CodeParams& params, std::uint64_t n,
 
 /// One repair pass over `store` on a `threads`-worker pool.
 RepairReport repair_with(const CodeParams& params, std::uint64_t n,
-                         BlockStore& store, std::size_t threads,
-                         std::uint32_t max_rounds = 0) {
+                         BlockStore& store, std::size_t threads) {
   pipeline::ThreadPool pool(threads);
   pipeline::ParallelRepairer repairer(params, n, kBlockSize, &store, &pool);
-  return repairer.repair_all(max_rounds);
+  return repairer.repair_all();
 }
 
 void expect_same_report(const RepairReport& a, const RepairReport& b) {
@@ -199,30 +198,6 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{3, 2, 5, 55}, SweepParam{3, 5, 5, 10},
                       SweepParam{3, 5, 5, 35}, SweepParam{3, 5, 5, 55}),
     sweep_name);
-
-TEST(RepairPlanner, MaxRoundsCapMatchesExecutedReport) {
-  // A contiguous AE(1) parity run needs ~6 rounds; capping at 2 must
-  // leave the inner blocks as (repairable) residue, identically in the
-  // plan and in the executed report.
-  const CodeParams params = CodeParams::single();
-  pipeline::ConcurrentBlockStore store;
-  encode_random(params, 60, 3, store);
-  const Lattice lat(params, 60, Lattice::Boundary::kOpen);
-  for (NodeIndex i = 20; i <= 30; ++i)
-    store.erase(BlockKey::parity(Edge{StrandClass::kHorizontal, i}));
-
-  const RepairPlanner planner(&lat);
-  Availability avail = planner.snapshot(store);
-  const RepairPlan plan = planner.plan(avail, RepairPolicy::kFull, 2);
-  EXPECT_EQ(plan.rounds(), 2u);
-  EXPECT_EQ(plan.edges_planned, 4u);  // two per side per round
-  EXPECT_EQ(plan.residue.size(), 7u);
-
-  const RepairReport report = repair_with(params, 60, store, 1, 2);
-  EXPECT_EQ(report.rounds, 2u);
-  EXPECT_EQ(report.edges_repaired_total, 4u);
-  EXPECT_EQ(report.edges_unrecovered, 7u);
-}
 
 TEST(RepairPlanner, MinimalPolicySkipsParitiesAwayFromMissingData) {
   // Data intact, one parity missing: full maintenance repairs it,

@@ -599,9 +599,8 @@ TEST_P(ParallelEncoderEquivalence, GroundTruthAtEveryWorkerCount) {
   ThreadPool pool(threads);
   ConcurrentBlockStore store;
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
-  const auto results = enc.append_all(blocks);
+  enc.append_all(blocks);
 
-  ASSERT_EQ(results.size(), blocks.size());
   EXPECT_EQ(enc.size(), count);
   expect_encoding_of(params, kBlockSize, blocks, store);
   expect_stores_identical(*one_worker_reference(params, blocks), store);
@@ -633,31 +632,6 @@ INSTANTIATE_TEST_SUITE_P(
         EquivalenceCase{CodeParams(2, 2, 2), 4, 333},
         EquivalenceCase{CodeParams(3, 5, 7), 3, 1234}),
     case_name);
-
-TEST(ParallelEncoder, ResultsNameEachBlockAndItsOutputEdges) {
-  // Results come back in input order, parities in class order: block j
-  // of the batch is node j + 1, and its parities are its output edges.
-  const CodeParams params(3, 2, 5);
-  const auto blocks = random_blocks(37, 7);
-  const Lattice lattice(params, blocks.size(), Lattice::Boundary::kOpen);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ThreadPool pool(threads);
-    ConcurrentBlockStore store;
-    ParallelEncoder enc(params, kBlockSize, &store, &pool);
-    const auto results = enc.append_all(blocks);
-
-    ASSERT_EQ(results.size(), blocks.size());
-    for (std::size_t j = 0; j < results.size(); ++j) {
-      const auto i = static_cast<NodeIndex>(j + 1);
-      EXPECT_EQ(results[j].index, i);
-      std::vector<Edge> outputs;
-      for (StrandClass cls : params.classes())
-        outputs.push_back(lattice.output_edge(i, cls));
-      EXPECT_EQ(results[j].parities, outputs) << "node " << i;
-    }
-  }
-}
 
 TEST(ParallelEncoder, SingleAppendInterleavesWithBatches) {
   const CodeParams params(3, 2, 5);
