@@ -10,14 +10,17 @@
 //     the library's one XOR kernel) / gf_mul / gf_axpy throughput with
 //     a byte-identity check against the scalar reference. The 16 KiB rows
 //     are L1-resident (compute-bound: the kernel speedup shows); the
-//     1 MiB rows are memory-bound context. The cross-PR perf-tracking
+//     1 MiB rows are memory-bound context. Each row is the best of
+//     `reps` trials, run round-robin across the rows. The perf-tracking
 //     format (every row records hw_cores, the machine's hardware
 //     threads); the committed snapshot lives in BENCH_codec.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <thread>
 
 #include "common/cpu.h"
@@ -234,56 +237,80 @@ double measure_xor_speedup() {
 
 // --- per-kernel JSON mode ---------------------------------------------------
 
-/// Best-of-`kTrials` wall time of `reps` calls to `fn` — the minimum is
-/// the least-noise estimator on a shared box.
-template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
-  constexpr int kTrials = 5;
-  double best = 1e100;
-  fn();  // warm-up (also faults pages / builds tables)
-  for (int t = 0; t < kTrials; ++t) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) fn();
-    const double s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    if (s < best) best = s;
-  }
-  return best;
-}
-
+/// One (op × kernel variant × buffer size) row of the JSON mode.
 struct KernelRow {
   const char* op;      // "xor3" | "gf_mul" | "gf_axpy"
   const char* kernel;  // variant name
   std::size_t buf_bytes;
-  double mb_per_s;
   bool identical;  // byte-identity vs the scalar reference
+  /// Runs the variant `calls` times on the row's own buffers.
+  std::function<void(int calls)> run;
+  int calls_per_trial;
+  double best_seconds = 1e100;  // fastest trial so far
+
+  double mb_per_s() const {
+    return static_cast<double>(buf_bytes) * calls_per_trial /
+           (1024.0 * 1024.0) / best_seconds;
+  }
 };
 
-/// One variant's throughput + identity row. `apply(dst, src, n)` runs
-/// the variant; `reference` is the scalar baseline for the identity
-/// check (run on identical inputs).
+/// The destination, source and extra source of a row, filled from
+/// `seed` and cut from one arena of 3n + 4 KiB bytes: each starts on a
+/// cache line, and any two lie at least 1 KiB apart modulo the 4 KiB
+/// page, so no load shares a page offset with a recent store. A row's
+/// rate then does not hang on where malloc put its buffers: with the
+/// destination 16 bytes off the source's alignment, the AVX2 xor3
+/// 16 KiB row read 45 GB/s against 55 GB/s aligned.
+class RowBuffers {
+ public:
+  RowBuffers(std::size_t n, std::uint64_t seed) : n_(n), arena_(3 * n + 4096) {
+    Rng rng(seed);
+    for (std::uint8_t* buffer : {dst(), src(), aux()}) {
+      const Bytes fill = rng.random_block(n_);
+      std::copy(fill.begin(), fill.end(), buffer);
+    }
+  }
+
+  std::uint8_t* src() {
+    return arena_.data() +
+           (-reinterpret_cast<std::uintptr_t>(arena_.data()) & 63);
+  }
+  std::uint8_t* dst() { return src() + n_ + 2048; }
+  std::uint8_t* aux() { return src() + 2 * n_ + 3072; }
+
+ private:
+  std::size_t n_;
+  Bytes arena_;
+};
+
+/// The row of one variant: `apply(dst, src, aux, n)` runs it;
+/// `reference` is the scalar baseline for the identity check (run on
+/// identical inputs). A trial is 64 MiB of calls.
 template <typename Apply, typename Ref>
-KernelRow measure_kernel(const char* op, const char* kernel,
-                         std::size_t buf_bytes, Apply&& apply,
-                         Ref&& reference) {
-  Rng rng(97 + buf_bytes + static_cast<std::uint64_t>(op[0]));
-  const Bytes src = rng.random_block(buf_bytes);
-  const Bytes dst0 = rng.random_block(buf_bytes);
+KernelRow make_kernel_row(const char* op, const char* kernel,
+                          std::size_t buf_bytes, Apply apply,
+                          Ref&& reference) {
+  const std::uint64_t seed =
+      97 + buf_bytes + static_cast<std::uint64_t>(op[0]);
+  RowBuffers got(buf_bytes, seed), want(buf_bytes, seed);
+  apply(got.dst(), got.src(), got.aux(), buf_bytes);
+  reference(want.dst(), want.src(), want.aux(), buf_bytes);
+  const bool identical =
+      std::equal(got.dst(), got.dst() + buf_bytes, want.dst());
 
-  Bytes got(dst0), want(dst0);
-  apply(got.data(), src.data(), buf_bytes);
-  reference(want.data(), src.data(), buf_bytes);
-  const bool identical = got == want;
-
-  Bytes dst(dst0);
-  const int reps = static_cast<int>((std::size_t{64} << 20) / buf_bytes);
-  const double secs =
-      best_seconds(reps, [&] { apply(dst.data(), src.data(), buf_bytes); });
-  const double mb_per_s = static_cast<double>(buf_bytes) * reps /
-                          (1024.0 * 1024.0) / secs;
-  return {op, kernel, buf_bytes, mb_per_s, identical};
+  return {op, kernel, buf_bytes, identical,
+          [apply, buffers = RowBuffers(buf_bytes, seed),
+           buf_bytes](int calls) mutable {
+            for (int c = 0; c < calls; ++c)
+              apply(buffers.dst(), buffers.src(), buffers.aux(), buf_bytes);
+          },
+          static_cast<int>((std::size_t{64} << 20) / buf_bytes)};
 }
+
+/// Trials per row. They run round-robin: trial t of every row before
+/// trial t + 1 of any, so a slow spell of the host lands on one trial of
+/// many rows rather than on every trial of one; a row reports its best.
+constexpr int kTrials = 9;
 
 int run_kernel_json() {
   // 16 KiB: L1-resident, compute-bound — the row the ≥4× SIMD-speedup
@@ -295,46 +322,56 @@ int run_kernel_json() {
   std::vector<KernelRow> rows;
   const auto xor_kernels = available_xor_kernels();
   const auto gf_kernels = gf::available_gf_kernels();
+  using Ptr = std::uint8_t*;
+  using CPtr = const std::uint8_t*;
   for (const std::size_t size : kSizes) {
-    // xor3 reads `a` and the row's source and writes the destination
-    // over: three streams per byte.
-    const Bytes a = Rng(61 + size).random_block(size);
+    // xor3 reads the extra source and the source and writes the
+    // destination over: three streams per byte.
     for (const auto& k : xor_kernels)
-      rows.push_back(measure_kernel(
+      rows.push_back(make_kernel_row(
           "xor3", k.name, size,
-          [&](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
-            k.xor3(d, a.data(), s, n);
-          },
-          [&](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
-            xor_kernels.front().xor3(d, a.data(), s, n);
+          [k](Ptr d, CPtr s, CPtr a, std::size_t n) { k.xor3(d, a, s, n); },
+          [&](Ptr d, CPtr s, CPtr a, std::size_t n) {
+            xor_kernels.front().xor3(d, a, s, n);
           }));
     for (const auto& k : gf_kernels) {
-      rows.push_back(measure_kernel(
+      rows.push_back(make_kernel_row(
           "gf_mul", k.name, size,
-          [&](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
+          [k](Ptr d, CPtr s, CPtr, std::size_t n) {
             k.mul_slice(d, s, n, kCoeff);
           },
-          [&](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
+          [&](Ptr d, CPtr s, CPtr, std::size_t n) {
             gf_kernels.front().mul_slice(d, s, n, kCoeff);
           }));
-      rows.push_back(measure_kernel(
+      rows.push_back(make_kernel_row(
           "gf_axpy", k.name, size,
-          [&](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
+          [k](Ptr d, CPtr s, CPtr, std::size_t n) {
             k.axpy_slice(d, s, n, kCoeff);
           },
-          [&](std::uint8_t* d, const std::uint8_t* s, std::size_t n) {
+          [&](Ptr d, CPtr s, CPtr, std::size_t n) {
             gf_kernels.front().axpy_slice(d, s, n, kCoeff);
           }));
     }
   }
+
+  for (KernelRow& row : rows) row.run(1);  // warm-up (faults pages, tables)
+  for (int t = 0; t < kTrials; ++t)
+    for (KernelRow& row : rows) {
+      const auto start = std::chrono::steady_clock::now();
+      row.run(row.calls_per_trial);
+      row.best_seconds = std::min(
+          row.best_seconds, std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    }
 
   // Scalar baseline per (op, size) for the speedup column.
   const auto scalar_mb_per_s = [&](const KernelRow& row) {
     for (const KernelRow& s : rows)
       if (std::strcmp(s.kernel, "scalar") == 0 &&
           std::strcmp(s.op, row.op) == 0 && s.buf_bytes == row.buf_bytes)
-        return s.mb_per_s;
-    return row.mb_per_s;
+        return s.mb_per_s();
+    return row.mb_per_s();
   };
   for (const KernelRow& row : rows) {
     all_identical = all_identical && row.identical;
@@ -342,10 +379,10 @@ int run_kernel_json() {
         "{\"schema_version\":1,\"bench\":\"codec_micro\",\"phase\":"
         "\"%s %s %zuK\",\"op\":\"%s\",\"kernel\":\"%s\",\"buf_bytes\":%zu,"
         "\"mb_per_s\":%.1f,\"speedup_vs_scalar\":%.2f,\"selected\":\"%s\","
-        "\"hw_cores\":%u,\"ok\":%s}\n",
+        "\"reps\":%d,\"hw_cores\":%u,\"ok\":%s}\n",
         row.op, row.kernel, row.buf_bytes / 1024, row.op, row.kernel,
-        row.buf_bytes, row.mb_per_s, row.mb_per_s / scalar_mb_per_s(row),
-        selected_kernel_name(), std::thread::hardware_concurrency(),
+        row.buf_bytes, row.mb_per_s(), row.mb_per_s() / scalar_mb_per_s(row),
+        selected_kernel_name(), kTrials, std::thread::hardware_concurrency(),
         row.identical ? "true" : "false");
   }
   if (!all_identical) {

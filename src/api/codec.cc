@@ -2,59 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <numeric>
 
-#include "api/engine.h"
 #include "common/check.h"
-#include "core/codec/block_key.h"
-#include "core/codec/repair_planner.h"
-#include "core/lattice/lattice.h"
-#include "pipeline/concurrent_block_store.h"
 
 namespace aec {
 
 namespace {
-
-// --- AE part index ↔ lattice block key ------------------------------------
-//
-// Part p < n is data block d_{p+1}; parity part q = p − n belongs to node
-// q/α + 1 on class classes()[q % α] — its output edge, whose tail is the
-// node itself, so the key is direct.
-
-BlockKey ae_part_key(const CodeParams& params, std::uint32_t n_data,
-                     PartIndex part) {
-  if (part < n_data) return BlockKey::data(static_cast<NodeIndex>(part) + 1);
-  const std::uint32_t q = part - n_data;
-  const auto alpha = static_cast<std::uint32_t>(params.classes().size());
-  const auto node = static_cast<NodeIndex>(q / alpha) + 1;
-  return BlockKey{BlockKey::Kind::kParity, params.classes()[q % alpha], node};
-}
-
-PartIndex ae_key_part(const CodeParams& params, std::uint32_t n_data,
-                      const BlockKey& key) {
-  if (key.is_data()) return static_cast<PartIndex>(key.index - 1);
-  const auto alpha = static_cast<std::uint32_t>(params.classes().size());
-  const auto cls_ordinal = static_cast<std::uint32_t>(key.cls);
-  return n_data + static_cast<PartIndex>(key.index - 1) * alpha + cls_ordinal;
-}
-
-/// The payloads of `parts` of an AE group held in `store`, each of which
-/// must be present.
-std::vector<Bytes> read_parts(const BlockStore& store,
-                              const CodeParams& params, std::uint32_t n_data,
-                              const PartIndexList& parts) {
-  std::vector<BlockKey> keys;
-  keys.reserve(parts.size());
-  for (const PartIndex part : parts)
-    keys.push_back(ae_part_key(params, n_data, part));
-  std::vector<Bytes> payloads;
-  payloads.reserve(keys.size());
-  for (std::optional<Bytes>& payload : store.get_batch(keys)) {
-    AEC_CHECK(payload.has_value());
-    payloads.push_back(std::move(*payload));
-  }
-  return payloads;
-}
 
 void check_erased_list(const PartIndexList& erased, std::uint32_t total) {
   for (std::size_t i = 0; i < erased.size(); ++i) {
@@ -67,13 +20,12 @@ void check_erased_list(const PartIndexList& erased, std::uint32_t total) {
   }
 }
 
-std::size_t uniform_block_size(const std::vector<Bytes>& blocks) {
+void check_uniform_blocks(const std::vector<Bytes>& blocks) {
   AEC_CHECK_MSG(!blocks.empty(), "encode: empty group");
   const std::size_t size = blocks.front().size();
   AEC_CHECK_MSG(size > 0, "encode: zero-sized blocks");
   for (const Bytes& b : blocks)
     AEC_CHECK_MSG(b.size() == size, "encode: ragged block sizes");
-  return size;
 }
 
 }  // namespace
@@ -84,118 +36,20 @@ AeCodec::AeCodec(CodeParams params) : params_(std::move(params)) {}
 
 std::string AeCodec::id() const { return params_.name(); }
 
-std::uint32_t AeCodec::parity_parts(std::uint32_t n_data) const {
-  return n_data * static_cast<std::uint32_t>(params_.classes().size());
-}
-
-double AeCodec::storage_overhead_percent() const {
-  return params_.storage_overhead_percent();
-}
-
-std::vector<Bytes> AeCodec::encode(const std::vector<Bytes>& data) const {
-  const std::size_t block_size = uniform_block_size(data);
-  // The group is one batch of a one-thread session on a private store.
-  pipeline::ConcurrentBlockStore store;
-  Engine engine(1);
-  engine.open_session(std::make_shared<AeCodec>(params_), &store, block_size)
-      ->append(data);
-  const auto n_data = static_cast<std::uint32_t>(data.size());
-  PartIndexList parities(parity_parts(n_data));
-  std::iota(parities.begin(), parities.end(), n_data);
-  return read_parts(store, params_, n_data, parities);
-}
-
-std::optional<PartIndexList> AeCodec::repair_indices(
-    std::uint32_t n_data, const PartIndexList& erased) const {
-  AEC_CHECK_MSG(n_data >= 1, "AE group needs at least one data block");
-  check_erased_list(erased, group_total_parts(n_data));
-  const Lattice lattice(params_, n_data, Lattice::Boundary::kOpen);
-  Availability avail(params_, n_data);
-  for (const PartIndex part : erased)
-    avail.set(ae_part_key(params_, n_data, part), false);
-  const RepairPlanner planner(&lattice);
-  const RepairPlan plan = planner.plan(avail);
-  if (!plan.residue.empty()) return std::nullopt;
-
-  // Survivors a step reads: every planned input that is not itself one of
-  // the erased (i.e. repaired-earlier) blocks.
-  PartIndexList reads;
-  for (const auto& wave : plan.waves)
-    for (const RepairStep& step : wave) {
-      const RepairStepInputs inputs = repair_step_inputs(lattice, step);
-      for (const std::optional<BlockKey>& key :
-           {inputs.input, std::optional<BlockKey>(inputs.other)}) {
-        if (!key) continue;  // open-lattice bootstrap (virtual zero block)
-        const PartIndex part = ae_key_part(params_, n_data, *key);
-        if (!std::binary_search(erased.begin(), erased.end(), part))
-          reads.push_back(part);
-      }
-    }
-  std::sort(reads.begin(), reads.end());
-  reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
-  return reads;
-}
-
-std::optional<std::vector<Bytes>> AeCodec::repair(
-    const std::vector<std::optional<Bytes>>& parts,
-    const PartIndexList& erased) const {
-  const auto alpha = static_cast<std::uint32_t>(params_.classes().size());
-  AEC_CHECK_MSG(!parts.empty() && parts.size() % (alpha + 1) == 0,
-                "repair: group of " << parts.size()
-                                    << " parts does not match α=" << alpha);
-  const auto n_data = static_cast<std::uint32_t>(parts.size() / (alpha + 1));
-  check_erased_list(erased, group_total_parts(n_data));
-
-  pipeline::ConcurrentBlockStore store;
-  std::size_t block_size = 0;
-  for (std::size_t part = 0; part < parts.size(); ++part) {
-    if (!parts[part]) continue;
-    AEC_CHECK_MSG(block_size == 0 || parts[part]->size() == block_size,
-                  "repair: ragged block sizes");
-    block_size = parts[part]->size();
-    store.put(ae_part_key(params_, n_data, static_cast<PartIndex>(part)),
-              *parts[part]);
-  }
-  AEC_CHECK_MSG(block_size > 0, "repair: no part present");
-  for (const PartIndex part : erased)
-    AEC_CHECK_MSG(!parts[part], "repair: erased part " << part
-                                                       << " holds a payload");
-
-  Engine engine(1);
-  const RepairReport report =
-      engine
-          .open_session(std::make_shared<AeCodec>(params_), &store,
-                        block_size, n_data)
-          ->repair_all();
-  if (report.nodes_unrecovered + report.edges_unrecovered != 0)
-    return std::nullopt;
-  return read_parts(store, params_, n_data, erased);
-}
-
 // --- RsCodec ----------------------------------------------------------------
 
 RsCodec::RsCodec(std::uint32_t k, std::uint32_t m) : rs_(k, m) {}
 
 std::string RsCodec::id() const { return rs_.name(); }
 
-std::uint32_t RsCodec::parity_parts(std::uint32_t n_data) const {
-  AEC_CHECK_MSG(n_data == rs_.k(),
-                "RS group must hold exactly k=" << rs_.k() << " data blocks");
-  return rs_.m();
-}
-
-double RsCodec::storage_overhead_percent() const {
-  return rs_.storage_overhead_percent();
-}
-
 std::vector<Bytes> RsCodec::encode(const std::vector<Bytes>& data) const {
-  uniform_block_size(data);
+  check_uniform_blocks(data);
   return rs_.encode(data);
 }
 
 std::optional<PartIndexList> RsCodec::repair_indices(
-    std::uint32_t n_data, const PartIndexList& erased) const {
-  check_erased_list(erased, group_total_parts(n_data));
+    const PartIndexList& erased) const {
+  check_erased_list(erased, rs_.stripe_blocks());
   if (erased.size() > rs_.m()) return std::nullopt;
   // Decode reads the first k surviving parts.
   PartIndexList reads;
@@ -238,32 +92,25 @@ std::optional<std::vector<Bytes>> RsCodec::repair(
 // --- ReplicationCodec -------------------------------------------------------
 
 ReplicationCodec::ReplicationCodec(std::uint32_t copies) : copies_(copies) {
-  AEC_CHECK_MSG(copies_ >= 1, "replication needs at least one copy");
+  AEC_CHECK_MSG(copies_ >= 1 && copies_ <= kMaxCopies,
+                "replication needs 1 to " << kMaxCopies << " copies, got "
+                                          << copies_);
 }
 
 std::string ReplicationCodec::id() const {
   return "REP(" + std::to_string(copies_) + ")";
 }
 
-std::uint32_t ReplicationCodec::parity_parts(std::uint32_t n_data) const {
-  AEC_CHECK_MSG(n_data == 1, "replication groups hold one data block");
-  return copies_ - 1;
-}
-
-double ReplicationCodec::storage_overhead_percent() const {
-  return 100.0 * (copies_ - 1);  // paper Table IV
-}
-
 std::vector<Bytes> ReplicationCodec::encode(
     const std::vector<Bytes>& data) const {
-  uniform_block_size(data);
+  check_uniform_blocks(data);
   AEC_CHECK_MSG(data.size() == 1, "replication groups hold one data block");
   return std::vector<Bytes>(copies_ - 1, data.front());
 }
 
 std::optional<PartIndexList> ReplicationCodec::repair_indices(
-    std::uint32_t n_data, const PartIndexList& erased) const {
-  check_erased_list(erased, group_total_parts(n_data));
+    const PartIndexList& erased) const {
+  check_erased_list(erased, copies_);
   for (PartIndex part = 0; part < copies_; ++part)
     if (!std::binary_search(erased.begin(), erased.end(), part))
       return PartIndexList{part};

@@ -1,25 +1,21 @@
-// Unified erasure-codec interface (the paper's §VI head-to-head framing
-// made executable: AE, Reed-Solomon and replication behind one API).
+// The erasure-code families of the paper's §VI head-to-head — AE,
+// Reed-Solomon and replication — behind one spec string.
 //
-// A Codec works on *groups* of equally-sized blocks. A group holds n
-// data parts followed by parity_parts(n) parity parts; parts are
-// addressed by a flat PartIndex (data first, parities after). Striped
-// codecs (RS, REP) fix the group width — group_data_parts() > 0 — and a
-// long block sequence is encoded stripe by stripe. Streaming codecs
-// (AE) report group_data_parts() == 0: the group is whatever window
-// encode() is handed, and in an archive it is the whole growing
-// lattice.
+// A Codec names the family and parameters a spec selects; make_codec()
+// builds one from its spec ("AE(3,2,5)", "RS(10,4)", "REP(3)"), the
+// three families are a closed set, and id() round-trips through
+// make_codec(). Engine::open_session() turns a codec into the session
+// that stores a growing block sequence with its redundancy: an AeCodec
+// streams blocks into the entanglement lattice (AeSession, the one way
+// AE is encoded and repaired), a StripeCodec groups them into stripes
+// (StripedSession).
 //
-// Parity ordering:
-//   AE      — lattice order: node i contributes its α output parities in
-//             strand-class order, so parity part (i-1)·α + c is
-//             p_{i,·} on classes()[c].
+// StripeCodec is the group API of the stripe families (RS, REP). A
+// stripe holds data_parts() data blocks followed by parity_parts()
+// parity blocks, addressed by a flat PartIndex (data first, parities
+// after). Parity ordering:
 //   RS(k,m) — the m Cauchy parity rows in row order.
 //   REP(n)  — the n−1 extra copies.
-//
-// make_codec() builds a codec from its spec string ("AE(3,2,5)",
-// "RS(10,4)", "REP(3)"); the three families are a closed set, and id()
-// round-trips through make_codec().
 #pragma once
 
 #include <cstdint>
@@ -34,8 +30,8 @@
 
 namespace aec {
 
-/// Flat index of a block within a codec group: data parts 0..n-1, parity
-/// parts n..n+parity_parts(n)-1.
+/// Flat index of a block within a stripe: data parts 0..k-1, parity
+/// parts k..k+m-1.
 using PartIndex = std::uint32_t;
 
 /// Sorted, duplicate-free set of part indices.
@@ -48,53 +44,9 @@ class Codec {
   /// Spec string, re-parseable by make_codec(): "AE(3,2,5)", "RS(10,4)",
   /// "REP(3)".
   virtual std::string id() const = 0;
-
-  /// Data parts per group; 0 for streaming codecs whose group is the
-  /// whole window handed to encode().
-  virtual std::uint32_t group_data_parts() const = 0;
-
-  /// Parity parts produced for a group of n_data data blocks.
-  virtual std::uint32_t parity_parts(std::uint32_t n_data) const = 0;
-
-  /// Additional storage as % of the source (paper Table IV "AS").
-  virtual double storage_overhead_percent() const = 0;
-
-  /// Blocks read to repair one single failure (paper Table IV "SF").
-  virtual std::uint32_t single_failure_fanin() const = 0;
-
-  /// Encodes one group: the parity blocks for `data`, in part order.
-  /// Striped codecs require data.size() == group_data_parts(); streaming
-  /// codecs accept any non-empty window. All blocks must share one size.
-  virtual std::vector<Bytes> encode(const std::vector<Bytes>& data) const = 0;
-
-  /// The surviving parts a repair of `erased` reads (sorted), or nullopt
-  /// when the group is irreparable. Not every surviving part is needed.
-  /// `erased` must be sorted and duplicate-free (CheckError otherwise).
-  virtual std::optional<PartIndexList> repair_indices(
-      std::uint32_t n_data, const PartIndexList& erased) const = 0;
-
-  /// True iff a group of n_data data blocks with the `erased` parts
-  /// missing can be fully reconstructed (same input checks as
-  /// repair_indices).
-  bool can_repair(std::uint32_t n_data, const PartIndexList& erased) const {
-    return repair_indices(n_data, erased).has_value();
-  }
-
-  /// Reconstructs the erased parts of one group. `parts` holds the whole
-  /// group (present payload or nullopt per part; its size fixes n_data).
-  /// Returns the rebuilt payloads in `erased` order, or nullopt when the
-  /// erasure pattern is irreparable.
-  virtual std::optional<std::vector<Bytes>> repair(
-      const std::vector<std::optional<Bytes>>& parts,
-      const PartIndexList& erased) const = 0;
-
-  /// n_data + parity_parts(n_data).
-  std::uint32_t group_total_parts(std::uint32_t n_data) const {
-    return n_data + parity_parts(n_data);
-  }
 };
 
-/// Alpha entanglement — streaming lattice codec (group = whole window).
+/// Alpha entanglement: the AE(α,s,p) lattice a session streams into.
 class AeCodec final : public Codec {
  public:
   explicit AeCodec(CodeParams params);
@@ -102,36 +54,59 @@ class AeCodec final : public Codec {
   const CodeParams& params() const noexcept { return params_; }
 
   std::string id() const override;
-  std::uint32_t group_data_parts() const override { return 0; }
-  std::uint32_t parity_parts(std::uint32_t n_data) const override;
-  double storage_overhead_percent() const override;
-  std::uint32_t single_failure_fanin() const override { return 2; }
-  std::vector<Bytes> encode(const std::vector<Bytes>& data) const override;
-  std::optional<PartIndexList> repair_indices(
-      std::uint32_t n_data, const PartIndexList& erased) const override;
-  std::optional<std::vector<Bytes>> repair(
-      const std::vector<std::optional<Bytes>>& parts,
-      const PartIndexList& erased) const override;
 
  private:
   CodeParams params_;
 };
 
+/// A fixed-width stripe family: encode and repair one stripe of
+/// data_parts() data blocks and parity_parts() parity blocks.
+class StripeCodec : public Codec {
+ public:
+  /// Data parts per stripe (k).
+  virtual std::uint32_t data_parts() const = 0;
+
+  /// Parity parts per stripe (m).
+  virtual std::uint32_t parity_parts() const = 0;
+
+  /// The parity blocks of one stripe, in part order. `data` holds
+  /// exactly data_parts() non-empty blocks of one size.
+  virtual std::vector<Bytes> encode(const std::vector<Bytes>& data) const = 0;
+
+  /// The surviving parts a repair of `erased` reads (sorted), or nullopt
+  /// when the stripe is irreparable. Not every surviving part is needed.
+  /// `erased` must be sorted and duplicate-free (CheckError otherwise).
+  virtual std::optional<PartIndexList> repair_indices(
+      const PartIndexList& erased) const = 0;
+
+  /// True iff a stripe with the `erased` parts missing can be fully
+  /// reconstructed (same input checks as repair_indices).
+  bool can_repair(const PartIndexList& erased) const {
+    return repair_indices(erased).has_value();
+  }
+
+  /// Reconstructs the erased parts of one stripe. `parts` holds the
+  /// whole stripe (present payload or nullopt per part). Returns the
+  /// rebuilt payloads in `erased` order, or nullopt when the erasure
+  /// pattern is irreparable.
+  virtual std::optional<std::vector<Bytes>> repair(
+      const std::vector<std::optional<Bytes>>& parts,
+      const PartIndexList& erased) const = 0;
+};
+
 /// Systematic Reed-Solomon stripes (wraps rs::ReedSolomon).
-class RsCodec final : public Codec {
+class RsCodec final : public StripeCodec {
  public:
   RsCodec(std::uint32_t k, std::uint32_t m);
 
   const rs::ReedSolomon& rs() const noexcept { return rs_; }
 
   std::string id() const override;
-  std::uint32_t group_data_parts() const override { return rs_.k(); }
-  std::uint32_t parity_parts(std::uint32_t n_data) const override;
-  double storage_overhead_percent() const override;
-  std::uint32_t single_failure_fanin() const override { return rs_.k(); }
+  std::uint32_t data_parts() const override { return rs_.k(); }
+  std::uint32_t parity_parts() const override { return rs_.m(); }
   std::vector<Bytes> encode(const std::vector<Bytes>& data) const override;
   std::optional<PartIndexList> repair_indices(
-      std::uint32_t n_data, const PartIndexList& erased) const override;
+      const PartIndexList& erased) const override;
   std::optional<std::vector<Bytes>> repair(
       const std::vector<std::optional<Bytes>>& parts,
       const PartIndexList& erased) const override;
@@ -142,21 +117,23 @@ class RsCodec final : public Codec {
 
 /// n-way replication (the paper's second comparator): one data part,
 /// n−1 copy parts.
-class ReplicationCodec final : public Codec {
+class ReplicationCodec final : public StripeCodec {
  public:
-  /// n total copies (n-way), n ≥ 1.
+  /// Largest n: the bound RS puts on k + m. Every copy is stored, so a
+  /// spec from outside the program must not ask for more.
+  static constexpr std::uint32_t kMaxCopies = 256;
+
+  /// n total copies (n-way), 1 ≤ n ≤ kMaxCopies.
   explicit ReplicationCodec(std::uint32_t copies);
 
   std::uint32_t copies() const noexcept { return copies_; }
 
   std::string id() const override;
-  std::uint32_t group_data_parts() const override { return 1; }
-  std::uint32_t parity_parts(std::uint32_t n_data) const override;
-  double storage_overhead_percent() const override;
-  std::uint32_t single_failure_fanin() const override { return 1; }
+  std::uint32_t data_parts() const override { return 1; }
+  std::uint32_t parity_parts() const override { return copies_ - 1; }
   std::vector<Bytes> encode(const std::vector<Bytes>& data) const override;
   std::optional<PartIndexList> repair_indices(
-      std::uint32_t n_data, const PartIndexList& erased) const override;
+      const PartIndexList& erased) const override;
   std::optional<std::vector<Bytes>> repair(
       const std::vector<std::optional<Bytes>>& parts,
       const PartIndexList& erased) const override;

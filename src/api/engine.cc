@@ -24,15 +24,14 @@ std::unique_ptr<CodecSession> Engine::open_session(
                 "open_session: the store must synchronize itself (pool "
                 "tasks read and write it)");
   std::unique_ptr<CodecSession> session;
-  if (codec->group_data_parts() == 0) {
-    // Streaming family — today that is exactly the AE lattice.
-    auto ae = std::dynamic_pointer_cast<const AeCodec>(codec);
-    AEC_CHECK_MSG(ae != nullptr, "streaming codec " << codec->id()
-                                                    << " has no session type");
+  if (auto ae = std::dynamic_pointer_cast<const AeCodec>(codec)) {
     session = std::make_unique<AeSession>(std::move(ae), store, block_size,
                                           resume_blocks, &pool_);
   } else {
-    session = std::make_unique<StripedSession>(std::move(codec), store,
+    auto striped = std::dynamic_pointer_cast<const StripeCodec>(codec);
+    AEC_CHECK_MSG(striped != nullptr,
+                  "codec " << codec->id() << " has no session type");
+    session = std::make_unique<StripedSession>(std::move(striped), store,
                                                block_size, resume_blocks,
                                                &pool_);
   }

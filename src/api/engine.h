@@ -7,9 +7,10 @@
 // the stored bytes are identical at every thread count.
 //
 // open_session() is the single dispatch point from a Codec to its
-// executor: streaming codecs (AE) get the lattice pipeline, striped
-// codecs (RS, REP) get the stripe session — both sharing this engine's
-// worker pool, so several archives/sessions can multiplex one pool.
+// executor, by the codec's type: an AeCodec gets the lattice pipeline
+// (AeSession, the only AE encoder and repairer), a StripeCodec (RS, REP)
+// the stripe session — both sharing this engine's worker pool, so
+// several archives/sessions can multiplex one pool.
 // Every session runs pool tasks against its store, so open_session only
 // accepts stores that synchronize themselves (BlockStore::thread_safe).
 // Each batch, wave and repair pass waits on its own completion group
@@ -23,7 +24,6 @@
 
 #include "api/codec.h"
 #include "api/session.h"
-#include "obs/metrics.h"
 #include "pipeline/thread_pool.h"
 
 namespace aec {
@@ -46,21 +46,15 @@ class Engine : public std::enable_shared_from_this<Engine> {
   /// the session (256 per worker) — the peak memory of chunked ingest.
   std::size_t ingest_window_blocks() const noexcept { return 256 * threads(); }
 
-  /// Snapshot of the process-wide metrics registry (pool queue waits,
-  /// encode/repair wave timings, store cache tallies, …). Exact once no
-  /// operation is running; see obs/metrics.h for the consistency model.
-  obs::MetricsSnapshot metrics() const {
-    return obs::MetricsRegistry::global().snapshot();
-  }
-
-  /// Builds the session type matching the codec family over this
-  /// engine's pool. `codec` is shared with the caller; `store` must
-  /// outlive the session and must be thread-safe (CheckError otherwise,
-  /// at every thread count). `resume_blocks` > 0 resumes an existing
-  /// sequence of that many data blocks (e.g. a reopened archive). A
-  /// shared-owned engine is kept alive by its sessions; an engine
-  /// constructed outside a shared_ptr must itself outlive every session
-  /// it opened.
+  /// Builds the session type matching the codec's type over this
+  /// engine's pool: AeSession for an AeCodec, StripedSession for a
+  /// StripeCodec, CheckError for any other. `codec` is shared with the
+  /// caller; `store` must outlive the session and must be thread-safe
+  /// (CheckError otherwise, at every thread count). `resume_blocks` > 0
+  /// resumes an existing sequence of that many data blocks (e.g. a
+  /// reopened archive). A shared-owned engine is kept alive by its
+  /// sessions; an engine constructed outside a shared_ptr must itself
+  /// outlive every session it opened.
   std::unique_ptr<CodecSession> open_session(
       std::shared_ptr<const Codec> codec, BlockStore* store,
       std::size_t block_size, std::uint64_t resume_blocks = 0);

@@ -231,7 +231,7 @@ IntegrityReport AeSession::verify_integrity() const {
 
 // --- StripedSession ---------------------------------------------------------
 
-StripedSession::StripedSession(std::shared_ptr<const Codec> codec,
+StripedSession::StripedSession(std::shared_ptr<const StripeCodec> codec,
                                BlockStore* store, std::size_t block_size,
                                std::uint64_t resume_blocks,
                                pipeline::ThreadPool* pool)
@@ -239,11 +239,9 @@ StripedSession::StripedSession(std::shared_ptr<const Codec> codec,
       store_(store),
       block_size_(block_size),
       pool_(pool),
-      k_(codec_->group_data_parts()),
-      m_(codec_->parity_parts(codec_->group_data_parts())),
+      k_(codec_->data_parts()),
+      m_(codec_->parity_parts()),
       count_(resume_blocks) {
-  AEC_CHECK_MSG(k_ > 0, "StripedSession needs a striped codec, got "
-                            << codec_->id());
   AEC_CHECK_MSG(block_size_ > 0, "block size must be positive");
   AEC_CHECK_MSG(store_ != nullptr, "session needs a block store");
   AEC_CHECK_MSG(pool_ != nullptr, "session needs a worker pool");
@@ -310,7 +308,7 @@ void StripedSession::heal_tail_stripe() {
           std::count_if(erased.begin(), erased.end(),
                         [&](PartIndex p) { return p < k_; }));
       if (surviving_parities.size() <= data_erasures) continue;  // unverifiable
-      if (!codec_->can_repair(k_, erased)) continue;
+      if (!codec_->can_repair(erased)) continue;
       const auto rebuilt = codec_->repair(parts, erased);
       if (!rebuilt) continue;
 

@@ -5,8 +5,9 @@
 // This is the dispatch point that unifies the code families behind the
 // archive: the AE session streams blocks into the entanglement lattice
 // (ParallelEncoder + ParallelRepairer over the shared pool — a 1-thread
-// engine reproduces the serial byte stream exactly), while the striped
-// session groups blocks into fixed-width codec stripes (RS, REP) whose
+// engine reproduces the serial byte stream exactly) and is the only way
+// AE is encoded and repaired, while the striped session groups blocks
+// into the fixed-width stripes of a StripeCodec (RS, REP), whose
 // parities live in a flat parity index space.
 //
 // Concurrency contract: one writer plus any number of readers. One
@@ -275,7 +276,7 @@ class AeSession final : public CodecSession {
   std::shared_ptr<pipeline::ParallelRepairer> repairer_;
 };
 
-/// Fixed-width stripe session for striped codecs (RS, REP). The tail
+/// Fixed-width stripe session for a StripeCodec (RS, REP). The tail
 /// stripe may be partial; its virtual tail blocks are all-zero and its
 /// parities are recomputed whenever appends extend it.
 ///
@@ -298,7 +299,7 @@ class AeSession final : public CodecSession {
 /// stripe's old and new parities.
 class StripedSession final : public CodecSession {
  public:
-  StripedSession(std::shared_ptr<const Codec> codec, BlockStore* store,
+  StripedSession(std::shared_ptr<const StripeCodec> codec, BlockStore* store,
                  std::size_t block_size, std::uint64_t resume_blocks,
                  pipeline::ThreadPool* pool);
 
@@ -378,7 +379,7 @@ class StripedSession final : public CodecSession {
                : static_cast<std::uint64_t>(key.index - 1) / m_;
   }
 
-  std::shared_ptr<const Codec> codec_;
+  std::shared_ptr<const StripeCodec> codec_;
   BlockStore* store_;
   std::size_t block_size_;
   pipeline::ThreadPool* pool_;

@@ -1,17 +1,44 @@
-// Option values and exit statuses shared by the command-line tools
-// (aectool, aecc, aecd). A bad option value names the option, prints the
-// tool's usage text and exits 2: it never wraps, never escapes as a
-// std::stoull/std::stod exception, and never falls back to a default.
+// Command lines, option values and exit statuses shared by the
+// command-line tools (aectool, aecc, aecd). A bad option value names the
+// option, prints the tool's usage text and exits 2: it never wraps,
+// never escapes as a std::stoull/std::stod exception, and never falls
+// back to a default.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace aec::cli {
 
-/// The tool's usage printer; it exits 2 (and parse_* exit 2 should it
-/// return).
+/// The tool's usage printer; it exits 2 (and the functions here exit 2
+/// should it return).
 using Usage = void (*)();
+
+/// A `tool <command> [options] [positionals]` command line.
+struct Args {
+  std::string command;
+  /// Option name ("--out" for -o) → value; "1" for a flag.
+  std::map<std::string, std::string> options;
+  std::vector<std::string> positional;
+};
+
+/// The options each command accepts, by command word.
+using AllowedOptions = std::map<std::string, std::set<std::string>>;
+
+/// Reads argv[1] as the command and the rest as options, each allowed
+/// for that command, and positional arguments. `-o` is read as `--out`;
+/// an option in `flags` takes no value. An unknown command or option
+/// prints an error line and the usage text, and exits 2; so do a missing
+/// command and an option without its value, with the usage text alone.
+Args parse(int argc, const char* const* argv, const AllowedOptions& allowed,
+           const std::set<std::string>& flags, Usage usage);
+
+/// The value of option `key`. Absent, it prints "error: '<command>'
+/// requires <key>" and the usage text, and exits 2.
+const std::string& require(const Args& args, const char* key, Usage usage);
 
 /// `text` as an unsigned decimal in [lo, hi]: digits only, so a sign,
 /// a space or junk is refused.

@@ -13,7 +13,7 @@
 // so the residue is exactly what is irrecoverable.
 //
 // Planning is a pure availability computation — no payload bytes. That is
-// what lets the byte codec (ParallelRepairer, AeCodec; open lattices),
+// what lets the byte codec (ParallelRepairer; open lattices),
 // the minimal-erasure analysis, the entangled mirror and the disaster
 // simulation (sim::AeScheme; closed lattices) share one implementation,
 // each over an Availability of its own lattice: simulated round counts

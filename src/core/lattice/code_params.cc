@@ -44,6 +44,9 @@ CodeParams::CodeParams(std::uint32_t alpha, std::uint32_t s, std::uint32_t p)
     AEC_CHECK_MSG(p >= s, "AE codes with alpha>1 require p >= s (p < s "
                           "deforms the lattice), got s="
                               << s << " p=" << p);
+    AEC_CHECK_MSG(p <= kMaxStrands, "AE codes allow s and p up to "
+                                        << kMaxStrands << ", got s=" << s
+                                        << " p=" << p);
   }
   classes_.push_back(StrandClass::kHorizontal);
   if (alpha >= 2) classes_.push_back(StrandClass::kRightHanded);

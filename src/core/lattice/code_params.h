@@ -7,7 +7,8 @@
 //
 // Validity: α = 1 forces s = 1, p = 0 (one single chain). For α ≥ 2 the
 // lattice needs p ≥ s ("an invalid setting, i.e. p < s, causes a deformed
-// lattice"). This implementation covers the paper's focus α ∈ [1,3].
+// lattice"). This implementation covers the paper's focus α ∈ [1,3], with
+// s and p at most kMaxStrands.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +42,11 @@ const char* to_string(NodeClass cls) noexcept;
 /// Validated AE(α, s, p) parameter triple.
 class CodeParams {
  public:
+  /// Largest s and p, the bound RS puts on k + m. An encoder keeps one
+  /// strand head per strand, so parameters read from a spec or a
+  /// manifest must not size that state past it.
+  static constexpr std::uint32_t kMaxStrands = 256;
+
   /// Throws CheckError on invalid settings (see file comment).
   CodeParams(std::uint32_t alpha, std::uint32_t s, std::uint32_t p);
 

@@ -30,10 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <map>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "common/check.h"
 #include "common/cli.h"
@@ -42,6 +39,7 @@
 
 namespace {
 
+namespace cli = aec::cli;
 using aec::net::Client;
 using aec::net::ClientConfig;
 
@@ -68,71 +66,20 @@ using aec::net::ClientConfig;
   std::exit(2);
 }
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-  std::vector<std::string> positional;
+const cli::AllowedOptions kAllowedOptions = {
+    {"ping", {"--port", "--host"}},
+    {"put", {"--port", "--host", "--name"}},
+    {"get", {"--port", "--host", "--name", "--out"}},
+    {"ls", {"--port", "--host"}},
+    {"stat", {"--port", "--host", "--metrics"}},
+    {"metrics", {"--port", "--host"}},
+    {"scrub", {"--port", "--host"}},
+    {"node", {"--port", "--host", "--node"}},
+    {"trace", {"--port", "--host", "--name", "--out", "--metrics", "--node",
+               "--request-id"}},
 };
 
-const std::set<std::string>& allowed_options(const std::string& command) {
-  static const std::map<std::string, std::set<std::string>> allowed = {
-      {"ping", {"--port", "--host"}},
-      {"put", {"--port", "--host", "--name"}},
-      {"get", {"--port", "--host", "--name", "--out"}},
-      {"ls", {"--port", "--host"}},
-      {"stat", {"--port", "--host", "--metrics"}},
-      {"metrics", {"--port", "--host"}},
-      {"scrub", {"--port", "--host"}},
-      {"node", {"--port", "--host", "--node"}},
-      {"trace", {"--port", "--host", "--name", "--out", "--metrics",
-                 "--node", "--request-id"}},
-  };
-  const auto it = allowed.find(command);
-  if (it == allowed.end()) {
-    std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
-    usage();
-  }
-  return it->second;
-}
-
-Args parse(int argc, char** argv) {
-  if (argc < 2) usage();
-  Args args;
-  args.command = argv[1];
-  const std::set<std::string>& allowed = allowed_options(args.command);
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0 || arg == "-o") {
-      const std::string key = arg == "-o" ? "--out" : arg;
-      if (allowed.count(key) == 0) {
-        std::fprintf(stderr, "error: unknown option '%s' for '%s'\n",
-                     arg.c_str(), args.command.c_str());
-        usage();
-      }
-      if (key == "--metrics") {
-        args.options[key] = "1";
-        continue;
-      }
-      if (i + 1 >= argc) usage();
-      args.options[key] = argv[++i];
-    } else {
-      args.positional.push_back(arg);
-    }
-  }
-  return args;
-}
-
-int run_command(Client& client, const Args& args) {
-  const auto option = [&](const char* key) -> const std::string& {
-    const auto it = args.options.find(key);
-    if (it == args.options.end()) {
-      std::fprintf(stderr, "error: '%s' requires %s\n", args.command.c_str(),
-                   key);
-      usage();
-    }
-    return it->second;
-  };
-
+int run_command(Client& client, const cli::Args& args) {
   if (args.command == "ping") {
     client.ping();
     std::printf("pong\n");
@@ -144,16 +91,17 @@ int run_command(Client& client, const Args& args) {
       usage();
     }
     const aec::net::PutResult result =
-        client.put_file(option("--name"), args.positional[0]);
+        client.put_file(cli::require(args, "--name", usage),
+                        args.positional[0]);
     std::printf("archived '%s': %llu bytes in %llu block(s) from d%llu\n",
-                option("--name").c_str(),
+                cli::require(args, "--name", usage).c_str(),
                 static_cast<unsigned long long>(result.bytes),
                 static_cast<unsigned long long>(result.blocks),
                 static_cast<unsigned long long>(result.first_block));
     return 0;
   }
   if (args.command == "get") {
-    const std::string& name = option("--name");
+    const std::string& name = cli::require(args, "--name", usage);
     const auto out_it = args.options.find("--out");
     std::uint64_t total = 0;
     if (out_it == args.options.end()) {
@@ -201,8 +149,8 @@ int run_command(Client& client, const Args& args) {
                     result.inconsistent_parities));
     // The reply carries no suspect count; a suspect block always comes
     // with an inconsistent parity.
-    return aec::cli::scrub_exit_status(result.unrecovered,
-                                       result.inconsistent_parities, 0);
+    return cli::scrub_exit_status(result.unrecovered,
+                                  result.inconsistent_parities, 0);
   }
   if (args.command == "node") {
     if (args.positional.size() != 1) {
@@ -212,7 +160,8 @@ int run_command(Client& client, const Args& args) {
     }
     const std::string& sub = args.positional[0];
     const auto node = static_cast<std::uint32_t>(
-        aec::cli::parse_unsigned("--node", option("--node"), 0, 9999, usage));
+        cli::parse_unsigned("--node", cli::require(args, "--node", usage), 0,
+                            9999, usage));
     if (sub == "fail") {
       client.node_fail(node);
       std::printf("node %u is down\n", node);
@@ -242,18 +191,10 @@ int run_command(Client& client, const Args& args) {
   usage();
 }
 
-int run(Args args) {
+int run(cli::Args args) {
   ClientConfig config;
-  {
-    const auto port_it = args.options.find("--port");
-    if (port_it == args.options.end()) {
-      std::fprintf(stderr, "error: '%s' requires --port\n",
-                   args.command.c_str());
-      usage();
-    }
-    config.port = static_cast<std::uint16_t>(
-        aec::cli::parse_unsigned("--port", port_it->second, 1, 65535, usage));
-  }
+  config.port = static_cast<std::uint16_t>(cli::parse_unsigned(
+      "--port", cli::require(args, "--port", usage), 1, 65535, usage));
   const auto host_it = args.options.find("--host");
   if (host_it != args.options.end()) config.host = host_it->second;
 
@@ -270,7 +211,7 @@ int run(Args args) {
     args.positional.erase(args.positional.begin());
     if (const auto it = args.options.find("--request-id");
         it != args.options.end())
-      request_id_filter = aec::cli::parse_unsigned(
+      request_id_filter = cli::parse_unsigned(
           "--request-id", it->second, 0,
           std::numeric_limits<std::uint64_t>::max(), usage);
     config.trace = true;
@@ -294,7 +235,7 @@ int run(Args args) {
 
 int main(int argc, char** argv) {
   try {
-    return run(parse(argc, argv));
+    return run(cli::parse(argc, argv, kAllowedOptions, {"--metrics"}, usage));
   } catch (const aec::net::RemoteError& e) {
     std::fprintf(stderr, "remote error: %s\n", e.what());
     return 1;

@@ -1,6 +1,5 @@
-// The in-memory BlockStore — the "mem" store family, the staging
-// overlay of a down cluster node, and the scratch store of the one-shot
-// AeCodec::encode/repair.
+// The in-memory BlockStore — the "mem" store family and the staging
+// overlay of a down cluster node.
 //
 // ConcurrentBlockStore finds a block by its lattice position: the paper
 // numbers every block (d_i, and the α parities whose tail is i), so a

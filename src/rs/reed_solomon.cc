@@ -11,10 +11,6 @@ ReedSolomon::ReedSolomon(std::uint32_t k, std::uint32_t m)
   AEC_CHECK_MSG(k >= 1 && m >= 1, "RS(k,m) requires k >= 1 and m >= 1");
 }
 
-double ReedSolomon::storage_overhead_percent() const noexcept {
-  return 100.0 * static_cast<double>(m_) / static_cast<double>(k_);
-}
-
 std::string ReedSolomon::name() const {
   std::ostringstream os;
   os << "RS(" << k_ << "," << m_ << ")";

@@ -29,9 +29,6 @@ class ReedSolomon {
   std::uint32_t m() const noexcept { return m_; }
   std::uint32_t stripe_blocks() const noexcept { return k_ + m_; }
 
-  /// Storage overhead m/k · 100 % (paper Table IV).
-  double storage_overhead_percent() const noexcept;
-
   /// "RS(10,4)".
   std::string name() const;
 
@@ -44,10 +41,6 @@ class ReedSolomon {
   /// nullopt if erased. Returns nullopt when fewer than k blocks remain.
   std::optional<std::vector<Bytes>> decode(
       const std::vector<std::optional<Bytes>>& stripe) const;
-
-  /// Blocks that must be read to repair a single failure: k (paper:
-  /// "requires k I/O accesses and k·B bandwidth").
-  std::uint32_t single_failure_fanin() const noexcept { return k_; }
 
  private:
   std::uint32_t k_;

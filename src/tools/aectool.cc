@@ -48,7 +48,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -99,43 +98,27 @@ using namespace aec::tools;
   std::exit(2);
 }
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-  std::vector<std::string> positional;
-};
-
 /// Options each command accepts; anything else is an error, not
 /// something to swallow silently.
-const std::set<std::string>& allowed_options(const std::string& command) {
-  static const std::map<std::string, std::set<std::string>> allowed = {
-      {"init", {"--root", "--code", "--store", "--block-size"}},
-      {"put", {"--root", "--name", "--threads"}},
-      {"get", {"--root", "--name", "--threads", "--out"}},
-      {"ls", {"--root"}},
-      {"stat", {"--root", "--json", "--metrics"}},
-      {"scrub", {"--root", "--threads", "--metrics"}},
-      {"damage", {"--root", "--fraction", "--seed"}},
-      {"reindex", {"--root"}},
-      {"node", {"--root", "--node", "--threads"}},
-      {"trace", {"--root", "--name", "--threads", "--out", "--request-id"}},
-  };
-  const auto it = allowed.find(command);
-  if (it == allowed.end()) {
-    std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
-    usage();
-  }
-  return it->second;
-}
+const cli::AllowedOptions kAllowedOptions = {
+    {"init", {"--root", "--code", "--store", "--block-size"}},
+    {"put", {"--root", "--name", "--threads"}},
+    {"get", {"--root", "--name", "--threads", "--out"}},
+    {"ls", {"--root"}},
+    {"stat", {"--root", "--json", "--metrics"}},
+    {"scrub", {"--root", "--threads", "--metrics"}},
+    {"damage", {"--root", "--fraction", "--seed"}},
+    {"reindex", {"--root"}},
+    {"node", {"--root", "--node", "--threads"}},
+    {"trace", {"--root", "--name", "--threads", "--out", "--request-id"}},
+};
 
 /// Valueless boolean options (present or absent, no argument).
-bool is_flag_option(const std::string& key) {
-  return key == "--json" || key == "--metrics";
-}
+const std::set<std::string> kFlagOptions = {"--json", "--metrics"};
 
 /// An unsigned option in [lo, hi], `fallback` when absent; a bad value
 /// exits 2 with the usage text (cli::parse_unsigned).
-std::uint64_t number_option(const Args& args, const char* key,
+std::uint64_t number_option(const cli::Args& args, const char* key,
                             std::uint64_t fallback, std::uint64_t lo,
                             std::uint64_t hi) {
   const auto it = args.options.find(key);
@@ -144,33 +127,6 @@ std::uint64_t number_option(const Args& args, const char* key,
 }
 
 constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
-
-Args parse(int argc, char** argv) {
-  if (argc < 2) usage();
-  Args args;
-  args.command = argv[1];
-  const std::set<std::string>& allowed = allowed_options(args.command);
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0 || arg == "-o") {
-      const std::string key = arg == "-o" ? "--out" : arg;
-      if (allowed.count(key) == 0) {
-        std::fprintf(stderr, "error: unknown option '%s' for '%s'\n",
-                     arg.c_str(), args.command.c_str());
-        usage();
-      }
-      if (is_flag_option(key)) {
-        args.options[key] = "1";
-        continue;
-      }
-      if (i + 1 >= argc) usage();
-      args.options[key] = argv[++i];
-    } else {
-      args.positional.push_back(arg);
-    }
-  }
-  return args;
-}
 
 /// Per-node traffic delta table for one operation (cluster archives):
 /// the survivors' read bytes ARE the repair traffic of a rebuild — the
@@ -215,19 +171,8 @@ const FileEntry& put_file(Archive& archive, const std::string& name,
   return writer.close();
 }
 
-int run(const Args& args) {
-  const auto option = [&](const char* key) -> const std::string& {
-    const auto it = args.options.find(key);
-    if (it == args.options.end()) {
-      // A missing required option is a usage error, not an internal
-      // failure: say what is missing, show the synopsis, exit 2.
-      std::fprintf(stderr, "error: '%s' requires %s\n",
-                   args.command.c_str(), key);
-      usage();
-    }
-    return it->second;
-  };
-  const std::string root = option("--root");
+int run(const cli::Args& args) {
+  const std::string root = cli::require(args, "--root", usage);
 
   if (args.command == "init") {
     const auto code_it = args.options.find("--code");
@@ -270,7 +215,8 @@ int run(const Args& args) {
       usage();
     }
     const FileEntry& entry =
-        put_file(*archive, option("--name"), args.positional[0]);
+        put_file(*archive, cli::require(args, "--name", usage),
+                 args.positional[0]);
     std::printf("archived '%s': %llu bytes in %llu block(s) from d%lld%s\n",
                 entry.name.c_str(),
                 static_cast<unsigned long long>(entry.bytes),
@@ -281,7 +227,7 @@ int run(const Args& args) {
     return 0;
   }
   if (args.command == "get") {
-    const std::string& name = option("--name");
+    const std::string& name = cli::require(args, "--name", usage);
     std::optional<FileReader> reader = archive->try_open_reader(name);
     if (!reader) {
       std::fprintf(stderr, "error: file unknown or irrecoverable\n");
@@ -449,7 +395,8 @@ int run(const Args& args) {
   }
   if (args.command == "damage") {
     const double fraction =
-        cli::parse_real("--fraction", option("--fraction"), 0.0, 1.0, usage);
+        cli::parse_real("--fraction", cli::require(args, "--fraction", usage),
+                        0.0, 1.0, usage);
     const std::uint64_t seed = number_option(args, "--seed", 1, 0, kMaxU64);
     const std::uint64_t destroyed = archive->inject_damage(fraction, seed);
     std::printf("destroyed %llu block file(s)\n",
@@ -487,7 +434,8 @@ int run(const Args& args) {
       return 0;
     }
     const auto node = static_cast<std::uint32_t>(
-        cli::parse_unsigned("--node", option("--node"), 0, 9999, usage));
+        cli::parse_unsigned("--node", cli::require(args, "--node", usage), 0,
+                            9999, usage));
     if (sub == "fail") {
       archive->fail_node(node);
       std::printf("node %u is down (%llu block(s) unavailable)\n", node,
@@ -541,14 +489,16 @@ int run(const Args& args) {
       archive->scrub();
     } else if (sub == "get") {
       // The streamed read `get` runs: one read.window span per window.
-      FileReader reader = archive->open_reader(option("--name"));
+      FileReader reader =
+          archive->open_reader(cli::require(args, "--name", usage));
       std::optional<BytesView> chunk = reader.next_chunk();
       while (chunk && !chunk->empty()) chunk = reader.next_chunk();
       AEC_CHECK_MSG(chunk.has_value(), "file irrecoverable");
     } else if (sub == "put") {
       AEC_CHECK_MSG(args.positional.size() == 2,
                     "trace put needs exactly one FILE");
-      put_file(*archive, option("--name"), args.positional[1]);
+      put_file(*archive, cli::require(args, "--name", usage),
+               args.positional[1]);
     } else {
       std::fprintf(stderr, "error: unknown trace subcommand '%s'\n",
                    sub.c_str());
@@ -575,7 +525,7 @@ int run(const Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    return run(parse(argc, argv));
+    return run(cli::parse(argc, argv, kAllowedOptions, kFlagOptions, usage));
   } catch (const aec::CheckError& e) {
     std::fprintf(stderr, "error: %s\n", e.message());
     return 2;

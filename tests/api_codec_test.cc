@@ -1,8 +1,9 @@
-// Tests for the unified aec::Codec interface: spec parsing and a
-// single conformance suite run over every implementation (AE, RS, REP).
+// Tests for aec::Codec: spec parsing for every family, and one
+// conformance suite run over the stripe codecs' group API (RS, REP).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "api/codec.h"
@@ -14,8 +15,8 @@ namespace {
 
 TEST(CodecRegistry, SpecsRoundTripThroughId) {
   for (const char* spec :
-       {"AE(3,2,5)", "AE(2,2,5)", "AE(1,-,-)", "RS(10,4)", "RS(4,2)",
-        "REP(3)", "REP(1)"}) {
+       {"AE(3,2,5)", "AE(2,2,5)", "AE(1,-,-)", "AE(3,256,256)", "RS(10,4)",
+        "RS(4,2)", "REP(3)", "REP(1)", "REP(256)"}) {
     const auto codec = make_codec(spec);
     ASSERT_NE(codec, nullptr) << spec;
     EXPECT_EQ(codec->id(), spec);
@@ -37,26 +38,20 @@ TEST(CodecRegistry, RejectsInvalidSpecs) {
            "AE(0,1,1)",   // invalid alpha
            "AE(2,5,2)",   // deformed lattice: p < s
            "AE(a,b,c)",   // non-numeric
+           "AE(3,2,257)", // p past the bound (256)
+           "AE(3,257,257)", // s and p past the bound
+           "AE(3,2,999999999)", // nine digits parse, past the bound
            "RS(4,0)",     // m = 0
            "RS(0,4)",     // k = 0
            "RS(200,100)", // k + m > 256
            "RS(4)",       // wrong arity
            "REP(0)",      // zero copies
+           "REP(257)",    // copies past the bound (256)
            "REP(2,3)",    // wrong arity
            "REP(-)",      // wildcard outside AE(1,-,-)
            "XYZ(1,2)",    // unknown family
        })
     EXPECT_THROW(make_codec(spec), CheckError) << "spec: " << spec;
-}
-
-TEST(CodecMetadata, PaperTable4Columns) {
-  EXPECT_DOUBLE_EQ(make_codec("AE(3,2,5)")->storage_overhead_percent(),
-                   300.0);
-  EXPECT_DOUBLE_EQ(make_codec("RS(10,4)")->storage_overhead_percent(), 40.0);
-  EXPECT_DOUBLE_EQ(make_codec("REP(3)")->storage_overhead_percent(), 200.0);
-  EXPECT_EQ(make_codec("AE(3,2,5)")->single_failure_fanin(), 2u);
-  EXPECT_EQ(make_codec("RS(10,4)")->single_failure_fanin(), 10u);
-  EXPECT_EQ(make_codec("REP(3)")->single_failure_fanin(), 1u);
 }
 
 // --- conformance suite ------------------------------------------------------
@@ -77,11 +72,11 @@ class CodecConformance : public ::testing::TestWithParam<ConformanceCase> {};
 
 TEST_P(CodecConformance, EncodeRepairRoundTrip) {
   const ConformanceCase& test_case = GetParam();
-  const auto codec = make_codec(test_case.spec);
+  const auto codec = std::dynamic_pointer_cast<const StripeCodec>(
+      std::shared_ptr<const Codec>(make_codec(test_case.spec)));
+  ASSERT_NE(codec, nullptr);
   const std::uint32_t n = test_case.n_data;
-  if (codec->group_data_parts() > 0) {
-    ASSERT_EQ(codec->group_data_parts(), n);
-  }
+  ASSERT_EQ(codec->data_parts(), n);
 
   constexpr std::size_t kBlockSize = 64;
   Rng rng(20260727);
@@ -90,8 +85,8 @@ TEST_P(CodecConformance, EncodeRepairRoundTrip) {
     data.push_back(rng.random_block(kBlockSize));
 
   const std::vector<Bytes> parities = codec->encode(data);
-  ASSERT_EQ(parities.size(), codec->parity_parts(n));
-  const std::uint32_t total = codec->group_total_parts(n);
+  ASSERT_EQ(parities.size(), codec->parity_parts());
+  const std::uint32_t total = n + codec->parity_parts();
 
   std::vector<std::optional<Bytes>> intact(total);
   for (std::uint32_t p = 0; p < n; ++p) intact[p] = data[p];
@@ -106,7 +101,7 @@ TEST_P(CodecConformance, EncodeRepairRoundTrip) {
   };
 
   // Empty erasure: trivially repairable, nothing to rebuild.
-  EXPECT_TRUE(codec->can_repair(n, {}));
+  EXPECT_TRUE(codec->can_repair({}));
   const auto nothing = codec->repair(intact, {});
   ASSERT_TRUE(nothing.has_value());
   EXPECT_TRUE(nothing->empty());
@@ -115,8 +110,8 @@ TEST_P(CodecConformance, EncodeRepairRoundTrip) {
   for (const PartIndex p :
        PartIndexList{0, n - 1, n, total - 1}) {
     const PartIndexList erased{p};
-    EXPECT_TRUE(codec->can_repair(n, erased)) << "part " << p;
-    const auto reads = codec->repair_indices(n, erased);
+    EXPECT_TRUE(codec->can_repair(erased)) << "part " << p;
+    const auto reads = codec->repair_indices(erased);
     ASSERT_TRUE(reads.has_value()) << "part " << p;
     EXPECT_FALSE(reads->empty());
     const auto rebuilt = codec->repair(erase_parts(erased), erased);
@@ -128,8 +123,8 @@ TEST_P(CodecConformance, EncodeRepairRoundTrip) {
   // The case's multi-part erasure.
   {
     const PartIndexList& erased = test_case.repairable;
-    EXPECT_TRUE(codec->can_repair(n, erased));
-    const auto reads = codec->repair_indices(n, erased);
+    EXPECT_TRUE(codec->can_repair(erased));
+    const auto reads = codec->repair_indices(erased);
     ASSERT_TRUE(reads.has_value());
     // Sorted, duplicate-free, surviving parts only, in range.
     EXPECT_TRUE(std::is_sorted(reads->begin(), reads->end()));
@@ -155,49 +150,31 @@ TEST_P(CodecConformance, EncodeRepairRoundTrip) {
       erased.resize(total);
       std::iota(erased.begin(), erased.end(), 0);
     }
-    EXPECT_FALSE(codec->can_repair(n, erased));
-    EXPECT_FALSE(codec->repair_indices(n, erased).has_value());
+    EXPECT_FALSE(codec->can_repair(erased));
+    EXPECT_FALSE(codec->repair_indices(erased).has_value());
     if (erased.size() < total) {  // repair() needs ≥ 1 present block
       EXPECT_FALSE(codec->repair(erase_parts(erased), erased).has_value());
     }
   }
 
   // Malformed erased lists are contract violations.
-  EXPECT_THROW(codec->can_repair(n, {total}), CheckError);
-  EXPECT_THROW(codec->can_repair(n, {1, 1}), CheckError);
-  EXPECT_THROW(codec->can_repair(n, {2, 1}), CheckError);
+  EXPECT_THROW(codec->can_repair({total}), CheckError);
+  EXPECT_THROW(codec->can_repair({1, 1}), CheckError);
+  EXPECT_THROW(codec->can_repair({2, 1}), CheckError);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, CodecConformance,
     ::testing::Values(
-        // AE(3,2,5) over a 12-node window: scattered data + parity loss.
-        ConformanceCase{"AE(3,2,5)", 12, {0, 5, 14, 40}, {}},
-        ConformanceCase{"AE(2,2,5)", 10, {1, 6, 12}, {}},
-        // Single chain: d3 plus a far-away parity recover. d5 is gone
-        // for good only when every parity that includes it (the chain
-        // suffix p5..p8, parts 12..15) is erased with it — a shorter cut
-        // unzips back from the surviving end.
-        ConformanceCase{"AE(1,-,-)", 8, {2, 14}, {4, 12, 13, 14, 15}},
         // RS: any ≤ m erasures recover; m+1 in one stripe do not.
         ConformanceCase{"RS(10,4)", 10, {0, 5, 11, 13}, {0, 1, 2, 3, 4}},
         ConformanceCase{"RS(4,2)", 4, {1, 4}, {0, 2, 5}},
         // REP(3): any survivor suffices; all three gone is final.
         ConformanceCase{"REP(3)", 1, {0, 2}, {0, 1, 2}}));
 
-// AE repair_indices reflects the locality claim: repairing one data
-// block touches two blocks (paper Table IV "SF"), not the whole group.
-TEST(AeCodecLocality, SingleFailureReadsTwoBlocks) {
-  const auto codec = make_codec("AE(3,2,5)");
-  const std::uint32_t n = 20;
-  const auto reads = codec->repair_indices(n, {7});  // d8
-  ASSERT_TRUE(reads.has_value());
-  EXPECT_EQ(reads->size(), 2u);
-}
-
 TEST(RsCodecLocality, SingleFailureReadsK) {
-  const auto codec = make_codec("RS(10,4)");
-  const auto reads = codec->repair_indices(10, {7});
+  const RsCodec codec(10, 4);
+  const auto reads = codec.repair_indices({7});
   ASSERT_TRUE(reads.has_value());
   EXPECT_EQ(reads->size(), 10u);
 }

@@ -285,6 +285,22 @@ TEST_F(ArchiveStreamTest, ManifestHardeningRejectsCorruption) {
   // Unknown header.
   expect_rejected("aec-archive v9\n", "unknown header");
 
+  // AE parameters past the bound (s, p <= 256) in either manifest
+  // version; the v1 row builds its parameters without make_codec. At the
+  // bound both open.
+  expect_rejected("aec-archive v2\ncodec AE(3,2,257)\nblock_size 128\n"
+                  "blocks 0\nend 0\n",
+                  "v2 codec past the bound");
+  expect_rejected("aec-archive v1\ncode 3 2 257\nblock_size 128\n"
+                  "blocks 0\n",
+                  "v1 code past the bound");
+  write_manifest(dir("a"), "aec-archive v2\ncodec AE(3,2,256)\n"
+                           "block_size 128\nblocks 0\nend 0\n");
+  EXPECT_NO_THROW(Archive::open(dir("a")));
+  write_manifest(dir("a"),
+                 "aec-archive v1\ncode 3 2 256\nblock_size 128\nblocks 0\n");
+  EXPECT_NO_THROW(Archive::open(dir("a")));
+
   // The pristine manifest still opens (the helper didn't break it).
   write_manifest(dir("a"), good);
   EXPECT_NO_THROW(Archive::open(dir("a")));
@@ -465,6 +481,18 @@ TEST_F(ArchiveStreamTest, SessionRejectsAStoreThatDoesNotLockItself) {
     EXPECT_THROW(Engine::serial()->open_session(make_codec(spec), &store, 64),
                  CheckError)
         << spec;
+}
+
+TEST_F(ArchiveStreamTest, SessionRejectsACodecOfNoKnownFamily) {
+  // open_session dispatches on the codec's type: an AeCodec or a
+  // StripeCodec.
+  struct NameOnlyCodec final : Codec {
+    std::string id() const override { return "X(1)"; }
+  };
+  pipeline::ConcurrentBlockStore store;
+  EXPECT_THROW(Engine::serial()->open_session(
+                   std::make_shared<NameOnlyCodec>(), &store, 64),
+               CheckError);
 }
 
 TEST_F(ArchiveStreamTest, WriterContractChecks) {

@@ -39,6 +39,20 @@ TEST(Boundary, LastNodeLossWithItsParitiesIsFatalForAe1) {
   EXPECT_EQ(report.edges_unrecovered, 1u);
 }
 
+TEST(Boundary, ShorterSuffixCutUnzipsFromTheSurvivingEndForAe1) {
+  // d5 of an 8-node chain with p5..p7 erased: p8 survives, so the chain
+  // unzips back from it (p7 = d8 ^ p8, …, d5 = p4 ^ p5). Erasing p8 as
+  // well is the extremity loss above.
+  Fixture f(CodeParams::single(), 8);
+  f.store.erase(BlockKey::data(5));
+  for (NodeIndex i = 5; i <= 7; ++i)
+    f.store.erase(BlockKey::parity(Edge{StrandClass::kHorizontal, i}));
+  const RepairReport report = f.repair_all();
+  EXPECT_EQ(report.nodes_unrecovered, 0u);
+  EXPECT_EQ(report.edges_unrecovered, 0u);
+  EXPECT_EQ(*f.store.get_copy(BlockKey::data(5)), f.blocks[4]);
+}
+
 TEST(Boundary, InteriorSurvivesTheSamePattern) {
   Fixture f(CodeParams::single(), 50);
   f.store.erase(BlockKey::data(25));

@@ -33,13 +33,6 @@ TEST(Replication, RepairFailsWhenAllLost) {
   EXPECT_FALSE(rep.repair({std::nullopt, std::nullopt}, {0, 1}).has_value());
 }
 
-TEST(Replication, OverheadMatchesPaperTable4) {
-  EXPECT_DOUBLE_EQ(ReplicationCodec(2).storage_overhead_percent(), 100.0);
-  EXPECT_DOUBLE_EQ(ReplicationCodec(3).storage_overhead_percent(), 200.0);
-  EXPECT_DOUBLE_EQ(ReplicationCodec(4).storage_overhead_percent(), 300.0);
-  EXPECT_EQ(ReplicationCodec(3).single_failure_fanin(), 1u);
-}
-
 TEST(Replication, Validation) {
   EXPECT_THROW(ReplicationCodec(0), CheckError);
   const ReplicationCodec rep(3);

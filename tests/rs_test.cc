@@ -26,13 +26,8 @@ std::vector<std::optional<Bytes>> full_stripe(
   return stripe;
 }
 
-TEST(ReedSolomon, NameAndOverhead) {
-  const ReedSolomon rs(10, 4);
-  EXPECT_EQ(rs.name(), "RS(10,4)");
-  EXPECT_DOUBLE_EQ(rs.storage_overhead_percent(), 40.0);
-  EXPECT_EQ(rs.single_failure_fanin(), 10u);
-  EXPECT_DOUBLE_EQ(ReedSolomon(5, 5).storage_overhead_percent(), 100.0);
-  EXPECT_DOUBLE_EQ(ReedSolomon(4, 12).storage_overhead_percent(), 300.0);
+TEST(ReedSolomon, Name) {
+  EXPECT_EQ(ReedSolomon(10, 4).name(), "RS(10,4)");
 }
 
 TEST(ReedSolomon, EncodeProducesMParities) {
