@@ -23,6 +23,7 @@
 #include <functional>
 #include <thread>
 
+#include "api/codec.h"
 #include "common/cpu.h"
 #include "common/rng.h"
 #include "common/xor_engine.h"
@@ -32,7 +33,6 @@
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/parallel_repairer.h"
 #include "pipeline/thread_pool.h"
-#include "rs/reed_solomon.h"
 
 namespace {
 
@@ -146,18 +146,18 @@ void BM_RsEncode(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const auto m = static_cast<std::uint32_t>(state.range(1));
   const std::size_t block_size = 4096;
-  const rs::ReedSolomon code(k, m);
+  const RsCodec code(k, m);
   Rng rng(4);
-  std::vector<Bytes> data;
+  std::vector<Block> data;
   for (std::uint32_t i = 0; i < k; ++i)
-    data.push_back(rng.random_block(block_size));
+    data.push_back(Block::copy_of(rng.random_block(block_size)));
   for (auto _ : state) {
     auto parities = code.encode(data);
     benchmark::DoNotOptimize(parities.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(k * block_size));
-  state.SetLabel(code.name());
+  state.SetLabel(code.id());
 }
 BENCHMARK(BM_RsEncode)
     ->Args({10, 4})
@@ -166,28 +166,25 @@ BENCHMARK(BM_RsEncode)
     ->Args({4, 12});
 
 void BM_RsSingleFailureRepair(benchmark::State& state) {
-  // RS repairs one lost block by decoding the whole stripe from k reads —
-  // the bandwidth cost AE's 2-block repairs avoid.
+  // RS repairs one lost block from k reads — the bandwidth cost AE's
+  // 2-block repairs avoid.
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const auto m = static_cast<std::uint32_t>(state.range(1));
   const std::size_t block_size = 4096;
-  const rs::ReedSolomon code(k, m);
+  const RsCodec code(k, m);
   Rng rng(5);
-  std::vector<Bytes> data;
+  std::vector<Block> stripe;
   for (std::uint32_t i = 0; i < k; ++i)
-    data.push_back(rng.random_block(block_size));
-  const auto parity = code.encode(data);
-  std::vector<std::optional<Bytes>> stripe;
-  for (const auto& b : data) stripe.emplace_back(b);
-  for (const auto& b : parity) stripe.emplace_back(b);
-  stripe[k / 2].reset();  // one missing data block
+    stripe.push_back(Block::copy_of(rng.random_block(block_size)));
+  for (Block& parity : code.encode(stripe)) stripe.push_back(std::move(parity));
+  stripe[k / 2] = Block();  // one missing data block
   for (auto _ : state) {
-    auto decoded = code.decode(stripe);
-    benchmark::DoNotOptimize(decoded);
+    std::vector<Block> parts = stripe;
+    benchmark::DoNotOptimize(code.repair(parts));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(k * block_size));
-  state.SetLabel(code.name());
+  state.SetLabel(code.id());
 }
 BENCHMARK(BM_RsSingleFailureRepair)->Args({10, 4})->Args({4, 12});
 

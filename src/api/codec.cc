@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <span>
 
 #include "common/check.h"
+#include "gf/gf256.h"
 
 namespace aec {
 
@@ -20,12 +22,43 @@ void check_erased_list(const PartIndexList& erased, std::uint32_t total) {
   }
 }
 
-void check_uniform_blocks(const std::vector<Bytes>& blocks) {
-  AEC_CHECK_MSG(!blocks.empty(), "encode: empty group");
-  const std::size_t size = blocks.front().size();
-  AEC_CHECK_MSG(size > 0, "encode: zero-sized blocks");
-  for (const Bytes& b : blocks)
-    AEC_CHECK_MSG(b.size() == size, "encode: ragged block sizes");
+/// The one size of the non-null blocks among `parts` (0 when all are
+/// null). Throws CheckError when one is empty or two differ in size.
+std::size_t part_size(const std::vector<Block>& parts, const char* op) {
+  std::size_t size = 0;
+  for (const Block& part : parts) {
+    if (!part) continue;
+    AEC_CHECK_MSG(!part.empty(), op << ": zero-sized blocks");
+    AEC_CHECK_MSG(size == 0 || part.size() == size,
+                  op << ": ragged block sizes");
+    size = part.size();
+  }
+  return size;
+}
+
+/// The block size of `data`, which must be `count` non-null blocks of
+/// one non-zero size (CheckError otherwise).
+std::size_t data_size(const std::vector<Block>& data, std::uint32_t count) {
+  AEC_CHECK_MSG(data.size() == count, "encode: expected "
+                                          << count << " data blocks, got "
+                                          << data.size());
+  for (const Block& block : data)
+    AEC_CHECK_MSG(block, "encode: a null data block");
+  return part_size(data, "encode");
+}
+
+/// A fresh block of `size` bytes holding Σ coeff(i) · inputs[i] over
+/// GF(2^8); every input holds `size` bytes.
+template <class Coeff>
+Block combine(const std::vector<Block>& inputs, std::size_t size,
+              Coeff coeff) {
+  return Block::build(size, [&](std::span<std::uint8_t> out) {
+    // The first term overwrites (mul_slice never reads the fresh
+    // buffer); the rest accumulate.
+    gf::mul_slice(out.data(), inputs[0].data(), size, coeff(0));
+    for (std::size_t i = 1; i < inputs.size(); ++i)
+      gf::axpy_slice(out.data(), inputs[i].data(), size, coeff(i));
+  });
 }
 
 }  // namespace
@@ -38,55 +71,85 @@ std::string AeCodec::id() const { return params_.name(); }
 
 // --- RsCodec ----------------------------------------------------------------
 
-RsCodec::RsCodec(std::uint32_t k, std::uint32_t m) : rs_(k, m) {}
+RsCodec::RsCodec(std::uint32_t k, std::uint32_t m)
+    : k_(k), m_(m), parity_rows_(gf::cauchy_parity_matrix(k, m)) {
+  AEC_CHECK_MSG(k >= 1 && m >= 1, "RS(k,m) requires k >= 1 and m >= 1");
+}
 
-std::string RsCodec::id() const { return rs_.name(); }
+std::string RsCodec::id() const {
+  return "RS(" + std::to_string(k_) + "," + std::to_string(m_) + ")";
+}
 
-std::vector<Bytes> RsCodec::encode(const std::vector<Bytes>& data) const {
-  check_uniform_blocks(data);
-  return rs_.encode(data);
+std::vector<Block> RsCodec::encode(const std::vector<Block>& data) const {
+  const std::size_t size = data_size(data, k_);
+  std::vector<Block> parities;
+  parities.reserve(m_);
+  for (std::uint32_t row = 0; row < m_; ++row)
+    parities.push_back(combine(data, size, [&](std::size_t col) {
+      return parity_rows_.at(row, col);
+    }));
+  return parities;
 }
 
 std::optional<PartIndexList> RsCodec::repair_indices(
     const PartIndexList& erased) const {
-  check_erased_list(erased, rs_.stripe_blocks());
-  if (erased.size() > rs_.m()) return std::nullopt;
-  // Decode reads the first k surviving parts.
+  check_erased_list(erased, k_ + m_);
+  if (erased.size() > m_) return std::nullopt;
+  // Repair reads the first k surviving parts.
   PartIndexList reads;
-  reads.reserve(rs_.k());
-  for (PartIndex part = 0;
-       part < rs_.stripe_blocks() && reads.size() < rs_.k(); ++part)
+  reads.reserve(k_);
+  for (PartIndex part = 0; part < k_ + m_ && reads.size() < k_; ++part)
     if (!std::binary_search(erased.begin(), erased.end(), part))
       reads.push_back(part);
-  AEC_CHECK(reads.size() == rs_.k());
+  AEC_CHECK(reads.size() == k_);
   return reads;
 }
 
-std::optional<std::vector<Bytes>> RsCodec::repair(
-    const std::vector<std::optional<Bytes>>& parts,
-    const PartIndexList& erased) const {
-  AEC_CHECK_MSG(parts.size() == rs_.stripe_blocks(),
-                "repair: RS group must hold " << rs_.stripe_blocks()
-                                              << " parts");
-  check_erased_list(erased, rs_.stripe_blocks());
-  for (const PartIndex part : erased)
-    AEC_CHECK_MSG(!parts[part], "repair: erased part " << part
-                                                       << " holds a payload");
-  const auto data = rs_.decode(parts);
-  if (!data) return std::nullopt;
+bool RsCodec::repair(std::vector<Block>& parts) const {
+  AEC_CHECK_MSG(parts.size() == k_ + m_,
+                "repair: RS stripe must hold " << k_ + m_ << " parts");
+  const std::size_t size = part_size(parts, "repair");
+  std::vector<Block> inputs;  // the first k present parts
+  std::vector<PartIndex> chosen;
+  for (PartIndex part = 0; part < k_ + m_ && chosen.size() < k_; ++part)
+    if (parts[part]) {
+      chosen.push_back(part);
+      inputs.push_back(parts[part]);
+    }
+  if (chosen.size() < k_) return false;  // more than m parts missing
 
-  // Parity parts are rebuilt by re-encoding the recovered data.
-  std::vector<Bytes> parities;
-  if (std::any_of(erased.begin(), erased.end(),
-                  [&](PartIndex part) { return part >= rs_.k(); }))
-    parities = rs_.encode(*data);
-
-  std::vector<Bytes> rebuilt;
-  rebuilt.reserve(erased.size());
-  for (const PartIndex part : erased)
-    rebuilt.push_back(part < rs_.k() ? (*data)[part]
-                                     : parities[part - rs_.k()]);
-  return rebuilt;
+  std::vector<Block> data(parts.begin(), parts.begin() + k_);
+  if (std::any_of(data.begin(), data.end(),
+                  [](const Block& part) { return !part; })) {
+    // Row r of the generator [I_k ; C] that produced chosen part r: a
+    // unit row for a data part, C's row for a parity. Its inverse maps
+    // the chosen parts back to the data.
+    gf::Matrix rows(k_, k_);
+    for (std::uint32_t r = 0; r < k_; ++r) {
+      if (chosen[r] < k_) {
+        rows.set(r, chosen[r], 1);
+        continue;
+      }
+      for (std::uint32_t c = 0; c < k_; ++c)
+        rows.set(r, c, parity_rows_.at(chosen[r] - k_, c));
+    }
+    const auto inverse = rows.inverted();
+    AEC_CHECK_MSG(inverse.has_value(),
+                  "RS repair: Cauchy submatrix must be invertible");
+    for (std::uint32_t out = 0; out < k_; ++out)
+      if (!data[out])
+        data[out] = combine(inputs, size, [&](std::size_t in) {
+          return inverse->at(out, in);
+        });
+  }
+  for (std::uint32_t r = 0; r < k_; ++r)
+    if (!parts[r]) parts[r] = data[r];
+  for (std::uint32_t row = 0; row < m_; ++row)
+    if (!parts[k_ + row])
+      parts[k_ + row] = combine(data, size, [&](std::size_t col) {
+        return parity_rows_.at(row, col);
+      });
+  return true;
 }
 
 // --- ReplicationCodec -------------------------------------------------------
@@ -101,11 +164,10 @@ std::string ReplicationCodec::id() const {
   return "REP(" + std::to_string(copies_) + ")";
 }
 
-std::vector<Bytes> ReplicationCodec::encode(
-    const std::vector<Bytes>& data) const {
-  check_uniform_blocks(data);
-  AEC_CHECK_MSG(data.size() == 1, "replication groups hold one data block");
-  return std::vector<Bytes>(copies_ - 1, data.front());
+std::vector<Block> ReplicationCodec::encode(
+    const std::vector<Block>& data) const {
+  data_size(data, 1);
+  return std::vector<Block>(copies_ - 1, data.front());
 }
 
 std::optional<PartIndexList> ReplicationCodec::repair_indices(
@@ -117,19 +179,18 @@ std::optional<PartIndexList> ReplicationCodec::repair_indices(
   return std::nullopt;
 }
 
-std::optional<std::vector<Bytes>> ReplicationCodec::repair(
-    const std::vector<std::optional<Bytes>>& parts,
-    const PartIndexList& erased) const {
+bool ReplicationCodec::repair(std::vector<Block>& parts) const {
   AEC_CHECK_MSG(parts.size() == copies_,
-                "repair: replication group must hold " << copies_
-                                                       << " parts");
-  check_erased_list(erased, copies_);
-  for (const PartIndex part : erased)
-    AEC_CHECK_MSG(!parts[part], "repair: erased part " << part
-                                                       << " holds a payload");
-  for (PartIndex part = 0; part < copies_; ++part)
-    if (parts[part]) return std::vector<Bytes>(erased.size(), *parts[part]);
-  return std::nullopt;
+                "repair: replication stripe must hold " << copies_
+                                                        << " parts");
+  part_size(parts, "repair");
+  const auto present = std::find_if(
+      parts.begin(), parts.end(), [](const Block& part) { return !!part; });
+  if (present == parts.end()) return false;
+  const Block copy = *present;
+  for (Block& part : parts)
+    if (!part) part = copy;
+  return true;
 }
 
 // --- spec parsing ----------------------------------------------------------

@@ -13,7 +13,10 @@
 // StripeCodec is the group API of the stripe families (RS, REP). A
 // stripe holds data_parts() data blocks followed by parity_parts()
 // parity blocks, addressed by a flat PartIndex (data first, parities
-// after). Parity ordering:
+// after). Its payloads are shared, immutable Blocks (common/block.h),
+// the type the stores hold: encode takes and returns Blocks, and repair
+// fills the null parts of a stripe in place, as a store answers a read
+// of a missing key with a null Block. Parity ordering:
 //   RS(k,m) — the m Cauchy parity rows in row order.
 //   REP(n)  — the n−1 extra copies.
 #pragma once
@@ -24,9 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "common/bytes.h"
+#include "common/block.h"
 #include "core/lattice/code_params.h"
-#include "rs/reed_solomon.h"
+#include "gf/matrix.h"
 
 namespace aec {
 
@@ -70,8 +73,9 @@ class StripeCodec : public Codec {
   virtual std::uint32_t parity_parts() const = 0;
 
   /// The parity blocks of one stripe, in part order. `data` holds
-  /// exactly data_parts() non-empty blocks of one size.
-  virtual std::vector<Bytes> encode(const std::vector<Bytes>& data) const = 0;
+  /// exactly data_parts() non-null blocks of one non-zero size
+  /// (CheckError otherwise).
+  virtual std::vector<Block> encode(const std::vector<Block>& data) const = 0;
 
   /// The surviving parts a repair of `erased` reads (sorted), or nullopt
   /// when the stripe is irreparable. Not every surviving part is needed.
@@ -85,38 +89,47 @@ class StripeCodec : public Codec {
     return repair_indices(erased).has_value();
   }
 
-  /// Reconstructs the erased parts of one stripe. `parts` holds the
-  /// whole stripe (present payload or nullopt per part). Returns the
-  /// rebuilt payloads in `erased` order, or nullopt when the erasure
-  /// pattern is irreparable.
-  virtual std::optional<std::vector<Bytes>> repair(
-      const std::vector<std::optional<Bytes>>& parts,
-      const PartIndexList& erased) const = 0;
+  /// Repairs one stripe in place. `parts` holds the whole stripe, a null
+  /// Block for each missing part; the present parts must have one
+  /// non-zero size (CheckError otherwise, before anything is computed).
+  /// Fills every null part and returns true; returns false, leaving
+  /// `parts` as it was, when the stripe cannot be repaired. The present
+  /// parts are never replaced.
+  virtual bool repair(std::vector<Block>& parts) const = 0;
 };
 
-/// Systematic Reed-Solomon stripes (wraps rs::ReedSolomon).
+/// Systematic Reed-Solomon RS(k,m) over GF(2^8) — the paper's baseline
+/// ("RS codes conceptualize the idea of an ideal [MDS] code … used as a
+/// baseline", §V). The generator is [I_k ; C], C the m×k Cauchy block,
+/// so any k of the k+m parts rebuild the stripe: a missing data part is
+/// decoded through the inverse of the generator rows of the first k
+/// present parts, which is why even a single-failure repair reads k
+/// parts, the locality weakness AE codes attack.
 class RsCodec final : public StripeCodec {
  public:
+  /// Requires k ≥ 1, m ≥ 1, k + m ≤ 256.
   RsCodec(std::uint32_t k, std::uint32_t m);
 
-  const rs::ReedSolomon& rs() const noexcept { return rs_; }
-
   std::string id() const override;
-  std::uint32_t data_parts() const override { return rs_.k(); }
-  std::uint32_t parity_parts() const override { return rs_.m(); }
-  std::vector<Bytes> encode(const std::vector<Bytes>& data) const override;
+  std::uint32_t data_parts() const override { return k_; }
+  std::uint32_t parity_parts() const override { return m_; }
+  std::vector<Block> encode(const std::vector<Block>& data) const override;
   std::optional<PartIndexList> repair_indices(
       const PartIndexList& erased) const override;
-  std::optional<std::vector<Bytes>> repair(
-      const std::vector<std::optional<Bytes>>& parts,
-      const PartIndexList& erased) const override;
+  /// Computes only the missing parts: each missing data part from the
+  /// first k present parts, then each missing parity from the completed
+  /// data.
+  bool repair(std::vector<Block>& parts) const override;
 
  private:
-  rs::ReedSolomon rs_;
+  std::uint32_t k_;
+  std::uint32_t m_;
+  gf::Matrix parity_rows_;  // C, m×k
 };
 
 /// n-way replication (the paper's second comparator): one data part,
-/// n−1 copy parts.
+/// n−1 copy parts. Every part is a reference to one buffer: encode
+/// hands out the data Block itself, and repair a present part.
 class ReplicationCodec final : public StripeCodec {
  public:
   /// Largest n: the bound RS puts on k + m. Every copy is stored, so a
@@ -131,12 +144,10 @@ class ReplicationCodec final : public StripeCodec {
   std::string id() const override;
   std::uint32_t data_parts() const override { return 1; }
   std::uint32_t parity_parts() const override { return copies_ - 1; }
-  std::vector<Bytes> encode(const std::vector<Bytes>& data) const override;
+  std::vector<Block> encode(const std::vector<Block>& data) const override;
   std::optional<PartIndexList> repair_indices(
       const PartIndexList& erased) const override;
-  std::optional<std::vector<Bytes>> repair(
-      const std::vector<std::optional<Bytes>>& parts,
-      const PartIndexList& erased) const override;
+  bool repair(std::vector<Block>& parts) const override;
 
  private:
   std::uint32_t copies_;

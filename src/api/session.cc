@@ -245,7 +245,41 @@ StripedSession::StripedSession(std::shared_ptr<const StripeCodec> codec,
   AEC_CHECK_MSG(block_size_ > 0, "block size must be positive");
   AEC_CHECK_MSG(store_ != nullptr, "session needs a block store");
   AEC_CHECK_MSG(pool_ != nullptr, "session needs a worker pool");
+  zero_ = Block::zeros(block_size_);
   if (resume_blocks > 0 && count_ % k_ != 0) heal_tail_stripe();
+}
+
+std::vector<BlockKey> StripedSession::stripe_keys(
+    std::uint64_t stripe, std::uint32_t stored) const {
+  std::vector<BlockKey> keys;
+  keys.reserve(stored + m_);
+  for (std::uint32_t r = 0; r < stored; ++r)
+    keys.push_back(data_key(stripe * k_ + r));
+  for (std::uint32_t j = 0; j < m_; ++j) keys.push_back(parity_key(stripe, j));
+  return keys;
+}
+
+void StripedSession::check_part(const Block& part, const BlockKey& key) const {
+  AEC_CHECK_MSG(!part || part.size() == block_size_,
+                "stripe part " << to_string(key) << " holds " << part.size()
+                               << " bytes, want " << block_size_);
+}
+
+std::vector<Block> StripedSession::read_parts(
+    const std::vector<BlockKey>& keys) const {
+  std::vector<Block> parts = store_->get_blocks(keys);
+  for (std::size_t i = 0; i < keys.size(); ++i) check_part(parts[i], keys[i]);
+  return parts;
+}
+
+std::vector<Block> StripedSession::read_stripe(std::uint64_t stripe,
+                                               std::uint64_t count) const {
+  const std::uint32_t real = real_parts(stripe, count);
+  std::vector<Block> read = read_parts(stripe_keys(stripe, real));
+  std::vector<Block> parts(k_ + m_, zero_);
+  std::move(read.begin(), read.begin() + real, parts.begin());
+  std::move(read.begin() + real, read.end(), parts.begin() + k_);
+  return parts;
 }
 
 void StripedSession::heal_tail_stripe() {
@@ -257,75 +291,60 @@ void StripedSession::heal_tail_stripe() {
   // Orphan payloads at the uncommitted tail positions mean an append
   // was interrupted after its data puts: the stored parities may bind
   // the orphans, committed data + zeros, or (crash mid-encode) a mix.
-  std::vector<std::optional<Bytes>> orphans(k_ - committed);
   bool any_orphan = false;
-  for (std::uint32_t r = committed; r < k_; ++r) {
-    orphans[r - committed] =
-        store_->get_copy(BlockKey::data(static_cast<NodeIndex>(first + r) + 1));
-    any_orphan = any_orphan || orphans[r - committed].has_value();
-  }
+  for (std::uint32_t r = committed; r < k_; ++r)
+    any_orphan = any_orphan || store_->contains(data_key(first + r));
   if (!any_orphan) return;  // clean shutdown: parities bind committed+zeros
 
   PartIndexList missing;
   for (std::uint32_t r = 0; r < committed; ++r)
-    if (!store_->contains(
-            BlockKey::data(static_cast<NodeIndex>(first + r) + 1)))
-      missing.push_back(r);
+    if (!store_->contains(data_key(first + r))) missing.push_back(r);
 
   // Recover missing committed members before the re-encode erases the
   // only redundancy that describes them. The stripe content the
   // parities bind is ambiguous, so a hypothesis (orphans first — the
-  // likelier post-crash state — then zeros) is accepted only when the
-  // rebuilt stripe re-encodes to every surviving parity; that needs at
-  // least one parity beyond the erasure count, so e == m stays
-  // unrecovered rather than risking fabricated bytes.
+  // likelier post-crash state; a missing orphan is an erasure, the
+  // append interrupted before its put — then zeros) is accepted only
+  // when the rebuilt stripe re-encodes to every surviving parity; that
+  // needs at least one parity beyond the data erasures, so e == m stays
+  // unrecovered rather than risking fabricated bytes. Both hypotheses
+  // work on one read of the stripe.
+  std::vector<Block> committed_data;  // empty: re-encode reads the store
   if (!missing.empty()) {
+    // One read of the whole stripe, orphans included. An orphan of the
+    // wrong size is a put the crash cut short, which no parity binds: it
+    // reads as missing. Every other part must be block_size() bytes.
+    const std::vector<BlockKey> keys = stripe_keys(stripe, k_);
+    std::vector<Block> stored = store_->get_blocks(keys);
+    for (std::size_t p = 0; p < keys.size(); ++p) {
+      if (p >= committed && p < k_ && stored[p].size() != block_size_)
+        stored[p] = Block();
+      check_part(stored[p], keys[p]);
+    }
+    const auto present = [](const Block& part) { return !!part; };
+    const auto surviving_parities = static_cast<std::size_t>(
+        std::count_if(stored.begin() + k_, stored.end(), present));
     for (const bool use_orphans : {true, false}) {
-      std::vector<std::optional<Bytes>> parts(k_ + m_);
-      PartIndexList erased = missing;
-      for (std::uint32_t r = 0; r < committed; ++r)
-        parts[r] = store_->get_copy(
-            BlockKey::data(static_cast<NodeIndex>(first + r) + 1));
-      for (std::uint32_t r = committed; r < k_; ++r) {
-        if (use_orphans && orphans[r - committed]) {
-          parts[r] = orphans[r - committed];
-        } else if (use_orphans) {
-          erased.push_back(r);  // interrupted before this orphan's put
-        } else {
-          parts[r] = Bytes(block_size_, 0);
-        }
-      }
-      std::vector<std::uint32_t> surviving_parities;
-      for (std::uint32_t j = 0; j < m_; ++j) {
-        parts[k_ + j] = store_->get_copy(parity_key(stripe, j));
-        if (parts[k_ + j])
-          surviving_parities.push_back(j);
-        else
-          erased.push_back(k_ + j);
-      }
-      std::sort(erased.begin(), erased.end());
-      const std::uint32_t data_erasures = static_cast<std::uint32_t>(
-          std::count_if(erased.begin(), erased.end(),
-                        [&](PartIndex p) { return p < k_; }));
-      if (surviving_parities.size() <= data_erasures) continue;  // unverifiable
-      if (!codec_->can_repair(erased)) continue;
-      const auto rebuilt = codec_->repair(parts, erased);
-      if (!rebuilt) continue;
+      std::vector<Block> parts = stored;
+      if (!use_orphans)
+        std::fill(parts.begin() + committed, parts.begin() + k_, zero_);
+      const auto data_erasures = static_cast<std::size_t>(
+          k_ - std::count_if(parts.begin(), parts.begin() + k_, present));
+      if (surviving_parities <= data_erasures) continue;  // unverifiable
+      if (!codec_->repair(parts)) continue;
 
-      std::vector<Bytes> data(k_);
-      for (std::uint32_t r = 0; r < k_; ++r)
-        data[r] = parts[r] ? *parts[r] : Bytes();
-      for (std::size_t e = 0; e < erased.size(); ++e)
-        if (erased[e] < k_) data[erased[e]] = (*rebuilt)[e];
-      const std::vector<Bytes> check = codec_->encode(data);
+      const std::vector<Block> check = codec_->encode(
+          std::vector<Block>(parts.begin(), parts.begin() + k_));
       bool verified = true;
-      for (const std::uint32_t j : surviving_parities)
-        verified = verified && check[j] == *parts[k_ + j];
+      for (std::uint32_t j = 0; j < m_; ++j)
+        verified = verified && (!stored[k_ + j] || check[j] == stored[k_ + j]);
       if (!verified) continue;
 
+      std::vector<std::pair<BlockKey, Block>> puts;
       for (const std::uint32_t r : missing)
-        store_->put(BlockKey::data(static_cast<NodeIndex>(first + r) + 1),
-                    data[r]);
+        puts.emplace_back(data_key(first + r), parts[r]);
+      store_->put_blocks(std::move(puts));
+      committed_data.assign(parts.begin(), parts.begin() + committed);
       missing.clear();
       break;
     }
@@ -334,9 +353,9 @@ void StripedSession::heal_tail_stripe() {
   // Restore the invariant (parities bind committed data + zeros) and
   // drop the orphans so later opens see a clean stripe.
   if (missing.empty()) {
-    encode_stripe(stripe, count);
+    encode_stripe(stripe, count, committed_data, first);
     for (std::uint32_t r = committed; r < k_; ++r)
-      store_->erase(BlockKey::data(static_cast<NodeIndex>(first + r) + 1));
+      store_->erase(data_key(first + r));
   } else {
     // Neither hypothesis verified: the stored parities describe an
     // unknowable mix of pre- and post-crash states, and any decode
@@ -348,56 +367,38 @@ void StripedSession::heal_tail_stripe() {
   }
 }
 
-std::vector<std::optional<Bytes>> StripedSession::collect_parts(
-    std::uint64_t stripe, std::uint64_t count, PartIndexList& erased) const {
-  const std::uint64_t first = stripe * k_;  // 0-based data offset
-  const std::uint32_t real = real_parts(stripe, count);
-  std::vector<std::optional<Bytes>> parts(k_ + m_);
-  for (std::uint32_t r = 0; r < k_; ++r) {
-    if (r >= real) {
-      parts[r] = Bytes(block_size_, 0);  // virtual tail block
-      continue;
-    }
-    parts[r] =
-        store_->get_copy(BlockKey::data(static_cast<NodeIndex>(first + r) + 1));
-    if (!parts[r]) erased.push_back(r);
-  }
-  for (std::uint32_t j = 0; j < m_; ++j) {
-    parts[k_ + j] = store_->get_copy(parity_key(stripe, j));
-    if (!parts[k_ + j]) erased.push_back(k_ + j);
-  }
-  return parts;
-}
-
 void StripedSession::encode_stripe(std::uint64_t stripe,
                                    std::uint64_t count,
-                                   const std::vector<Bytes>& fresh,
+                                   const std::vector<Block>& fresh,
                                    std::uint64_t base) {
   const std::uint64_t first = stripe * k_;
-  std::vector<Bytes> data;
-  data.reserve(k_);
-  for (std::uint32_t r = 0; r < k_; ++r) {
+  const std::uint32_t real = real_parts(stripe, count);
+  std::vector<Block> data(k_, zero_);  // zeros for the virtual tail
+  std::vector<BlockKey> keys;          // the members read from the store
+  std::vector<std::uint32_t> slots;
+  for (std::uint32_t r = 0; r < real; ++r) {
     const std::uint64_t index = first + r;
-    if (index >= count) {
-      data.emplace_back(block_size_, 0);  // virtual tail block
-      continue;
-    }
     if (index >= base && index - base < fresh.size()) {
-      data.push_back(fresh[index - base]);
-      continue;
+      data[r] = fresh[index - base];
+    } else {
+      keys.push_back(data_key(index));
+      slots.push_back(r);
     }
-    auto block =
-        store_->get_copy(BlockKey::data(static_cast<NodeIndex>(index) + 1));
-    AEC_CHECK_MSG(block.has_value(), "encode_stripe: data block "
-                                         << index + 1 << " missing");
-    data.push_back(std::move(*block));
   }
-  std::vector<Bytes> parities = codec_->encode(data);
-  std::vector<std::pair<BlockKey, Bytes>> puts;
+  if (!keys.empty()) {
+    std::vector<Block> stored = read_parts(keys);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      AEC_CHECK_MSG(stored[i], "encode_stripe: data block "
+                                   << to_string(keys[i]) << " missing");
+      data[slots[i]] = std::move(stored[i]);
+    }
+  }
+  std::vector<Block> parities = codec_->encode(data);
+  std::vector<std::pair<BlockKey, Block>> puts;
   puts.reserve(m_);
   for (std::uint32_t j = 0; j < m_; ++j)
     puts.emplace_back(parity_key(stripe, j), std::move(parities[j]));
-  store_->put_batch(std::move(puts));
+  store_->put_blocks(std::move(puts));
 }
 
 void StripedSession::append(const std::vector<Bytes>& blocks) {
@@ -421,7 +422,7 @@ void StripedSession::append(const std::vector<Bytes>& blocks) {
     // missing member is unrecoverable once new payloads overwrite the
     // zero-padding the parities assumed.
     for (std::uint64_t index = first_stripe * k_; index < count; ++index) {
-      const auto key = BlockKey::data(static_cast<NodeIndex>(index) + 1);
+      const BlockKey key = data_key(index);
       if (store_->contains(key)) continue;
       repair_stripe(first_stripe, count);
       AEC_CHECK_MSG(store_->contains(key),
@@ -430,17 +431,22 @@ void StripedSession::append(const std::vector<Bytes>& blocks) {
     }
   }
 
-  // Batched data puts: bounded groups through the store's batch API, so
-  // a sharded store takes each shard lock once per group.
+  // Each block is copied once, into the Block the store keeps and the
+  // stripe encodes read. Batched data puts: bounded groups through the
+  // store's batch API, so a sharded store takes each shard lock once per
+  // group.
   constexpr std::size_t kPutBatch = 64;
+  std::vector<Block> fresh;
+  fresh.reserve(blocks.size());
   for (std::size_t b = 0; b < blocks.size(); b += kPutBatch) {
     const std::size_t stop = std::min(b + kPutBatch, blocks.size());
-    std::vector<std::pair<BlockKey, Bytes>> puts;
+    std::vector<std::pair<BlockKey, Block>> puts;
     puts.reserve(stop - b);
-    for (std::size_t j = b; j < stop; ++j)
-      puts.emplace_back(BlockKey::data(static_cast<NodeIndex>(count + j) + 1),
-                        blocks[j]);
-    store_->put_batch(std::move(puts));
+    for (std::size_t j = b; j < stop; ++j) {
+      fresh.push_back(Block::copy_of(blocks[j]));
+      puts.emplace_back(data_key(count + j), fresh.back());
+    }
+    store_->put_blocks(std::move(puts));
   }
 
   // Stripes are independent: encode every touched stripe across the
@@ -450,8 +456,8 @@ void StripedSession::append(const std::vector<Bytes>& blocks) {
   const std::uint64_t last_stripe = (new_count - 1) / k_;
   pipeline::ThreadPool::Group batch;
   for (std::uint64_t g = first_stripe; g <= last_stripe; ++g)
-    pool_->submit(batch, [this, g, new_count, &blocks, count] {
-      encode_stripe(g, new_count, blocks, count);
+    pool_->submit(batch, [this, g, new_count, &fresh, count] {
+      encode_stripe(g, new_count, fresh, count);
     });
   try {
     pool_->wait(batch);  // batch barrier (rethrows the first task error)
@@ -467,13 +473,10 @@ void StripedSession::append(const std::vector<Bytes>& blocks) {
 
 PartIndexList StripedSession::probe_erased(std::uint64_t stripe,
                                            std::uint64_t count) const {
-  const std::uint64_t first = stripe * k_;
   const std::uint32_t real = real_parts(stripe, count);
   PartIndexList erased;
   for (std::uint32_t r = 0; r < real; ++r)
-    if (!store_->contains(
-            BlockKey::data(static_cast<NodeIndex>(first + r) + 1)))
-      erased.push_back(r);
+    if (!store_->contains(data_key(stripe * k_ + r))) erased.push_back(r);
   for (std::uint32_t j = 0; j < m_; ++j)
     if (!store_->contains(parity_key(stripe, j))) erased.push_back(k_ + j);
   return erased;
@@ -485,25 +488,26 @@ StripedSession::StripeOutcome StripedSession::repair_stripe(
   // Metadata-only availability probe first: an intact stripe (the
   // common scrub case) costs index lookups, not k+m payload reads.
   if (probe_erased(stripe, count).empty()) return outcome;
+  std::vector<Block> parts = read_stripe(stripe, count);
   PartIndexList erased;
-  const std::vector<std::optional<Bytes>> parts =
-      collect_parts(stripe, count, erased);
+  for (PartIndex p = 0; p < k_ + m_; ++p)
+    if (!parts[p]) erased.push_back(p);
   if (erased.empty()) return outcome;  // raced back to health
 
-  const auto rebuilt = codec_->repair(parts, erased);
-  for (std::size_t e = 0; e < erased.size(); ++e) {
-    const bool is_data = erased[e] < k_;
-    if (!rebuilt) {
+  const bool repaired = codec_->repair(parts);
+  std::vector<std::pair<BlockKey, Block>> puts;
+  for (const PartIndex p : erased) {
+    const bool is_data = p < k_;
+    if (!repaired) {
       ++(is_data ? outcome.nodes_unrecovered : outcome.edges_unrecovered);
       continue;
     }
-    const BlockKey key =
-        is_data ? BlockKey::data(
-                      static_cast<NodeIndex>(stripe * k_ + erased[e]) + 1)
-                : parity_key(stripe, erased[e] - k_);
-    store_->put(key, (*rebuilt)[e]);
+    puts.emplace_back(
+        is_data ? data_key(stripe * k_ + p) : parity_key(stripe, p - k_),
+        parts[p]);
     ++(is_data ? outcome.nodes_repaired : outcome.edges_repaired);
   }
+  if (repaired) store_->put_blocks(std::move(puts));
   return outcome;
 }
 
@@ -584,39 +588,24 @@ void StripedSession::for_each_expected_key(
     const std::function<void(const BlockKey&)>& fn) const {
   const std::uint64_t count = size();
   const std::uint64_t stripe_count = (count + k_ - 1) / k_;
-  for (std::uint64_t g = 0; g < stripe_count; ++g) {
-    const std::uint64_t first = g * k_;
-    const std::uint32_t real = real_parts(g, count);
-    for (std::uint32_t r = 0; r < real; ++r)
-      fn(BlockKey::data(static_cast<NodeIndex>(first + r) + 1));
-    for (std::uint32_t j = 0; j < m_; ++j) fn(parity_key(g, j));
-  }
+  for (std::uint64_t g = 0; g < stripe_count; ++g)
+    for (const BlockKey& key : stripe_keys(g, real_parts(g, count))) fn(key);
 }
 
 IntegrityReport StripedSession::verify_integrity() const {
   IntegrityReport report;
   const std::uint64_t count = size();
   const std::uint64_t stripe_count = (count + k_ - 1) / k_;
-  std::vector<BlockKey> keys;
   for (std::uint64_t g = 0; g < stripe_count; ++g) {
-    // One get_batch per stripe, so the scan holds one stripe at a time.
-    const std::uint64_t first = g * k_;
-    const std::uint32_t real = real_parts(g, count);
-    keys.clear();
-    for (std::uint32_t r = 0; r < real; ++r)
-      keys.push_back(BlockKey::data(static_cast<NodeIndex>(first + r) + 1));
-    for (std::uint32_t j = 0; j < m_; ++j) keys.push_back(parity_key(g, j));
-    std::vector<std::optional<Bytes>> parts = store_->get_batch(keys);
+    // One read per stripe, so the scan holds one stripe at a time.
+    const std::vector<Block> parts = read_stripe(g, count);
     if (std::any_of(parts.begin(), parts.end(),
-                    [](const std::optional<Bytes>& p) { return !p; }))
+                    [](const Block& part) { return !part; }))
       continue;  // incomplete stripes are not verifiable
-    std::vector<Bytes> data;
-    data.reserve(k_);
-    for (std::uint32_t r = 0; r < k_; ++r)  // zeros for the virtual tail
-      data.push_back(r < real ? std::move(*parts[r]) : Bytes(block_size_, 0));
-    const std::vector<Bytes> parities = codec_->encode(data);
+    const std::vector<Block> parities = codec_->encode(
+        std::vector<Block>(parts.begin(), parts.begin() + k_));
     for (std::uint32_t j = 0; j < m_; ++j)
-      if (parities[j] != *parts[real + j]) ++report.inconsistent_parities;
+      if (parities[j] != parts[k_ + j]) ++report.inconsistent_parities;
   }
   return report;
 }

@@ -277,8 +277,18 @@ class AeSession final : public CodecSession {
 };
 
 /// Fixed-width stripe session for a StripeCodec (RS, REP). The tail
-/// stripe may be partial; its virtual tail blocks are all-zero and its
-/// parities are recomputed whenever appends extend it.
+/// stripe may be partial; its virtual tail blocks are all-zero (one
+/// shared zero Block) and its parities are recomputed whenever appends
+/// extend it.
+///
+/// Payloads are shared Blocks end to end, as in the AE session: an
+/// append copies each input block once, into the Block the store keeps
+/// and the stripe's encode reads; a stripe is read with one get_blocks
+/// (an intact stripe's repair probes presence only and reads nothing);
+/// the codec repairs it in place, and the rebuilt parts land with one
+/// put_blocks. Every part read is checked against block_size(): a
+/// wrong-sized block is a CheckError before anything is computed from
+/// it or written (an uncommitted orphan at resume excepted, see below).
 ///
 /// Crash safety: an interrupted append (or an abandoned FileWriter) can
 /// leave orphan data blocks beyond the committed count with tail-stripe
@@ -288,7 +298,8 @@ class AeSession final : public CodecSession {
 /// redundancy actually verifies, the parities are re-encoded to bind
 /// committed data + zeros, and the orphans are dropped — so repairs
 /// after a crash never reconstruct from a state the parities don't
-/// describe.
+/// describe. An orphan of the wrong size is a put the crash cut short,
+/// which no parity binds: the heal reads it as missing.
 ///
 /// Readers and the writer meet in the partial tail stripe: an append
 /// fills its virtual zero blocks and re-encodes its parities, while a
@@ -320,6 +331,11 @@ class StripedSession final : public CodecSession {
   std::uint64_t stripes() const noexcept { return (size() + k_ - 1) / k_; }
 
  private:
+  /// Key of the data block at 0-based position `position`.
+  static BlockKey data_key(std::uint64_t position) noexcept {
+    return BlockKey::data(static_cast<NodeIndex>(position) + 1);
+  }
+
   BlockKey parity_key(std::uint64_t stripe, std::uint32_t j) const noexcept {
     return BlockKey{BlockKey::Kind::kParity, StrandClass::kHorizontal,
                     static_cast<NodeIndex>(stripe * m_ + j) + 1};
@@ -335,26 +351,37 @@ class StripedSession final : public CodecSession {
         std::min<std::uint64_t>(k_, count - stripe * k_));
   }
 
-  /// The whole group of stripe g as codec parts: present payloads,
-  /// nullopt for missing real parts, zero blocks for the virtual tail.
-  /// `erased` receives the missing real part indices.
-  std::vector<std::optional<Bytes>> collect_parts(
-      std::uint64_t stripe, std::uint64_t count, PartIndexList& erased) const;
+  /// Keys of stripe g: its first `stored` data parts, then its parities.
+  std::vector<BlockKey> stripe_keys(std::uint64_t stripe,
+                                    std::uint32_t stored) const;
+
+  /// Throws CheckError unless `part` is null or block_size() bytes.
+  void check_part(const Block& part, const BlockKey& key) const;
+
+  /// One get_blocks of `keys` (null = missing), each part checked.
+  std::vector<Block> read_parts(const std::vector<BlockKey>& keys) const;
+
+  /// Stripe g of a `count`-block sequence as codec parts, read with one
+  /// get_blocks: its real data parts and its parities as the store
+  /// holds them (null = missing), its virtual tail the zero block.
+  std::vector<Block> read_stripe(std::uint64_t stripe,
+                                 std::uint64_t count) const;
 
   /// Availability-only probe of stripe g: the missing real part
   /// indices, without reading any payloads.
   PartIndexList probe_erased(std::uint64_t stripe, std::uint64_t count) const;
 
   /// Resume-time crash recovery for a partial tail stripe (see the
-  /// class comment). No-op when no orphan blocks exist.
+  /// class comment). No-op, and no payload read, when no orphan block
+  /// exists.
   void heal_tail_stripe();
 
   /// Recomputes and stores the parities of one stripe (virtual tail =
   /// zero blocks). The data blocks at 0-based positions [base, base +
   /// fresh.size()) are taken from `fresh`; the others are read from the
-  /// store.
+  /// store, with one get_blocks.
   void encode_stripe(std::uint64_t stripe, std::uint64_t count,
-                     const std::vector<Bytes>& fresh = {},
+                     const std::vector<Block>& fresh = {},
                      std::uint64_t base = 0);
 
   struct StripeOutcome {
@@ -385,6 +412,7 @@ class StripedSession final : public CodecSession {
   pipeline::ThreadPool* pool_;
   std::uint32_t k_;  // data parts per stripe
   std::uint32_t m_;  // parity parts per stripe
+  Block zero_;       // every virtual tail part
   /// Written by the appending writer only, once an append is stored.
   std::atomic<std::uint64_t> count_;
   std::mutex tail_mu_;

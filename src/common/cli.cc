@@ -35,13 +35,13 @@ template <typename T>
 
 }  // namespace
 
-Args parse(int argc, const char* const* argv, const AllowedOptions& allowed,
+Args parse(int argc, const char* const* argv, const Commands& commands,
            const std::set<std::string>& flags, Usage usage) {
   if (argc < 2) fail(usage);
   Args args;
   args.command = argv[1];
-  const auto command = allowed.find(args.command);
-  if (command == allowed.end()) {
+  const auto command = commands.find(args.command);
+  if (command == commands.end()) {
     std::fprintf(stderr, "error: unknown command '%s'\n",
                  args.command.c_str());
     fail(usage);
@@ -50,7 +50,7 @@ Args parse(int argc, const char* const* argv, const AllowedOptions& allowed,
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0 || arg == "-o") {
       const std::string key = arg == "-o" ? "--out" : arg;
-      if (command->second.count(key) == 0) {
+      if (command->second.options.count(key) == 0) {
         std::fprintf(stderr, "error: unknown option '%s' for '%s'\n",
                      arg.c_str(), args.command.c_str());
         fail(usage);
@@ -59,6 +59,13 @@ Args parse(int argc, const char* const* argv, const AllowedOptions& allowed,
       if (!flag && i + 1 >= argc) fail(usage);
       args.options[key] = flag ? "1" : argv[++i];
     } else {
+      // A word past the command's positionals is most likely a value
+      // whose option lost its "--": refuse it rather than ignore it.
+      if (args.positional.size() == command->second.max_positionals) {
+        std::fprintf(stderr, "error: unexpected argument '%s' for '%s'\n",
+                     arg.c_str(), args.command.c_str());
+        fail(usage);
+      }
       args.positional.push_back(arg);
     }
   }

@@ -5,6 +5,7 @@
 // back to a default.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -25,15 +26,24 @@ struct Args {
   std::vector<std::string> positional;
 };
 
-/// The options each command accepts, by command word.
-using AllowedOptions = std::map<std::string, std::set<std::string>>;
+/// What one command accepts: its options and at most how many
+/// positional arguments.
+struct CommandSpec {
+  std::set<std::string> options;
+  std::size_t max_positionals = 0;
+};
+
+/// Every command's options and positional limit, by command word.
+using Commands = std::map<std::string, CommandSpec>;
 
 /// Reads argv[1] as the command and the rest as options, each allowed
-/// for that command, and positional arguments. `-o` is read as `--out`;
-/// an option in `flags` takes no value. An unknown command or option
-/// prints an error line and the usage text, and exits 2; so do a missing
-/// command and an option without its value, with the usage text alone.
-Args parse(int argc, const char* const* argv, const AllowedOptions& allowed,
+/// for that command, and positional arguments, at most as many as the
+/// command takes. `-o` is read as `--out`; an option in `flags` takes no
+/// value. An unknown command or option, and a positional argument past
+/// the command's limit, print an error line and the usage text, and exit
+/// 2; so do a missing command and an option without its value, with the
+/// usage text alone.
+Args parse(int argc, const char* const* argv, const Commands& commands,
            const std::set<std::string>& flags, Usage usage);
 
 /// The value of option `key`. Absent, it prints "error: '<command>'

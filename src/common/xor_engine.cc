@@ -28,7 +28,9 @@ namespace {
 #define AEC_NO_VECTORIZE
 #endif
 
-AEC_NO_VECTORIZE
+// Aligned to 64 bytes, like the GF scalar kernels (gf256.cc), so the
+// reference rate does not move with the kernel's address.
+AEC_NO_VECTORIZE __attribute__((aligned(64)))
 void xor3_scalar(std::uint8_t* d, const std::uint8_t* a, const std::uint8_t* b,
                  std::size_t n) {
   // On x86 the scalar kernel is the honest byte-at-a-time reference —
@@ -41,6 +43,7 @@ void xor3_scalar(std::uint8_t* d, const std::uint8_t* a, const std::uint8_t* b,
 
 #else
 
+__attribute__((aligned(64)))
 void xor3_scalar(std::uint8_t* d, const std::uint8_t* a, const std::uint8_t* b,
                  std::size_t n) {
   // Non-x86: scalar is the only variant, so keep the word loop (memcpy

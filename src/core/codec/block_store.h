@@ -9,10 +9,15 @@
 // memory is each store's own business: no caller warms or drops a cache.
 //
 // The Bytes methods (put, put_batch, get_copy, get_batch) are edge
-// adapters for callers that hold std::vector payloads. They stay virtual
-// because the benchmark's TimedStore decorator (perfbench/timed_store.h)
-// overrides them, as it does find, thread_safe, prefetch and
-// drop_payload_cache. Every library store derives from BlockNativeStore:
+// adapters for callers that hold std::vector payloads. No session calls
+// them: the AE and striped sessions read and write Blocks only. In the
+// library only the paper's applications under store/ still use them —
+// the geo-backup and RAID-AE stores implement them, and their
+// Broker::read_block and RaidAeArray::degraded_read read through
+// get_copy — besides tests and benches. They stay virtual because the
+// benchmark's TimedStore decorator (perfbench/timed_store.h) overrides
+// them, as it does find, thread_safe, prefetch and drop_payload_cache.
+// Every library store derives from BlockNativeStore:
 // it implements the Block methods, and BlockNativeStore turns each Bytes
 // method into a one-line adapter over them. A store that implements only
 // the Bytes methods (that decorator, the paper's applications under

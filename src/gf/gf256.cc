@@ -65,8 +65,11 @@ const Tables& tables() {
 
 // Scalar reference: one table build amortized over the whole buffer,
 // then a single lookup per byte. Kept vectorization-free so "scalar"
-// measures what it says (see xor_engine.cc).
-AEC_NO_VECTORIZE
+// measures what it says (see xor_engine.cc), and started on a 64-byte
+// boundary, so its rate does not move with where the linker places it
+// (gf_mul scalar 16K read 1412 MB/s at an address ≡ 48 mod 64 and 2735
+// MB/s at ≡ 16, 4-core host).
+AEC_NO_VECTORIZE __attribute__((aligned(64)))
 void gf_axpy_scalar(std::uint8_t* dst, const std::uint8_t* src,
                     std::size_t n, Elem coeff) {
   const Tables& t = tables();
@@ -82,7 +85,7 @@ void gf_axpy_scalar(std::uint8_t* dst, const std::uint8_t* src,
   for (std::size_t k = 0; k < n; ++k) dst[k] ^= row[src[k]];
 }
 
-AEC_NO_VECTORIZE
+AEC_NO_VECTORIZE __attribute__((aligned(64)))
 void gf_mul_scalar(std::uint8_t* dst, const std::uint8_t* src,
                    std::size_t n, Elem coeff) {
   const Tables& t = tables();

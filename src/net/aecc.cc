@@ -66,17 +66,20 @@ using aec::net::ClientConfig;
   std::exit(2);
 }
 
-const cli::AllowedOptions kAllowedOptions = {
-    {"ping", {"--port", "--host"}},
-    {"put", {"--port", "--host", "--name"}},
-    {"get", {"--port", "--host", "--name", "--out"}},
-    {"ls", {"--port", "--host"}},
-    {"stat", {"--port", "--host", "--metrics"}},
-    {"metrics", {"--port", "--host"}},
-    {"scrub", {"--port", "--host"}},
-    {"node", {"--port", "--host", "--node"}},
-    {"trace", {"--port", "--host", "--name", "--out", "--metrics", "--node",
-               "--request-id"}},
+/// Options and positional arguments each command accepts (put's FILE,
+/// node's subcommand, trace's command and its one positional).
+const cli::Commands kCommands = {
+    {"ping", {{"--port", "--host"}}},
+    {"put", {{"--port", "--host", "--name"}, 1}},
+    {"get", {{"--port", "--host", "--name", "--out"}}},
+    {"ls", {{"--port", "--host"}}},
+    {"stat", {{"--port", "--host", "--metrics"}}},
+    {"metrics", {{"--port", "--host"}}},
+    {"scrub", {{"--port", "--host"}}},
+    {"node", {{"--port", "--host", "--node"}, 1}},
+    {"trace", {{"--port", "--host", "--name", "--out", "--metrics", "--node",
+                "--request-id"},
+               2}},
 };
 
 int run_command(Client& client, const cli::Args& args) {
@@ -235,7 +238,7 @@ int run(cli::Args args) {
 
 int main(int argc, char** argv) {
   try {
-    return run(cli::parse(argc, argv, kAllowedOptions, {"--metrics"}, usage));
+    return run(cli::parse(argc, argv, kCommands, {"--metrics"}, usage));
   } catch (const aec::net::RemoteError& e) {
     std::fprintf(stderr, "remote error: %s\n", e.what());
     return 1;

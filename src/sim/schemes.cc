@@ -1,7 +1,5 @@
 #include "sim/schemes.h"
 
-#include <cstdio>
-
 #include "common/check.h"
 
 namespace aec::sim {
@@ -29,7 +27,7 @@ std::unique_ptr<RedundancyScheme> make_scheme(const Codec& codec) {
   if (const auto* ae = dynamic_cast<const AeCodec*>(&codec))
     return make_ae_scheme(ae->params());
   if (const auto* rs = dynamic_cast<const RsCodec*>(&codec))
-    return make_rs_scheme(rs->rs().k(), rs->rs().m());
+    return make_rs_scheme(rs->data_parts(), rs->parity_parts());
   if (const auto* rep = dynamic_cast<const ReplicationCodec*>(&codec))
     return make_replication_scheme(rep->copies());
   AEC_CHECK_MSG(false, "codec " << codec.id() << " has no simulation scheme");
@@ -37,12 +35,8 @@ std::unique_ptr<RedundancyScheme> make_scheme(const Codec& codec) {
 }
 
 std::unique_ptr<RedundancyScheme> make_scheme(const std::string& name) {
-  // The paper's legacy replication spellings, then the codec registry —
-  // one parser for the byte archive and the simulation.
-  unsigned n = 0;
-  if (std::sscanf(name.c_str(), "%u-way replication", &n) == 1 ||
-      std::sscanf(name.c_str(), "replication(%u)", &n) == 1)
-    return make_replication_scheme(n);
+  // The codec registry: one parser for the byte archive and the
+  // simulation.
   return make_scheme(*make_codec(name));
 }
 

@@ -26,9 +26,8 @@ std::vector<std::unique_ptr<RedundancyScheme>> replication_schemes();
 std::unique_ptr<RedundancyScheme> make_scheme(const Codec& codec);
 
 /// Parses a codec spec through make_codec() — "RS(10,4)",
-/// "AE(3,2,5)", "AE(1,-,-)", "REP(3)" — plus the paper's legacy
-/// replication names "3-way replication" / "replication(3)". Throws
-/// CheckError on syntax errors.
+/// "AE(3,2,5)", "AE(1,-,-)", "REP(3)". Throws CheckError on syntax
+/// errors.
 std::unique_ptr<RedundancyScheme> make_scheme(const std::string& name);
 
 }  // namespace aec::sim

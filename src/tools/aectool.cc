@@ -98,19 +98,20 @@ using namespace aec::tools;
   std::exit(2);
 }
 
-/// Options each command accepts; anything else is an error, not
-/// something to swallow silently.
-const cli::AllowedOptions kAllowedOptions = {
-    {"init", {"--root", "--code", "--store", "--block-size"}},
-    {"put", {"--root", "--name", "--threads"}},
-    {"get", {"--root", "--name", "--threads", "--out"}},
-    {"ls", {"--root"}},
-    {"stat", {"--root", "--json", "--metrics"}},
-    {"scrub", {"--root", "--threads", "--metrics"}},
-    {"damage", {"--root", "--fraction", "--seed"}},
-    {"reindex", {"--root"}},
-    {"node", {"--root", "--node", "--threads"}},
-    {"trace", {"--root", "--name", "--threads", "--out", "--request-id"}},
+/// Options and positional arguments each command accepts (put's FILE,
+/// node's subcommand, trace's operation and put FILE); anything else is
+/// an error, not something to swallow silently.
+const cli::Commands kCommands = {
+    {"init", {{"--root", "--code", "--store", "--block-size"}}},
+    {"put", {{"--root", "--name", "--threads"}, 1}},
+    {"get", {{"--root", "--name", "--threads", "--out"}}},
+    {"ls", {{"--root"}}},
+    {"stat", {{"--root", "--json", "--metrics"}}},
+    {"scrub", {{"--root", "--threads", "--metrics"}}},
+    {"damage", {{"--root", "--fraction", "--seed"}}},
+    {"reindex", {{"--root"}}},
+    {"node", {{"--root", "--node", "--threads"}, 1}},
+    {"trace", {{"--root", "--name", "--threads", "--out", "--request-id"}, 2}},
 };
 
 /// Valueless boolean options (present or absent, no argument).
@@ -525,7 +526,7 @@ int run(const cli::Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    return run(cli::parse(argc, argv, kAllowedOptions, kFlagOptions, usage));
+    return run(cli::parse(argc, argv, kCommands, kFlagOptions, usage));
   } catch (const aec::CheckError& e) {
     std::fprintf(stderr, "error: %s\n", e.message());
     return 2;

@@ -80,44 +80,43 @@ TEST_P(CodecConformance, EncodeRepairRoundTrip) {
 
   constexpr std::size_t kBlockSize = 64;
   Rng rng(20260727);
-  std::vector<Bytes> data;
+  std::vector<Block> data;
   for (std::uint32_t i = 0; i < n; ++i)
-    data.push_back(rng.random_block(kBlockSize));
+    data.push_back(Block::copy_of(rng.random_block(kBlockSize)));
 
-  const std::vector<Bytes> parities = codec->encode(data);
+  const std::vector<Block> parities = codec->encode(data);
   ASSERT_EQ(parities.size(), codec->parity_parts());
   const std::uint32_t total = n + codec->parity_parts();
 
-  std::vector<std::optional<Bytes>> intact(total);
-  for (std::uint32_t p = 0; p < n; ++p) intact[p] = data[p];
-  for (std::uint32_t p = n; p < total; ++p) intact[p] = parities[p - n];
-  const auto part_payload = [&](PartIndex p) -> const Bytes& {
-    return p < n ? data[p] : parities[p - n];
-  };
+  std::vector<Block> intact = data;
+  intact.insert(intact.end(), parities.begin(), parities.end());
   const auto erase_parts = [&](const PartIndexList& erased) {
     auto parts = intact;
-    for (const PartIndex p : erased) parts[p].reset();
+    for (const PartIndex p : erased) parts[p] = Block();
     return parts;
+  };
+  // Repairs `erased` and checks every part of the stripe byte for byte.
+  const auto expect_repaired = [&](const PartIndexList& erased) {
+    auto parts = erase_parts(erased);
+    ASSERT_TRUE(codec->repair(parts));
+    for (PartIndex p = 0; p < total; ++p)
+      EXPECT_EQ(parts[p], intact[p]) << "part " << p;
   };
 
   // Empty erasure: trivially repairable, nothing to rebuild.
   EXPECT_TRUE(codec->can_repair({}));
-  const auto nothing = codec->repair(intact, {});
-  ASSERT_TRUE(nothing.has_value());
-  EXPECT_TRUE(nothing->empty());
+  expect_repaired({});
 
   // Every single-part erasure is repairable, byte-identically.
   for (const PartIndex p :
        PartIndexList{0, n - 1, n, total - 1}) {
+    SCOPED_TRACE(p);
     const PartIndexList erased{p};
-    EXPECT_TRUE(codec->can_repair(erased)) << "part " << p;
+    EXPECT_TRUE(codec->can_repair(erased));
     const auto reads = codec->repair_indices(erased);
-    ASSERT_TRUE(reads.has_value()) << "part " << p;
+    ASSERT_TRUE(reads.has_value());
     EXPECT_FALSE(reads->empty());
-    const auto rebuilt = codec->repair(erase_parts(erased), erased);
-    ASSERT_TRUE(rebuilt.has_value()) << "part " << p;
-    ASSERT_EQ(rebuilt->size(), 1u);
-    EXPECT_EQ(rebuilt->front(), part_payload(p)) << "part " << p;
+    expect_repaired(erased);
   }
 
   // The case's multi-part erasure.
@@ -135,15 +134,11 @@ TEST_P(CodecConformance, EncodeRepairRoundTrip) {
       EXPECT_FALSE(
           std::binary_search(erased.begin(), erased.end(), p));
     }
-    const auto rebuilt = codec->repair(erase_parts(erased), erased);
-    ASSERT_TRUE(rebuilt.has_value());
-    ASSERT_EQ(rebuilt->size(), erased.size());
-    for (std::size_t e = 0; e < erased.size(); ++e)
-      EXPECT_EQ((*rebuilt)[e], part_payload(erased[e])) << "erased index "
-                                                        << erased[e];
+    expect_repaired(erased);
   }
 
-  // Beyond the correction capability: consistent refusal everywhere.
+  // Beyond the correction capability: consistent refusal everywhere, and
+  // a refused repair leaves the stripe as it was.
   {
     PartIndexList erased = test_case.irreparable;
     if (erased.empty()) {  // default: the whole group is gone
@@ -152,9 +147,13 @@ TEST_P(CodecConformance, EncodeRepairRoundTrip) {
     }
     EXPECT_FALSE(codec->can_repair(erased));
     EXPECT_FALSE(codec->repair_indices(erased).has_value());
-    if (erased.size() < total) {  // repair() needs ≥ 1 present block
-      EXPECT_FALSE(codec->repair(erase_parts(erased), erased).has_value());
-    }
+    auto parts = erase_parts(erased);
+    EXPECT_FALSE(codec->repair(parts));
+    for (PartIndex p = 0; p < total; ++p)
+      EXPECT_TRUE(parts[p] ? parts[p].shares(intact[p])
+                           : std::binary_search(erased.begin(), erased.end(),
+                                                p))
+          << "part " << p;
   }
 
   // Malformed erased lists are contract violations.

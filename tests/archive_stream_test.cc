@@ -162,6 +162,38 @@ TEST_F(ArchiveStreamTest, RepArchiveRoundTripWithRepair) {
   EXPECT_FALSE(archive->read_file("doc").has_value());
 }
 
+// A stored block of the wrong size is refused, never built from: a
+// repair that would read it fails before it computes or writes anything,
+// so the lost block stays absent, and scrub fails too.
+TEST_F(ArchiveStreamTest, RsRepairRefusesATruncatedPart) {
+  Rng rng(5);
+  const Bytes doc = rng.random_block(64 * 8);
+  Archive::create(dir("rs"), "RS(4,2)", 64)->add_file("doc", doc);
+  fs::remove(dir("rs") / "d" / "1");
+  fs::resize_file(dir("rs") / "d" / "3", 10);
+  {
+    auto archive = Archive::open(dir("rs"));
+    EXPECT_THROW(archive->read_file("doc"), CheckError);
+    EXPECT_THROW(archive->scrub(), CheckError);
+  }
+  EXPECT_FALSE(fs::exists(dir("rs") / "d" / "1"));
+  EXPECT_EQ(fs::file_size(dir("rs") / "d" / "3"), 10u);
+}
+
+TEST_F(ArchiveStreamTest, RepRepairRefusesATruncatedCopy) {
+  Rng rng(6);
+  const Bytes doc = rng.random_block(64 * 4);
+  Archive::create(dir("rep"), "REP(2)", 64)->add_file("doc", doc);
+  fs::remove(dir("rep") / "d" / "1");
+  fs::resize_file(dir("rep") / "p" / "H" / "1", 10);
+  {
+    auto archive = Archive::open(dir("rep"));
+    EXPECT_THROW(archive->read_file("doc"), CheckError);
+    EXPECT_THROW(archive->scrub(), CheckError);
+  }
+  EXPECT_FALSE(fs::exists(dir("rep") / "d" / "1"));
+}
+
 // --- manifest compatibility + hardening -------------------------------------
 
 TEST_F(ArchiveStreamTest, V1ManifestRoundTripsToV2) {
@@ -447,6 +479,31 @@ TEST_F(ArchiveStreamTest, StripedTailStripeSurvivesCrashMidPut) {
     const ScrubReport report = archive->scrub();
     EXPECT_GT(report.repair.nodes_unrecovered, 0u);
   }
+}
+
+TEST_F(ArchiveStreamTest, StripedHealReadsATornOrphanAsMissing) {
+  // A crash inside an append's data puts leaves an orphan cut short, and
+  // the parities were never re-encoded against it. With a committed
+  // member of that stripe lost as well, the reopen must still recover it
+  // from the parities under the zero-tail hypothesis: the short orphan
+  // reads as missing, it is neither refused nor built from.
+  Rng rng(12);
+  const Bytes doc = rng.random_block(64 * 6);  // stripe 1 partial: d5, d6
+  Archive::create(dir("rs"), "RS(4,2)", 64)->add_file("doc", doc);
+  {
+    std::ofstream torn(dir("rs") / "d" / "7", std::ios::binary);
+    torn.write("torn block", 10);
+    const Bytes whole = rng.random_block(64);
+    std::ofstream orphan(dir("rs") / "d" / "8", std::ios::binary);
+    orphan.write(reinterpret_cast<const char*>(whole.data()), 64);
+  }
+  fs::remove(dir("rs") / "d" / "5");
+  auto archive = Archive::open(dir("rs"));
+  EXPECT_EQ(archive->blocks(), 6u);
+  EXPECT_EQ(archive->read_file("doc"), doc);
+  const ScrubReport report = archive->scrub();
+  EXPECT_EQ(report.repair.nodes_unrecovered, 0u);
+  EXPECT_EQ(report.inconsistent_parities, 0u);
 }
 
 TEST_F(ArchiveStreamTest, SessionOutlivesTemporaryEngine) {

@@ -13,16 +13,16 @@
 namespace aec::cli {
 namespace {
 
-const AllowedOptions kAllowed = {
-    {"get", {"--root", "--name", "--out", "--json"}},
-    {"ls", {"--root"}},
+const Commands kCommands = {
+    {"get", {{"--root", "--name", "--out", "--json"}, 2}},
+    {"ls", {{"--root"}}},
 };
 
 /// A usage printer no well-formed line may reach.
 void unexpected_usage() { std::abort(); }
 
 Args parse_line(std::vector<const char*> argv) {
-  return parse(static_cast<int>(argv.size()), argv.data(), kAllowed,
+  return parse(static_cast<int>(argv.size()), argv.data(), kCommands,
                {"--json"}, unexpected_usage);
 }
 

@@ -1,8 +1,11 @@
 // A thread-safe in-memory store with three test hooks: fail one chosen
 // put() — the failure-path oracle for the encoder, the archive's
 // FileWriter and the daemon's PUT handling — and run a callback before
-// each get_copy() or get_batch(), to hold one read at a chosen point of
-// a race or to see the order in which reads ran.
+// each key read or each batch read, to hold one read at a chosen point
+// of a race or to see the order in which reads ran. It implements the
+// Bytes methods only, so the library's Block calls reach it through
+// BlockStore's forwarding defaults: a put_blocks() is one put() per
+// item, and a get_blocks() is one get_batch().
 #pragma once
 
 #include <atomic>
@@ -25,7 +28,9 @@ class HookedStore final : public BlockStore {
   /// start) or below is disarmed. Every item of a batch goes through
   /// put() (the base put_batch), so this counts blocks, not batches.
   std::atomic<std::int64_t> fail_countdown{0};
-  /// Runs before each get_copy(); set it while no read is in flight.
+  /// Runs before each key read: a get_copy(), or each key of a
+  /// get_batch() (after before_batch). Set it while no read is in
+  /// flight.
   std::function<void(const BlockKey&)> before_get;
   /// Runs before each get_batch(); set it while no read is in flight.
   std::function<void(const std::vector<BlockKey>&)> before_batch;
@@ -47,6 +52,8 @@ class HookedStore final : public BlockStore {
   std::vector<std::optional<Bytes>> get_batch(
       const std::vector<BlockKey>& keys) const override {
     if (before_batch) before_batch(keys);
+    if (before_get)
+      for (const BlockKey& key : keys) before_get(key);
     return inner_.get_batch(keys);
   }
   bool thread_safe() const noexcept override { return true; }

@@ -38,9 +38,12 @@ TEST(Schemes, FactoryParsesNames) {
   EXPECT_EQ(make_scheme("RS(10,4)")->name(), "RS(10,4)");
   EXPECT_EQ(make_scheme("AE(3,2,5)")->name(), "AE(3,2,5)");
   EXPECT_EQ(make_scheme("AE(1,-,-)")->name(), "AE(1,-,-)");
-  EXPECT_EQ(make_scheme("3-way replication")->name(), "3-way replication");
-  EXPECT_EQ(make_scheme("replication(2)")->name(), "2-way replication");
+  EXPECT_EQ(make_scheme("REP(3)")->name(), "3-way replication");
+  EXPECT_EQ(make_scheme("REP(2)")->name(), "2-way replication");
   EXPECT_THROW(make_scheme("LDPC(3)"), CheckError);
+  // REP(n) is the one spelling of a replication scheme.
+  EXPECT_THROW(make_scheme("3-way replication"), CheckError);
+  EXPECT_THROW(make_scheme("replication(2)"), CheckError);
 }
 
 TEST(Runner, SweepProducesOneResultPerFraction) {
@@ -97,8 +100,8 @@ TEST(Integration, Fig11QualitativeRanking) {
   const std::uint64_t ae1 = loss("AE(1,-,-)");
   const std::uint64_t rs412 = loss("RS(4,12)");
   const std::uint64_t rs55 = loss("RS(5,5)");
-  const std::uint64_t rep3 = loss("3-way replication");
-  const std::uint64_t rep2 = loss("2-way replication");
+  const std::uint64_t rep3 = loss("REP(3)");
+  const std::uint64_t rep2 = loss("REP(2)");
 
   EXPECT_LE(ae3, rs412);
   EXPECT_LT(ae2, rep3);
@@ -133,7 +136,7 @@ TEST(Integration, Fig12QualitativeRanking) {
   EXPECT_LT(vulnerable("AE(2,2,5)", ae_config),
             vulnerable("RS(8,2)", rs_config));
   EXPECT_LT(vulnerable("AE(3,2,5)", ae_config),
-            vulnerable("2-way replication", rs_config));
+            vulnerable("REP(2)", rs_config));
   EXPECT_LT(vulnerable("RS(4,12)", rs_config), 1.0);
   EXPECT_GT(vulnerable("RS(10,4)", rs_config), 10.0);
   // Paper: "RS(5,5) performs worse than AE(1,-,-) … when failures affect
