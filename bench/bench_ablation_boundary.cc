@@ -26,14 +26,12 @@ struct Outcome {
 Outcome run_open(const aec::CodeParams& params, std::uint64_t n,
                  double rate, std::uint64_t seed) {
   using namespace aec;
-  std::vector<Bytes> blocks;
-  blocks.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    blocks.push_back(Bytes{static_cast<std::uint8_t>(i)});
+  Bytes data(n);  // n one-byte blocks
+  for (std::uint64_t i = 0; i < n; ++i) data[i] = static_cast<std::uint8_t>(i);
   pipeline::ConcurrentBlockStore store;
   pipeline::ThreadPool pool(1);
   pipeline::ParallelEncoder encoder(params, 1, &store, &pool);
-  encoder.append_all(blocks);
+  encoder.append_all(data);
   pipeline::ParallelRepairer repairer(params, n, 1, &store, &pool);
   Rng rng(seed);
   const Lattice& lat = repairer.lattice();

@@ -19,14 +19,13 @@ namespace {
 std::uint64_t run_loss(const aec::CodeParams& params, std::uint64_t n,
                        double rate, std::uint64_t seed, bool punctured) {
   using namespace aec;
-  std::vector<Bytes> blocks;
-  blocks.reserve(n);
+  Bytes data(n);  // n one-byte blocks
   for (std::uint64_t i = 0; i < n; ++i)
-    blocks.push_back(Bytes{static_cast<std::uint8_t>(i * 31)});
+    data[i] = static_cast<std::uint8_t>(i * 31);
   pipeline::ConcurrentBlockStore store;
   pipeline::ThreadPool pool(1);
   pipeline::ParallelEncoder encoder(params, 1, &store, &pool);
-  encoder.append_all(blocks);
+  encoder.append_all(data);
   if (punctured) {
     const PunctureSpec spec{StrandClass::kLeftHanded, 2, 0};
     puncture(store, encoder.lattice(), {{spec}});

@@ -97,7 +97,7 @@ void BM_AeEncode(benchmark::State& state) {
   const CodeParams params = alpha == 1 ? CodeParams::single()
                                        : CodeParams(alpha, 2, 5);
   Rng rng(2);
-  const std::vector<Bytes> block{rng.random_block(block_size)};
+  const Bytes block = rng.random_block(block_size);
   pipeline::ConcurrentBlockStore store;
   pipeline::ThreadPool pool(1);
   pipeline::ParallelEncoder encoder(params, block_size, &store, &pool);
@@ -121,11 +121,10 @@ void BM_AeSingleFailureRepair(benchmark::State& state) {
   pipeline::ThreadPool pool(1);
   const std::uint64_t n = 256;
   {
-    std::vector<Bytes> blocks;
-    for (std::uint64_t i = 0; i < n; ++i)
-      blocks.push_back(rng.random_block(block_size));
+    // n blocks laid end to end: a block is a whole number of the Rng's
+    // 8-byte words, so one draw yields the bytes of n.
     pipeline::ParallelEncoder encoder(params, block_size, &store, &pool);
-    encoder.append_all(blocks);
+    encoder.append_all(rng.random_block(n * block_size));
   }
   pipeline::ParallelRepairer repairer(params, n, block_size, &store, &pool);
   NodeIndex victim = 100;
@@ -194,12 +193,11 @@ void BM_TamperScan(benchmark::State& state) {
   Rng rng(6);
   pipeline::ConcurrentBlockStore store;
   const std::uint64_t n = 500;
-  std::vector<Bytes> blocks;
-  for (std::uint64_t i = 0; i < n; ++i)
-    blocks.push_back(rng.random_block(block_size));
+  // n blocks laid end to end, drawn at once as in the repair bench.
+  const Bytes run = rng.random_block(n * block_size);
   pipeline::ThreadPool pool(1);
   pipeline::ParallelEncoder encoder(params, block_size, &store, &pool);
-  encoder.append_all(blocks);
+  encoder.append_all(run);
   const Lattice lattice = encoder.lattice();
   for (auto _ : state) {
     auto scan = scan_for_tampering(store, lattice, block_size);

@@ -32,13 +32,16 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-std::vector<Bytes> make_blocks(std::size_t count, std::size_t block_size) {
+/// `count` random blocks laid end to end, one Rng draw per block.
+Bytes make_run(std::size_t count, std::size_t block_size) {
   Rng rng(2024);
-  std::vector<Bytes> blocks;
-  blocks.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    blocks.push_back(rng.random_block(block_size));
-  return blocks;
+  Bytes run;
+  run.reserve(count * block_size);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Bytes block = rng.random_block(block_size);
+    run.insert(run.end(), block.begin(), block.end());
+  }
+  return run;
 }
 
 bool stores_match(const pipeline::ConcurrentBlockStore& expected,
@@ -56,27 +59,25 @@ bool stores_match(const pipeline::ConcurrentBlockStore& expected,
 /// nothing else is stored beyond the α parities per block, and no parity
 /// breaks the entanglement equation (which, from the strand bootstrap
 /// on, fixes every parity byte).
-bool matches_ground_truth(const CodeParams& params,
-                          const std::vector<Bytes>& blocks,
+bool matches_ground_truth(const CodeParams& params, BytesView run,
                           std::size_t block_size,
                           const pipeline::ConcurrentBlockStore& store) {
-  if (store.size() != blocks.size() * (1 + params.alpha())) return false;
-  for (std::size_t j = 0; j < blocks.size(); ++j)
-    if (store.get_copy(BlockKey::data(static_cast<NodeIndex>(j + 1))) !=
-        blocks[j])
+  const std::size_t blocks = run.size() / block_size;
+  if (store.size() != blocks * (1 + params.alpha())) return false;
+  for (std::size_t j = 0; j < blocks; ++j)
+    if (!(store.get_block(BlockKey::data(static_cast<NodeIndex>(j + 1))) ==
+          run.subspan(j * block_size, block_size)))
       return false;
-  const Lattice lattice(params, blocks.size(), Lattice::Boundary::kOpen);
+  const Lattice lattice(params, blocks, Lattice::Boundary::kOpen);
   const TamperScanResult scan =
       scan_for_tampering(store, lattice, block_size);
   return scan.inconsistent_parities.empty() && scan.suspect_nodes.empty();
 }
 
-void run(const CodeParams& params, const std::vector<Bytes>& blocks,
-         std::size_t block_size) {
-  const double mb = static_cast<double>(blocks.size() * block_size) /
-                    (1024.0 * 1024.0);
+void run(const CodeParams& params, BytesView data, std::size_t block_size) {
+  const double mb = static_cast<double>(data.size()) / (1024.0 * 1024.0);
   std::printf("\n%s — %zu blocks × %zu B (%.1f MiB)\n", params.name().c_str(),
-              blocks.size(), block_size, mb);
+              data.size() / block_size, block_size, mb);
 
   pipeline::ConcurrentBlockStore baseline;
   double baseline_time = 0.0;
@@ -88,10 +89,10 @@ void run(const CodeParams& params, const std::vector<Bytes>& blocks,
         threads == 1 ? baseline : scratch;
     pipeline::ParallelEncoder encoder(params, block_size, &store, &pool);
     const auto start = Clock::now();
-    encoder.append_all(blocks);
+    encoder.append_all(data);
     const double time = seconds_since(start);
     const bool correct =
-        threads == 1 ? matches_ground_truth(params, blocks, block_size, store)
+        threads == 1 ? matches_ground_truth(params, data, block_size, store)
                      : stores_match(baseline, store);
     if (threads == 1) baseline_time = time;
     std::printf("  encoder × %zu thread%s    %8.1f MB/s   %5.2fx  %s\n",
@@ -112,10 +113,10 @@ int main(int argc, char** argv) {
                : 4096;
   std::printf("hardware threads: %u\n", std::thread::hardware_concurrency());
 
-  const auto blocks = make_blocks(count, block_size);
+  const Bytes data = make_run(count, block_size);
   // The strand count bounds the parallelism: AE(3,2,5) has 12 strand
   // instances, AE(3,5,5) 15 (the paper's s = p full-write optimum).
-  run(CodeParams(3, 2, 5), blocks, block_size);
-  run(CodeParams(3, 5, 5), blocks, block_size);
+  run(CodeParams(3, 2, 5), data, block_size);
+  run(CodeParams(3, 5, 5), data, block_size);
   return 0;
 }

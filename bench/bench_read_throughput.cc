@@ -115,27 +115,28 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
   const std::shared_ptr<const Codec> codec = make_codec("AE(3,2,5)");
   auto session = engine->open_session(codec, store.get(), block_size);
 
-  // Deterministic source blocks, kept for the per-phase byte check
-  // (tail zero-padded exactly like ingest pads it).
+  // Deterministic source blocks laid end to end, one Rng draw per block,
+  // kept for the per-phase byte check (tail zero-padded exactly like
+  // ingest pads it).
   Rng rng(99);
-  std::vector<Bytes> expected;
-  expected.reserve(total_blocks);
+  Bytes expected;
+  expected.reserve(total_blocks * block_size);
   std::uint64_t produced = 0;
   for (std::uint64_t i = 0; i < total_blocks; ++i) {
     const std::size_t len = static_cast<std::size_t>(
         std::min<std::uint64_t>(block_size, total_bytes - produced));
-    Bytes block = rng.random_block(len);
-    block.resize(block_size);  // zero-padded tail
+    const Bytes block = rng.random_block(len);
+    expected.insert(expected.end(), block.begin(), block.end());
+    expected.resize(expected.size() + block_size - len);  // zero-padded tail
     produced += len;
-    expected.push_back(std::move(block));
   }
-  constexpr std::size_t kAppendChunk = 512;
-  for (std::size_t off = 0; off < expected.size(); off += kAppendChunk) {
-    const auto end =
-        std::min(off + kAppendChunk, expected.size());
-    session->append({expected.begin() + static_cast<std::ptrdiff_t>(off),
-                     expected.begin() + static_cast<std::ptrdiff_t>(end)});
-  }
+  const std::size_t append_chunk = 512 * block_size;
+  for (std::size_t off = 0; off < expected.size(); off += append_chunk)
+    session->append(BytesView(expected).subspan(
+        off, std::min(append_chunk, expected.size() - off)));
+  const auto expected_block = [&](std::uint64_t i) {
+    return BytesView(expected).subspan(i * block_size, block_size);
+  };
 
   std::vector<BlockKey> victims[kDamageShapes];
   for (const NodeIndex i : neighbourhood_damage(total_blocks))
@@ -198,7 +199,7 @@ int run(std::uint64_t file_mib, std::size_t block_size, bool json) {
         while (!stream->exhausted()) {
           const Block block = stream->next();
           rep_identical = rep_identical && delivered < total_blocks &&
-                          block == expected[delivered];
+                          block == expected_block(delivered);
           ++delivered;
         }
       }

@@ -152,13 +152,15 @@ bool same_report(const RepairReport& a, const RepairReport& b) {
 void encode_pristine(const CodeParams& params, std::size_t count,
                      std::size_t block_size, BlockStore& pristine) {
   Rng rng(2026);
-  std::vector<Bytes> blocks;
-  blocks.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    blocks.push_back(rng.random_block(block_size));
+  Bytes run;  // the blocks laid end to end, one Rng draw per block
+  run.reserve(count * block_size);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Bytes block = rng.random_block(block_size);
+    run.insert(run.end(), block.begin(), block.end());
+  }
   pipeline::ThreadPool pool(1);
   pipeline::ParallelEncoder encoder(params, block_size, &pristine, &pool);
-  encoder.append_all(blocks);
+  encoder.append_all(run);
 }
 
 void fill_from(const pipeline::ConcurrentBlockStore& pristine,

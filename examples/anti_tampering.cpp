@@ -23,10 +23,7 @@ int main() {
   const auto session = Engine::serial()->open_session(
       make_codec(params.name()), &store, kBlockSize);
   Rng rng(9);
-  std::vector<Bytes> blocks;
-  for (std::uint64_t i = 0; i < kBlocks; ++i)
-    blocks.push_back(rng.random_block(kBlockSize));
-  session->append(blocks);
+  session->append(rng.random_block(kBlocks * kBlockSize));  // blocks end to end
   const Lattice lattice(params, kBlocks, Lattice::Boundary::kOpen);
 
   auto scan = scan_for_tampering(store, lattice, kBlockSize);

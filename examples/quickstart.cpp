@@ -28,14 +28,16 @@ int main() {
 
   // 2. Entangle 100 random 4-KiB blocks into an in-memory store through
   //    a session of a one-thread engine (the serial case; sessions need a
-  //    store that synchronizes itself).
+  //    store that synchronizes itself). A session appends whole blocks
+  //    laid end to end: block i is bytes [(i-1)·4096, i·4096).
   pipeline::ConcurrentBlockStore store;
   const auto session = Engine::serial()->open_session(
       make_codec(params.name()), &store, kBlockSize);
   Rng rng(42);
-  std::vector<Bytes> originals;
-  for (std::uint64_t i = 0; i < kBlocks; ++i)
-    originals.push_back(rng.random_block(kBlockSize));
+  const Bytes originals = rng.random_block(kBlocks * kBlockSize);
+  const auto original = [&](std::uint64_t i) {
+    return BytesView(originals).subspan((i - 1) * kBlockSize, kBlockSize);
+  };
   session->append(originals);
   std::printf("stored blocks : %llu (%llu data + %llu parity)\n",
               static_cast<unsigned long long>(store.size()),
@@ -56,8 +58,7 @@ int main() {
   //    available path (the H pair is broken, so another strand serves).
   const auto d42 = session->open_stream(42, 1, 1)->next();
   std::printf("read d42      : %s\n",
-              d42 == originals[41] ? "repaired, bytes match"
-                                           : "FAILED");
+              d42 == original(42) ? "repaired, bytes match" : "FAILED");
 
   // 5. Global repair: synchronous rounds until fixpoint.
   const RepairReport report = session->repair_all();
@@ -72,8 +73,9 @@ int main() {
   // 6. Verify every data block against the original content.
   std::uint64_t intact = 0;
   for (std::uint64_t i = 1; i <= kBlocks; ++i) {
-    const auto value = store.get_copy(BlockKey::data(static_cast<NodeIndex>(i)));
-    if (value && *value == originals[i - 1]) ++intact;
+    const Block value =
+        store.get_block(BlockKey::data(static_cast<NodeIndex>(i)));
+    if (value && value == original(i)) ++intact;
   }
   std::printf("verified      : %llu/%llu data blocks byte-identical\n",
               static_cast<unsigned long long>(intact),

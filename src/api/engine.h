@@ -42,8 +42,9 @@ class Engine : public std::enable_shared_from_this<Engine> {
   std::size_t threads() const noexcept { return pool_.thread_count(); }
   pipeline::ThreadPool& pool() noexcept { return pool_; }
 
-  /// Blocks a streaming FileWriter buffers before flushing a window into
-  /// the session (256 per worker) — the peak memory of chunked ingest.
+  /// Blocks in a streaming FileWriter's one window buffer, which it
+  /// appends to the session as one run each time it fills (256 per
+  /// worker) — the peak memory of chunked ingest.
   std::size_t ingest_window_blocks() const noexcept { return 256 * threads(); }
 
   /// Builds the session type matching the codec's type over this

@@ -163,9 +163,7 @@ AeSession::AeSession(std::shared_ptr<const AeCodec> codec, BlockStore* store,
       pool_(pool),
       encoder_(codec_->params(), block_size, store, pool, resume_blocks) {}
 
-void AeSession::append(const std::vector<Bytes>& blocks) {
-  encoder_.append_all(blocks);
-}
+void AeSession::append(BytesView data) { encoder_.append_all(data); }
 
 std::shared_ptr<pipeline::ParallelRepairer> AeSession::repairer() {
   const std::uint64_t n = size();
@@ -401,14 +399,14 @@ void StripedSession::encode_stripe(std::uint64_t stripe,
   store_->put_blocks(std::move(puts));
 }
 
-void StripedSession::append(const std::vector<Bytes>& blocks) {
-  for (const Bytes& b : blocks)
-    AEC_CHECK_MSG(b.size() == block_size_,
-                  "append: block size " << b.size() << " != configured "
-                                        << block_size_);
-  if (blocks.empty()) return;
+void StripedSession::append(BytesView data) {
+  AEC_CHECK_MSG(data.size() % block_size_ == 0,
+                "append: " << data.size() << " bytes is not a whole number of "
+                           << block_size_ << "-byte blocks");
+  const std::size_t blocks = data.size() / block_size_;
+  if (blocks == 0) return;
   const std::uint64_t count = size();
-  const std::uint64_t new_count = count + blocks.size();
+  const std::uint64_t new_count = count + blocks;
 
   // Readers may be repairing committed members of a partial tail stripe:
   // hold them off from the first write into it until the new size is
@@ -437,13 +435,14 @@ void StripedSession::append(const std::vector<Bytes>& blocks) {
   // group.
   constexpr std::size_t kPutBatch = 64;
   std::vector<Block> fresh;
-  fresh.reserve(blocks.size());
-  for (std::size_t b = 0; b < blocks.size(); b += kPutBatch) {
-    const std::size_t stop = std::min(b + kPutBatch, blocks.size());
+  fresh.reserve(blocks);
+  for (std::size_t b = 0; b < blocks; b += kPutBatch) {
+    const std::size_t stop = std::min(b + kPutBatch, blocks);
     std::vector<std::pair<BlockKey, Block>> puts;
     puts.reserve(stop - b);
     for (std::size_t j = b; j < stop; ++j) {
-      fresh.push_back(Block::copy_of(blocks[j]));
+      fresh.push_back(
+          Block::copy_of(data.subspan(j * block_size_, block_size_)));
       puts.emplace_back(data_key(count + j), fresh.back());
     }
     store_->put_blocks(std::move(puts));

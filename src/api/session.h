@@ -185,11 +185,14 @@ class CodecSession {
   /// Data blocks appended so far (safe from any thread).
   virtual std::uint64_t size() const = 0;
 
-  /// Appends data blocks (each exactly block_size bytes): stores them
-  /// and the redundancy the codec derives for them. On an exception
-  /// size() has not advanced, and a later append (of the same or other
-  /// blocks) re-encodes the same positions.
-  virtual void append(const std::vector<Bytes>& blocks) = 0;
+  /// Appends the data.size() / block_size() blocks laid end to end in
+  /// `data` (block j is data.subspan(j·B, B), B = block_size()): stores
+  /// them and the redundancy the codec derives for them. A size that is
+  /// not a whole number of blocks is a CheckError, raised before anything
+  /// is stored; an empty run appends nothing. On an exception size() has
+  /// not advanced, and a later append (of the same or other blocks)
+  /// re-encodes the same positions.
+  virtual void append(BytesView data) = 0;
 
   /// Opens the read of data blocks [first, first+count) within
   /// [1, size()] — the session's only read (see BlockStream): healthy
@@ -249,7 +252,7 @@ class AeSession final : public CodecSession {
   const Codec& codec() const override { return *codec_; }
   std::size_t block_size() const override { return block_size_; }
   std::uint64_t size() const override { return encoder_.size(); }
-  void append(const std::vector<Bytes>& blocks) override;
+  void append(BytesView data) override;
   std::unique_ptr<BlockStream> open_stream(NodeIndex first,
                                            std::uint64_t count,
                                            std::size_t window = 0) override;
@@ -282,8 +285,8 @@ class AeSession final : public CodecSession {
 /// extend it.
 ///
 /// Payloads are shared Blocks end to end, as in the AE session: an
-/// append copies each input block once, into the Block the store keeps
-/// and the stripe's encode reads; a stripe is read with one get_blocks
+/// append copies each block of its run once, into the Block the store
+/// keeps and the stripe's encode reads; a stripe is read with one get_blocks
 /// (an intact stripe's repair probes presence only and reads nothing);
 /// the codec repairs it in place, and the rebuilt parts land with one
 /// put_blocks. Every part read is checked against block_size(): a
@@ -317,7 +320,7 @@ class StripedSession final : public CodecSession {
   const Codec& codec() const override { return *codec_; }
   std::size_t block_size() const override { return block_size_; }
   std::uint64_t size() const override { return count_.load(); }
-  void append(const std::vector<Bytes>& blocks) override;
+  void append(BytesView data) override;
   std::unique_ptr<BlockStream> open_stream(NodeIndex first,
                                            std::uint64_t count,
                                            std::size_t window = 0) override;

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <system_error>
 
+#include "common/check.h"
+
 namespace aec::cli {
 
 namespace {
@@ -101,6 +103,12 @@ double parse_real(const char* key, const std::string& text, double lo,
   if (!parse_whole(text, value) || !(value >= lo && value <= hi))
     reject(key, text, "a number", lo, hi, usage);
   return value;
+}
+
+void write_chunk(std::FILE* stream, const char* name, BytesView chunk) {
+  AEC_CHECK_MSG(
+      std::fwrite(chunk.data(), 1, chunk.size(), stream) == chunk.size(),
+      "cannot write " << name);
 }
 
 int scrub_exit_status(std::uint64_t unrecovered,

@@ -7,10 +7,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
+
+#include "common/bytes.h"
 
 namespace aec::cli {
 
@@ -59,6 +62,11 @@ std::uint64_t parse_unsigned(const char* key, const std::string& text,
 /// space, no trailing junk).
 double parse_real(const char* key, const std::string& text, double lo,
                   double hi, Usage usage);
+
+/// Writes all of `chunk` to `stream`, which `name` names ("stdout"); a
+/// short write is a CheckError "cannot write <name>". A buffered stream
+/// may fail only when it is flushed, so check its fflush as well.
+void write_chunk(std::FILE* stream, const char* name, BytesView chunk);
 
 /// Exit status of `aectool scrub` and `aecc scrub`: 1 when a block stayed
 /// unrecovered or the integrity scan found an inconsistent parity or a

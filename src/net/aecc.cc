@@ -109,8 +109,9 @@ int run_command(Client& client, const cli::Args& args) {
     std::uint64_t total = 0;
     if (out_it == args.options.end()) {
       total = client.get(name, [](aec::BytesView chunk) {
-        std::fwrite(chunk.data(), 1, chunk.size(), stdout);
+        cli::write_chunk(stdout, "stdout", chunk);
       });
+      AEC_CHECK_MSG(std::fflush(stdout) == 0, "cannot write stdout");
       std::fprintf(stderr, "restored '%s' (%llu bytes)\n", name.c_str(),
                    static_cast<unsigned long long>(total));
     } else {

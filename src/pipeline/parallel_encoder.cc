@@ -75,18 +75,22 @@ void ParallelEncoder::resolve_heads(const Lattice& lat, NodeIndex first,
   }
 }
 
-void ParallelEncoder::append_all(const std::vector<Bytes>& blocks) {
-  for (const Bytes& b : blocks)
-    AEC_CHECK_MSG(b.size() == block_size_,
-                  "append_all: block size " << b.size() << " != configured "
-                                            << block_size_);
-  if (blocks.empty()) return;
+void ParallelEncoder::append_all(BytesView data) {
+  AEC_CHECK_MSG(data.size() % block_size_ == 0,
+                "append_all: " << data.size()
+                               << " bytes is not a whole number of "
+                               << block_size_ << "-byte blocks");
+  const std::size_t blocks = data.size() / block_size_;
+  if (blocks == 0) return;
   obs::TraceSpan span("encode.batch");  // a0 = blocks, a1 = bytes
-  span.set_args(blocks.size(), blocks.size() * block_size_);
+  span.set_args(blocks, data.size());
   const auto batch_start = std::chrono::steady_clock::now();
   const std::uint64_t count = count_.load();
   const NodeIndex first = static_cast<NodeIndex>(count) + 1;
-  const NodeIndex last = static_cast<NodeIndex>(count + blocks.size());
+  const NodeIndex last = static_cast<NodeIndex>(count + blocks);
+  const auto block = [data, this](std::size_t j) {
+    return data.subspan(j * block_size_, block_size_);
+  };
   const Lattice lat(params_, static_cast<std::uint64_t>(last),
                     Lattice::Boundary::kOpen);
 
@@ -110,7 +114,7 @@ void ParallelEncoder::append_all(const std::vector<Bytes>& blocks) {
     for (const std::vector<std::uint32_t>& bucket :
          buckets[static_cast<std::size_t>(cls)]) {
       if (bucket.empty()) continue;
-      pool_->submit(batch, [this, &lat, &blocks, &bucket, cls, first] {
+      pool_->submit(batch, [this, &lat, block, &bucket, cls, first] {
         // Parity writes flushed in bounded batches: fewer store lock
         // round trips. Each parity is written once, into a fresh Block
         // that the store and the head slot share.
@@ -121,7 +125,7 @@ void ParallelEncoder::append_all(const std::vector<Bytes>& blocks) {
             head_slot(cls, lat.strand_id(first + bucket.front(), cls));
         for (const std::uint32_t j : bucket) {
           const NodeIndex i = first + j;
-          head = xor_of(head, blocks[j]);
+          head = xor_of(head, block(j));
           puts.emplace_back(BlockKey::parity(lat.output_edge(i, cls)), head);
           if (puts.size() >= kPutBatch) {
             store_->put_blocks(std::move(puts));
@@ -135,12 +139,11 @@ void ParallelEncoder::append_all(const std::vector<Bytes>& blocks) {
 
   // Data blocks have no ordering constraints at all: chunk them evenly.
   // Each is copied once into a Block on the worker that stores it.
-  const std::size_t chunk_count =
-      std::min(pool_->thread_count(), blocks.size());
-  const std::size_t chunk = (blocks.size() + chunk_count - 1) / chunk_count;
-  for (std::size_t begin = 0; begin < blocks.size(); begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, blocks.size());
-    pool_->submit(batch, [this, &blocks, first, begin, end] {
+  const std::size_t chunk_count = std::min(pool_->thread_count(), blocks);
+  const std::size_t chunk = (blocks + chunk_count - 1) / chunk_count;
+  for (std::size_t begin = 0; begin < blocks; begin += chunk) {
+    const std::size_t end = std::min(begin + chunk, blocks);
+    pool_->submit(batch, [this, block, first, begin, end] {
       constexpr std::size_t kPutBatch = 64;
       std::vector<std::pair<BlockKey, Block>> puts;
       for (std::size_t b = begin; b < end; b += kPutBatch) {
@@ -148,7 +151,7 @@ void ParallelEncoder::append_all(const std::vector<Bytes>& blocks) {
         puts.clear();
         for (std::size_t j = b; j < stop; ++j)
           puts.emplace_back(BlockKey::data(first + static_cast<NodeIndex>(j)),
-                            Block::copy_of(blocks[j]));
+                            Block::copy_of(block(j)));
         store_->put_blocks(std::move(puts));
         puts.clear();  // moved-from: restore a known-empty state
       }
@@ -167,8 +170,8 @@ void ParallelEncoder::append_all(const std::vector<Bytes>& blocks) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - batch_start)
           .count()));
-  batch_blocks_metric_->observe(blocks.size());
-  blocks_metric_->add(blocks.size());
+  batch_blocks_metric_->observe(blocks);
+  blocks_metric_->add(blocks);
   batches_metric_->add();
 }
 

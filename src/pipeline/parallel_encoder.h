@@ -75,12 +75,14 @@ class ParallelEncoder {
                   BlockStore* store, ThreadPool* pool,
                   std::uint64_t resume_count = 0);
 
-  /// Entangles `blocks` in order: stores each data block, as node
-  /// size() + 1 onwards, and its α parities, on its output edges, and
-  /// advances the strand heads. Throws CheckError on a block size
-  /// mismatch, and rethrows a task's error with the head cache dropped
-  /// (see the error model above).
-  void append_all(const std::vector<Bytes>& blocks);
+  /// Entangles the blocks laid end to end in `data` in order (block j is
+  /// data.subspan(j·block_size, block_size)): stores each data block, as
+  /// node size() + 1 onwards, and its α parities, on its output edges,
+  /// and advances the strand heads. The strand tasks XOR straight from
+  /// `data`. Throws CheckError, before anything is stored, when
+  /// data.size() is not a whole number of blocks, and rethrows a task's
+  /// error with the head cache dropped (see the error model above).
+  void append_all(BytesView data);
 
   const CodeParams& params() const noexcept { return params_; }
   std::size_t block_size() const noexcept { return block_size_; }

@@ -14,14 +14,12 @@ ThreadPool::Group::~Group() {
   done_.wait(lock, [this] { return pending_ == 0; });
 }
 
-ThreadPool::ThreadPool(std::size_t threads, std::size_t queue_capacity)
-    : capacity_(queue_capacity),
-      tasks_submitted_(
+ThreadPool::ThreadPool(std::size_t threads)
+    : tasks_submitted_(
           obs::MetricsRegistry::global().counter("pool.tasks_submitted")),
       queue_wait_us_(obs::MetricsRegistry::global().histogram(
           "pool.queue_wait_us", obs::Histogram::latency_bounds_us())) {
   AEC_CHECK_MSG(threads >= 1, "thread pool needs at least one worker");
-  AEC_CHECK_MSG(queue_capacity >= 1, "queue capacity must be positive");
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -43,11 +41,12 @@ void ThreadPool::submit(Group& group, std::function<void()> task) {
   AEC_CHECK_MSG(task != nullptr, "cannot submit an empty task");
   {
     std::unique_lock lock(mu_);
-    if (queue_.size() >= capacity_ && !stop_) {
+    if (queue_.size() >= kQueueCapacity && !stop_) {
       // Backpressure engaged: time the producer stall.
       const auto blocked_at = std::chrono::steady_clock::now();
-      not_full_.wait(lock,
-                     [this] { return queue_.size() < capacity_ || stop_; });
+      not_full_.wait(lock, [this] {
+        return queue_.size() < kQueueCapacity || stop_;
+      });
       queue_wait_us_->observe(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - blocked_at)

@@ -33,7 +33,9 @@ namespace aec::pipeline {
 
 class ThreadPool {
  public:
-  static constexpr std::size_t kDefaultQueueCapacity = 256;
+  /// Pending (not yet started) tasks the queue holds; submit() blocks
+  /// while it is full.
+  static constexpr std::size_t kQueueCapacity = 256;
 
   /// Completion group of one operation (a batch, a wave, a stream's
   /// prefetch). Its tasks may reference the coordinator's state (often
@@ -56,10 +58,8 @@ class ThreadPool {
     std::condition_variable done_;
   };
 
-  /// Spawns `threads` workers (≥ 1). `queue_capacity` bounds *pending*
-  /// (not yet started) tasks; submit() blocks while the queue is full.
-  explicit ThreadPool(std::size_t threads,
-                      std::size_t queue_capacity = kDefaultQueueCapacity);
+  /// Spawns `threads` workers (≥ 1).
+  explicit ThreadPool(std::size_t threads);
 
   /// Drains the queue, joins the workers. Pending tasks still run.
   ~ThreadPool();
@@ -67,8 +67,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task of `group`. Blocks while the pending queue is at
-  /// capacity.
+  /// Enqueues a task of `group`. Blocks while the pending queue holds
+  /// kQueueCapacity tasks.
   void submit(Group& group, std::function<void()> task);
 
   /// Blocks until every task submitted into `group` has finished, then
@@ -85,7 +85,6 @@ class ThreadPool {
   bool run_one(Group& group);
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
-  std::size_t queue_capacity() const noexcept { return capacity_; }
 
  private:
   struct Task {
@@ -102,7 +101,6 @@ class ThreadPool {
   std::condition_variable not_empty_;  // workers: work (or stop) available
   std::deque<Task> queue_;
   std::vector<std::thread> workers_;
-  std::size_t capacity_;
   bool stop_ = false;
   /// Global-registry metrics, resolved once at construction. The
   /// queue-wait histogram is touched only when submit() actually blocks

@@ -189,16 +189,11 @@ Broker::Broker(std::string user, CodeParams params, std::size_t block_size,
 Broker::~Broker() = default;
 
 std::vector<NodeIndex> Broker::backup(BytesView content) {
-  std::vector<Bytes> blocks;
-  for (std::size_t offset = 0; offset < content.size();
-       offset += block_size_) {
-    Bytes& block = blocks.emplace_back(block_size_, 0);  // zero-padded tail
-    const std::size_t len = std::min(block_size_, content.size() - offset);
-    std::copy_n(content.begin() + static_cast<std::ptrdiff_t>(offset), len,
-                block.begin());
-  }
+  // One run of whole blocks: the content, its tail zero-padded.
+  Bytes run(content.begin(), content.end());
+  run.resize((run.size() + block_size_ - 1) / block_size_ * block_size_);
   const auto first = static_cast<NodeIndex>(session_->size()) + 1;
-  session_->append(blocks);
+  session_->append(run);
   std::vector<NodeIndex> written;
   for (NodeIndex i = first; i <= static_cast<NodeIndex>(session_->size()); ++i)
     written.push_back(i);

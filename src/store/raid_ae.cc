@@ -157,8 +157,12 @@ RaidAeArray::~RaidAeArray() = default;
 NodeIndex RaidAeArray::write_block(BytesView data) {
   // One block per append: the one-thread session runs the α parity tasks
   // in class order, then the data task, so device writes keep arrival
-  // order.
-  session_->append({Bytes(data.begin(), data.end())});
+  // order. The session would take a longer run, so the size is checked
+  // here.
+  AEC_CHECK_MSG(data.size() == block_size_,
+                "write_block: " << data.size() << " bytes, want one "
+                                << block_size_ << "-byte block");
+  session_->append(data);
   return static_cast<NodeIndex>(session_->size());
 }
 

@@ -30,8 +30,9 @@ class RaidAeArray {
   RaidAeArray(const RaidAeArray&) = delete;
   RaidAeArray& operator=(const RaidAeArray&) = delete;
 
-  /// Appends one data block (computing its α parities). The data block
-  /// and each parity land on drives round-robin in arrival order.
+  /// Appends one data block of exactly block_size bytes (CheckError
+  /// otherwise), computing its α parities. The data block and each
+  /// parity land on drives round-robin in arrival order.
   NodeIndex write_block(BytesView data);
 
   std::uint32_t drive_count() const noexcept;

@@ -256,7 +256,7 @@ int run(const cli::Args& args) {
       }
       if (chunk->empty()) break;
       if (to_stdout) {
-        std::fwrite(chunk->data(), 1, chunk->size(), stdout);
+        cli::write_chunk(stdout, "stdout", *chunk);
       } else {
         out.write(reinterpret_cast<const char*>(chunk->data()),
                   static_cast<std::streamsize>(chunk->size()));
@@ -271,7 +271,9 @@ int run(const cli::Args& args) {
         static_cast<double>(reader->bytes_delivered()) / (1024.0 * 1024.0) /
         std::max(seconds, 1e-9);
     if (to_stdout) {
-      // The payload owns stdout; the report goes to stderr.
+      // The payload owns stdout; the report goes to stderr, once the
+      // payload is wholly written.
+      AEC_CHECK_MSG(std::fflush(stdout) == 0, "cannot write stdout");
       std::fprintf(stderr, "restored '%s' (%llu bytes, %.1f MB/s)\n",
                    name.c_str(),
                    static_cast<unsigned long long>(reader->bytes_delivered()),

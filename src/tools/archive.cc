@@ -168,17 +168,14 @@ void ReadGate::unlock() {
 FileWriter::FileWriter(Archive* archive, std::string name)
     : archive_(archive),
       name_(std::move(name)),
-      first_block_(static_cast<NodeIndex>(archive->blocks()) + 1) {
-  partial_.reserve(archive->block_size());
-}
+      first_block_(static_cast<NodeIndex>(archive->blocks()) + 1) {}
 
 FileWriter::FileWriter(FileWriter&& other) noexcept
     : archive_(other.archive_),
       name_(std::move(other.name_)),
       first_block_(other.first_block_),
       bytes_(other.bytes_),
-      ready_(std::move(other.ready_)),
-      partial_(std::move(other.partial_)),
+      window_(std::move(other.window_)),
       failed_(other.failed_) {
   other.archive_ = nullptr;
 }
@@ -190,60 +187,34 @@ FileWriter::~FileWriter() {
 void FileWriter::write(BytesView chunk) {
   AEC_CHECK_MSG(archive_ != nullptr, "write() on a closed FileWriter");
   AEC_CHECK_MSG(!failed_, "write() on a FileWriter whose append failed");
-  const std::size_t block_size = archive_->block_size();
+  const std::size_t window_bytes =
+      archive_->engine().ingest_window_blocks() * archive_->block_size();
+  window_.reserve(window_bytes);
   bytes_ += chunk.size();
   while (!chunk.empty()) {
-    if (partial_.empty() && chunk.size() >= block_size) {
-      // Block-aligned fast path: seal straight from the caller's chunk.
-      ready_.emplace_back(chunk.begin(),
-                          chunk.begin() + static_cast<std::ptrdiff_t>(
-                                              block_size));
-      chunk = chunk.subspan(block_size);
-      continue;
-    }
     const std::size_t take =
-        std::min(block_size - partial_.size(), chunk.size());
-    partial_.insert(partial_.end(), chunk.begin(),
-                    chunk.begin() + static_cast<std::ptrdiff_t>(take));
+        std::min(window_bytes - window_.size(), chunk.size());
+    window_.insert(window_.end(), chunk.begin(),
+                   chunk.begin() + static_cast<std::ptrdiff_t>(take));
     chunk = chunk.subspan(take);
-    if (partial_.size() == block_size) {
-      ready_.push_back(std::move(partial_));
-      partial_ = Bytes();
-      partial_.reserve(block_size);
-    }
+    if (window_.size() == window_bytes) append_window();
   }
-  flush_windows();
 }
 
-std::vector<Bytes> FileWriter::take_ready(std::size_t count) {
-  std::vector<Bytes> blocks;
-  blocks.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    blocks.push_back(std::move(ready_.front()));
-    ready_.pop_front();
-  }
-  return blocks;
-}
-
-void FileWriter::append(const std::vector<Bytes>& blocks) {
+void FileWriter::append_window() {
   try {
-    archive_->session_->append(blocks);
+    archive_->session_->append(window_);
   } catch (...) {
-    // The blocks have left ready_ and the session did not advance: the
-    // file now has a hole, so no part of it may be committed.
+    // The session did not advance: the file now has a hole, so no part
+    // of it may be committed.
     failed_ = true;
     throw;
   }
+  window_.clear();
   // The census covers every appended block, and margins of earlier
   // blocks can change when a missing parity's head edge lands on newly
   // appended nodes — O(damage) catch-up.
   archive_->health_.grow_to(archive_->session_->size());
-}
-
-void FileWriter::flush_windows() {
-  const std::size_t window_blocks =
-      archive_->engine().ingest_window_blocks();
-  while (ready_.size() >= window_blocks) append(take_ready(window_blocks));
 }
 
 const FileEntry& FileWriter::close() {
@@ -251,16 +222,14 @@ const FileEntry& FileWriter::close() {
   AEC_CHECK_MSG(!failed_, "close() on a FileWriter whose append failed");
   Archive& archive = *archive_;
 
-  // Seal the tail: the remaining whole blocks, then a zero-padded final
-  // block. Empty files still occupy one (all-zero) block.
-  std::vector<Bytes> blocks = take_ready(ready_.size());
-  if (!partial_.empty() || bytes_ == 0) {
-    Bytes tail(archive.block_size(), 0);
-    std::copy(partial_.begin(), partial_.end(), tail.begin());
-    blocks.push_back(std::move(tail));
-  }
-  if (!blocks.empty()) append(blocks);
-  partial_.clear();
+  // Seal the tail: zero-pad it to a whole block. Empty files still occupy
+  // one (all-zero) block; a file that ends on a window boundary has no
+  // tail.
+  const std::size_t block_size = archive.block_size();
+  const std::size_t tail_blocks =
+      bytes_ == 0 ? 1 : (window_.size() + block_size - 1) / block_size;
+  window_.resize(tail_blocks * block_size);
+  if (!window_.empty()) append_window();
   // Queued writes land before the manifest names the file, so a process
   // that dies after the commit leaves the file's blocks in their files.
   archive.store_->flush();
@@ -499,13 +468,7 @@ FileWriter Archive::begin_file(const std::string& name) {
 const FileEntry& Archive::add_file(const std::string& name,
                                    BytesView content) {
   FileWriter writer = begin_file(name);
-  // Window-sized slices: the writer's pending buffer never duplicates
-  // more than one window of the (caller-owned) content.
-  const std::size_t window =
-      engine_->ingest_window_blocks() * block_size_;
-  for (std::size_t offset = 0; offset < content.size(); offset += window)
-    writer.write(content.subspan(offset,
-                                 std::min(window, content.size() - offset)));
+  writer.write(content);
   return writer.close();
 }
 

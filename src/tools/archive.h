@@ -47,7 +47,7 @@
 // Files are stored as consecutive block runs (zero-padded tail). Ingest
 // is streaming: begin_file() returns a FileWriter whose chunked write()
 // entangles one bounded window of blocks at a time, so huge files never
-// buffer fully in memory; add_file() is a convenience wrapper over it.
+// buffer fully in memory; add_file() is one write() through it.
 // Reads repair missing blocks through the codec transparently; scrub()
 // runs the global repair plus the integrity scan.
 //
@@ -74,7 +74,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -152,10 +151,13 @@ class ReadGate {
 };
 
 /// Streaming ingest handle for one file (from Archive::begin_file). Feed
-/// chunks of any size through write(); whole windows of blocks are
-/// encoded and persisted as they fill, so peak memory stays bounded by
-/// the engine's ingest window regardless of file size. close() seals the
-/// zero-padded tail block and commits the manifest entry.
+/// chunks of any size through write(); they are copied into one window
+/// buffer of Engine::ingest_window_blocks() blocks, which is appended to
+/// the session, as one run, each time it fills. So the window boundaries
+/// fall every ingest_window_blocks() blocks of the file, and a write()
+/// of any size holds at most one window of memory. close() zero-pads the
+/// tail to a whole block (an empty file takes one zero block), appends
+/// it and commits the manifest entry.
 ///
 /// Destroying an unclosed writer abandons the file: no manifest entry is
 /// written; blocks already flushed stay in the store as unreferenced
@@ -189,24 +191,17 @@ class FileWriter {
   friend class Archive;
   FileWriter(Archive* archive, std::string name);
 
-  /// Encodes every full window currently buffered.
-  void flush_windows();
-  /// One session append; poisons the writer when it throws.
-  void append(const std::vector<Bytes>& blocks);
-  /// Moves the first `count` ready blocks into a batch (O(count) span
-  /// moves, no byte memmove).
-  std::vector<Bytes> take_ready(std::size_t count);
+  /// Appends window_ to the session and empties it; poisons the writer
+  /// when the append throws.
+  void append_window();
 
   Archive* archive_;  // null once closed/moved-from
   std::string name_;
   NodeIndex first_block_ = 0;
   std::uint64_t bytes_ = 0;
-  /// Ring of sealed block-sized spans awaiting a window flush. A deque
-  /// pop_front is O(1) per block, unlike the old linear pending buffer
-  /// whose every flush memmoved the whole remainder to the front.
-  std::deque<Bytes> ready_;
-  /// The one partially filled tail block (< block_size bytes).
-  Bytes partial_;
+  /// The file's bytes not yet appended: less than one window, reserved
+  /// to a whole window at the first write.
+  Bytes window_;
   bool failed_ = false;  // an append threw: see the class comment
 };
 
@@ -336,7 +331,7 @@ class Archive {
   FileWriter begin_file(const std::string& name);
 
   /// Appends a fully buffered file; returns its entry. Name must be
-  /// unique. Implemented over begin_file().
+  /// unique. One FileWriter::write() of `content`.
   const FileEntry& add_file(const std::string& name, BytesView content);
 
   /// Reads a file back through the windowed read path (repairing blocks

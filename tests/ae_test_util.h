@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -34,6 +35,15 @@ inline std::vector<Bytes> random_blocks(std::size_t count,
   return blocks;
 }
 
+/// `blocks` laid end to end: the one run a session or an encoder
+/// appends, built from a test's per-block oracle.
+inline Bytes join(std::span<const Bytes> blocks) {
+  Bytes run;
+  for (const Bytes& block : blocks)
+    run.insert(run.end(), block.begin(), block.end());
+  return run;
+}
+
 /// Entangles `blocks` as one batch into `store` on a `threads`-worker
 /// pool (one worker by default).
 inline void encode_into(const CodeParams& params, std::size_t block_size,
@@ -41,7 +51,7 @@ inline void encode_into(const CodeParams& params, std::size_t block_size,
                         std::size_t threads = 1) {
   pipeline::ThreadPool pool(threads);
   pipeline::ParallelEncoder encoder(params, block_size, &store, &pool);
-  encoder.append_all(blocks);
+  encoder.append_all(join(blocks));
 }
 
 /// Ground-truth check of an encoding, needing no second encoder: every

@@ -513,11 +513,40 @@ TEST_F(ArchiveStreamTest, SessionOutlivesTemporaryEngine) {
   auto session = Engine::with_threads(2)->open_session(
       make_codec("AE(3,2,5)"), &store, 64);
   Rng rng(12);
-  std::vector<Bytes> blocks;
-  for (int i = 0; i < 50; ++i) blocks.push_back(rng.random_block(64));
-  session->append(blocks);  // engine's pool must still be alive here
+  const Bytes run = rng.random_block(64 * 50);
+  session->append(run);  // engine's pool must still be alive here
   EXPECT_EQ(session->size(), 50u);
-  EXPECT_EQ(session->open_stream(7, 1)->next(), blocks[6]);
+  EXPECT_EQ(session->open_stream(7, 1)->next(),
+            BytesView(run).subspan(64 * 6, 64));
+}
+
+TEST_F(ArchiveStreamTest, SessionRejectsARunOfPartBlocksAndStoresNothing) {
+  // A session appends whole blocks laid end to end. A run of any other
+  // size is a CheckError naming both sizes, raised before anything
+  // reaches the store, in the AE and the striped session alike.
+  for (const char* spec : {"AE(3,2,5)", "RS(4,2)"}) {
+    SCOPED_TRACE(spec);
+    pipeline::ConcurrentBlockStore store;
+    auto session =
+        Engine::serial()->open_session(make_codec(spec), &store, 64);
+    session->append(Bytes(64 * 3, 7));
+    const std::uint64_t stored = store.size();
+    for (const std::size_t bytes : {1, 63, 65, 64 * 5 + 1}) {
+      try {
+        session->append(Bytes(bytes, 1));
+        ADD_FAILURE() << bytes << " bytes appended";
+      } catch (const CheckError& e) {
+        const std::string message = e.message();
+        EXPECT_NE(message.find(std::to_string(bytes) + " bytes"),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("64-byte"), std::string::npos) << message;
+      }
+    }
+    session->append(Bytes{});  // no blocks: nothing to store
+    EXPECT_EQ(session->size(), 3u);
+    EXPECT_EQ(store.size(), stored);
+  }
 }
 
 TEST_F(ArchiveStreamTest, SessionRejectsAStoreThatDoesNotLockItself) {

@@ -1,13 +1,15 @@
-// cli::parse and cli::require on well-formed command lines. Their error
-// paths print the usage text and exit 2; the CLI smoke steps in CI run
-// those against the built tools.
+// cli::parse and cli::require on well-formed command lines, and
+// cli::write_chunk. The parser's error paths print the usage text and
+// exit 2; the CLI smoke steps in CI run those against the built tools.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/cli.h"
 
 namespace aec::cli {
@@ -46,6 +48,27 @@ TEST(CliParse, CommandAlone) {
   EXPECT_EQ(args.command, "ls");
   EXPECT_TRUE(args.options.empty());
   EXPECT_TRUE(args.positional.empty());
+}
+
+TEST(CliWriteChunk, WritesAWholeChunkAndNamesTheStreamOnAShortWrite) {
+  const Bytes chunk(4096, 0xAB);
+  std::FILE* file = std::tmpfile();
+  ASSERT_NE(file, nullptr);
+  write_chunk(file, "the file", chunk);
+  EXPECT_EQ(std::ftell(file), 4096);
+  std::fclose(file);
+
+  // /dev/full refuses every write; unbuffered, the write itself fails.
+  std::FILE* full = std::fopen("/dev/full", "w");
+  if (full == nullptr) GTEST_SKIP() << "no /dev/full on this system";
+  std::setvbuf(full, nullptr, _IONBF, 0);
+  try {
+    write_chunk(full, "stdout", chunk);
+    ADD_FAILURE() << "a write to /dev/full succeeded";
+  } catch (const CheckError& e) {
+    EXPECT_STREQ(e.message(), "cannot write stdout");
+  }
+  std::fclose(full);
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ TEST(Encoding, StoresDataAndAlphaParities) {
   ThreadPool pool(1);
   ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, &pool);
   Rng rng(1);
-  enc.append_all({rng.random_block(kBlockSize)});
+  enc.append_all(rng.random_block(kBlockSize));
   EXPECT_EQ(store.size(), 4u);  // 1 data + 3 parities
 }
 
@@ -41,7 +41,7 @@ TEST(Encoding, RejectsWrongBlockSize) {
   pipeline::ConcurrentBlockStore store;
   ThreadPool pool(1);
   ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, &pool);
-  EXPECT_THROW(enc.append_all({Bytes(kBlockSize - 1, 0)}), CheckError);
+  EXPECT_THROW(enc.append_all(Bytes(kBlockSize - 1, 0)), CheckError);
   EXPECT_EQ(store.size(), 0u);
 }
 
@@ -103,7 +103,7 @@ TEST_P(EncodingGrid, EntanglementEquationHoldsEverywhere) {
   Rng rng(11);
   const std::size_t n = 200;
   const auto blocks = random_blocks(n, rng);
-  enc.append_all(blocks);
+  enc.append_all(test::join(blocks));
   const Lattice lat = enc.lattice();
 
   for (NodeIndex i = 1; i <= static_cast<NodeIndex>(n); ++i) {
@@ -129,8 +129,7 @@ TEST_P(EncodingGrid, HeadCacheBoundedByStrandCount) {
   ThreadPool pool(1);
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
   Rng rng(13);
-  for (int i = 0; i < 300; ++i)
-    enc.append_all({rng.random_block(kBlockSize)});
+  for (int i = 0; i < 300; ++i) enc.append_all(rng.random_block(kBlockSize));
   // Paper §IV-A: the broker keeps the last p-block of each strand.
   EXPECT_LE(enc.cached_heads(), params.total_strands());
   EXPECT_EQ(enc.cached_heads(), params.total_strands());
@@ -152,7 +151,7 @@ TEST_P(EncodingGrid, CrashRecoveryProducesIdenticalParities) {
   ParallelEncoder enc_b(params, kBlockSize, &store_b, &pool);
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     if (i % 17 == 0) enc_b.drop_head_cache();  // crash every 17 appends
-    enc_b.append_all({blocks[i]});
+    enc_b.append_all(blocks[i]);
   }
 
   test::expect_stores_identical(store_a, store_b);
@@ -166,7 +165,7 @@ TEST_P(EncodingGrid, TotalBlockCount) {
   Rng rng(19);
   const std::size_t n = 100;
   for (std::size_t i = 0; i < n; ++i)
-    enc.append_all({rng.random_block(kBlockSize)});
+    enc.append_all(rng.random_block(kBlockSize));
   EXPECT_EQ(store.size(), n * (1 + params.alpha()));
   EXPECT_EQ(enc.size(), n);
 }

@@ -247,7 +247,7 @@ TEST_F(FileBlockStoreTest, IntegrityScanLeavesThePayloadCacheAlone) {
     FileBlockStore writer(root, 4);
     const auto session =
         Engine::serial()->open_session(make_codec(spec), &writer, kBlockSize);
-    session->append(test::random_blocks(150, kBlockSize, 3));
+    session->append(test::join(test::random_blocks(150, kBlockSize, 3)));
     writer.flush();
     FileBlockStore store(root, 4);
     const auto scan = Engine::serial()->open_session(
@@ -280,12 +280,12 @@ TEST_F(FileBlockStoreTest, ResumedEncoderContinuesTheLattice) {
   pipeline::ThreadPool pool(1);
   {
     pipeline::ParallelEncoder enc_b(params, kBlockSize, &durable, &pool);
-    enc_b.append_all({blocks.begin(), blocks.begin() + 12});
+    enc_b.append_all(test::join({blocks.begin(), blocks.begin() + 12}));
   }
   {
     pipeline::ParallelEncoder enc_c(params, kBlockSize, &durable, &pool,
                                     /*resume_count=*/12);
-    enc_c.append_all({blocks.begin() + 12, blocks.end()});
+    enc_c.append_all(test::join({blocks.begin() + 12, blocks.end()}));
     EXPECT_EQ(enc_c.size(), 20u);
   }
   test::expect_encoding_of(params, kBlockSize, blocks, durable);

@@ -59,8 +59,9 @@ std::unique_ptr<ConcurrentBlockStore> one_worker_reference(
   std::size_t done = 0;
   for (std::size_t batch = 1; done < blocks.size(); ++batch) {
     const std::size_t end = std::min(done + batch, blocks.size());
-    enc.append_all({blocks.begin() + static_cast<std::ptrdiff_t>(done),
-                    blocks.begin() + static_cast<std::ptrdiff_t>(end)});
+    enc.append_all(
+        test::join({blocks.begin() + static_cast<std::ptrdiff_t>(done),
+                    blocks.begin() + static_cast<std::ptrdiff_t>(end)}));
     done = end;
   }
   expect_encoding_of(params, kBlockSize, blocks, *store);
@@ -80,15 +81,47 @@ TEST(ThreadPool, RunsEverySubmittedTask) {
 }
 
 TEST(ThreadPool, BackpressureBoundsTheQueueWithoutLosingTasks) {
-  // Capacity 2 with 1 worker: submit() must block rather than overflow or
-  // drop; all tasks still complete.
-  ThreadPool pool(1, 2);
+  // The producer's first task holds the pool's only worker on a gate, so
+  // nothing drains: the gate task plus kQueueCapacity queued ones are
+  // all the submits that can return, and the next blocks rather than
+  // overflow or drop. Released, every task runs.
+  constexpr std::size_t kCapacity = ThreadPool::kQueueCapacity;
+  ThreadPool pool(1);
   ThreadPool::Group group;
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i)
-    pool.submit(group, [&counter] { counter.fetch_add(1); });
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  std::atomic<std::size_t> submitted{0};
+  std::atomic<std::size_t> ran{0};
+  std::thread producer([&] {
+    pool.submit(group, [&] {
+      std::unique_lock lock(mu);
+      cv.wait(lock, [&] { return released; });
+    });
+    ++submitted;
+    for (std::size_t i = 1; i < kCapacity + 10; ++i) {
+      pool.submit(group, [&ran] { ran.fetch_add(1); });
+      ++submitted;
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (submitted.load() < kCapacity + 1 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(submitted.load(), kCapacity + 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(submitted.load(), kCapacity + 1);  // the next submit blocks
+  EXPECT_EQ(ran.load(), 0u);
+  {
+    std::lock_guard lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  producer.join();
   pool.wait(group);
-  EXPECT_EQ(counter.load(), 200);
+  EXPECT_EQ(submitted.load(), kCapacity + 10);
+  EXPECT_EQ(ran.load(), kCapacity + 9);
 }
 
 TEST(ThreadPool, WaitRethrowsFirstTaskError) {
@@ -599,7 +632,7 @@ TEST_P(ParallelEncoderEquivalence, GroundTruthAtEveryWorkerCount) {
   ThreadPool pool(threads);
   ConcurrentBlockStore store;
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
-  enc.append_all(blocks);
+  enc.append_all(test::join(blocks));
 
   EXPECT_EQ(enc.size(), count);
   expect_encoding_of(params, kBlockSize, blocks, store);
@@ -642,9 +675,9 @@ TEST(ParallelEncoder, SingleAppendInterleavesWithBatches) {
   ConcurrentBlockStore store;
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
   // One-block batches around a larger one.
-  enc.append_all({blocks[0]});
-  enc.append_all({blocks.begin() + 1, blocks.begin() + 60});
-  for (std::size_t i = 60; i < blocks.size(); ++i) enc.append_all({blocks[i]});
+  enc.append_all(blocks[0]);
+  enc.append_all(test::join({blocks.begin() + 1, blocks.begin() + 60}));
+  for (std::size_t i = 60; i < blocks.size(); ++i) enc.append_all(blocks[i]);
   expect_stores_identical(*expected, store);
 }
 
@@ -653,7 +686,7 @@ TEST(ParallelEncoder, HeadCacheBoundedByStrandCount) {
   ThreadPool pool(4);
   ConcurrentBlockStore store;
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
-  enc.append_all(random_blocks(300, 31));
+  enc.append_all(test::join(random_blocks(300, 31)));
   EXPECT_EQ(enc.cached_heads(), params.total_strands());
 }
 
@@ -671,9 +704,9 @@ TEST(ParallelEncoder, CrashResumeThroughDropHeadCache) {
   std::size_t done = 0;
   const std::size_t chunks[] = {1, 99, 3, 250, 147};  // ragged splits
   for (const std::size_t chunk : chunks) {
-    enc.append_all(
+    enc.append_all(test::join(
         {blocks.begin() + static_cast<std::ptrdiff_t>(done),
-         blocks.begin() + static_cast<std::ptrdiff_t>(done + chunk)});
+         blocks.begin() + static_cast<std::ptrdiff_t>(done + chunk)}));
     done += chunk;
     enc.drop_head_cache();
     EXPECT_EQ(enc.cached_heads(), 0u);
@@ -691,12 +724,12 @@ TEST(ParallelEncoder, ResumeCountContinuesAnExistingLattice) {
   ConcurrentBlockStore store;
   {
     ParallelEncoder first(params, kBlockSize, &store, &pool);
-    first.append_all({blocks.begin(), blocks.begin() + 203});
+    first.append_all(test::join({blocks.begin(), blocks.begin() + 203}));
   }
   // A brand-new encoder (fresh process) resumes at block 203 — not a
   // multiple of s = 5, so it restarts mid-column.
   ParallelEncoder second(params, kBlockSize, &store, &pool, 203);
-  second.append_all({blocks.begin() + 203, blocks.end()});
+  second.append_all(test::join({blocks.begin() + 203, blocks.end()}));
   EXPECT_EQ(second.size(), blocks.size());
   expect_stores_identical(*expected, store);
 }
@@ -707,13 +740,13 @@ TEST(ParallelEncoder, FailedBatchRetriesByteIdentically) {
   // must re-fetch the heads from the store, not XOR the batch in twice.
   const CodeParams params(3, 2, 5);
   const auto blocks = random_blocks(40, 83);
-  const std::vector<Bytes> second(blocks.begin() + 20, blocks.end());
+  const Bytes second = test::join({blocks.begin() + 20, blocks.end()});
   for (const std::size_t threads : {1, 2, 4}) {
     SCOPED_TRACE(threads);
     ThreadPool pool(threads);
     test::HookedStore store;
     ParallelEncoder enc(params, kBlockSize, &store, &pool);
-    enc.append_all({blocks.begin(), blocks.begin() + 20});
+    enc.append_all(test::join({blocks.begin(), blocks.begin() + 20}));
     store.fail_countdown = 31;  // the batch's 31st put throws
     EXPECT_THROW(enc.append_all(second), std::runtime_error);
     EXPECT_EQ(enc.size(), 20u);
@@ -727,8 +760,8 @@ TEST(ParallelEncoder, RejectsWrongBlockSize) {
   ThreadPool pool(2);
   ConcurrentBlockStore store;
   ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, &pool);
-  EXPECT_THROW(enc.append_all({Bytes(kBlockSize, 0), Bytes(1, 0)}),
-               CheckError);
+  EXPECT_THROW(enc.append_all(Bytes(kBlockSize + 1, 0)), CheckError);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 // --- Archive integration ----------------------------------------------------

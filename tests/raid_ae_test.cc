@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "store/raid_ae.h"
 
@@ -24,6 +25,21 @@ TEST(RaidAe, WritePenaltyIsAlphaPlusOne) {
   EXPECT_EQ(array.write_penalty(), 4u);  // paper: "the write penalty is α+1"
   RaidAeArray single(CodeParams::single(), 4, kBlockSize);
   EXPECT_EQ(single.write_penalty(), 2u);
+}
+
+TEST(RaidAe, WriteBlockTakesExactlyOneBlock) {
+  // A session appends any whole number of blocks; write_block is one
+  // block, so a run of two, or a part block, is refused and stores
+  // nothing.
+  RaidAeArray array(CodeParams(3, 2, 5), 4, kBlockSize);
+  Rng rng(5);
+  EXPECT_THROW(array.write_block(rng.random_block(2 * kBlockSize)),
+               CheckError);
+  EXPECT_THROW(array.write_block(rng.random_block(kBlockSize - 1)),
+               CheckError);
+  EXPECT_EQ(array.blocks_written(), 0u);
+  EXPECT_EQ(array.write_block(rng.random_block(kBlockSize)), 1);
+  EXPECT_EQ(array.blocks_written(), 1u);
 }
 
 TEST(RaidAe, BlocksSpreadRoundRobin) {

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "ae_test_util.h"
 #include "api/engine.h"
 #include "cluster/placement.h"
 #include "common/check.h"
@@ -161,7 +162,7 @@ class ReadPathConformanceTest
 
     auto make = [&](const char* tag) {
       auto inst = std::make_unique<Instance>(test_dir(tag), p.spec);
-      inst->session->append(blocks_);
+      inst->session->append(test::join(blocks_));
       inflict(inst->store, lose);
       return inst;
     };
@@ -283,7 +284,7 @@ TEST_F(ReadPathWindowTest, WindowOfOneAndWindowBeyondFile) {
   auto engine = Engine::serial();
   auto session = engine->open_session(make_codec("AE(3,2,5)"), &store,
                                       kBlockSize);
-  session->append(blocks);
+  session->append(test::join(blocks));
   ASSERT_TRUE(store.erase(BlockKey::data(11)));
 
   for (const std::size_t window : {std::size_t{1}, std::size_t{1000}}) {
@@ -456,8 +457,8 @@ class ReadPathBlockStreamTest : public RemovesTestDirs<::testing::Test> {
   /// A repair fallback that repairs nothing.
   static Block no_repair(NodeIndex) { return Block(); }
 
-  /// Records every get_batch() made through it: its size, each key it
-  /// fetched and the thread that fetched it.
+  /// Records every get_batch() made through it: its first key's index
+  /// and its size, each key it fetched and the thread that fetched it.
   class CountingStore final : public BlockStore {
    public:
     explicit CountingStore(BlockStore& inner) : inner_(inner) {}
@@ -477,7 +478,8 @@ class ReadPathBlockStreamTest : public RemovesTestDirs<::testing::Test> {
         const std::vector<BlockKey>& keys) const override {
       {
         std::lock_guard lock(mu_);
-        batch_sizes_.push_back(keys.size());
+        batches_.emplace_back(keys.empty() ? 0 : keys.front().index,
+                              keys.size());
         for (const BlockKey& key : keys) {
           ++fetches_[key];
           fetchers_.insert(std::this_thread::get_id());
@@ -485,9 +487,14 @@ class ReadPathBlockStreamTest : public RemovesTestDirs<::testing::Test> {
       }
       return inner_.get_batch(keys);
     }
-    std::vector<std::size_t> batch_sizes() const {
+    /// (first key's index, size) of every batch, sorted by first key:
+    /// a stream keeps two batches in flight, so they may reach the store
+    /// in either order.
+    std::vector<std::pair<NodeIndex, std::size_t>> batches() const {
       std::lock_guard lock(mu_);
-      return batch_sizes_;
+      std::vector<std::pair<NodeIndex, std::size_t>> sorted = batches_;
+      std::sort(sorted.begin(), sorted.end());
+      return sorted;
     }
     /// How often each key was fetched.
     std::unordered_map<BlockKey, int, BlockKeyHash> fetches() const {
@@ -500,7 +507,7 @@ class ReadPathBlockStreamTest : public RemovesTestDirs<::testing::Test> {
     }
     void reset() {
       std::lock_guard lock(mu_);
-      batch_sizes_.clear();
+      batches_.clear();
       fetches_.clear();
       fetchers_.clear();
     }
@@ -508,7 +515,7 @@ class ReadPathBlockStreamTest : public RemovesTestDirs<::testing::Test> {
    private:
     BlockStore& inner_;
     mutable std::mutex mu_;
-    mutable std::vector<std::size_t> batch_sizes_;
+    mutable std::vector<std::pair<NodeIndex, std::size_t>> batches_;
     mutable std::unordered_map<BlockKey, int, BlockKeyHash> fetches_;
     mutable std::set<std::thread::id> fetchers_;
   };
@@ -573,8 +580,9 @@ TEST_F(ReadPathBlockStreamTest, RefillIssuesWholeBatchesOnly) {
       EXPECT_EQ(stream.next(), blocks[i]) << "block " << i + 1;
     EXPECT_TRUE(stream.exhausted());
   }
-  EXPECT_EQ(store.batch_sizes(),
-            (std::vector<std::size_t>{16, 16, 16, 16, 8}));
+  EXPECT_EQ(store.batches(),
+            (std::vector<std::pair<NodeIndex, std::size_t>>{
+                {1, 16}, {17, 16}, {33, 16}, {49, 16}, {65, 8}}));
 }
 
 TEST_F(ReadPathBlockStreamTest, StoreExceptionSurfacesAtNextNotAtThePool) {
@@ -626,7 +634,7 @@ TEST_F(ReadPathBlockStreamTest,
   std::vector<Bytes> blocks;
   for (std::size_t i = 0; i < kBlocks; ++i)
     blocks.push_back(rng.random_block(kBlockSize));
-  session->append(blocks);
+  session->append(test::join(blocks));
   store.reset();
 
   std::latch parked(1);
@@ -805,7 +813,7 @@ TEST_F(ReadPathStreamTest, LostBlocksRepairOneWavePerWindow) {
     auto copy = std::make_unique<Copy>();
     copy->session = engine->open_session(make_codec("AE(3,2,5)"),
                                          &copy->store, kBlockSize);
-    copy->session->append(blocks);
+    copy->session->append(test::join(blocks));
     inflict(copy->store, on_node0);
     return copy;
   };
@@ -991,7 +999,7 @@ TEST_F(ReadPathMetricsTest, WindowedReadCountsIssuedAndHitBlocks) {
   auto engine = Engine::serial();
   auto session = engine->open_session(make_codec("AE(3,2,5)"), &store,
                                       kBlockSize);
-  session->append(blocks);
+  session->append(test::join(blocks));
 
   const obs::Histogram* waits = obs::MetricsRegistry::global().histogram(
       "read.prefetch.fetch_wait_us", obs::Histogram::latency_bounds_us());

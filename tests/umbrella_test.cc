@@ -11,7 +11,7 @@ TEST(Umbrella, CoreTypesReachable) {
   auto session = aec::Engine::serial()->open_session(
       aec::make_codec(params.name()), &store, 64);
   aec::Rng rng(1);
-  session->append({rng.random_block(64)});
+  session->append(rng.random_block(64));
   store.erase(aec::BlockKey::data(1));
   EXPECT_TRUE(session->open_stream(1, 1, 1)->next());
   EXPECT_EQ(aec::MinimalErasureSearch::me2_closed_form(params), 11u);
